@@ -27,13 +27,6 @@ from repro.bench import (
     xhost_traffic,
 )
 
-# Deprecation alias: the §3.2.2 byte-table bench was renamed from
-# ``traffic`` to ``xhost_traffic`` (the serving subsystem owns the name
-# "traffic" now, see repro.serve.traffic).  Kept one release so
-# ``from repro.bench.__main__ import traffic`` and figure scripts keep
-# working; importing ``repro.bench.traffic`` itself warns.
-traffic = xhost_traffic
-
 
 def main(argv: list[str]) -> None:
     fast = "--fast" in argv

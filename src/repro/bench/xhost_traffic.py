@@ -6,8 +6,7 @@ next to the simulator's measured byte counters for a small model.
 
 (Formerly ``repro.bench.traffic``; renamed so the name does not
 collide with the serving-side request-traffic generator in
-``repro.serve.traffic``.  ``repro.bench.traffic`` remains importable
-as a deprecation shim.)
+``repro.serve.traffic``.)
 """
 
 from __future__ import annotations

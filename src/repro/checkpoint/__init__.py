@@ -25,6 +25,7 @@ from repro.checkpoint.manifest import (
 from repro.checkpoint.reshard import (
     assemble_full_state,
     layouts_match,
+    load_payload,
     load_resharded,
     snapshot_payload,
     unit_layouts,
@@ -62,6 +63,7 @@ __all__ = [
     "StorageStats",
     "unit_layouts",
     "snapshot_payload",
+    "load_payload",
     "assemble_full_state",
     "load_resharded",
     "layouts_match",

@@ -1,15 +1,15 @@
 """Resharded checkpoint restore: N ranks → M ranks, any wrap granularity.
 
-A sharded checkpoint is a set of per-rank flat-parameter chunks plus
-the :class:`~repro.checkpoint.manifest.UnitLayout` metadata describing
-how each FSDP unit was flattened and chunked at save time.  That
-metadata is enough to reverse the layout entirely offline:
+A sharded checkpoint is a set of per-rank chunks — one per shard
+record (:class:`repro.fsdp.handle.ShardRecord`) — plus the
+:class:`~repro.checkpoint.manifest.UnitLayout` metadata describing how
+each record's logical buffer was laid out and chunked at save time.
+That metadata is enough to reverse the layout entirely offline:
 
-1. **reassemble** — for every unit, concatenate its saved chunks in
-   shard-index order, drop the padding, and slice the unpadded flat
-   parameter back into per-FQN logical tensors using the recorded
-   ``ParamSpec`` offsets (the paper's §4.1 sharded state dict, run in
-   reverse);
+1. **reassemble** — for every record, concatenate its saved chunks in
+   shard-index order, drop the padding, and slice the unpadded buffer
+   back into per-FQN logical tensors using the recorded ``ParamSpec``
+   offsets (the paper's §4.1 sharded state dict, run in reverse);
 2. **scatter** — hand the resulting consolidated state dicts to
    :func:`repro.fsdp.state_dict.load_full_state_dict` and
    :func:`repro.fsdp.optim_state.load_full_optim_state_dict`, which
@@ -18,9 +18,9 @@ metadata is enough to reverse the layout entirely offline:
 
 Because step 1 depends only on the manifest and step 2 only on the new
 model, the two layouts never need to agree: world size, sharding
-factor and wrap granularity can all change between save and restore,
-and optimizer state (sharded identically to its FlatParameter) rides
-along for free.  No communication is involved — every restoring rank
+factor, wrap granularity and sharding backend can all change between
+save and restore, and optimizer state (sharded identically to its
+record) rides along for free.  No communication is involved — every restoring rank
 reads the shards it needs and keeps only its own slice.
 """
 
@@ -34,14 +34,20 @@ import numpy as np
 from repro import dtypes
 from repro.checkpoint.manifest import CheckpointManifest, ParamSpec, UnitLayout
 from repro.errors import CheckpointError, ShardLayoutError
-from repro.fsdp.optim_state import load_full_optim_state_dict
+from repro.fsdp.optim_state import (
+    load_full_optim_state_dict,
+    load_sharded_optim_state_dict,
+    sharded_optim_state_dict,
+)
 from repro.fsdp.state_dict import (
-    _handles_under,
-    _join,
     _module_fqns,
+    _named_buffers_clean,
+    load_buffers,
     load_full_state_dict,
     load_sharded_state_dict,
+    shard_records,
     sharded_state_dict,
+    unit_records,
 )
 from repro.nn.module import Module
 from repro.tensor import Tensor, tensor
@@ -49,6 +55,7 @@ from repro.tensor import Tensor, tensor
 __all__ = [
     "unit_layouts",
     "snapshot_payload",
+    "load_payload",
     "assemble_full_state",
     "load_resharded",
     "layouts_match",
@@ -57,70 +64,32 @@ __all__ = [
 
 def unit_layouts(root: Module) -> tuple[UnitLayout, ...]:
     """Describe the model's current shard layout for a manifest."""
-    fqns = _module_fqns(root)
-    layouts = []
-    for index, handle in enumerate(_handles_under(root)):
-        if getattr(handle, "is_per_param", False):
-            # One layout per parameter, keyed by FQN.  FQNs are stable
-            # across wrap granularities, so two models that group the
-            # same parameters into different per-parameter units still
-            # produce identical layout sets — sorted for
-            # order-robustness (see ``layouts_match``).
-            per_param = []
-            for sp in handle.sharded_params:
-                fqn = _join(fqns[id(sp.module)], sp.name)
-                rows = sp.shape[0] if sp.shape else 1
-                row_numel = sp.numel // rows if rows else 0
-                base_chunk = (-(-rows // sp.sharding_factor)) * row_numel
-                per_param.append(
-                    UnitLayout(
-                        key=f"per_param.{fqn}",
-                        label=handle.label,
-                        total_numel=sp.numel,
-                        padded_numel=sp.numel,
-                        factor=sp.sharding_factor,
-                        shard_numel=min(base_chunk, sp.numel),
-                        dtype=sp.full_precision_dtype.name,
-                        params=(
-                            ParamSpec(
-                                fqn=fqn,
-                                shape=tuple(sp.shape),
-                                numel=sp.numel,
-                                offset=0,
-                            ),
-                        ),
-                    )
+    layouts: list[UnitLayout] = []
+    for unit in unit_records(root):
+        described = []
+        for key, record, named in unit:
+            # Tied bindings of one parameter appear once per distinct FQN.
+            specs = {
+                (fqn, b.offset): ParamSpec(
+                    fqn=fqn, shape=tuple(b.shape), numel=b.numel, offset=b.offset
                 )
-            layouts.extend(sorted(per_param, key=lambda u: u.key))
-            continue
-        key = f"flat_param.{index:03d}.{handle.label}"
-        specs: list[ParamSpec] = []
-        seen: set[tuple[str, int]] = set()
-        for info in handle.param_infos:
-            fqn = _join(fqns[id(info.module)], info.name)
-            if (fqn, info.offset) in seen:
-                continue
-            seen.add((fqn, info.offset))
-            specs.append(
-                ParamSpec(
-                    fqn=fqn,
-                    shape=tuple(info.shape),
-                    numel=info.numel,
-                    offset=info.offset,
+                for fqn, b in named
+            }
+            described.append(
+                UnitLayout(
+                    key=key,
+                    label=record.label,
+                    total_numel=record.total_numel,
+                    padded_numel=record.padded_numel,
+                    factor=record.sharding_factor,
+                    shard_numel=record.layout_shard_numel,
+                    dtype=record.shard.dtype.name,
+                    params=tuple(specs.values()),
                 )
             )
-        layouts.append(
-            UnitLayout(
-                key=key,
-                label=handle.label,
-                total_numel=handle.total_numel,
-                padded_numel=handle.padded_numel,
-                factor=handle.sharding_factor,
-                shard_numel=handle.shard_numel,
-                dtype=handle._local_shard.dtype.name,
-                params=tuple(specs),
-            )
-        )
+        # Within a unit, records are listed by key: units that group the
+        # same FQN-keyed records differently then describe them alike.
+        layouts.extend(sorted(described, key=lambda u: u.key))
     return tuple(layouts)
 
 
@@ -129,39 +98,41 @@ def snapshot_payload(
 ) -> dict:
     """One rank's checkpoint payload: model + optimizer shards + metadata.
 
-    ``shard_index`` records which chunk of each unit's flat parameter
+    ``shard_index`` records which chunk of each record's logical buffer
     this rank holds — under hybrid layouts that need not equal the
     global rank, and reassembly keys chunks by it, not by saver rank.
     """
-    from repro.fsdp.optim_state import sharded_optim_state_dict
-
-    fqns = _module_fqns(root)
-    shard_index: dict[str, int] = {}
-    for index, handle in enumerate(_handles_under(root)):
-        if getattr(handle, "is_per_param", False):
-            for sp in handle.sharded_params:
-                key = f"per_param.{_join(fqns[id(sp.module)], sp.name)}"
-                shard_index[key] = handle.shard_group.rank
-        else:
-            shard_index[f"flat_param.{index:03d}.{handle.label}"] = (
-                handle.shard_group.rank
-            )
     payload: dict = {
         "model": sharded_state_dict(root, copy=copy),
-        "shard_index": shard_index,
+        "shard_index": {
+            key: record.shard_index for key, record, _ in shard_records(root)
+        },
     }
     if optimizer is not None:
         payload["optim"] = sharded_optim_state_dict(root, optimizer, copy=copy)
-    buffers: dict[str, Tensor] = {}
-    for module in root.modules():
-        if id(module) not in fqns:
-            continue
-        for name, buffer in module._buffers.items():
-            if buffer is not None and buffer.is_materialized:
-                buffers[_join(fqns[id(module)], name)] = buffer.detach()
+    buffers = {
+        name: buffer.detach()
+        for name, buffer in _named_buffers_clean(root, _module_fqns(root))
+        if buffer.is_materialized
+    }
     if buffers:
         payload["buffers"] = buffers
     return payload
+
+
+def load_payload(root: Module, optimizer: Optional[object], payload: dict) -> None:
+    """Adopt one same-layout payload: model shards, optimizer shards, buffers.
+
+    The inverse of :func:`snapshot_payload`, and the only code that
+    restores one: a same-layout checkpoint restore loads this rank's
+    own saved payload, a peer heal loads a replica's deposit.  Raises
+    :class:`ShardLayoutError` when the payload was saved under another
+    layout (go through :func:`load_resharded`).
+    """
+    load_sharded_state_dict(root, payload["model"])
+    if optimizer is not None and "optim" in payload:
+        load_sharded_optim_state_dict(root, optimizer, payload["optim"])
+    load_buffers(root, payload.get("buffers", {}))
 
 
 def _chunks_by_index(
@@ -278,38 +249,26 @@ def assemble_full_state(
 
 def layouts_match(root: Module, manifest: CheckpointManifest) -> bool:
     """True when the model's live layout equals the manifest's exactly
-    (same unit keys, sharding factors and chunk sizes) — the cheap
+    (same record keys, sharding factors and chunk sizes) — the cheap
     same-layout load path applies and no reassembly is needed.
+
+    Records are compared by key, not position: a flat-parameter key
+    encodes its unit's place in the wrap order, a per-parameter key only
+    the FQN, so a model that regroups the same per-parameter records
+    into different units still matches.
     """
-    live = unit_layouts(root)
-    if len(live) != len(manifest.units):
-        return False
-
-    def _same(a: UnitLayout, b: UnitLayout) -> bool:
-        return (
-            a.key == b.key
-            and a.factor == b.factor
-            and a.shard_numel == b.shard_numel
-            and a.padded_numel == b.padded_numel
+    live = {u.key: u for u in unit_layouts(root)}
+    saved = {u.key: u for u in manifest.units}
+    return (
+        len(saved) == len(manifest.units)
+        and live.keys() == saved.keys()
+        and all(
+            live[k].factor == saved[k].factor
+            and live[k].shard_numel == saved[k].shard_numel
+            and live[k].padded_numel == saved[k].padded_numel
+            for k in live
         )
-
-    # Flat-param units are compared positionally (unit keys encode the
-    # wrap order); per-parameter units are compared as a keyed set —
-    # FQN keys are stable across wrap granularities, so a model that
-    # regroups the same parameters into different units still matches
-    # and takes the cheap same-FQN load path.
-    live_flat = [u for u in live if not u.key.startswith("per_param.")]
-    mani_flat = [u for u in manifest.units if not u.key.startswith("per_param.")]
-    if len(live_flat) != len(mani_flat):
-        return False
-    for a, b in zip(live_flat, mani_flat):
-        if not _same(a, b):
-            return False
-    live_pp = {u.key: u for u in live if u.key.startswith("per_param.")}
-    mani_pp = {u.key: u for u in manifest.units if u.key.startswith("per_param.")}
-    if set(live_pp) != set(mani_pp):
-        return False
-    return all(_same(live_pp[k], mani_pp[k]) for k in live_pp)
+    )
 
 
 def load_resharded(
@@ -326,18 +285,12 @@ def load_resharded(
     reassemble per-FQN logical tensors and scatter them through the
     full-state loaders.
     """
-    if layouts_match(root, manifest):
-        handles = _handles_under(root)
-        if handles:
-            rank = handles[0].shard_group.rank
-            payload = payloads.get(rank)
-            if payload is not None and "model" in payload:
-                load_sharded_state_dict(root, payload["model"])
-                if optimizer is not None and "optim" in payload:
-                    from repro.fsdp.optim_state import load_sharded_optim_state_dict
-
-                    load_sharded_optim_state_dict(root, optimizer, payload["optim"])
-                return
+    records = shard_records(root)
+    if records and layouts_match(root, manifest):
+        payload = payloads.get(records[0][1].shard_index)
+        if payload is not None and "model" in payload:
+            load_payload(root, optimizer, payload)
+            return
     model_state, optim_state = assemble_full_state(manifest, payloads)
     try:
         load_full_state_dict(root, model_state)

@@ -24,38 +24,22 @@ sharded copy retained for the optimizer).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import dtypes, ops
 from repro.autograd.grad_mode import no_grad
-from repro.cuda.device import Device
+from repro.cuda.device import Device, cpu_device
 from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.errors import FsdpError
+from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
+from repro.hw.kernel_model import KernelCost
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.storage import Storage
-from repro.tensor import Tensor
+from repro.tensor import Tensor, empty
 
 __all__ = ["FlatParameter", "FlatParamHandle", "ParamInfo", "ReduceJob"]
-
-
-@dataclass
-class ReduceJob:
-    """One unit's staged contribution to a coalesced ReduceScatter.
-
-    ``output``/``input`` are the pair handed to
-    ``reduce_scatter_tensor_coalesced``; ``finish(work, stream)`` runs
-    after the bucket collective is enqueued (same stream context) and
-    performs the per-unit tail: hybrid-shard AllReduce, precision cast
-    back, stash-accumulate.  It returns the Work the unit should track.
-    """
-
-    output: Tensor
-    input: Tensor
-    finish: "Callable[[Optional[Work], Stream], Optional[Work]]"
 
 
 class FlatParameter(Parameter):
@@ -64,22 +48,12 @@ class FlatParameter(Parameter):
     __slots__ = ()
 
 
-@dataclass
-class ParamInfo:
-    """Where one original parameter lives inside the FlatParameter."""
+class FlatParamHandle(ShardHandle, ShardRecord):
+    """Manages one FlatParameter's shard/unshard lifecycle.
 
-    module: Module
-    name: str
-    shape: tuple[int, ...]
-    numel: int
-    offset: int
-    fqn: str = ""
-
-
-class FlatParamHandle:
-    """Manages one FlatParameter's shard/unshard lifecycle."""
-
-    is_per_param = False
+    The handle is its own :class:`ShardRecord`: one logical buffer (the
+    padded concatenation) with one binding per original parameter.
+    """
 
     def __init__(
         self,
@@ -93,30 +67,15 @@ class FlatParamHandle:
         offload_params: bool = False,
         label: str = "",
     ):
-        if not params:
-            raise FsdpError("FlatParamHandle requires at least one parameter")
-        self.device = device
-        self.shard_group = shard_group
-        self.label = label
-
-        unique: dict[int, Parameter] = {}
-        bindings: list[tuple[Module, str, int]] = []  # (module, name, param id)
-        for module, name, param in params:
-            if id(param) not in unique:
-                unique[id(param)] = param
-            bindings.append((module, name, id(param)))
-        originals = list(unique.values())
-
-        full_dtype = originals[0].dtype
-        for p in originals:
-            if p.dtype is not full_dtype:
-                raise FsdpError("all parameters in one FSDP unit must share a dtype")
-            if not p.is_materialized and device.materialize_data:
-                raise FsdpError("parameters must be materialized before flattening")
-        self.full_precision_dtype = full_dtype
-        self.compute_dtype = param_dtype or full_dtype
-        self.reduce_dtype = reduce_dtype or self.compute_dtype
-        self.keep_low_precision_grads = keep_low_precision_grads
+        originals, owner = self._init_common(
+            params,
+            device,
+            shard_group,
+            param_dtype=param_dtype,
+            reduce_dtype=reduce_dtype,
+            keep_low_precision_grads=keep_low_precision_grads,
+            label=label,
+        )
         self.offload_params = offload_params
 
         # --- flatten-concat-chunk -------------------------------------
@@ -125,21 +84,18 @@ class FlatParamHandle:
         for p in originals:
             offsets.append(total)
             total += p.numel
-        factor = shard_group.world_size
+        factor = self.sharding_factor
         self.total_numel = total
         self.padded_numel = (total + factor - 1) // factor * factor
         self.padding = self.padded_numel - total
         self.shard_numel = self.padded_numel // factor
-        self.sharding_factor = factor
 
-        self.param_infos: list[ParamInfo] = []
-        id_to_index = {id(p): i for i, p in enumerate(originals)}
-        for module, name, pid in bindings:
-            index = id_to_index[pid]
-            p = originals[index]
-            self.param_infos.append(
-                ParamInfo(module, name, p.shape, p.numel, offsets[index], name)
+        self.param_infos: list[ParamInfo] = [
+            ParamInfo(
+                module, name, originals[i].shape, originals[i].numel, offsets[i]
             )
+            for (module, name, _), i in zip(params, owner)
+        ]
         self._unique_infos = [
             ParamInfo(None, "", p.shape, p.numel, offsets[i])
             for i, p in enumerate(originals)
@@ -151,21 +107,49 @@ class FlatParamHandle:
 
         # Runtime state -------------------------------------------------
         self.is_unsharded = not self.needs_unshard
-        self._saved_grad_shard: Optional[Tensor] = None
-        self._unsharded_grad_accum: Optional[Tensor] = None
         self._views: list[Tensor] = []
+
+    # ------------------------------------------------------------------
+    # Shard record (see repro.fsdp.handle.ShardRecord)
+    # ------------------------------------------------------------------
+    def shard_records(self) -> list["FlatParamHandle"]:
+        return [self]
+
+    @property
+    def shard(self) -> Tensor:
+        return self._local_shard
+
+    @property
+    def optim_param(self) -> FlatParameter:
+        return self.flat_param
+
+    @property
+    def shard_offset(self) -> int:
+        return self.shard_group.rank * self.shard_numel
+
+    @property
+    def layout_shard_numel(self) -> int:
+        return self.shard_numel
+
+    def shard_key(self, unit_index: int, fqn: str) -> str:
+        # Keyed by unit position: a flat buffer's content depends on
+        # the wrap order, not on any one parameter's name.
+        return f"flat_param.{unit_index:03d}.{self.label}"
+
+    def gather(self, value: Tensor) -> Tensor:
+        if self.sharding_factor == 1:
+            return ops.clone(value)
+        with no_grad():
+            if value.device.is_cpu:
+                # Offloaded state: stage through the device for the collective.
+                value = ops.to_device(value.detach(), self.device)
+            full = empty(self.padded_numel, dtype=value.dtype, device=self.device)
+            self.shard_group.all_gather_into_tensor(full, value.detach()).wait()
+        return full
 
     # ------------------------------------------------------------------
     # Construction internals
     # ------------------------------------------------------------------
-    @property
-    def needs_unshard(self) -> bool:
-        return (
-            self.sharding_factor > 1
-            or self.compute_dtype is not self.full_precision_dtype
-            or self.offload_params
-        )
-
     def _build_storages(self, originals: Sequence[Parameter], requires_grad: bool) -> None:
         device = self.device
         with no_grad():
@@ -184,8 +168,6 @@ class FlatParamHandle:
             # CPU offloading: the permanent full-precision shard lives
             # in host memory; a released device staging buffer receives
             # the H2D copy before each AllGather.
-            from repro.cuda.device import cpu_device
-
             with no_grad():
                 local_shard = ops.to_device(local_shard, cpu_device())
             self._staged_shard_storage: Optional[Storage] = Storage(
@@ -403,87 +385,34 @@ class FlatParamHandle:
         and no communication happens (accumulate-without-communication,
         Section 3.3.4).
         """
-        grad = self.flat_param.grad
-        self.flat_param.grad = None
-        if grad is None:
-            return None
-        device = self.device
-
         with no_grad():
-            if self._unsharded_grad_accum is not None:
-                grad = grad + self._unsharded_grad_accum
-                self._unsharded_grad_accum = None
+            grad = self.take_grad()
+            if grad is None:
+                return None
             if no_sync:
                 self._unsharded_grad_accum = grad
                 return None
-
-            with device.stream(stream):
+            with self.device.stream(stream):
                 # The gradient was produced on the compute stream; the
                 # reduction must not start before it is final.
-                stream.wait_stream(device.default_stream)
+                stream.wait_stream(self.device.default_stream)
                 if grad.dtype is not self.reduce_dtype:
                     grad = ops.cast(grad, self.reduce_dtype)
                 work: Optional[Work] = None
                 if self.sharding_factor > 1:
-                    from repro.tensor import empty
-
                     new_shard = empty(
-                        self.shard_numel, dtype=self.reduce_dtype, device=device
+                        self.shard_numel, dtype=self.reduce_dtype, device=self.device
                     )
                     work = self.shard_group.reduce_scatter_tensor(
                         new_shard, grad, op=ReduceOp.AVG, stream=stream
                     )
                 else:
                     new_shard = grad
-                if replicate_group is not None and replicate_group.world_size > 1:
-                    work = replicate_group.all_reduce(
-                        new_shard, op=ReduceOp.AVG, stream=stream
-                    )
-                if (
-                    new_shard.dtype is not self.full_precision_dtype
-                    and not self.keep_low_precision_grads
-                ):
-                    new_shard = ops.cast(new_shard, self.full_precision_dtype)
-                if not self.offload_params and self._saved_grad_shard is not None:
-                    # Accumulate into the stash *on the reduction
-                    # stream*: ``new_shard`` is produced by the
-                    # ReduceScatter enqueued just above, so launching
-                    # this add on the compute stream would read it with
-                    # no ordering edge (a race the stream-order
-                    # sanitizer flags under REPRO_SANITIZER=1).
-                    new_shard = new_shard + self._saved_grad_shard
-
-            if self.offload_params:
-                # The optimizer runs on host shards: move the reduced
-                # gradient shard D2H (PCIe cost on the comm stream).
-                from repro.cuda.device import cpu_device
-                from repro.hw.kernel_model import KernelCost
-
-                pcie = 25e9
-                device.launch(
-                    KernelCost(
-                        bytes_moved=new_shard.nbytes
-                        * (device.spec.mem_bandwidth / pcie)
-                    ),
-                    new_shard.dtype,
-                    stream=stream,
-                    reads=(new_shard._storage,),
-                    label="d2h",
+                new_shard, work = self._reduce_tail(
+                    new_shard, work, stream, replicate_group
                 )
-                new_shard = ops.to_device(new_shard, cpu_device())
-                # Host-side accumulate: safe only after the D2H copy
-                # above, which runs on the reduction stream.
-                if self._saved_grad_shard is not None:
-                    new_shard = new_shard + self._saved_grad_shard
-
-        # Park the reduced shard instead of assigning ``.grad``: more
-        # unsharded contributions may still arrive in this backward
-        # (e.g. a parent unit's parameters used inside several
-        # activation-checkpoint GraphTasks fire AccumulateGrad once per
-        # recompute).  The end-of-backward callback moves the stash
-        # into ``.grad`` for the optimizer.
-        self._saved_grad_shard = new_shard.detach()
-        return work
+                self._stash_reduced(new_shard)
+                return work
 
     def reduce_grad_pair(
         self, *, replicate_group: Optional[ProcessGroup] = None
@@ -503,41 +432,41 @@ class FlatParamHandle:
         """
         if self.sharding_factor <= 1 or self.offload_params:
             return None
-        grad = self.flat_param.grad
+        grad = self.take_grad()
         if grad is None:
             return None
-        self.flat_param.grad = None
-        if self._unsharded_grad_accum is not None:
-            grad = grad + self._unsharded_grad_accum
-            self._unsharded_grad_accum = None
         if grad.dtype is not self.reduce_dtype:
             grad = ops.cast(grad, self.reduce_dtype)
-        from repro.tensor import empty
-
         new_shard = empty(self.shard_numel, dtype=self.reduce_dtype, device=self.device)
 
         def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
-            shard = new_shard
-            if replicate_group is not None and replicate_group.world_size > 1:
-                work = replicate_group.all_reduce(shard, op=ReduceOp.AVG, stream=stream)
-            if (
-                shard.dtype is not self.full_precision_dtype
-                and not self.keep_low_precision_grads
-            ):
-                shard = ops.cast(shard, self.full_precision_dtype)
-            if self._saved_grad_shard is not None:
-                # Stash-accumulate on the reduction stream (see
-                # reduce_grad for the ordering rationale).
-                shard = shard + self._saved_grad_shard
-            self._saved_grad_shard = shard.detach()
+            shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
+            self._stash_reduced(shard)
             return work
 
         return ReduceJob(new_shard, grad, finish)
 
+    def _stash_reduced(self, shard: Tensor) -> None:
+        """Park the reduced shard (caller holds the reduction stream)."""
+        if self.offload_params:
+            # The optimizer runs on host shards: move the reduced
+            # gradient shard D2H (PCIe cost on the reduction stream).
+            # The host-side accumulate is safe only after this copy.
+            device = self.device
+            pcie = 25e9
+            device.launch(
+                KernelCost(
+                    bytes_moved=shard.nbytes * (device.spec.mem_bandwidth / pcie)
+                ),
+                shard.dtype,
+                reads=(shard._storage,),
+                label="d2h",
+            )
+            shard = ops.to_device(shard, cpu_device())
+        self.stash_grad(shard)
+
     def _h2d_copy(self, device_dst: Tensor, host_src: Tensor, stream: Stream) -> None:
         """Host-to-device copy over PCIe (data + simulated transfer time)."""
-        from repro.hw.kernel_model import KernelCost
-
         if device_dst.is_materialized and host_src.is_materialized:
             device_dst._np[...] = host_src._np
         gpu = self.device
@@ -576,17 +505,7 @@ class FlatParamHandle:
         Used by full state-dict collection; the caller drops the result
         when done (it is independent of the unsharded compute storage).
         """
-        from repro.tensor import empty
-
-        if self.sharding_factor == 1:
-            return ops.clone(self._local_shard)
-        with no_grad():
-            full = empty(
-                self.padded_numel, dtype=self.full_precision_dtype, device=self.device
-            )
-            work = self.shard_group.all_gather_into_tensor(full, self._local_shard)
-            work.wait()
-        return full
+        return self.gather(self._local_shard)
 
     def restore_stashed_gradient(self) -> None:
         """Put back a stashed sharded grad if no reduction consumed it."""
@@ -611,26 +530,6 @@ class FlatParamHandle:
     def flush_post_backward(self) -> bool:
         """The flat backend never leaves partial gradient counts."""
         return False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def optim_state_nbytes(self, optimizer) -> int:
-        """Bytes of optimizer state attached to the FlatParameter."""
-        state = optimizer.state.get(id(self.flat_param))
-        if not state:
-            return 0
-        return sum(
-            value.nbytes for value in state.values() if isinstance(value, Tensor)
-        )
-
-    @property
-    def unsharded_nbytes(self) -> int:
-        return self.padded_numel * self.compute_dtype.itemsize
-
-    @property
-    def sharded_nbytes(self) -> int:
-        return self.shard_numel * self.full_precision_dtype.itemsize
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,9 +1,10 @@
 """Optimizer state-dict gathering for sharded models.
 
-The optimizer holds per-FlatParameter state tensors (e.g. Adam's
-``exp_avg``/``exp_avg_sq``) that are sharded exactly like the
-FlatParameter itself.  :func:`full_optim_state_dict` AllGathers each
-state tensor one unit at a time and re-keys it by the original
+The optimizer holds one set of state tensors (e.g. Adam's
+``exp_avg``/``exp_avg_sq``) per shard record
+(:class:`repro.fsdp.handle.ShardRecord`), sharded exactly like the
+record's own shard.  :func:`full_optim_state_dict` AllGathers each
+state tensor one record at a time and re-keys it by the original
 parameter FQNs — the same consolidated format the unwrapped model's
 optimizer would produce — and :func:`load_full_optim_state_dict`
 scatters such a dict back into each rank's shards (e.g. when resuming
@@ -13,17 +14,21 @@ on a different world size).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.autograd.grad_mode import no_grad
-from repro.errors import FsdpError, ShardLayoutError
+from repro.errors import FsdpError
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
-from repro.tensor import Tensor, empty, tensor, zeros_like
+from repro.tensor import Tensor, tensor, zeros_like
 
-from repro.fsdp.state_dict import _handles_under, _join, _module_fqns
+from repro.fsdp.state_dict import (
+    _check_shard_numel,
+    _checked_entry,
+    _distinct,
+    _overlap,
+    _snapshot,
+    shard_records,
+)
 
 __all__ = [
     "full_optim_state_dict",
@@ -33,176 +38,68 @@ __all__ = [
 ]
 
 
+def _group_meta(optimizer: Optimizer) -> list[dict]:
+    return [
+        {k: v for k, v in group.items() if k != "params"}
+        for group in optimizer.param_groups
+    ]
+
+
+def _state_shard(param_state: dict, name: str, record) -> Tensor:
+    """The state tensor ``name`` of ``record``'s parameter, created on
+    first use exactly as the optimizer's next step would create it
+    (shaped like the sharded parameter, which for a per-parameter
+    record is the dim-0 view, not the flat shard)."""
+    current = param_state.get(name)
+    if not isinstance(current, Tensor) or current.numel != record.shard.numel:
+        current = param_state[name] = zeros_like(record.optim_param.detach())
+    return current
+
+
 def sharded_optim_state_dict(model: Module, optimizer: Optimizer, *, copy: bool = False) -> dict:
     """Each rank's local optimizer-state shards, keyed like
     :func:`repro.fsdp.state_dict.sharded_state_dict`.
 
     No communication: every rank saves exactly its own shard of each
     state tensor (Adam's ``exp_avg``/``exp_avg_sq`` are sharded like
-    the FlatParameter itself).  ``copy=True`` snapshots the values so
+    the parameter shard itself).  ``copy=True`` snapshots the values so
     the checkpoint survives further optimizer steps — the format
     elastic recovery restores from.
     """
     state_out: "OrderedDict[str, dict]" = OrderedDict()
-    fqns = _module_fqns(model)
-    for index, handle in enumerate(_handles_under(model)):
-        if getattr(handle, "is_per_param", False):
-            for sp in handle.sharded_params:
-                key = f"per_param.{_join(fqns[id(sp.module)], sp.name)}"
-                state_out[key] = _copy_state_entry(
-                    optimizer.state.get(id(sp.param), {}), copy
-                )
-            continue
-        key = f"flat_param.{index:03d}.{handle.label}"
-        state_out[key] = _copy_state_entry(
-            optimizer.state.get(id(handle.flat_param), {}), copy
-        )
-    param_groups = [
-        {k: v for k, v in group.items() if k != "params"}
-        for group in optimizer.param_groups
-    ]
-    return {"state": state_out, "param_groups": param_groups}
+    for key, record, _ in shard_records(model):
+        state_out[key] = {
+            name: _snapshot(value, copy) if isinstance(value, Tensor) else value
+            for name, value in optimizer.state.get(id(record.optim_param), {}).items()
+        }
+    return {"state": state_out, "param_groups": _group_meta(optimizer)}
 
 
 def load_sharded_optim_state_dict(model: Module, optimizer: Optimizer, state_dict: dict) -> None:
     """Load shards saved by :func:`sharded_optim_state_dict` (same layout)."""
     state = state_dict["state"]
-    fqns = _module_fqns(model)
     with no_grad():
-        for index, handle in enumerate(_handles_under(model)):
-            if getattr(handle, "is_per_param", False):
-                for sp in handle.sharded_params:
-                    key = f"per_param.{_join(fqns[id(sp.module)], sp.name)}"
-                    if key not in state:
-                        raise ShardLayoutError(
-                            f"sharded optimizer state dict is missing {key!r}",
-                            key=key,
-                        )
-                    param_state = optimizer.state.setdefault(id(sp.param), {})
-                    for name, value in state[key].items():
-                        if isinstance(value, Tensor):
-                            if value.numel != sp.shard_numel:
-                                raise ShardLayoutError(
-                                    f"optimizer shard {key!r}[{name!r}] has "
-                                    f"{value.numel} elements but the model's local "
-                                    f"shard has {sp.shard_numel} — use repro."
-                                    "checkpoint.load_resharded for cross-layout "
-                                    "restores.",
-                                    key=key,
-                                    expected=sp.shard_numel,
-                                    actual=value.numel,
-                                )
-                            current = param_state.get(name)
-                            if (
-                                not isinstance(current, Tensor)
-                                or current.numel != value.numel
-                            ):
-                                current = zeros_like(sp.sharded_data)
-                                param_state[name] = current
-                            if not current.is_materialized:
-                                raise FsdpError(
-                                    "load_sharded_optim_state_dict requires "
-                                    "materialized tensors"
-                                )
-                            if sp.shard_numel:
-                                current.copy_(value)
-                        else:
-                            param_state[name] = value
-                continue
-            key = f"flat_param.{index:03d}.{handle.label}"
-            if key not in state:
-                raise ShardLayoutError(
-                    f"sharded optimizer state dict is missing {key!r}", key=key
+        for key, record, _ in shard_records(model):
+            saved = _checked_entry(state, key, "sharded optimizer state dict")
+            param_state = optimizer.state.setdefault(id(record.optim_param), {})
+            for name, value in saved.items():
+                if not isinstance(value, Tensor):
+                    param_state[name] = value
+                    continue
+                _check_shard_numel(
+                    f"optimizer shard {key!r}[{name!r}]", key, value, record
                 )
-            flat_state = optimizer.state.setdefault(id(handle.flat_param), {})
-            for name, value in state[key].items():
-                if isinstance(value, Tensor):
-                    if value.numel != handle.shard_numel:
-                        raise ShardLayoutError(
-                            f"optimizer shard {key!r}[{name!r}] has {value.numel} "
-                            f"elements but the model's local shard has "
-                            f"{handle.shard_numel} — use repro.checkpoint."
-                            "load_resharded for cross-layout restores.",
-                            key=key,
-                            expected=handle.shard_numel,
-                            actual=value.numel,
-                        )
-                    current = flat_state.get(name)
-                    if not isinstance(current, Tensor) or current.numel != value.numel:
-                        current = zeros_like(handle.flat_param.detach())
-                        flat_state[name] = current
-                    if not current.is_materialized:
-                        raise FsdpError(
-                            "load_sharded_optim_state_dict requires materialized tensors"
-                        )
+                current = _state_shard(param_state, name, record)
+                if not current.is_materialized:
+                    raise FsdpError(
+                        "load_sharded_optim_state_dict requires materialized tensors"
+                    )
+                if value.numel:
                     current.copy_(value)
-                else:
-                    flat_state[name] = value
     for group, meta in zip(optimizer.param_groups, state_dict.get("param_groups", ())):
         for k, v in meta.items():
             if k != "params":
                 group[k] = v
-
-
-def _copy_state_entry(param_state: dict, copy: bool) -> dict:
-    entry: dict[str, object] = {}
-    for name, value in param_state.items():
-        if isinstance(value, Tensor):
-            saved = value.detach()
-            if copy and saved.is_materialized:
-                saved = tensor(saved.numpy().copy(), dtype=saved.dtype)
-            entry[name] = saved
-        else:
-            entry[name] = value
-    return entry
-
-
-def _gather_per_param_state(sp, value: Tensor) -> np.ndarray:
-    """AllGather one ShardedParam's optimizer state tensor to full size."""
-    if value.numel != sp.shard_numel:
-        raise FsdpError(
-            f"optimizer state tensor for {sp.name!r} has {value.numel} elements; "
-            f"expected the shard size {sp.shard_numel} — was the optimizer "
-            "built after FSDP wrapping?"
-        )
-    if sp.sharding_factor == 1:
-        return value.numpy().copy()
-    full = empty(sp.numel, dtype=value.dtype, device=sp.device)
-    offsets: list[int] = []
-    total = 0
-    for n in sp.shard_numels:
-        offsets.append(total)
-        total += n
-    views = [
-        Tensor(full._storage, (n,), offset=off)
-        for n, off in zip(sp.shard_numels, offsets)
-    ]
-    work = sp.shard_group.all_gather(views, value.detach())
-    work.wait()
-    return full.numpy().copy()
-
-
-def _gather_state_tensor(handle, value: Tensor) -> np.ndarray:
-    """AllGather one sharded optimizer state tensor to full (padded) size."""
-    if value.numel != handle.shard_numel:
-        raise FsdpError(
-            f"optimizer state tensor has {value.numel} elements; expected the "
-            f"shard size {handle.shard_numel} — was the optimizer built "
-            "after FSDP wrapping?"
-        )
-    if handle.sharding_factor == 1:
-        return value.numpy().copy()
-    device_value = value
-    if value.device.is_cpu:
-        # Offloaded state: stage through the device for the collective.
-        from repro import ops
-
-        with no_grad():
-            device_value = ops.to_device(value.detach(), handle.device)
-    full = empty(handle.padded_numel, dtype=value.dtype, device=handle.device)
-    work = handle.shard_group.all_gather_into_tensor(full, device_value.detach())
-    work.wait()
-    return full.numpy().copy()
 
 
 def full_optim_state_dict(model: Module, optimizer: Optimizer) -> dict:
@@ -212,140 +109,53 @@ def full_optim_state_dict(model: Module, optimizer: Optimizer) -> dict:
     where tensors are unsharded and scalars (e.g. Adam's ``step``) pass
     through.  Requires functional (materialized) mode.
     """
-    fqns = _module_fqns(model)
     state_out: "OrderedDict[str, dict]" = OrderedDict()
-    for handle in _handles_under(model):
-        if getattr(handle, "is_per_param", False):
-            gathered_sp: dict[int, dict[str, np.ndarray]] = {}
-            scalars_sp: dict[int, dict[str, object]] = {}
-            for info in handle.param_infos:
-                sp = handle.sharded_params[info.offset]
-                if info.offset not in gathered_sp:
-                    param_state = optimizer.state.get(id(sp.param), {})
-                    tensors: dict[str, np.ndarray] = {}
-                    scalars: dict[str, object] = {}
-                    for key, value in param_state.items():
-                        if isinstance(value, Tensor):
-                            tensors[key] = _gather_per_param_state(sp, value)
-                        else:
-                            scalars[key] = value
-                    gathered_sp[info.offset] = tensors
-                    scalars_sp[info.offset] = scalars
-                fqn = _join(fqns[id(info.module)], info.name)
-                entry: dict[str, object] = dict(scalars_sp[info.offset])
-                for key, flat in gathered_sp[info.offset].items():
-                    entry[key] = tensor(flat.reshape(info.shape))
-                state_out[fqn] = entry
-            continue
-        flat_state = optimizer.state.get(id(handle.flat_param), {})
-        gathered: dict[str, np.ndarray] = {}
+    for _key, record, named in shard_records(model):
+        gathered: dict[str, object] = {}
         scalars: dict[str, object] = {}
-        for key, value in flat_state.items():
-            if isinstance(value, Tensor):
-                gathered[key] = _gather_state_tensor(handle, value)
-            else:
-                scalars[key] = value
-        seen_offsets: set[int] = set()
-        for info in handle.param_infos:
-            if info.offset in seen_offsets:
+        for name, value in optimizer.state.get(id(record.optim_param), {}).items():
+            if not isinstance(value, Tensor):
+                scalars[name] = value
                 continue
-            seen_offsets.add(info.offset)
-            fqn = _join(fqns[id(info.module)], info.name)
-            entry: dict[str, object] = dict(scalars)
-            for key, flat in gathered.items():
-                entry[key] = tensor(
-                    flat[info.offset : info.offset + info.numel].reshape(info.shape)
+            if value.numel != record.shard.numel:
+                raise FsdpError(
+                    f"optimizer state tensor {name!r} of {named[0][0]!r} has "
+                    f"{value.numel} elements; expected the shard size "
+                    f"{record.shard.numel} — was the optimizer built after FSDP "
+                    "wrapping?"
                 )
+            gathered[name] = record.gather(value).numpy().reshape(-1)
+        for fqn, b in _distinct(named):
+            entry = dict(scalars)
+            for name, flat in gathered.items():
+                entry[name] = tensor(flat[b.offset : b.offset + b.numel].reshape(b.shape))
             state_out[fqn] = entry
 
-    param_groups = []
-    for group in optimizer.param_groups:
-        meta = {k: v for k, v in group.items() if k != "params"}
+    param_groups = _group_meta(optimizer)
+    for meta in param_groups:
         meta["params"] = sorted(state_out.keys())
-        param_groups.append(meta)
     return {"state": state_out, "param_groups": param_groups}
 
 
 def load_full_optim_state_dict(model: Module, optimizer: Optimizer, state_dict: dict) -> None:
     """Scatter a consolidated optimizer state dict into local shards."""
-    fqns = _module_fqns(model)
     state = state_dict["state"]
     with no_grad():
-        for handle in _handles_under(model):
-            if getattr(handle, "is_per_param", False):
-                loaded: set[int] = set()
-                for info in handle.param_infos:
-                    if info.offset in loaded:
-                        continue
-                    loaded.add(info.offset)
-                    sp = handle.sharded_params[info.offset]
-                    fqn = _join(fqns[id(info.module)], info.name)
-                    if fqn not in state:
-                        raise KeyError(f"optimizer state dict is missing {fqn!r}")
-                    param_state = optimizer.state.setdefault(id(sp.param), {})
-                    for key, value in state[fqn].items():
-                        if not isinstance(value, Tensor):
-                            param_state[key] = value
-                            continue
-                        shard = param_state.get(key)
-                        if (
-                            not isinstance(shard, Tensor)
-                            or shard.numel != sp.shard_numel
-                        ):
-                            shard = zeros_like(sp.sharded_data)
-                            param_state[key] = shard
-                        if not sp.shard_numel:
-                            continue
-                        if not shard.is_materialized:
-                            raise FsdpError(
-                                "load_full_optim_state_dict requires "
-                                "materialized tensors"
-                            )
-                        flat = value.numpy().reshape(-1)
-                        shard._np.reshape(-1)[...] = flat[
-                            sp.shard_offset : sp.shard_offset + sp.shard_numel
-                        ]
-                continue
-            rank = handle.shard_group.rank
-            shard_start = rank * handle.shard_numel
-            shard_end = shard_start + handle.shard_numel
-            flat_state = optimizer.state.setdefault(id(handle.flat_param), {})
-
-            # Collect tensor keys and scalars from any of this unit's params.
-            tensor_keys: set[str] = set()
-            seen_offsets: set[int] = set()
-            for info in handle.param_infos:
-                if info.offset in seen_offsets:
-                    continue
-                seen_offsets.add(info.offset)
-                fqn = _join(fqns[id(info.module)], info.name)
+        for _key, record, named in shard_records(model):
+            param_state = optimizer.state.setdefault(id(record.optim_param), {})
+            for fqn, binding in _distinct(named):
                 if fqn not in state:
                     raise KeyError(f"optimizer state dict is missing {fqn!r}")
-                for key, value in state[fqn].items():
-                    if isinstance(value, Tensor):
-                        tensor_keys.add(key)
-                    else:
-                        flat_state[key] = value
-
-            for key in tensor_keys:
-                shard = flat_state.get(key)
-                if shard is None or shard.numel != handle.shard_numel:
-                    shard = zeros_like(handle.flat_param.detach())
-                    flat_state[key] = shard
-                if not shard.is_materialized:
-                    raise FsdpError("load_full_optim_state_dict requires materialized tensors")
-                seen_offsets = set()
-                for info in handle.param_infos:
-                    if info.offset in seen_offsets:
+                dst, src = _overlap(record, binding)
+                for name, value in state[fqn].items():
+                    if not isinstance(value, Tensor):
+                        param_state[name] = value
                         continue
-                    seen_offsets.add(info.offset)
-                    fqn = _join(fqns[id(info.module)], info.name)
-                    value = state[fqn][key]
-                    flat = value.numpy().reshape(-1)
-                    lo = max(info.offset, shard_start)
-                    hi = min(info.offset + info.numel, shard_end)
-                    if lo >= hi:
+                    shard = _state_shard(param_state, name, record)
+                    if dst.start == dst.stop:
                         continue
-                    shard._np[lo - shard_start : hi - shard_start] = flat[
-                        lo - info.offset : hi - info.offset
-                    ]
+                    if not shard.is_materialized:
+                        raise FsdpError(
+                            "load_full_optim_state_dict requires materialized tensors"
+                        )
+                    shard._np.reshape(-1)[dst] = value.numpy().reshape(-1)[src]

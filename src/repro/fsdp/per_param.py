@@ -52,7 +52,7 @@ from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.distributed.mesh import DeviceMesh, Shard, chunk_bounds
 from repro.errors import FsdpError
-from repro.fsdp.flat_param import ParamInfo, ReduceJob
+from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.storage import Storage
@@ -73,12 +73,14 @@ class _MultiHandle:
         self._handles = []
 
 
-class ShardedParam:
+class ShardedParam(ShardRecord):
     """One parameter sharded on dim 0 with the ``Shard(0)`` placement.
 
     Holds the persistent sharded tensor (this rank's exact dim-0
     slice, full precision) and the released unsharded storage the
-    AllGather refills before compute.
+    AllGather refills before compute.  As a :class:`ShardRecord` its
+    logical buffer is the flattened parameter itself: no padding, every
+    binding (several when the parameter is tied) at offset 0.
     """
 
     def __init__(
@@ -91,12 +93,15 @@ class ShardedParam:
         *,
         compute_dtype: dtypes.DType,
         full_precision_dtype: dtypes.DType,
+        label: str = "",
     ):
         self.module = module
         self.name = name
         self.param = param
         self.device = device
         self.shard_group = shard_group
+        self.label = label
+        self.param_infos: list[ParamInfo] = []
         self.shape = tuple(param.shape)
         self.numel = param.numel
         self.full_precision_dtype = full_precision_dtype
@@ -116,9 +121,7 @@ class ShardedParam:
         self.shard_offset = self.shard_offsets[rank]
         self.even = rows % factor == 0
 
-        # Gradient lifecycle state (mirrors the flat handle's stash).
-        self.saved_grad_shard: Optional[Tensor] = None
-        self.unsharded_grad_accum: Optional[Tensor] = None
+        # True while ``.grad`` holds a restored *sharded* gradient.
         self.grad_restored = False
 
         self._build_storages()
@@ -171,15 +174,7 @@ class ShardedParam:
             self._unsharded_flat = Tensor(self._unsharded_storage, (self.numel,))
             self.unsharded_param = Tensor(self._unsharded_storage, self.shape)
             self._unsharded_storage.release()
-            offsets: list[int] = []
-            total = 0
-            for n in self.shard_numels:
-                offsets.append(total)
-                total += n
-            self._rank_views = [
-                Tensor(self._unsharded_storage, (n,), offset=off)
-                for n, off in zip(self.shard_numels, offsets)
-            ]
+            self._rank_views = self._chunk_views(self._unsharded_storage)
         else:
             self._unsharded_storage = sharded._storage
             self._unsharded_flat = None
@@ -198,10 +193,53 @@ class ShardedParam:
             self._mp_shard_storage = None
             self._mp_shard = None
 
+    def _chunk_views(self, storage: Storage) -> list[Tensor]:
+        """Per-rank chunk views of a full-parameter storage."""
+        return [
+            Tensor(storage, (n,), offset=off)
+            for n, off in zip(self.shard_numels, self.shard_offsets)
+        ]
+
+    # ------------------------------------------------------------------
+    # Shard record (see repro.fsdp.handle.ShardRecord)
+    # ------------------------------------------------------------------
+    @property
+    def shard(self) -> Tensor:
+        return self.sharded_data
+
+    @property
+    def optim_param(self) -> Parameter:
+        return self.param
+
+    @property
+    def total_numel(self) -> int:
+        return self.numel
+
+    padded_numel = total_numel  # exact dim-0 chunking never pads
+
+    @property
+    def layout_shard_numel(self) -> int:
+        return self.shard_numels[0]
+
+    def shard_key(self, unit_index: int, fqn: str) -> str:
+        # Keyed by FQN, not unit index: the FQN is stable across wrap
+        # granularities, which is what makes regrouping the same
+        # parameters into different units a same-layout restore.
+        return f"per_param.{fqn}"
+
+    def gather(self, value: Tensor) -> Tensor:
+        with no_grad():
+            if self.sharding_factor == 1:
+                return ops.clone(value)
+            full = empty(self.numel, dtype=value.dtype, device=self.device)
+            views = self._chunk_views(full._storage)
+            self.shard_group.all_gather(views, value.detach()).wait()
+            return full
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def gather(self, stream: Stream) -> None:
+    def unshard(self, stream: Stream) -> None:
         """AllGather (or cast-copy) this parameter into unsharded storage.
 
         Caller is responsible for ``device.stream(stream)`` / no_grad.
@@ -242,44 +280,6 @@ class ShardedParam:
     # ------------------------------------------------------------------
     # Out-of-band data paths (state dict, writeback)
     # ------------------------------------------------------------------
-    def gather_full(self) -> Tensor:
-        """AllGather the full-precision parameter into a fresh tensor."""
-        if self.sharding_factor == 1:
-            with no_grad():
-                return ops.clone(self.sharded_data)
-        with no_grad():
-            full = empty(
-                self.numel, dtype=self.full_precision_dtype, device=self.device
-            )
-            offsets: list[int] = []
-            total = 0
-            for n in self.shard_numels:
-                offsets.append(total)
-                total += n
-            views = [
-                Tensor(full._storage, (n,), offset=off)
-                for n, off in zip(self.shard_numels, offsets)
-            ]
-            work = self.shard_group.all_gather(views, self.sharded_data)
-            work.wait()
-            return ops.view(full, self.shape) if self.shape else full
-
-    def load_full(self, value: Tensor) -> None:
-        """Copy this rank's slice of a full tensor into the shard."""
-        if value.numel != self.numel:
-            raise FsdpError(
-                f"state dict tensor for {self.name!r} has {value.numel} elements, "
-                f"expected {self.numel}"
-            )
-        with no_grad():
-            if self.sharding_factor == 1:
-                self.sharded_data.copy_(value)
-            elif self.shard_numel:
-                flat = ops.view(value, (value.numel,))
-                self.sharded_data.copy_(
-                    ops.narrow(flat, 0, self.shard_offset, self.shard_numel)
-                )
-
     def writeback(self) -> None:
         """Persist edits made through the unsharded view into the shard."""
         if not self.needs_unshard or not self.shard_numel:
@@ -300,15 +300,13 @@ class ShardedParam:
         )
 
 
-class PerParamHandle:
+class PerParamHandle(ShardHandle):
     """Manages the shard/unshard lifecycle of one unit's parameters.
 
     API-compatible with :class:`FlatParamHandle` where the runtime is
-    concerned; ``is_per_param`` discriminates the two for state-dict /
-    checkpoint code that must key by FQN instead of flat offsets.
+    concerned; state-dict / checkpoint code sees one
+    :class:`ShardRecord` per :class:`ShardedParam`.
     """
-
-    is_per_param = True
 
     def __init__(
         self,
@@ -322,65 +320,46 @@ class PerParamHandle:
         keep_low_precision_grads: bool = False,
         label: str = "",
     ):
-        if not params:
-            raise FsdpError("PerParamHandle requires at least one parameter")
-        self.device = device
-        self.shard_group = shard_group
+        _, owner = self._init_common(
+            params,
+            device,
+            shard_group,
+            param_dtype=param_dtype,
+            reduce_dtype=reduce_dtype,
+            keep_low_precision_grads=keep_low_precision_grads,
+            label=label,
+        )
         self.mesh = mesh
-        self.label = label
 
-        unique: dict[int, tuple[Module, str, Parameter]] = {}
-        bindings: list[tuple[Module, str, int]] = []
-        for module, name, param in params:
-            if id(param) not in unique:
-                unique[id(param)] = (module, name, param)
-            bindings.append((module, name, id(param)))
-
-        originals = [p for _, _, p in unique.values()]
-        full_dtype = originals[0].dtype
-        for p in originals:
-            if p.dtype is not full_dtype:
-                raise FsdpError("all parameters in one FSDP unit must share a dtype")
-            if not p.is_materialized and device.materialize_data:
-                raise FsdpError("parameters must be materialized before sharding")
-        self.full_precision_dtype = full_dtype
-        self.compute_dtype = param_dtype or full_dtype
-        self.reduce_dtype = reduce_dtype or self.compute_dtype
-        self.keep_low_precision_grads = keep_low_precision_grads
-        self.sharding_factor = shard_group.world_size
-
-        self.sharded_params: list[ShardedParam] = [
-            ShardedParam(
-                module,
-                name,
-                param,
-                device,
-                shard_group,
-                compute_dtype=self.compute_dtype,
-                full_precision_dtype=full_dtype,
-            )
-            for module, name, param in unique.values()
-        ]
-        # ``offset`` indexes into ``sharded_params`` (there is no flat
-        # buffer to offset into), letting tied bindings resolve to the
-        # same ShardedParam.
-        index_by_id = {id(sp.param): i for i, sp in enumerate(self.sharded_params)}
-        self.param_infos = [
-            ParamInfo(
-                module,
-                name,
-                self.sharded_params[index_by_id[pid]].shape,
-                self.sharded_params[index_by_id[pid]].numel,
-                index_by_id[pid],
-                name,
-            )
-            for module, name, pid in bindings
-        ]
+        self.sharded_params: list[ShardedParam] = []
+        self.param_infos: list[ParamInfo] = []
+        for (module, name, param), index in zip(params, owner):
+            if index == len(self.sharded_params):
+                # First binding of a parameter: a tied parameter is
+                # sharded once and its later bindings join the record.
+                self.sharded_params.append(
+                    ShardedParam(
+                        module,
+                        name,
+                        param,
+                        device,
+                        shard_group,
+                        compute_dtype=self.compute_dtype,
+                        full_precision_dtype=self.full_precision_dtype,
+                        label=label,
+                    )
+                )
+            sp = self.sharded_params[index]
+            info = ParamInfo(module, name, sp.shape, sp.numel, 0)
+            sp.param_infos.append(info)
+            self.param_infos.append(info)
 
         self.is_unsharded = not self.needs_unshard
         self._post_backward_cb: Optional[Callable] = None
         self._expected_grads = 0
         self._grads_seen = 0
+        # Staging buffer of a bucketed unshard between pair and commit.
+        self._staged_gather: Optional[tuple[Tensor, int]] = None
 
         # Batched-collective segment layout (see unshard): rank ``r``'s
         # segment is the concatenation of every parameter's ``r``-th
@@ -399,12 +378,8 @@ class PerParamHandle:
     # ------------------------------------------------------------------
     # Introspection (FlatParamHandle-compatible surface)
     # ------------------------------------------------------------------
-    @property
-    def needs_unshard(self) -> bool:
-        return (
-            self.sharding_factor > 1
-            or self.compute_dtype is not self.full_precision_dtype
-        )
+    def shard_records(self) -> list[ShardedParam]:
+        return self.sharded_params
 
     @property
     def total_numel(self) -> int:
@@ -423,14 +398,6 @@ class PerParamHandle:
     def shard_numel(self) -> int:
         """This rank's resident sharded elements (uneven across ranks)."""
         return sum(sp.shard_numel for sp in self.sharded_params)
-
-    @property
-    def unsharded_nbytes(self) -> int:
-        return self.total_numel * self.compute_dtype.itemsize
-
-    @property
-    def sharded_nbytes(self) -> int:
-        return self.shard_numel * self.full_precision_dtype.itemsize
 
     # ------------------------------------------------------------------
     # Unshard / reshard
@@ -464,7 +431,7 @@ class PerParamHandle:
                 # into its persistent storage (no staging copy), and
                 # NO_SHARD only needs per-parameter cast copies.
                 for sp in self.sharded_params:
-                    sp.gather(stream)
+                    sp.unshard(stream)
             else:
                 self._gather_batched(stream)
         event = stream.record_event()
@@ -561,10 +528,8 @@ class PerParamHandle:
 
     def unshard_commit(self) -> None:
         """Finish a bucketed unshard once the collective is enqueued."""
-        staged = getattr(self, "_staged_gather", None)
-        if staged is not None:
-            gathered, seg_max = staged
-            self._batched_copy_out(gathered, seg_max)
+        if self._staged_gather is not None:
+            self._batched_copy_out(*self._staged_gather)
         else:
             sp = self.sharded_params[0]
             if sp._mp_shard is not None:
@@ -688,9 +653,9 @@ class PerParamHandle:
             grad = sp.param.grad
             if grad is not None and sp.grad_restored and self.needs_unshard:
                 with no_grad():
-                    if sp.saved_grad_shard is not None:
-                        grad = grad + sp.saved_grad_shard
-                sp.saved_grad_shard = grad
+                    if sp._saved_grad_shard is not None:
+                        grad = grad + sp._saved_grad_shard
+                sp._saved_grad_shard = grad
                 sp.param.grad = None
             sp.grad_restored = False
 
@@ -729,34 +694,21 @@ class PerParamHandle:
                     for sp, grad in pending:
                         if grad.dtype is not self.reduce_dtype:
                             grad = ops.cast(grad, self.reduce_dtype)
-                        new_shard = grad
-                        if replicate_group is not None and replicate_group.world_size > 1:
-                            work = replicate_group.all_reduce(
-                                new_shard, op=ReduceOp.AVG, stream=stream
-                            )
-                        if (
-                            new_shard.dtype is not self.full_precision_dtype
-                            and not self.keep_low_precision_grads
-                        ):
-                            new_shard = ops.cast(new_shard, self.full_precision_dtype)
-                        if sp.saved_grad_shard is not None:
-                            new_shard = new_shard + sp.saved_grad_shard
-                        sp.saved_grad_shard = new_shard.detach()
+                        new_shard, work = self._reduce_tail(
+                            grad, work, stream, replicate_group
+                        )
+                        sp.stash_grad(new_shard)
         return work
 
     def _collect_pending(self, no_sync: bool) -> list[tuple["ShardedParam", Tensor]]:
         """Drain ``.grad`` slots into (param, gradient) reduction pairs."""
         pending: list[tuple[ShardedParam, Tensor]] = []
         for sp in self.sharded_params:
-            grad = sp.param.grad
-            sp.param.grad = None
+            grad = sp.take_grad()
             if grad is None:
                 continue
-            if sp.unsharded_grad_accum is not None:
-                grad = grad + sp.unsharded_grad_accum
-                sp.unsharded_grad_accum = None
             if no_sync:
-                sp.unsharded_grad_accum = grad
+                sp._unsharded_grad_accum = grad
                 continue
             pending.append((sp, grad))
         return pending
@@ -817,23 +769,12 @@ class PerParamHandle:
         out = empty(seg_max, dtype=self.reduce_dtype, device=device)
 
         def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
-            result = out
-            if replicate_group is not None and replicate_group.world_size > 1:
-                work = replicate_group.all_reduce(result, op=ReduceOp.AVG, stream=stream)
-            if (
-                result.dtype is not self.full_precision_dtype
-                and not self.keep_low_precision_grads
-            ):
-                result = ops.cast(result, self.full_precision_dtype)
+            result, work = self._reduce_tail(out, work, stream, replicate_group)
+            # Split this rank's reduced segment back into per-parameter shards.
             offset = 0
             for sp, _ in pending:
-                new_shard = sp._shaped(ops.narrow(result, 0, offset, sp.shard_numel))
+                sp.stash_grad(sp._shaped(ops.narrow(result, 0, offset, sp.shard_numel)))
                 offset += sp.shard_numel
-                if sp.saved_grad_shard is not None:
-                    # Stash-accumulate on the reduction stream (see the
-                    # flat handle for the ordering rationale).
-                    new_shard = new_shard + sp.saved_grad_shard
-                sp.saved_grad_shard = new_shard.detach()
             return work
 
         return ReduceJob(out, flat_in, finish)
@@ -860,25 +801,10 @@ class PerParamHandle:
     def restore_stashed_gradient(self) -> None:
         """Move reduced shards into ``.grad`` for the optimizer."""
         for sp in self.sharded_params:
-            if sp.saved_grad_shard is not None and sp.param.grad is None:
-                sp.param.grad = sp.saved_grad_shard
-                sp.saved_grad_shard = None
+            if sp._saved_grad_shard is not None and sp.param.grad is None:
+                sp.param.grad = sp._saved_grad_shard
+                sp._saved_grad_shard = None
                 sp.grad_restored = True
-
-    # ------------------------------------------------------------------
-    # Out-of-band helpers
-    # ------------------------------------------------------------------
-    def optim_state_nbytes(self, optimizer) -> int:
-        """Bytes of optimizer state attached to this unit's parameters."""
-        total = 0
-        for sp in self.sharded_params:
-            state = optimizer.state.get(id(sp.param))
-            if not state:
-                continue
-            for value in state.values():
-                if isinstance(value, Tensor):
-                    total += value.nbytes
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

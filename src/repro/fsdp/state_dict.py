@@ -16,24 +16,26 @@ local shards.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.autograd.grad_mode import no_grad
 from repro.errors import FsdpError, ShardLayoutError
+from repro.fsdp.handle import ParamInfo, ShardRecord
 from repro.nn.module import Module
 from repro.tensor import Tensor, tensor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fsdp.flat_param import FlatParamHandle
 
 __all__ = [
     "full_state_dict",
     "load_full_state_dict",
     "sharded_state_dict",
     "load_sharded_state_dict",
+    "shard_records",
 ]
+
+#: One named record: its sharded-state-dict key, the record, and its
+#: bindings paired with their original-model FQNs.
+NamedRecord = tuple[str, ShardRecord, list[tuple[str, ParamInfo]]]
 
 
 def _module_fqns(root: Module) -> dict[int, str]:
@@ -56,7 +58,7 @@ def _module_fqns(root: Module) -> dict[int, str]:
     return mapping
 
 
-def _handles_under(root: Module) -> list["FlatParamHandle"]:
+def _handles_under(root: Module) -> list:
     from repro.fsdp.api import _units_under
 
     return [u.handle for u in _units_under(root) if u.handle is not None]
@@ -66,43 +68,85 @@ def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
+def unit_records(root: Module) -> list[list[NamedRecord]]:
+    """Every persistent shard under ``root``, named and grouped by
+    FSDP unit.
+
+    Everything that saves, loads, gathers or describes sharded state
+    iterates the result and talks to
+    :class:`~repro.fsdp.handle.ShardRecord` only; which handle class
+    produced a record never matters.
+    """
+    fqns = _module_fqns(root)
+    units = []
+    for index, handle in enumerate(_handles_under(root)):
+        unit = []
+        for record in handle.shard_records():
+            named = [(_join(fqns[id(b.module)], b.name), b) for b in record.param_infos]
+            unit.append((record.shard_key(index, named[0][0]), record, named))
+        units.append(unit)
+    return units
+
+
+def shard_records(root: Module) -> list[NamedRecord]:
+    """:func:`unit_records`, flattened (sharded-state-dict order)."""
+    return [entry for unit in unit_records(root) for entry in unit]
+
+
+def _distinct(named: list[tuple[str, ParamInfo]]) -> list[tuple[str, ParamInfo]]:
+    """One binding per parameter: a tied parameter loads from (and its
+    optimizer state is keyed by) its first FQN."""
+    first: dict[int, tuple[str, ParamInfo]] = {}
+    for fqn, binding in named:
+        first.setdefault(binding.offset, (fqn, binding))
+    return list(first.values())
+
+
+def _overlap(record: ShardRecord, binding: ParamInfo) -> tuple[slice, slice]:
+    """Where ``binding`` meets this rank's shard: ``(slice of the flat
+    shard, slice of the flat parameter)`` — empty when they are disjoint."""
+    start = record.shard_offset
+    lo = max(binding.offset, start)
+    hi = max(lo, min(binding.offset + binding.numel, start + record.shard.numel))
+    return slice(lo - start, hi - start), slice(lo - binding.offset, hi - binding.offset)
+
+
+def _flat_numpy(value) -> np.ndarray:
+    array = value.numpy() if isinstance(value, Tensor) else np.asarray(value)
+    return array.reshape(-1)
+
+
+def _snapshot(value: Tensor, copy: bool) -> Tensor:
+    """Detached alias of ``value``, or an independent copy of its data."""
+    value = value.detach()
+    if copy and value.is_materialized:
+        value = tensor(value.numpy().copy(), dtype=value.dtype)
+    return value
+
+
 def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
     """Collect the unsharded, full-precision state dict (Section 4).
 
-    Units are gathered one at a time so peak memory stays at one
-    unsharded FlatParameter.  Requires functional (materialized) mode.
+    Records are gathered one at a time so peak memory stays at one
+    unsharded record.  Requires functional (materialized) mode.
     """
+    # Keys in registration order — a per-parameter record lists a tied
+    # parameter's aliases together, wherever they were registered.
     fqns = _module_fqns(root)
-    result: "OrderedDict[str, Tensor]" = OrderedDict()
-    for handle in _handles_under(root):
-        if getattr(handle, "is_per_param", False):
-            gathered: dict[int, np.ndarray] = {}
-            for info in handle.param_infos:
-                fqn = _join(fqns[id(info.module)], info.name)
-                if info.offset not in gathered:
-                    full = handle.sharded_params[info.offset].gather_full()
-                    if not full.is_materialized:
-                        raise FsdpError("full_state_dict requires materialized tensors")
-                    gathered[info.offset] = full._np.reshape(info.shape).copy()
-                result[fqn] = tensor(
-                    gathered[info.offset], dtype=handle.full_precision_dtype
-                )
-            continue
-        full_flat = handle.gather_full_precision()
-        if not full_flat.is_materialized:
+    result: "OrderedDict[str, Tensor]" = OrderedDict.fromkeys(
+        _join(fqns[id(info.module)], info.name)
+        for handle in _handles_under(root)
+        for info in handle.param_infos
+    )
+    for _key, record, named in shard_records(root):
+        full = record.gather(record.shard)
+        if not full.is_materialized:
             raise FsdpError("full_state_dict requires materialized tensors")
-        flat_np = full_flat._np
-        seen_offsets: set[int] = set()
-        for info in handle.param_infos:
-            fqn = _join(fqns[id(info.module)], info.name)
-            if info.offset in seen_offsets and fqn in result:
-                continue
-            seen_offsets.add(info.offset)
-            values = flat_np[info.offset : info.offset + info.numel].reshape(info.shape)
-            result[fqn] = tensor(
-                np.array(values), dtype=handle.full_precision_dtype
-            )
-        del full_flat
+        flat = full._np.reshape(-1)
+        for fqn, b in named:
+            values = flat[b.offset : b.offset + b.numel].reshape(b.shape)
+            result[fqn] = tensor(np.array(values), dtype=record.shard.dtype)
+        del full
     for name, buffer in _named_buffers_clean(root, fqns):
         result[name] = tensor(buffer.numpy(), dtype=buffer.dtype)
     return result
@@ -118,143 +162,74 @@ def _named_buffers_clean(root: Module, fqns: dict[int, str]):
             yield _join(fqns[id(module)], name), buffer
 
 
+def load_buffers(root: Module, state: dict) -> None:
+    """Restore the module buffers ``state`` names (rank-local values;
+    never sharded, so they ride beside the shards in every payload)."""
+    for name, buffer in _named_buffers_clean(root, _module_fqns(root)):
+        if name in state and buffer.is_materialized:
+            buffer._np[...] = _flat_numpy(state[name]).reshape(buffer.shape)
+
+
 def load_full_state_dict(root: Module, state: dict) -> None:
     """Scatter a full state dict into each rank's local shards."""
-    fqns = _module_fqns(root)
-    with no_grad():
-        for handle in _handles_under(root):
-            if getattr(handle, "is_per_param", False):
-                loaded: set[int] = set()
-                for info in handle.param_infos:
-                    if info.offset in loaded:
-                        continue
-                    loaded.add(info.offset)
-                    sp = handle.sharded_params[info.offset]
-                    fqn = _join(fqns[id(info.module)], info.name)
-                    if fqn not in state:
-                        raise KeyError(f"state dict is missing {fqn!r}")
-                    value = state[fqn]
-                    flat = (
-                        value.numpy().reshape(-1)
-                        if isinstance(value, Tensor)
-                        else np.asarray(value).reshape(-1)
-                    )
-                    if not sp.sharded_data.is_materialized:
-                        raise FsdpError(
-                            "load_full_state_dict requires materialized tensors"
-                        )
-                    if sp.shard_numel:
-                        sp.sharded_data._np.reshape(-1)[...] = flat[
-                            sp.shard_offset : sp.shard_offset + sp.shard_numel
-                        ]
-                continue
-            shard = handle._local_shard
-            if not shard.is_materialized:
-                raise FsdpError("load_full_state_dict requires materialized tensors")
-            rank = handle.shard_group.rank
-            shard_start = rank * handle.shard_numel
-            shard_end = shard_start + handle.shard_numel
-            loaded_offsets: set[int] = set()
-            for info in handle.param_infos:
-                if info.offset in loaded_offsets:
-                    continue
-                loaded_offsets.add(info.offset)
-                fqn = _join(fqns[id(info.module)], info.name)
-                if fqn not in state:
-                    raise KeyError(f"state dict is missing {fqn!r}")
-                value = state[fqn]
-                flat = value.numpy().reshape(-1) if isinstance(value, Tensor) else np.asarray(value).reshape(-1)
-                lo = max(info.offset, shard_start)
-                hi = min(info.offset + info.numel, shard_end)
-                if lo >= hi:
-                    continue
-                shard._np[lo - shard_start : hi - shard_start] = flat[
-                    lo - info.offset : hi - info.offset
-                ]
-        for name, buffer in _named_buffers_clean(root, fqns):
-            if name in state and buffer.is_materialized:
-                value = state[name]
-                src = value.numpy() if isinstance(value, Tensor) else np.asarray(value)
-                buffer._np[...] = src.reshape(buffer.shape)
+    for _key, record, named in shard_records(root):
+        if not record.shard.is_materialized:
+            raise FsdpError("load_full_state_dict requires materialized tensors")
+        shard = record.shard._np.reshape(-1)
+        for fqn, binding in _distinct(named):
+            if fqn not in state:
+                raise KeyError(f"state dict is missing {fqn!r}")
+            dst, src = _overlap(record, binding)
+            shard[dst] = _flat_numpy(state[fqn])[src]
+    load_buffers(root, state)
 
 
 def sharded_state_dict(root: Module, *, copy: bool = False) -> "OrderedDict[str, Tensor]":
-    """Each rank's local shards, keyed by unit index.
+    """Each rank's local shards, keyed by record.
 
     With ``copy=False`` the returned tensors alias the live shards
     (cheap, suitable for immediate serialization).  Checkpoints that
     must survive further training steps need ``copy=True`` — elastic
     recovery restores from these snapshots after a rank failure.
     """
-    result: "OrderedDict[str, Tensor]" = OrderedDict()
-    fqns = _module_fqns(root)
-    for index, handle in enumerate(_handles_under(root)):
-        if getattr(handle, "is_per_param", False):
-            # Per-parameter shards are keyed by FQN, not unit index:
-            # the FQN is stable across wrap granularities, which is
-            # what makes cross-granularity resharding a fast path.
-            for sp in handle.sharded_params:
-                key = f"per_param.{_join(fqns[id(sp.module)], sp.name)}"
-                shard = sp.sharded_data.detach()
-                if copy and shard.is_materialized:
-                    shard = tensor(shard.numpy().copy(), dtype=shard.dtype)
-                result[key] = shard
-            continue
-        key = f"flat_param.{index:03d}.{handle.label}"
-        shard = handle._local_shard.detach()
-        if copy and shard.is_materialized:
-            shard = tensor(shard.numpy().copy(), dtype=shard.dtype)
-        result[key] = shard
-    return result
+    return OrderedDict(
+        (key, _snapshot(record.shard, copy)) for key, record, _ in shard_records(root)
+    )
+
+
+def _checked_entry(state: dict, key: str, what: str):
+    """``state[key]``, or the typed refusal for a foreign layout."""
+    if key not in state:
+        raise ShardLayoutError(f"{what} is missing {key!r}", key=key)
+    return state[key]
+
+
+def _check_shard_numel(what: str, key: str, value: Tensor, record: ShardRecord) -> None:
+    """Refuse a saved tensor that does not fit ``record``'s local shard."""
+    if value.numel != record.shard.numel:
+        raise ShardLayoutError(
+            f"{what} has {value.numel} elements but the model's local shard has "
+            f"{record.shard.numel} — checkpoint taken at a different world size "
+            "or wrap granularity? Use repro.checkpoint.load_resharded.",
+            key=key,
+            expected=record.shard.numel,
+            actual=value.numel,
+        )
 
 
 def load_sharded_state_dict(root: Module, state: dict) -> None:
     """Load shards saved by :func:`sharded_state_dict` (same layout).
 
     Raises :class:`ShardLayoutError` (a :class:`KeyError` subclass) when
-    the state dict was saved under a different layout — missing unit
+    the state dict was saved under a different layout — missing record
     keys or shard-size mismatches from a different world size or wrap
     granularity.  Such checkpoints must go through
     :func:`repro.checkpoint.load_resharded` instead.
     """
-    fqns = _module_fqns(root)
     with no_grad():
-        for index, handle in enumerate(_handles_under(root)):
-            if getattr(handle, "is_per_param", False):
-                for sp in handle.sharded_params:
-                    key = f"per_param.{_join(fqns[id(sp.module)], sp.name)}"
-                    if key not in state:
-                        raise ShardLayoutError(
-                            f"sharded state dict is missing {key!r}", key=key
-                        )
-                    value = state[key]
-                    if isinstance(value, Tensor) and value.numel != sp.shard_numel:
-                        raise ShardLayoutError(
-                            f"shard {key!r} has {value.numel} elements but the "
-                            f"model's local shard has {sp.shard_numel} — "
-                            "checkpoint taken at a different world size? Use "
-                            "repro.checkpoint.load_resharded.",
-                            key=key,
-                            expected=sp.shard_numel,
-                            actual=value.numel,
-                        )
-                    if sp.shard_numel:
-                        sp.sharded_data.copy_(value)
-                continue
-            key = f"flat_param.{index:03d}.{handle.label}"
-            if key not in state:
-                raise ShardLayoutError(
-                    f"sharded state dict is missing {key!r}", key=key
-                )
-            value = state[key]
-            if isinstance(value, Tensor) and value.numel != handle.shard_numel:
-                raise ShardLayoutError(
-                    f"shard {key!r} has {value.numel} elements but the model's "
-                    f"local shard has {handle.shard_numel} — checkpoint taken "
-                    "at a different world size or wrap granularity? Use "
-                    "repro.checkpoint.load_resharded.",
-                    key=key,
-                    expected=handle.shard_numel,
-                    actual=value.numel,
-                )
-            handle._local_shard.copy_(value)
+        for key, record, _ in shard_records(root):
+            value = _checked_entry(state, key, "sharded state dict")
+            if isinstance(value, Tensor):
+                _check_shard_numel(f"shard {key!r}", key, value, record)
+            if record.shard.numel:
+                record.shard.copy_(value)

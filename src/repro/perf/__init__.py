@@ -3,7 +3,6 @@
 from repro.perf.metrics import GiB, LatencyHistogram, PerfResult, nearest_rank
 from repro.perf.timeline import Tracer, merge_intervals, overlap_fraction, trace_device
 from repro.perf.trainer import (
-    CheckpointStore,
     ElasticResult,
     SimConfig,
     simulate_training,
@@ -25,7 +24,6 @@ __all__ = [
     "trace_device",
     "overlap_fraction",
     "merge_intervals",
-    "CheckpointStore",
     "ElasticResult",
     "train_elastic",
 ]

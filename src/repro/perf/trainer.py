@@ -44,16 +44,16 @@ from repro.optim import Adam, SGD
 from repro.perf.metrics import GiB, PerfResult
 from repro.resilience import (
     DEFAULT_HEALTH_PROBE_S,
-    PEER_HEAL_BANDWIDTH,
     HealContext,
+    heal_seconds,
     payload_nbytes,
+    restore_seconds,
 )
 from repro.tensor import Tensor
 
 __all__ = [
     "SimConfig",
     "simulate_training",
-    "CheckpointStore",
     "ElasticResult",
     "train_elastic",
 ]
@@ -70,13 +70,6 @@ RECOVERABLE_ERRORS = (
     CollectiveFailedError,
     CheckpointCorruptionError,
 )
-
-#: Simulated host→device restore bandwidth for checkpoint reloads.
-CHECKPOINT_RESTORE_BANDWIDTH = 5 * GiB  # bytes/s
-
-#: Simulated checksum-verify throughput at restore time (CRC pass over
-#: every shard before trusting it — see repro.checkpoint.store).
-CHECKPOINT_VERIFY_BANDWIDTH = 10 * GiB  # bytes/s
 
 
 @dataclass
@@ -458,11 +451,6 @@ def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
     return total
 
 
-def _restore_cost_s(wrapped: Module, optimizer) -> float:
-    """Simulated time to reload the local sharded checkpoint."""
-    return _checkpoint_nbytes(wrapped, optimizer) / CHECKPOINT_RESTORE_BANDWIDTH
-
-
 def _detection_latency(failure: BaseException) -> float:
     """Simulated time between the fault and the job *knowing* about it.
 
@@ -644,7 +632,7 @@ def simulate_training(config: SimConfig) -> PerfResult:
                         result.recovery_overhead_s += max(
                             0.0, device.now() - wasted_since - detection
                         )
-                    heal_s = _checkpoint_nbytes(wrapped, optimizer) / PEER_HEAL_BANDWIDTH
+                    heal_s = heal_seconds(_checkpoint_nbytes(wrapped, optimizer))
                     if session is not None:
                         with session.scoped("heal:peer-restore"):
                             device.consume_cpu(heal_s)
@@ -668,11 +656,8 @@ def simulate_training(config: SimConfig) -> PerfResult:
                     result.recovery_overhead_s += max(
                         0.0, device.now() - wasted_since - detection
                     )
-                restore = _restore_cost_s(wrapped, optimizer)
-                verify = (
-                    _checkpoint_nbytes(wrapped, optimizer)
-                    * config.world_size
-                    / CHECKPOINT_VERIFY_BANDWIDTH
+                restore, verify = restore_seconds(
+                    _checkpoint_nbytes(wrapped, optimizer), config.world_size
                 )
                 if session is not None:
                     with session.scoped("recovery:restore"):
@@ -782,70 +767,6 @@ def _groups_of(wrapped: Module) -> list:
     return groups
 
 
-class CheckpointStore:
-    """In-memory sharded checkpoints for elastic training.
-
-    Each rank saves only its own shards (:func:`sharded_state_dict` /
-    :func:`sharded_optim_state_dict` with ``copy=True``), mirroring a
-    distributed checkpoint directory.  ``latest`` only reports
-    iterations where *every* rank's shard landed, so a crash between two
-    ranks' saves can never restore a torn checkpoint.
-
-    Superseded by :class:`repro.checkpoint.DistributedCheckpointStore`
-    (integrity-checked, resharding-capable); kept as the minimal
-    in-memory flavour for tests and same-layout recovery.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        # iteration -> rank -> {"model": ..., "optim": ...}
-        self._snapshots: dict[int, dict[int, dict]] = {}
-        # iteration -> world size the savers ran at
-        self._world_sizes: dict[int, int] = {}
-
-    def save(
-        self,
-        iteration: int,
-        rank: int,
-        model_state,
-        optim_state,
-        *,
-        world_size: Optional[int] = None,
-    ) -> None:
-        with self._lock:
-            self._snapshots.setdefault(iteration, {})[rank] = {
-                "model": model_state,
-                "optim": optim_state,
-            }
-            if world_size is not None:
-                self._world_sizes[iteration] = world_size
-
-    def latest(self, world_size: Optional[int] = None) -> Optional[int]:
-        """Latest iteration for which every saver's shard exists.
-
-        Completeness is judged against the world size recorded *at save
-        time*: a world that shrank after a partial save can never see
-        the torn iteration reported complete just because fewer shards
-        now suffice.  The ``world_size`` argument is only a fallback for
-        iterations saved without one (legacy callers).
-        """
-        with self._lock:
-            complete = []
-            for iteration, per_rank in self._snapshots.items():
-                expected = self._world_sizes.get(iteration, world_size)
-                if expected is not None and len(per_rank) >= expected:
-                    complete.append(iteration)
-        return max(complete) if complete else None
-
-    def load(self, iteration: int, rank: int) -> dict:
-        with self._lock:
-            return self._snapshots[iteration][rank]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._snapshots)
-
-
 @dataclass
 class ElasticResult:
     """Outcome of one :func:`train_elastic` run."""
@@ -890,35 +811,6 @@ class ElasticResult:
     def recovery_overhead_s(self) -> float:
         """Total simulated recovery cost: detect + restore/heal + replay."""
         return self.detection_s + self.restore_s + self.heal_s + self.replay_s
-
-
-def _load_heal_payload(wrapped: Module, opt, payload: dict) -> None:
-    """Restore one rank's state from a heal deposit (same layout).
-
-    Deposits are :func:`repro.checkpoint.snapshot_payload` dicts; heal
-    incarnations keep the world size and wrap granularity, so the
-    same-layout sharded loaders apply directly (no resharding pass).
-    """
-    from repro.autograd.grad_mode import no_grad
-    from repro.fsdp.optim_state import load_sharded_optim_state_dict
-    from repro.fsdp.state_dict import _join, _module_fqns, load_sharded_state_dict
-
-    load_sharded_state_dict(wrapped, payload["model"])
-    if opt is not None and "optim" in payload:
-        load_sharded_optim_state_dict(wrapped, opt, payload["optim"])
-    buffers = payload.get("buffers")
-    if buffers:
-        fqns = _module_fqns(wrapped)
-        with no_grad():
-            for module in wrapped.modules():
-                if id(module) not in fqns:
-                    continue
-                for name, buffer in module._buffers.items():
-                    if buffer is None:
-                        continue
-                    value = buffers.get(_join(fqns[id(module)], name))
-                    if value is not None:
-                        buffer.copy_(value)
 
 
 def train_elastic(
@@ -1038,9 +930,9 @@ def train_elastic(
             # peer's deposit, paying the shard transfer at link speed.
             start = plan.tag
             donor = plan.sources.get(rank, rank)
-            _load_heal_payload(wrapped, opt, heal_ctx.deposit_for(donor).payload)
+            ckpt.load_payload(wrapped, opt, heal_ctx.deposit_for(donor).payload)
             if rank in plan.sources:
-                transfer_s = plan.transfer_nbytes(rank) / PEER_HEAL_BANDWIDTH
+                transfer_s = heal_seconds(plan.transfer_nbytes(rank))
                 device.consume_cpu(transfer_s)
                 device.emit_mark("heal:peer-restore")
                 with acct_lock:
@@ -1056,10 +948,7 @@ def train_elastic(
                 nbytes = payload_nbytes(
                     ckpt.snapshot_payload(wrapped, opt, copy=False)
                 )
-                restore_s = (
-                    nbytes / CHECKPOINT_RESTORE_BANDWIDTH
-                    + nbytes * world / CHECKPOINT_VERIFY_BANDWIDTH
-                )
+                restore_s = sum(restore_seconds(nbytes, world))
                 device.consume_cpu(restore_s)
                 if rank == 0:
                     with acct_lock:

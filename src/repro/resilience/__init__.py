@@ -37,11 +37,15 @@ from repro.resilience.desync import (
     perturb_signature,
 )
 from repro.resilience.heal import (
+    CHECKPOINT_RESTORE_BANDWIDTH,
+    CHECKPOINT_VERIFY_BANDWIDTH,
     PEER_HEAL_BANDWIDTH,
     HealContext,
     HealDeposit,
     HealPlan,
+    heal_seconds,
     payload_nbytes,
+    restore_seconds,
 )
 
 __all__ = [
@@ -52,7 +56,11 @@ __all__ = [
     "collective_signature",
     "compare_signatures",
     "perturb_signature",
+    "CHECKPOINT_RESTORE_BANDWIDTH",
+    "CHECKPOINT_VERIFY_BANDWIDTH",
     "PEER_HEAL_BANDWIDTH",
+    "restore_seconds",
+    "heal_seconds",
     "HealContext",
     "HealDeposit",
     "HealPlan",

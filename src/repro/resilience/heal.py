@@ -27,7 +27,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 __all__ = [
+    "CHECKPOINT_RESTORE_BANDWIDTH",
+    "CHECKPOINT_VERIFY_BANDWIDTH",
     "PEER_HEAL_BANDWIDTH",
+    "restore_seconds",
+    "heal_seconds",
     "HealContext",
     "HealDeposit",
     "HealPlan",
@@ -36,10 +40,32 @@ __all__ = [
 
 GiB = float(1 << 30)
 
+#: Simulated host→device restore bandwidth for checkpoint reloads.
+CHECKPOINT_RESTORE_BANDWIDTH = 5 * GiB  # bytes/s
+
+#: Simulated checksum-verify throughput at restore time (CRC pass over
+#: every shard before trusting it — see repro.checkpoint.store).
+CHECKPOINT_VERIFY_BANDWIDTH = 10 * GiB  # bytes/s
+
 #: Peer-to-peer healing bandwidth (bytes/s): a direct NIC-to-NIC copy
 #: between two hosts, faster than the shared checkpoint store's
 #: restore path (5 GiB/s read + 10 GiB/s verify for *every* rank).
 PEER_HEAL_BANDWIDTH = 25 * GiB
+
+
+def restore_seconds(nbytes: int, world: int) -> tuple[float, float]:
+    """Simulated ``(load_s, verify_s)`` of a checkpoint restore: each
+    rank reloads its own ``nbytes`` shard after the whole world's
+    shards passed the checksum verify."""
+    return (
+        nbytes / CHECKPOINT_RESTORE_BANDWIDTH,
+        nbytes * world / CHECKPOINT_VERIFY_BANDWIDTH,
+    )
+
+
+def heal_seconds(nbytes: int) -> float:
+    """Simulated time to pull ``nbytes`` of shards from a replica peer."""
+    return nbytes / PEER_HEAL_BANDWIDTH
 
 
 def payload_nbytes(payload: dict) -> int:

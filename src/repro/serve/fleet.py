@@ -45,7 +45,7 @@ from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.perf.timeline import Tracer
-from repro.perf.trainer import (
+from repro.resilience import (
     CHECKPOINT_RESTORE_BANDWIDTH,
     CHECKPOINT_VERIFY_BANDWIDTH,
 )

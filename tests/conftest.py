@@ -134,3 +134,44 @@ def unflatten_handle_grads(fsdp_model) -> dict[tuple, np.ndarray]:
             if key not in result:
                 result[key] = flat[info.offset : info.offset + info.numel].reshape(info.shape)
     return result
+
+
+BACKENDS = ("flat_param", "per_param")
+
+
+def shard_model(model: nn.Module, wrap_policy, backend: str, **kwargs) -> nn.Module:
+    """Wrap with the FSDP wrapper (flat_param) or annotate with
+    ``fully_shard`` (per_param), one unit per ``wrap_policy`` match."""
+    from repro.fsdp import FullyShardedDataParallel, fully_shard
+
+    if backend == "flat_param":
+        return FullyShardedDataParallel(model, auto_wrap_policy=wrap_policy, **kwargs)
+    if wrap_policy is not None:
+        for path, sub in reversed(list(model.named_modules())):
+            if sub is not model and wrap_policy(sub):
+                fully_shard(sub, label=path, backend=backend, **kwargs)
+    return fully_shard(model, backend=backend, **kwargs)
+
+
+class TiedNarrow(nn.Module):
+    """Parameters with fewer rows than ranks (3 < 4) and a tied weight."""
+
+    #: FQNs in registration order; ``body.2.weight`` aliases
+    #: ``body.0.weight`` (re-registered, so it follows ``body.2.bias``).
+    FQNS = [
+        "inp.weight",
+        "inp.bias",
+        "body.0.weight",
+        "body.0.bias",
+        "body.2.bias",
+        "body.2.weight",
+    ]
+
+    def __init__(self):
+        super().__init__()
+        self.inp = nn.Linear(6, 3)
+        self.body = nn.Sequential(nn.Linear(3, 3), nn.Tanh(), nn.Linear(3, 3))
+        self.body[2].weight = self.body[0].weight
+
+    def forward(self, x):
+        return self.body(self.inp(x))

@@ -9,7 +9,6 @@ from repro import checkpoint as ck, dtypes
 from repro.checkpoint.manifest import CheckpointManifest, ParamSpec, ShardEntry, UnitLayout
 from repro.distributed import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.errors import CheckpointCorruptionError, CheckpointError
-from repro.perf.trainer import CheckpointStore
 from repro.tensor import tensor
 
 
@@ -141,6 +140,24 @@ class TestTwoPhaseCommit:
         with pytest.raises(CheckpointError):
             store.save_shard(iteration=1, rank=1, world_size=3, blob=blob)
 
+    def test_completeness_is_judged_by_save_time_world_size(self):
+        """A shrink after a partial save must not turn a torn iteration
+        complete just because fewer shards now suffice."""
+        store = ck.DistributedCheckpointStore()
+        blob = ck.serialize_state(payload())
+        for rank in range(3):
+            store.save_shard(iteration=1, rank=rank, world_size=3, blob=blob)
+        store.save_shard(iteration=2, rank=0, world_size=3, blob=blob)  # torn: 1 of 3
+        assert store.latest() == 1
+        # The world shrank to 1: its saver cannot complete iteration 2.
+        with pytest.raises(CheckpointError):
+            store.save_shard(iteration=2, rank=0, world_size=1, blob=blob)
+        assert store.latest() == 1
+        for rank in (1, 2):
+            store.save_shard(iteration=2, rank=rank, world_size=3, blob=blob)
+        assert store.latest() == 2
+        assert store.manifest(2).world_size == 3
+
     def test_latest_prefers_newest_committed(self):
         store = ck.DistributedCheckpointStore()
         blob = ck.serialize_state(payload())
@@ -265,19 +282,3 @@ class TestRandomScheduleStorageEvents:
             lost_shards=1,
         )
         assert again == schedule
-
-
-class TestLegacyCheckpointStore:
-    def test_latest_keys_completeness_by_save_time_world_size(self):
-        """Regression: a shrink after a partial save must not turn a torn
-        iteration complete just because fewer shards now suffice."""
-        store = CheckpointStore()
-        for rank in range(3):
-            store.save(1, rank, {"m": rank}, {"o": rank}, world_size=3)
-        store.save(2, 0, {"m": 0}, {"o": 0}, world_size=3)  # torn: 1 of 3
-        # Caller now thinks the world is 1 — iteration 2 must stay torn.
-        assert store.latest(world_size=1) == 1
-        assert store.latest(world_size=3) == 1
-        for rank in (1, 2):
-            store.save(2, rank, {"m": rank}, {"o": rank}, world_size=3)
-        assert store.latest(world_size=1) == 2

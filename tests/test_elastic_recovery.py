@@ -15,7 +15,7 @@ from repro.errors import (
     RankFailureError,
 )
 from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
-from repro.perf.trainer import CheckpointStore, train_elastic
+from repro.perf.trainer import train_elastic
 from repro.tensor import tensor
 
 WORLD = 4
@@ -140,20 +140,6 @@ class TestWatchdogThreaded:
         cause = exc_info.value.__cause__
         assert isinstance(cause, RankCrashedError)
         assert cause.rank == 2
-
-
-class TestCheckpointStore:
-    def test_latest_ignores_torn_checkpoints(self):
-        store = CheckpointStore()
-        for rank in range(3):
-            store.save(1, rank, {"m": rank}, {"o": rank})
-        assert store.latest(world_size=3) == 1
-        store.save(2, 0, {"m": 0}, {"o": 0})  # rank 0 only: torn
-        assert store.latest(world_size=3) == 1
-        for rank in (1, 2):
-            store.save(2, rank, {"m": rank}, {"o": rank})
-        assert store.latest(world_size=3) == 2
-        assert store.load(2, 1)["model"] == {"m": 1}
 
 
 class TestCrashRecovery:

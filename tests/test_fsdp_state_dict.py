@@ -15,7 +15,14 @@ from repro.fsdp.state_dict import (
     load_sharded_state_dict,
     sharded_state_dict,
 )
-from tests.conftest import copy_weights, snapshot_weights
+from repro.errors import FsdpError, ShardLayoutError
+from tests.conftest import (
+    BACKENDS,
+    TiedNarrow,
+    copy_weights,
+    shard_model,
+    snapshot_weights,
+)
 
 
 def build():
@@ -199,3 +206,103 @@ class TestShardedStateDict:
             dist.barrier()
 
         dist.spawn(fn, 2)
+
+
+def tied_reference():
+    repro.manual_seed(47)
+    return TiedNarrow().state_dict()
+
+
+def tied_model(state0, backend, **kwargs):
+    model = TiedNarrow()
+    copy_weights(model, {k: v.numpy() for k, v in state0.items()})
+    return shard_model(model, None, backend, device=dist.get_device(), **kwargs)
+
+
+def numpy_state(state):
+    return {k: v.numpy().copy() for k, v in state.items()}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBothBackends:
+    """The same round trips through either sharding backend, on a model
+    with parameters narrower than the world (3 rows, 4 ranks — some
+    per-parameter shards are empty) and a tied weight."""
+
+    def test_full_state_dict_lists_every_fqn_in_registration_order(self, backend):
+        state0 = tied_reference()
+
+        def fn(rank):
+            model = tied_model(state0, backend)
+            full = full_state_dict(model)
+            return list(full), numpy_state(full)
+
+        for keys, state in dist.spawn(fn, 4):
+            assert keys == TiedNarrow.FQNS
+            np.testing.assert_array_equal(state["body.2.weight"], state["body.0.weight"])
+            for name, value in state0.items():
+                np.testing.assert_array_equal(state[name], value.numpy())
+
+    def test_sharded_round_trip(self, backend):
+        state0 = tied_reference()
+
+        def fn(rank):
+            model = tied_model(state0, backend)
+            saved = sharded_state_dict(model, copy=True)
+            zeros = {k: np.zeros_like(v) for k, v in numpy_state(state0).items()}
+            load_full_state_dict(model, zeros)
+            assert not any(v.any() for v in numpy_state(full_state_dict(model)).values())
+            load_sharded_state_dict(model, saved)
+            return numpy_state(full_state_dict(model))
+
+        for state in dist.spawn(fn, 4):
+            for name, value in state0.items():
+                np.testing.assert_array_equal(state[name], value.numpy())
+
+    def test_load_full_state_dict(self, backend):
+        state0 = tied_reference()
+        repro.manual_seed(77)
+        target = numpy_state(TiedNarrow().state_dict())
+
+        def fn(rank):
+            model = tied_model(state0, backend)
+            load_full_state_dict(model, {k: repro.tensor(v) for k, v in target.items()})
+            return numpy_state(full_state_dict(model))
+
+        for state in dist.spawn(fn, 4):
+            for name, value in target.items():
+                np.testing.assert_array_equal(state[name], value)
+
+    def test_refusals_are_typed_and_name_the_key(self, backend):
+        state0 = tied_reference()
+
+        def fn(rank):
+            model = tied_model(state0, backend)
+            with pytest.raises(KeyError, match="inp.weight") as full_err:
+                load_full_state_dict(model, {})
+            assert not isinstance(full_err.value, ShardLayoutError)
+            with pytest.raises(ShardLayoutError) as missing:
+                load_sharded_state_dict(model, {})
+            saved = sharded_state_dict(model, copy=True)
+            key = missing.value.key
+            assert key in saved
+            saved[key] = repro.tensor(np.zeros(saved[key].numel + 1, dtype=np.float32))
+            with pytest.raises(ShardLayoutError) as mismatch:
+                load_sharded_state_dict(model, saved)
+            error = mismatch.value
+            assert (error.key, error.actual) == (key, error.expected + 1)
+
+        dist.spawn(fn, 2)
+
+    def test_non_materialized_tensors_are_refused(self, backend):
+        state0 = tied_reference()
+        dist.shutdown()
+        ctx = dist.init_single_process(4, materialize=False)
+        try:
+            model = shard_model(TiedNarrow(), None, backend, device=ctx.device)
+            with pytest.raises(FsdpError, match="materialized"):
+                full_state_dict(model)
+            with pytest.raises(FsdpError, match="materialized"):
+                load_full_state_dict(model, state0)
+        finally:
+            dist.shutdown()

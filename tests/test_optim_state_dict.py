@@ -11,8 +11,24 @@ from repro.fsdp import (
     full_optim_state_dict,
     load_full_optim_state_dict,
 )
+from repro.fsdp.optim_state import (
+    load_sharded_optim_state_dict,
+    sharded_optim_state_dict,
+)
+from repro.fsdp.state_dict import (
+    full_state_dict,
+    load_full_state_dict,
+    load_sharded_state_dict,
+    sharded_state_dict,
+)
 from repro.optim import Adam
-from tests.conftest import copy_weights, snapshot_weights
+from tests.conftest import (
+    BACKENDS,
+    TiedNarrow,
+    copy_weights,
+    shard_model,
+    snapshot_weights,
+)
 
 
 def build():
@@ -156,5 +172,107 @@ class TestRoundTrip:
             with pytest.raises(KeyError):
                 load_full_optim_state_dict(wrapped, opt, {"state": {}})
             dist.barrier()
+
+        dist.spawn(fn, 2)
+
+
+def tied_reference():
+    repro.manual_seed(47)
+    return snapshot_weights(TiedNarrow())
+
+
+def tied_train(state0, backend, steps):
+    """TiedNarrow (3-row parameters on 4 ranks, one tied weight) under
+    ``backend``, trained ``steps`` Adam steps on rank-local data."""
+    model = TiedNarrow()
+    copy_weights(model, state0)
+    model = shard_model(model, None, backend, device=dist.get_device())
+    opt = Adam(model.parameters(), lr=0.05)
+    tied_steps(model, opt, range(steps))
+    return model, opt
+
+
+def tied_steps(model, opt, steps):
+    for step in steps:
+        rng = np.random.default_rng(100 * step + dist.get_rank())
+        x = repro.tensor(rng.standard_normal((2, 6)).astype(np.float32))
+        opt.zero_grad()
+        (model(x) ** 2).mean().backward()
+        opt.step()
+
+
+def numpy_optim_state(osd):
+    return {
+        fqn: {k: (v.numpy().copy() if hasattr(v, "numpy") else v) for k, v in entry.items()}
+        for fqn, entry in osd["state"].items()
+    }
+
+
+def assert_optim_equal(got, want):
+    assert list(got) == list(want)
+    for fqn, entry in want.items():
+        assert list(got[fqn]) == list(entry), fqn
+        for name, value in entry.items():
+            np.testing.assert_array_equal(got[fqn][name], value, err_msg=f"{fqn}.{name}")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBothBackends:
+    def test_full_optim_state_is_keyed_like_the_local_optimizer(self, backend):
+        state0 = tied_reference()
+
+        def fn(rank):
+            model, opt = tied_train(state0, backend, steps=2)
+            osd = full_optim_state_dict(model, opt)
+            return list(osd["state"]), {k: v["exp_avg"].shape for k, v in osd["state"].items()}
+
+        # A tied parameter has one optimizer state, under its first name
+        # (what ``named_parameters`` of the unwrapped model yields).
+        local = TiedNarrow()
+        for keys, shapes in dist.spawn(fn, 4):
+            assert keys == [name for name, _ in local.named_parameters()]
+            assert shapes == {name: p.shape for name, p in local.named_parameters()}
+
+    @pytest.mark.parametrize("flavour", ["full", "sharded"])
+    def test_save_load_resume_is_bitwise(self, backend, flavour):
+        """Two steps, save, load into a fresh model + optimizer, one more
+        step: identical to three uninterrupted steps."""
+        state0 = tied_reference()
+
+        def fn(rank):
+            model, opt = tied_train(state0, backend, steps=2)
+            if flavour == "full":
+                saved = full_state_dict(model), full_optim_state_dict(model, opt)
+            else:
+                saved = (
+                    sharded_state_dict(model, copy=True),
+                    sharded_optim_state_dict(model, opt, copy=True),
+                )
+            tied_steps(model, opt, [2])
+            want = numpy_optim_state(full_optim_state_dict(model, opt))
+
+            resumed, opt2 = tied_train(state0, backend, steps=0)
+            if flavour == "full":
+                load_full_state_dict(resumed, saved[0])
+                load_full_optim_state_dict(resumed, opt2, saved[1])
+            else:
+                load_sharded_state_dict(resumed, saved[0])
+                load_sharded_optim_state_dict(resumed, opt2, saved[1])
+            tied_steps(resumed, opt2, [2])
+            got = numpy_optim_state(full_optim_state_dict(resumed, opt2))
+            return got, want, full_state_dict(resumed), full_state_dict(model)
+
+        for got, want, resumed_params, params in dist.spawn(fn, 4):
+            assert_optim_equal(got, want)
+            for fqn, value in params.items():
+                np.testing.assert_array_equal(resumed_params[fqn].numpy(), value.numpy())
+
+    def test_missing_fqn_is_named(self, backend):
+        state0 = tied_reference()
+
+        def fn(rank):
+            model, opt = tied_train(state0, backend, steps=1)
+            with pytest.raises(KeyError, match="inp.weight"):
+                load_full_optim_state_dict(model, opt, {"state": {}})
 
         dist.spawn(fn, 2)

@@ -46,6 +46,7 @@ from repro.perf.trainer import train_elastic
 from repro.profiler import FlightRecorder
 from repro.resilience import DEFAULT_HEALTH_PROBE_S, CoordinatedAbort
 from repro.tensor import tensor
+from tests.conftest import shard_model
 
 WORLD = 4
 D = 16
@@ -405,6 +406,16 @@ def hybrid_wrap(model):
     )
 
 
+def per_param_hybrid_wrap(model):
+    return shard_model(
+        model,
+        ModuleWrapPolicy({nn.Linear}),
+        "per_param",
+        sharding_strategy=ShardingStrategy.HYBRID_SHARD,
+        sharding_factor=2,
+    )
+
+
 def run_elastic(schedule=None, *, recovery="restore", wrap=hybrid_wrap, **kwargs):
     repro.manual_seed(1234)
     return train_elastic(
@@ -462,6 +473,24 @@ class TestPeerHealing:
         assert healed.losses == restored.losses == baseline.losses
         assert healed.recovery_overhead_s < restored.recovery_overhead_s
         assert healed.detection_s == restored.detection_s == DEFAULT_HEALTH_PROBE_S
+
+    @pytest.mark.parametrize("recovery", ["restore", "heal"])
+    def test_per_param_hybrid_wrap_recovers_bitwise(self, recovery):
+        """Both recovery paths load per-parameter shards + Adam state
+        through the same ``load_payload`` as the flat backend."""
+        kwargs = dict(wrap=per_param_hybrid_wrap, optimizer="adam")
+        fault_free = run_elastic(**kwargs)
+        schedule = FaultSchedule(
+            [FaultEvent(kind=FaultKind.CRASH, rank=1, iteration=3)]
+        )
+        faulted = run_elastic(schedule, recovery=recovery, **kwargs)
+        assert faulted.restarts == 1
+        assert faulted.losses == fault_free.losses
+        if recovery == "heal":
+            assert faulted.healed_ranks == [(1,)]
+            assert (faulted.heal_fallbacks, faulted.restore_s) == (0, 0.0)
+        else:
+            assert faulted.restore_s > 0.0
 
     def test_full_shard_heal_falls_back_to_checkpoint_restore(self):
         fs_baseline = run_elastic(wrap=None)

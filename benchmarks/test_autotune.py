@@ -8,18 +8,13 @@ by simulated latency).  Second, the planner's chosen configuration is
 within 10% of the exhaustive grid's best simulated latency while
 simulating only top-k candidates instead of the whole grid.
 
-The combined results are written to ``BENCH_autotune.json`` at the
-repo root so CI can upload them as an artifact.
+``python -m repro.bench autotune`` runs the same functions and writes
+their rows to ``BENCH_autotune.json``.
 """
-
-import json
-import pathlib
 
 from benchmarks.conftest import run_once
 from repro.autotune import (
-    Candidate,
     calibrate,
-    dhen_workload,
     plan_sharding,
     print_calibration_table,
     search_result_to_json,
@@ -27,25 +22,10 @@ from repro.autotune import (
 from repro.bench.autotune import (
     bench_gpt_workload,
     bench_t5_workload,
+    calibration_candidates,
+    calibration_dhen_workload,
     planner_vs_grid,
     restricted_space,
-)
-from repro.fsdp.sharding import ShardingStrategy
-from repro.models.dhen import DhenConfig
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_autotune.json"
-
-# Sized so reserved memory is well past segment-granularity noise
-# (sub-200 MiB footprints are dominated by 2/20 MiB segment rounding).
-BENCH_DHEN = DhenConfig(
-    num_features=64,
-    sparse_rows_total=4_000_000,
-    sparse_dim=64,
-    num_dense_features=128,
-    d_model=512,
-    num_layers=8,
-    num_heads=8,
-    d_ff=2048,
 )
 
 #: Error bands the cost models are calibrated to on these workloads.
@@ -56,24 +36,9 @@ MEMORY_BAND = 0.25
 LATENCY_BAND = 0.40
 
 
-def _calibration_candidates(workload):
-    """Whole-model and per-block wrap under both reshard settings."""
-    out = []
-    for wrap in workload.wrap_choices[:2]:
-        for strategy in (ShardingStrategy.FULL_SHARD, ShardingStrategy.SHARD_GRAD_OP):
-            out.append(Candidate(wrap=wrap, strategy=strategy))
-    return out
-
-
-def _artifact_update(section: str, payload) -> None:
-    data = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, default=str) + "\n")
-
-
-def _check_calibration(benchmark, workload, *, memory_band=MEMORY_BAND):
+def _check_calibration(benchmark, workload):
     rows = run_once(
-        benchmark, lambda: calibrate(workload, _calibration_candidates(workload))
+        benchmark, lambda: calibrate(workload, calibration_candidates(workload))
     )
     print_calibration_table(rows)
     for row in rows:
@@ -81,31 +46,23 @@ def _check_calibration(benchmark, workload, *, memory_band=MEMORY_BAND):
         benchmark.extra_info[f"mem_err {key}"] = round(row.memory_rel_err, 3)
         benchmark.extra_info[f"lat_err {key}"] = round(row.latency_rel_err, 3)
         assert not row.simulated_oom
-        assert abs(row.memory_rel_err) < memory_band, row
+        assert abs(row.memory_rel_err) < MEMORY_BAND, row
         assert abs(row.latency_rel_err) < LATENCY_BAND, row
-    return rows
 
 
 def test_calibration_mingpt(benchmark):
-    workload = bench_gpt_workload()
-    rows = _check_calibration(benchmark, workload)
-    _artifact_update("calibration_mingpt", [row.__dict__ for row in rows])
+    _check_calibration(benchmark, bench_gpt_workload())
 
 
 def test_calibration_t5(benchmark):
-    workload = bench_t5_workload()
-    rows = _check_calibration(benchmark, workload)
-    _artifact_update("calibration_t5", [row.__dict__ for row in rows])
+    _check_calibration(benchmark, bench_t5_workload())
 
 
 def test_calibration_dhen(benchmark):
-    workload = dhen_workload(BENCH_DHEN, batch_size=8, world_size=8)
-    rows = _check_calibration(benchmark, workload)
-    _artifact_update("calibration_dhen", [row.__dict__ for row in rows])
+    _check_calibration(benchmark, calibration_dhen_workload())
 
 
-def test_planner_vs_grid_mingpt(benchmark):
-    workload = bench_gpt_workload()
+def _check_planner_vs_grid(benchmark, workload):
     comparison = run_once(benchmark, lambda: planner_vs_grid(workload))
     benchmark.extra_info.update(
         {k: v for k, v in comparison.items() if isinstance(v, (int, float, str))}
@@ -114,22 +71,18 @@ def test_planner_vs_grid_mingpt(benchmark):
     # while simulating only top-k of the candidates.
     assert comparison["planner_gap"] <= 0.10
     assert comparison["validated"] < comparison["grid_size"]
-    _artifact_update("planner_vs_grid_mingpt", comparison)
+
+
+def test_planner_vs_grid_mingpt(benchmark):
+    _check_planner_vs_grid(benchmark, bench_gpt_workload())
 
 
 def test_planner_vs_grid_t5(benchmark):
-    workload = bench_t5_workload()
-    comparison = run_once(benchmark, lambda: planner_vs_grid(workload))
-    benchmark.extra_info.update(
-        {k: v for k, v in comparison.items() if isinstance(v, (int, float, str))}
-    )
-    assert comparison["planner_gap"] <= 0.10
-    assert comparison["validated"] < comparison["grid_size"]
-    _artifact_update("planner_vs_grid_t5", comparison)
+    _check_planner_vs_grid(benchmark, bench_t5_workload())
 
 
 def test_planner_search_digest(benchmark):
-    """Full planner run digest (budget, pruning, rankings) -> artifact."""
+    """Full planner run digest: budget, pruning, rankings."""
     workload = bench_gpt_workload()
     result = run_once(
         benchmark,
@@ -141,4 +94,3 @@ def test_planner_search_digest(benchmark):
     # Every validated plan carries its simulation outcome.
     assert all("simulated_latency_s" in p for p in digest["validated"])
     benchmark.extra_info["best"] = digest["best"]["config"]
-    _artifact_update("planner_search_mingpt", digest)

@@ -5,33 +5,16 @@ the minGPT, T5 and DHEN workloads, profiler attached, checkpointing
 off in both arms) and asserts the issue's acceptance bar: the compiled
 schedule strictly reduces exposed communication seconds on at least
 two of the three workloads, with the bucketing/fusion stats proving
-the passes actually fired.  Writes ``BENCH_compile.json`` at the repo
-root so CI uploads it next to the profiler artifact.
+the passes actually fired.
 """
 
-import json
-import pathlib
-
 from benchmarks.conftest import run_once
-from repro.bench.autotune import bench_gpt_workload, bench_t5_workload
-from repro.bench.compile import bench_workload
-from repro.bench.profile import bench_dhen_workload
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_compile.json"
-
-WORKLOADS = {
-    "mingpt": bench_gpt_workload,
-    "t5": bench_t5_workload,
-    "dhen": bench_dhen_workload,
-}
-
-_REPORTS: dict = {}
-
-
-def _artifact_update(section: str, payload) -> None:
-    data = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+from repro.bench import compile as compile_bench
+from repro.bench.autotune import (
+    bench_dhen_workload,
+    bench_gpt_workload,
+    bench_t5_workload,
+)
 
 
 def _check_report(report: dict) -> None:
@@ -49,9 +32,8 @@ def _check_report(report: dict) -> None:
     )
 
 
-def _run(benchmark, name: str) -> None:
-    workload = WORKLOADS[name]()
-    report = run_once(benchmark, lambda: bench_workload(workload, verbose=False))
+def _run(benchmark, workload) -> None:
+    report = run_once(benchmark, lambda: compile_bench.bench_workload(workload))
     _check_report(report)
     benchmark.extra_info.update(
         {
@@ -63,25 +45,23 @@ def _run(benchmark, name: str) -> None:
             "strict_win": report["strict_win"],
         }
     )
-    _REPORTS[name] = report
-    _artifact_update(name, report)
 
 
 def test_compile_mingpt(benchmark):
-    _run(benchmark, "mingpt")
+    _run(benchmark, bench_gpt_workload())
 
 
 def test_compile_t5(benchmark):
-    _run(benchmark, "t5")
+    _run(benchmark, bench_t5_workload())
 
 
 def test_compile_dhen(benchmark):
-    _run(benchmark, "dhen")
+    _run(benchmark, bench_dhen_workload())
 
 
-def test_strict_win_on_at_least_two_workloads():
-    """The issue's acceptance bar, computed over the lane's reports."""
-    assert len(_REPORTS) == len(WORKLOADS), "run the per-workload benches first"
-    wins = [name for name, r in _REPORTS.items() if r["strict_win"]]
+def test_strict_win_on_at_least_two_workloads(benchmark):
+    """The issue's acceptance bar, on the payload of the artifact."""
+    payload = run_once(benchmark, compile_bench.run)
+    wins = [r["workload"] for r in payload["workloads"] if r["strict_win"]]
+    assert payload["strict_wins"] == len(wins)
     assert len(wins) >= 2, f"strict exposed-comm wins only on {wins}"
-    _artifact_update("strict_wins", wins)

@@ -1,24 +1,19 @@
 """Elastic checkpointing bench: interval sweep, sync vs. async.
 
 Runs ``repro.bench.elastic`` (minGPT, crash mid-run, checkpoint
-interval sweep in both modes) once, asserts the qualitative trade-off —
-synchronous saves expose a stall that scales with save count, async
-saves hide the D2H behind compute at the price of a wider loss-of-work
-window, and replay cost grows with the interval — and writes
-``BENCH_elastic.json`` at the repo root for the CI artifact upload.
+interval sweep in both modes) once and asserts the qualitative
+trade-off — synchronous saves expose a stall that scales with save
+count, async saves hide the D2H behind compute at the price of a wider
+loss-of-work window, and replay cost grows with the interval.
 """
 
-import json
-import pathlib
-
 from benchmarks.conftest import run_once
-from repro.bench.elastic import INTERVALS, main as run_elastic_bench
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_elastic.json"
+from repro.bench import elastic
+from repro.bench.elastic import INTERVALS
 
 
 def test_elastic_interval_sweep(benchmark):
-    payload = run_once(benchmark, lambda: run_elastic_bench(artifact=ARTIFACT, verbose=False))
+    payload = run_once(benchmark, elastic.run)
     points = payload["points"]
     assert len(points) == 2 * len(INTERVALS)
     sync = {p["interval"]: p for p in points if p["mode"] == "sync"}
@@ -58,4 +53,3 @@ def test_elastic_interval_sweep(benchmark):
             "sync_recovery_every8_s": round(sync[8]["recovery_overhead_s"], 6),
         }
     )
-    assert json.loads(ARTIFACT.read_text())["points"]

@@ -15,17 +15,12 @@ strategy, prefetching, rate limit, foreach Adam on both sides):
   staging keep the per-unit collective count and ring path identical
   to flat; the remaining overhead (staging copies) is bounded.
 
-Results are written to ``BENCH_perparam.json`` at the repo root so CI
-can upload them as an artifact.
+``python -m repro.bench perparam`` runs the same comparisons and writes
+them to ``BENCH_perparam.json``.
 """
-
-import json
-import pathlib
 
 from benchmarks.conftest import run_once
 from repro.bench.perparam import bench_configs, compare_backends
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_perparam.json"
 
 #: Simulated peak-reserved headroom for the per-param backend: one
 #: unit's transient gather staging, rounded up to allocator segment
@@ -34,30 +29,6 @@ STAGING_HEADROOM_GIB = 64.0 / 1024.0
 
 #: Step-latency ceiling for per-param relative to flat-param.
 LATENCY_RATIO_MAX = 2.0
-
-
-def _artifact_update(section: str, payload) -> None:
-    data = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, default=str) + "\n")
-
-
-def _comparison_payload(comparison: dict) -> dict:
-    rows = comparison.pop("rows")
-    payload = dict(comparison)
-    payload["rows"] = {
-        backend: {
-            "latency_s": result.iteration_latency,
-            "tflops_per_gpu": result.tflops_per_gpu,
-            "peak_allocated_gib": result.peak_allocated_gib,
-            "peak_reserved_gib": result.peak_reserved_gib,
-            "collectives": result.collectives,
-            "comm_gib": result.comm_gib,
-            "config": result.config_label(),
-        }
-        for backend, result in rows.items()
-    }
-    return payload
 
 
 def _check_workload(benchmark, index: int) -> dict:
@@ -97,13 +68,11 @@ def _check_workload(benchmark, index: int) -> dict:
 
 
 def test_perparam_vs_flat_mingpt(benchmark):
-    comparison = _check_workload(benchmark, 0)
-    _artifact_update("mingpt", _comparison_payload(comparison))
+    _check_workload(benchmark, 0)
 
 
 def test_perparam_vs_flat_t5(benchmark):
-    comparison = _check_workload(benchmark, 1)
-    _artifact_update("t5", _comparison_payload(comparison))
+    _check_workload(benchmark, 1)
 
 
 def test_perparam_vs_flat_odd_mlp(benchmark):
@@ -113,4 +82,3 @@ def test_perparam_vs_flat_odd_mlp(benchmark):
     acct = comparison["accounting"]
     # Uneven dims actually produce flat padding to eliminate.
     assert acct["padding_bytes_eliminated"] > 0
-    _artifact_update("odd_mlp", _comparison_payload(comparison))

@@ -3,34 +3,17 @@
 Runs ``repro.bench.profile`` (minGPT, T5, DHEN with per-block wrapping
 and the profiler attached) once, asserts the §5 qualitative shape —
 communication is substantially hidden, prefetch feeds every non-first
-unit, counter tracks exist — and writes the combined report to
-``BENCH_profiler.json`` at the repo root so CI uploads it next to the
-autotune artifact.
+unit, counter tracks exist.  ``python -m repro.bench profile`` writes
+the same three reports to ``BENCH_profiler.json``.
 """
 
-import json
-import pathlib
-
 from benchmarks.conftest import run_once
-from repro.bench.profile import (
+from repro.bench.autotune import (
     bench_dhen_workload,
-    profile_workload,
+    bench_gpt_workload,
+    bench_t5_workload,
 )
-from repro.bench.autotune import bench_gpt_workload, bench_t5_workload
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_profiler.json"
-
-WORKLOADS = {
-    "mingpt": bench_gpt_workload,
-    "t5": bench_t5_workload,
-    "dhen": bench_dhen_workload,
-}
-
-
-def _artifact_update(section: str, payload) -> None:
-    data = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+from repro.bench.profile import profile_workload
 
 
 def _check_report(report: dict) -> None:
@@ -56,9 +39,8 @@ def _check_report(report: dict) -> None:
     assert memory["attribution"]
 
 
-def _run(benchmark, name: str) -> None:
-    workload = WORKLOADS[name]()
-    report = run_once(benchmark, lambda: profile_workload(workload, verbose=False))
+def _run(benchmark, workload) -> None:
+    report = run_once(benchmark, lambda: profile_workload(workload))
     _check_report(report)
     totals = report["profiler"]["totals"]
     benchmark.extra_info.update(
@@ -70,16 +52,15 @@ def _run(benchmark, name: str) -> None:
             "prefetch_misses": totals["prefetch_misses"],
         }
     )
-    _artifact_update(name, report)
 
 
 def test_profile_mingpt(benchmark):
-    _run(benchmark, "mingpt")
+    _run(benchmark, bench_gpt_workload())
 
 
 def test_profile_t5(benchmark):
-    _run(benchmark, "t5")
+    _run(benchmark, bench_t5_workload())
 
 
 def test_profile_dhen(benchmark):
-    _run(benchmark, "dhen")
+    _run(benchmark, bench_dhen_workload())

@@ -5,23 +5,16 @@ rate with replication factor, in both recovery modes) once, asserts the
 headline claims — healing is strictly cheaper than a checkpoint restart
 at the *same* fault schedule whenever a replica survives, replays no
 completed iteration, and degrades gracefully (bitwise-equal fallback)
-when no replica exists — and writes ``BENCH_resilience.json`` at the
-repo root for the CI artifact upload.
+when no replica exists.
 """
 
-import json
-import pathlib
-
 from benchmarks.conftest import run_once
-from repro.bench.resilience import CAMPAIGNS, FACTORS, WORLD, main as run_resilience_bench
-
-ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_resilience.json"
+from repro.bench import resilience
+from repro.bench.resilience import CAMPAIGNS, FACTORS, WORLD
 
 
 def test_heal_beats_restore_when_a_replica_survives(benchmark):
-    payload = run_once(
-        benchmark, lambda: run_resilience_bench(artifact=ARTIFACT, verbose=False)
-    )
+    payload = run_once(benchmark, resilience.run)
     points = payload["points"]
     assert len(points) == 2 * len(CAMPAIGNS) * len(FACTORS)
     # Every campaign, every mode: recovery reproduces the fault-free
@@ -67,4 +60,3 @@ def test_heal_beats_restore_when_a_replica_survives(benchmark):
             ),
         }
     )
-    assert json.loads(ARTIFACT.read_text())["points"]

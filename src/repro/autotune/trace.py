@@ -178,23 +178,6 @@ class ModelTrace:
                 bucket.transient_elems += record.elems
         return totals
 
-    def unit_liveness(
-        self, unit_paths: Sequence[str], *, elem_size: int = 4
-    ) -> dict[str, tuple[int, int]]:
-        """Per-unit ``(saved_bytes, transient_bytes)`` activation map.
-
-        The shape :class:`repro.compile.CaptureHook` consumes (keyed by
-        unit label = module path, '' = root) to annotate captured
-        forward-compute nodes for the memory-budget proof.
-        """
-        return {
-            path: (
-                int(totals.saved_elems * elem_size),
-                int(totals.transient_elems * elem_size),
-            )
-            for path, totals in self.per_unit(unit_paths).items()
-        }
-
     def total_matmul_flops(self) -> float:
         return sum(r.matmul_flops for r in self.records)
 

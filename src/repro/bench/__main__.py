@@ -1,108 +1,58 @@
-"""Regenerate every figure of the paper's evaluation section.
+"""Run benches by name and write their artifacts.
 
 Usage::
 
-    python -m repro.bench            # all figures, full sweeps
-    python -m repro.bench --fast     # reduced sweeps (~2-3 minutes)
+    python -m repro.bench                      # every bench, full sweeps
+    python -m repro.bench --fast               # reduced sweeps (minutes)
+    python -m repro.bench compile serving      # just these two
+    python -m repro.bench elastic --out /tmp   # artifact goes to /tmp
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
+import importlib
+import pathlib
 import time
 
-from repro.bench import (
-    ablations,
-    autotune,
-    compile as compile_bench,
-    degraded,
-    elastic,
-    fig2,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    profile,
-    serving,
-    xhost_traffic,
-)
+from repro.bench import BENCHES
+from repro.bench.report import write_artifact
 
 
-def main(argv: list[str]) -> None:
-    fast = "--fast" in argv
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(prog="python -m repro.bench")
+    parser.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help=f"benches to run (default: all): {', '.join(BENCHES)}",
+    )  # fmt: skip
+    parser.add_argument("--fast", action="store_true", help="reduced sweeps")
+    parser.add_argument(
+        "--out", type=pathlib.Path, default=pathlib.Path("."),
+        help="directory the BENCH_*.json artifacts are written to",
+    )  # fmt: skip
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in BENCHES]
+    if unknown:
+        parser.error(f"unknown bench {', '.join(unknown)}")
+    names = args.names or list(BENCHES)
+
     start = time.time()
-
-    print("#" * 72)
-    print("# Figure 2 — collective communication efficiency")
-    print("#" * 72)
-    fig2.main()
-
-    print("\n" + "#" * 72)
-    print("# Figure 5 — communication/computation overlap (traced)")
-    print("#" * 72)
-    fig5.main()
-
-    print("\n" + "#" * 72)
-    print("# Section 3.2.2 — cross-host traffic closed forms")
-    print("#" * 72)
-    xhost_traffic.main()
-
-    print("\n" + "#" * 72)
-    print("# Figure 6 — model scale, prefetching, rate limiting")
-    print("#" * 72)
-    fig6.main(fast=fast)
-
-    print("\n" + "#" * 72)
-    print("# Figures 7 and 8 — throughput and memory at scale")
-    print("#" * 72)
-    if fast:
-        from repro.bench.scale import dhen_sweep, gpt175b_sweep, t5_11b_sweep
-
-        dhen = dhen_sweep(world_sizes=(8, 64, 512))
-        gpt = gpt175b_sweep(world_sizes=(128, 256, 512))
-        t5 = t5_11b_sweep(world_sizes=(8, 64, 512))
-    else:
-        dhen = gpt = t5 = None
-    dhen, gpt, t5 = fig7.main(dhen, gpt, t5)
-    fig8.main(dhen, gpt, t5)
-
-    print("\n" + "#" * 72)
-    print("# Ablations — wrap granularity, rate-limit cap, sharding factor")
-    print("#" * 72)
-    ablations.main()
-
-    print("\n" + "#" * 72)
-    print("# Degraded cluster — fault injection and elastic recovery")
-    print("#" * 72)
-    degraded.main()
-
-    print("\n" + "#" * 72)
-    print("# Elastic checkpointing — recovery overhead vs. interval")
-    print("#" * 72)
-    elastic.main()
-
-    print("\n" + "#" * 72)
-    print("# Autotune — planner choice vs. exhaustive grid sweep")
-    print("#" * 72)
-    autotune.main()
-
-    print("\n" + "#" * 72)
-    print("# Profiler — per-unit exposed vs. overlapped communication")
-    print("#" * 72)
-    profile.main()
-
-    print("\n" + "#" * 72)
-    print("# Compiler — eager vs compiled exposed communication")
-    print("#" * 72)
-    compile_bench.main()
-
-    print("\n" + "#" * 72)
-    print("# Serving fleet — continuous batching, SLO, elastic autoscaling")
-    print("#" * 72)
-    serving.main(fast=fast)
-
-    print(f"\nall figures regenerated in {time.time() - start:.0f}s")
+    for name in names:
+        bench = BENCHES[name]
+        print("\n" + "#" * 72)
+        print(f"# {bench.title}")
+        print("#" * 72)
+        payload = importlib.import_module(f"repro.bench.{name}").run(fast=args.fast)
+        if bench.artifact is None:
+            continue
+        if args.fast:
+            # A committed artifact is always the full sweep.
+            print(f"\n--fast: {bench.artifact} not written")
+        else:
+            write_artifact(args.out / bench.artifact, payload)
+            print(f"\nwrote {args.out / bench.artifact}")
+    print(f"\n{len(names)} benches in {time.time() - start:.0f}s")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

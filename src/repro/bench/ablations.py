@@ -12,12 +12,9 @@ from __future__ import annotations
 import dataclasses
 
 from repro.bench.report import print_table
+from repro.bench.scale import t5_config
 from repro.fsdp import ModuleWrapPolicy, ShardingStrategy
-from repro.fsdp.mixed_precision import BF16_MIXED
-from repro.models import T5_11B
-from repro.models.transformer import TransformerBlock
-from repro.perf import PerfResult, SimConfig, simulate_training
-from repro.perf.workloads import t5_builder, t5_loss_fn
+from repro.perf import PerfResult, simulate_training
 
 __all__ = [
     "wrap_granularity_rows",
@@ -25,21 +22,8 @@ __all__ = [
     "sharding_factor_rows",
     "cpu_offload_rows",
     "grad_accumulation_rows",
-    "main",
+    "run",
 ]
-
-
-def _t5_base(name: str, world_size: int = 16, batch: int = 8, seq: int = 512) -> SimConfig:
-    return SimConfig(
-        name=name,
-        build_model=t5_builder(T5_11B),
-        make_loss=t5_loss_fn(T5_11B, batch, seq),
-        batch_size=batch,
-        world_size=world_size,
-        auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
-        mixed_precision=BF16_MIXED,
-        iterations=1,
-    )
 
 
 def wrap_granularity_rows(world_size: int = 16) -> list[PerfResult]:
@@ -56,11 +40,11 @@ def wrap_granularity_rows(world_size: int = 16) -> list[PerfResult]:
 
     results = []
     fine = dataclasses.replace(
-        _t5_base("wrap: per-attn/ffn", world_size),
+        t5_config("wrap: per-attn/ffn", world_size=world_size),
         auto_wrap_policy=ModuleWrapPolicy({MultiHeadAttention, FeedForward}),
     )
     results.append(simulate_training(fine))
-    per_block = _t5_base("wrap: per-block", world_size)
+    per_block = t5_config("wrap: per-block", world_size=world_size)
     results.append(simulate_training(per_block))
     whole = dataclasses.replace(per_block, name="wrap: whole-model", auto_wrap_policy=None)
     results.append(simulate_training(whole))
@@ -70,7 +54,7 @@ def wrap_granularity_rows(world_size: int = 16) -> list[PerfResult]:
 def rate_limit_rows(world_size: int = 16, batch: int = 2) -> list[PerfResult]:
     """Inflight AllGather cap: 1, 2 (the paper's choice), 4, unlimited."""
     results = []
-    base = _t5_base("", world_size, batch=batch)
+    base = t5_config("", world_size=world_size, batch=batch)
     for cap, label in ((1, "limit=1"), (2, "limit=2"), (4, "limit=4"), (0, "unlimited")):
         config = dataclasses.replace(
             base,
@@ -85,7 +69,7 @@ def rate_limit_rows(world_size: int = 16, batch: int = 2) -> list[PerfResult]:
 def sharding_factor_rows(world_size: int = 64, batch: int = 8) -> list[PerfResult]:
     """Hybrid sharding factor sweep: F=W (full) down to F=8 (one host)."""
     results = []
-    base = _t5_base("", world_size, batch=batch)
+    base = t5_config("", world_size=world_size, batch=batch)
     full = dataclasses.replace(base, name=f"F={world_size} (full shard)")
     results.append(simulate_training(full))
     factor = world_size // 2
@@ -111,7 +95,7 @@ def cpu_offload_rows(world_size: int = 8, batch: int = 8) -> list[PerfResult]:
     memory drop (params, grads and optimizer state leave the device).
     """
     results = []
-    base = _t5_base("", world_size, batch=batch)
+    base = t5_config("", world_size=world_size, batch=batch)
     plain = dataclasses.replace(base, name="params on device")
     results.append(simulate_training(plain))
     offloaded = dataclasses.replace(
@@ -130,7 +114,7 @@ def grad_accumulation_rows(
     but each rank holds *unsharded* gradients across microbatches.
     """
     results = []
-    base = _t5_base("", world_size, batch=batch)
+    base = t5_config("", world_size=world_size, batch=batch)
     no_accum = dataclasses.replace(base, name="no accumulation")
     results.append(simulate_training(no_accum))
     with_comm = dataclasses.replace(
@@ -149,7 +133,7 @@ def grad_accumulation_rows(
     return results
 
 
-def main() -> None:
+def run(fast: bool = False) -> None:
     for title, rows in (
         ("Ablation: FlatParameter wrap granularity (T5-11B, 16 GPUs)", wrap_granularity_rows()),
         ("Ablation: rate-limiter inflight cap (T5-11B, 16 GPUs)", rate_limit_rows()),
@@ -173,7 +157,3 @@ def main() -> None:
                 for r in rows
             ],
         )
-
-
-if __name__ == "__main__":
-    main()

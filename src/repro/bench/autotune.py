@@ -1,45 +1,93 @@
-"""Autotune evaluation: planner choice vs. exhaustive grid sweep.
+"""Autotune evaluation: cost-model calibration and planner vs. grid.
 
-For each workload, simulate *every* candidate of a restricted search
-space (the grid), run the planner over the same space (predict, prune,
-validate top-k), and compare the planner's chosen configuration
-against the grid's best simulated latency.  The planner wins if it
-finds a configuration within a few percent of the grid optimum while
-simulating only ``top_k`` candidates instead of all of them.
+Two claims.  First, the analytic estimators in ``repro.autotune`` track
+the simulator: peak-memory and latency predictions land within the
+error bands ``benchmarks/test_autotune.py`` holds them to (the planner
+only needs the *ranking*; top-k validation re-ranks by simulated
+latency).  Second, for each workload, simulate *every* candidate of a
+restricted search space (the grid), run the planner over the same space
+(predict, prune, validate top-k), and compare the planner's chosen
+configuration against the grid's best simulated latency.  The planner
+wins if it finds a configuration within a few percent of the grid
+optimum while simulating only ``top_k`` candidates instead of all of
+them.
+
+The bench-sized minGPT / T5 / DHEN workloads every derived-subsystem
+bench (profile, compile, elastic, perparam, serving) runs on are
+defined here, once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.autotune import (
     Candidate,
     SearchSpace,
     TuneWorkload,
+    calibrate,
+    dhen_workload,
     evaluate_candidate,
     gpt_workload,
     plan_sharding,
+    print_calibration_table,
+    search_result_to_json,
     t5_workload,
 )
 from repro.bench.report import print_perf_table
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
+from repro.models import DhenConfig
 from repro.models.mingpt import GptConfig
 from repro.models.t5 import T5Config
-from repro.perf.trainer import simulate_training
+from repro.perf.trainer import SimConfig, simulate_training
 
 __all__ = [
+    "BENCH_GPT",
+    "BENCH_T5",
+    "BENCH_DHEN",
     "bench_gpt_workload",
     "bench_t5_workload",
+    "bench_dhen_workload",
+    "calibration_dhen_workload",
+    "per_block_config",
+    "calibration_candidates",
     "restricted_space",
     "grid_sweep",
     "planner_vs_grid",
-    "main",
+    "run",
 ]
 
 BENCH_GPT = GptConfig(vocab_size=2048, block_size=128, n_layer=12, n_head=8, n_embd=512)
 BENCH_T5 = T5Config(
     vocab_size=2048, d_model=256, d_ff=1024, num_heads=4, head_dim=64, num_layers=4
+)
+#: Modest DHEN (same structure as the paper config, seconds not hours;
+#: the full one needs hundreds of ranks to be interesting).  Also the
+#: model of one ``repro.bench.serving`` inference replica.
+BENCH_DHEN = DhenConfig(
+    num_features=32,
+    sparse_rows_total=1_000_000,
+    sparse_dim=32,
+    num_dense_features=64,
+    d_model=256,
+    num_layers=4,
+    num_heads=4,
+    d_ff=1024,
+)
+#: DHEN for the calibration rows, sized so reserved memory is well past
+#: segment-granularity noise (sub-200 MiB footprints are dominated by
+#: 2/20 MiB segment rounding).
+CALIBRATION_DHEN = DhenConfig(
+    num_features=64,
+    sparse_rows_total=4_000_000,
+    sparse_dim=64,
+    num_dense_features=128,
+    d_model=512,
+    num_layers=8,
+    num_heads=8,
+    d_ff=2048,
 )
 
 
@@ -49,6 +97,37 @@ def bench_gpt_workload(world_size: int = 8) -> TuneWorkload:
 
 def bench_t5_workload(world_size: int = 8) -> TuneWorkload:
     return t5_workload(BENCH_T5, batch_size=4, seq_len=64, world_size=world_size)
+
+
+def bench_dhen_workload(world_size: int = 8) -> TuneWorkload:
+    return dhen_workload(BENCH_DHEN, batch_size=4, world_size=world_size)
+
+
+def calibration_dhen_workload() -> TuneWorkload:
+    return dhen_workload(CALIBRATION_DHEN, batch_size=8, world_size=8)
+
+
+def per_block_config(
+    workload: TuneWorkload,
+    *,
+    name: Optional[str] = None,
+    checkpointing: Optional[bool] = None,
+) -> SimConfig:
+    """``workload``'s baseline SimConfig wrapped one unit per block, so
+    per-unit tables have one row per layer (``wrap_choices[0]`` is
+    whole-model, ``[1]`` the block policy)."""
+    config = workload.sim_config(name=name, checkpointing=checkpointing)
+    config.auto_wrap_policy = workload.wrap_choices[1].policy
+    return config
+
+
+def calibration_candidates(workload: TuneWorkload) -> list[Candidate]:
+    """Whole-model and per-block wrap under both reshard settings."""
+    return [
+        Candidate(wrap=wrap, strategy=strategy)
+        for wrap in workload.wrap_choices[:2]
+        for strategy in (ShardingStrategy.FULL_SHARD, ShardingStrategy.SHARD_GRAD_OP)
+    ]
 
 
 def restricted_space(workload: TuneWorkload) -> SearchSpace:
@@ -86,9 +165,9 @@ def planner_vs_grid(
     space: Optional[SearchSpace] = None,
     top_k: int = 3,
     memory_budget: Optional[float] = None,
-    verbose: bool = True,
 ) -> dict:
-    """Run planner and grid over the same space; return the comparison."""
+    """Run planner and grid over the same space; print and return the
+    comparison."""
     if space is None:
         space = restricted_space(workload)
     result = plan_sharding(
@@ -106,7 +185,16 @@ def planner_vs_grid(
         else float("inf")
     )
     gap = chosen_latency / best_result.iteration_latency - 1.0
-    comparison = {
+    print(f"\n== {workload.name}: grid of {len(grid)} vs planner (top-{top_k}) ==")
+    print_perf_table("grid sweep", [r for _, r in grid])
+    print(result.summary())
+    print(
+        f"  grid best: {best_candidate.label()} "
+        f"at {best_result.iteration_latency * 1e3:.2f} ms; "
+        f"planner gap {gap:+.1%} while simulating "
+        f"{len(result.validated)}/{len(grid)} configurations"
+    )
+    return {
         "workload": workload.name,
         "grid_size": len(grid),
         "validated": len(result.validated),
@@ -116,26 +204,19 @@ def planner_vs_grid(
         "planner_latency_s": chosen_latency,
         "planner_gap": gap,
     }
-    if verbose:
-        print(f"\n== {workload.name}: grid of {len(grid)} vs planner (top-{top_k}) ==")
-        print_perf_table("grid sweep", [r for _, r in grid])
-        print(result.summary())
-        print(
-            f"  grid best: {best_candidate.label()} "
-            f"at {best_result.iteration_latency * 1e3:.2f} ms; "
-            f"planner gap {gap:+.1%} while simulating "
-            f"{len(result.validated)}/{len(grid)} configurations"
-        )
-    return comparison
 
 
-def main() -> list[dict]:
-    comparisons = [
-        planner_vs_grid(bench_gpt_workload()),
-        planner_vs_grid(bench_t5_workload()),
-    ]
-    return comparisons
-
-
-if __name__ == "__main__":
-    main()
+def run(fast: bool = False) -> dict:
+    gpt, t5 = bench_gpt_workload(), bench_t5_workload()
+    payload = {}
+    for key, workload in (("mingpt", gpt), ("t5", t5), ("dhen", calibration_dhen_workload())):
+        rows = calibrate(workload, calibration_candidates(workload))
+        print_calibration_table(rows)
+        payload[f"calibration_{key}"] = [dataclasses.asdict(row) for row in rows]
+    payload["planner_vs_grid_mingpt"] = planner_vs_grid(gpt)
+    payload["planner_vs_grid_t5"] = planner_vs_grid(t5)
+    # Full planner digest: budget, pruning, rankings.
+    payload["planner_search_mingpt"] = search_result_to_json(
+        plan_sharding(gpt, space=restricted_space(gpt), top_k=3)
+    )
+    return payload

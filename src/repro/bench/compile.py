@@ -11,31 +11,29 @@ apples to apples.
 Reports per workload: exposed/overlapped communication seconds,
 iteration latency, peak reserved memory, and the compiled schedule
 summary (bucket tables, collectives merged, dead waits removed).
-Writes ``BENCH_compile.json``.
+The payload is ``BENCH_compile.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.autotune import TuneWorkload
-from repro.bench.autotune import bench_gpt_workload, bench_t5_workload
-from repro.bench.profile import bench_dhen_workload
+from repro.bench.autotune import (
+    bench_dhen_workload,
+    bench_gpt_workload,
+    bench_t5_workload,
+    per_block_config,
+)
 from repro.bench.report import fmt_bytes, fmt_seconds, print_table
 from repro.perf.trainer import simulate_training
 from repro.profiler import ProfilerSession
 
-__all__ = ["ARTIFACT", "bench_workload", "main"]
-
-ARTIFACT = pathlib.Path("BENCH_compile.json")
+__all__ = ["bench_workload", "run"]
 
 GiB = 1 << 30
 
 
 def _arm(workload: TuneWorkload, *, compile: bool) -> dict:
-    config = workload.sim_config(name=workload.name, checkpointing=False)
-    config.auto_wrap_policy = workload.wrap_choices[1].policy
+    config = per_block_config(workload, checkpointing=False)
     config.profiler = ProfilerSession()
     config.compile = compile
     result = simulate_training(config)
@@ -54,8 +52,9 @@ def _arm(workload: TuneWorkload, *, compile: bool) -> dict:
     return arm
 
 
-def bench_workload(workload: TuneWorkload, *, verbose: bool = True) -> dict:
-    """Eager vs. compiled on one workload; returns a JSON-able report."""
+def bench_workload(workload: TuneWorkload) -> dict:
+    """Eager vs. compiled on one workload; prints and returns a
+    JSON-able report."""
     eager = _arm(workload, compile=False)
     compiled = _arm(workload, compile=True)
     report = {
@@ -68,8 +67,7 @@ def bench_workload(workload: TuneWorkload, *, verbose: bool = True) -> dict:
         - compiled["exposed_comm_s"],
         "strict_win": compiled["exposed_comm_s"] < eager["exposed_comm_s"],
     }
-    if verbose:
-        _print_report(report)
+    _print_report(report)
     return report
 
 
@@ -104,18 +102,12 @@ def _print_report(report: dict) -> None:
     )
 
 
-def main(*, artifact: pathlib.Path = ARTIFACT) -> dict:
+def run(fast: bool = False) -> dict:
     reports = [
         bench_workload(bench_gpt_workload()),
         bench_workload(bench_t5_workload()),
         bench_workload(bench_dhen_workload()),
     ]
     wins = sum(r["strict_win"] for r in reports)
-    payload = {"workloads": reports, "strict_wins": wins}
-    artifact.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"\n{wins}/{len(reports)} workloads strictly improved; wrote {artifact}")
-    return payload
-
-
-if __name__ == "__main__":
-    main()
+    print(f"\n{wins}/{len(reports)} workloads strictly improved")
+    return {"workloads": reports, "strict_wins": wins}

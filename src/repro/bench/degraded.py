@@ -13,29 +13,15 @@ from __future__ import annotations
 import dataclasses
 
 from repro.bench.report import print_table
+from repro.bench.scale import t5_config
 from repro.distributed import FaultEvent, FaultKind, FaultSchedule
-from repro.fsdp import ModuleWrapPolicy
-from repro.fsdp.mixed_precision import BF16_MIXED
-from repro.models import T5_11B
-from repro.models.transformer import TransformerBlock
 from repro.perf import PerfResult, SimConfig, simulate_training
-from repro.perf.workloads import t5_builder, t5_loss_fn
 
-__all__ = ["degraded_rows", "main"]
+__all__ = ["degraded_rows", "run"]
 
 
-def _t5_base(name: str, world_size: int = 16, batch: int = 8, seq: int = 512) -> SimConfig:
-    return SimConfig(
-        name=name,
-        build_model=t5_builder(T5_11B),
-        make_loss=t5_loss_fn(T5_11B, batch, seq),
-        batch_size=batch,
-        world_size=world_size,
-        auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
-        mixed_precision=BF16_MIXED,
-        iterations=2,
-        warmup=1,
-    )
+def _t5_base(name: str, world_size: int) -> SimConfig:
+    return t5_config(name, world_size=world_size, iterations=2)
 
 
 def degraded_rows(world_size: int = 16) -> list[PerfResult]:
@@ -116,7 +102,7 @@ def degraded_rows(world_size: int = 16) -> list[PerfResult]:
     return results
 
 
-def main() -> None:
+def run(fast: bool = False) -> None:
     rows = degraded_rows()
     print_table(
         "Degraded cluster: T5-11B, 16 GPUs, per-fault-regime throughput",
@@ -142,7 +128,3 @@ def main() -> None:
             for r in rows
         ],
     )
-
-
-if __name__ == "__main__":
-    main()

@@ -11,25 +11,21 @@ checkpointing modes, and reports the two costs the interval trades off:
   with the interval, plus the async writer's wider loss-of-work window
   (an in-flight save at crash time is not durably committed).
 
-Writes ``BENCH_elastic.json``; the EXPERIMENTS.md recovery-overhead
-table is read off this artifact.
+The payload is ``BENCH_elastic.json``; the EXPERIMENTS.md
+recovery-overhead table is read off this artifact.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 
-from repro.bench.autotune import bench_gpt_workload
+from repro.bench.autotune import bench_gpt_workload, per_block_config
 from repro.bench.report import fmt_seconds, print_table
 from repro.distributed import FaultEvent, FaultKind, FaultSchedule
 from repro.perf.trainer import simulate_training
 from repro.profiler import ProfilerSession
 
-__all__ = ["bench_point", "main", "ARTIFACT", "INTERVALS"]
-
-ARTIFACT = pathlib.Path("BENCH_elastic.json")
+__all__ = ["bench_point", "run", "INTERVALS"]
 
 INTERVALS = (1, 2, 4, 8)
 ITERATIONS = 16
@@ -37,11 +33,10 @@ CRASH_AT = 13
 
 
 def _config(interval: int, async_ckpt: bool, *, crash: bool, profiler=None):
-    workload = bench_gpt_workload()
-    config = workload.sim_config(
-        name=f"elastic-{'async' if async_ckpt else 'sync'}-every{interval}"
+    config = per_block_config(
+        bench_gpt_workload(),
+        name=f"elastic-{'async' if async_ckpt else 'sync'}-every{interval}",
     )
-    config.auto_wrap_policy = workload.wrap_choices[1].policy
     faults = (
         FaultSchedule([FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=CRASH_AT)])
         if crash
@@ -81,20 +76,16 @@ def bench_point(interval: int, async_ckpt: bool, *, crash: bool = True) -> dict:
     }
 
 
-def main(*, artifact: pathlib.Path = ARTIFACT, verbose: bool = True) -> dict:
+def run(fast: bool = False) -> dict:
     points = [
         bench_point(interval, async_ckpt)
         for async_ckpt in (False, True)
         for interval in INTERVALS
     ]
-    payload = {
-        "workload": "mingpt",
-        "iterations": ITERATIONS,
-        "crash_at": CRASH_AT,
-        "points": points,
-    }
-    if verbose:
-        rows = [
+    print_table(
+        f"elastic checkpointing (crash at iteration {CRASH_AT})",
+        ["mode", "every", "saves", "stall", "overlapped", "recovery", "iter latency"],
+        [
             (
                 point["mode"],
                 str(point["interval"]),
@@ -105,17 +96,11 @@ def main(*, artifact: pathlib.Path = ARTIFACT, verbose: bool = True) -> dict:
                 fmt_seconds(point["iteration_latency_s"]),
             )
             for point in points
-        ]
-        print_table(
-            f"elastic checkpointing (crash at iteration {CRASH_AT})",
-            ["mode", "every", "saves", "stall", "overlapped", "recovery", "iter latency"],
-            rows,
-        )
-    artifact.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if verbose:
-        print(f"\nwrote {artifact}")
-    return payload
-
-
-if __name__ == "__main__":
-    main()
+        ],
+    )
+    return {
+        "workload": "mingpt",
+        "iterations": ITERATIONS,
+        "crash_at": CRASH_AT,
+        "points": points,
+    }

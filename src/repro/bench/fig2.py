@@ -17,7 +17,7 @@ from repro.hw.comm_model import CollectiveKind, CommModel
 from repro.hw.specs import cluster_of
 from repro.bench.report import fmt_bytes, fmt_seconds, print_table
 
-__all__ = ["fig2a_rows", "fig2b_rows", "fig2b_knee", "main"]
+__all__ = ["fig2a_rows", "fig2b_rows", "fig2b_knee", "run"]
 
 FP32 = 4
 
@@ -97,7 +97,8 @@ def fig2b_knee(rows: list[tuple[int, float]], threshold: float = 1.3) -> int:
     return knee
 
 
-def main(world_size: int = 8) -> None:
+def run(fast: bool = False) -> None:
+    world_size = 8
     rows_a = fig2a_rows(world_size)
     print_table(
         "Figure 2(a): collective bandwidth vs input size "
@@ -126,7 +127,3 @@ def main(world_size: int = 8) -> None:
     knee = fig2b_knee(rows_b)
     print(f"\nknee (total time > 1.3x asymptote) at {knee:,} elements "
           f"(paper: rapid increase below ~33M)")
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,7 @@ from repro.models.transformer import TransformerBlock
 from repro.perf.timeline import overlap_fraction, trace_device
 from repro.perf.workloads import gpt_loss_fn
 
-__all__ = ["trace_iteration", "main"]
+__all__ = ["trace_iteration", "run"]
 
 SMALL_GPT = GptConfig(
     vocab_size=8000, block_size=256, n_layer=6, n_head=8, n_embd=1024
@@ -57,7 +57,7 @@ def trace_iteration(backward_prefetch: BackwardPrefetch, world_size: int = 8):
     return result
 
 
-def main() -> None:
+def run(fast: bool = False) -> None:
     for prefetch in (BackwardPrefetch.BACKWARD_PRE, BackwardPrefetch.NONE):
         tracer, latency = trace_iteration(prefetch)
         print(f"\n== Figure 5: one iteration, backward_prefetch={prefetch.value} ==")
@@ -67,7 +67,3 @@ def main() -> None:
             f"{overlap_fraction(tracer) * 100:.0f}% of communication hidden "
             "under computation"
         )
-
-
-if __name__ == "__main__":
-    main()

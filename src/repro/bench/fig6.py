@@ -13,9 +13,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
 
 from repro.bench.report import print_table
+from repro.bench.scale import t5_config
 from repro.fsdp import BackwardPrefetch, ModuleWrapPolicy
 from repro.fsdp.mixed_precision import BF16_MIXED
 from repro.models import (
@@ -36,28 +37,9 @@ from repro.perf.workloads import (
     gpt_loss_fn,
     regnet_builder,
     regnet_loss_fn,
-    t5_builder,
-    t5_loss_fn,
 )
 
-__all__ = ["fig6a_rows", "fig6b_rows", "fig6c_rows", "main"]
-
-_T5_WRAP = ModuleWrapPolicy({TransformerBlock})
-
-
-def _t5_config(name, config, *, parallelism, mixed_precision, world_size, batch, seq, iterations):
-    return SimConfig(
-        name=name,
-        build_model=t5_builder(config),
-        make_loss=t5_loss_fn(config, batch, seq),
-        batch_size=batch,
-        world_size=world_size,
-        parallelism=parallelism,
-        auto_wrap_policy=_T5_WRAP if parallelism == "fsdp" else None,
-        mixed_precision=mixed_precision,
-        iterations=iterations,
-        warmup=2,
-    )
+__all__ = ["fig6a_rows", "fig6b_rows", "fig6c_rows", "run"]
 
 
 def fig6a_rows(
@@ -66,48 +48,26 @@ def fig6a_rows(
     """FSDP vs DDP across T5 sizes (Figure 6(a))."""
     results = []
     for label, config in (("T5-611M", T5_611M), ("T5-2.28B", T5_2B), ("T5-11B", T5_11B)):
-        results.append(
-            simulate_training(
-                _t5_config(
-                    f"{label} DDP fp32",
-                    config,
-                    parallelism="ddp",
-                    mixed_precision=None,
-                    world_size=world_size,
-                    batch=batch,
-                    seq=seq,
-                    iterations=iterations,
+        for arm, parallelism, mixed_precision in (
+            ("DDP fp32", "ddp", None),
+            ("FSDP fp32", "fsdp", None),
+            ("FSDP bf16", "fsdp", BF16_MIXED),
+        ):
+            results.append(
+                simulate_training(
+                    t5_config(
+                        f"{label} {arm}",
+                        config,
+                        parallelism=parallelism,
+                        mixed_precision=mixed_precision,
+                        world_size=world_size,
+                        batch=batch,
+                        seq=seq,
+                        iterations=iterations,
+                        warmup=2,
+                    )
                 )
             )
-        )
-        results.append(
-            simulate_training(
-                _t5_config(
-                    f"{label} FSDP fp32",
-                    config,
-                    parallelism="fsdp",
-                    mixed_precision=None,
-                    world_size=world_size,
-                    batch=batch,
-                    seq=seq,
-                    iterations=iterations,
-                )
-            )
-        )
-        results.append(
-            simulate_training(
-                _t5_config(
-                    f"{label} FSDP bf16",
-                    config,
-                    parallelism="fsdp",
-                    mixed_precision=BF16_MIXED,
-                    world_size=world_size,
-                    batch=batch,
-                    seq=seq,
-                    iterations=iterations,
-                )
-            )
-        )
     return results
 
 
@@ -155,8 +115,6 @@ def fig6c_rows(
     2, 105/120) — the near-capacity regime is what matters (see
     EXPERIMENTS.md).
     """
-    import dataclasses
-
     regnet = dataclasses.replace(REGNET_9B, checkpoint_blocks=False)
     t5 = dataclasses.replace(T5_11B, checkpoint_blocks=False)
     deepvit = dataclasses.replace(DEEPVIT_8B, checkpoint_blocks=False)
@@ -183,15 +141,8 @@ def fig6c_rows(
                 ),
                 (
                     f"T5-11B {nodes} nodes bs={t5_batch}",
-                    SimConfig(
-                        name="",
-                        build_model=t5_builder(t5),
-                        make_loss=t5_loss_fn(t5, t5_batch, 512),
-                        batch_size=t5_batch,
-                        world_size=world,
-                        auto_wrap_policy=_T5_WRAP,
-                        mixed_precision=BF16_MIXED,
-                        iterations=iterations,
+                    t5_config(
+                        "", t5, world_size=world, batch=t5_batch, iterations=iterations
                     ),
                 ),
                 (
@@ -221,7 +172,7 @@ def fig6c_rows(
     return results
 
 
-def main(fast: bool = False) -> None:
+def run(fast: bool = False) -> None:
     rows_a = fig6a_rows()
     print_table(
         "Figure 6(a): FSDP vs DDP, T5 models, 8 GPUs",
@@ -279,7 +230,3 @@ def main(fast: bool = False) -> None:
         ["workload", "no limit", "limit=2", "speedup"],
         table,
     )
-
-
-if __name__ == "__main__":
-    main()

@@ -9,16 +9,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 from repro.bench.report import print_table
-from repro.bench.scale import dhen_sweep, gpt175b_sweep, t5_11b_sweep
+from repro.bench.scale import section5_sweeps
 from repro.perf import PerfResult
 
-__all__ = ["print_fig7a", "print_fig7b", "print_fig7c", "main"]
+__all__ = ["print_fig7a", "print_fig7b", "print_fig7c", "run"]
 
 
-def print_fig7a(results: list[PerfResult]) -> None:
+def print_fig7a(results: Sequence[PerfResult]) -> None:
     print_table(
         "Figure 7(a): DHEN throughput (QPS = samples/GPU/second)",
         ["config", "GPUs", "QPS/GPU", "latency", "retries"],
@@ -35,7 +35,7 @@ def print_fig7a(results: list[PerfResult]) -> None:
     )
 
 
-def print_fig7b(results: list[PerfResult]) -> None:
+def print_fig7b(results: Sequence[PerfResult]) -> None:
     print_table(
         "Figure 7(b): GPT-175B TFLOPS per GPU (paper: ~173 bs=1, ~186 bs=2; dip at 128 GPUs bs=2)",
         ["config", "GPUs", "TFLOPS/GPU", "latency", "retries"],
@@ -52,7 +52,7 @@ def print_fig7b(results: list[PerfResult]) -> None:
     )
 
 
-def print_fig7c(results: list[PerfResult]) -> None:
+def print_fig7c(results: Sequence[PerfResult]) -> None:
     print_table(
         "Figure 7(c): T5-11B TFLOPS per GPU (paper: ~7% regression 8 -> 512 GPUs)",
         ["config", "GPUs", "TFLOPS/GPU", "latency"],
@@ -68,19 +68,8 @@ def print_fig7c(results: list[PerfResult]) -> None:
     )
 
 
-def main(
-    dhen: Optional[list[PerfResult]] = None,
-    gpt: Optional[list[PerfResult]] = None,
-    t5: Optional[list[PerfResult]] = None,
-) -> tuple[list[PerfResult], list[PerfResult], list[PerfResult]]:
-    dhen = dhen if dhen is not None else dhen_sweep()
-    gpt = gpt if gpt is not None else gpt175b_sweep()
-    t5 = t5 if t5 is not None else t5_11b_sweep()
+def run(fast: bool = False) -> None:
+    dhen, gpt, t5 = section5_sweeps(fast)
     print_fig7a(dhen)
     print_fig7b(gpt)
     print_fig7c(t5)
-    return dhen, gpt, t5
-
-
-if __name__ == "__main__":
-    main()

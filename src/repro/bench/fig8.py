@@ -12,16 +12,16 @@ below capacity everywhere.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 from repro.bench.report import print_table
-from repro.bench.scale import dhen_sweep, gpt175b_sweep, t5_11b_sweep
+from repro.bench.scale import section5_sweeps
 from repro.perf import PerfResult
 
-__all__ = ["print_memory_table", "main"]
+__all__ = ["print_memory_table", "run"]
 
 
-def print_memory_table(title: str, results: list[PerfResult]) -> None:
+def print_memory_table(title: str, results: Sequence[PerfResult]) -> None:
     print_table(
         title,
         ["config", "GPUs", "alloc GiB", "active GiB", "reserved GiB", "retries"],
@@ -39,18 +39,8 @@ def print_memory_table(title: str, results: list[PerfResult]) -> None:
     )
 
 
-def main(
-    dhen: Optional[list[PerfResult]] = None,
-    gpt: Optional[list[PerfResult]] = None,
-    t5: Optional[list[PerfResult]] = None,
-) -> None:
-    dhen = dhen if dhen is not None else dhen_sweep()
-    gpt = gpt if gpt is not None else gpt175b_sweep()
-    t5 = t5 if t5 is not None else t5_11b_sweep()
+def run(fast: bool = False) -> None:
+    dhen, gpt, t5 = section5_sweeps(fast)
     print_memory_table("Figure 8(a): DHEN peak memory", dhen)
     print_memory_table("Figure 8(b): GPT-175B peak memory (80GB capacity)", gpt)
     print_memory_table("Figure 8(c): T5-11B peak memory", t5)
-
-
-if __name__ == "__main__":
-    main()

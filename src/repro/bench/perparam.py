@@ -23,16 +23,13 @@ chunking and uneven-collective paths.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable
 
 import repro
 from repro import distributed as dist
 from repro import nn
-from repro.fsdp.sharding import ShardingStrategy
-from repro.fsdp.wrap import ModuleWrapPolicy
-from repro.models.mingpt import GptConfig
-from repro.models.t5 import T5Config
-from repro.models.transformer import TransformerBlock
+from repro.bench.autotune import bench_gpt_workload, bench_t5_workload, per_block_config
+from repro.bench.report import print_perf_table
 from repro.perf.metrics import PerfResult
 from repro.perf.trainer import SimConfig, _all_units, _wrap_model, simulate_training
 
@@ -40,13 +37,8 @@ __all__ = [
     "bench_configs",
     "padding_accounting",
     "compare_backends",
-    "main",
+    "run",
 ]
-
-BENCH_GPT = GptConfig(vocab_size=2048, block_size=128, n_layer=12, n_head=8, n_embd=512)
-BENCH_T5 = T5Config(
-    vocab_size=2048, d_model=256, d_ff=1024, num_heads=4, head_dim=64, num_layers=4
-)
 
 #: Odd-dimension MLP: 1021 and 509 are prime, so no layer divides the
 #: world size and every shard boundary lands mid-row.
@@ -75,17 +67,8 @@ def _odd_mlp_loss(batch_size: int):
 
 def bench_configs(world_size: int = 8) -> list[SimConfig]:
     """Flat-param baseline configs; the comparison flips ``backend``."""
-    from repro.autotune import gpt_workload, t5_workload
-
-    block_policy = ModuleWrapPolicy((TransformerBlock,))
-    gpt = gpt_workload(
-        BENCH_GPT, batch_size=4, seq_len=128, world_size=world_size, name="minGPT"
-    ).sim_config()
-    gpt.auto_wrap_policy = block_policy
-    t5 = t5_workload(
-        BENCH_T5, batch_size=4, seq_len=64, world_size=world_size, name="T5"
-    ).sim_config()
-    t5.auto_wrap_policy = block_policy
+    gpt = per_block_config(bench_gpt_workload(world_size), name="minGPT")
+    t5 = per_block_config(bench_t5_workload(world_size), name="T5")
     odd = SimConfig(
         name="odd-mlp",
         build_model=_odd_mlp_builder(),
@@ -169,22 +152,34 @@ def compare_backends(config: SimConfig) -> dict:
     }
 
 
-def main(world_size: int = 8, *, verbose: bool = True) -> list[dict]:
-    from repro.bench.report import print_perf_table
+def _comparison_payload(comparison: dict) -> dict:
+    """JSON-able form of one :func:`compare_backends` result."""
+    payload = dict(comparison)
+    payload["rows"] = {
+        backend: {
+            "latency_s": result.iteration_latency,
+            "tflops_per_gpu": result.tflops_per_gpu,
+            "peak_allocated_gib": result.peak_allocated_gib,
+            "peak_reserved_gib": result.peak_reserved_gib,
+            "collectives": result.collectives,
+            "comm_gib": result.comm_gib,
+            "config": result.config_label(),
+        }
+        for backend, result in comparison["rows"].items()
+    }
+    return payload
 
-    comparisons = [compare_backends(config) for config in bench_configs(world_size)]
-    if verbose:
-        for comparison in comparisons:
-            rows = comparison["rows"]
-            print_perf_table(comparison["workload"], list(rows.values()))
-            acct = comparison["accounting"]
-            print(
-                f"  padding eliminated: {acct['padding_bytes_eliminated']} B; "
-                f"peak reserved delta {comparison['peak_reserved_delta_gib'] * 1024:.1f} MiB; "
-                f"latency ratio {comparison['latency_ratio']:.2f}x"
-            )
-    return comparisons
 
-
-if __name__ == "__main__":
-    main()
+def run(fast: bool = False) -> dict:
+    payload = {}
+    for key, config in zip(("mingpt", "t5", "odd_mlp"), bench_configs()):
+        comparison = compare_backends(config)
+        print_perf_table(comparison["workload"], list(comparison["rows"].values()))
+        acct = comparison["accounting"]
+        print(
+            f"  padding eliminated: {acct['padding_bytes_eliminated']} B; "
+            f"peak reserved delta {comparison['peak_reserved_delta_gib'] * 1024:.1f} MiB; "
+            f"latency ratio {comparison['latency_ratio']:.2f}x"
+        )
+        payload[key] = _comparison_payload(comparison)
+    return payload

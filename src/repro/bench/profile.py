@@ -5,55 +5,34 @@ Runs the three evaluation workloads (minGPT, T5, DHEN) with a
 unit, the all-gather / reduce-scatter traffic, the exposed vs.
 overlapped split of its communication time, prefetch hits/misses and
 rate-limiter stall — the numbers the paper's Section 5 discussion
-reads off Kineto traces.  Writes ``BENCH_profiler.json``.
+reads off Kineto traces.  The payload is ``BENCH_profiler.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-from repro.autotune import TuneWorkload, dhen_workload
-from repro.bench.autotune import bench_gpt_workload, bench_t5_workload
+from repro.autotune import TuneWorkload
+from repro.bench.autotune import (
+    bench_dhen_workload,
+    bench_gpt_workload,
+    bench_t5_workload,
+    per_block_config,
+)
 from repro.bench.report import fmt_bytes, fmt_seconds, print_table
-from repro.models import DhenConfig
 from repro.perf.trainer import simulate_training
 from repro.profiler import ProfilerSession
 
-__all__ = ["bench_dhen_workload", "profile_workload", "main", "ARTIFACT"]
-
-ARTIFACT = pathlib.Path("BENCH_profiler.json")
-
-#: Modest DHEN for the bench lane (the full paper config would need
-#: hundreds of ranks to be interesting; this one produces the same
-#: per-unit structure in seconds).
-BENCH_DHEN = DhenConfig(
-    num_features=32,
-    sparse_rows_total=1_000_000,
-    sparse_dim=32,
-    num_dense_features=64,
-    d_model=256,
-    num_layers=4,
-    num_heads=4,
-    d_ff=1024,
-)
+__all__ = ["profile_workload", "run"]
 
 
-def bench_dhen_workload(world_size: int = 8) -> TuneWorkload:
-    return dhen_workload(BENCH_DHEN, batch_size=4, world_size=world_size)
-
-
-def profile_workload(workload: TuneWorkload, *, verbose: bool = True) -> dict:
+def profile_workload(workload: TuneWorkload) -> dict:
     """Simulate ``workload`` per-block-wrapped with profiling on.
 
-    Returns a JSON-able report: the headline PerfResult numbers plus the
-    profiler summary (totals, per-unit table, memory attribution).
+    Prints and returns a JSON-able report: the headline PerfResult
+    numbers plus the profiler summary (totals, per-unit table, memory
+    attribution).
     """
     session = ProfilerSession()
-    config = workload.sim_config(name=workload.name)
-    # Per-block wrapping so the per-unit table has one row per layer
-    # (wrap_choices[0] is whole-model; [1] is the block policy).
-    config.auto_wrap_policy = workload.wrap_choices[1].policy
+    config = per_block_config(workload)
     config.profiler = session
     result = simulate_training(config)
     summary = result.extras.get("profiler", session.summary())
@@ -70,8 +49,7 @@ def profile_workload(workload: TuneWorkload, *, verbose: bool = True) -> dict:
         "rate_limit_stall_s": result.rate_limit_stall_s,
         "profiler": summary,
     }
-    if verbose:
-        _print_report(report)
+    _print_report(report)
     return report
 
 
@@ -114,17 +92,11 @@ def _print_report(report: dict) -> None:
     )
 
 
-def main(*, artifact: pathlib.Path = ARTIFACT) -> dict:
-    reports = [
-        profile_workload(bench_gpt_workload()),
-        profile_workload(bench_t5_workload()),
-        profile_workload(bench_dhen_workload()),
-    ]
-    payload = {"workloads": reports}
-    artifact.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"\nwrote {artifact}")
-    return payload
-
-
-if __name__ == "__main__":
-    main()
+def run(fast: bool = False) -> dict:
+    return {
+        "workloads": [
+            profile_workload(bench_gpt_workload()),
+            profile_workload(bench_t5_workload()),
+            profile_workload(bench_dhen_workload()),
+        ]
+    }

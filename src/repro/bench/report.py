@@ -1,10 +1,23 @@
-"""Table-printing helpers shared by the figure harnesses."""
+"""Table printing and the artifact writer shared by the bench modules."""
 
 from __future__ import annotations
 
+import json
+import pathlib
 from typing import Iterable, Sequence
 
-__all__ = ["print_table", "print_perf_table", "fmt_bytes", "fmt_seconds"]
+__all__ = ["print_table", "print_perf_table", "fmt_bytes", "fmt_seconds", "write_artifact"]
+
+
+def write_artifact(path, payload: dict) -> None:
+    """Write one ``BENCH_*.json``: the only JSON writer of the benches.
+
+    Sorted keys, two-space indent and a trailing newline, so the same
+    payload always produces the same bytes and a committed artifact
+    diffs line by line.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pathlib.Path(path).write_text(text)
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:

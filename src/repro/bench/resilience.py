@@ -17,15 +17,12 @@ factor (sharding factor F at world size W: F=2 leaves W/F=2 replicas
 per shard; F=W is FULL_SHARD-like — no replica survives a failure, so
 ``recovery="heal"`` must fall back to the checkpoint store).
 
-Writes ``BENCH_resilience.json``; ``benchmarks/test_resilience.py``
-asserts the headline claim (heal strictly cheaper than restore at the
-same schedule) off this artifact.
+The payload is ``BENCH_resilience.json``;
+``benchmarks/test_resilience.py`` asserts the headline claim (heal
+strictly cheaper than restore at the same schedule) on it.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 import numpy as np
 
@@ -41,9 +38,7 @@ from repro.fsdp import (
 from repro.perf.trainer import train_elastic
 from repro.tensor import tensor
 
-__all__ = ["bench_point", "main", "ARTIFACT", "WORLD", "FACTORS"]
-
-ARTIFACT = pathlib.Path("BENCH_resilience.json")
+__all__ = ["bench_point", "run", "CAMPAIGNS", "WORLD", "FACTORS"]
 
 WORLD = 4
 #: Sharding factors swept: F=2 keeps a surviving replica per shard
@@ -136,22 +131,28 @@ def bench_point(campaign: str, factor: int, recovery: str) -> dict:
     }
 
 
-def main(*, artifact: pathlib.Path = ARTIFACT, verbose: bool = True) -> dict:
+def run(fast: bool = False) -> dict:
     points = [
         bench_point(campaign, factor, recovery)
         for campaign in CAMPAIGNS
         for factor in FACTORS
         for recovery in ("restore", "heal")
     ]
-    payload = {
-        "world_size": WORLD,
-        "iterations": ITERATIONS,
-        "checkpoint_every": CHECKPOINT_EVERY,
-        "campaigns": {name: list(map(list, events)) for name, events in CAMPAIGNS.items()},
-        "points": points,
-    }
-    if verbose:
-        rows = [
+    print_table(
+        f"resilience (W={WORLD}, checkpoint every {CHECKPOINT_EVERY})",
+        [
+            "campaign",
+            "factor",
+            "recovery",
+            "restarts",
+            "heal/fb",
+            "detect",
+            "state xfer",
+            "replay",
+            "total ovh",
+            "bitwise",
+        ],
+        [
             (
                 point["campaign"],
                 f"F={point['sharding_factor']}",
@@ -165,28 +166,12 @@ def main(*, artifact: pathlib.Path = ARTIFACT, verbose: bool = True) -> dict:
                 "yes" if point["losses_match_baseline"] else "NO",
             )
             for point in points
-        ]
-        print_table(
-            f"resilience (W={WORLD}, checkpoint every {CHECKPOINT_EVERY})",
-            [
-                "campaign",
-                "factor",
-                "recovery",
-                "restarts",
-                "heal/fb",
-                "detect",
-                "state xfer",
-                "replay",
-                "total ovh",
-                "bitwise",
-            ],
-            rows,
-        )
-    artifact.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if verbose:
-        print(f"\nwrote {artifact}")
-    return payload
-
-
-if __name__ == "__main__":
-    main()
+        ],
+    )
+    return {
+        "world_size": WORLD,
+        "iterations": ITERATIONS,
+        "checkpoint_every": CHECKPOINT_EVERY,
+        "campaigns": {name: list(map(list, events)) for name, events in CAMPAIGNS.items()},
+        "points": points,
+    }

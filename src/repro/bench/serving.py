@@ -20,14 +20,12 @@ simulator, then multiplexed by the ``repro.serve`` event loop):
 
 All offered loads are calibrated against the measured per-replica
 capacity, so the assertions in ``benchmarks/test_serving.py`` hold
-across cost-model changes.  Writes ``BENCH_serving.json``.
+across cost-model changes.  The payload is ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
+from repro.bench.autotune import BENCH_DHEN
 from repro.bench.report import print_table
 from repro.distributed.fault import FaultEvent, FaultKind, FaultSchedule
 from repro.models import DhenConfig
@@ -41,24 +39,10 @@ from repro.serve import (
     simulate_serving,
 )
 
-__all__ = ["build_service", "main", "ARTIFACT", "SERVE_DHEN"]
+__all__ = ["build_service", "run"]
 
-ARTIFACT = pathlib.Path("BENCH_serving.json")
-
-#: Bench-sized DHEN (same structure as the paper config, minutes not
-#: hours): each replica shards the dense stack over 8 simulated GPUs,
-#: sparse tables stay model-parallel (unsharded by FSDP).
-SERVE_DHEN = DhenConfig(
-    num_features=32,
-    sparse_rows_total=1_000_000,
-    sparse_dim=32,
-    num_dense_features=64,
-    d_model=256,
-    num_layers=4,
-    num_heads=4,
-    d_ff=1024,
-)
-
+#: Each replica shards the dense stack over 8 simulated GPUs; sparse
+#: tables stay model-parallel (unsharded by FSDP).
 GPUS_PER_REPLICA = 8
 MAX_BATCH = 32
 
@@ -68,7 +52,7 @@ def build_service(
     gpus: int = GPUS_PER_REPLICA,
     max_batch: int = MAX_BATCH,
     backend: str = "flat_param",
-    config: DhenConfig = SERVE_DHEN,
+    config: DhenConfig = BENCH_DHEN,
 ) -> ServiceModel:
     """Measured service model for one DHEN inference replica."""
     spec = ReplicaSpec(
@@ -229,10 +213,10 @@ def _recovery(service: ServiceModel, *, replicas: int, duration_s: float) -> dic
     return report
 
 
-def main(fast: bool = False) -> dict:
+def run(fast: bool = False) -> dict:
     service = build_service()
     duration = 4.0 if fast else 10.0
-    report = {
+    return {
         "model": "dhen",
         "gpus_per_replica": service.spec.gpus,
         "max_batch": service.spec.max_batch,
@@ -245,10 +229,3 @@ def main(fast: bool = False) -> dict:
         "policies": _policies(service, replicas=2, duration_s=duration),
         "recovery": _recovery(service, replicas=3, duration_s=2 * duration),
     }
-    ARTIFACT.write_text(json.dumps(report, indent=2))
-    print(f"\nwrote {ARTIFACT}")
-    return report
-
-
-if __name__ == "__main__":
-    main()

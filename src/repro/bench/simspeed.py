@@ -1,60 +1,55 @@
-"""Simulator engine speed benchmark (``BENCH_simspeed.json``).
+"""Simulator engine fidelity: both execution modes against golden values.
 
-Measures *simulated seconds per wall-clock second* — how much cluster
-time one second of host CPU buys — for the paper-scale sweep workloads
-at several world sizes.  Two rows are produced per workload:
+The paper-scale sweep workloads run twice each:
 
-- ``full_sim``: the event-by-event engine with the steady-state
-  fast-forward disabled.  This is the honest per-op dispatch speed of
-  the simulator core (cost-model memoization, allocator fast paths,
-  tensor/op dispatch overhead).
+- ``full``: the event-by-event engine with the steady-state
+  fast-forward disabled — every kernel, allocation and collective of
+  every iteration is dispatched;
 - ``meta``: the default sweep mode — timing-only (abstract) execution
   with the trainer's steady-state fast-forward enabled, which is how
   Section 5 sweeps actually run ("losses come from the bitwise path;
   sweeps come from meta mode").
 
-``BASELINE`` holds the same harness's numbers measured at the pre-PR
-commit on the reference machine, so the JSON artifact reports speedups
-against a fixed denominator.  Iteration latencies are part of the
-baseline and must not move: the engine overhaul is a pure wall-clock
-optimization, asserted bitwise by the benchmark suite.
+``GOLDEN`` holds the simulated iteration latencies from before the
+engine overhaul.  Simulated time is machine-independent, so the full
+engine must reproduce them bitwise and the fast-forward within float
+tolerance: engine work buys host time only.  How fast the engine is on
+the host is ``perfbench``'s question (``work_per_tick`` on
+``sim_steady_flat`` and ``sim_sweep``, which time these same
+configurations against a same-run yardstick).
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import replace
-from typing import Callable, Optional
 
+from repro.bench.report import print_table
+from repro.bench.scale import t5_config
 from repro.fsdp import ModuleWrapPolicy
 from repro.fsdp.mixed_precision import BF16_MIXED
-from repro.models import GPT_MEDIUM_SIM, T5_11B
+from repro.models import GPT_MEDIUM_SIM
 from repro.models.transformer import TransformerBlock
 from repro.perf import SimConfig, simulate_training
-from repro.perf.workloads import gpt_builder, gpt_loss_fn, t5_builder, t5_loss_fn
+from repro.perf.workloads import gpt_builder, gpt_loss_fn
 
-__all__ = ["BASELINE", "ITERATIONS", "bench_configs", "measure", "run_sweep", "main"]
+__all__ = ["GOLDEN", "ITERATIONS", "bench_configs", "run"]
 
 #: Measured window per workload.  Large enough that the fast-forward
-#: has iterations to skip and setup cost amortizes, small enough that
-#: the full-sim rows stay tractable in CI.
+#: has iterations to skip, small enough that the full rows stay
+#: tractable in CI.
 ITERATIONS = 32
 
-#: Pre-PR numbers from this exact harness (``ITERATIONS`` iterations,
-#: one warmup) at the commit preceding the engine overhaul, on the
-#: reference machine.  ``iteration_latency`` is simulated time and
-#: machine-independent; ``ratio`` is sim-seconds-per-wall-second.
-BASELINE = {
-    "minGPT/ws64": {"iteration_latency": 0.20007339530645263, "ratio": 1.2836},
-    "minGPT/ws512": {"iteration_latency": 0.36028901882590275, "ratio": 1.8604},
-    "T5-11B/ws512": {"iteration_latency": 3.004333135421107, "ratio": 6.5252},
+#: Simulated ``iteration_latency`` (seconds) of each workload over
+#: ``ITERATIONS`` iterations after one warmup.
+GOLDEN = {
+    "minGPT/ws64": 0.20007339530645263,
+    "minGPT/ws512": 0.36028901882590275,
+    "T5-11B/ws512": 3.004333135421107,
 }
 
 
 def bench_configs() -> list[tuple[str, SimConfig]]:
     """The sweep workloads: minGPT at two world sizes, T5-11B at 512."""
-    policy = ModuleWrapPolicy({TransformerBlock})
     rows: list[tuple[str, SimConfig]] = []
     for world_size in (64, 512):
         rows.append(
@@ -66,97 +61,33 @@ def bench_configs() -> list[tuple[str, SimConfig]]:
                     make_loss=gpt_loss_fn(GPT_MEDIUM_SIM, 2, 512),
                     batch_size=2,
                     world_size=world_size,
-                    auto_wrap_policy=policy,
+                    auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
                     mixed_precision=BF16_MIXED,
                     iterations=ITERATIONS,
                     warmup=1,
                 ),
             )
         )
-    rows.append(
-        (
-            "T5-11B/ws512",
-            SimConfig(
-                name="T5-11B",
-                build_model=t5_builder(T5_11B),
-                make_loss=t5_loss_fn(T5_11B, 8, 512),
-                batch_size=8,
-                world_size=512,
-                auto_wrap_policy=policy,
-                mixed_precision=BF16_MIXED,
-                iterations=ITERATIONS,
-                warmup=1,
-            ),
-        )
-    )
+    rows.append(("T5-11B/ws512", t5_config("T5-11B", world_size=512, iterations=ITERATIONS)))
     return rows
 
 
-def measure(config: SimConfig, *, fast_forward: bool) -> dict:
-    """Run one configuration; return wall time and sim-speed ratio."""
-    run = replace(config, fast_forward=fast_forward)
-    start = time.perf_counter()
-    result = simulate_training(run)
-    wall_s = time.perf_counter() - start
-    sim_s = result.iteration_latency * config.iterations
-    return {
-        "wall_s": wall_s,
-        "iteration_latency": result.iteration_latency,
-        "sim_s": sim_s,
-        "ratio": sim_s / wall_s if wall_s else float("inf"),
-        "fast_forwarded_iterations": result.extras.get(
-            "fast_forwarded_iterations", 0
-        ),
-    }
-
-
-def run_sweep(
-    *, full_sim: bool = True, keys: Optional[list[str]] = None
-) -> dict:
-    """Measure every workload; returns the ``BENCH_simspeed.json`` payload.
-
-    ``full_sim=False`` skips the (slow) fast-forward-disabled rows;
-    ``keys`` restricts the sweep to specific workloads.
-    """
-    payload: dict = {"iterations": ITERATIONS, "workloads": {}}
+def run(fast: bool = False) -> None:
+    rows = []
     for key, config in bench_configs():
-        if keys is not None and key not in keys:
-            continue
-        row: dict = {"world_size": config.world_size}
-        row["meta"] = measure(config, fast_forward=True)
-        if full_sim:
-            row["full_sim"] = measure(config, fast_forward=False)
-        baseline = BASELINE.get(key)
-        if baseline is not None:
-            row["baseline"] = dict(baseline)
-            row["speedup_vs_baseline"] = row["meta"]["ratio"] / baseline["ratio"]
-            if full_sim:
-                row["full_sim_speedup_vs_baseline"] = (
-                    row["full_sim"]["ratio"] / baseline["ratio"]
-                )
-        payload["workloads"][key] = row
-    return payload
-
-
-def main(path: str = "BENCH_simspeed.json", *, verbose: bool = True) -> dict:
-    payload = run_sweep()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    if verbose:
-        for key, row in payload["workloads"].items():
-            speedup = row.get("speedup_vs_baseline")
-            print(
-                f"{key}: meta {row['meta']['ratio']:.1f} sim-s/wall-s"
-                + (
-                    f" (full sim {row['full_sim']['ratio']:.2f})"
-                    if "full_sim" in row
-                    else ""
-                )
-                + (f", {speedup:.1f}x vs pre-PR" if speedup else "")
+        full = simulate_training(replace(config, fast_forward=False))
+        meta = simulate_training(replace(config, fast_forward=True))
+        rows.append(
+            (
+                key,
+                f"{GOLDEN[key]!r}",
+                "yes" if full.iteration_latency == GOLDEN[key] else "NO",
+                f"{abs(meta.iteration_latency - full.iteration_latency):.1e}",
+                meta.extras.get("fast_forwarded_iterations", 0),
             )
-    return payload
-
-
-if __name__ == "__main__":
-    main()
+        )
+    print_table(
+        f"engine fidelity ({ITERATIONS} iterations)",
+        ["workload", "golden latency s", "full bitwise", "|meta - full| s", "fast-forwarded"],
+        rows,
+    )

@@ -18,7 +18,7 @@ from repro.hw.traffic import (
     hybrid_sharding_cross_host_bytes,
 )
 
-__all__ = ["traffic_rows", "main"]
+__all__ = ["traffic_rows", "run"]
 
 
 def traffic_rows(model_bytes: float = 22e9, gpus_per_host: int = 8):
@@ -35,7 +35,8 @@ def traffic_rows(model_bytes: float = 22e9, gpus_per_host: int = 8):
     return rows
 
 
-def main(model_bytes: float = 22e9) -> None:
+def run(fast: bool = False) -> None:
+    model_bytes = 22e9
     rows = traffic_rows(model_bytes)
     print_table(
         f"Section 3.2.2: per-GPU cross-host bytes/iteration (M = {fmt_bytes(model_bytes)})",
@@ -47,7 +48,3 @@ def main(model_bytes: float = 22e9) -> None:
     )
     print("\nhybrid < replication < full sharding for every W (verified by "
           "property test in tests/test_traffic_model.py)")
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,6 @@ from repro.perf.trainer import (
     ElasticResult,
     SimConfig,
     simulate_training,
-    sweep,
     train_elastic,
 )
 from repro.perf import workloads
@@ -18,7 +17,6 @@ __all__ = [
     "GiB",
     "SimConfig",
     "simulate_training",
-    "sweep",
     "workloads",
     "Tracer",
     "trace_device",

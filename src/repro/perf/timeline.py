@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.cuda.device import Device
 
@@ -22,7 +22,10 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "trace_device",
+    "chain_hooks",
+    "write_chrome_trace",
     "overlap_fraction",
+    "exposed_overlapped",
     "merge_intervals",
 ]
 
@@ -41,6 +44,68 @@ def merge_intervals(intervals) -> list[tuple[float, float]]:
         else:
             merged.append((start, end))
     return merged
+
+
+def exposed_overlapped(comm_intervals, compute_intervals) -> tuple[float, float]:
+    """Split communication time into (exposed, overlapped) seconds.
+
+    ``comm_intervals`` is any iterable of ``(start, end)``;
+    ``compute_intervals`` must already be merged-disjoint (the output
+    of :func:`merge_intervals`).  Overlapped time is the two-pointer
+    intersection of the merged comm intervals with the compute
+    intervals; exposed is the remainder, so the pair sums to the
+    *merged* comm span (self-overlap counted once, never twice).
+    """
+    comm = merge_intervals(comm_intervals)
+    total = sum(end - start for start, end in comm)
+    hidden = 0.0
+    i = j = 0
+    while i < len(comm) and j < len(compute_intervals):
+        lo = max(comm[i][0], compute_intervals[j][0])
+        hi = min(comm[i][1], compute_intervals[j][1])
+        if hi > lo:
+            hidden += hi - lo
+        if comm[i][1] <= compute_intervals[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total - hidden, hidden
+
+
+def write_chrome_trace(
+    path: str,
+    spans: Iterable[tuple[str, str, float, float, str]],
+    marks: Iterable[tuple[str, float]],
+    extra_records: Iterable[dict] = (),
+) -> None:
+    """Write a Chrome-trace JSON (times in microseconds).
+
+    ``spans`` are ``(name, stream, start, end, scope)`` and become
+    complete (``X``) events, one track per stream, with the scope (when
+    there is one) under ``args``; ``marks`` are ``(name, time)`` instant
+    (``i``) events; ``extra_records`` (e.g. memory counter tracks) are
+    appended as given.
+    """
+    records = []
+    for name, stream, start, end, scope in spans:
+        record = {
+            "name": name,
+            "ph": "X",
+            "ts": start * 1e6,
+            "dur": (end - start) * 1e6,
+            "pid": 0,
+            "tid": stream,
+        }
+        if scope:
+            record["args"] = {"scope": scope}
+        records.append(record)
+    records.extend(
+        {"name": name, "ph": "i", "ts": time * 1e6, "pid": 0, "tid": "marks", "s": "g"}
+        for name, time in marks
+    )
+    records.extend(extra_records)
+    with open(path, "w") as f:
+        json.dump({"traceEvents": records}, f)
 
 
 @dataclass
@@ -132,30 +197,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def to_chrome_trace(self, path: str) -> None:
         """Write a Chrome-trace JSON (times in microseconds)."""
-        records = [
-            {
-                "name": event.name,
-                "ph": "X",
-                "ts": event.start * 1e6,
-                "dur": event.duration * 1e6,
-                "pid": 0,
-                "tid": event.stream,
-            }
-            for event in self.events
-        ]
-        records.extend(
-            {
-                "name": name,
-                "ph": "i",
-                "ts": time * 1e6,
-                "pid": 0,
-                "tid": "marks",
-                "s": "g",
-            }
-            for name, time in self.marks
-        )
-        with open(path, "w") as f:
-            json.dump({"traceEvents": records}, f)
+        write_chrome_trace(path, ((*raw, "") for raw in self._raw), self.marks)
 
     def ascii_gantt(self, width: int = 100, max_streams: int = 6) -> str:
         """Render the streams as an ASCII Gantt chart (Figure 5 style)."""
@@ -194,15 +236,59 @@ def _glyph_for(name: str) -> str:
     return "o"
 
 
+def chain_hooks(
+    device: Device,
+    on_span: Callable[[str, str, float, float], None],
+    on_mark: Callable[[str, float], None],
+) -> Callable[[], None]:
+    """Subscribe to ``device``'s kernel-span and mark hooks; returns
+    ``detach``.
+
+    The device has one slot per hook, so a subscriber calls whoever held
+    the slot before it: observers stack in any order and each sees every
+    event.  ``detach`` restores the previous holder when this subscriber
+    is still outermost; when a later one has chained on top, it stays in
+    the chain as a pass-through, so detaching never cuts off anyone
+    else.
+    """
+    prev_span, prev_mark = device.trace_hook, device.mark_hook
+    live = True
+
+    def span(label, stream, start, end):
+        if live:
+            on_span(label, stream, start, end)
+        if prev_span is not None:
+            prev_span(label, stream, start, end)
+
+    def mark(label, time):
+        if live:
+            on_mark(label, time)
+        if prev_mark is not None:
+            prev_mark(label, time)
+
+    def detach():
+        nonlocal live
+        live = False
+        if device.trace_hook is span:
+            device.trace_hook = prev_span
+        if device.mark_hook is mark:
+            device.mark_hook = prev_mark
+
+    device.trace_hook = span
+    device.mark_hook = mark
+    return detach
+
+
 def trace_device(device: Device) -> Tracer:
     """Attach a tracer to ``device`` via its stream-level trace hook.
 
     Every kernel and collective subsequently enqueued on any of the
     device's streams is recorded (with the collective kind as label).
+    Hooks already on the device (e.g. a
+    :class:`repro.profiler.ProfilerSession`) keep receiving events.
     """
     tracer = Tracer()
-    device.trace_hook = tracer.record
-    device.mark_hook = tracer.record_mark
+    chain_hooks(device, tracer.record, tracer.record_mark)
     return tracer
 
 
@@ -210,25 +296,13 @@ def overlap_fraction(tracer: Tracer) -> float:
     """Fraction of communication time hidden under computation.
 
     Both sides are disjoint, sorted intervals (``busy_intervals``
-    merges), intersected with a two-pointer sweep — doubly-covered time
-    (e.g. concurrent kernels on overlapping compute events) is counted
-    once, never twice, so the fraction is guaranteed to stay in
-    ``[0, 1]``.
+    merges), so :func:`exposed_overlapped` counts doubly-covered time
+    (e.g. concurrent kernels on overlapping compute events) once, never
+    twice, and the fraction is guaranteed to stay in ``[0, 1]``.
     """
     comm = tracer.busy_intervals(lambda s: "unshard" in s or "comm" in s)
     compute = tracer.busy_intervals(lambda s: "default" in s)
     comm_total = sum(end - start for start, end in comm)
     if comm_total == 0:
         return 1.0
-    hidden = 0.0
-    i = j = 0
-    while i < len(comm) and j < len(compute):
-        lo = max(comm[i][0], compute[j][0])
-        hi = min(comm[i][1], compute[j][1])
-        if hi > lo:
-            hidden += hi - lo
-        if comm[i][1] <= compute[j][1]:
-            i += 1
-        else:
-            j += 1
-    return hidden / comm_total
+    return exposed_overlapped(comm, compute)[1] / comm_total

@@ -102,7 +102,6 @@ class SimConfig:
     forward_prefetch: bool = False
     limit_all_gathers: bool = True
     rate_limit_inflight: int = 2
-    reshard_after_forward: Optional[bool] = None
     optimizer: str = "adam"
     #: Multi-tensor optimizer updates (``Adam(foreach=True)``): one
     #: fused kernel launch per step instead of ~10 per parameter leaf.
@@ -173,9 +172,6 @@ class SimConfig:
     compile_bucket_elems: Optional[int] = None
     #: Transient-memory bound (bytes) the reorder pass must respect.
     compile_memory_budget: Optional[int] = None
-    #: A :class:`repro.autotune.trace.ModelTrace` supplying per-unit
-    #: activation liveness for the memory-budget proof.
-    compile_trace: Optional[object] = None
     #: Steady-state fast-forward for timing-only (meta/abstract) runs:
     #: once two consecutive measured iterations advance every simulator
     #: clock and counter by the *same* delta, the remaining iterations
@@ -185,6 +181,23 @@ class SimConfig:
     #: materialized data), so traced timelines and real-data losses
     #: always come from the full event-by-event simulation.
     fast_forward: bool = True
+
+
+def _fsdp_kwargs(config: SimConfig, device: Device) -> dict:
+    """The FSDP knobs both sharding backends' constructors take."""
+    return dict(
+        sharding_strategy=config.sharding_strategy,
+        sharding_factor=config.sharding_factor,
+        mixed_precision=config.mixed_precision,
+        backward_prefetch=config.backward_prefetch,
+        forward_prefetch=config.forward_prefetch,
+        limit_all_gathers=config.limit_all_gathers,
+        rate_limit_inflight=config.rate_limit_inflight,
+        compile=config.compile,
+        compile_bucket_elems=config.compile_bucket_elems,
+        compile_memory_budget=config.compile_memory_budget,
+        device=device,
+    )
 
 
 def _wrap_model(config: SimConfig, device: Device) -> Module:
@@ -202,27 +215,13 @@ def _wrap_model(config: SimConfig, device: Device) -> Module:
     ignored = config.ignored_modules_of(model) if config.ignored_modules_of else None
     from repro.fsdp import CPUOffload
 
-    wrapped = FullyShardedDataParallel(
+    return FullyShardedDataParallel(
         model,
         ignored_modules=ignored,
         cpu_offload=CPUOffload(offload_params=True) if config.cpu_offload else None,
-        sharding_strategy=config.sharding_strategy,
-        sharding_factor=config.sharding_factor,
         auto_wrap_policy=config.auto_wrap_policy,
-        mixed_precision=config.mixed_precision,
-        backward_prefetch=config.backward_prefetch,
-        forward_prefetch=config.forward_prefetch,
-        limit_all_gathers=config.limit_all_gathers,
-        rate_limit_inflight=config.rate_limit_inflight,
-        compile=config.compile,
-        compile_bucket_elems=config.compile_bucket_elems,
-        compile_memory_budget=config.compile_memory_budget,
-        device=device,
+        **_fsdp_kwargs(config, device),
     )
-    if config.reshard_after_forward is not None:
-        for unit in _all_units(wrapped):
-            unit.reshard_after_forward = config.reshard_after_forward
-    return wrapped
 
 
 def _annotate_per_param(config: SimConfig, device: Device) -> Module:
@@ -246,20 +245,7 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
             "reduction instead"
         )
     model = deferred_init(config.build_model)
-    shared = dict(
-        backend="per_param",
-        sharding_strategy=config.sharding_strategy,
-        sharding_factor=config.sharding_factor,
-        mixed_precision=config.mixed_precision,
-        backward_prefetch=config.backward_prefetch,
-        forward_prefetch=config.forward_prefetch,
-        limit_all_gathers=config.limit_all_gathers,
-        rate_limit_inflight=config.rate_limit_inflight,
-        compile=config.compile,
-        compile_bucket_elems=config.compile_bucket_elems,
-        compile_memory_budget=config.compile_memory_budget,
-        device=device,
-    )
+    shared = dict(backend="per_param", **_fsdp_kwargs(config, device))
     # Labels follow the wrapper's convention ("<RootClass>.<path>") so
     # profiler traces are comparable across backends.
     root_label = type(model).__name__
@@ -273,9 +259,6 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
             if config.auto_wrap_policy(sub):
                 fully_shard(sub, label=f"{root_label}.{path}", **shared)
     fully_shard(model, label=root_label, **shared)
-    if config.reshard_after_forward is not None:
-        for unit in _all_units(model):
-            unit.reshard_after_forward = config.reshard_after_forward
     return model
 
 
@@ -413,33 +396,6 @@ def _runtime_of(wrapped: Module):
     return None
 
 
-def _apply_compile_liveness(config: SimConfig, wrapped: Module) -> None:
-    """Feed measured activation liveness to the compiler's reorder pass.
-
-    ``compile_trace`` indexes units by module *path* ('' for the root)
-    while the runtime labels them "<RootClass>.<path>"; strip the root
-    prefix to join the two.  Runs after the first (eager, captured)
-    iteration — the runtime exists by then and compilation only happens
-    at the second iteration's begin, so the settings land in time.
-    """
-    trace = config.compile_trace
-    runtime = _runtime_of(wrapped)
-    if trace is None or runtime is None or runtime.compile_settings is None:
-        return
-    units = [u for u in _all_units(wrapped) if u.handle is not None]
-    if not units:
-        return
-    paths = {
-        u.label: (u.label.split(".", 1)[1] if "." in u.label else "")
-        for u in units
-    }
-    elem_size = units[0].handle.compute_dtype.itemsize
-    by_path = trace.unit_liveness(sorted(set(paths.values())), elem_size=elem_size)
-    runtime.compile_settings.liveness = {
-        label: by_path.get(path, (0, 0)) for label, path in paths.items()
-    }
-
-
 def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
     """Bytes in one rank's shard of a model+optimizer checkpoint."""
     total = 0
@@ -566,8 +522,6 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 iteration_started.setdefault(iteration, device.now())
                 _run_iteration(config, wrapped, device, optimizer)
                 completed += 1
-                if completed == 1 and config.compile:
-                    _apply_compile_liveness(config, wrapped)
                 if ff_enabled and measuring and completed < total:
                     fp = _sim_fingerprint(device, groups)
                     if ff_prev_fp is not None:
@@ -1038,13 +992,3 @@ def train_elastic(
     if injector is not None:
         result.faults_injected = len(injector.injected)
     return result
-
-
-def sweep(configs: list[SimConfig]) -> list[PerfResult]:
-    """Run a list of configurations, printing each row as it lands."""
-    results = []
-    for config in configs:
-        result = simulate_training(config)
-        print(result.row())
-        results.append(result)
-    return results

@@ -5,8 +5,10 @@ injector does — via attributes the runtime layers consult:
 
 - ``device.trace_hook`` / ``device.mark_hook``: every kernel and
   collective span lands in :attr:`kernel_events` tagged with the
-  current *scope* (see below); previously-installed hooks (e.g. a
-  :class:`repro.perf.timeline.Tracer`) keep receiving events;
+  current *scope* (see below); the session chains onto the hooks
+  (:func:`repro.perf.timeline.chain_hooks`), so a
+  :class:`repro.perf.timeline.Tracer` attached before *or after* it
+  keeps receiving events, also once the session is uninstalled;
 - ``device.allocator.sample_hook``: every allocator event produces a
   :class:`repro.profiler.memory.MemorySample`;
 - ``device.flight_recorder``: process groups record issue/launch of
@@ -26,11 +28,10 @@ intervals with the default (compute) stream's busy intervals.
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 from typing import Optional
 
-from repro.perf.timeline import merge_intervals
+from repro.perf.timeline import chain_hooks, merge_intervals, write_chrome_trace
 from repro.profiler.flight_recorder import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.profiler.memory import MemoryTimeline
 from repro.profiler.stats import (
@@ -93,27 +94,13 @@ class ProfilerSession:
         if id(device) in self._installed:
             return
         saved = {
-            "trace_hook": device.trace_hook,
-            "mark_hook": device.mark_hook,
+            "detach_hooks": chain_hooks(
+                device, self.on_kernel, lambda label, time: self.marks.append((label, time))
+            ),
             "profiler": getattr(device, "profiler", None),
             "flight_recorder": getattr(device, "flight_recorder", None),
             "sample_hook": None,
         }
-        prev_trace = device.trace_hook
-        prev_mark = device.mark_hook
-
-        def trace(label, stream, start, end):
-            self.on_kernel(label, stream, start, end)
-            if prev_trace is not None:
-                prev_trace(label, stream, start, end)
-
-        def mark(label, time):
-            self.marks.append((label, time))
-            if prev_mark is not None:
-                prev_mark(label, time)
-
-        device.trace_hook = trace
-        device.mark_hook = mark
         device.profiler = self
         if getattr(device, "flight_recorder", None) is None:
             device.flight_recorder = self.flight
@@ -130,8 +117,7 @@ class ProfilerSession:
             if entry is None:
                 continue
             dev, saved = entry
-            dev.trace_hook = saved["trace_hook"]
-            dev.mark_hook = saved["mark_hook"]
+            saved["detach_hooks"]()
             dev.profiler = saved["profiler"]
             dev.flight_recorder = saved["flight_recorder"]
             if dev.allocator is not None:
@@ -342,25 +328,12 @@ class ProfilerSession:
 
     def to_chrome_trace(self, path: str) -> None:
         """Write spans + instant marks + memory counter tracks."""
-        records = [
-            {
-                "name": event.label,
-                "ph": "X",
-                "ts": event.start * 1e6,
-                "dur": (event.end - event.start) * 1e6,
-                "pid": 0,
-                "tid": event.stream,
-                "args": {"scope": event.scope} if event.scope else {},
-            }
-            for event in self.kernel_events
-        ]
-        records.extend(
-            {"name": name, "ph": "i", "ts": time * 1e6, "pid": 0, "tid": "marks", "s": "g"}
-            for name, time in self.marks
+        write_chrome_trace(
+            path,
+            ((e.label, e.stream, e.start, e.end, e.scope) for e in self.kernel_events),
+            self.marks,
+            self.memory.counter_events(),
         )
-        records.extend(self.memory.counter_events())
-        with open(path, "w") as f:
-            json.dump({"traceEvents": records}, f)
 
 
 @contextlib.contextmanager

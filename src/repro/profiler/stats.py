@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perf.timeline import merge_intervals
+from repro.perf.timeline import exposed_overlapped
 
 __all__ = [
     "KernelEvent",
@@ -133,30 +133,3 @@ class UnitProfile:
             "rate_limit_stall_s": self.rate_limit_stall_s,
         }
 
-
-def exposed_overlapped(
-    comm_intervals, compute_intervals
-) -> tuple[float, float]:
-    """Split communication time into (exposed, overlapped) seconds.
-
-    ``comm_intervals`` is any iterable of ``(start, end)``;
-    ``compute_intervals`` must already be merged-disjoint (the output
-    of :func:`repro.perf.timeline.merge_intervals`).  Overlapped time
-    is the two-pointer intersection of the merged comm intervals with
-    the compute intervals; exposed is the remainder, so the pair sums
-    to the unit's *merged* comm span (self-overlap counted once).
-    """
-    comm = merge_intervals(comm_intervals)
-    total = sum(end - start for start, end in comm)
-    hidden = 0.0
-    i = j = 0
-    while i < len(comm) and j < len(compute_intervals):
-        lo = max(comm[i][0], compute_intervals[j][0])
-        hi = min(comm[i][1], compute_intervals[j][1])
-        if hi > lo:
-            hidden += hi - lo
-        if comm[i][1] <= compute_intervals[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total - hidden, hidden

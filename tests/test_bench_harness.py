@@ -1,10 +1,87 @@
-"""Unit tests for the figure harnesses themselves (fast paths only)."""
+"""Unit tests for the bench harness itself (fast paths only)."""
 
-import numpy as np
+import importlib
+import inspect
+import json
+import pathlib
+import re
 
+import pytest
+
+from repro.bench import BENCHES
+from repro.bench.__main__ import main as bench_cli
 from repro.bench.fig2 import fig2a_rows, fig2b_knee, fig2b_rows
-from repro.bench.report import fmt_bytes, fmt_seconds, print_table
+from repro.bench.report import fmt_bytes, fmt_seconds, print_table, write_artifact
 from repro.bench.scale import DHEN_STRATEGIES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class TestRegistry:
+    def test_names_are_the_bench_modules(self):
+        """One list of "the benches": the registry is the module files."""
+        package = ROOT / "src" / "repro" / "bench"
+        modules = {path.stem for path in package.glob("*.py")}
+        assert set(BENCHES) == modules - {"__init__", "__main__", "report", "scale"}
+
+    @pytest.mark.parametrize("name", list(BENCHES))
+    def test_entry_point_is_run_fast(self, name):
+        module = importlib.import_module(f"repro.bench.{name}")
+        parameters = inspect.signature(module.run).parameters
+        assert list(parameters) == ["fast"]
+        assert parameters["fast"].default is False
+        assert not hasattr(module, "main")
+
+    def test_artifact_names_are_distinct(self):
+        artifacts = [bench.artifact for bench in BENCHES.values() if bench.artifact]
+        assert len(artifacts) == len(set(artifacts)) == 7
+        assert all(re.fullmatch(r"BENCH_\w+\.json", name) for name in artifacts)
+
+    def test_committed_artifacts_are_the_registered_ones(self):
+        committed = {path.name for path in ROOT.glob("BENCH_*.json")}
+        assert committed == {b.artifact for b in BENCHES.values() if b.artifact}
+
+
+class TestArtifactWriter:
+    PAYLOAD = {"b": [1, 2.5, None], "a": {"z": True, "y": "text"}, "points": {2: "two", 1: "one"}}
+
+    def test_round_trips(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        write_artifact(path, self.PAYLOAD)
+        # JSON object keys are strings: int keys come back as text.
+        expected = dict(self.PAYLOAD, points={"1": "one", "2": "two"})
+        assert json.loads(path.read_text()) == expected
+
+    def test_byte_stable(self, tmp_path):
+        """Same payload, same bytes — whatever order its keys arrived in."""
+        write_artifact(tmp_path / "a.json", self.PAYLOAD)
+        reordered = dict(reversed(list(self.PAYLOAD.items())))
+        write_artifact(tmp_path / "b.json", reordered)
+        text = (tmp_path / "a.json").read_bytes()
+        assert text == (tmp_path / "b.json").read_bytes()
+        assert text.endswith(b"}\n") and not text.endswith(b"\n\n")
+        assert text.index(b'"a"') < text.index(b'"b"') < text.index(b'"points"')
+
+
+class TestCommandLine:
+    def test_run_returns_payload_and_creates_no_file(self, tmp_path, monkeypatch):
+        """A bench computes, prints and returns; only the CLI writes."""
+        from repro.bench import resilience
+
+        monkeypatch.chdir(tmp_path)
+        payload = resilience.run()
+        assert payload["points"] and json.dumps(payload)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_writes_nothing_for_benches_without_artifact(self, tmp_path, capsys):
+        bench_cli(["xhost_traffic", "fig2", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert BENCHES["xhost_traffic"].title in out and BENCHES["fig2"].title in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_rejects_unknown_names(self):
+        with pytest.raises(SystemExit):
+            bench_cli(["fig2", "no_such_bench"])
 
 
 class TestFig2Harness:
@@ -71,3 +148,13 @@ class TestScaleDefinitions:
         assert raf == [True, False, True, False]
         hybrid = [s.is_hybrid for s in strategies]
         assert hybrid == [False, False, True, True]
+
+
+def test_cited_test_files_exist():
+    """Every tests/ or benchmarks/ file the docs point at is really there."""
+    missing = []
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        cited = set(re.findall(r"\b(?:tests|benchmarks)/\w+\.py", (ROOT / doc).read_text()))
+        assert cited, f"{doc} cites no test file: the pattern no longer matches"
+        missing += [f"{doc}: {path}" for path in sorted(cited) if not (ROOT / path).is_file()]
+    assert not missing, missing

@@ -29,7 +29,7 @@ that silently fell back to eager would prove nothing.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import distributed as dist
+from repro import distributed as dist, nn
 from repro.fsdp import ShardingStrategy, fully_shard
 from repro.fsdp.optim_state import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
@@ -37,6 +37,7 @@ from repro.optim import SGD, Adam
 from tests.conftest import copy_weights
 from tests.test_per_param_parity import (
     D_MODEL,
+    _bias_free_builder,
     _gpt_block_builder,
     _make_case,
     _mlp_builder,
@@ -173,6 +174,28 @@ class TestWorldSizes:
         build = _gpt_block_builder()
         state0, xs, ys = _make_case(build, D_MODEL, D_MODEL, seq=True)
         run_compiled_vs_eager(build, state0, xs, ys, backend=backend, world=world)
+
+
+    @pytest.mark.parametrize("world", [2, 4])
+    @pytest.mark.parametrize("rows", [8, 6, 3])
+    @pytest.mark.parametrize("backend", ["flat_param", "per_param"])
+    def test_single_parameter_units_compiled_bitwise(self, backend, rows, world):
+        """One bias-free Linear per unit: a per_param unit with a single
+        evenly-chunked parameter stages its bucketed AllGather straight
+        into the parameter's storage (``unshard_pair`` without a staging
+        buffer); uneven rows (6 or 3 at world 4) cannot express an even
+        pair and fall back to a plain unshard inside the schedule."""
+        build = _bias_free_builder(rows)
+        state0, xs, ys = _make_case(build, 5, rows)
+        run_compiled_vs_eager(
+            build,
+            state0,
+            xs,
+            ys,
+            backend=backend,
+            world=world,
+            wrap=lambda m: isinstance(m, nn.Linear),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -395,6 +395,72 @@ class TestMixedPrecision:
 
 
 # ----------------------------------------------------------------------
+# Single-parameter units: the handle's unbatched paths
+# ----------------------------------------------------------------------
+def _bias_free_builder(rows):
+    def build():
+        return nn.Sequential(
+            nn.Linear(5, rows, bias=False), nn.Tanh(), nn.Linear(rows, rows, bias=False)
+        )
+
+    return build
+
+
+class TestSingleParameterUnits:
+    """One bias-free Linear per unit.
+
+    A unit holding exactly one parameter has nothing to batch: it
+    gathers straight into the parameter's persistent storage
+    (``ShardedParam.unshard``) instead of through the staging buffer.
+    8 rows chunk evenly at both world sizes, 6 unevenly at world 4 (the
+    list-AllGather), and 3 leave a rank of world 4 holding nothing.
+    """
+
+    @pytest.mark.parametrize("mixed_precision", [None, BF16_MIXED], ids=["fp32", "bf16"])
+    @pytest.mark.parametrize("world", [2, 4])
+    @pytest.mark.parametrize("rows", [8, 6, 3])
+    def test_bias_free_linear_units_bitwise(self, rows, world, mixed_precision):
+        build = _bias_free_builder(rows)
+        state0, xs, ys = _make_case(build, 5, rows)
+        run_three_way(
+            build,
+            state0,
+            xs,
+            ys,
+            world=world,
+            wrap=lambda m: isinstance(m, nn.Linear),
+            mixed_precision=mixed_precision,
+            optimizer="adam",
+        )
+
+    @pytest.mark.parametrize("world", [2, 4])
+    @pytest.mark.parametrize("rows", [8, 6, 3])
+    def test_handle_writeback_round_trip(self, rows, world):
+        """unshard -> edit through the view -> writeback -> reshard: the
+        edit is in every rank's shard, so the full state dict shows it."""
+        repro.manual_seed(7)
+        state0 = snapshot_weights(nn.Linear(5, rows, bias=False))
+
+        def worker(rank):
+            model = nn.Linear(5, rows, bias=False)
+            copy_weights(model, state0)
+            fully_shard(model, backend="per_param", device=dist.get_device())
+            handle = model._fsdp_unit.handle
+            assert len(handle.sharded_params) == 1
+            event = handle.unshard()
+            if event is not None:
+                event.synchronize()
+            with repro.no_grad():
+                model.weight.mul_(2.0)
+            handle.writeback_unsharded_to_shard()
+            assert handle.reshard()
+            return full_state_dict(model)["weight"].numpy().copy()
+
+        for weight in dist.spawn(worker, world):
+            assert np.array_equal(weight, 2.0 * state0["weight"])
+
+
+# ----------------------------------------------------------------------
 # foreach Adam: multi-tensor fast path is bitwise-identical
 # ----------------------------------------------------------------------
 class TestForeachOptimizer:

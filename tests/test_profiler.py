@@ -353,6 +353,59 @@ class TestProfilerSession:
         assert seen == ["fault:hang@r0"]
         assert [label for label, _ in session.marks] == ["fault:hang@r0"]
 
+    @staticmethod
+    def _observed_iteration(session_first: bool):
+        """A short FSDP run watched by a session and a tracer, attached
+        in the given order; returns what each saw, and whether the tracer
+        still sees events once the session is gone."""
+        from repro import distributed as dist
+        from repro.perf.timeline import trace_device
+        from tests.test_timeline import run_iteration
+
+        dist.shutdown()
+        device = dist.init_single_process(8, materialize=False).device
+        try:
+            session = ProfilerSession()
+            if session_first:
+                session.install(device)
+                tracer = trace_device(device)
+            else:
+                tracer = trace_device(device)
+                session.install(device)
+            run_iteration(device)
+            device.emit_mark("iteration-done")
+            device.synchronize()
+            seen = (
+                session.totals(),
+                len(session.kernel_events),
+                len(session.marks),
+                len(tracer.events),
+                len(tracer.marks),
+            )
+            session.uninstall(device)
+            before = len(tracer.events)
+            device.default_stream.enqueue(1e-3, label="after-uninstall")
+            return seen, len(tracer.events) - before, len(session.kernel_events) - seen[1]
+        finally:
+            dist.shutdown()
+
+    def test_tracer_and_session_attach_in_either_order(self):
+        """Regression: ``trace_device`` used to assign the device hooks
+        outright, so a tracer attached after a session blinded it (zero
+        kernel events, all communication reported exposed) and the
+        session's uninstall then detached the tracer."""
+        tracer_first, traced_after_a, session_after_a = self._observed_iteration(False)
+        session_first, traced_after_b, session_after_b = self._observed_iteration(True)
+        assert tracer_first == session_first
+        totals, kernel_events, marks, tracer_events, tracer_marks = session_first
+        assert kernel_events == tracer_events > 0
+        assert marks == tracer_marks > 0
+        assert totals["overlapped_comm_s"] > 0
+        # Uninstalling the session leaves the tracer attached, and the
+        # session itself stops recording.
+        assert traced_after_a == traced_after_b == 1
+        assert session_after_a == session_after_b == 0
+
     def test_uninstall_unknown_device_is_noop(self):
         session = ProfilerSession()
         session.uninstall(make_device())  # never installed: nothing to restore

@@ -35,6 +35,9 @@ def main(argv=None) -> None:
     if unknown:
         parser.error(f"unknown bench {', '.join(unknown)}")
     names = args.names or list(BENCHES)
+    if not args.fast:
+        # Before running: a missing directory must not cost the sweep.
+        args.out.mkdir(parents=True, exist_ok=True)
 
     start = time.time()
     for name in names:

@@ -56,23 +56,20 @@ def chunk_bounds(size: int, world: int) -> list[tuple[int, int]]:
     Chunks are ``ceil(size / world)`` long; the tail rank(s) take what
     is left, possibly nothing (``size < world`` leaves empty chunks).
     """
-    if size < 0:
-        raise ShardingError(f"cannot chunk a negative size {size}")
     if world <= 0:
         raise ShardingError(f"chunking requires a positive world size, got {world}")
-    chunk = -(-size // world) if size else 0
-    bounds = []
-    for rank in range(world):
-        start = min(rank * chunk, size)
-        bounds.append((start, min(start + chunk, size)))
-    return bounds
+    return [local_chunk(size, world, rank) for rank in range(world)]
 
 
 def local_chunk(size: int, world: int, rank: int) -> tuple[int, int]:
-    """``rank``'s ``[start, end)`` bounds of the dim split."""
+    """``rank``'s ``[start, end)`` bounds of the dim split (closed form:
+    hot paths ask for one rank's bounds, never the whole list)."""
+    if size < 0:
+        raise ShardingError(f"cannot chunk a negative size {size}")
     if not 0 <= rank < world:
         raise ShardingError(f"rank {rank} outside world of size {world}")
-    return chunk_bounds(size, world)[rank]
+    chunk = -(-size // world)
+    return min(rank * chunk, size), min((rank + 1) * chunk, size)
 
 
 def chunk_numels(shape: Sequence[int], world: int) -> list[int]:
@@ -132,7 +129,7 @@ class Shard(Placement):
         return chunk_bounds(rows, world)
 
     def local_bounds(self, shape: Sequence[int], world: int, rank: int) -> tuple[int, int]:
-        return self.bounds(shape, world)[rank]
+        return local_chunk(shape[0] if shape else 1, world, rank)
 
     def shard_shape(self, shape: Sequence[int], world: int, rank: int) -> tuple[int, ...]:
         """The local shard's logical shape on ``rank``."""

@@ -43,6 +43,7 @@ of the unit's gradients leave a partial count, which
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from repro import dtypes, ops
@@ -50,7 +51,7 @@ from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
-from repro.distributed.mesh import DeviceMesh, Shard, chunk_bounds
+from repro.distributed.mesh import DeviceMesh, Shard, chunk_numels, local_chunk
 from repro.errors import FsdpError
 from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
 from repro.nn.module import Module
@@ -108,17 +109,18 @@ class ShardedParam(ShardRecord):
         self.compute_dtype = compute_dtype
         self.placement = Shard(0)
 
+        # Closed-form dim-0 layout: rank ``r`` owns elements
+        # ``[min(r * chunk_numel, numel), min((r + 1) * chunk_numel, numel))``,
+        # so nothing here is a per-rank list.
         factor = shard_group.world_size
-        rank = shard_group.rank
         self.sharding_factor = factor
         rows = self.shape[0] if self.shape else 1
         row_numel = self.numel // rows if rows else 0
-        bounds = chunk_bounds(rows, factor)
-        self.shard_rows = bounds[rank]
-        self.shard_numels = [(end - start) * row_numel for start, end in bounds]
-        self.shard_numel = self.shard_numels[rank]
-        self.shard_offsets = [start * row_numel for start, _ in bounds]
-        self.shard_offset = self.shard_offsets[rank]
+        self.chunk_numel = -(-rows // factor) * row_numel
+        self.shard_rows = local_chunk(rows, factor, shard_group.rank)
+        start, end = self.shard_rows
+        self.shard_numel = (end - start) * row_numel
+        self.shard_offset = start * row_numel
         self.even = rows % factor == 0
 
         # True while ``.grad`` holds a restored *sharded* gradient.
@@ -174,12 +176,10 @@ class ShardedParam(ShardRecord):
             self._unsharded_flat = Tensor(self._unsharded_storage, (self.numel,))
             self.unsharded_param = Tensor(self._unsharded_storage, self.shape)
             self._unsharded_storage.release()
-            self._rank_views = self._chunk_views(self._unsharded_storage)
         else:
             self._unsharded_storage = sharded._storage
             self._unsharded_flat = None
             self.unsharded_param = sharded
-            self._rank_views = []
 
         if self.compute_dtype is not self.full_precision_dtype and self.sharding_factor > 1:
             self._mp_shard_storage: Optional[Storage] = Storage(
@@ -194,11 +194,18 @@ class ShardedParam(ShardRecord):
             self._mp_shard = None
 
     def _chunk_views(self, storage: Storage) -> list[Tensor]:
-        """Per-rank chunk views of a full-parameter storage."""
+        """Per-rank chunk views of a full-parameter storage: what the
+        list AllGather writes into (``gather`` and the single-parameter
+        uneven ``unshard``; the batched paths never enumerate ranks)."""
+        chunk, numel = self.chunk_numel, self.numel
         return [
-            Tensor(storage, (n,), offset=off)
-            for n, off in zip(self.shard_numels, self.shard_offsets)
+            Tensor(storage, (size,), offset=min(rank * chunk, numel))
+            for rank, size in enumerate(chunk_numels(self.shape, self.sharding_factor))
         ]
+
+    @cached_property
+    def _rank_views(self) -> list[Tensor]:
+        return self._chunk_views(self._unsharded_storage)
 
     # ------------------------------------------------------------------
     # Shard record (see repro.fsdp.handle.ShardRecord)
@@ -219,7 +226,7 @@ class ShardedParam(ShardRecord):
 
     @property
     def layout_shard_numel(self) -> int:
-        return self.shard_numels[0]
+        return self.chunk_numel  # rank 0's chunk is never short
 
     def shard_key(self, unit_index: int, fqn: str) -> str:
         # Keyed by FQN, not unit index: the FQN is stable across wrap
@@ -359,21 +366,23 @@ class PerParamHandle(ShardHandle):
         self._expected_grads = 0
         self._grads_seen = 0
         # Staging buffer of a bucketed unshard between pair and commit.
-        self._staged_gather: Optional[tuple[Tensor, int]] = None
+        self._staged_gather: Optional[Tensor] = None
 
-        # Batched-collective segment layout (see unshard): rank ``r``'s
-        # segment is the concatenation of every parameter's ``r``-th
-        # chunk, in sharded_params order.  ``_intra[id(sp)][r]`` is
-        # sp's offset inside segment ``r``.
-        factor = self.sharding_factor
-        running = [0] * factor
-        self._intra: dict[int, list[int]] = {}
-        for sp in self.sharded_params:
-            self._intra[id(sp)] = list(running)
-            for r in range(factor):
-                running[r] += sp.shard_numels[r]
-        self._seg_numels = running
-        self._even_batch = len(set(self._seg_numels)) == 1
+        # Batched-collective staging (see repro.ops.chunk for the
+        # rank-major layout): segments are as long as rank 0's, and all
+        # equally long exactly when no parameter has a short tail chunk.
+        self._seg_max = sum(sp.chunk_numel for sp in self.sharded_params)
+        self._even_batch = all(sp.even for sp in self.sharded_params)
+
+    @cached_property
+    def _copy_out(self) -> ops.ChunkUncat:
+        """The unit's fused copy-out: its kernel cost and write set are
+        stated once, on the first batched unshard."""
+        return ops.ChunkUncat(
+            [sp._unsharded_flat for sp in self.sharded_params],
+            [sp.chunk_numel for sp in self.sharded_params],
+            self.sharding_factor,
+        )
 
     # ------------------------------------------------------------------
     # Introspection (FlatParamHandle-compatible surface)
@@ -459,19 +468,17 @@ class PerParamHandle(ShardHandle):
         measures.  Persistent sharded storage stays exact; the pad
         bytes exist only for the lifetime of the staging buffer.
         """
-        gathered, local, seg_max = self._batched_copy_in()
+        gathered, local = self._batched_copy_in()
         self.shard_group.all_gather_into_tensor(gathered, local, stream=stream)
-        self._batched_copy_out(gathered, seg_max)
+        self._batched_copy_out(gathered)
 
-    def _batched_copy_in(self) -> tuple[Tensor, Tensor, int]:
+    def _batched_copy_in(self) -> tuple[Tensor, Tensor]:
         """Stage the rank-major AllGather input (caller holds stream/no_grad)."""
         device = self.device
-        factor = self.sharding_factor
-        rank = self.shard_group.rank
-        seg_max = max(self._seg_numels)
+        seg_max = self._seg_max
         # Copy-in: this rank's chunks of every parameter, concatenated
         # in sharded_params order (the layout every rank assumes).
-        if self._seg_numels[rank]:
+        if self.shard_numel:
             shards = [sp.sharded_data for sp in self.sharded_params]
             local = shards[0] if len(shards) == 1 else ops.cat(shards)
         else:
@@ -483,16 +490,21 @@ class PerParamHandle(ShardHandle):
             if local.numel:
                 ops.narrow(padded, 0, 0, local.numel).copy_(local)
             local = padded
-        gathered = empty(factor * seg_max, dtype=self.compute_dtype, device=device)
-        return gathered, local, seg_max
+        gathered = empty(
+            self.sharding_factor * seg_max, dtype=self.compute_dtype, device=device
+        )
+        return gathered, local
 
-    def _batched_copy_out(self, gathered: Tensor, seg_max: int) -> None:
-        # Copy-out: reassemble each parameter from its per-rank chunks
-        # into the persistent unsharded storage (saved activations
-        # alias it, so the staging buffer cannot be the destination).
+    def _batched_copy_out(self, gathered: Tensor) -> None:
+        """Reassemble each parameter from its per-rank chunks into the
+        persistent unsharded storage (saved activations alias it, so the
+        staging buffer cannot be the destination) with one fused kernel
+        for the whole unit — the ``torch._foreach_copy_`` idiom: a
+        ``copy_`` per parameter per rank-chunk would cost more CPU at
+        transformer parameter counts than the collective itself."""
         for sp in self.sharded_params:
             sp._unsharded_storage.reallocate()
-        self._foreach_copy_out(gathered, seg_stride=seg_max)
+        self._copy_out(gathered)
 
     def unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
         """Stage this handle for a *bucketed* AllGather.
@@ -522,14 +534,14 @@ class PerParamHandle(ShardHandle):
                 source = sp._mp_shard
             self._staged_gather = None
             return (sp._unsharded_flat, source)
-        gathered, local, seg_max = self._batched_copy_in()
-        self._staged_gather = (gathered, seg_max)
+        gathered, local = self._batched_copy_in()
+        self._staged_gather = gathered
         return (gathered, local)
 
     def unshard_commit(self) -> None:
         """Finish a bucketed unshard once the collective is enqueued."""
         if self._staged_gather is not None:
-            self._batched_copy_out(*self._staged_gather)
+            self._batched_copy_out(self._staged_gather)
         else:
             sp = self.sharded_params[0]
             if sp._mp_shard is not None:
@@ -537,49 +549,6 @@ class PerParamHandle(ShardHandle):
         self._staged_gather = None
         self.is_unsharded = True
         self.use_unsharded_views()
-
-    def _foreach_copy_out(self, gathered: Tensor, *, seg_stride: int) -> None:
-        """Fused scatter of the gathered buffer into parameter storages.
-
-        One simulated kernel for the whole unit (the
-        ``torch._foreach_copy_`` idiom): per-parameter ``copy_`` calls
-        would pay a launch per parameter per rank-chunk, which at
-        transformer parameter counts costs more CPU than the collective
-        itself.
-        """
-        device = self.device
-        factor = self.sharding_factor
-        spans: list[tuple[ShardedParam, int, int, int]] = []
-        for sp in self.sharded_params:
-            intra = self._intra[id(sp)]
-            dst = 0
-            for r in range(factor):
-                n = sp.shard_numels[r]
-                if n:
-                    spans.append((sp, dst, r * seg_stride + intra[r], n))
-                    dst += n
-        if gathered.is_materialized:
-            src_np = gathered._np
-            for sp, dst_off, src_off, n in spans:
-                if sp._unsharded_flat.is_materialized:
-                    sp._unsharded_flat._np[dst_off : dst_off + n] = src_np[
-                        src_off : src_off + n
-                    ]
-        if device.is_sim_gpu:
-            from repro.hw.kernel_model import KernelCost
-
-            writes = {
-                id(sp._unsharded_storage): sp._unsharded_storage
-                for sp, _, _, _ in spans
-            }
-            moved = sum(n for _, _, _, n in spans) * self.compute_dtype.itemsize
-            device.launch(
-                KernelCost(bytes_moved=2 * moved),
-                self.compute_dtype,
-                reads=(gathered._storage,),
-                writes=tuple(writes.values()),
-                label="foreach_copy_out",
-            )
 
     def reshard(self) -> bool:
         if not self.needs_unshard or not self.is_unsharded:
@@ -668,12 +637,14 @@ class PerParamHandle(ShardHandle):
     ) -> Optional[Work]:
         """One batched ReduceScatter (+AllReduce) on the comm stream.
 
-        Gradients of every parameter with one pending are sliced into a
-        rank-major interleaved buffer (each destination rank's segment
-        concatenates that rank's chunk of every gradient, zero-padded
-        to the largest segment when uneven) and reduced with ONE even
-        ring ``reduce_scatter_tensor``; the resulting local segment is
-        split back into per-parameter shard views.  Averaging happens
+        Gradients of every parameter with one pending are packed by one
+        fused ``ops.chunk_cat`` into a rank-major buffer (each
+        destination rank's segment concatenates that rank's chunk of
+        every gradient, zero-padded to the largest segment when uneven)
+        and reduced with ONE even ring ``reduce_scatter_tensor``; the
+        resulting local segment is split back into per-parameter shard
+        views.  Host work is O(parameters), whatever the size of the
+        shard group.  Averaging happens
         over the shard group in float64 elementwise, so the sharded
         gradients stay bitwise identical to the flat backend's.
         """
@@ -738,32 +709,22 @@ class PerParamHandle(ShardHandle):
         pending: list[tuple["ShardedParam", Tensor]],
         replicate_group: Optional[ProcessGroup],
     ) -> ReduceJob:
-        """Stage the batched reduction: everything but the collective."""
+        """Stage the batched reduction: everything but the collective.
+
+        The pad buffer is owned here, not by the pack, so that it dies
+        with this frame — after the cast and ``out`` are allocated.
+        """
         device = self.device
-        factor = self.sharding_factor
-        seg = [
-            sum(sp.shard_numels[r] for sp, _ in pending) for r in range(factor)
-        ]
-        seg_max = max(seg)
-        flats = [ops.view(grad, (sp.numel,)) for sp, grad in pending]
-        pad_total = factor * seg_max - sum(seg)
+        grads = [grad for _, grad in pending]
+        chunks = [sp.chunk_numel for sp, _ in pending]
+        seg_max = sum(chunks)
+        pad_total = self.sharding_factor * seg_max - sum(g.numel for g in grads)
         pad_buf = (
-            zeros(pad_total, dtype=pending[0][1].dtype, device=device)
+            zeros(pad_total, dtype=grads[0].dtype, device=device)
             if pad_total
             else None
         )
-        chunk_list: list[Tensor] = []
-        pad_used = 0
-        for r in range(factor):
-            for (sp, _), flat in zip(pending, flats):
-                if sp.shard_numels[r]:
-                    chunk_list.append(
-                        ops.narrow(flat, 0, sp.shard_offsets[r], sp.shard_numels[r])
-                    )
-            if seg[r] < seg_max:
-                chunk_list.append(ops.narrow(pad_buf, 0, pad_used, seg_max - seg[r]))
-                pad_used += seg_max - seg[r]
-        flat_in = chunk_list[0] if len(chunk_list) == 1 else ops.cat(chunk_list)
+        flat_in = ops.chunk_cat(grads, chunks, self.sharding_factor, pad_buf)
         if flat_in.dtype is not self.reduce_dtype:
             flat_in = ops.cast(flat_in, self.reduce_dtype)
         out = empty(seg_max, dtype=self.reduce_dtype, device=device)

@@ -28,6 +28,7 @@ from repro.ops.basic import (
     to_device,
     where,
 )
+from repro.ops.chunk import ChunkUncat, chunk_cat
 from repro.ops.conv import conv2d, conv2d_flops
 from repro.ops.matmul import linear, linear_flops, matmul, matmul_flops
 from repro.ops.nnops import embedding, layer_norm, log_softmax, nll_loss, softmax
@@ -45,11 +46,13 @@ from repro.ops.shape import (
 )
 
 __all__ = [
+    "ChunkUncat",
     "abs",
     "add",
     "argmax",
     "cast",
     "cat",
+    "chunk_cat",
     "clone",
     "conv2d",
     "conv2d_flops",

@@ -78,7 +78,9 @@ class FixedSizeBatcher(BatchPolicy):
         if (
             self.max_wait_s is not None
             and oldest is not None
-            and now - oldest.arrival_s >= self.max_wait_s
+            # The very sum next_poll schedules the poll for:
+            # (0.04 + 0.02) - 0.04 is 0.0199..., short of the wait.
+            and now >= oldest.arrival_s + self.max_wait_s
         ):
             return len(queue)
         return 0

@@ -79,6 +79,12 @@ class TestCommandLine:
         assert BENCHES["xhost_traffic"].title in out and BENCHES["fig2"].title in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_cli_creates_missing_out_directory(self, tmp_path):
+        """The sweep used to run to the end and die in the writer."""
+        out = tmp_path / "not" / "there"
+        bench_cli(["resilience", "--out", str(out)])
+        assert [path.name for path in out.iterdir()] == [BENCHES["resilience"].artifact]
+
     def test_cli_rejects_unknown_names(self):
         with pytest.raises(SystemExit):
             bench_cli(["fig2", "no_such_bench"])

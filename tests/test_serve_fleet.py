@@ -146,6 +146,18 @@ class TestBatchers:
         assert policy.next_poll(queue, 0.1) == pytest.approx(0.5)
         assert policy.ready(queue, 0.6) == 1
 
+    def test_fixed_max_wait_releases_at_its_own_poll(self):
+        """The poll ``next_poll`` schedules must find the batch ready:
+        ``(0.04 + 0.02) - 0.04`` is ``0.0199...``, and the partial batch
+        used to sit in the queue until the horizon."""
+        policy = make_policy("fixed:32+0.02")
+        queue = RequestQueue(64)
+        for i in range(31):
+            queue.push(_request(i, 0.04))
+        poll = policy.next_poll(queue, 0.04)
+        assert poll - 0.04 < 0.02  # the rounding the old comparison tripped on
+        assert policy.ready(queue, poll) == 31
+
     def test_continuous_serves_immediately(self):
         policy = ContinuousBatcher(8)
         queue = RequestQueue(16)

@@ -51,7 +51,7 @@ def trace_iteration(backward_prefetch: BackwardPrefetch, world_size: int = 8):
     wrapped.zero_grad()
     device.synchronize()
     latency = device.now() - start
-    device.trace_hook = None
+    tracer.detach()
     result = (tracer, latency)
     dist.shutdown()
     return result

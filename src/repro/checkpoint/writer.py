@@ -93,10 +93,7 @@ class AsyncCheckpointWriter:
         device = self.device
         issue = device.cpu_time()
         if self.stream is not None and nbytes > 0:
-            profiler = getattr(device, "profiler", None)
-            if profiler is not None:
-                profiler.push_scope(f"checkpoint:save@{iteration}")
-            try:
+            with device.scope(f"checkpoint:save@{iteration}"):
                 _, snapshot_done = device.launch(
                     KernelCost(
                         bytes_moved=nbytes * (device.spec.mem_bandwidth / self.pcie_bandwidth)
@@ -105,9 +102,6 @@ class AsyncCheckpointWriter:
                     stream=self.stream,
                     label="ckpt-d2h",
                 )
-            finally:
-                if profiler is not None:
-                    profiler.pop_scope(f"checkpoint:save@{iteration}")
         else:
             snapshot_done = issue
         commit_time = snapshot_done + (nbytes / self.drain_bandwidth if nbytes else 0.0)

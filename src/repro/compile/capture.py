@@ -1,8 +1,8 @@
 """Record one eager FSDP iteration into a :class:`~repro.compile.ir.Graph`.
 
 The runtime installs a :class:`CaptureHook` for the first training
-iteration; the unit hooks call back at each lifecycle point while the
-eager machinery runs unmodified.  After a complete iteration
+iteration; ``FsdpRuntime.emit`` calls back at each lifecycle point while
+the eager machinery runs unmodified.  After a complete iteration
 (``on_finalize`` seen), :meth:`CaptureHook.graph` rebuilds the captured
 events into IR nodes with dependency and wait edges.
 
@@ -40,7 +40,8 @@ class CaptureHook:
         self.unsupported: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Recording callbacks (invoked from FsdpUnit / FsdpRuntime hooks)
+    # Recording callbacks (``FsdpRuntime.emit`` passes every fact by
+    # keyword; each takes what it needs)
     # ------------------------------------------------------------------
     def on_iteration_begin(self) -> None:
         self._events = []
@@ -48,7 +49,7 @@ class CaptureHook:
         self.complete = False
         self.unsupported = None
 
-    def on_pre_forward(self, label: str) -> None:
+    def on_pre_forward(self, label: str, **_) -> None:
         if label in self._seen_forward:
             self.unsupported = (
                 f"unit {label!r} ran forward twice in one iteration "
@@ -58,25 +59,25 @@ class CaptureHook:
         self._seen_forward.add(label)
         self._events.append(("pre_forward", label))
 
-    def on_post_forward(self, label: str) -> None:
+    def on_post_forward(self, label: str, **_) -> None:
         self._events.append(("post_forward", label))
 
     def on_unshard_issue(
-        self, label: str, *, reason: str, nbytes: int, group_key: int, dtype: str
+        self, label: str, *, reason: str, nbytes: int, group_key: int, dtype: str, **_
     ) -> None:
         self._events.append(("unshard", label, reason, nbytes, group_key, dtype))
 
-    def on_wait(self, label: str) -> None:
+    def on_wait(self, label: str, **_) -> None:
         self._events.append(("wait", label))
 
-    def on_reshard(self, label: str, nbytes: int) -> None:
+    def on_reshard(self, label: str, nbytes: int, **_) -> None:
         self._events.append(("reshard", label, nbytes))
 
-    def on_pre_backward(self, label: str) -> None:
+    def on_pre_backward(self, label: str, **_) -> None:
         self._events.append(("pre_backward", label))
 
     def on_post_backward(
-        self, label: str, *, nbytes: int, group_key: int, dtype: str
+        self, label: str, *, nbytes: int, group_key: int, dtype: str, **_
     ) -> None:
         self._events.append(("post_backward", label, nbytes, group_key, dtype))
 

@@ -4,17 +4,16 @@
 map from program points (the same CPU-side hook positions the eager
 runtime already has) to actions.  :class:`CompiledExecutor` replays it
 inside the unmodified eager hook skeleton — ``FsdpUnit.pre_forward``
-still records execution order, pushes profiler scopes and installs
-views; only the *communication* decisions (what to issue, what to wait
-on, when to reduce) are delegated here.  Everything lowers to the same
-``Stream.enqueue`` / ``Device.launch`` sequence the eager path uses,
-so ``SimConfig.compile=True`` runs through the unchanged simulator,
-allocator, sanitizer and profiler.
+still records execution order, announces its lifecycle points and
+installs views; only the *communication* decisions (what to issue,
+what to wait on, when to reduce) are delegated here.  Everything lowers
+to the same ``Stream.enqueue`` / ``Device.launch`` sequence the eager
+path uses, so ``SimConfig.compile=True`` runs through the unchanged
+simulator, allocator and sanitizer, under the same observers.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from repro.autograd.grad_mode import no_grad
@@ -213,17 +212,9 @@ class CompiledExecutor:
         ]
         if not members:
             return
-        prof = getattr(device, "profiler", None)
-        if prof is not None:
-            now = device.cpu_time()
-            for unit in members:
-                prof.on_unshard_issue(unit.label, reason=bucket.reason, time=now)
-        scope = (
-            prof.scoped(f"unshard:{members[0].label}@{bucket.reason}")
-            if prof is not None
-            else nullcontext()
-        )
-        with scope:
+        for unit in members:
+            runtime.emit("unshard_issue", unit, reason=bucket.reason)
+        with device.scope(f"unshard:{members[0].label}@{bucket.reason}"):
             runtime.admit_allgather()
             stream = runtime.unshard_stream
             pairs = []
@@ -265,20 +256,14 @@ class CompiledExecutor:
         ]
         if not members:
             return
-        prof = getattr(device, "profiler", None)
-        scope = (
-            prof.scoped(f"reduce:{members[0].label}")
-            if prof is not None
-            else nullcontext()
-        )
-        with scope:
+        with device.scope(f"reduce:{members[0].label}"):
             stream = runtime.unshard_stream
             jobs = []
             fallback = []
             with device.stream(stream), no_grad():
                 stream.wait_stream(device.default_stream)
                 for unit in members:
-                    if unit._no_sync:
+                    if unit.no_sync:
                         fallback.append(unit)
                         continue
                     job = unit.handle.reduce_grad_pair(
@@ -305,7 +290,7 @@ class CompiledExecutor:
                 work = unit.handle.reduce_grad(
                     stream,
                     replicate_group=unit.plan.replicate_group,
-                    no_sync=unit._no_sync,
+                    no_sync=unit.no_sync,
                 )
                 if work is not None:
                     unit.pending_reduce_work = work

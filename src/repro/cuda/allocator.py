@@ -156,9 +156,6 @@ class CachingAllocator:
         # release) — backs the per-stream reserved breakdown.
         self._segments: dict[int, Segment] = {}
         self._next_segment_id = 0
-        # Optional profiler callback: (allocator, cpu_time, reason),
-        # invoked after every state-changing allocator event.
-        self.sample_hook = None
         # Bytes claimed by foreign allocations (fault injection's
         # transient OOM pressure); subtracted from usable capacity.
         self.pressure_bytes = 0
@@ -278,9 +275,14 @@ class CachingAllocator:
         }
 
     def _sample(self, reason: str) -> None:
-        if self.sample_hook is not None:
+        """Announce a state-changing allocator event to the device's
+        ``on_alloc`` observers as ``(allocator, cpu_time, reason)``."""
+        observers = self.device._on_alloc
+        if observers:
             self._refresh_active()
-            self.sample_hook(self, self.device.cpu_time(), reason)
+            now = self.device.cpu_time()
+            for on_alloc in observers:
+                on_alloc(self, now, reason)
 
     # ------------------------------------------------------------------
     # Internals

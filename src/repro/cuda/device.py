@@ -26,6 +26,9 @@ __all__ = ["Device", "cpu_device", "meta_device"]
 
 _device_counter = itertools.count()
 
+#: What a device announces, by the observer method that receives it.
+_ANNOUNCEMENTS = ("on_span", "on_mark", "on_alloc", "on_collective", "push_scope", "pop_scope")
+
 
 class _StreamGuard:
     """Plain-class context manager for :meth:`Device.stream`.
@@ -48,6 +51,23 @@ class _StreamGuard:
 
     def __exit__(self, *exc_info) -> None:
         self._device.current_stream = self._previous
+
+
+class _ScopeGuard:
+    """Plain-class context manager for :meth:`Device.scope`."""
+
+    __slots__ = ("_device", "_label", "_pinned")
+
+    def __init__(self, device: "Device", label: str, pinned: bool):
+        self._device = device
+        self._label = label
+        self._pinned = pinned
+
+    def __enter__(self) -> None:
+        self._device.push_scope(self._label, pinned=self._pinned)
+
+    def __exit__(self, *exc_info) -> None:
+        self._device.pop_scope(self._label)
 
 
 class _CoalesceGuard:
@@ -118,21 +138,15 @@ class Device:
         # how hardware utilization is reported in the paper).
         self.flops_total = 0.0
         self.kernels_launched = 0
-        # Optional tracing callback: (label, stream_name, start, end).
-        self.trace_hook = None
-        # Optional instant-event callback: (label, time) — fault
-        # injections, watchdog aborts and recovery milestones land here
-        # (see ``repro.perf.timeline.trace_device``).
-        self.mark_hook = None
+        # Subscribers (``observe``), plus one tuple of bound methods per
+        # announcement: a site nobody listens to pays one falsy check.
+        self._set_observers(())
         # Installed by ``repro.distributed`` when a fault schedule is
         # active; process groups consult it on every collective.
         self.fault_injector = None
         # Active kernel-coalescing accumulator (``coalesce_kernels``);
         # ``None`` outside a coalescing region.
         self._coalesce = None
-        # Installed by ``repro.profiler.ProfilerSession``; FSDP runtime
-        # and process groups consult it for scope/stat attribution.
-        self.profiler = None
         # Ring buffer of issued/completed collectives (may be shared
         # across ranks); process groups record into it when present.
         self.flight_recorder = None
@@ -178,10 +192,72 @@ class Device:
     def cpu_time(self) -> float:
         return self._cpu_time
 
+    # ------------------------------------------------------------------
+    # Observation seam
+    # ------------------------------------------------------------------
+    def observe(self, observer):
+        """Subscribe ``observer`` to this device; returns ``detach``.
+
+        An observer is any object with some of ``on_span(label, stream,
+        start, end)`` (every kernel and collective enqueued),
+        ``on_mark(label, time)`` (instant events), ``on_alloc(allocator,
+        time, reason)`` (allocator state changes), ``on_collective(
+        record)`` (each launched collective's flight record, so only
+        while ``flight_recorder`` is set), the scope pair ``push_scope(label, pinned=False)`` / ``pop_scope(label)``
+        with a ``scope`` path, and FSDP lifecycle handlers ``on_<point>``
+        (``FsdpRuntime.emit``).  Observers are called in subscription
+        order; ``detach`` removes this one and touches no other.
+        """
+        self._set_observers(self.observers + (observer,))
+
+        def detach() -> None:
+            self._set_observers(tuple(o for o in self.observers if o is not observer))
+
+        return detach
+
+    def _set_observers(self, observers: tuple) -> None:
+        self.observers = observers
+        for name in _ANNOUNCEMENTS:
+            handlers = tuple(getattr(o, name) for o in observers if hasattr(o, name))
+            setattr(self, "_" + name, handlers)
+
+    @property
+    def observed(self) -> bool:
+        """Whether anything records per-event state: an observer, a
+        flight recorder or the stream-order sanitizer."""
+        return (
+            bool(self.observers)
+            or self.flight_recorder is not None
+            or sanitizer._ACTIVE is not None
+        )
+
     def emit_mark(self, label: str) -> None:
-        """Emit an instant event at the current CPU time (if traced)."""
-        if self.mark_hook is not None:
-            self.mark_hook(label, self._cpu_time)
+        """Announce an instant event at the current CPU time."""
+        for on_mark in self._on_mark:
+            on_mark(label, self._cpu_time)
+
+    def push_scope(self, label: str, pinned: bool = False) -> None:
+        """Open a scope that is not lexical (closed by ``pop_scope`` in
+        another hook); prefer :meth:`scope`.  ``pinned`` scopes survive
+        the iteration-boundary reset."""
+        for push in self._push_scope:
+            push(label, pinned=pinned)
+
+    def pop_scope(self, label: str) -> None:
+        for pop in self._pop_scope:
+            pop(label)
+
+    def scope(self, label: str, pinned: bool = False):
+        """Context manager attributing everything inside to ``label``."""
+        return _ScopeGuard(self, label, pinned)
+
+    def scope_path(self) -> str:
+        """The open scopes, outermost first, ``"|"``-joined (``""`` when
+        no observer keeps scopes)."""
+        for observer in self.observers:
+            if hasattr(observer, "push_scope"):
+                return observer.scope
+        return ""
 
     def consume_cpu(self, seconds: float) -> None:
         """Advance the CPU clock by doing ``seconds`` of host work."""

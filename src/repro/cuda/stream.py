@@ -44,8 +44,8 @@ class Stream:
         """Enqueue a kernel of ``duration`` seconds; returns (start, end).
 
         ``issue_time`` defaults to the device's current CPU time; the
-        kernel cannot start before it was issued.  ``label`` feeds the
-        optional device trace hook (see ``repro.perf.timeline``).
+        kernel cannot start before it was issued.  ``label`` names the
+        span announced to the device's observers (``Device.observe``).
         """
         if duration < 0:
             raise ValueError("kernel duration must be non-negative")
@@ -60,9 +60,8 @@ class Stream:
         san = _sanitizer._ACTIVE
         if san is not None:
             san.on_kernel(self, label)
-        hook = self.device.trace_hook
-        if hook is not None:
-            hook(label, self.name, start, end)
+        for on_span in self.device._on_span:
+            on_span(label, self.name, start, end)
         return start, end
 
     def wait_event(self, event: "Event") -> None:

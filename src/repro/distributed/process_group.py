@@ -180,17 +180,15 @@ class ProcessGroup:
         self._pending_ops.pop(token, None)
 
     def _timeout_error(self, kind: CollectiveKind) -> CollectiveTimeoutError:
-        error = CollectiveTimeoutError(
-            kind=kind.value,
-            ranks=self.ranks,
-            rank=self.global_rank,
-            timeout=self.timeout,
-            pending_ops=self.pending_collectives() + 1,
+        return self._attach_flight_dump(
+            CollectiveTimeoutError(
+                kind=kind.value,
+                ranks=self.ranks,
+                rank=self.global_rank,
+                timeout=self.timeout,
+                pending_ops=self.pending_collectives() + 1,
+            )
         )
-        recorder = self.device.flight_recorder
-        if recorder is not None:
-            error.flight_dump = recorder.dump(now=self.device.cpu_time())
-        return error
 
     def _attach_flight_dump(self, error):
         recorder = self.device.flight_recorder
@@ -356,6 +354,31 @@ class ProcessGroup:
                 writes=tuple(t._storage for t in writes),
             )
 
+    def _record_issue(self, kind: CollectiveKind, nbytes: int, stream: Stream, time: float):
+        """Enter the issued collective in the device's flight recorder,
+        tagged with the open scope; ``None`` without a recorder."""
+        recorder = self.device.flight_recorder
+        if recorder is None:
+            return None
+        return recorder.record_issue(
+            rank=self.global_rank,
+            kind=kind.value,
+            nbytes=nbytes,
+            group_ranks=self.ranks,
+            stream=stream.name,
+            time=time,
+            scope=self.device.scope_path(),
+        )
+
+    def _record_launch(self, record, start: float, end: float) -> None:
+        """Complete ``record`` (if there is one) and announce the
+        launched collective to the device's ``on_collective`` observers."""
+        if record is None:
+            return
+        self.device.flight_recorder.record_launch(record, start, end)
+        for on_collective in self.device._on_collective:
+            on_collective(record)
+
     def _account_traffic(self, kind: CollectiveKind, nbytes: int) -> None:
         world = self.world_size
         if world <= 1:
@@ -402,19 +425,7 @@ class ProcessGroup:
         if collective_start is not None:
             issue = max(issue, collective_start)
         issue += decision.delay_s
-        recorder = device.flight_recorder
-        profiler = device.profiler
-        record = None
-        if recorder is not None:
-            record = recorder.record_issue(
-                rank=self.global_rank,
-                kind=kind.value,
-                nbytes=nbytes,
-                group_ranks=self.ranks,
-                stream=stream.name,
-                time=issue,
-                scope=profiler.scope if profiler is not None else "",
-            )
+        record = self._record_issue(kind, nbytes, stream, issue)
         if decision.hang or duration > self.timeout:
             # The collective would never complete (or not before the
             # deadline): the watchdog blocks until the deadline, then
@@ -447,10 +458,7 @@ class ProcessGroup:
         start, end = stream.enqueue(
             duration, issue_time=max(issue, stream.ready_time), label=kind.value
         )
-        if record is not None:
-            recorder.record_launch(record, start, end)
-            if profiler is not None:
-                profiler.on_collective(record)
+        self._record_launch(record, start, end)
         self._account_traffic(kind, nbytes)
         event = stream.record_event()
         token = self._track_launch(kind, event)

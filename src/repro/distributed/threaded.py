@@ -137,23 +137,11 @@ class ThreadedProcessGroup(ProcessGroup):
             combined = combine_data(datas) if combine_data is not None else None
             return (max(times), combined)
 
-        recorder = device.flight_recorder
-        profiler = device.profiler
-        record = None
-        if recorder is not None:
-            # Issue is recorded *before* the rendezvous: a rank blocked
-            # waiting for a hung peer shows up as issued-but-unlaunched,
-            # while the hung peer (which raised above) never issues —
-            # the dump's "missing ranks" for this seq.
-            record = recorder.record_issue(
-                rank=self.global_rank,
-                kind=kind.value,
-                nbytes=nbytes,
-                group_ranks=self.ranks,
-                stream=stream.name,
-                time=local_ready,
-                scope=profiler.scope if profiler is not None else "",
-            )
+        # Issue is recorded *before* the rendezvous: a rank blocked
+        # waiting for a hung peer shows up as issued-but-unlaunched,
+        # while the hung peer (which raised above) never issues — the
+        # dump's "missing ranks" for this seq.
+        record = self._record_issue(kind, nbytes, stream, local_ready)
         try:
             start, combined = self.rendezvous.exchange(
                 self.rank,
@@ -190,10 +178,7 @@ class ThreadedProcessGroup(ProcessGroup):
         duration = self._collective_duration(kind, nbytes, shard_nbytes)
         duration *= decision.duration_factor
         launch_start, launch_end = stream.enqueue(duration, issue_time=start, label=kind.value)
-        if record is not None:
-            recorder.record_launch(record, launch_start, launch_end)
-            if profiler is not None:
-                profiler.on_collective(record)
+        self._record_launch(record, launch_start, launch_end)
         self._account_traffic(kind, nbytes)
         event = stream.record_event()
         token = self._track_launch(kind, event)

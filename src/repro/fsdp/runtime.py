@@ -104,20 +104,16 @@ class FsdpRuntime:
         the caching allocator can then reuse it for the next AllGather
         instead of growing the reserved pool.
         """
-        prof = getattr(self.device, "profiler", None)
-        if not self.limit_all_gathers:
-            if prof is not None:
-                prof.on_rate_limit_admit(depth=len(self._inflight), stall_s=0.0)
-            return
         stall_start = self.device.cpu_time()
-        while len(self._inflight) >= self.rate_limit_inflight:
-            oldest = self._inflight.popleft()
-            oldest.synchronize()
-        if prof is not None:
-            prof.on_rate_limit_admit(
-                depth=len(self._inflight),
-                stall_s=self.device.cpu_time() - stall_start,
-            )
+        if self.limit_all_gathers:
+            while len(self._inflight) >= self.rate_limit_inflight:
+                oldest = self._inflight.popleft()
+                oldest.synchronize()
+        self.emit(
+            "rate_limit_admit",
+            depth=len(self._inflight),
+            stall_s=self.device.cpu_time() - stall_start,
+        )
 
     def note_reshard_free(self) -> None:
         """Record a free event on the compute stream (called at reshard)."""
@@ -125,16 +121,48 @@ class FsdpRuntime:
         self._inflight.append(event)
 
     # ------------------------------------------------------------------
+    # Lifecycle announcements
+    # ------------------------------------------------------------------
+    def emit(self, point: str, unit: Optional["FsdpUnit"] = None, **info) -> None:
+        """Announce lifecycle ``point`` to whoever listens: the compile
+        capture and each device observer that has an ``on_<point>``.
+
+        Points: ``iteration_begin``, ``rate_limit_admit(depth, stall_s)``
+        and ``finalize`` carry only ``info``; the unit points
+        (``pre_forward``, ``post_forward``, ``pre_backward``,
+        ``post_backward``, ``unshard_issue(reason)``, ``wait``,
+        ``reshard``, ``prefetch_outcome(already_unsharded)``) deliver
+        ``(unit.label, **facts)`` — ``info`` plus ``time`` and, for a
+        unit with a handle, ``nbytes`` / ``group_key`` / ``dtype`` —
+        all by keyword, so a handler names what it needs and swallows
+        the rest (``**_``).
+        """
+        capture, observers = self.capture, self.device.observers
+        if capture is None and not observers:
+            return
+        listeners = observers if capture is None else (capture, *observers)
+        name = "on_" + point
+        handlers = [getattr(each, name) for each in listeners if hasattr(each, name)]
+        if not handlers:
+            return
+        args = ()
+        if unit is not None:
+            args = (unit.label,)
+            info["time"] = self.device.cpu_time()
+            handle = unit.handle
+            if handle is not None:
+                info["nbytes"] = handle.unsharded_nbytes
+                info["group_key"] = id(handle.shard_group)
+                info["dtype"] = str(handle.compute_dtype)
+        for handler in handlers:
+            handler(*args, **info)
+
+    # ------------------------------------------------------------------
     # Iteration bookkeeping
     # ------------------------------------------------------------------
     def begin_iteration(self) -> None:
         self.iteration += 1
         self._advance_compile_state()
-        prof = getattr(self.device, "profiler", None)
-        if prof is not None:
-            # A unit whose backward never ran leaves its scope pushed;
-            # iteration boundaries are known-empty points.
-            prof.reset_scopes()
         self.exec_validator.start_iteration()
         self.prev_exec_order = self.exec_order
         self.exec_order = []
@@ -145,8 +173,7 @@ class FsdpRuntime:
         # Parameters may have just been updated by the optimizer on the
         # compute stream; communication must observe those writes.
         self.unshard_stream.wait_stream(self.device.default_stream)
-        if self.capture is not None:
-            self.capture.on_iteration_begin()
+        self.emit("iteration_begin")
         if self.compiled is not None:
             # Fires the schedule's iter_begin actions (the pipelined
             # first forward bucket) after the optimizer-write barrier.
@@ -243,8 +270,7 @@ class FsdpRuntime:
                 unit.handle.flush_post_backward()
         if self.compiled is not None:
             self.compiled.on_finalize()
-        if self.capture is not None:
-            self.capture.on_finalize()
+        self.emit("finalize")
         for unit in self.units:
             if unit.handle is None:
                 continue
@@ -336,7 +362,7 @@ class FsdpUnit:
             reshard_after_forward = plan.strategy.reshard_after_forward
         self.reshard_after_forward = reshard_after_forward
         self.runtime: Optional[FsdpRuntime] = None
-        self._no_sync = False
+        self.no_sync = False
         self.pending_reduce_work = None
         self._last_unshard_event: Optional[Event] = None
         # Per-iteration flags
@@ -364,14 +390,6 @@ class FsdpUnit:
         self.pre_backward_ran = False
         self.post_backward_ran = False
 
-    @property
-    def no_sync(self) -> bool:
-        return self._no_sync
-
-    @no_sync.setter
-    def no_sync(self, value: bool) -> None:
-        self._no_sync = value
-
     # ------------------------------------------------------------------
     # Unshard with overlap + rate limiting
     # ------------------------------------------------------------------
@@ -379,49 +397,27 @@ class FsdpUnit:
         runtime = self._require_runtime()
         if self.handle is None or self.handle.is_unsharded:
             return
-        if runtime.capture is not None:
-            runtime.capture.on_unshard_issue(
-                self.label,
-                reason=reason,
-                nbytes=self.handle.unsharded_nbytes,
-                group_key=id(self.handle.shard_group),
-                dtype=str(self.handle.compute_dtype),
-            )
-        prof = getattr(runtime.device, "profiler", None)
-        if prof is None:
+        runtime.emit("unshard_issue", self, reason=reason)
+        with runtime.device.scope(f"unshard:{self.label}@{reason}"):
             runtime.admit_allgather()
-            event = self.handle.unshard(runtime.unshard_stream)
-        else:
-            prof.on_unshard_issue(
-                self.label, reason=reason, time=runtime.device.cpu_time()
-            )
-            with prof.scoped(f"unshard:{self.label}@{reason}"):
-                runtime.admit_allgather()
-                event = self.handle.unshard(runtime.unshard_stream)
-        self._last_unshard_event = event
+            self._last_unshard_event = self.handle.unshard(runtime.unshard_stream)
 
     def _reshard_and_note(self) -> None:
         """Reshard the handle; on an actual free, feed the rate limiter
-        and the profiler."""
+        and announce it."""
         runtime = self._require_runtime()
-        freed = self.handle.unsharded_nbytes
         if self.handle.reshard():
             runtime.note_reshard_free()
-            if runtime.capture is not None:
-                runtime.capture.on_reshard(self.label, freed)
-            prof = getattr(runtime.device, "profiler", None)
-            if prof is not None:
-                prof.on_reshard(self.label, runtime.device.cpu_time())
+            runtime.emit("reshard", self)
 
     def _wait_unshard_on_compute(self) -> None:
         """Compute-stream kernels must not start before *this unit's*
         AllGather (waiting on the whole unshard stream would serialize
         against prefetched AllGathers for later units)."""
         runtime = self._require_runtime()
-        event = getattr(self, "_last_unshard_event", None)
+        event = self._last_unshard_event
         if event is not None:
-            if runtime.capture is not None:
-                runtime.capture.on_wait(self.label)
+            runtime.emit("wait", self)
             runtime.device.default_stream.wait_event(event)
 
     def _require_runtime(self) -> FsdpRuntime:
@@ -440,14 +436,11 @@ class FsdpUnit:
             runtime.begin_iteration()
         runtime.record_pre_forward(self)
         self.forward_ran = True
-        if runtime.capture is not None:
-            runtime.capture.on_pre_forward(self.label)
-        prof = getattr(runtime.device, "profiler", None)
-        if prof is not None:
-            # Scope everything the unit's forward does (kernels, nested
-            # units, its own unshard) under ``forward:<label>``; popped
-            # in post_forward.
-            prof.push_scope(f"forward:{self.label}")
+        runtime.emit("pre_forward", self)
+        # Scope everything the unit's forward does (kernels, nested
+        # units, its own unshard) under ``forward:<label>``; popped in
+        # post_forward.
+        runtime.device.push_scope(f"forward:{self.label}")
         if self.handle is None:
             return
         if runtime.compiled is not None:
@@ -456,9 +449,9 @@ class FsdpUnit:
             runtime.compiled.on_pre_forward(self)
             self.handle.use_unsharded_views()
             return
-        if prof is not None and runtime.forward_prefetch and not self.is_root:
-            prof.on_prefetch_outcome(
-                self.label, already_unsharded=self.handle.is_unsharded
+        if runtime.forward_prefetch and not self.is_root:
+            runtime.emit(
+                "prefetch_outcome", self, already_unsharded=self.handle.is_unsharded
             )
         self._issue_unshard()
         if runtime.forward_prefetch:
@@ -470,11 +463,8 @@ class FsdpUnit:
 
     def post_forward(self, output):
         runtime = self._require_runtime()
-        if runtime.capture is not None:
-            runtime.capture.on_post_forward(self.label)
-        prof = getattr(runtime.device, "profiler", None)
-        if prof is not None:
-            prof.pop_scope(f"forward:{self.label}")
+        runtime.emit("post_forward", self)
+        runtime.device.pop_scope(f"forward:{self.label}")
         if self.handle is None:
             return output
         if self.reshard_after_forward and not self.is_root and is_grad_enabled():
@@ -502,23 +492,19 @@ class FsdpUnit:
         if self.pre_backward_ran or self.handle is None:
             return None
         self.pre_backward_ran = True
-        if runtime.capture is not None:
-            runtime.capture.on_pre_backward(self.label)
-        prof = getattr(runtime.device, "profiler", None)
-        if prof is not None:
-            prof.on_pre_backward(self.label)
-            if runtime.compiled is None and (
-                runtime.backward_prefetch is not BackwardPrefetch.NONE
-            ):
-                prof.on_prefetch_outcome(
-                    self.label, already_unsharded=self.handle.is_unsharded
-                )
-            # Pushed before issuing, so a backward-prefetch AllGather's
-            # issue carries ``backward:<this unit>`` as its parent
-            # scope — this unit's gradient computation is exactly what
-            # the prefetch is meant to overlap (Section 3.3.2).  Popped
-            # in the post-backward hook.
-            prof.push_scope(f"backward:{self.label}")
+        runtime.emit("pre_backward", self)
+        if runtime.compiled is None and (
+            runtime.backward_prefetch is not BackwardPrefetch.NONE
+        ):
+            runtime.emit(
+                "prefetch_outcome", self, already_unsharded=self.handle.is_unsharded
+            )
+        # Pushed before issuing, so a backward-prefetch AllGather's
+        # issue carries ``backward:<this unit>`` as its parent scope —
+        # this unit's gradient computation is exactly what the prefetch
+        # is meant to overlap (Section 3.3.2).  Popped in the
+        # post-backward hook.
+        runtime.device.push_scope(f"backward:{self.label}")
         self.handle.prepare_gradient_for_backward()
         if runtime.compiled is not None:
             runtime.compiled.on_pre_backward(self)
@@ -543,16 +529,8 @@ class FsdpUnit:
         runtime = self._require_runtime()
         self.post_backward_ran = True
         runtime.ensure_final_callback()
-        if runtime.capture is not None:
-            runtime.capture.on_post_backward(
-                self.label,
-                nbytes=self.handle.unsharded_nbytes,
-                group_key=id(self.handle.shard_group),
-                dtype=str(self.handle.compute_dtype),
-            )
-        prof = getattr(runtime.device, "profiler", None)
-        if prof is not None:
-            prof.pop_scope(f"backward:{self.label}")
+        runtime.emit("post_backward", self)
+        runtime.device.pop_scope(f"backward:{self.label}")
         # Free the unsharded parameters before reducing, shrinking the
         # peak: gradient memory replaces parameter memory.
         self._reshard_and_note()
@@ -562,20 +540,12 @@ class FsdpUnit:
             # the handle until then.
             runtime.compiled.on_post_backward(self)
             return
-        if prof is None:
-            work = self.handle.reduce_grad(
+        with runtime.device.scope(f"reduce:{self.label}"):
+            self.pending_reduce_work = self.handle.reduce_grad(
                 runtime.unshard_stream,
                 replicate_group=self.plan.replicate_group,
-                no_sync=self._no_sync,
+                no_sync=self.no_sync,
             )
-        else:
-            with prof.scoped(f"reduce:{self.label}"):
-                work = self.handle.reduce_grad(
-                    runtime.unshard_stream,
-                    replicate_group=self.plan.replicate_group,
-                    no_sync=self._no_sync,
-                )
-        self.pending_reduce_work = work
         if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_POST:
             target = runtime.next_backward_unit(self)
             if target is not None:

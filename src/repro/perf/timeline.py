@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.cuda.device import Device
 
@@ -22,7 +22,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "trace_device",
-    "chain_hooks",
     "write_chrome_trace",
     "overlap_fraction",
     "exposed_overlapped",
@@ -123,7 +122,7 @@ class TraceEvent:
 class Tracer:
     """Collects kernel/collective events from one device.
 
-    Events are buffered as plain tuples on the hot path (``record`` runs
+    Events are buffered as plain tuples on the hot path (``on_span`` runs
     once per simulated kernel); :class:`TraceEvent` objects are
     materialized lazily the first time ``events`` is read.  Zero-duration
     events — e.g. collectives whose transfer rounds to nothing — are
@@ -137,7 +136,10 @@ class Tracer:
         #: Instant annotations ``(name, time)`` — fault injections,
         #: watchdog aborts, retries, zero-duration kernels.
         self.marks: list[tuple[str, float]] = []
-        self.enabled = True
+        #: Stops the recording; :func:`trace_device` sets it to the
+        #: device's unsubscribe, a free-standing tracer has nothing to
+        #: leave.
+        self.detach = lambda: None
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -148,17 +150,15 @@ class Tracer:
             self._materialized = cached
         return cached
 
-    def record(self, name: str, stream: str, start: float, end: float) -> None:
-        if self.enabled:
-            if end > start:
-                self._raw.append((name, stream, start, end))
-            else:
-                self.marks.append((name, start))
+    def on_span(self, name: str, stream: str, start: float, end: float) -> None:
+        if end > start:
+            self._raw.append((name, stream, start, end))
+        else:
+            self.marks.append((name, start))
 
-    def record_mark(self, name: str, time: float) -> None:
+    def on_mark(self, name: str, time: float) -> None:
         """Record an instant event (rendered as a Chrome-trace arrow)."""
-        if self.enabled:
-            self.marks.append((name, time))
+        self.marks.append((name, time))
 
     def clear(self) -> None:
         self._raw.clear()
@@ -236,59 +236,16 @@ def _glyph_for(name: str) -> str:
     return "o"
 
 
-def chain_hooks(
-    device: Device,
-    on_span: Callable[[str, str, float, float], None],
-    on_mark: Callable[[str, float], None],
-) -> Callable[[], None]:
-    """Subscribe to ``device``'s kernel-span and mark hooks; returns
-    ``detach``.
-
-    The device has one slot per hook, so a subscriber calls whoever held
-    the slot before it: observers stack in any order and each sees every
-    event.  ``detach`` restores the previous holder when this subscriber
-    is still outermost; when a later one has chained on top, it stays in
-    the chain as a pass-through, so detaching never cuts off anyone
-    else.
-    """
-    prev_span, prev_mark = device.trace_hook, device.mark_hook
-    live = True
-
-    def span(label, stream, start, end):
-        if live:
-            on_span(label, stream, start, end)
-        if prev_span is not None:
-            prev_span(label, stream, start, end)
-
-    def mark(label, time):
-        if live:
-            on_mark(label, time)
-        if prev_mark is not None:
-            prev_mark(label, time)
-
-    def detach():
-        nonlocal live
-        live = False
-        if device.trace_hook is span:
-            device.trace_hook = prev_span
-        if device.mark_hook is mark:
-            device.mark_hook = prev_mark
-
-    device.trace_hook = span
-    device.mark_hook = mark
-    return detach
-
-
 def trace_device(device: Device) -> Tracer:
-    """Attach a tracer to ``device`` via its stream-level trace hook.
+    """Subscribe a fresh tracer to ``device`` (``Device.observe``).
 
     Every kernel and collective subsequently enqueued on any of the
-    device's streams is recorded (with the collective kind as label).
-    Hooks already on the device (e.g. a
-    :class:`repro.profiler.ProfilerSession`) keep receiving events.
+    device's streams is recorded (with the collective kind as label),
+    next to whatever else observes the device.  ``tracer.detach()``
+    stops the recording and leaves every other observer attached.
     """
     tracer = Tracer()
-    chain_hooks(device, tracer.record, tracer.record_mark)
+    tracer.detach = device.observe(tracer)
     return tracer
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro import distributed as dist
-from repro.cuda import sanitizer as _sanitizer
 from repro.cuda.device import Device
 from repro.ddp import DistributedDataParallel
 from repro.distributed.fault import FaultInjector, FaultSchedule
@@ -125,9 +124,6 @@ class SimConfig:
     #: Deterministic fault schedule injected into every collective and
     #: iteration boundary (None = healthy cluster).
     faults: Optional[FaultSchedule] = None
-    #: Pre-built injector (overrides ``faults``; lets callers inspect
-    #: the injected-fault log after the run).
-    fault_injector: Optional[FaultInjector] = None
     #: Per-collective watchdog deadline (simulated seconds).
     collective_timeout: float = DEFAULT_COLLECTIVE_TIMEOUT
     #: Recover from rank failures by rewinding to the latest checkpoint
@@ -156,12 +152,10 @@ class SimConfig:
     async_checkpoint: bool = True
     #: Give up after this many recoveries.
     max_recoveries: int = 4
-    #: Install a :class:`repro.profiler.ProfilerSession` for the run;
-    #: fills the observability fields of :class:`PerfResult` and stores
-    #: the full per-unit report in ``result.extras["profiler"]``.
-    profile: bool = False
-    #: Pre-built session (overrides ``profile``; lets callers keep the
-    #: session for trace export after the run).
+    #: A :class:`repro.profiler.ProfilerSession` to install for the
+    #: run; fills the observability fields of :class:`PerfResult` and
+    #: stores the full per-unit report in ``result.extras["profiler"]``
+    #: (the caller keeps the session for trace export afterwards).
     profiler: Optional[object] = None
     #: Graph-capture compiler (repro.compile): iteration one runs eager
     #: under a recording hook, every later iteration replays a
@@ -176,10 +170,11 @@ class SimConfig:
     #: once two consecutive measured iterations advance every simulator
     #: clock and counter by the *same* delta, the remaining iterations
     #: are extrapolated instead of re-executed.  Automatically disabled
-    #: whenever anything observes per-event state (tracing, profiler,
-    #: flight recorder, sanitizer, fault injection, checkpointing, or
-    #: materialized data), so traced timelines and real-data losses
-    #: always come from the full event-by-event simulation.
+    #: whenever anything observes per-event state (``Device.observed``:
+    #: an observer, a flight recorder, the sanitizer) and under fault
+    #: injection, checkpointing or materialized data, so traced
+    #: timelines and real-data losses always come from the full
+    #: event-by-event simulation.
     fast_forward: bool = True
 
 
@@ -289,28 +284,22 @@ def _run_iteration(config: SimConfig, wrapped: Module, device: Device, optimizer
     optimizer.zero_grad()
 
 
-def _fast_forward_safe(config: SimConfig, device: Device, injector, session, writer) -> bool:
+def _fast_forward_safe(config: SimConfig, device: Device, injector, writer) -> bool:
     """True when skipping iterations cannot change any observable output.
 
-    Anything that records *per-event* state (rather than aggregate
-    clocks and counters) forces the full simulation: trace/mark hooks,
-    the profiler, the flight recorder, the stream-order sanitizer, fault
-    injection and elastic checkpointing.  Materialized data disables it
-    too — real losses must come from actually executing every op.
+    The run itself must allow it — no fault injection or elastic
+    checkpointing, and no materialized data (real losses must come from
+    actually executing every op) — and nothing may be recording
+    *per-event* state rather than aggregate clocks and counters
+    (``Device.observed``).
     """
     return (
         config.fast_forward
         and not device.materialize_data
         and injector is None
-        and session is None
         and writer is None
         and not config.elastic
-        and device.trace_hook is None
-        and device.mark_hook is None
-        and device.profiler is None
-        and device.flight_recorder is None
-        and device.fault_injector is None
-        and _sanitizer._ACTIVE is None
+        and not device.observed
     )
 
 
@@ -437,9 +426,7 @@ def simulate_training(config: SimConfig) -> PerfResult:
     if config.plan is not None:
         config = config.plan.apply(config)
     dist.shutdown()
-    injector = config.fault_injector
-    if injector is None and config.faults is not None:
-        injector = FaultInjector(config.faults)
+    injector = FaultInjector(config.faults) if config.faults is not None else None
     ctx = dist.init_single_process(
         config.world_size,
         topology=config.topology,
@@ -450,11 +437,8 @@ def simulate_training(config: SimConfig) -> PerfResult:
         coordinated_abort=config.coordinated_abort,
     )
     device = ctx.device
-    session = None
-    if config.profiler is not None or config.profile:
-        from repro.profiler import ProfilerSession
-
-        session = config.profiler or ProfilerSession()
+    session = config.profiler
+    if session is not None:
         session.install(device)
     result = PerfResult(
         name=config.name, world_size=config.world_size, batch_size=config.batch_size
@@ -493,7 +477,6 @@ def simulate_training(config: SimConfig) -> PerfResult:
         completed = 0
         last_checkpoint = 0
         measuring = False
-        ff_enabled = _fast_forward_safe(config, device, injector, session, writer)
         ff_prev_fp = None
         ff_prev_delta = None
         # Simulated start time of each iteration's first execution, so a
@@ -522,7 +505,13 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 iteration_started.setdefault(iteration, device.now())
                 _run_iteration(config, wrapped, device, optimizer)
                 completed += 1
-                if ff_enabled and measuring and completed < total:
+                # Asked every iteration: an observer may attach from
+                # inside a ``make_loss`` / ``build_model`` callback.
+                if (
+                    measuring
+                    and completed < total
+                    and _fast_forward_safe(config, device, injector, writer)
+                ):
                     fp = _sim_fingerprint(device, groups)
                     if ff_prev_fp is not None:
                         delta = _iteration_delta(ff_prev_fp, fp)
@@ -587,10 +576,7 @@ def simulate_training(config: SimConfig) -> PerfResult:
                             0.0, device.now() - wasted_since - detection
                         )
                     heal_s = heal_seconds(_checkpoint_nbytes(wrapped, optimizer))
-                    if session is not None:
-                        with session.scoped("heal:peer-restore"):
-                            device.consume_cpu(heal_s)
-                    else:
+                    with device.scope("heal:peer-restore"):
                         device.consume_cpu(heal_s)
                     device.emit_mark("heal:peer-restore")
                     result.heal_s += heal_s
@@ -613,10 +599,7 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 restore, verify = restore_seconds(
                     _checkpoint_nbytes(wrapped, optimizer), config.world_size
                 )
-                if session is not None:
-                    with session.scoped("recovery:restore"):
-                        device.consume_cpu(verify + restore)
-                else:
+                with device.scope("recovery:restore"):
                     device.consume_cpu(verify + restore)
                 result.checkpoint_load_s += restore
                 result.checkpoint_verify_s += verify
@@ -774,7 +757,6 @@ def train_elastic(
     world_size: int,
     iterations: int,
     faults: Optional[FaultSchedule] = None,
-    fault_injector: Optional[FaultInjector] = None,
     wrap: Optional[Callable[[Module], Module]] = None,
     optimizer: str = "sgd",
     lr: float = 1e-2,
@@ -827,9 +809,7 @@ def train_elastic(
     from repro import checkpoint as ckpt
     from repro.autograd.grad_mode import no_grad
 
-    injector = fault_injector
-    if injector is None and faults is not None:
-        injector = FaultInjector(faults)
+    injector = FaultInjector(faults) if faults is not None else None
     if store is None:
         store = ckpt.DistributedCheckpointStore(injector=injector)
     elif injector is not None and store.storage.injector is None:

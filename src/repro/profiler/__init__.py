@@ -5,9 +5,10 @@ See DESIGN.md "Observability" for the architecture.  Typical use::
     from repro.profiler import ProfilerSession
     from repro.perf import SimConfig, simulate_training
 
-    config = SimConfig(..., profile=True)
-    result = simulate_training(config)
+    session = ProfilerSession()
+    result = simulate_training(SimConfig(..., profiler=session))
     report = result.extras["profiler"]  # totals, per-unit table, memory
+    session.to_chrome_trace("trace.json")
 
 or standalone on a device::
 

@@ -66,9 +66,9 @@ class MemoryTimeline:
         self.stream_names: dict = {}
 
     # ------------------------------------------------------------------
-    # Sampling (installed as ``allocator.sample_hook``)
+    # Sampling (a timeline is a device observer: ``device.observe(timeline)``)
     # ------------------------------------------------------------------
-    def sample(self, allocator, time: float, reason: str, *, scope: str = "") -> None:
+    def on_alloc(self, allocator, time: float, reason: str, *, scope: str = "") -> None:
         stats = allocator.stats
         self.samples.append(
             MemorySample(

@@ -1,22 +1,22 @@
 """ProfilerSession: one object wiring all three observability layers.
 
-A session installs itself on a simulated device the same way the fault
-injector does — via attributes the runtime layers consult:
+A session is an observer of a simulated device (``Device.observe``):
 
-- ``device.trace_hook`` / ``device.mark_hook``: every kernel and
-  collective span lands in :attr:`kernel_events` tagged with the
-  current *scope* (see below); the session chains onto the hooks
-  (:func:`repro.perf.timeline.chain_hooks`), so a
-  :class:`repro.perf.timeline.Tracer` attached before *or after* it
-  keeps receiving events, also once the session is uninstalled;
-- ``device.allocator.sample_hook``: every allocator event produces a
+- ``on_span`` / ``on_mark``: every kernel and collective span lands in
+  :attr:`kernel_events` tagged with the current *scope* (see below),
+  every instant event in :attr:`marks`;
+- ``on_alloc``: every allocator event produces a
   :class:`repro.profiler.memory.MemorySample`;
-- ``device.flight_recorder``: process groups record issue/launch of
-  every collective in the :class:`FlightRecorder` ring buffer;
-- ``device.profiler``: the FSDP runtime pushes/pops **scopes**
+- ``on_collective``: each launched collective's flight record is
+  attributed to a unit by its scope.  Process groups record into
+  ``device.flight_recorder``; :meth:`install` puts the session's own
+  :class:`FlightRecorder` there unless the device already carries one,
+  which the session then reads instead;
+- ``push_scope`` / ``pop_scope``: the FSDP runtime opens **scopes**
   (``forward:<unit>``, ``backward:<unit>``, ``unshard:<unit>@<reason>``,
-  ``reduce:<unit>``) and reports prefetch outcomes, reshard events and
-  rate-limiter admissions.
+  ``reduce:<unit>``) through ``device.scope``;
+- ``on_<point>`` lifecycle handlers (``FsdpRuntime.emit``): prefetch
+  outcomes, reshard events, rate-limiter admissions, iteration starts.
 
 Scopes are a stack, serialized as ``"outer|inner"``; the innermost
 element attributes collectives and memory samples to a FlatParameter
@@ -31,7 +31,7 @@ import contextlib
 import threading
 from typing import Optional
 
-from repro.perf.timeline import chain_hooks, merge_intervals, write_chrome_trace
+from repro.perf.timeline import merge_intervals, write_chrome_trace
 from repro.profiler.flight_recorder import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.profiler.memory import MemoryTimeline
 from repro.profiler.stats import (
@@ -82,7 +82,7 @@ class ProfilerSession:
         self._scopes: list = []
         self._prefetched: set = set()
         self._lock = threading.Lock()
-        # id(device) -> (device, saved hook dict)
+        # id(device) -> (device, detach, whether ``flight`` was put on it)
         self._installed: dict = {}
         self._finalized = False
 
@@ -90,38 +90,29 @@ class ProfilerSession:
     # Installation
     # ------------------------------------------------------------------
     def install(self, device) -> None:
-        """Attach to ``device`` (idempotent); chains existing hooks."""
+        """Observe ``device`` (idempotent)."""
         if id(device) in self._installed:
             return
-        saved = {
-            "detach_hooks": chain_hooks(
-                device, self.on_kernel, lambda label, time: self.marks.append((label, time))
-            ),
-            "profiler": getattr(device, "profiler", None),
-            "flight_recorder": getattr(device, "flight_recorder", None),
-            "sample_hook": None,
-        }
-        device.profiler = self
-        if getattr(device, "flight_recorder", None) is None:
+        lends_flight = device.flight_recorder is None
+        if lends_flight:
             device.flight_recorder = self.flight
-        if device.allocator is not None:
-            saved["sample_hook"] = device.allocator.sample_hook
-            device.allocator.sample_hook = self._on_alloc_sample
-        self._installed[id(device)] = (device, saved)
+        else:
+            # A recorder the world brought (possibly shared across
+            # ranks) holds the collectives: report from it.
+            self.flight = device.flight_recorder
+        self._installed[id(device)] = (device, device.observe(self), lends_flight)
 
     def uninstall(self, device=None) -> None:
-        """Restore the device's original hooks (all devices when None)."""
+        """Stop observing ``device`` (all devices when None)."""
         keys = [id(device)] if device is not None else list(self._installed)
         for key in keys:
             entry = self._installed.pop(key, None)
             if entry is None:
                 continue
-            dev, saved = entry
-            saved["detach_hooks"]()
-            dev.profiler = saved["profiler"]
-            dev.flight_recorder = saved["flight_recorder"]
-            if dev.allocator is not None:
-                dev.allocator.sample_hook = saved["sample_hook"]
+            dev, detach, lends_flight = entry
+            detach()
+            if lends_flight:
+                dev.flight_recorder = None
 
     # ------------------------------------------------------------------
     # Scope stack
@@ -154,29 +145,28 @@ class ProfilerSession:
                 return
 
     def reset_scopes(self) -> None:
-        """Drop unpinned scopes (called at iteration boundaries)."""
+        """Drop unpinned scopes."""
         self._scopes = [entry for entry in self._scopes if entry[1]]
 
-    @contextlib.contextmanager
-    def scoped(self, label: str, *, pinned: bool = False):
-        self.push_scope(label, pinned=pinned)
-        try:
-            yield
-        finally:
-            self.pop_scope(label)
+    #: A unit whose backward never ran leaves its scope pushed;
+    #: iteration boundaries are known-empty points.
+    on_iteration_begin = reset_scopes
 
     # ------------------------------------------------------------------
-    # Event intake (hooks)
+    # Event intake (device announcements)
     # ------------------------------------------------------------------
-    def on_kernel(self, label: str, stream: str, start: float, end: float) -> None:
+    def on_span(self, label: str, stream: str, start: float, end: float) -> None:
         if end > start:
             self.kernel_events.append(KernelEvent(label, stream, start, end, self.scope))
 
-    def _on_alloc_sample(self, allocator, time: float, reason: str) -> None:
-        self.memory.sample(allocator, time, reason, scope=self.scope)
+    def on_mark(self, label: str, time: float) -> None:
+        self.marks.append((label, time))
+
+    def on_alloc(self, allocator, time: float, reason: str) -> None:
+        self.memory.on_alloc(allocator, time, reason, scope=self.scope)
 
     def on_collective(self, record) -> None:
-        """Attribute one launched collective (called by ProcessGroup)."""
+        """Attribute one launched collective by its issue-time scope."""
         if record.start_time is None or record.end_time is None:
             return
         self.comm_intervals.append((record.start_time, record.end_time))
@@ -188,7 +178,8 @@ class ProfilerSession:
         )
 
     # ------------------------------------------------------------------
-    # FSDP runtime hooks
+    # FSDP lifecycle handlers (``FsdpRuntime.emit`` passes every fact by
+    # keyword; each takes what it needs)
     # ------------------------------------------------------------------
     def unit(self, label: str) -> UnitProfile:
         with self._lock:
@@ -197,14 +188,14 @@ class ProfilerSession:
                 profile = self.units[label] = UnitProfile(label)
             return profile
 
-    def on_unshard_issue(self, label: str, *, reason: str, time: float) -> None:
+    def on_unshard_issue(self, label: str, *, reason: str, time: float, **_) -> None:
         self.unit(label).unshard_issues.append(
             UnshardIssue(reason=reason, time=time, parent_scope=self.scope)
         )
         if reason.endswith("prefetch"):
             self._prefetched.add(label)
 
-    def on_prefetch_outcome(self, label: str, *, already_unsharded: bool) -> None:
+    def on_prefetch_outcome(self, label: str, *, already_unsharded: bool, **_) -> None:
         """Called by a unit's own pre-hook when prefetching is enabled.
 
         Hit: the unit was gathered by an earlier prefetch issue.  Miss:
@@ -219,10 +210,10 @@ class ProfilerSession:
         elif not already_unsharded:
             unit.prefetch_misses += 1
 
-    def on_pre_backward(self, label: str) -> None:
+    def on_pre_backward(self, label: str, **_) -> None:
         self.backward_order.append(label)
 
-    def on_reshard(self, label: str, time: float) -> None:
+    def on_reshard(self, label: str, time: float, **_) -> None:
         self.unit(label).reshard_times.append(time)
 
     def on_rate_limit_admit(self, *, depth: int, stall_s: float) -> None:
@@ -236,7 +227,7 @@ class ProfilerSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def begin_measurement(self) -> None:
-        """Drop warmup-phase data; keep hooks and the flight ring live."""
+        """Drop warmup-phase data; keep observing and the flight ring live."""
         self.kernel_events.clear()
         self.marks.clear()
         self.memory.clear()

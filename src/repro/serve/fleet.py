@@ -140,7 +140,7 @@ class ServingFleet:
     def _mark(self, label: str) -> None:
         self.metrics.note(self._now, label)
         if self.config.tracer is not None:
-            self.config.tracer.record_mark(label, self._now)
+            self.config.tracer.on_mark(label, self._now)
 
     def _live(self) -> list[Replica]:
         return [r for r in self.replicas.values() if r.state is ReplicaState.LIVE]
@@ -295,7 +295,7 @@ class ServingFleet:
     def _on_done(self, replica: Replica, batch: list[Request], started: float) -> None:
         now = self._now
         if self.config.tracer is not None:
-            self.config.tracer.record(
+            self.config.tracer.on_span(
                 f"serve:batch@{replica.rid}", f"replica{replica.rid}", started, now
             )
         replica.busy = False

@@ -140,16 +140,10 @@ class ServiceModel:
                     spec.make_batch(model, device, batch)
                     device.synchronize()
                     start = device.now()
-                    if session is not None:
-                        # Pinned: the FSDP runtime clears unpinned
-                        # scopes at its iteration boundary (root
-                        # pre-forward), which this span encloses.
-                        with session.scoped(
-                            f"serve:batch@{spec.name}", pinned=True
-                        ):
-                            spec.make_batch(model, device, batch)
-                            device.synchronize()
-                    else:
+                    # Pinned: the FSDP runtime clears unpinned scopes at
+                    # its iteration boundary (root pre-forward), which
+                    # this span encloses.
+                    with device.scope(f"serve:batch@{spec.name}", pinned=True):
                         spec.make_batch(model, device, batch)
                         device.synchronize()
                     self._latency[batch] = device.now() - start

@@ -32,6 +32,7 @@ from repro.perf import SimConfig, simulate_training
 from repro.perf.timeline import trace_device
 from repro.perf.trainer import _fast_forward_safe
 from repro.perf.workloads import gpt_builder, gpt_loss_fn
+from repro.profiler import FlightRecorder, MemoryTimeline, ProfilerSession
 
 TINY = GptConfig(
     vocab_size=512, block_size=32, n_layer=4, n_head=4, n_embd=64, checkpoint_blocks=False
@@ -90,16 +91,64 @@ class TestFastForward:
 
     def test_disabled_under_profiler(self):
         """A profiler observes every event: no iteration may be skipped."""
-        result = simulate_training(tiny_config(profile=True))
+        result = simulate_training(tiny_config(profiler=ProfilerSession()))
         assert "fast_forwarded_iterations" not in result.extras
 
     def test_disabled_by_config_flag(self):
         result = simulate_training(tiny_config(fast_forward=False))
         assert "fast_forwarded_iterations" not in result.extras
 
+    def test_observer_attached_mid_run_vetoes(self):
+        """Regression: the veto was evaluated once before the loop, so a
+        tracer attached from ``make_loss`` — the only way to trace a
+        ``simulate_training`` device — was fast-forwarded over."""
+
+        def traced(fast_forward: bool):
+            tracers = []
+            make_loss = gpt_loss_fn(TINY, 2, 32)
+
+            def attaching_loss(model, device):
+                if not tracers:
+                    tracers.append(trace_device(device))
+                return make_loss(model, device)
+
+            result = simulate_training(
+                tiny_config(make_loss=attaching_loss, fast_forward=fast_forward)
+            )
+            assert "fast_forwarded_iterations" not in result.extras
+            return len(tracers[0].events)
+
+        assert traced(True) == traced(False) > 0
+
+
+def _attach_tracer(device):
+    return trace_device(device).detach
+
+
+def _attach_session(device):
+    session = ProfilerSession()
+    session.install(device)
+    return session.uninstall
+
+
+def _attach_memory_timeline(device):
+    return device.observe(MemoryTimeline())
+
+
+def _attach_flight_recorder(device):
+    device.flight_recorder = FlightRecorder()
+    return lambda: setattr(device, "flight_recorder", None)
+
+
+def _enable_sanitizer(device):
+    scope = sanitizer.enabled()
+    scope.__enter__()
+    return lambda: scope.__exit__(None, None, None)
+
 
 class TestFastForwardGuard:
-    """`_fast_forward_safe` must veto every per-event observer."""
+    """`_fast_forward_safe` is the run's own clauses plus one predicate,
+    ``Device.observed``, that every way of watching a device trips."""
 
     def setup_method(self):
         dist.shutdown()
@@ -109,10 +158,9 @@ class TestFastForwardGuard:
     def teardown_method(self):
         dist.shutdown()
 
-    def _safe(self, injector=None, session=None, writer=None) -> bool:
-        return _fast_forward_safe(
-            self.config, self.ctx.device, injector, session, writer
-        )
+    def _safe(self, injector=None, writer=None, **overrides) -> bool:
+        config = dataclasses.replace(self.config, **overrides)
+        return _fast_forward_safe(config, self.ctx.device, injector, writer)
 
     def test_clean_device_is_safe(self):
         if SANITIZER_LANE:
@@ -122,32 +170,44 @@ class TestFastForwardGuard:
 
     @pytest.mark.skipif(SANITIZER_LANE, reason="sanitizer already vetoes")
     def test_observers_veto(self):
+        """The clauses about the run, one at a time."""
         device = self.ctx.device
-        tracer = trace_device(device)
-        assert not self._safe()  # trace hook installed
-        device.trace_hook = None
-        assert not self._safe()  # mark hook still installed
-        device.mark_hook = None
-        assert self._safe()
-        del tracer
-
         device.materialize_data = True
         assert not self._safe()  # data mode: losses must be bitwise
         device.materialize_data = False
-
         assert not self._safe(injector=object())
-        assert not self._safe(session=object())
         assert not self._safe(writer=object())
-        assert not _fast_forward_safe(
-            dataclasses.replace(self.config, elastic=True),
-            device,
-            None,
-            None,
-            None,
-        )
-        with sanitizer.enabled():
-            assert not self._safe()
+        assert not self._safe(elastic=True)
+        assert not self._safe(fast_forward=False)
         assert self._safe()
+
+    @pytest.mark.parametrize(
+        "attach",
+        [
+            _attach_tracer,
+            _attach_session,
+            _attach_memory_timeline,
+            _attach_flight_recorder,
+            _enable_sanitizer,
+        ],
+    )
+    def test_each_attach_path_vetoes_and_detach_restores(self, attach):
+        device = self.ctx.device
+        # ``observed`` is always true in the sanitizer lane: what each
+        # path adds and takes away shows in its own parts instead.
+        parts = lambda: (  # noqa: E731
+            device.observers,
+            device.flight_recorder,
+            sanitizer.active(),
+        )
+        before = parts()
+        detach = attach(device)
+        assert device.observed and not self._safe()
+        assert parts() != before
+        detach()
+        assert parts() == before
+        assert device.observed == SANITIZER_LANE
+        assert self._safe() == (not SANITIZER_LANE)
 
 
 # ----------------------------------------------------------------------

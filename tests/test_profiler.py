@@ -6,8 +6,8 @@ Three layers, each exercised directly against a simulated device:
   alignment, in-flight/missing-rank analysis, dumps);
 - the **memory timeline** (allocator counter samples, peak
   attribution, Chrome-trace counter tracks);
-- the **ProfilerSession** gluing them together (hook chaining, the
-  scope stack, per-unit attribution, exposed/overlapped arithmetic,
+- the **ProfilerSession** gluing them together (coexisting with other
+  device observers, the scope stack, per-unit attribution, exposed/overlapped arithmetic,
   trace export).
 
 The end-to-end behaviour on real FSDP runs lives in
@@ -18,7 +18,9 @@ import json
 
 import pytest
 
+import repro
 from repro.cuda.device import Device
+from repro.perf.timeline import trace_device
 from repro.profiler import (
     CollectiveRecord,
     FlightRecorder,
@@ -167,9 +169,9 @@ class TestMemoryTimeline:
         timeline = MemoryTimeline()
         allocator = device.allocator
         block = allocator.allocate(4 * MiB, device.default_stream)
-        timeline.sample(allocator, 1.0, "alloc")
+        timeline.on_alloc(allocator, 1.0, "alloc")
         allocator.free(block)
-        timeline.sample(allocator, 2.0, "free", scope="forward:unit0")
+        timeline.on_alloc(allocator, 2.0, "free", scope="forward:unit0")
         first, second = timeline.samples
         assert first.reason == "alloc"
         assert first.allocated == 4 * MiB
@@ -189,12 +191,12 @@ class TestMemoryTimeline:
         device = make_device()
         allocator = device.allocator
         a = allocator.allocate(2 * MiB, device.default_stream)
-        timeline.sample(allocator, 1.0, "alloc", scope="forward:a")
+        timeline.on_alloc(allocator, 1.0, "alloc", scope="forward:a")
         b = allocator.allocate(8 * MiB, device.default_stream)
-        timeline.sample(allocator, 2.0, "alloc", scope="backward:b")
+        timeline.on_alloc(allocator, 2.0, "alloc", scope="backward:b")
         allocator.free(b)
         allocator.free(a)
-        timeline.sample(allocator, 3.0, "free")
+        timeline.on_alloc(allocator, 3.0, "free")
         peak = timeline.peak("active")
         assert peak.scope == "backward:b"
         assert peak.time == 2.0
@@ -207,7 +209,7 @@ class TestMemoryTimeline:
         blocks = []
         for i, scope in enumerate(["outer|unshard:u0", "outer|unshard:u1", ""]):
             blocks.append(allocator.allocate((i + 1) * MiB, device.default_stream))
-            timeline.sample(allocator, float(i), "alloc", scope=scope)
+            timeline.on_alloc(allocator, float(i), "alloc", scope=scope)
         rows = timeline.attribution("active")
         # Innermost scope element is the attribution key; "" groups as
         # (unscoped).  Last sample saw the largest footprint.
@@ -221,7 +223,7 @@ class TestMemoryTimeline:
         device = make_device()
         allocator = device.allocator
         allocator.allocate(2 * MiB, device.default_stream)
-        timeline.sample(allocator, 0.5, "alloc")
+        timeline.on_alloc(allocator, 0.5, "alloc")
         events = timeline.counter_events()
         device_track = [e for e in events if e["name"] == "mem.bytes"]
         assert len(device_track) == 1
@@ -236,7 +238,7 @@ class TestMemoryTimeline:
     def test_clear(self):
         timeline = MemoryTimeline()
         device = make_device()
-        timeline.sample(device.allocator, 0.0, "alloc")
+        timeline.on_alloc(device.allocator, 0.0, "alloc")
         timeline.clear()
         assert timeline.samples == []
 
@@ -304,11 +306,13 @@ class TestStatsHelpers:
 # ----------------------------------------------------------------------
 class TestProfilerSession:
     def test_scope_stack(self):
+        device = make_device()
         session = ProfilerSession()
-        assert session.scope == ""
-        session.push_scope("forward:a")
-        with session.scoped("unshard:b@forward"):
-            assert session.scope == "forward:a|unshard:b@forward"
+        session.install(device)
+        assert session.scope == device.scope_path() == ""
+        device.push_scope("forward:a")
+        with device.scope("unshard:b@forward"):
+            assert session.scope == device.scope_path() == "forward:a|unshard:b@forward"
         assert session.scope == "forward:a"
         # Popping an absent label is tolerated (checkpoint recompute
         # fires backward hooks in non-LIFO order).
@@ -325,33 +329,52 @@ class TestProfilerSession:
         assert session.scope == ""
 
     def test_install_chains_and_uninstall_restores(self):
+        """Install coexists with an earlier observer (idempotently) and
+        uninstall leaves that observer attached."""
         device = make_device()
-        seen = []
-        device.trace_hook = lambda label, stream, start, end: seen.append(label)
-        prev_hook = device.trace_hook
+        tracer = trace_device(device)
         session = ProfilerSession()
         session.install(device)
         session.install(device)  # idempotent
+        assert device.observers == (tracer, session)
         device.default_stream.enqueue(1e-3, label="gemm")
-        assert seen == ["gemm"]  # previous hook still fires
-        assert [e.label for e in session.kernel_events] == ["gemm"]
-        assert device.profiler is session
+        device.allocator.allocate(MiB, device.default_stream)
+        assert [e.name for e in tracer.events] == ["gemm"]  # earlier observer still fed
+        assert [e.label for e in session.kernel_events] == ["gemm"]  # once, not twice
+        assert len(session.memory.samples) == 1
         assert device.flight_recorder is session.flight
-        assert device.allocator.sample_hook is not None
         session.uninstall(device)
-        assert device.trace_hook is prev_hook
-        assert device.profiler is None
+        assert device.observers == (tracer,)
         assert device.flight_recorder is None
-        assert device.allocator.sample_hook is None
+        device.default_stream.enqueue(1e-3, label="after")
+        device.allocator.allocate(MiB, device.default_stream)
+        assert [e.name for e in tracer.events] == ["gemm", "after"]
+        assert len(session.kernel_events) == len(session.memory.samples) == 1
 
     def test_install_chains_existing_mark_hook(self):
         device = make_device()
-        seen = []
-        device.mark_hook = lambda label, time: seen.append(label)
+        tracer = trace_device(device)
         with profile_device(device) as session:
             device.emit_mark("fault:hang@r0")
-        assert seen == ["fault:hang@r0"]
+        assert tracer.marks == [("fault:hang@r0", 0.0)]
         assert [label for label, _ in session.marks] == ["fault:hang@r0"]
+
+    def test_tracer_detach_leaves_the_session_attached(self):
+        """Regression: the only way to stop a tracer was to null the
+        device's span slot, which blinded every observer chained
+        beneath it (a session installed first stopped at one event)."""
+        device = make_device()
+        with profile_device(device) as session:
+            tracer = trace_device(device)
+            device.default_stream.enqueue(1e-3, label="both")
+            tracer.detach()
+            tracer.detach()  # idempotent
+            device.default_stream.enqueue(1e-3, label="session-only")
+            device.emit_mark("after-detach")
+        assert [e.name for e in tracer.events] == ["both"]
+        assert tracer.marks == []
+        assert [e.label for e in session.kernel_events] == ["both", "session-only"]
+        assert [label for label, _ in session.marks] == ["after-detach"]
 
     @staticmethod
     def _observed_iteration(session_first: bool):
@@ -359,7 +382,6 @@ class TestProfilerSession:
         in the given order; returns what each saw, and whether the tracer
         still sees events once the session is gone."""
         from repro import distributed as dist
-        from repro.perf.timeline import trace_device
         from tests.test_timeline import run_iteration
 
         dist.shutdown()
@@ -420,6 +442,25 @@ class TestProfilerSession:
         session.uninstall(device)
         assert device.flight_recorder is shared
 
+    def test_summary_reports_the_recorder_the_world_brought(self):
+        """Regression: a session installed on a world that carries its
+        own flight recorder summarized its own, empty, one."""
+        from repro import distributed as dist
+
+        dist.shutdown()
+        shared = FlightRecorder()
+        ctx = dist.init_single_process(4, materialize=False, flight_recorder=shared)
+        try:
+            with profile_device(ctx.device) as session:
+                shard = repro.zeros(8, device=ctx.device)
+                full = repro.zeros(32, device=ctx.device)
+                dist.default_group().all_gather_into_tensor(full, shard).wait()
+                assert session.summary()["flight"] == {"recorded": 1, "in_flight": 0}
+            assert shared.total_recorded == 1
+            assert ctx.device.flight_recorder is shared
+        finally:
+            dist.shutdown()
+
     def test_marks_and_zero_duration_kernels(self):
         device = make_device()
         with profile_device(device) as session:
@@ -429,12 +470,12 @@ class TestProfilerSession:
         assert [label for label, _ in session.marks] == ["watchdog:all_gather_base"]
         # Zero-duration spans carry no time and are dropped.
         assert [e.label for e in session.kernel_events] == ["work"]
-        assert device.profiler is None  # context manager uninstalled
+        assert device.observers == ()  # context manager uninstalled
 
     def test_allocator_samples_carry_scope(self):
         device = make_device()
         with profile_device(device) as session:
-            with session.scoped("unshard:u0@forward"):
+            with device.scope("unshard:u0@forward"):
                 device.allocator.allocate(MiB, device.default_stream)
         assert session.memory.samples
         assert session.memory.samples[-1].scope == "unshard:u0@forward"
@@ -507,8 +548,8 @@ class TestProfilerSession:
 
     def test_finalize_and_totals(self):
         session = ProfilerSession()
-        session.on_kernel("gemm", "default", 0.0, 2.0)
-        session.on_kernel("comm", "fsdp-unshard", 0.0, 3.0)  # not compute
+        session.on_span("gemm", "default", 0.0, 2.0)
+        session.on_span("comm", "fsdp-unshard", 0.0, 3.0)  # not compute
         record = self._launched_record(
             session, kind="all_gather_base",
             scope="forward:u0|unshard:u0@forward", start=1.0, end=3.0,
@@ -532,7 +573,7 @@ class TestProfilerSession:
 
     def test_begin_measurement_drops_warmup(self):
         session = ProfilerSession()
-        session.on_kernel("warmup", "default", 0.0, 1.0)
+        session.on_span("warmup", "default", 0.0, 1.0)
         session.on_unshard_issue("u0", reason="forward_prefetch", time=0.0)
         session.marks.append(("m", 0.0))
         session.finalize()
@@ -545,7 +586,7 @@ class TestProfilerSession:
     def test_summary_and_chrome_trace(self, tmp_path):
         device = make_device()
         with profile_device(device) as session:
-            with session.scoped("forward:u0"):
+            with device.scope("forward:u0"):
                 device.default_stream.enqueue(1e-3, label="gemm")
                 device.allocator.allocate(MiB, device.default_stream)
             device.emit_mark("iteration")

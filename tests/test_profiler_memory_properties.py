@@ -31,7 +31,7 @@ def make_device(capacity=512 * MiB):
 
 def install_timeline(device) -> MemoryTimeline:
     timeline = MemoryTimeline()
-    device.allocator.sample_hook = timeline.sample
+    device.observe(timeline)
     return timeline
 
 

@@ -89,15 +89,15 @@ class TestTracer:
     def test_clear(self, traced_world):
         ctx, tracer = traced_world
         run_iteration(ctx.device)
-        tracer.record_mark("fault:delay@r0", 1.0)
+        tracer.on_mark("fault:delay@r0", 1.0)
         tracer.clear()
         assert not tracer.events
         assert not tracer.marks
 
     def test_marks_exported_as_instant_events(self, tmp_path):
         tracer = Tracer()
-        tracer.record("kernel", "default", 0.0, 1.0)
-        tracer.record_mark("fault:straggler@r0", 0.5)
+        tracer.on_span("kernel", "default", 0.0, 1.0)
+        tracer.on_mark("fault:straggler@r0", 0.5)
         path = tmp_path / "trace.json"
         tracer.to_chrome_trace(str(path))
         data = json.loads(path.read_text())
@@ -125,9 +125,9 @@ class TestTracer:
 class TestOverlap:
     def test_busy_interval_merging(self):
         tracer = Tracer()
-        tracer.record("kernel", "default", 0.0, 1.0)
-        tracer.record("kernel", "default", 0.5, 2.0)
-        tracer.record("kernel", "default", 3.0, 4.0)
+        tracer.on_span("kernel", "default", 0.0, 1.0)
+        tracer.on_span("kernel", "default", 0.5, 2.0)
+        tracer.on_span("kernel", "default", 3.0, 4.0)
         merged = tracer.busy_intervals(lambda s: True)
         assert merged == [(0.0, 2.0), (3.0, 4.0)]
 
@@ -151,21 +151,21 @@ class TestOverlap:
         unmerged pairwise intersection would report 4.5/5 ≈ 0.9.
         """
         tracer = Tracer()
-        tracer.record("all_gather", "fsdp-unshard", 0.0, 2.0)
-        tracer.record("all_gather", "fsdp-unshard", 1.0, 3.0)
-        tracer.record("kernel", "default", 0.5, 1.5)
-        tracer.record("kernel", "default", 1.0, 2.5)
-        tracer.record("kernel", "default", 4.0, 5.0)
+        tracer.on_span("all_gather", "fsdp-unshard", 0.0, 2.0)
+        tracer.on_span("all_gather", "fsdp-unshard", 1.0, 3.0)
+        tracer.on_span("kernel", "default", 0.5, 1.5)
+        tracer.on_span("kernel", "default", 1.0, 2.5)
+        tracer.on_span("kernel", "default", 4.0, 5.0)
         assert overlap_fraction(tracer) == pytest.approx(2.0 / 3.0)
 
     def test_overlap_fraction_disjoint_and_full(self):
         tracer = Tracer()
-        tracer.record("all_gather", "comm", 0.0, 1.0)
-        tracer.record("kernel", "default", 2.0, 3.0)
+        tracer.on_span("all_gather", "comm", 0.0, 1.0)
+        tracer.on_span("kernel", "default", 2.0, 3.0)
         assert overlap_fraction(tracer) == 0.0
         tracer.clear()
-        tracer.record("all_gather", "comm", 1.0, 2.0)
-        tracer.record("kernel", "default", 0.0, 3.0)
+        tracer.on_span("all_gather", "comm", 1.0, 2.0)
+        tracer.on_span("kernel", "default", 0.0, 3.0)
         assert overlap_fraction(tracer) == 1.0
 
     def test_prefetch_does_not_reduce_overlap(self):
@@ -212,7 +212,7 @@ class TestOverlapFractionProperty:
     def test_fraction_bounded(self, comm, compute):
         tracer = Tracer()
         for name, stream, start, end in comm + compute:
-            tracer.record(name, stream, start, end)
+            tracer.on_span(name, stream, start, end)
         fraction = overlap_fraction(tracer)
         assert 0.0 <= fraction <= 1.0
 
@@ -226,29 +226,29 @@ class TestOverlapFractionProperty:
         """
         tracer = Tracer()
         for start, end in [(0.0, 10.0), (2.0, 4.0), (3.0, 8.0)]:
-            tracer.record("all_gather_base", "unshard", start, end)
-        tracer.record("kernel", "default", 0.0, 10.0)
+            tracer.on_span("all_gather_base", "unshard", start, end)
+        tracer.on_span("kernel", "default", 0.0, 10.0)
         assert overlap_fraction(tracer) == 1.0
 
     def test_concurrent_compute_streams_count_once(self):
         tracer = Tracer()
-        tracer.record("comm", "pg-comm", 0.0, 4.0)
+        tracer.on_span("comm", "pg-comm", 0.0, 4.0)
         # Two default-stream contexts busy over the same span.
-        tracer.record("kernel", "default", 0.0, 2.0)
-        tracer.record("kernel", "default-2", 1.0, 2.0)
+        tracer.on_span("kernel", "default", 0.0, 2.0)
+        tracer.on_span("kernel", "default-2", 1.0, 2.0)
         assert overlap_fraction(tracer) == pytest.approx(0.5)
 
     def test_no_comm_is_fully_overlapped(self):
         tracer = Tracer()
-        tracer.record("kernel", "default", 0.0, 1.0)
+        tracer.on_span("kernel", "default", 0.0, 1.0)
         assert overlap_fraction(tracer) == 1.0
 
 
 class TestZeroDurationEvents:
     def test_zero_duration_recorded_as_mark(self):
         tracer = Tracer()
-        tracer.record("kernel", "default", 1.0, 2.0)
-        tracer.record("broadcast", "pg-comm", 3.0, 3.0)
+        tracer.on_span("kernel", "default", 1.0, 2.0)
+        tracer.on_span("broadcast", "pg-comm", 3.0, 3.0)
         assert len(tracer.events) == 1
         assert tracer.marks == [("broadcast", 3.0)]
 

@@ -2,7 +2,7 @@
 
 Two claims are benchmarked.  First, the analytic estimators in
 ``repro.autotune`` track the simulator: peak-memory predictions land
-within the stated error band and latency predictions within a looser
+within the stated error band and latency predictions within a tighter
 one (the planner only needs the *ranking*; top-k validation re-ranks
 by simulated latency).  Second, the planner's chosen configuration is
 within 10% of the exhaustive grid's best simulated latency while
@@ -29,11 +29,14 @@ from repro.bench.autotune import (
 )
 
 #: Error bands the cost models are calibrated to on these workloads.
-#: Memory follows the allocator's per-stream pools closely; latency is
-#: looser (fine-grained wrap plans over-charge per-collective launch
-#: overhead that the simulator partially overlaps).
+#: Kernel seconds and the activation peak are recorded from the model's
+#: own step, so what is left is the estimators': the pool model misses
+#: the comm pool's second rotation buffer (whole-model and
+#: SHARD_GRAD_OP rows read low), and the three-resource schedule
+#: under-prices per-block plans by the allocator and event-wait time it
+#: does not model.
 MEMORY_BAND = 0.25
-LATENCY_BAND = 0.40
+LATENCY_BAND = 0.10
 
 
 def _check_calibration(benchmark, workload):

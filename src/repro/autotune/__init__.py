@@ -33,12 +33,17 @@ from repro.autotune.report import (
     CalibrationRow,
     calibrate,
     print_calibration_table,
-    rows_to_json,
     search_result_to_json,
 )
 from repro.autotune.space import AutotunePlan, Candidate, SearchSpace, WrapChoice
-from repro.autotune.trace import ModelTrace, OpRecord, trace_dhen, trace_mingpt, trace_t5
-from repro.autotune.workloads import TuneWorkload, dhen_workload, gpt_workload, t5_workload
+from repro.autotune.trace import ModelTrace, OpRecord, record_step
+from repro.autotune.workloads import (
+    TuneWorkload,
+    default_wrap_choices,
+    dhen_workload,
+    gpt_workload,
+    t5_workload,
+)
 
 __all__ = [
     "AutotunePlan",
@@ -56,6 +61,7 @@ __all__ = [
     "build_unit_work",
     "calibrate",
     "default_search_space",
+    "default_wrap_choices",
     "dhen_workload",
     "estimate_peak_memory",
     "evaluate_candidate",
@@ -63,11 +69,8 @@ __all__ = [
     "plan_sharding",
     "predict_iteration_latency",
     "print_calibration_table",
+    "record_step",
     "resolve_sharding_factor",
-    "rows_to_json",
     "search_result_to_json",
     "t5_workload",
-    "trace_dhen",
-    "trace_mingpt",
-    "trace_t5",
 ]

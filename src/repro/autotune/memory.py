@@ -2,8 +2,8 @@
 
 Predicts the simulated allocator's *reserved* peak for one candidate
 configuration from the module tree (via :func:`describe_wrap_plan`
-unit sizes) and a symbolic activation trace — without building the
-model or running an iteration.
+unit sizes) and the recorded step's activation peak — without wrapping
+the model or simulating the candidate.
 
 The model mirrors the caching allocator's per-stream pools: reserved
 memory is (approximately) the sum of each pool's own historical peak,
@@ -11,7 +11,7 @@ because segments are cached per stream and never returned.
 
 Compute (default-stream) pool:
   - parameter shards (full precision) and Adam state, persistent;
-  - activations saved for backward (+ gradient transients);
+  - the recorded activation peak (saved for backward + transients);
   - the unsharded FlatParameter *gradient* the autograd engine
     assembles (the widest unit gates this transient);
   - the construction transient of flatten-concat-chunk — originals,
@@ -41,12 +41,8 @@ from repro.autotune.trace import ModelTrace
 
 __all__ = ["MemoryEstimate", "estimate_peak_memory"]
 
-#: Gradient transients coexisting with saved activations at the start
-#: of backward (grad of logits + grad of log-probs, both tail-sized).
-TAIL_GRAD_FACTOR = 2.0
-#: Recompute + gradient transients per re-materialized block under
-#: activation checkpointing.
-CKPT_BLOCK_FACTOR = 2.0
+#: Shard-sized Adam state tensors per parameter (exp_avg, exp_avg_sq).
+OPTIMIZER_STATE_SLOTS = 2.0
 #: Adam temporaries live during the step (a few shard-sized tensors).
 OPTIMIZER_TRANSIENT_SLOTS = 3.0
 #: Allowance for segment rounding (small/medium allocations reserve
@@ -72,22 +68,6 @@ class MemoryEstimate:
     compute_pool_bytes: float
     comm_pool_bytes: float
     total_bytes: float
-
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "param_shards": self.param_shard_bytes,
-            "optimizer_state": self.optimizer_bytes,
-            "activations": self.activation_bytes,
-            "unsharded_grad": self.unsharded_grad_bytes,
-            "construction": self.construction_bytes,
-            "unsharded_params": self.unsharded_param_bytes,
-            "mp_shard": self.mp_shard_bytes,
-            "grad_shards": self.grad_shard_bytes,
-            "reduce_transient": self.reduce_transient_bytes,
-            "compute_pool": self.compute_pool_bytes,
-            "comm_pool": self.comm_pool_bytes,
-            "total": self.total_bytes,
-        }
 
 
 def resolve_sharding_factor(
@@ -121,10 +101,8 @@ def estimate_peak_memory(
     sharding_factor: Optional[int] = None,
     limit_all_gathers: bool = True,
     rate_limit_inflight: int = 2,
-    checkpointing: bool = False,
     compute_itemsize: int = _FULL_ITEMSIZE,
     reduce_itemsize: Optional[int] = None,
-    optimizer_state_slots: float = 2.0,
     gpus_per_host: int = 8,
     extra_persistent_bytes: float = 0.0,
 ) -> MemoryEstimate:
@@ -133,20 +111,17 @@ def estimate_peak_memory(
     Args:
         units: would-be FSDP units (root residual first) from
             :func:`describe_wrap_plan`.
-        trace: symbolic forward trace of the model.
+        trace: the model's recorded step (plain or checkpointing
+            builder — the record says which).
         world_size: global world size ``W``.
         strategy / sharding_factor: candidate sharding configuration.
         limit_all_gathers / rate_limit_inflight: rate limiter knobs.
-        checkpointing: activation checkpointing enabled.
         compute_itemsize: bytes per element of the compute dtype
             (2 under BF16 mixed precision, 4 otherwise).
         reduce_itemsize: bytes per element of the gradient-reduction
             dtype (defaults to ``compute_itemsize``).
-        optimizer_state_slots: shard-sized optimizer tensors per
-            parameter (2 for Adam, 0 for SGD).
         extra_persistent_bytes: workload-specific resident memory the
-            wrap plan does not cover (e.g. DHEN's ignored sparse table
-            and its dense gradient).
+            wrap plan does not cover (e.g. DHEN's ignored sparse table).
     """
     factor = resolve_sharding_factor(
         strategy, sharding_factor, world_size, gpus_per_host=gpus_per_host
@@ -161,13 +136,12 @@ def estimate_peak_memory(
     shard_b = [s * _FULL_ITEMSIZE for s in shard]
 
     param_shards = float(sum(shard_b))
-    optimizer = optimizer_state_slots * param_shards
+    optimizer = OPTIMIZER_STATE_SLOTS * param_shards
 
     # ----- activations (compute pool) ---------------------------------
-    saved = trace.saved_elems(checkpointing) * c
-    tail = trace.tail_elems() * c * TAIL_GRAD_FACTOR
-    block_live = trace.block_interior_elems() * c * CKPT_BLOCK_FACTOR if checkpointing else 0.0
-    activations = saved + tail + block_live
+    # The step's measured peak (recorded in float32, held in the
+    # compute dtype).
+    activations = trace.peak_bytes * c / _FULL_ITEMSIZE
 
     # ----- unsharded FlatParameter gradient (compute pool) ------------
     # The engine accumulates the unsharded gradient on the default

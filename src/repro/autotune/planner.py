@@ -56,15 +56,15 @@ def default_search_space(workload: TuneWorkload) -> SearchSpace:
 def evaluate_candidate(workload: TuneWorkload, candidate: Candidate) -> AutotunePlan:
     """Price one candidate analytically (no simulation)."""
     units = workload.wrap_plan(candidate.wrap)
+    trace = workload.trace(candidate.checkpointing)
     memory = estimate_peak_memory(
         units,
-        workload.trace,
+        trace,
         world_size=workload.world_size,
         strategy=candidate.strategy,
         sharding_factor=candidate.sharding_factor,
         limit_all_gathers=candidate.limit_all_gathers,
         rate_limit_inflight=candidate.rate_limit_inflight,
-        checkpointing=candidate.checkpointing,
         compute_itemsize=candidate.compute_itemsize,
         reduce_itemsize=candidate.reduce_itemsize,
         gpus_per_host=workload.topology.host.gpus_per_host,
@@ -72,19 +72,13 @@ def evaluate_candidate(workload: TuneWorkload, candidate: Candidate) -> Autotune
     )
     work = build_unit_work(
         units,
-        workload.trace,
+        trace,
         topology=workload.topology,
         world_size=workload.world_size,
         strategy=candidate.strategy,
         sharding_factor=candidate.sharding_factor,
-        checkpointing=candidate.checkpointing,
-        compute_itemsize=candidate.compute_itemsize,
+        compute_dtype=candidate.compute_dtype,
         reduce_itemsize=candidate.reduce_itemsize,
-        compute_dtype=(
-            candidate.mixed_precision.param_dtype
-            if candidate.mixed_precision is not None
-            else None
-        ),
     )
     latency = predict_iteration_latency(
         work,
@@ -98,9 +92,7 @@ def evaluate_candidate(workload: TuneWorkload, candidate: Candidate) -> Autotune
         candidate=candidate,
         memory=memory,
         latency=latency,
-        build_model=workload.builders.get(
-            candidate.checkpointing, workload.builders[workload.checkpointing_options()[0]]
-        ),
+        build_model=workload.builder(candidate.checkpointing),
     )
 
 

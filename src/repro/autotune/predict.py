@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro import dtypes
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
 from repro.fsdp.wrap import WrapUnitPlan
@@ -36,11 +37,6 @@ from repro.autotune.trace import ModelTrace
 
 __all__ = ["UnitWork", "LatencyEstimate", "build_unit_work", "predict_iteration_latency"]
 
-#: HBM reads+writes per activation element produced in forward
-#: (write once, read by the consumer).
-FWD_TRAFFIC_FACTOR = 2.0
-#: Backward roughly doubles both FLOPs and traffic per forward op.
-BWD_COMPUTE_FACTOR = 2.0
 #: Elementwise kernels per Adam step (mul_/add_/div/sqrt chain).
 ADAM_KERNELS = 10
 #: Shard-sized HBM transfers per Adam step (params, grads, two states,
@@ -90,47 +86,34 @@ def build_unit_work(
     world_size: int,
     strategy: ShardingStrategy = ShardingStrategy.FULL_SHARD,
     sharding_factor: Optional[int] = None,
-    checkpointing: bool = False,
-    compute_itemsize: int = 4,
+    compute_dtype: dtypes.DType = dtypes.float32,
     reduce_itemsize: Optional[int] = None,
-    compute_dtype=None,
-    optimizer: str = "adam",
-    comm_model: Optional[CommModel] = None,
 ) -> list[UnitWork]:
     """Price every would-be unit's collectives and compute.
 
     Units come from :func:`describe_wrap_plan` (root residual first);
-    the trace supplies per-unit FLOPs, activation traffic and kernel
+    the trace (the plain or the checkpointing builder's recorded step)
+    supplies per-unit forward / backward kernel seconds and kernel
     counts via path attribution.
     """
-    from repro import dtypes
-
-    if compute_dtype is None:
-        compute_dtype = {2: dtypes.bfloat16, 4: dtypes.float32}.get(
-            compute_itemsize, dtypes.float32
-        )
-    c = compute_itemsize
+    c = compute_dtype.itemsize
     r = reduce_itemsize if reduce_itemsize is not None else c
     factor = resolve_sharding_factor(
         strategy, sharding_factor, world_size, gpus_per_host=topology.host.gpus_per_host
     )
-    comm = comm_model or CommModel(topology)
+    comm = CommModel(topology)
     gpu = topology.gpu
     shard_ranks = topology.shard_group_ranks(factor)
     replicate_ranks = topology.replicate_group_ranks(factor)
     num_replicas = len(replicate_ranks)
     mixed = c != 4
-    matmul_rate = gpu.matmul_flops_per_s(compute_dtype)
 
-    per_unit = trace.per_unit([u.path for u in units])
+    per_unit = trace.per_unit([u.path for u in units], compute_dtype)
     work: list[UnitWork] = []
     for unit in units:
         padded = _padded(unit.numel, factor)
         shard = padded // factor
-        totals = per_unit.get(unit.path)
-        elems = totals.elems if totals else 0.0
-        flops = totals.matmul_flops if totals else 0.0
-        kernels = totals.kernels if totals else 0
+        totals = per_unit[unit.path]
 
         # --- collectives ---------------------------------------------
         ag_s = rs_s = ar_s = 0.0
@@ -152,22 +135,10 @@ def build_unit_work(
                 CollectiveKind.ALL_REDUCE, padded * r, list(range(world_size))
             )
 
-        # --- compute --------------------------------------------------
-        fwd = flops / matmul_rate if flops else 0.0
-        fwd += elems * c * FWD_TRAFFIC_FACTOR / gpu.mem_bandwidth
-        fwd = max(fwd, kernels * gpu.kernel_min_duration)
-        bwd = fwd * BWD_COMPUTE_FACTOR
-        bwd_kernels = kernels * 2
-        if checkpointing and unit.path:  # block units recompute forward
-            bwd += fwd
-            bwd_kernels += kernels
-
         opt_s = 0.0
-        opt_kernels = 0
         if shard:
-            opt_kernels = ADAM_KERNELS if optimizer == "adam" else 3
-            traffic = (ADAM_TRAFFIC_SLOTS if optimizer == "adam" else 6.0) * shard * 4
-            opt_s = max(traffic / gpu.mem_bandwidth, opt_kernels * gpu.kernel_min_duration)
+            traffic = ADAM_TRAFFIC_SLOTS * shard * 4
+            opt_s = max(traffic / gpu.mem_bandwidth, ADAM_KERNELS * gpu.kernel_min_duration)
 
         work.append(
             UnitWork(
@@ -175,11 +146,11 @@ def build_unit_work(
                 ag_s=ag_s,
                 rs_s=rs_s,
                 ar_s=ar_s,
-                fwd_s=fwd,
-                bwd_s=bwd,
+                fwd_s=totals.fwd_s,
+                bwd_s=totals.bwd_s,
                 opt_s=opt_s,
-                cpu_fwd_s=kernels * gpu.kernel_launch_cpu,
-                cpu_bwd_s=bwd_kernels * gpu.kernel_launch_cpu,
+                cpu_fwd_s=totals.fwd_kernels * gpu.kernel_launch_cpu,
+                cpu_bwd_s=totals.bwd_kernels * gpu.kernel_launch_cpu,
                 reshard_after_forward=strategy.reshard_after_forward,
                 comm_launch_s=gpu.kernel_launch_cpu,
             )

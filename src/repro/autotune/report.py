@@ -6,15 +6,14 @@ trustworthy within a stated error band.  This module measures both:
 :func:`calibrate` runs prediction and simulation side by side over a
 set of (workload, candidate) points and emits :class:`CalibrationRow`
 entries with relative errors; :func:`print_calibration_table` and
-:func:`rows_to_json` render them for humans and for the CI artifact
-(``BENCH_autotune.json``).
+:func:`search_result_to_json` render them for humans and for the CI
+artifact (``BENCH_autotune.json``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.perf.trainer import simulate_training
 
@@ -26,7 +25,6 @@ __all__ = [
     "CalibrationRow",
     "calibrate",
     "print_calibration_table",
-    "rows_to_json",
     "search_result_to_json",
 ]
 
@@ -98,13 +96,6 @@ def print_calibration_table(rows: Iterable[CalibrationRow]) -> None:
             f"{row.predicted_peak_gib:>9.3f} {row.simulated_reserved_gib:>9.3f} "
             f"{row.memory_rel_err:>+6.0%}{flag}"
         )
-
-
-def rows_to_json(rows: Sequence[CalibrationRow], *, extra: Optional[dict] = None) -> str:
-    payload = {"calibration": [asdict(r) for r in rows]}
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, default=str)
 
 
 def search_result_to_json(result: SearchResult) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
+from repro import dtypes
 from repro.fsdp.mixed_precision import MixedPrecision
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
@@ -58,11 +59,15 @@ class Candidate:
         return " ".join(parts)
 
     @property
-    def compute_itemsize(self) -> int:
+    def compute_dtype(self) -> dtypes.DType:
         mp = self.mixed_precision
         if mp is not None and mp.param_dtype is not None:
-            return mp.param_dtype.itemsize
-        return 4
+            return mp.param_dtype
+        return dtypes.float32
+
+    @property
+    def compute_itemsize(self) -> int:
+        return self.compute_dtype.itemsize
 
     @property
     def reduce_itemsize(self) -> int:

@@ -1,397 +1,244 @@
-"""Symbolic forward traces for the autotune cost models.
+"""Recorded training-step traces for the autotune cost models.
 
-A :class:`ModelTrace` is a flat list of :class:`OpRecord` entries, one
-per kernel-producing operation of a model's forward pass, annotated
-with the dotted path of the module that owns the op.  Both halves of
-the autotuner consume it:
+A :class:`ModelTrace` is what one forward + backward of the *real*
+model did on an abstract (no data) device: every launched kernel's
+:class:`~repro.hw.kernel_model.KernelCost` and dtype, and the
+allocator's activation bytes, each attributed to the dotted path of the
+``nn.Module`` it ran under.  Nothing restates a model op by op, so any
+module tree a builder returns is traceable, and a model edit changes
+its trace by construction.
 
-- the memory estimator sums output elements to predict the
-  activation footprint (every op output here is either saved for
-  backward by its consumer or freed immediately under checkpointing);
-- the throughput predictor sums matmul FLOPs and elementwise traffic
-  per would-be FSDP unit to price each unit's compute.
+Attribution uses only public hooks.  Forward: a pre/post forward hook
+pair on every module keeps a path stack; a kernel belongs to the
+innermost open module ('' = the root, which also owns the loss).
+Backward: a tensor hook on each module's output names the module whose
+backward the engine has just reached — the anchor FSDP's own
+pre-backward uses; there is no "backward finished" hook, so kernels
+that follow a child's backward inside its parent stay on the child,
+which any unit at or above the parent still receives.  A checkpoint
+recompute re-enters forward hooks during backward: its kernels keep the
+forward path and count as backward work.
 
-Traces are *symbolic*: nothing is allocated and no model is built.
-The builders mirror the corresponding ``forward`` implementations in
-:mod:`repro.models` op by op — if those change shape, the trace
-builders must follow (``benchmarks/test_autotune.py`` guards the
-calibration error).
+Activation bytes are every block the step allocates, until freed —
+except that a gradient stops counting once it reaches a parameter a
+wrap plan manages (the pool model in :mod:`repro.autotune.memory`
+prices those itself).  Gradients of ignored modules' parameters stay in
+the record, as they stay in the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
-__all__ = [
-    "OpRecord",
-    "UnitTotals",
-    "ModelTrace",
-    "trace_mingpt",
-    "trace_t5",
-    "trace_dhen",
-]
+from repro import dtypes
+from repro.cuda.allocator import _LARGE_SEGMENT_MIN
+from repro.cuda.device import Device
+from repro.fsdp.runtime import _flatten_tensors
+from repro.hw.kernel_model import KernelCost, KernelCostModel
+from repro.nn.module import Module
+
+__all__ = ["OpRecord", "UnitTotals", "ModelTrace", "record_step"]
 
 
 @dataclass(frozen=True)
 class OpRecord:
-    """One forward op: its owner, output size and arithmetic cost.
+    """One launched kernel: its owner, phase and declared cost."""
 
-    Attributes:
-        path: dotted module path of the op's owning module ('' = root).
-        elems: elements of the op's output tensor (activation size).
-        matmul_flops: tensor-core FLOPs (0 for elementwise/reduction).
-        kernels: kernel launches the op issues.
-        saved: whether the output survives until backward.  False for
-            outputs no backward node retains — e.g. the attention score
-            chain (raw scores, scaled, masked): softmax's backward
-            needs only its own *output*, so everything upstream of it
-            is freed as soon as forward moves on.
-    """
-
-    path: str
-    elems: float
-    matmul_flops: float = 0.0
-    kernels: int = 1
-    saved: bool = True
+    path: str  # dotted path of the owning module ('' = root)
+    backward: bool  # launched after forward ended (recompute included)
+    cost: KernelCost
+    dtype: dtypes.DType
 
 
 @dataclass
 class UnitTotals:
-    """Per-FSDP-unit aggregation of trace records.
+    """What one would-be FSDP unit did in the recorded step."""
 
-    ``elems`` is split by liveness: ``saved_elems`` survive until the
-    unit's backward, ``transient_elems`` (the ``saved=False`` records —
-    e.g. pre-softmax attention scores) are freed as soon as the unit's
-    forward moves on.  The compiler's reorder pass needs the split to
-    prove a pipelined unshard memory-safe: only the saved part
-    accumulates across units, while the transient part spikes inside
-    one unit's forward.  Folding both into ``elems`` (the old
-    behaviour) over-constrained reorderings by pretending transient
-    spikes persist.
-    """
-
-    elems: float = 0.0
-    matmul_flops: float = 0.0
-    kernels: int = 0
-    saved_elems: float = 0.0
-    transient_elems: float = 0.0
+    fwd_s: float = 0.0  # kernel seconds, forward
+    bwd_s: float = 0.0  # kernel seconds, backward (recompute included)
+    fwd_kernels: int = 0
+    bwd_kernels: int = 0
+    matmul_flops: float = 0.0  # forward + backward
+    #: Activation bytes the unit's forward left alive for backward.
+    saved_bytes: float = 0.0
 
 
 @dataclass
 class ModelTrace:
-    """A model's symbolic forward pass.
+    """One recorded forward + backward of a model.
 
     Attributes:
-        records: all forward ops in execution order.
-        blocks: ``(path_prefix, boundary_elems)`` per checkpointable
-            block — under activation checkpointing only the boundary
-            output of each block stays saved; interior records are
-            freed after forward and re-allocated during the backward
-            recompute.
+        records: every launched kernel, in launch order.
+        saved_bytes: module path -> net activation bytes its forward
+            allocated and left alive (sums to the bytes alive at the
+            end of forward).
+        peak_bytes: the step's activation peak, counted the way the
+            caching allocator reserves: a block big enough to get its
+            own segment cannot reuse what smaller blocks freed (nor
+            they its), so the peak of those blocks adds to the peak of
+            all the others.
+        kernel_model: the recording device's roofline, which prices the
+            records.
     """
 
+    kernel_model: KernelCostModel
     records: list[OpRecord] = field(default_factory=list)
-    blocks: list[tuple[str, float]] = field(default_factory=list)
+    saved_bytes: dict[str, float] = field(default_factory=dict)
+    peak_bytes: float = 0.0
 
-    # ------------------------------------------------------------------
-    def add(
-        self,
-        path: str,
-        elems: float,
-        matmul_flops: float = 0.0,
-        kernels: int = 1,
-        saved: bool = True,
-    ) -> None:
-        self.records.append(OpRecord(path, elems, matmul_flops, kernels, saved))
+    def per_unit(
+        self, unit_paths: Sequence[str], compute_dtype: Optional[dtypes.DType] = None
+    ) -> dict[str, UnitTotals]:
+        """Aggregate the record by owning FSDP unit.
 
-    def _block_of(self, path: str) -> Optional[str]:
-        for prefix, _ in self.blocks:
-            if path == prefix or path.startswith(prefix + "."):
-                return prefix
-        return None
-
-    # ------------------------------------------------------------------
-    # Activation accounting
-    # ------------------------------------------------------------------
-    def saved_elems(self, checkpointing: bool) -> float:
-        """Elements alive at the end of forward (saved for backward)."""
-        if not checkpointing or not self.blocks:
-            return sum(r.elems for r in self.records if r.saved)
-        total = 0.0
-        for record in self.records:
-            if record.saved and self._block_of(record.path) is None:
-                total += record.elems
-        total += sum(boundary for _, boundary in self.blocks)
-        return total
-
-    def block_interior_elems(self) -> float:
-        """Interior elements of the largest checkpointable block.
-
-        Under checkpointing this is re-materialized during backward,
-        one block at a time; the largest block gates the peak.
+        A path belongs to the unit with the *longest* path that is a
+        dotted prefix of it; the root unit ('') catches everything else
+        — mirroring how ``_auto_wrap`` assigns parameters.  Under a
+        low-precision ``compute_dtype`` the float32 kernels are priced
+        at that dtype's rate and width; bytes stay as recorded.
         """
-        per_block: dict[str, float] = {}
-        for record in self.records:
-            block = self._block_of(record.path)
-            if block is not None:
-                per_block[block] = per_block.get(block, 0.0) + record.elems
-        return max(per_block.values()) if per_block else 0.0
+        ordered = sorted((p for p in unit_paths if p), key=len, reverse=True)
+        owners: dict[str, str] = {}
 
-    def tail_elems(self) -> float:
-        """Largest single op output (gradient-transient proxy).
+        def owner_of(path: str) -> str:
+            owner = owners.get(path)
+            if owner is None:
+                owner = next(
+                    (u for u in ordered if path == u or path.startswith(u + ".")), ""
+                )
+                owners[path] = owner
+            return owner
 
-        At the start of backward the gradients of the widest
-        activations (typically the logits and log-probabilities of a
-        language-model head) coexist with the saved activations.
-        """
-        return max((r.elems for r in self.records), default=0.0)
-
-    # ------------------------------------------------------------------
-    # Per-unit attribution
-    # ------------------------------------------------------------------
-    def per_unit(self, unit_paths: Sequence[str]) -> dict[str, UnitTotals]:
-        """Aggregate records by owning FSDP unit.
-
-        A record belongs to the unit with the *longest* path that is a
-        dotted prefix of the record's path; the root unit ('') catches
-        everything else — mirroring how ``_auto_wrap`` assigns
-        parameters.
-        """
-        ordered = sorted(unit_paths, key=len, reverse=True)
+        compute_dtype = compute_dtype or dtypes.float32
+        scale = compute_dtype.itemsize / dtypes.float32.itemsize
+        duration = self.kernel_model.duration
         totals = {path: UnitTotals() for path in unit_paths}
-        if "" not in totals:
-            totals[""] = UnitTotals()
+        totals.setdefault("", UnitTotals())
         for record in self.records:
-            owner = ""
-            for path in ordered:
-                if path and (record.path == path or record.path.startswith(path + ".")):
-                    owner = path
-                    break
-            bucket = totals[owner]
-            bucket.elems += record.elems
-            bucket.matmul_flops += record.matmul_flops
-            bucket.kernels += record.kernels
-            if record.saved:
-                bucket.saved_elems += record.elems
+            unit = totals[owner_of(record.path)]
+            cost, dtype = record.cost, record.dtype
+            if scale != 1.0 and dtype is dtypes.float32:
+                cost = KernelCost(cost.flops, cost.bytes_moved * scale, cost.is_matmul)
+                dtype = compute_dtype
+            seconds = duration(cost, dtype)
+            if record.backward:
+                unit.bwd_s += seconds
+                unit.bwd_kernels += 1
             else:
-                bucket.transient_elems += record.elems
+                unit.fwd_s += seconds
+                unit.fwd_kernels += 1
+            if cost.is_matmul:
+                unit.matmul_flops += cost.flops
+        for path, nbytes in self.saved_bytes.items():
+            totals[owner_of(path)].saved_bytes += nbytes
         return totals
 
-    def total_matmul_flops(self) -> float:
-        return sum(r.matmul_flops for r in self.records)
+    def total_matmul_flops(self, backward: bool = False) -> float:
+        return sum(
+            r.cost.flops for r in self.records if r.cost.is_matmul and r.backward == backward
+        )
 
-    def total_kernels(self) -> int:
-        return sum(r.kernels for r in self.records)
+
+class _Recorder:
+    """Device observer + module hooks that fill a :class:`ModelTrace`."""
+
+    def __init__(self, trace: ModelTrace, allocated_bytes: int):
+        self.trace = trace
+        self.stack: list[str] = []  # open forward modules, outermost first
+        self.backward = False
+        self.backward_path = ""  # module whose backward the engine reached last
+        self.allocated = allocated_bytes  # the allocator's, as of the last event
+        self.live = [0, 0]  # activation bytes now: [pooled, dedicated-segment]
+        self.peak = [0, 0]
+
+    def path(self) -> str:
+        return self.stack[-1] if self.stack else self.backward_path
+
+    def count(self, delta: int) -> None:
+        """One block of activation bytes came alive (+) or went (-)."""
+        dedicated = abs(delta) >= _LARGE_SEGMENT_MIN
+        self.live[dedicated] += delta
+        if self.live[dedicated] > self.peak[dedicated]:
+            self.peak[dedicated] = self.live[dedicated]
+            self.trace.peak_bytes = sum(self.peak)
+        if not self.backward:
+            saved = self.trace.saved_bytes
+            path = self.path()
+            saved[path] = saved.get(path, 0) + delta
+
+    # -- device announcements ------------------------------------------
+    def on_launch(self, cost: KernelCost, dtype) -> None:
+        self.trace.records.append(OpRecord(self.path(), self.backward, cost, dtype))
+
+    def on_alloc(self, allocator, _time, _reason) -> None:
+        allocated = allocator.stats.allocated_bytes
+        self.count(allocated - self.allocated)
+        self.allocated = allocated
+
+    # -- module / tensor hooks -----------------------------------------
+    def pre_forward(self, path: str, _module, _args) -> None:
+        self.stack.append(path)
+
+    def post_forward(self, path: str, _module, _args, output) -> None:
+        self.stack.pop()
+        for tensor in _flatten_tensors(output):
+            if tensor.requires_grad:
+                tensor.register_hook(partial(self.pre_backward, path))
+
+    def pre_backward(self, path: str, _grad) -> None:
+        # A parent that returns its last child's output hooks the same
+        # tensor after the child did; the innermost module keeps it.
+        current = self.backward_path
+        if not (current == path or current.startswith(path + ".")):
+            self.backward_path = path
+
+    def on_managed_grad(self, param, grad) -> None:
+        # Reaching its parameter, a gradient stops being an activation
+        # (a second one, of a tied weight, is summed and freed).
+        if param.grad is None:
+            self.count(-grad.nbytes)
 
 
-# ----------------------------------------------------------------------
-# Shared transformer pieces
-# ----------------------------------------------------------------------
-def _trace_attention(
-    trace: ModelTrace,
-    path: str,
-    *,
-    batch: float,
-    q_len: float,
-    kv_len: float,
-    d_model: float,
-    inner: float,
-    num_heads: float,
-    causal: bool,
-) -> None:
-    """Mirror :class:`repro.models.transformer.MultiHeadAttention`.
+def record_step(
+    model: Module,
+    make_loss: Callable[[Module, Device], object],
+    device: Device,
+    ignored_modules: Iterable[Module] = (),
+) -> ModelTrace:
+    """Run ``model``'s training step on ``device`` twice; record the second.
 
-    ``transpose``/``permute`` copy in this tensor implementation (no
-    stride support), so every head reshape is a real kernel with a
-    real output allocation.
+    ``model`` is unwrapped and materialized on ``device`` (a ``sim_gpu``
+    that need not hold data).  The first step brings the run to steady
+    state, so what a step leaves resident — an ignored module's gradient
+    no optimizer clears, and the out-of-place sum that accumulates into
+    it — is in the record.  Between the two, gradients of every
+    parameter outside ``ignored_modules`` are cleared, as the
+    optimizer's ``zero_grad`` would.
     """
-    nq = batch * q_len
-    nkv = batch * kv_len
-    maps = batch * num_heads * q_len * kv_len
-    head_dim = inner / num_heads
-    # q/k/v projections + head permutes
-    trace.add(path, nq * inner, 2.0 * nq * d_model * inner)
-    trace.add(path, nq * inner)  # q permute copy
-    trace.add(path, nkv * inner, 2.0 * nkv * d_model * inner)
-    trace.add(path, nkv * inner)  # k permute copy
-    trace.add(path, nkv * inner, 2.0 * nkv * d_model * inner)
-    trace.add(path, nkv * inner)  # v permute copy
-    trace.add(path, nkv * inner)  # transpose(k, -2, -1) copy
-    # scores = q @ k^T, scale, (mask), softmax.  The pre-softmax chain
-    # is freed after forward: softmax backward keeps only its output.
-    trace.add(path, maps, 2.0 * maps * head_dim, saved=False)
-    trace.add(path, maps, saved=False)  # scale mul
-    if causal:
-        trace.add(path, maps, saved=False)  # masked_fill
-    trace.add(path, maps)  # softmax
-    # attended = weights @ v, merge permute, out projection
-    trace.add(path, nq * inner, 2.0 * maps * head_dim)
-    trace.add(path, nq * inner)  # merge permute copy
-    trace.add(path, nq * d_model, 2.0 * nq * inner * d_model)
-
-
-def _trace_block(
-    trace: ModelTrace,
-    path: str,
-    *,
-    batch: float,
-    q_len: float,
-    d_model: float,
-    inner: float,
-    d_ff: float,
-    num_heads: float,
-    causal: bool,
-    cross_len: float = 0.0,
-) -> None:
-    """Mirror :class:`repro.models.transformer.TransformerBlock`."""
-    n = batch * q_len
-    trace.add(path, n * d_model, kernels=2)  # ln1
-    _trace_attention(
-        trace,
-        path,
-        batch=batch,
-        q_len=q_len,
-        kv_len=q_len,
-        d_model=d_model,
-        inner=inner,
-        num_heads=num_heads,
-        causal=causal,
-    )
-    trace.add(path, n * d_model)  # residual add
-    if cross_len:
-        trace.add(path, n * d_model, kernels=2)  # ln_cross
-        _trace_attention(
-            trace,
-            path,
-            batch=batch,
-            q_len=q_len,
-            kv_len=cross_len,
-            d_model=d_model,
-            inner=inner,
-            num_heads=num_heads,
-            causal=False,
-        )
-        trace.add(path, n * d_model)  # residual add
-    trace.add(path, n * d_model, kernels=2)  # ln2
-    trace.add(path, n * d_ff, 2.0 * n * d_model * d_ff)  # up
-    trace.add(path, n * d_ff)  # gelu
-    trace.add(path, n * d_model, 2.0 * n * d_ff * d_model)  # down
-    trace.add(path, n * d_model)  # residual add
-
-
-# ----------------------------------------------------------------------
-# Model trace builders
-# ----------------------------------------------------------------------
-def trace_mingpt(config, batch: int, seq: int) -> ModelTrace:
-    """Trace :class:`repro.models.MinGPT` (see ``mingpt.py`` forward)."""
-    trace = ModelTrace()
-    n = float(batch * seq)
-    c = float(config.n_embd)
-    v = float(config.vocab_size)
-    trace.add("tok_emb", n * c)
-    trace.add("", n * c)  # position add
-    for i in range(config.n_layer):
-        _trace_block(
-            trace,
-            f"blocks.{i}",
-            batch=batch,
-            q_len=seq,
-            d_model=c,
-            inner=c,
-            d_ff=4.0 * c,
-            num_heads=config.n_head,
-            causal=True,
-        )
-        trace.blocks.append((f"blocks.{i}", n * c))
-    trace.add("ln_f", n * c, kernels=2)
-    trace.add("head", n * v, 2.0 * n * c * v)
-    trace.add("", n * v, kernels=2)  # log_softmax (+ nll)
-    return trace
-
-
-def trace_t5(config, batch: int, src_len: int, tgt_len: Optional[int] = None) -> ModelTrace:
-    """Trace :class:`repro.models.T5Model` (encoder + causal decoder)."""
-    if tgt_len is None:
-        tgt_len = src_len
-    trace = ModelTrace()
-    c = float(config.d_model)
-    inner = float(config.num_heads * config.head_dim)
-    n_src = float(batch * src_len)
-    n_tgt = float(batch * tgt_len)
-    v = float(config.vocab_size)
-    trace.add("embedding", n_src * c)
-    for i in range(config.num_layers):
-        _trace_block(
-            trace,
-            f"encoder.{i}",
-            batch=batch,
-            q_len=src_len,
-            d_model=c,
-            inner=inner,
-            d_ff=config.d_ff,
-            num_heads=config.num_heads,
-            causal=False,
-        )
-        trace.blocks.append((f"encoder.{i}", n_src * c))
-    trace.add("embedding", n_tgt * c)
-    for i in range(config.num_layers):
-        _trace_block(
-            trace,
-            f"decoder.{i}",
-            batch=batch,
-            q_len=tgt_len,
-            d_model=c,
-            inner=inner,
-            d_ff=config.d_ff,
-            num_heads=config.num_heads,
-            causal=True,
-            cross_len=float(src_len),
-        )
-        trace.blocks.append((f"decoder.{i}", n_tgt * c))
-    trace.add("final_norm", n_tgt * c, kernels=2)
-    trace.add("lm_head", n_tgt * v, 2.0 * n_tgt * c * v)
-    trace.add("", n_tgt * v, kernels=2)  # log_softmax (+ nll)
-    return trace
-
-
-def trace_dhen(config, batch: int) -> ModelTrace:
-    """Trace the dense stack of :class:`repro.models.DHEN`.
-
-    The sparse-table lookup and all-to-all are outside the dense FSDP
-    stack; the workload accounts for them separately (serial comm time
-    plus resident table memory).
-    """
-    trace = ModelTrace()
-    b = float(batch)
-    feats = float(config.num_features)
-    d = float(config.d_model)
-    n = b * feats
-    trace.add("sparse_table", n * config.sparse_dim)
-    trace.add("feature_proj", n * d, 2.0 * n * config.sparse_dim * d)
-    trace.add("dense_proj", b * d, 2.0 * b * config.num_dense_features * d)
-    trace.add("", n * d)  # features + dense broadcast add
-    for i in range(config.num_layers):
-        path = f"layers.{i}"
-        trace.add(path, n * d, kernels=2)  # norm
-        _trace_attention(
-            trace,
-            path,
-            batch=b,
-            q_len=feats,
-            kv_len=feats,
-            d_model=d,
-            inner=d,
-            num_heads=config.num_heads,
-            causal=False,
-        )
-        trace.add(path, n * config.d_ff, 2.0 * n * d * config.d_ff)  # mlp up
-        trace.add(path, n * config.d_ff)  # relu
-        trace.add(path, n * d, 2.0 * n * config.d_ff * d)  # mlp down
-        trace.add(path, 2.0 * n * d)  # cat(attended, mixed)
-        trace.add(path, n * d, 2.0 * n * 2.0 * d * d)  # combine
-        trace.add(path, n * d)  # residual add
-        trace.blocks.append((path, n * d))
-    trace.add("head", b, 2.0 * b * d * feats)
-    trace.add("", 6.0 * b, kernels=8)  # sigmoid + BCE chain
+    unmanaged = [p for module in ignored_modules for p in module.parameters()]
+    unmanaged_ids = {id(p) for p in unmanaged}
+    managed = [p for p in model.parameters() if id(p) not in unmanaged_ids]
+    make_loss(model, device).backward()
+    for param in managed:
+        param.grad = None
+    trace = ModelTrace(device.kernel_model)
+    recorder = _Recorder(trace, device.allocator.stats.allocated_bytes)
+    for param in unmanaged:
+        if param.grad is not None:
+            recorder.count(param.grad.nbytes)
+    handles = [param.register_hook(partial(recorder.on_managed_grad, param)) for param in managed]
+    for path, module in model.named_modules():
+        handles.append(module.register_forward_pre_hook(partial(recorder.pre_forward, path)))
+        handles.append(module.register_forward_hook(partial(recorder.post_forward, path)))
+    detach = device.observe(recorder)
+    try:
+        loss = make_loss(model, device)
+        recorder.backward = True
+        loss.backward()
+    finally:
+        detach()
+        for handle in handles:
+            handle.remove()
     return trace

@@ -2,16 +2,18 @@
 
 A :class:`TuneWorkload` bundles everything a candidate evaluation
 needs: deferred model builders (per checkpointing setting), the loss
-closure, the symbolic trace, the topology — plus the conversion to a
+closure, the topology, the step each builder's model actually runs
+(recorded on first use) — plus the conversion to a
 :class:`repro.perf.SimConfig` for simulator validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from repro.fsdp.deferred_init import deferred_init
+from repro import distributed as dist
+from repro.fsdp.deferred_init import deferred_init, materialize_module
 from repro.fsdp.wrap import (
     ModuleWrapPolicy,
     WrapUnitPlan,
@@ -38,9 +40,9 @@ from repro.perf.workloads import (
 )
 
 from repro.autotune.space import WrapChoice
-from repro.autotune.trace import ModelTrace, trace_dhen, trace_mingpt, trace_t5
+from repro.autotune.trace import ModelTrace, record_step
 
-__all__ = ["TuneWorkload", "gpt_workload", "t5_workload", "dhen_workload"]
+__all__ = ["TuneWorkload", "default_wrap_choices", "gpt_workload", "t5_workload", "dhen_workload"]
 
 
 @dataclass
@@ -51,7 +53,6 @@ class TuneWorkload:
     world_size: int
     batch_size: int
     topology: ClusterTopology
-    trace: ModelTrace
     #: checkpointing flag -> zero-arg model builder.
     builders: dict[bool, Callable[[], Module]]
     make_loss: Callable
@@ -72,11 +73,17 @@ class TuneWorkload:
     iterations: int = 2
     warmup: int = 2
     _plans: dict[str, list[WrapUnitPlan]] = field(default_factory=dict)
+    _traces: dict[bool, ModelTrace] = field(default_factory=dict)
     _model: Optional[Module] = None
 
     # ------------------------------------------------------------------
     def checkpointing_options(self) -> list[bool]:
         return sorted(self.builders.keys())
+
+    def builder(self, checkpointing: bool) -> Callable[[], Module]:
+        """The builder for ``checkpointing``, or the workload's first
+        when it has no such variant."""
+        return self.builders.get(checkpointing, self.builders[self.checkpointing_options()[0]])
 
     def deferred_model(self) -> Module:
         """A deferred (meta-device) instance for wrap-plan introspection.
@@ -86,32 +93,45 @@ class TuneWorkload:
         every candidate.
         """
         if self._model is None:
-            builder = self.builders[self.checkpointing_options()[0]]
-            self._model = deferred_init(builder)
+            self._model = deferred_init(self.builder(False))
         return self._model
 
-    def wrap_plan(self, choice: WrapChoice) -> list[WrapUnitPlan]:
-        cached = self._plans.get(choice.label)
-        if cached is not None:
-            return cached
-        model = self.deferred_model()
-        ignored = self.ignored_modules_of(model) if self.ignored_modules_of else None
-        plan = describe_wrap_plan(model, choice.policy, ignored_modules=ignored)
-        self._plans[choice.label] = plan
-        return plan
+    def trace(self, checkpointing: bool = False) -> ModelTrace:
+        """The recorded step of ``checkpointing``'s builder: the
+        unwrapped model run on one abstract rank of this workload's
+        world.  Recorded on first use, once per builder."""
+        if checkpointing not in self._traces:
+            dist.shutdown()
+            ctx = dist.init_single_process(
+                self.world_size, topology=self.topology, materialize=False
+            )
+            try:
+                model = deferred_init(self.builder(checkpointing))
+                materialize_module(model, ctx.device)
+                ignored = self.ignored_modules_of(model) if self.ignored_modules_of else ()
+                self._traces[checkpointing] = record_step(
+                    model, self.make_loss, ctx.device, ignored
+                )
+            finally:
+                dist.shutdown()
+        return self._traces[checkpointing]
 
-    def total_params(self) -> int:
-        return sum(u.numel for u in self.wrap_plan(WrapChoice.of(None)))
+    def wrap_plan(self, choice: WrapChoice) -> list[WrapUnitPlan]:
+        if choice.label not in self._plans:
+            model = self.deferred_model()
+            ignored = self.ignored_modules_of(model) if self.ignored_modules_of else None
+            self._plans[choice.label] = describe_wrap_plan(
+                model, choice.policy, ignored_modules=ignored
+            )
+        return self._plans[choice.label]
 
     def sim_config(self, *, name: Optional[str] = None, checkpointing: Optional[bool] = None) -> SimConfig:
         """Baseline SimConfig; a plan's ``apply`` overlays its knobs."""
-        options = self.checkpointing_options()
         if checkpointing is None:
-            checkpointing = options[-1]
-        builder = self.builders[checkpointing if checkpointing in options else options[0]]
+            checkpointing = self.checkpointing_options()[-1]
         return SimConfig(
             name=name or self.name,
-            build_model=builder,
+            build_model=self.builder(checkpointing),
             make_loss=self.make_loss,
             batch_size=self.batch_size,
             world_size=self.world_size,
@@ -124,13 +144,17 @@ class TuneWorkload:
         )
 
 
-def _default_wrap_choices(block_classes: tuple, total_params: int) -> list[WrapChoice]:
+def default_wrap_choices(block_classes: tuple, total_params: int) -> list[WrapChoice]:
     """Whole-model, per-block, and two size-based granularities."""
     choices = [WrapChoice.of(None), WrapChoice.of(ModuleWrapPolicy(block_classes))]
     for divisor in (8, 32):
         threshold = max(1, total_params // divisor)
         choices.append(WrapChoice.of(size_based_auto_wrap_policy(threshold)))
     return choices
+
+
+def _checkpoint_builders(builder_of: Callable, config) -> dict[bool, Callable[[], Module]]:
+    return {ckpt: builder_of(replace(config, checkpoint_blocks=ckpt)) for ckpt in (False, True)}
 
 
 def gpt_workload(
@@ -147,22 +171,15 @@ def gpt_workload(
     topo = topology or cluster_of(world_size)
     tokens = batch_size * seq
     params = config.approx_params
-
-    def builders_for(ckpt: bool):
-        from dataclasses import replace as dc_replace
-
-        return gpt_builder(dc_replace(config, checkpoint_blocks=ckpt))
-
     return TuneWorkload(
         name=name or f"minGPT[{params / 1e6:.0f}M]",
         world_size=world_size,
         batch_size=batch_size,
         topology=topo,
         capacity=capacity,
-        trace=trace_mingpt(config, batch_size, seq),
-        builders={False: builders_for(False), True: builders_for(True)},
+        builders=_checkpoint_builders(gpt_builder, config),
         make_loss=gpt_loss_fn(config, batch_size, seq),
-        wrap_choices=_default_wrap_choices((TransformerBlock,), params),
+        wrap_choices=default_wrap_choices((TransformerBlock,), params),
         flops_of=lambda ckpt: transformer_flops(params, tokens, ckpt),
     )
 
@@ -180,22 +197,15 @@ def t5_workload(
     topo = topology or cluster_of(world_size)
     tokens = batch_size * seq_len * 2  # encoder + decoder streams
     params = config.approx_params
-
-    def builders_for(ckpt: bool):
-        from dataclasses import replace as dc_replace
-
-        return t5_builder(dc_replace(config, checkpoint_blocks=ckpt))
-
     return TuneWorkload(
         name=name or f"T5[{params / 1e6:.0f}M]",
         world_size=world_size,
         batch_size=batch_size,
         topology=topo,
         capacity=capacity,
-        trace=trace_t5(config, batch_size, seq_len),
-        builders={False: builders_for(False), True: builders_for(True)},
+        builders=_checkpoint_builders(t5_builder, config),
         make_loss=t5_loss_fn(config, batch_size, seq_len),
-        wrap_choices=_default_wrap_choices((TransformerBlock,), params),
+        wrap_choices=default_wrap_choices((TransformerBlock,), params),
         flops_of=lambda ckpt: transformer_flops(params, tokens, ckpt),
     )
 
@@ -213,32 +223,21 @@ def dhen_workload(
     dense = config.dense_params_approx
     tokens = batch_size * config.num_features
     local_rows = min(DHEN_LOCAL_ROWS, max(1, config.sparse_rows_total // world_size))
-    # Resident sparse shard + three table-shaped gradient slots: the
-    # embedding backward materializes a dense table gradient, and
-    # AccumulateGrad sums out of place (`grad = grad + new`), so the
-    # accumulated grad, the incoming grad and the sum coexist — and the
-    # ignored table is outside the optimizer, so its grad never clears.
-    sparse_bytes = 4.0 * local_rows * config.sparse_dim * 4
+    # The resident sparse shard; its gradient slots are in the trace.
+    sparse_bytes = local_rows * config.sparse_dim * 4
     a2a_payload = batch_size * config.num_features * config.sparse_dim * 4
     a2a_s = CommModel(topo).time(
         CollectiveKind.ALL_TO_ALL, a2a_payload, list(range(world_size))
     ) if world_size > 1 else 0.0
-
-    def builders_for(ckpt: bool):
-        from dataclasses import replace as dc_replace
-
-        return dhen_builder(dc_replace(config, checkpoint_blocks=ckpt))
-
     return TuneWorkload(
         name=name or f"DHEN[{dense / 1e6:.0f}M dense]",
         world_size=world_size,
         batch_size=batch_size,
         topology=topo,
         capacity=capacity,
-        trace=trace_dhen(config, batch_size),
-        builders={False: builders_for(False), True: builders_for(True)},
+        builders=_checkpoint_builders(dhen_builder, config),
         make_loss=dhen_loss_fn(config, batch_size),
-        wrap_choices=_default_wrap_choices((DhenLayer,), dense),
+        wrap_choices=default_wrap_choices((DhenLayer,), dense),
         flops_of=lambda ckpt: transformer_flops(dense, tokens, ckpt),
         ignored_modules_of=dhen_ignored_modules,
         extra_persistent_bytes=sparse_bytes,

@@ -14,7 +14,10 @@ them.
 
 The bench-sized minGPT / T5 / DHEN workloads every derived-subsystem
 bench (profile, compile, elastic, perparam, serving) runs on are
-defined here, once.
+defined here, once.  RegNet and DeepViT get calibration rows too: no
+estimator was tuned on them and nothing describes them to the planner
+but their builder, loss and block class, so their rows (reported, not
+gated) show what the recorded trace buys on a model nobody hand-traced.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.autotune import (
     SearchSpace,
     TuneWorkload,
     calibrate,
+    default_wrap_choices,
     dhen_workload,
     evaluate_candidate,
     gpt_workload,
@@ -38,10 +42,19 @@ from repro.autotune import (
 from repro.bench.report import print_perf_table
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
-from repro.models import DhenConfig
+from repro.hw.specs import cluster_of
+from repro.models import DeepViTConfig, DhenConfig, RegNetConfig
 from repro.models.mingpt import GptConfig
+from repro.models.regnet import Bottleneck
 from repro.models.t5 import T5Config
+from repro.models.transformer import TransformerBlock
 from repro.perf.trainer import SimConfig, simulate_training
+from repro.perf.workloads import (
+    deepvit_builder,
+    deepvit_loss_fn,
+    regnet_builder,
+    regnet_loss_fn,
+)
 
 __all__ = [
     "BENCH_GPT",
@@ -51,6 +64,8 @@ __all__ = [
     "bench_t5_workload",
     "bench_dhen_workload",
     "calibration_dhen_workload",
+    "bench_regnet_workload",
+    "bench_deepvit_workload",
     "per_block_config",
     "calibration_candidates",
     "restricted_space",
@@ -91,6 +106,16 @@ CALIBRATION_DHEN = DhenConfig(
 )
 
 
+BENCH_REGNET = RegNetConfig(
+    stem_width=64, stage_widths=(128, 256, 512), stage_depths=(2, 4, 2), image_size=64,
+    num_classes=100,
+)  # fmt: skip
+BENCH_DEEPVIT = DeepViTConfig(
+    image_size=64, patch_size=8, d_model=384, num_layers=8, num_heads=6, d_ff=1536,
+    num_classes=100,
+)  # fmt: skip
+
+
 def bench_gpt_workload(world_size: int = 8) -> TuneWorkload:
     return gpt_workload(BENCH_GPT, batch_size=4, seq_len=128, world_size=world_size)
 
@@ -105,6 +130,30 @@ def bench_dhen_workload(world_size: int = 8) -> TuneWorkload:
 
 def calibration_dhen_workload() -> TuneWorkload:
     return dhen_workload(CALIBRATION_DHEN, batch_size=8, world_size=8)
+
+
+def _vision_workload(name, config, builder_of, loss_of, block, batch_size=16) -> TuneWorkload:
+    """A workload from nothing but a builder, a loss and a block class."""
+    return TuneWorkload(
+        name=f"{name}[{config.approx_params / 1e6:.0f}M]",
+        world_size=8,
+        batch_size=batch_size,
+        topology=cluster_of(8),
+        builders={False: builder_of(config)},
+        make_loss=loss_of(config, batch_size),
+        wrap_choices=default_wrap_choices((block,), config.approx_params),
+        flops_of=lambda ckpt: 0.0,  # the rows report latency and memory only
+    )
+
+
+def bench_regnet_workload() -> TuneWorkload:
+    return _vision_workload("RegNet", BENCH_REGNET, regnet_builder, regnet_loss_fn, Bottleneck)
+
+
+def bench_deepvit_workload() -> TuneWorkload:
+    return _vision_workload(
+        "DeepViT", BENCH_DEEPVIT, deepvit_builder, deepvit_loss_fn, TransformerBlock
+    )
 
 
 def per_block_config(
@@ -209,7 +258,13 @@ def planner_vs_grid(
 def run(fast: bool = False) -> dict:
     gpt, t5 = bench_gpt_workload(), bench_t5_workload()
     payload = {}
-    for key, workload in (("mingpt", gpt), ("t5", t5), ("dhen", calibration_dhen_workload())):
+    for key, workload in (
+        ("mingpt", gpt),
+        ("t5", t5),
+        ("dhen", calibration_dhen_workload()),
+        ("regnet", bench_regnet_workload()),
+        ("deepvit", bench_deepvit_workload()),
+    ):
         rows = calibrate(workload, calibration_candidates(workload))
         print_calibration_table(rows)
         payload[f"calibration_{key}"] = [dataclasses.asdict(row) for row in rows]

@@ -15,7 +15,7 @@ recording hook, every later iteration runs the compiled schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.compile import passes
@@ -48,14 +48,12 @@ class CompileSettings:
     #: schedules on small models.
     bucket_elems: Optional[int] = None
     #: Optional transient-memory bound (bytes) the reorder pass must
-    #: prove the pipelined schedule stays under.
+    #: prove the pipelined schedule stays under, against the activation
+    #: footprints the capture measured.
     memory_budget: Optional[int] = None
     #: Run the compile-time verifier (tests disable it only to show
     #: the runtime sanitizer catches what it would have).
     verify: bool = True
-    #: Unit label -> (saved_bytes, transient_bytes) activation
-    #: footprints from ``ModelTrace.per_unit``.
-    liveness: dict = field(default_factory=dict)
 
 
 def compile_capture(

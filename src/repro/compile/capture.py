@@ -26,18 +26,30 @@ __all__ = ["CaptureHook"]
 class CaptureHook:
     """Flat event recorder driven by the FSDP unit hooks.
 
-    ``liveness`` maps unit label -> ``(saved_bytes, transient_bytes)``
-    activation footprints (from ``ModelTrace.per_unit``); used to prove
-    reorderings memory-safe in :func:`repro.compile.passes.reorder_for_overlap`.
+    While it records, the hook also observes the allocator (it is a
+    device observer for the captured iteration) and measures each
+    unit's activation footprint ``(saved_bytes, transient_bytes)``
+    between its ``pre_forward`` and ``post_forward``: what its forward
+    left alive, and how far above its entry level it peaked — both net
+    of the unsharded-parameter bytes the capture sees issue and reshard,
+    and of what nested units account for themselves.
+    :func:`repro.compile.passes.reorder_for_overlap` proves reorderings
+    memory-safe against them.
     """
 
-    def __init__(self, *, liveness: Optional[dict] = None):
-        self.liveness = dict(liveness or {})
+    def __init__(self):
         self._events: list = []
         self._seen_forward: set = set()
         self.complete = False
         #: Human-readable reason capture cannot be compiled, or None.
         self.unsupported: Optional[str] = None
+        #: Unit label -> measured ``(saved_bytes, transient_bytes)``.
+        self.footprints: dict = {}
+        self._allocated = 0  # the allocator's, as of its last event
+        self._unsharded = 0  # parameter bytes issued and not resharded
+        # Units in forward, outermost first, each as
+        # [entry level, peak above it, bytes nested units saved].
+        self._open: list = []
 
     # ------------------------------------------------------------------
     # Recording callbacks (``FsdpRuntime.emit`` passes every fact by
@@ -48,6 +60,15 @@ class CaptureHook:
         self._seen_forward = set()
         self.complete = False
         self.unsupported = None
+        self.footprints = {}
+        self._unsharded = 0
+        self._open = []
+
+    def on_alloc(self, allocator, _time=None, _reason=None) -> None:
+        self._allocated = allocator.stats.allocated_bytes
+        if self._open:
+            entry, peak, nested = frame = self._open[-1]
+            frame[1] = max(peak, self._allocated - self._unsharded - entry - nested)
 
     def on_pre_forward(self, label: str, **_) -> None:
         if label in self._seen_forward:
@@ -58,20 +79,28 @@ class CaptureHook:
             )
         self._seen_forward.add(label)
         self._events.append(("pre_forward", label))
+        self._open.append([self._allocated - self._unsharded, 0, 0])
 
     def on_post_forward(self, label: str, **_) -> None:
         self._events.append(("post_forward", label))
+        entry, peak, nested = self._open.pop()
+        grown = self._allocated - self._unsharded - entry
+        self.footprints[label] = (grown - nested, peak)
+        if self._open:
+            self._open[-1][2] += grown
 
     def on_unshard_issue(
         self, label: str, *, reason: str, nbytes: int, group_key: int, dtype: str, **_
     ) -> None:
         self._events.append(("unshard", label, reason, nbytes, group_key, dtype))
+        self._unsharded += nbytes
 
     def on_wait(self, label: str, **_) -> None:
         self._events.append(("wait", label))
 
     def on_reshard(self, label: str, nbytes: int, **_) -> None:
         self._events.append(("reshard", label, nbytes))
+        self._unsharded -= nbytes
 
     def on_pre_backward(self, label: str, **_) -> None:
         self._events.append(("pre_backward", label))
@@ -114,7 +143,7 @@ class CaptureHook:
                 label = event[1]
                 point = ("pre_forward", label)
                 g.point_order.append(point)
-                saved, transient = self.liveness.get(label, (0, 0))
+                saved, transient = self.footprints.get(label, (0, 0))
                 node = g.add(
                     NodeKind.COMPUTE_FWD,
                     unit=label,

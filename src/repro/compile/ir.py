@@ -77,8 +77,8 @@ class Node:
     #: unsharded output at issue; reshard nodes free it.  Forward
     #: compute records the unit's activation footprint split into
     #: ``saved`` (held until the unit's backward) and ``transient``
-    #: (live only inside the unit's own forward) — the split the
-    #: ``saved=False`` trace fix feeds (see ModelTrace.per_unit).
+    #: (its peak inside the unit's own forward), as the capture
+    #: measured them (``CaptureHook.footprints``).
     alloc_bytes: int = 0
     free_bytes: int = 0
     saved_bytes: int = 0

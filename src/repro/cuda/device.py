@@ -27,7 +27,9 @@ __all__ = ["Device", "cpu_device", "meta_device"]
 _device_counter = itertools.count()
 
 #: What a device announces, by the observer method that receives it.
-_ANNOUNCEMENTS = ("on_span", "on_mark", "on_alloc", "on_collective", "push_scope", "pop_scope")
+_ANNOUNCEMENTS = (
+    "on_launch", "on_span", "on_mark", "on_alloc", "on_collective", "push_scope", "pop_scope"
+)
 
 
 class _StreamGuard:
@@ -198,7 +200,8 @@ class Device:
     def observe(self, observer):
         """Subscribe ``observer`` to this device; returns ``detach``.
 
-        An observer is any object with some of ``on_span(label, stream,
+        An observer is any object with some of ``on_launch(cost, dtype)``
+        (every kernel launched, as declared), ``on_span(label, stream,
         start, end)`` (every kernel and collective enqueued),
         ``on_mark(label, time)`` (instant events), ``on_alloc(allocator,
         time, reason)`` (allocator state changes), ``on_collective(
@@ -335,6 +338,8 @@ class Device:
         duration = kernel_model.duration(cost, dtype)
         self.flops_total += cost.flops
         self.kernels_launched += 1
+        for on_launch in self._on_launch:
+            on_launch(cost, dtype)
         start, end = stream.enqueue(duration, label=label)
         allocator = self.allocator
         seen = None

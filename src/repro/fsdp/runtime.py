@@ -86,8 +86,10 @@ class FsdpRuntime:
         self.in_backward = False
         #: repro.compile.CompileSettings when compilation is requested.
         self.compile_settings = compile_settings
-        #: CaptureHook recording the current (eager) iteration, or None.
+        #: CaptureHook recording the current (eager) iteration, or None;
+        #: it observes the device until that iteration finalizes.
         self.capture = None
+        self._detach_capture = None
         #: CompiledExecutor replaying the compiled schedule, or None.
         self.compiled = None
 
@@ -124,8 +126,9 @@ class FsdpRuntime:
     # Lifecycle announcements
     # ------------------------------------------------------------------
     def emit(self, point: str, unit: Optional["FsdpUnit"] = None, **info) -> None:
-        """Announce lifecycle ``point`` to whoever listens: the compile
-        capture and each device observer that has an ``on_<point>``.
+        """Announce lifecycle ``point`` to each device observer (the
+        compile capture is one while it records) that has an
+        ``on_<point>``.
 
         Points: ``iteration_begin``, ``rate_limit_admit(depth, stall_s)``
         and ``finalize`` carry only ``info``; the unit points
@@ -137,12 +140,11 @@ class FsdpRuntime:
         all by keyword, so a handler names what it needs and swallows
         the rest (``**_``).
         """
-        capture, observers = self.capture, self.device.observers
-        if capture is None and not observers:
+        observers = self.device.observers
+        if not observers:
             return
-        listeners = observers if capture is None else (capture, *observers)
         name = "on_" + point
-        handlers = [getattr(each, name) for each in listeners if hasattr(each, name)]
+        handlers = [getattr(each, name) for each in observers if hasattr(each, name)]
         if not handlers:
             return
         args = ()
@@ -196,7 +198,6 @@ class FsdpRuntime:
         if capture is not None and capture.complete:
             from repro.compile import CompiledExecutor, compile_capture
 
-            capture.liveness = dict(settings.liveness)
             elem_size = 4
             for unit in self.units:
                 if unit.handle is not None:
@@ -214,7 +215,18 @@ class FsdpRuntime:
         else:
             from repro.compile import CaptureHook
 
-            self.capture = CaptureHook(liveness=settings.liveness)
+            self._stop_capture()
+            self.capture = CaptureHook()
+            self._detach_capture = self.device.observe(self.capture)
+            # Tell the new observer where the allocator stands.
+            self.capture.on_alloc(self.device.allocator)
+
+    def _stop_capture(self) -> None:
+        """The capture stops observing the device (it keeps what it
+        recorded)."""
+        if self._detach_capture is not None:
+            self._detach_capture()
+            self._detach_capture = None
 
     def reset_after_failure(self) -> None:
         """Discard in-flight state after an aborted iteration.
@@ -232,6 +244,7 @@ class FsdpRuntime:
         self.prev_exec_order = []
         # A half-recorded capture is useless; a compiled schedule stays
         # valid (the step's structure does not change across restarts).
+        self._stop_capture()
         self.capture = None
         for unit in self.units:
             unit.pending_reduce_work = None
@@ -271,6 +284,7 @@ class FsdpRuntime:
         if self.compiled is not None:
             self.compiled.on_finalize()
         self.emit("finalize")
+        self._stop_capture()
         for unit in self.units:
             if unit.handle is None:
                 continue

@@ -1,10 +1,11 @@
-"""repro.autotune: traces, memory estimator, latency predictor, planner."""
+"""repro.autotune: recorded traces, memory estimator, latency predictor, planner."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.autotune as at
+from repro.fsdp.deferred_init import deferred_init
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
 from repro.fsdp.wrap import ModuleWrapPolicy, describe_wrap_plan, size_based_auto_wrap_policy
@@ -24,42 +25,180 @@ def calib_workload():
 
 
 # ----------------------------------------------------------------------
-# Symbolic traces
+# Recorded traces
 # ----------------------------------------------------------------------
+def _whole_model(trace):
+    return trace.per_unit([""])[""]
+
+
 class TestTrace:
     def test_mingpt_trace_covers_all_blocks(self):
-        trace = at.trace_mingpt(CALIB_GPT, batch=4, seq=128)
-        assert len(trace.blocks) == CALIB_GPT.n_layer
-        paths = {r.path for r in trace.records}
-        assert "blocks.0" in paths and f"blocks.{CALIB_GPT.n_layer - 1}" in paths
+        trace = calib_workload().trace()
+        for phase in (False, True):
+            paths = {r.path for r in trace.records if r.backward == phase}
+            for i in range(CALIB_GPT.n_layer):
+                assert any(p == f"blocks.{i}" or p.startswith(f"blocks.{i}.") for p in paths)
+        assert "" in {r.path for r in trace.records}  # the loss runs under the root
         assert trace.total_matmul_flops() > 0
 
     def test_trace_flops_match_6nt_rule(self):
-        # Forward matmul FLOPs should be within ~25% of the 2·N·T
-        # estimate (attention maps add the overage).
-        trace = at.trace_mingpt(CALIB_GPT, batch=4, seq=128)
+        # Forward matmul FLOPs: the value the hand-written trace gave
+        # (they agreed exactly), within ~25% of the 2·N·T estimate
+        # (attention maps add the overage).
+        trace = calib_workload().trace()
+        assert trace.total_matmul_flops() == pytest.approx(4.134e10, rel=1e-3)
         rule = 2.0 * CALIB_GPT.approx_params * 4 * 128
         assert rule * 0.75 <= trace.total_matmul_flops() <= rule * 1.5
 
     def test_checkpointing_reduces_saved_elems(self):
-        trace = at.trace_mingpt(CALIB_GPT, batch=4, seq=128)
-        assert trace.saved_elems(True) < trace.saved_elems(False)
+        wl = calib_workload()
+        plain, ckpt = _whole_model(wl.trace(False)), _whole_model(wl.trace(True))
+        assert ckpt.saved_bytes < plain.saved_bytes
+        assert wl.trace(True).peak_bytes < wl.trace(False).peak_bytes
         # Boundaries survive: one n_embd-wide tensor per block at least.
-        assert trace.saved_elems(True) >= CALIB_GPT.n_layer * 4 * 128 * CALIB_GPT.n_embd
-
-    def test_unsaved_records_excluded(self):
-        trace = at.trace_mingpt(CALIB_GPT, batch=2, seq=32)
-        total = sum(r.elems for r in trace.records)
-        assert trace.saved_elems(False) < total  # score chain is freed
+        assert ckpt.saved_bytes >= CALIB_GPT.n_layer * 4 * 128 * CALIB_GPT.n_embd * 4
+        # Recompute is backward work; forward is the same program.
+        assert ckpt.bwd_kernels > plain.bwd_kernels
+        assert ckpt.fwd_kernels == plain.fwd_kernels
 
     def test_per_unit_attribution_is_total(self):
-        trace = at.trace_t5(T5_TINY, batch=2, src_len=16)
-        unit_paths = [""] + [f"encoder.{i}" for i in range(T5_TINY.num_layers)]
-        totals = trace.per_unit(unit_paths)
-        assert sum(t.matmul_flops for t in totals.values()) == pytest.approx(
-            trace.total_matmul_flops()
+        wl = calib_workload()
+        trace = wl.trace()
+        whole = _whole_model(trace)
+        assert whole.matmul_flops == pytest.approx(
+            trace.total_matmul_flops() + trace.total_matmul_flops(backward=True)
         )
-        assert totals["encoder.0"].matmul_flops > 0
+        for choice in wl.wrap_choices:
+            totals = trace.per_unit([u.path for u in wl.wrap_plan(choice)])
+            for name in ("matmul_flops", "fwd_s", "bwd_s", "saved_bytes"):
+                assert sum(getattr(t, name) for t in totals.values()) == pytest.approx(
+                    getattr(whole, name)
+                ), (choice.label, name)
+            for name in ("fwd_kernels", "bwd_kernels"):
+                assert sum(getattr(t, name) for t in totals.values()) == getattr(whole, name)
+        per_block = trace.per_unit([u.path for u in wl.wrap_plan(wl.wrap_choices[1])])
+        assert per_block["blocks.0"].matmul_flops > 0
+        assert per_block["blocks.0"].bwd_s > per_block["blocks.0"].fwd_s > 0
+
+    def test_record_equals_the_devices_own_counters(self):
+        from repro import distributed as dist
+        from repro.fsdp.deferred_init import deferred_init, materialize_module
+        from repro.perf.workloads import gpt_builder, gpt_loss_fn
+
+        make_loss = gpt_loss_fn(CALIB_GPT, 2, 32)
+        marks = []
+
+        def marking(model, device):
+            marks.append((device.kernels_launched, device.flops_total))
+            return make_loss(model, device)
+
+        device = dist.init_single_process(8, materialize=False).device
+        try:
+            model = materialize_module(deferred_init(gpt_builder(CALIB_GPT)), device)
+            trace = at.record_step(model, marking, device)
+            kernels, flops = marks[-1]  # taken as the recorded step began
+            assert len(trace.records) == device.kernels_launched - kernels
+            assert sum(r.cost.flops for r in trace.records) == pytest.approx(
+                device.flops_total - flops
+            )
+            assert device.observers == ()
+        finally:
+            dist.shutdown()
+
+    def test_model_edit_changes_the_trace(self):
+        """What a hand-written trace cannot do: follow the model."""
+        from repro.perf.workloads import gpt_builder
+
+        class GatedBlock(TransformerBlock):
+            def forward(self, x, *args, **kwargs):
+                out = super().forward(x, *args, **kwargs)
+                return out * out
+
+        def edited():
+            model = gpt_builder(CALIB_GPT)()
+            for block in model.blocks:
+                block.__class__ = GatedBlock
+            return model
+
+        wl = calib_workload()
+        plain = _whole_model(wl.trace())
+        wl_edited = calib_workload()
+        wl_edited.builders = {False: edited}
+        gated = _whole_model(wl_edited.trace())
+        assert gated.fwd_kernels == plain.fwd_kernels + CALIB_GPT.n_layer
+        assert gated.bwd_kernels > plain.bwd_kernels
+        assert gated.saved_bytes > plain.saved_bytes
+
+    def test_trace_is_recorded_on_first_use_only(self):
+        wl = calib_workload()
+        assert wl._traces == {}
+        wl.wrap_plan(wl.wrap_choices[1]), wl.sim_config()
+        assert wl._traces == {}
+        assert wl.trace() is wl.trace()
+        assert set(wl._traces) == {False}
+
+
+# ----------------------------------------------------------------------
+# Models nobody wrote a trace for
+# ----------------------------------------------------------------------
+class TestUntracedModels:
+    """RegNet and DeepViT plan with no model-specific code: a workload
+    is a builder, a loss and a block class."""
+
+    @staticmethod
+    def _plan(name, builder, make_loss, block_classes, batch):
+        from repro.hw.specs import cluster_of
+
+        params = sum(p.numel for p in deferred_init(builder).parameters())
+        wl = at.TuneWorkload(
+            name=name,
+            world_size=8,
+            batch_size=batch,
+            topology=cluster_of(8),
+            builders={False: builder},
+            make_loss=make_loss,
+            wrap_choices=at.default_wrap_choices(block_classes, params),
+            flops_of=lambda ckpt: 0.0,
+        )
+        space = at.SearchSpace(
+            wrap_choices=wl.wrap_choices[:2],
+            strategies=[(ShardingStrategy.FULL_SHARD, None), (ShardingStrategy.SHARD_GRAD_OP, None)],
+            forward_prefetch=[False],
+            rate_limits=[2],
+            checkpointing=wl.checkpointing_options(),
+        )
+        result = at.plan_sharding(wl, space=space, top_k=2)
+        trace = wl.trace()
+        whole = _whole_model(trace)
+        assert whole.fwd_kernels > 0 and whole.bwd_kernels > 0
+        assert trace.peak_bytes > 0
+        assert len(result.ranked) == len(space) and len(result.validated) == 2
+        latencies = [p.predicted_latency_s for p in result.ranked]
+        assert latencies == sorted(latencies) and latencies[0] > 0
+        best = result.best
+        assert best is not None and not best.simulated.oom
+        assert best.simulated.iteration_latency > 0
+        return result
+
+    def test_regnet_plans_without_a_hand_trace(self):
+        from repro.models.regnet import Bottleneck, RegNetConfig
+        from repro.perf.workloads import regnet_builder, regnet_loss_fn
+
+        config = RegNetConfig(
+            stem_width=16, stage_widths=(32, 64), stage_depths=(2, 2), image_size=32, num_classes=10
+        )
+        self._plan("RegNet", regnet_builder(config), regnet_loss_fn(config, 4), (Bottleneck,), 4)
+
+    def test_deepvit_plans_without_a_hand_trace(self):
+        from repro.models.deepvit import DeepViTConfig
+        from repro.perf.workloads import deepvit_builder, deepvit_loss_fn
+
+        config = DeepViTConfig(
+            image_size=32, patch_size=8, d_model=64, num_layers=4, num_heads=4, d_ff=128, num_classes=10
+        )
+        self._plan(
+            "DeepViT", deepvit_builder(config), deepvit_loss_fn(config, 4), (TransformerBlock,), 4
+        )
 
 
 # ----------------------------------------------------------------------
@@ -99,15 +238,15 @@ class TestMemoryEstimator:
     def test_sharding_reduces_predicted_memory(self):
         wl = calib_workload()
         units = wl.wrap_plan(wl.wrap_choices[1])
-        kwargs = dict(world_size=8, checkpointing=False)
+        kwargs = dict(world_size=8)
         full = at.estimate_peak_memory(
-            units, wl.trace, strategy=ShardingStrategy.FULL_SHARD, **kwargs
+            units, wl.trace(), strategy=ShardingStrategy.FULL_SHARD, **kwargs
         )
         zero2 = at.estimate_peak_memory(
-            units, wl.trace, strategy=ShardingStrategy.SHARD_GRAD_OP, **kwargs
+            units, wl.trace(), strategy=ShardingStrategy.SHARD_GRAD_OP, **kwargs
         )
         no_shard = at.estimate_peak_memory(
-            units, wl.trace, strategy=ShardingStrategy.NO_SHARD, **kwargs
+            units, wl.trace(), strategy=ShardingStrategy.NO_SHARD, **kwargs
         )
         # ZERO2 keeps every unit unsharded through backward: more
         # inflight parameter memory than FULL_SHARD.
@@ -118,18 +257,18 @@ class TestMemoryEstimator:
     def test_checkpointing_reduces_activation_bytes(self):
         wl = calib_workload()
         units = wl.wrap_plan(wl.wrap_choices[1])
-        base = at.estimate_peak_memory(units, wl.trace, world_size=8, checkpointing=False)
-        ckpt = at.estimate_peak_memory(units, wl.trace, world_size=8, checkpointing=True)
+        base = at.estimate_peak_memory(units, wl.trace(False), world_size=8)
+        ckpt = at.estimate_peak_memory(units, wl.trace(True), world_size=8)
         assert ckpt.activation_bytes < base.activation_bytes
 
     def test_rate_limiter_bounds_inflight(self):
         wl = calib_workload()
         units = wl.wrap_plan(wl.wrap_choices[1])
         limited = at.estimate_peak_memory(
-            units, wl.trace, world_size=8, limit_all_gathers=True, rate_limit_inflight=2
+            units, wl.trace(), world_size=8, limit_all_gathers=True, rate_limit_inflight=2
         )
         unlimited = at.estimate_peak_memory(
-            units, wl.trace, world_size=8, limit_all_gathers=False
+            units, wl.trace(), world_size=8, limit_all_gathers=False
         )
         assert limited.unsharded_param_bytes < unlimited.unsharded_param_bytes
 
@@ -169,7 +308,7 @@ class TestLatencyPredictor:
         units = wl.wrap_plan(wl.wrap_choices[1])
         work = at.build_unit_work(
             units,
-            wl.trace,
+            wl.trace(),
             topology=wl.topology,
             world_size=8,
             strategy=ShardingStrategy.NO_SHARD,

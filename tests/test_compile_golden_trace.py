@@ -297,3 +297,27 @@ class TestCaptureUnsupported:
         )
         with pytest.raises(FsdpError, match="forward twice"):
             simulate_training(config)
+
+
+# ----------------------------------------------------------------------
+# The memory budget is proved against footprints the capture measured
+# ----------------------------------------------------------------------
+class TestMeasuredFootprints:
+    @staticmethod
+    def _stats(**overrides):
+        result = simulate_training(
+            golden_config(compile=True, compile_bucket_elems=BUCKET_ELEMS, **overrides)
+        )
+        return result.extras["compile"]["stats"]
+
+    def test_budget_between_parameter_only_and_true_estimate_demotes(self, monkeypatch):
+        measured = self._stats()["peak_bytes_estimate"]
+        with monkeypatch.context() as blind:
+            # Negative control: a capture deaf to the allocator reads
+            # every activation footprint as (0, 0).
+            blind.setattr(rc.CaptureHook, "on_alloc", lambda *a: None)
+            parameters_only = self._stats()["peak_bytes_estimate"]
+            assert 0 < parameters_only < measured
+            budget = (parameters_only + measured) // 2
+            assert self._stats(compile_memory_budget=budget)["buckets_demoted"] == 0
+        assert self._stats(compile_memory_budget=budget)["buckets_demoted"] >= 1

@@ -7,14 +7,19 @@ consumption-order bucketing when backward issue order diverges,
 dead-wait accounting, the liveness walk, and the memory-budget
 demotion loop.
 
-The demotion tests double as the regression test for the
-``saved=False`` trace fix: activation bytes that only spike inside a
+The capture measures activation footprints from the allocator events it
+observes; ``make_capture(liveness=...)`` hand-feeds them as the
+allocator levels a unit with that ``(saved, transient)`` footprint
+would show.  The demotion tests double as the regression test for the
+saved/transient split: activation bytes that only spike inside a
 unit's own forward (``transient``) must NOT be modeled as live until
 its backward (``saved``).  With the split, a tight budget is provable
 by demoting forward buckets; with transient folded into saved the same
-budget is infeasible no matter what the scheduler does — so the fix is
-load-bearing, not cosmetic.
+budget is infeasible no matter what the scheduler does — so the split
+is load-bearing, not cosmetic.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,15 +45,28 @@ def make_capture(
     group_key=1,
 ):
     """Synthesize one eager FULL_SHARD iteration without prefetch:
-    each unit gathers at its own pre point, reshards after use."""
-    cap = CaptureHook(liveness=liveness)
+    each unit gathers at its own pre point, reshards after use.
+    ``liveness`` maps unit -> the ``(saved, transient)`` bytes its
+    forward shows the allocator (gathered parameters come on top)."""
+    cap = CaptureHook()
     cap.on_iteration_begin()
     coll = dict(nbytes=nbytes, group_key=group_key, dtype="float32")
+    allocator = SimpleNamespace(stats=SimpleNamespace(allocated_bytes=0))
+
+    def allocate(delta):
+        allocator.stats.allocated_bytes += delta
+        cap.on_alloc(allocator)
+
     for u in units:
+        saved, transient = (liveness or {}).get(u, (0, 0))
         cap.on_pre_forward(u)
         cap.on_unshard_issue(u, reason="forward", **coll)
+        allocate(nbytes)
         cap.on_wait(u)
+        allocate(max(saved, transient))
+        allocate(saved - max(saved, transient))
         cap.on_post_forward(u)
+        allocate(-nbytes)
         cap.on_reshard(u, nbytes)
     for u in backward_order or tuple(reversed(units)):
         cap.on_pre_backward(u)
@@ -237,8 +255,7 @@ class TestMemoryBudget:
             assert point in ("iter_begin", "pre_forward")
 
     def test_saved_transient_split_is_load_bearing(self):
-        """Regression for the ModelTrace ``saved=False`` liveness fix:
-        folding transient activation spikes into saved bytes makes the
+        """Regression for the saved/transient split: folding transient activation spikes into saved bytes makes the
         same budget unprovable — no demotion can ever fit, because the
         phantom bytes persist into backward where demotion has no
         lever left."""

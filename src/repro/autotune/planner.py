@@ -6,7 +6,7 @@ estimator and the analytic latency predictor, prunes candidates whose
 predicted peak exceeds the memory budget, ranks the survivors by
 predicted iteration latency, and (optionally) validates the top-k by
 running :func:`repro.perf.simulate_training` on them.  The winner is
-returned as an :class:`AutotunePlan` ready for ``SimConfig(plan=...)``
+returned as an :class:`AutotunePlan` ready for ``plan.apply(config)``
 or ``FSDP(model, **plan.fsdp_kwargs())``.
 """
 
@@ -178,8 +178,7 @@ def plan_sharding(
             config = workload.sim_config(
                 name=f"{workload.name} autotune", checkpointing=plan.candidate.checkpointing
             )
-            config.plan = plan
-            plan.simulated = simulate_training(config)
+            plan.simulated = simulate_training(plan.apply(config))
             validated.append(plan)
         # Re-rank the validated prefix by what the simulator measured;
         # OOM (allocator over capacity) disqualifies outright.

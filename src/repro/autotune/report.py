@@ -60,8 +60,7 @@ def calibrate(
         config = workload.sim_config(
             name=f"{workload.name} calib", checkpointing=candidate.checkpointing
         )
-        config.plan = plan
-        result = simulate_training(config)
+        result = simulate_training(plan.apply(config))
         predicted_gib = plan.predicted_peak_bytes / (1 << 30)
         rows.append(
             CalibrationRow(

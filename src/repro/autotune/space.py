@@ -133,8 +133,8 @@ class AutotunePlan:
     ranked it and, when validation ran, the simulated result.  A plan
     plugs into both entry points:
 
-    - ``SimConfig(plan=plan)`` — :func:`repro.perf.simulate_training`
-      calls :meth:`apply` before building anything;
+    - ``simulate_training(plan.apply(config))`` — :meth:`apply` overlays
+      the knobs on a ``SimConfig``;
     - ``FSDP(model, **plan.fsdp_kwargs())`` — direct wrapper use.
     """
 
@@ -176,7 +176,6 @@ class AutotunePlan:
         c = self.candidate
         return replace(
             config,
-            plan=None,
             sharding_strategy=c.strategy,
             sharding_factor=c.sharding_factor,
             auto_wrap_policy=c.wrap.policy,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from repro import distributed as dist
 from repro.fsdp.deferred_init import deferred_init, materialize_module
 from repro.fsdp.wrap import (
     ModuleWrapPolicy,
@@ -26,7 +25,7 @@ from repro.models import DhenConfig, GptConfig, T5Config
 from repro.models.dhen import DhenLayer
 from repro.models.transformer import TransformerBlock
 from repro.nn.module import Module
-from repro.perf.trainer import SimConfig
+from repro.perf.trainer import SimConfig, simulated_world
 from repro.perf.workloads import (
     DHEN_LOCAL_ROWS,
     dhen_builder,
@@ -101,19 +100,11 @@ class TuneWorkload:
         unwrapped model run on one abstract rank of this workload's
         world.  Recorded on first use, once per builder."""
         if checkpointing not in self._traces:
-            dist.shutdown()
-            ctx = dist.init_single_process(
-                self.world_size, topology=self.topology, materialize=False
-            )
-            try:
+            with simulated_world(self.world_size, topology=self.topology) as ctx:
                 model = deferred_init(self.builder(checkpointing))
                 materialize_module(model, ctx.device)
                 ignored = self.ignored_modules_of(model) if self.ignored_modules_of else ()
-                self._traces[checkpointing] = record_step(
-                    model, self.make_loss, ctx.device, ignored
-                )
-            finally:
-                dist.shutdown()
+                self._traces[checkpointing] = record_step(model, self.make_loss, ctx.device, ignored)
         return self._traces[checkpointing]
 
     def wrap_plan(self, choice: WrapChoice) -> list[WrapUnitPlan]:

@@ -203,8 +203,7 @@ def grid_sweep(workload: TuneWorkload, space: SearchSpace) -> list[tuple[Candida
         config = workload.sim_config(
             name=f"{workload.name} grid{suffix}", checkpointing=candidate.checkpointing
         )
-        config.plan = plan
-        rows.append((candidate, simulate_training(config)))
+        rows.append((candidate, simulate_training(plan.apply(config))))
     return rows
 
 

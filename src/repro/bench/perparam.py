@@ -26,12 +26,17 @@ from dataclasses import replace
 from typing import Callable
 
 import repro
-from repro import distributed as dist
 from repro import nn
 from repro.bench.autotune import bench_gpt_workload, bench_t5_workload, per_block_config
 from repro.bench.report import print_perf_table
 from repro.perf.metrics import PerfResult
-from repro.perf.trainer import SimConfig, _all_units, _wrap_model, simulate_training
+from repro.perf.trainer import (
+    SimConfig,
+    sharded_units,
+    simulate_training,
+    simulated_world,
+    wrap_model,
+)
 
 __all__ = [
     "bench_configs",
@@ -95,24 +100,17 @@ def padding_accounting(config: SimConfig) -> dict:
     """
     per_backend: dict[str, dict] = {}
     for backend in ("flat_param", "per_param"):
-        dist.shutdown()
-        ctx = dist.init_single_process(
-            config.world_size, topology=config.topology, materialize=False
-        )
-        wrapped = _wrap_model(replace(config, backend=backend), ctx.device)
-        units = [u for u in _all_units(wrapped) if u.handle is not None]
-        itemsizes = {
-            u.handle.full_precision_dtype.itemsize for u in units
-        }
-        per_backend[backend] = {
-            "units": len(units),
-            "total_numel": sum(u.handle.total_numel for u in units),
-            "padded_numel": sum(u.handle.padded_numel for u in units),
-            "padding_elems": sum(u.handle.padding for u in units),
-            "itemsize": max(itemsizes),
-            "rank0_sharded_bytes": sum(u.handle.sharded_nbytes for u in units),
-        }
-        dist.shutdown()
+        with simulated_world(config.world_size, topology=config.topology) as ctx:
+            units = sharded_units(wrap_model(replace(config, backend=backend), ctx.device))
+            itemsizes = {u.handle.full_precision_dtype.itemsize for u in units}
+            per_backend[backend] = {
+                "units": len(units),
+                "total_numel": sum(u.handle.total_numel for u in units),
+                "padded_numel": sum(u.handle.padded_numel for u in units),
+                "padding_elems": sum(u.handle.padding for u in units),
+                "itemsize": max(itemsizes),
+                "rank0_sharded_bytes": sum(u.handle.sharded_nbytes for u in units),
+            }
     flat, perp = per_backend["flat_param"], per_backend["per_param"]
     return {
         "flat_param": flat,

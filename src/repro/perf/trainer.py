@@ -8,15 +8,23 @@ cudaMalloc-retry count.
 
 The same driver runs DDP (model fully replicated — expected to OOM for
 large models, Figure 6(a)) and FSDP in any sharding configuration.
+
+:func:`simulate_training` drives four stages, each written once (DESIGN.md
+"Run loop", which also says why :func:`train_elastic` is a second loop).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable, Iterator, Optional
 
+from repro import checkpoint as ckpt
 from repro import distributed as dist
+from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.ddp import DistributedDataParallel
 from repro.distributed.fault import FaultInjector, FaultSchedule
@@ -26,17 +34,23 @@ from repro.errors import (
     CollectiveFailedError,
     CollectiveTimeoutError,
     DistributedError,
+    FsdpError,
     OutOfMemoryError,
     RankCrashedError,
     RankFailureError,
 )
 from repro.fsdp import (
     BackwardPrefetch,
+    CPUOffload,
+    FlatParameter,
     FullyShardedDataParallel,
     MixedPrecision,
     ShardingStrategy,
+    fully_shard,
 )
-from repro.fsdp.deferred_init import deferred_init
+from repro.fsdp.api import _units_under
+from repro.fsdp.deferred_init import deferred_init, materialize_module
+from repro.fsdp.wrap import policy_label
 from repro.hw.specs import ClusterTopology
 from repro.nn.module import Module
 from repro.optim import Adam, SGD
@@ -52,6 +66,10 @@ from repro.tensor import Tensor
 
 __all__ = [
     "SimConfig",
+    "validate",
+    "simulated_world",
+    "wrap_model",
+    "sharded_units",
     "simulate_training",
     "ElasticResult",
     "train_elastic",
@@ -91,11 +109,6 @@ class SimConfig:
     #: PerfResult; policies constructed by repro.fsdp.wrap carry their
     #: own label and don't need this).
     wrap_policy_label: Optional[str] = None
-    #: An :class:`repro.autotune.AutotunePlan` (duck-typed: anything
-    #: with ``apply(config) -> SimConfig``).  When set, the plan's
-    #: chosen knobs override the corresponding fields above before the
-    #: simulation starts.
-    plan: Optional[object] = None
     mixed_precision: Optional[MixedPrecision] = None
     backward_prefetch: BackwardPrefetch = BackwardPrefetch.BACKWARD_PRE
     forward_prefetch: bool = False
@@ -178,6 +191,45 @@ class SimConfig:
     fast_forward: bool = True
 
 
+#: Option -> the values the loops know.  Anything else used to fall
+#: through an ``else`` and run as the other value under its own label.
+_CHOICES = {
+    "parallelism": ("fsdp", "ddp"),
+    "backend": ("flat_param", "per_param"),
+    "optimizer": ("adam", "sgd"),
+    "recovery": ("restore", "heal"),
+}
+_AT_LEAST = {"iterations": 1, "warmup": 0, "accumulate_steps": 1}
+
+
+def validate(config) -> None:
+    """Refuse an option value the loops would silently misread — of
+    whichever options ``config`` carries (``train_elastic`` takes two)."""
+    for name, allowed in _CHOICES.items():
+        if getattr(config, name, allowed[0]) not in allowed:
+            raise ValueError(f"{name}={getattr(config, name)!r}: expected one of {allowed}")
+    for name, least in _AT_LEAST.items():
+        if getattr(config, name, least) < least:
+            raise ValueError(f"{name}={getattr(config, name)!r}: expected an integer >= {least}")
+
+
+@contextlib.contextmanager
+def simulated_world(world_size: int, *, topology=None, session=None, **init) -> Iterator:
+    """One abstract single-rank world (``init`` goes to
+    ``dist.init_single_process``) with a profiler ``session`` installed
+    on its device; both are undone however the block ends."""
+    dist.shutdown()
+    ctx = dist.init_single_process(world_size, topology=topology, materialize=False, **init)
+    if session is not None:
+        session.install(ctx.device)
+    try:
+        yield ctx
+    finally:
+        if session is not None:
+            session.uninstall(ctx.device)
+        dist.shutdown()
+
+
 def _fsdp_kwargs(config: SimConfig, device: Device) -> dict:
     """The FSDP knobs both sharding backends' constructors take."""
     return dict(
@@ -195,12 +247,11 @@ def _fsdp_kwargs(config: SimConfig, device: Device) -> dict:
     )
 
 
-def _wrap_model(config: SimConfig, device: Device) -> Module:
+def wrap_model(config: SimConfig, device: Device) -> Module:
+    """Build ``config``'s model deferred and wrap it for ``device``."""
     if config.parallelism == "ddp":
         # DDP fully materializes the replica on the device: this is
         # where >2.28B models hit out-of-memory (Figure 6(a)).
-        from repro.fsdp.deferred_init import materialize_module
-
         model = deferred_init(config.build_model)
         materialize_module(model, device)
         return DistributedDataParallel(model, broadcast_parameters=False)
@@ -208,8 +259,6 @@ def _wrap_model(config: SimConfig, device: Device) -> Module:
         return _annotate_per_param(config, device)
     model = deferred_init(config.build_model)
     ignored = config.ignored_modules_of(model) if config.ignored_modules_of else None
-    from repro.fsdp import CPUOffload
-
     return FullyShardedDataParallel(
         model,
         ignored_modules=ignored,
@@ -226,9 +275,6 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
     on the wrapper (no_sync, ignored modules, CPU offload) are rejected
     up front with a typed error rather than silently ignored.
     """
-    from repro.errors import FsdpError
-    from repro.fsdp.fully_shard import fully_shard
-
     if config.cpu_offload:
         raise FsdpError("backend='per_param' does not support cpu_offload")
     if config.ignored_modules_of is not None:
@@ -257,10 +303,120 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
     return model
 
 
-def _all_units(wrapped: Module):
-    from repro.fsdp.api import _units_under
+def sharded_units(wrapped: Module) -> list:
+    """The FSDP units under ``wrapped`` that own a sharded handle."""
+    return [unit for unit in _units_under(wrapped) if unit.handle is not None]
 
-    return _units_under(wrapped)
+
+class _Run:
+    """What one :func:`simulate_training` call builds in its world (the
+    build stage), and what its loop must remember across a rewind."""
+
+    def __init__(self, config: SimConfig, device: Device, injector, result: PerfResult):
+        self.config, self.device, self.injector, self.result = config, device, injector, result
+        self.wrapped = wrap_model(config, device)
+        params = list(self.wrapped.parameters())
+        if config.parallelism == "fsdp":
+            units = sharded_units(self.wrapped)
+            if units:
+                result.sharding_factor = units[0].plan.sharding_factor
+            if config.ignored_modules_of is not None:
+                # Ignored (model-parallel sparse) parameters use their
+                # own streaming optimizer in production whose cost
+                # scales with touched rows, not table size; exclude them
+                # from the dense optimizer here.
+                params = [p for p in params if isinstance(p, FlatParameter)]
+        if config.optimizer == "adam":
+            self.optimizer = Adam(params, lr=1e-4, foreach=config.foreach_optimizer)
+        else:
+            self.optimizer = SGD(params, lr=1e-2)
+        self.writer = None
+        if config.elastic and config.checkpoint_every:
+            self.writer = ckpt.AsyncCheckpointWriter(device, async_=config.async_checkpoint)
+        #: Simulated start time of each iteration's first execution, so
+        #: a rewind knows how much (simulated) time it discards.
+        self.started: dict[int, float] = {}
+
+    def checkpoint_nbytes(self) -> int:
+        """Bytes in one rank's shard of a model+optimizer checkpoint."""
+        return sum(
+            unit.handle.sharded_nbytes + unit.handle.optim_state_nbytes(self.optimizer)
+            for unit in sharded_units(self.wrapped)
+        )
+
+    def runtime(self):
+        for unit in _units_under(self.wrapped):
+            if unit.runtime is not None:
+                return unit.runtime
+        return None
+
+    def recover(self, failure: BaseException, completed: int) -> int:
+        """Charge one failure; returns the iteration to resume at.
+        ``recovery_overhead_s`` accrues the discarded work (less the
+        detection latency, reported on its own) plus heal or restore."""
+        config, device, result = self.config, self.device, self.result
+        if self.injector is not None:
+            self.injector.advance_generation()
+        runtime = self.runtime()
+        if runtime is not None:
+            runtime.reset_after_failure()
+        self.optimizer.zero_grad()
+        detection = _detection_latency(failure)
+        if isinstance(failure, RankCrashedError):
+            # The death itself is silent; the health probe's
+            # interval passes before the controller reacts.
+            device.consume_cpu(detection)
+        result.detection_s += detection
+        if device.abort is not None:
+            # Clear the poisoned latch so the recovered world's
+            # collectives stop failing fast.
+            device.abort.reset()
+        crash_time = device.now()
+        device.synchronize()
+        heal = (
+            config.recovery == "heal"
+            and config.parallelism == "fsdp"
+            and config.sharding_strategy.is_hybrid
+            and not isinstance(failure, CheckpointCorruptionError)
+        )
+        if config.recovery == "heal" and not heal:
+            result.heal_fallbacks += 1
+        if heal:
+            # Survivors keep their live state, so only the interrupted
+            # iteration is replayed.
+            rewind = completed
+        elif self.writer is not None:
+            # An async save still draining at crash time is lost: rewind
+            # to the newest *durably committed* checkpoint, not the
+            # newest issued one.
+            rewind = self.writer.committed_iteration(crash_time) or 0
+        else:
+            rewind = 0  # checkpoint_every=0: nothing to resume from
+        wasted_since = self.started.get(rewind)
+        if wasted_since is not None:
+            result.recovery_overhead_s += max(0.0, device.now() - wasted_since - detection)
+        if heal:
+            # Checkpoint-free peer heal (hybrid sharding): the
+            # replacement rank pulls its shards + optimizer state from a
+            # replicate-group peer at link bandwidth.
+            heal_s = heal_seconds(self.checkpoint_nbytes())
+            with device.scope("heal:peer-restore"):
+                device.consume_cpu(heal_s)
+            device.emit_mark("heal:peer-restore")
+            result.heal_s += heal_s
+            result.healed_ranks += 1
+            result.recovery_overhead_s += heal_s
+        else:
+            restore, verify = restore_seconds(self.checkpoint_nbytes(), config.world_size)
+            with device.scope("recovery:restore"):
+                device.consume_cpu(verify + restore)
+            result.checkpoint_load_s += restore
+            result.checkpoint_verify_s += verify
+            result.recovery_overhead_s += verify + restore
+            result.recovered_iterations += completed - rewind
+        for dropped in range(rewind, completed + 1):
+            self.started.pop(dropped, None)
+        return rewind
 
 
 def _run_iteration(config: SimConfig, wrapped: Module, device: Device, optimizer) -> None:
@@ -268,8 +424,6 @@ def _run_iteration(config: SimConfig, wrapped: Module, device: Device, optimizer
         # Gradient accumulation (Section 3.3.4): the first
         # accumulate_steps-1 microbatches either still reduce
         # (with communication) or run under no_sync (without).
-        import contextlib
-
         for micro in range(config.accumulate_steps - 1):
             scope = (
                 wrapped.no_sync()
@@ -303,97 +457,124 @@ def _fast_forward_safe(config: SimConfig, device: Device, injector, writer) -> b
     )
 
 
-def _sim_fingerprint(device: Device, groups) -> tuple:
-    """Snapshot of every clock and cumulative counter the run reports."""
-    stats = device.allocator.stats
-    return (
-        device._cpu_time,
-        tuple((s.ready_time, s.kernels_enqueued) for s in device.streams),
-        device.flops_total,
-        device.kernels_launched,
-        tuple((g.bytes_sent, g.cross_host_bytes, g.collective_count) for g in groups),
-        # Allocator state must be *unchanged* across an iteration for the
-        # system to be periodic (every temporary freed, no new segments,
-        # no new peaks, no retries).
-        (
-            stats.allocated_bytes,
-            stats.reserved_bytes,
-            stats.allocated_peak,
-            stats.active_peak,
-            stats.reserved_peak,
-            stats.num_alloc_retries,
-            stats.num_cuda_mallocs,
-            len(device.allocator._segments),
-        ),
-    )
+class SteadyState:
+    """Detects that a run has become periodic, and extrapolates it.
+
+    ``SLOTS`` states once what an iteration advances, per kind of owner:
+    floats are clocks (two advances agree to a relative tolerance that
+    absorbs summation rounding), ints are counters (exact).
+    ``INVARIANT`` is the allocator state that must be *unchanged* across
+    an iteration for the system to be periodic (every temporary freed,
+    no new segments, no new peaks, no retries).
+    """
+
+    SLOTS = {
+        "device": ("_cpu_time", "flops_total", "kernels_launched"),
+        "stream": ("ready_time", "kernels_enqueued"),
+        "group": ("bytes_sent", "cross_host_bytes", "collective_count"),
+    }
+    INVARIANT = (
+        "allocated_bytes", "reserved_bytes", "allocated_peak", "active_peak",
+        "reserved_peak", "num_alloc_retries", "num_cuda_mallocs",
+    )  # fmt: skip
+
+    def __init__(self, device: Device, groups: list):
+        self.device, self.groups = device, groups
+        self._last = ([], ())  # previous fingerprint; none yet reads as a change of structure
+        self._advance: Optional[list] = None  # previous iteration's delta
+
+    def slots(self) -> list[tuple]:
+        """``(owner, attribute)`` of every clock and counter."""
+        owners = {"device": [self.device], "stream": self.device.streams, "group": self.groups}
+        return [
+            (owner, name)
+            for kind, names in self.SLOTS.items()
+            for owner in owners[kind]
+            for name in names
+        ]
+
+    def fingerprint(self) -> tuple[list, tuple]:
+        """Every slot's value now, and the allocator invariant."""
+        allocator = self.device.allocator
+        invariant = [getattr(allocator.stats, name) for name in self.INVARIANT]
+        return (
+            [getattr(owner, name) for owner, name in self.slots()],
+            (*invariant, len(allocator._segments)),
+        )
+
+    def observe(self) -> Optional[list]:
+        """Call after each measured iteration.  Returns the per-slot
+        advance once two consecutive iterations made the same one; an
+        iteration that changed structure restarts the comparison."""
+        values, invariant = self.fingerprint()
+        (last_values, last_invariant), self._last = self._last, (values, invariant)
+        delta = None
+        if len(last_values) == len(values) and last_invariant == invariant:
+            delta = [after - before for before, after in zip(last_values, values)]
+        previous, self._advance = self._advance, delta
+        if delta is None or previous is None or len(previous) != len(delta):
+            return None
+        for x, y in zip(previous, delta):
+            if x != y and not (
+                isinstance(x, float) and math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+            ):
+                return None
+        return delta
+
+    def apply(self, delta: list, iterations: int) -> None:
+        """Advance every slot by ``iterations`` steady-state steps."""
+        for (owner, name), step in zip(self.slots(), delta):
+            setattr(owner, name, getattr(owner, name) + step * iterations)
 
 
-def _iteration_delta(before: tuple, after: tuple) -> Optional[tuple]:
-    """Per-iteration advance between two fingerprints, or ``None`` if the
-    iteration changed structure (new streams, allocator drift)."""
-    if len(before[1]) != len(after[1]) or before[5] != after[5]:
-        return None
-    return (
-        after[0] - before[0],
-        tuple((rb - ra, kb - ka) for (ra, ka), (rb, kb) in zip(before[1], after[1])),
-        after[2] - before[2],
-        after[3] - before[3],
-        tuple(
-            (bb - ba, cb - ca, nb - na)
-            for (ba, ca, na), (bb, cb, nb) in zip(before[4], after[4])
-        ),
-    )
+class Measurement:
+    """The measured window: opened before the first post-warmup
+    iteration, closed into the result after the last."""
 
+    def __init__(self, device: Device, groups: list, session=None):
+        device.reset_peak_memory_stats()
+        self.device, self.groups, self.session = device, groups, session
+        self.traffic_before = self._traffic()
+        device.synchronize()
+        if session is not None:
+            session.begin_measurement()
+        self.start_time = device.now()
+        self.start_flops = device.flops_total
 
-def _deltas_match(a: tuple, b: tuple) -> bool:
-    """Two consecutive iteration deltas agree (ints exact, floats to a
-    relative tolerance that absorbs summation rounding)."""
-    import math
+    def _traffic(self) -> list:
+        return [sum(getattr(g, name) for g in self.groups) for name in SteadyState.SLOTS["group"]]
 
-    def close(x: float, y: float) -> bool:
-        return x == y or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
-
-    if a[3] != b[3] or len(a[1]) != len(b[1]) or len(a[4]) != len(b[4]):
-        return False
-    if not close(a[0], b[0]) or not close(a[2], b[2]):
-        return False
-    for (ra, ka), (rb, kb) in zip(a[1], b[1]):
-        if ka != kb or not close(ra, rb):
-            return False
-    return a[4] == b[4]
-
-
-def _apply_fast_forward(device: Device, groups, delta: tuple, iterations: int) -> None:
-    """Advance every clock and counter by ``iterations`` steady-state steps."""
-    cpu_d, stream_d, flops_d, kernels_d, comm_d = delta
-    device._cpu_time += cpu_d * iterations
-    for stream, (ready_d, enq_d) in zip(device.streams, stream_d):
-        stream.ready_time += ready_d * iterations
-        stream.kernels_enqueued += enq_d * iterations
-    device.flops_total += flops_d * iterations
-    device.kernels_launched += kernels_d * iterations
-    for group, (bytes_d, cross_d, count_d) in zip(groups, comm_d):
-        group.bytes_sent += bytes_d * iterations
-        group.cross_host_bytes += cross_d * iterations
-        group.collective_count += count_d * iterations
-
-
-def _runtime_of(wrapped: Module):
-    for unit in _all_units(wrapped):
-        if unit.runtime is not None:
-            return unit.runtime
-    return None
-
-
-def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
-    """Bytes in one rank's shard of a model+optimizer checkpoint."""
-    total = 0
-    for unit in _all_units(wrapped):
-        if unit.handle is None:
-            continue
-        total += unit.handle.sharded_nbytes
-        total += unit.handle.optim_state_nbytes(optimizer)
-    return total
+    def close(self, config: SimConfig, result: PerfResult) -> None:
+        device, iterations = self.device, config.iterations
+        device.synchronize()
+        latency = (device.now() - self.start_time) / iterations
+        flops = (device.flops_total - self.start_flops) / iterations
+        stats = device.memory_stats()
+        result.iteration_latency = latency
+        measured_flops = config.model_flops_per_iteration or flops
+        result.tflops_per_gpu = measured_flops / latency / 1e12 if latency else 0.0
+        result.qps_per_gpu = config.batch_size / latency if latency else 0.0
+        result.peak_allocated_gib = stats["allocated_bytes.all.peak"] / GiB
+        result.peak_active_gib = stats["active_bytes.all.peak"] / GiB
+        result.peak_reserved_gib = stats["reserved_bytes.all.peak"] / GiB
+        result.num_alloc_retries = stats["num_alloc_retries"]
+        sent, cross, count = (
+            after - before for before, after in zip(self.traffic_before, self._traffic())
+        )
+        result.comm_gib = sent / GiB / iterations
+        result.cross_host_gib = cross / GiB / iterations
+        result.collectives = count // iterations
+        if self.session is not None:
+            self.session.finalize()
+            totals = self.session.totals()
+            # Times per iteration (comparable to iteration_latency);
+            # hit/miss counts raw over the measured window.
+            result.exposed_comm_s = totals["exposed_comm_s"] / iterations
+            result.overlapped_comm_s = totals["overlapped_comm_s"] / iterations
+            result.rate_limit_stall_s = totals["rate_limit_stall_s"] / iterations
+            result.prefetch_hits = totals["prefetch_hits"]
+            result.prefetch_misses = totals["prefetch_misses"]
+            result.extras["profiler"] = self.session.summary()
 
 
 def _detection_latency(failure: BaseException) -> float:
@@ -423,255 +604,81 @@ def simulate_training(config: SimConfig) -> PerfResult:
     simulated restore cost, and re-execute the lost iterations — the
     wasted time is reported as ``recovery_overhead_s``.
     """
-    if config.plan is not None:
-        config = config.plan.apply(config)
-    dist.shutdown()
+    validate(config)
     injector = FaultInjector(config.faults) if config.faults is not None else None
-    ctx = dist.init_single_process(
+    result = _result_row(config)
+    with simulated_world(
         config.world_size,
         topology=config.topology,
-        materialize=False,
+        session=config.profiler,
         capacity=config.capacity,
         fault_injector=injector,
         collective_timeout=config.collective_timeout,
         coordinated_abort=config.coordinated_abort,
-    )
-    device = ctx.device
-    session = config.profiler
-    if session is not None:
-        session.install(device)
-    result = PerfResult(
-        name=config.name, world_size=config.world_size, batch_size=config.batch_size
-    )
-    _record_config(result, config)
-    try:
-        wrapped = _wrap_model(config, device)
-        if config.parallelism == "fsdp":
-            units = [u for u in _all_units(wrapped) if u.handle is not None]
-            if units:
-                result.sharding_factor = units[0].plan.sharding_factor
-        params = list(wrapped.parameters())
-        if config.ignored_modules_of is not None and config.parallelism == "fsdp":
-            # Ignored (model-parallel sparse) parameters use their own
-            # streaming optimizer in production whose cost scales with
-            # touched rows, not table size; exclude them from the dense
-            # optimizer here.
-            from repro.fsdp.flat_param import FlatParameter
-
-            params = [p for p in params if isinstance(p, FlatParameter)]
-        if config.optimizer == "adam":
-            optimizer = Adam(params, lr=1e-4, foreach=config.foreach_optimizer)
-        else:
-            optimizer = SGD(params, lr=1e-2)
-
-        writer = None
-        if config.elastic and config.checkpoint_every:
-            from repro.checkpoint import AsyncCheckpointWriter
-
-            writer = AsyncCheckpointWriter(device, async_=config.async_checkpoint)
-
-        latency = 0.0
-        flops = 0.0
-        comm_before = cross_before = coll_before = 0
-        total = config.warmup + config.iterations
-        completed = 0
-        last_checkpoint = 0
-        measuring = False
-        ff_prev_fp = None
-        ff_prev_delta = None
-        # Simulated start time of each iteration's first execution, so a
-        # rewind knows how much wall (simulated) time it discards.
-        iteration_started: dict[int, float] = {}
-        while completed < total:
-            iteration = completed
-            try:
-                if injector is not None:
-                    device.allocator.set_pressure(
-                        injector.pressure_bytes(ctx.rank, iteration)
-                    )
-                    injector.begin_iteration(ctx.rank, iteration)
-                if not measuring and iteration >= config.warmup:
-                    measuring = True
-                    device.reset_peak_memory_stats()
-                    groups = _groups_of(wrapped)
-                    comm_before = sum(g.bytes_sent for g in groups)
-                    cross_before = sum(g.cross_host_bytes for g in groups)
-                    coll_before = sum(g.collective_count for g in groups)
-                    device.synchronize()
-                    if session is not None:
-                        session.begin_measurement()
-                    start_time = device.now()
-                    start_flops = device.flops_total
-                iteration_started.setdefault(iteration, device.now())
-                _run_iteration(config, wrapped, device, optimizer)
-                completed += 1
-                # Asked every iteration: an observer may attach from
-                # inside a ``make_loss`` / ``build_model`` callback.
-                if (
-                    measuring
-                    and completed < total
-                    and _fast_forward_safe(config, device, injector, writer)
-                ):
-                    fp = _sim_fingerprint(device, groups)
-                    if ff_prev_fp is not None:
-                        delta = _iteration_delta(ff_prev_fp, fp)
-                        if (
-                            delta is not None
-                            and ff_prev_delta is not None
-                            and _deltas_match(ff_prev_delta, delta)
-                        ):
-                            remaining = total - completed
-                            _apply_fast_forward(device, groups, delta, remaining)
-                            result.extras["fast_forwarded_iterations"] = remaining
-                            completed = total
-                            continue
-                        ff_prev_delta = delta
-                    ff_prev_fp = fp
-                if config.checkpoint_every and completed % config.checkpoint_every == 0:
-                    last_checkpoint = completed
-                    if writer is not None:
-                        writer.save(
-                            iteration=completed,
-                            nbytes=_checkpoint_nbytes(wrapped, optimizer),
-                        )
-            except RECOVERABLE_ERRORS as failure:
-                result.recoveries += 1
-                if not config.elastic or result.recoveries > config.max_recoveries:
-                    raise
-                if injector is not None:
-                    injector.advance_generation()
-                runtime = _runtime_of(wrapped)
-                if runtime is not None:
-                    runtime.reset_after_failure()
-                optimizer.zero_grad()
-                detection = _detection_latency(failure)
-                if isinstance(failure, RankCrashedError):
-                    # The death itself is silent; the health probe's
-                    # interval passes before the controller reacts.
-                    device.consume_cpu(detection)
-                result.detection_s += detection
-                if device.abort is not None:
-                    # Clear the poisoned latch so the recovered world's
-                    # collectives stop failing fast.
-                    device.abort.reset()
-                crash_time = device.now()
-                device.synchronize()
-                heal = (
-                    config.recovery == "heal"
-                    and config.parallelism == "fsdp"
-                    and config.sharding_strategy.is_hybrid
-                    and not isinstance(failure, CheckpointCorruptionError)
-                )
-                if config.recovery == "heal" and not heal:
-                    result.heal_fallbacks += 1
-                if heal:
-                    # Checkpoint-free peer heal (hybrid sharding): the
-                    # replacement rank pulls its shards + optimizer
-                    # state from a replicate-group peer at link
-                    # bandwidth; survivors keep their live state, so
-                    # only the interrupted iteration is replayed.
-                    wasted_since = iteration_started.get(completed)
-                    if wasted_since is not None:
-                        result.recovery_overhead_s += max(
-                            0.0, device.now() - wasted_since - detection
-                        )
-                    heal_s = heal_seconds(_checkpoint_nbytes(wrapped, optimizer))
-                    with device.scope("heal:peer-restore"):
-                        device.consume_cpu(heal_s)
-                    device.emit_mark("heal:peer-restore")
-                    result.heal_s += heal_s
-                    result.healed_ranks += 1
-                    result.recovery_overhead_s += heal_s
-                    iteration_started.pop(completed, None)
-                    continue
-                # An async save still draining at crash time is lost:
-                # rewind to the newest *durably committed* checkpoint,
-                # not the newest issued one.
-                if writer is not None:
-                    rewind = writer.committed_iteration(crash_time) or 0
-                else:
-                    rewind = last_checkpoint
-                wasted_since = iteration_started.get(rewind)
-                if wasted_since is not None:
-                    result.recovery_overhead_s += max(
-                        0.0, device.now() - wasted_since - detection
-                    )
-                restore, verify = restore_seconds(
-                    _checkpoint_nbytes(wrapped, optimizer), config.world_size
-                )
-                with device.scope("recovery:restore"):
-                    device.consume_cpu(verify + restore)
-                result.checkpoint_load_s += restore
-                result.checkpoint_verify_s += verify
-                result.recovery_overhead_s += verify + restore
-                result.recovered_iterations += completed - rewind
-                for dropped in range(rewind, completed + 1):
-                    iteration_started.pop(dropped, None)
-                completed = rewind
-                last_checkpoint = rewind
-        device.synchronize()
-        latency = (device.now() - start_time) / config.iterations
-        flops = (device.flops_total - start_flops) / config.iterations
-        if writer is not None:
-            # Final-commit drain happens after the measured window so
-            # steady-state latency reflects the overlapped cost only.
-            writer.drain()
-            result.checkpoint_saves = writer.saves
-            result.checkpoint_save_s = writer.total_save_s
-            result.checkpoint_stall_s = writer.total_stall_s
-
-        stats = device.memory_stats()
-        groups = _groups_of(wrapped)
-        result.iteration_latency = latency
-        measured_flops = config.model_flops_per_iteration or flops
-        result.tflops_per_gpu = measured_flops / latency / 1e12 if latency else 0.0
-        result.qps_per_gpu = config.batch_size / latency if latency else 0.0
-        result.peak_allocated_gib = stats["allocated_bytes.all.peak"] / GiB
-        result.peak_active_gib = stats["active_bytes.all.peak"] / GiB
-        result.peak_reserved_gib = stats["reserved_bytes.all.peak"] / GiB
-        result.num_alloc_retries = stats["num_alloc_retries"]
-        result.comm_gib = (sum(g.bytes_sent for g in groups) - comm_before) / GiB / config.iterations
-        result.cross_host_gib = (
-            (sum(g.cross_host_bytes for g in groups) - cross_before) / GiB / config.iterations
-        )
-        result.collectives = (
-            sum(g.collective_count for g in groups) - coll_before
-        ) // config.iterations
-        if session is not None:
-            session.finalize()
-            totals = session.totals()
-            # Times per iteration (comparable to iteration_latency);
-            # hit/miss counts raw over the measured window.
-            result.exposed_comm_s = totals["exposed_comm_s"] / config.iterations
-            result.overlapped_comm_s = totals["overlapped_comm_s"] / config.iterations
-            result.rate_limit_stall_s = (
-                totals["rate_limit_stall_s"] / config.iterations
-            )
-            result.prefetch_hits = totals["prefetch_hits"]
-            result.prefetch_misses = totals["prefetch_misses"]
-            result.extras["profiler"] = session.summary()
-        runtime = _runtime_of(wrapped)
-        if runtime is not None and runtime.compiled is not None:
-            result.extras["compile"] = runtime.compiled.schedule.summary()
-    except OutOfMemoryError:
-        result.oom = True
-    finally:
-        if session is not None:
-            session.uninstall(device)
-        if injector is not None:
-            result.faults_injected = len(injector.injected)
-        dist.shutdown()
+    ) as ctx:
+        device = ctx.device
+        try:
+            run = _Run(config, device, injector, result)
+            window = steady = None
+            total = config.warmup + config.iterations
+            completed = 0
+            while completed < total:
+                try:
+                    if injector is not None:
+                        device.allocator.set_pressure(injector.pressure_bytes(ctx.rank, completed))
+                        injector.begin_iteration(ctx.rank, completed)
+                    if window is None and completed >= config.warmup:
+                        window = Measurement(device, _groups_of(run.wrapped), config.profiler)
+                        steady = SteadyState(device, window.groups)
+                    run.started.setdefault(completed, device.now())
+                    _run_iteration(config, run.wrapped, device, run.optimizer)
+                    completed += 1
+                    # Asked every iteration: an observer may attach from
+                    # inside a ``make_loss`` / ``build_model`` callback.
+                    if (
+                        window is not None
+                        and completed < total
+                        and _fast_forward_safe(config, device, injector, run.writer)
+                    ):
+                        delta = steady.observe()
+                        if delta is not None:
+                            steady.apply(delta, total - completed)
+                            result.extras["fast_forwarded_iterations"] = total - completed
+                            break
+                    if run.writer is not None and completed % config.checkpoint_every == 0:
+                        run.writer.save(iteration=completed, nbytes=run.checkpoint_nbytes())
+                except RECOVERABLE_ERRORS as failure:
+                    result.recoveries += 1
+                    if not config.elastic or result.recoveries > config.max_recoveries:
+                        raise
+                    completed = run.recover(failure, completed)
+            window.close(config, result)
+            if run.writer is not None:
+                # The final-commit drain comes after the measured window:
+                # steady-state latency reflects the overlapped cost only.
+                run.writer.drain()
+                result.checkpoint_saves = run.writer.saves
+                result.checkpoint_save_s = run.writer.total_save_s
+                result.checkpoint_stall_s = run.writer.total_stall_s
+            runtime = run.runtime()
+            if runtime is not None and runtime.compiled is not None:
+                result.extras["compile"] = runtime.compiled.schedule.summary()
+        except OutOfMemoryError:
+            result.oom = True
+    if injector is not None:
+        result.faults_injected = len(injector.injected)
     return result
 
 
-def _record_config(result: PerfResult, config: SimConfig) -> None:
-    """Fill the configuration columns of a result row (Section 5 sweeps
-    and the autotune planner print comparable tables)."""
-    from repro.fsdp.wrap import policy_label
-
+def _result_row(config: SimConfig) -> PerfResult:
+    """A result row with its configuration columns filled (Section 5
+    sweeps and the autotune planner print comparable tables)."""
+    result = PerfResult(
+        name=config.name, world_size=config.world_size, batch_size=config.batch_size
+    )
     if config.parallelism != "fsdp":
         result.strategy = config.parallelism
-        return
+        return result
     result.strategy = config.sharding_strategy.value
     result.backend = config.backend
     result.sharding_factor = config.sharding_factor or 0
@@ -684,24 +691,20 @@ def _record_config(result: PerfResult, config: SimConfig) -> None:
     mp = config.mixed_precision
     if mp is not None and mp.param_dtype is not None:
         result.mixed_precision = mp.param_dtype.name
+    return result
 
 
 def _groups_of(wrapped: Module) -> list:
-    groups = []
-    seen: set[int] = set()
+    """Every distinct process group the wrapped model communicates on."""
     if isinstance(wrapped, DistributedDataParallel):
-        candidates = [wrapped.process_group]
-    else:
-        candidates = []
-        for unit in _all_units(wrapped):
-            candidates.append(unit.plan.shard_group)
-            if unit.plan.replicate_group is not None:
-                candidates.append(unit.plan.replicate_group)
-    for group in candidates:
-        if group is not None and id(group) not in seen:
-            seen.add(id(group))
-            groups.append(group)
-    return groups
+        return [wrapped.process_group]
+    groups = {
+        id(group): group
+        for unit in _units_under(wrapped)
+        for group in (unit.plan.shard_group, unit.plan.replicate_group)
+        if group is not None
+    }
+    return list(groups.values())
 
 
 @dataclass
@@ -748,6 +751,144 @@ class ElasticResult:
     def recovery_overhead_s(self) -> float:
         """Total simulated recovery cost: detect + restore/heal + replay."""
         return self.detection_s + self.restore_s + self.heal_s + self.replay_s
+
+
+@dataclass
+class _ElasticJob:
+    """What :func:`train_elastic`'s rank threads and its controller
+    share across incarnations."""
+
+    build_model: Callable[[], Module]
+    make_loss: Callable[[Module, int, int], "Tensor"]
+    wrap: Optional[Callable[[Module], Module]]
+    optimizer: str
+    lr: float
+    iterations: int
+    checkpoint_every: int
+    heal_ctx: Optional[HealContext]
+    #: Also carries the run's fault injector and checkpoint store.
+    result: ElasticResult
+    #: Template weights so every (re)spawned incarnation starts from the
+    #: same initialization regardless of ambient RNG state.
+    template: list
+    #: The controller's heal plan for the next spawn (``None``: every
+    #: rank restores from the checkpoint store).
+    heal_plan: Optional[object] = None
+    #: Guards the accounting written from rank threads.
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    iteration_times: list = field(default_factory=list)
+
+    def save_shard(self, rank: int, wrapped: Module, opt, iteration: int) -> None:
+        self.result.store.save_shard(
+            iteration=iteration,
+            rank=rank,
+            world_size=dist.get_world_size(),
+            blob=ckpt.serialize_state(ckpt.snapshot_payload(wrapped, opt, copy=True)),
+            units=ckpt.unit_layouts(wrapped),
+        )
+
+    def deposit(self, rank: int, wrapped: Module, opt, tag: int) -> None:
+        # Heal deposits are free in simulated time: under hybrid
+        # sharding the replicate-group peers already hold these
+        # bytes, the context only *indexes* them for the planner.
+        if self.heal_ctx is not None:
+            self.heal_ctx.deposit(rank, tag, ckpt.snapshot_payload(wrapped, opt, copy=True))
+
+    def resume(self, rank: int, wrapped: Module, opt) -> int:
+        """Load this incarnation's starting state; returns its iteration."""
+        device, plan, result = dist.get_device(), self.heal_plan, self.result
+        store = result.store
+        if plan is not None:
+            # Peer heal: survivors resume from their own (live) state;
+            # each failed rank's replacement adopts a surviving replica
+            # peer's deposit, paying the shard transfer at link speed.
+            donor = plan.sources.get(rank, rank)
+            ckpt.load_payload(wrapped, opt, self.heal_ctx.deposit_for(donor).payload)
+            if rank in plan.sources:
+                transfer_s = heal_seconds(plan.transfer_nbytes(rank))
+                device.consume_cpu(transfer_s)
+                device.emit_mark("heal:peer-restore")
+                with self.lock:
+                    result.heal_s += transfer_s
+            return plan.tag
+        start = store.latest()
+        if start is None:
+            self.save_shard(rank, wrapped, opt, 0)
+            return 0
+        manifest, payloads = store.read_all(start)
+        ckpt.load_resharded(wrapped, opt, manifest=manifest, payloads=payloads)
+        nbytes = payload_nbytes(ckpt.snapshot_payload(wrapped, opt, copy=False))
+        restore_s = sum(restore_seconds(nbytes, dist.get_world_size()))
+        device.consume_cpu(restore_s)
+        if rank == 0:
+            with self.lock:
+                result.restore_s += restore_s
+        return start
+
+    def plan_restart(self, exc: DistributedError, world_size: int, resizing: bool) -> None:
+        """The controller's half of one recovery: account for the
+        failure and decide how the next incarnation gets its state."""
+        cause, result, injector = exc.__cause__, self.result, self.result.injector
+        result.restarts += 1
+        result.failures.append(cause)
+        result.detection_s += _detection_latency(cause)
+        plan = None
+        if self.heal_ctx is not None:
+            failed = tuple(getattr(exc, "failed_ranks", ()) or ())
+            # Whatever the failed ranks held is gone; survivors'
+            # deposits stay live for planning.
+            self.heal_ctx.invalidate(failed)
+            if failed and not resizing and not isinstance(cause, CheckpointCorruptionError):
+                plan = self.heal_ctx.plan(failed, world_size)
+            if plan is None:
+                # No surviving replica (or a storage failure): fall
+                # back to the checkpoint store, and drop deposits
+                # that would now be *ahead* of the restored state.
+                result.heal_fallbacks += 1
+                self.heal_ctx.clear()
+            else:
+                result.healed_ranks.append(failed)
+        self.heal_plan = plan
+        if injector is not None:
+            injector.advance_generation()
+            furthest = max(injector.iteration_of(rank) for rank in range(world_size))
+            rewind = plan.tag if plan is not None else (result.store.latest() or 0)
+            result.recovered_iterations += max(0, furthest - rewind)
+
+
+def _elastic_worker(rank: int, job: _ElasticJob) -> None:
+    """One rank thread of one incarnation: build, resume, train on."""
+    device, injector = dist.get_device(), job.result.injector
+    model = job.build_model()
+    with no_grad():
+        for param, src in zip(model.parameters(), job.template):
+            param._np[...] = src
+    wrapped = job.wrap(model) if job.wrap is not None else FullyShardedDataParallel(model)
+    params = list(wrapped.parameters())
+    opt = Adam(params, lr=job.lr) if job.optimizer == "adam" else SGD(params, lr=job.lr)
+    group = dist.default_group()
+    start = job.resume(rank, wrapped, opt)
+    job.deposit(rank, wrapped, opt, start)
+    for iteration in range(start, job.iterations):
+        iter_begin = device.now()
+        if injector is not None:
+            injector.begin_iteration(rank, iteration)
+        loss = job.make_loss(wrapped, rank, iteration)
+        loss.backward()
+        opt.step()
+        opt.zero_grad()
+        # Record the global loss as soon as it exists: iterations
+        # completed before a later failure keep their entries (every
+        # rank writes the same reduced value, so the race is benign;
+        # re-executed iterations overwrite with identical numbers).
+        job.result.losses[iteration] = group.all_reduce_scalar(loss.item(), ReduceOp.AVG)
+        done = iteration + 1
+        if job.checkpoint_every and done % job.checkpoint_every == 0:
+            job.save_shard(rank, wrapped, opt, done)
+        job.deposit(rank, wrapped, opt, done)
+        if rank == 0:
+            with job.lock:
+                job.iteration_times.append(device.now() - iter_begin)
 
 
 def train_elastic(
@@ -806,168 +947,49 @@ def train_elastic(
     failure is a corrupted checkpoint) the restart falls back to the
     checkpoint store and ``heal_fallbacks`` is incremented.
     """
-    from repro import checkpoint as ckpt
-    from repro.autograd.grad_mode import no_grad
-
+    validate(SimpleNamespace(optimizer=optimizer, recovery=recovery))
     injector = FaultInjector(faults) if faults is not None else None
     if store is None:
         store = ckpt.DistributedCheckpointStore(injector=injector)
     elif injector is not None and store.storage.injector is None:
         store.storage.injector = injector
-    heal_ctx = HealContext() if recovery == "heal" else None
-    # Cross-incarnation control state: the heal plan computed by the
-    # controller for the next spawn, and a lock for result accounting
-    # written from rank threads.
-    control: dict = {"heal_plan": None}
-    acct_lock = threading.Lock()
-    iteration_times: list[float] = []
-    # Template weights so every (re)spawned incarnation starts from the
-    # same initialization regardless of ambient RNG state.
-    template = build_model()
-    template_arrays = [p.detach().numpy().copy() for p in template.parameters()]
-
-    def worker(rank: int):
-        device = dist.get_device()
-        model = build_model()
-        with no_grad():
-            for param, src in zip(model.parameters(), template_arrays):
-                param._np[...] = src
-        wrapped = wrap(model) if wrap is not None else FullyShardedDataParallel(model)
-        params = list(wrapped.parameters())
-        opt = Adam(params, lr=lr) if optimizer == "adam" else SGD(params, lr=lr)
-        group = dist.default_group()
-        world = dist.get_world_size()
-
-        def save_checkpoint(iteration: int) -> None:
-            blob = ckpt.serialize_state(ckpt.snapshot_payload(wrapped, opt, copy=True))
-            store.save_shard(
-                iteration=iteration,
-                rank=rank,
-                world_size=world,
-                blob=blob,
-                units=ckpt.unit_layouts(wrapped),
-            )
-
-        def deposit(tag: int) -> None:
-            # Heal deposits are free in simulated time: under hybrid
-            # sharding the replicate-group peers already hold these
-            # bytes, the context only *indexes* them for the planner.
-            if heal_ctx is not None:
-                heal_ctx.deposit(
-                    rank, tag, ckpt.snapshot_payload(wrapped, opt, copy=True)
-                )
-
-        plan = control["heal_plan"]
-        if plan is not None:
-            # Peer heal: survivors resume from their own (live) state;
-            # each failed rank's replacement adopts a surviving replica
-            # peer's deposit, paying the shard transfer at link speed.
-            start = plan.tag
-            donor = plan.sources.get(rank, rank)
-            ckpt.load_payload(wrapped, opt, heal_ctx.deposit_for(donor).payload)
-            if rank in plan.sources:
-                transfer_s = heal_seconds(plan.transfer_nbytes(rank))
-                device.consume_cpu(transfer_s)
-                device.emit_mark("heal:peer-restore")
-                with acct_lock:
-                    result.heal_s += transfer_s
-        else:
-            start = store.latest()
-            if start is None:
-                start = 0
-                save_checkpoint(0)
-            else:
-                manifest, payloads = store.read_all(start)
-                ckpt.load_resharded(wrapped, opt, manifest=manifest, payloads=payloads)
-                nbytes = payload_nbytes(
-                    ckpt.snapshot_payload(wrapped, opt, copy=False)
-                )
-                restore_s = sum(restore_seconds(nbytes, world))
-                device.consume_cpu(restore_s)
-                if rank == 0:
-                    with acct_lock:
-                        result.restore_s += restore_s
-        deposit(start)
-        for iteration in range(start, iterations):
-            iter_begin = device.now()
-            if injector is not None:
-                injector.begin_iteration(rank, iteration)
-            loss = make_loss(wrapped, rank, iteration)
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
-            # Record the global loss as soon as it exists: iterations
-            # completed before a later failure keep their entries (every
-            # rank writes the same reduced value, so the race is benign;
-            # re-executed iterations overwrite with identical numbers).
-            all_losses[iteration] = group.all_reduce_scalar(loss.item(), ReduceOp.AVG)
-            done = iteration + 1
-            if checkpoint_every and done % checkpoint_every == 0:
-                save_checkpoint(done)
-            deposit(done)
-            if rank == 0:
-                with acct_lock:
-                    iteration_times.append(device.now() - iter_begin)
-
     result = ElasticResult(injector=injector, store=store, recovery=recovery)
-    result.world_sizes.append(world_size)
-    all_losses: dict[int, float] = {}
+    result.losses = [None] * iterations
+    job = _ElasticJob(
+        build_model=build_model,
+        make_loss=make_loss,
+        wrap=wrap,
+        optimizer=optimizer,
+        lr=lr,
+        iterations=iterations,
+        checkpoint_every=checkpoint_every,
+        heal_ctx=HealContext() if recovery == "heal" else None,
+        result=result,
+        template=[p.detach().numpy().copy() for p in build_model().parameters()],
+    )
     while True:
+        result.world_sizes.append(world_size)
         try:
             dist.spawn(
-                worker,
+                _elastic_worker,
                 world_size,
+                args=(job,),
                 topology=topology,
                 fault_injector=injector,
                 collective_timeout=collective_timeout,
                 coordinated_abort=coordinated_abort,
                 desync_check=desync_check,
             )
+            break
         except DistributedError as exc:
-            cause = exc.__cause__
-            recoverable = isinstance(cause, RECOVERABLE_ERRORS)
-            if not recoverable or result.restarts >= max_restarts:
+            if not isinstance(exc.__cause__, RECOVERABLE_ERRORS) or result.restarts >= max_restarts:
                 raise
-            result.restarts += 1
-            result.failures.append(cause)
-            result.detection_s += _detection_latency(cause)
-            plan = None
-            if heal_ctx is not None:
-                failed = tuple(getattr(exc, "failed_ranks", ()) or ())
-                # Whatever the failed ranks held is gone; survivors'
-                # deposits stay live for planning.
-                heal_ctx.invalidate(failed)
-                if (
-                    failed
-                    and restart_world_size is None
-                    and not isinstance(cause, CheckpointCorruptionError)
-                ):
-                    plan = heal_ctx.plan(failed, world_size)
-                if plan is None:
-                    # No surviving replica (or a storage failure): fall
-                    # back to the checkpoint store, and drop deposits
-                    # that would now be *ahead* of the restored state.
-                    result.heal_fallbacks += 1
-                    heal_ctx.clear()
-                else:
-                    result.healed_ranks.append(failed)
-            control["heal_plan"] = plan
-            if injector is not None:
-                injector.advance_generation()
-                furthest = max(
-                    injector.iteration_of(rank) for rank in range(world_size)
-                )
-                rewind = plan.tag if plan is not None else (store.latest() or 0)
-                result.recovered_iterations += max(0, furthest - rewind)
+            job.plan_restart(exc, world_size, restart_world_size is not None)
             if restart_world_size is not None:
                 world_size = max(1, int(restart_world_size(result.restarts, world_size)))
-            result.world_sizes.append(world_size)
-            continue
-        break
-    result.losses = [all_losses.get(i) for i in range(iterations)]
-    if iteration_times and result.recovered_iterations:
+    if job.iteration_times and result.recovered_iterations:
         result.replay_s = result.recovered_iterations * (
-            sum(iteration_times) / len(iteration_times)
+            sum(job.iteration_times) / len(job.iteration_times)
         )
     if injector is not None:
         result.faults_injected = len(injector.injected)

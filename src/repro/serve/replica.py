@@ -25,7 +25,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro import distributed as dist
 from repro.autograd.grad_mode import no_grad
 from repro.fsdp.sharding import ShardingStrategy
 from repro.hw.specs import ClusterTopology
@@ -102,7 +101,7 @@ class ServiceModel:
 
     def measure(self) -> "ServiceModel":
         """Run the anchor forwards in a fresh simulated world."""
-        from repro.perf.trainer import SimConfig, _all_units, _wrap_model
+        from repro.perf.trainer import SimConfig, sharded_units, simulated_world, wrap_model
 
         spec = self.spec
         config = SimConfig(
@@ -117,22 +116,13 @@ class ServiceModel:
             mixed_precision=spec.mixed_precision,
             ignored_modules_of=spec.ignored_modules_of,
         )
-        dist.shutdown()
-        ctx = dist.init_single_process(
-            spec.gpus, topology=spec.topology, materialize=False
-        )
-        device = ctx.device
-        session = self._profiler
-        if session is not None:
-            session.install(device)
-        try:
-            model = _wrap_model(config, device)
+        with simulated_world(spec.gpus, topology=spec.topology, session=self._profiler) as ctx:
+            device = ctx.device
+            model = wrap_model(config, device)
             model.eval()
-            self.model_bytes = sum(
-                unit.handle.sharded_nbytes
-                for unit in _all_units(model)
-                if unit.handle is not None
-            ) * spec.gpus
+            self.model_bytes = spec.gpus * sum(
+                unit.handle.sharded_nbytes for unit in sharded_units(model)
+            )
             with no_grad():
                 for batch in self.anchors:
                     # One warmup (allocator reaches steady state, first
@@ -147,10 +137,6 @@ class ServiceModel:
                         spec.make_batch(model, device, batch)
                         device.synchronize()
                     self._latency[batch] = device.now() - start
-        finally:
-            if session is not None:
-                session.uninstall(device)
-            dist.shutdown()
         return self
 
     def latency(self, batch: int) -> float:

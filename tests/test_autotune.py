@@ -224,8 +224,7 @@ class TestMemoryEstimator:
         choice = wl.wrap_choices[wrap_index]
         plan = at.evaluate_candidate(wl, at.Candidate(wrap=choice))
         config = wl.sim_config(checkpointing=False)
-        config.plan = plan
-        result = simulate_training(config)
+        result = simulate_training(plan.apply(config))
         predicted = plan.predicted_peak_bytes
         actual = result.peak_reserved_gib * (1 << 30)
         assert actual > 0
@@ -281,8 +280,7 @@ class TestLatencyPredictor:
         wl = calib_workload()
         plan = at.evaluate_candidate(wl, at.Candidate(wrap=wl.wrap_choices[1]))
         config = wl.sim_config(checkpointing=False)
-        config.plan = plan
-        result = simulate_training(config)
+        result = simulate_training(plan.apply(config))
         rel_err = abs(plan.predicted_latency_s - result.iteration_latency) / result.iteration_latency
         assert rel_err < 0.35, (
             f"predicted {plan.predicted_latency_s * 1e3:.2f} ms, "
@@ -365,7 +363,6 @@ class TestPlanner:
         config = plan.apply(wl.sim_config())
         assert config.sharding_strategy is ShardingStrategy.SHARD_GRAD_OP
         assert config.rate_limit_inflight == 4
-        assert config.plan is None
         kwargs = plan.fsdp_kwargs()
         assert kwargs["sharding_strategy"] is ShardingStrategy.SHARD_GRAD_OP
         assert kwargs["auto_wrap_policy"] is wl.wrap_choices[1].policy

@@ -30,7 +30,13 @@ from repro.models.transformer import TransformerBlock
 from repro.nn import functional as F
 from repro.perf import SimConfig, simulate_training
 from repro.perf.timeline import trace_device
-from repro.perf.trainer import _fast_forward_safe
+from repro.optim import Adam
+from repro.perf.trainer import (
+    SteadyState,
+    _fast_forward_safe,
+    sharded_units,
+    wrap_model,
+)
 from repro.perf.workloads import gpt_builder, gpt_loss_fn
 from repro.profiler import FlightRecorder, MemoryTimeline, ProfilerSession
 
@@ -208,6 +214,89 @@ class TestFastForwardGuard:
         assert parts() == before
         assert device.observed == SANITIZER_LANE
         assert self._safe() == (not SANITIZER_LANE)
+
+
+class TestSteadyStateDetector:
+    """The detector behind fast-forward, driven by hand: what one
+    iteration advances is a table of slots, and an extrapolation is
+    only offered when two iterations advanced all of them alike with
+    the allocator unchanged."""
+
+    WARMUP = 3  # the allocator's segment set settles by the third iteration
+
+    def setup_method(self):
+        dist.shutdown()
+        device = dist.init_single_process(8, materialize=False).device
+        config = tiny_config()
+        wrapped = wrap_model(config, device)
+        optimizer = Adam(list(wrapped.parameters()), lr=1e-4)
+
+        def step(times=1):
+            for _ in range(times):
+                config.make_loss(wrapped, device).backward()
+                optimizer.step()
+                optimizer.zero_grad()
+
+        self.device, self.step = device, step
+        self.steady = SteadyState(device, [sharded_units(wrapped)[0].plan.shard_group])
+        step(self.WARMUP)
+
+    def teardown_method(self):
+        dist.shutdown()
+
+    def _detect(self):
+        """Observe real iterations until the detector offers a delta."""
+        for observed in range(1, 6):
+            delta = self.steady.observe()
+            if delta is not None:
+                return observed, delta
+            self.step()
+        raise AssertionError("never became steady")
+
+    def test_offers_a_delta_after_two_equal_iterations(self):
+        observed, delta = self._detect()
+        # One fingerprint to start from, two advances to compare.
+        assert observed == 3
+        assert len(delta) == len(self.steady.slots())
+        assert all(step >= 0 for step in delta) and any(delta)
+
+    @pytest.mark.parametrize("change", ["new_stream", "new_segment", "new_peak"])
+    def test_structural_change_refuses_to_extrapolate(self, change):
+        self._detect()
+        self.step()
+        if change == "new_stream":
+            self.device.new_stream("late")
+        else:
+            held = repro.empty(256 << 20, device=self.device)  # noqa: F841
+            if change == "new_peak":
+                del held  # memory in use is back where it was; the peaks are not
+        assert self.steady.observe() is None
+        # ... and the comparison restarts: one advance is not two.
+        self.step()
+        assert self.steady.observe() is None
+        self.step()
+        self._detect()  # steady again once the new structure stops moving
+
+    def test_apply_then_one_iteration_equals_real_iterations(self):
+        k = 5
+        _, delta = self._detect()
+        self.steady.apply(delta, k)
+        self.step()
+        extrapolated, invariant = self.steady.fingerprint()
+
+        self.teardown_method()
+        self.setup_method()
+        self._detect()
+        self.step(k + 1)
+        real, real_invariant = self.steady.fingerprint()
+
+        assert invariant == real_invariant
+        assert len(extrapolated) == len(real)
+        for (owner, name), got, want in zip(self.steady.slots(), extrapolated, real):
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-9), name
+            else:
+                assert got == want, name
 
 
 # ----------------------------------------------------------------------

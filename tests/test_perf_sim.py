@@ -156,3 +156,82 @@ class TestPerParamTrainerGuards:
         result = simulate_training(small_config(backend="per_param"))
         assert not result.oom
         assert result.backend == "per_param"
+
+
+class TestValidation:
+    """An option value the loops do not know is refused by name, not run
+    as the other value under its own label (each case ran, or died with
+    ``UnboundLocalError``, before ``validate``)."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "perparam"),
+            ("optimizer", "adamw"),
+            ("recovery", "heel"),
+            ("parallelism", "zero"),
+            ("iterations", 0),
+            ("warmup", -1),
+            ("accumulate_steps", 0),
+        ],
+    )
+    def test_simulate_training_refuses(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            simulate_training(small_config(**{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("optimizer", "adamw"), ("recovery", "heel")])
+    def test_train_elastic_refuses(self, field, value):
+        from repro.perf import train_elastic
+
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            train_elastic(
+                build_model=lambda: nn.Linear(4, 4),
+                make_loss=lambda model, rank, iteration: None,
+                world_size=2,
+                iterations=1,
+                **{field: value},
+            )
+
+    def test_message_names_the_allowed_values(self):
+        with pytest.raises(ValueError, match="flat_param.*per_param"):
+            simulate_training(small_config(backend="perparam"))
+
+
+class TestWorldStage:
+    """``simulated_world`` is the one place a world and a profiler
+    session are set up, so it is the one place they are torn down."""
+
+    class Session:
+        installed_on = None
+
+        def install(self, device):
+            self.installed_on = device
+
+        def uninstall(self, device):
+            assert device is self.installed_on
+            self.installed_on = None
+
+    @staticmethod
+    def _broken_builder():
+        raise RuntimeError("wrap_model raised")
+
+    def test_measure_leaves_nothing_behind_when_wrap_raises(self):
+        from repro import distributed as dist
+        from repro.serve import ReplicaSpec, ServiceModel
+
+        session = self.Session()
+        spec = ReplicaSpec(
+            name="broken", build_model=self._broken_builder, make_batch=None, gpus=4
+        )
+        with pytest.raises(RuntimeError, match="wrap_model raised"):
+            ServiceModel(spec, profiler=session).measure()
+        assert session.installed_on is None
+        assert not dist.is_initialized()
+
+    def test_padding_accounting_leaves_nothing_behind_when_wrap_raises(self):
+        from repro import distributed as dist
+        from repro.bench.perparam import padding_accounting
+
+        with pytest.raises(RuntimeError, match="wrap_model raised"):
+            padding_accounting(small_config(build_model=self._broken_builder))
+        assert not dist.is_initialized()

@@ -73,40 +73,41 @@ class LatencyHistogram:
         return self._exact is not None
 
     def add(self, value: float) -> None:
-        if value < 0.0:
-            raise ValueError(f"latency sample must be >= 0, got {value}")
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        if value < self.min:
-            self.min = value
-        if self._exact is not None:
-            self._exact.append(value)
-            if len(self._exact) > self.exact_limit:
-                for sample in self._exact:
-                    self._fold(sample)
-                self._exact = None
-        else:
-            self._fold(value)
+        self.extend((value,))
 
     def extend(self, values: Iterable[float]) -> None:
+        """Add a batch (all or, on a bad sample, none), bitwise as if
+        one at a time: ``total`` still sums in order, and crossing
+        ``exact_limit`` folds everything as the crossing sample would."""
+        values = list(values)
+        if not values:
+            return
+        total = self.total
         for value in values:
-            self.add(value)
-
-    def _index(self, value: float) -> int:
-        if value <= self.FLOOR:
-            return 0
-        return 1 + int(math.log(value / self.FLOOR) / self._log_base)
+            if value < 0.0:
+                raise ValueError(f"latency sample must be >= 0, got {value}")
+            total += value
+        self.total = total
+        self.count += len(values)
+        self.max = max(self.max, max(values))
+        self.min = min(self.min, min(values))
+        if self._exact is not None:
+            self._exact.extend(values)
+            if len(self._exact) <= self.exact_limit:
+                return
+            values, self._exact = self._exact, None
+        self._fold(values)
 
     def _upper_edge(self, index: int) -> float:
         if index == 0:
             return self.FLOOR
         return self.FLOOR * math.exp(index * self._log_base)
 
-    def _fold(self, value: float) -> None:
-        index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+    def _fold(self, values: list[float]) -> None:
+        buckets, floor, log_base, log = self._buckets, self.FLOOR, self._log_base, math.log
+        for value in values:
+            index = 0 if value <= floor else 1 + int(log(value / floor) / log_base)
+            buckets[index] = buckets.get(index, 0) + 1
 
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
@@ -146,8 +147,7 @@ class LatencyHistogram:
         if other.resolution != self.resolution:
             raise ValueError("cannot merge histograms with different resolutions")
         if self._exact is not None:
-            for sample in self._exact:
-                self._fold(sample)
+            self._fold(self._exact)
             self._exact = None
         for index, n in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + n

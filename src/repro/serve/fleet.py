@@ -1,13 +1,16 @@
 """The serving fleet: a discrete-event simulation of replicated inference.
 
-:class:`ServingFleet` runs a heap-based event loop over *simulated*
-time, multiplexing a pre-generated request stream (``repro.serve.
-traffic``) across a set of sharded replicas whose batch latency was
-measured once from the real simulator (``repro.serve.replica``).  The
-loop has five event kinds:
+:class:`ServingFleet` runs an event loop over *simulated* time,
+multiplexing a pre-generated request stream (``repro.serve.traffic``)
+across a set of sharded replicas whose batch latency was measured once
+from the real simulator (``repro.serve.replica``).  Arrivals stream from
+the sorted request list and merge against a heap of in-flight events
+only (ticks, batches, polls, start-ups): a step costs O(log in-flight),
+not O(log arrivals).  The loop has five event kinds:
 
 - ``ARRIVAL`` — route a request to the least-loaded replica (admission
-  control may shed it);
+  control may shed it) — a linear scan on purpose: fleets run 1–8
+  replicas, an index would be code no workload exercises;
 - ``POLL``    — a batching policy asked to be re-evaluated at a future
   time (deadline-bounded linger, token refill);
 - ``DONE``    — a batch completed: record per-request latencies, free
@@ -31,16 +34,20 @@ provisioned with the same restore + verify cost model the elastic
 trainer charges (``CHECKPOINT_RESTORE_BANDWIDTH`` et al.), so serving
 recovery and training recovery stay mutually calibrated.
 
-Everything is deterministic: no wall clock, no ambient RNG — the heap
-is ordered by ``(time, sequence)`` and every random choice was made by
-the seeded traffic generator or fault schedule up front.
+Work unanswered when the loop stops at the horizon — queued, in a
+running batch, or waiting on a replica that never came up — is
+``timed_out``: ``arrived == served + shed + timed_out`` always.
+
+Everything is deterministic: no wall clock, no ambient RNG — events
+are ordered by ``(time, kind, sequence)`` and every random choice was
+made by the seeded traffic generator or fault schedule up front.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
@@ -62,6 +69,9 @@ __all__ = ["FleetConfig", "ServingFleet", "simulate_serving"]
 # admitting more (DONE < ARRIVAL) and let the control plane observe the
 # settled state last.
 _PRIO = {"done": 0, "up": 1, "watchdog": 2, "arrival": 3, "poll": 4, "tick": 5}
+#: Routing preference: live, else still starting (a constant: the enum
+#: lookups would be the costliest thing routing does per arrival).
+_ROUTABLE = (ReplicaState.LIVE, ReplicaState.STARTING)
 
 
 @dataclass(frozen=True)
@@ -106,16 +116,8 @@ class FleetConfig:
         )
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    prio: int
-    seq: int
-    payload: tuple = field(compare=False, default=())
-
-
 class ServingFleet:
-    """Heap-driven discrete-event simulation of one :class:`FleetConfig`."""
+    """Discrete-event simulation of one :class:`FleetConfig`."""
 
     def __init__(self, config: FleetConfig):
         self.config = config
@@ -123,7 +125,8 @@ class ServingFleet:
         self.injector = (
             FaultInjector(config.schedule) if config.schedule is not None else None
         )
-        self._heap: list[_Event] = []
+        #: In-flight events only: ``(time, prio, seq, payload)``.
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._rid = itertools.count()
         self.replicas: dict[int, Replica] = {}
@@ -133,8 +136,7 @@ class ServingFleet:
     # -- plumbing ------------------------------------------------------
     def _push(self, time: float, payload: tuple) -> None:
         heapq.heappush(
-            self._heap,
-            _Event(time, _PRIO[payload[0]], next(self._seq), payload),
+            self._heap, (time, _PRIO[payload[0]], next(self._seq), payload)
         )
 
     def _mark(self, label: str) -> None:
@@ -210,18 +212,21 @@ class ServingFleet:
     def _route(self, request: Request, *, exclude: Optional[int] = None) -> None:
         """Send to the least-loaded replica (live preferred, else one
         still starting); shed when nobody can ever serve it."""
-        candidates = [
-            r for r in self._live() if r.rid != exclude
-        ] or [r for r in self._starting() if r.rid != exclude]
-        if not candidates:
+        target, depth = None, 0
+        for state in _ROUTABLE:
+            # rid-ascending and strictly-smaller: ties keep the lower rid.
+            for replica in self.replicas.values():
+                if replica.state is state and replica.rid != exclude:
+                    queued = len(replica.queue)
+                    if target is None or queued < depth:
+                        target, depth = replica, queued
+            if target is not None:
+                break
+        if target is None or not target.queue.push(request):
             self.metrics.shed += 1
             return
-        target = min(candidates, key=lambda r: (len(r.queue), r.rid))
-        if not target.queue.push(request):
-            self.metrics.shed += 1
-            return
-        if target.state is ReplicaState.LIVE and not target.busy:
-            self._serve(target)
+        if not target.busy:
+            self._serve(target)  # no-op unless the target is live
 
     # -- the scheduler -------------------------------------------------
     def _serve(self, replica: Replica) -> None:
@@ -303,8 +308,7 @@ class ServingFleet:
         replica.requests_served += len(batch)
         replica.busy_s += now - started
         self.metrics.batches += 1
-        for request in batch:
-            self.metrics.observe(now - request.arrival_s)
+        self.metrics.observe([now - request.arrival_s for request in batch])
         self._serve(replica)
 
     def _on_watchdog(self, replica: Replica, batch: list[Request], wake_seq: int) -> None:
@@ -353,13 +357,10 @@ class ServingFleet:
         config = self.config
         if not config.service.measured:
             config.service.measure()
-        generator = TrafficGenerator(config.traffic)
-        requests = generator.generate()
+        requests = TrafficGenerator(config.traffic).generate()
         self.metrics.arrived = len(requests)
         for _ in range(config.replicas):
             self._provision(initial=True)
-        for request in requests:
-            self._push(request.arrival_s, ("arrival", request))
         autoscaler = (
             Autoscaler(config.autoscale) if config.autoscale is not None else None
         )
@@ -369,30 +370,38 @@ class ServingFleet:
             self._push(t, ("tick",))
             t += config.control_interval_s
 
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.time > horizon:
+        heap, heappop, arrival_prio = self._heap, heapq.heappop, _PRIO["arrival"]
+        replicas, arrivals = self.replicas, iter(requests)
+        request = next(arrivals, None)  # the stream head
+        while request is not None or heap:
+            # Next is the stream head or the heap top, whichever sorts
+            # first on (time, prio): arrivals tie only with each other
+            # (stream order), and their prio is no heap entry's.
+            if request is not None and (
+                not heap or (request.arrival_s, arrival_prio) < heap[0]
+            ):
+                if request.arrival_s > horizon:
+                    break
+                self._now = request.arrival_s
+                self._route(request)
+                request = next(arrivals, None)
+                continue
+            if heap[0][0] > horizon:
                 break
-            self._now = event.time
-            kind = event.payload[0]
-            if kind == "arrival":
-                self._route(event.payload[1])
-            elif kind == "done":
-                _, rid, batch, started = event.payload
-                self._on_done(self.replicas[rid], batch, started)
+            self._now, _, _, payload = heappop(heap)
+            kind = payload[0]
+            if kind == "done":
+                _, rid, batch, started = payload
+                self._on_done(replicas[rid], batch, started)
             elif kind == "poll":
-                _, rid, wake_seq = event.payload
-                replica = self.replicas[rid]
-                if (
-                    replica.wake_seq == wake_seq
-                    and replica.state is ReplicaState.LIVE
-                ):
-                    self._serve(replica)
+                _, rid, wake_seq = payload
+                if replicas[rid].wake_seq == wake_seq:  # else a stale poll
+                    self._serve(replicas[rid])
             elif kind == "watchdog":
-                _, rid, batch, wake_seq = event.payload
-                self._on_watchdog(self.replicas[rid], batch, wake_seq)
+                _, rid, batch, wake_seq = payload
+                self._on_watchdog(replicas[rid], batch, wake_seq)
             elif kind == "up":
-                replica = self.replicas[event.payload[1]]
+                replica = replicas[payload[1]]
                 if replica.state is ReplicaState.STARTING:
                     replica.state = ReplicaState.LIVE
                     replica.live_since = self._now
@@ -401,15 +410,20 @@ class ServingFleet:
             elif kind == "tick":
                 self._on_tick(autoscaler)
 
+        # Unanswered when the window closed: batches still running (or
+        # hung) and whatever is queued, on live and on starting replicas.
         self._now = horizon
-        for replica in self._live():
-            self.metrics.gpu_s += (
-                (horizon - replica.live_since) * config.service.spec.gpus
-            )
-            # Anything still queued at the horizon never got served.
+        self.metrics.timed_out += sum(
+            len(payload[2]) for *_, payload in heap if payload[0] in ("done", "watchdog")
+        )
+        for replica in self.replicas.values():  # a DOWN one holds nothing
+            if replica.state is ReplicaState.LIVE:
+                self.metrics.gpu_s += (
+                    (horizon - replica.live_since) * config.service.spec.gpus
+                )
+            elif replica.state is ReplicaState.STARTING:
+                replica.state = ReplicaState.DOWN
             self.metrics.timed_out += len(replica.queue.expire(float("inf")))
-        for replica in self._starting():
-            replica.state = ReplicaState.DOWN
         return self.metrics.finish(
             duration_s=config.traffic.duration_s,
             gpus_per_replica=config.service.spec.gpus,

@@ -65,13 +65,13 @@ class ServeMetrics:
     def note(self, t: float, label: str) -> None:
         self.events.append((t, label))
 
-    def observe(self, latency_s: float) -> None:
-        """One request completed end-to-end in ``latency_s``."""
-        self.served += 1
-        self.latency.add(latency_s)
-        self._window.add(latency_s)
-        if latency_s > self.slo_s:
-            self.slo_violations += 1
+    def observe(self, latencies: list[float]) -> None:
+        """One batch completed; each request's end-to-end latency."""
+        self.served += len(latencies)
+        self.latency.extend(latencies)
+        self._window.extend(latencies)
+        slo_s = self.slo_s
+        self.slo_violations += sum(1 for latency in latencies if latency > slo_s)
 
     def tick(
         self,

@@ -43,26 +43,26 @@ class RequestQueue:
 
     def push(self, request: Request) -> bool:
         """Admit ``request``; False (and a shed count) when full."""
-        if len(self._items) >= self.max_depth:
+        items = self._items
+        if len(items) >= self.max_depth:
             self.shed += 1
             return False
-        self._items.append(request)
+        items.append(request)
         self.pushed += 1
-        if len(self._items) > self.peak_depth:
-            self.peak_depth = len(self._items)
+        if len(items) > self.peak_depth:
+            self.peak_depth = len(items)
         return True
 
     def expire(self, now: float) -> list[Request]:
-        """Drop (and count) queued requests whose deadline passed."""
-        expired: list[Request] = []
-        kept: deque[Request] = deque()
-        for request in self._items:
-            if request.deadline_s <= now:
-                expired.append(request)
-            else:
-                kept.append(request)
+        """Drop (and count) queued requests whose deadline passed.
+
+        Re-routed requests queue behind younger ones, so deadlines are
+        not monotone and every call scans; the queue is rebuilt only
+        when the scan found something.
+        """
+        expired = [r for r in self._items if r.deadline_s <= now]
         if expired:
-            self._items = kept
+            self._items = deque(r for r in self._items if r.deadline_s > now)
             self.timed_out += len(expired)
         return expired
 
@@ -71,10 +71,8 @@ class RequestQueue:
 
     def pop_batch(self, n: int) -> list[Request]:
         """Dequeue up to ``n`` requests in arrival order."""
-        batch: list[Request] = []
-        while self._items and len(batch) < n:
-            batch.append(self._items.popleft())
-        return batch
+        items = self._items
+        return [items.popleft() for _ in range(min(n, len(items)))]
 
     def drain(self) -> list[Request]:
         """Remove and return everything (replica death: requeue/shed)."""

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 __all__ = ["Request", "TrafficConfig", "TrafficGenerator"]
 
 
-@dataclass(frozen=True)
-class Request:
-    """One inference request in the simulated stream."""
+class Request(NamedTuple):
+    """One inference request in the simulated stream (a tuple: a run
+    makes one per arrival, and nothing else it does per arrival costs
+    as much as a frozen dataclass's ``__init__``)."""
 
     rid: int
     arrival_s: float
@@ -106,7 +108,6 @@ class TrafficGenerator:
             acc += w / total
             cum.append(acc)
         self._hot_cumulative = cum
-        self._rng = rng
 
     # ------------------------------------------------------------------
     def rate(self, t: float) -> float:
@@ -131,50 +132,42 @@ class TrafficGenerator:
             peak *= config.burst_factor
         return peak
 
-    def _draw_key(self) -> int:
-        config = self.config
-        r = self._rng.random()
-        if r < config.hot_fraction:
-            u = self._rng.random()
-            for key, edge in enumerate(self._hot_cumulative):
-                if u <= edge:
-                    return key
-            return config.hot_keys - 1
-        return config.hot_keys + self._rng.randrange(
-            config.key_space - config.hot_keys
-        )
-
     # ------------------------------------------------------------------
     def generate(self) -> list[Request]:
         """Materialize the full stream (restartable: fresh RNG state)."""
-        self._rng = random.Random(self.config.seed)
-        # Re-consume the construction draws so generate() is idempotent
-        # regardless of how many times it runs.
-        for _ in range(self.config.bursts):
-            self._rng.uniform(0.0, self.config.duration_s)
-        requests: list[Request] = []
         config = self.config
-        peak = self.peak_rate
+        rng = random.Random(config.seed)
+        # Skip the burst-window draws the constructor made from this seed.
+        for _ in range(config.bursts):
+            rng.uniform(0.0, config.duration_s)
+        # One call per candidate arrival from here on: bind everything.
+        random_, expovariate, randrange = rng.random, rng.expovariate, rng.randrange
+        rate, peak, duration_s = self.rate, self.peak_rate, config.duration_s
+        # Without modulation rate(t) is base_qps == peak for every t:
+        # the acceptance draw is still made, and always passes.
+        flat = peak == config.base_qps
+        deadline_s, hot_fraction = config.deadline_s, config.hot_fraction
+        cumulative, last_hot = self._hot_cumulative, config.hot_keys - 1
+        cold_keys = config.key_space - config.hot_keys
+        requests: list[Request] = []
+        append = requests.append
         t = 0.0
-        rid = 0
         while True:
             # Thinning: candidate gaps at the peak rate, accepted with
             # probability rate(t)/peak — an exact inhomogeneous Poisson
             # sampler as long as rate(t) <= peak everywhere.
-            t += self._rng.expovariate(peak)
-            if t >= config.duration_s:
+            t += expovariate(peak)
+            if t >= duration_s:
                 break
-            if self._rng.random() * peak > self.rate(t):
+            threshold = random_() * peak
+            if not flat and threshold > rate(t):
                 continue
-            requests.append(
-                Request(
-                    rid=rid,
-                    arrival_s=t,
-                    key=self._draw_key(),
-                    deadline_s=t + config.deadline_s,
-                )
-            )
-            rid += 1
+            if random_() < hot_fraction:
+                # First Zipf edge at or above the draw.
+                key = min(bisect_left(cumulative, random_()), last_hot)
+            else:
+                key = last_hot + 1 + randrange(cold_keys)
+            append(Request(len(requests), t, key, t + deadline_s))
         return requests
 
     def __iter__(self) -> Iterator[Request]:

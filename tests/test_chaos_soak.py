@@ -320,6 +320,8 @@ class TestServingFleetCampaign:
         # above) its configured floor.
         final = result.samples[-1]
         assert final.live + final.starting >= self.REPLICAS
+        # Every arrival is accounted for, whatever the faults did to it.
+        assert result.arrived == result.served + result.shed + result.timed_out
         # Served work stayed useful despite re-routing and retries.
         assert result.served > 0
         assert result.goodput >= 0.8

@@ -10,6 +10,7 @@ QPS) are checked in milliseconds and independent of the cost model.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.distributed.fault import FaultEvent, FaultKind, FaultSchedule
 from repro.perf.timeline import Tracer
@@ -23,6 +24,7 @@ from repro.serve import (
     Request,
     RequestQueue,
     ServiceModel,
+    ServingFleet,
     TokenBucketBatcher,
     TrafficConfig,
     make_policy,
@@ -471,3 +473,154 @@ def test_storage_fault_slows_provisioning_with_fallback():
     assert any(label.startswith("serve:fallback@") for label in labels)
     ratio = result.recovery_ratio()
     assert ratio is not None and ratio >= 0.9  # slower repair, same end state
+
+
+# ----------------------------------------------------------------------
+# Request conservation: arrived == served + shed + timed_out
+# ----------------------------------------------------------------------
+def _lost(result):
+    return result.arrived - result.served - result.shed - result.timed_out
+
+
+def test_batch_in_flight_at_the_horizon_is_timed_out():
+    """A 0.5 s batch launched inside the last 0.5 s never completes in
+    the window; its requests used to be counted nowhere."""
+    result = simulate_serving(
+        FleetConfig(
+            service=stub_service(base_s=0.5, per_req_s=0.0),
+            traffic=TrafficConfig(seed=1, duration_s=1.0, base_qps=50, deadline_s=10.0),
+            replicas=1,
+            policy=f"continuous:{MAX_BATCH}",
+            drain_grace_s=0.2,
+        )
+    )
+    assert (result.arrived, result.served) == (57, 9)
+    assert result.timed_out == 48  # 40 still queued + the 8 in flight
+    assert _lost(result) == 0
+
+
+def test_queue_of_a_replica_still_starting_at_the_horizon_is_timed_out():
+    """The only replica crashes and its 64 GiB replacement is still
+    restoring at the horizon; what queued on it used to vanish."""
+    result = simulate_serving(
+        FleetConfig(
+            service=stub_service(model_bytes=64 << 30),
+            traffic=TrafficConfig(seed=1, duration_s=1.0, base_qps=500, deadline_s=10.0),
+            replicas=1,
+            autoscale=AutoscaleConfig(min_replicas=1, max_replicas=2),
+            control_interval_s=0.05,
+            drain_grace_s=0.2,
+            schedule=FaultSchedule(
+                [FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=5)]
+            ),
+        )
+    )
+    assert result.crashes == 1 and result.provisions >= 1
+    assert not any(label.startswith("serve:up@") for _, label in result.events)
+    assert (result.arrived, result.served, result.shed) == (496, 5, 25)
+    assert result.timed_out == 466
+    assert _lost(result) == 0
+
+
+_POLICIES = st.sampled_from(
+    [
+        "fixed:4", "fixed:8+0.01", "continuous:8", "continuous:4+0.005",
+        "token_bucket:8@400", "token_bucket:4@150+3",
+    ]
+)
+
+
+@st.composite
+def fleet_configs(draw):
+    service = stub_service()
+    replicas = draw(st.integers(1, 4))
+    load = draw(st.floats(0.2, 1.5))
+    seed = draw(st.integers(0, 2**16))
+    autoscale = draw(
+        st.none()
+        | st.builds(
+            AutoscaleConfig,
+            min_replicas=st.just(replicas),
+            max_replicas=st.integers(replicas, replicas + 2),
+            cooldown_ticks=st.integers(1, 3),
+        )
+    )
+    schedule = None
+    if draw(st.booleans()):
+        schedule = FaultSchedule.serving_campaign(
+            seed=seed, replicas=replicas, batches=draw(st.integers(20, 200))
+        )
+    return FleetConfig(
+        service=service,
+        traffic=TrafficConfig(
+            seed=seed,
+            duration_s=0.5,
+            base_qps=load * service.throughput() * replicas,
+            deadline_s=draw(st.sampled_from([0.01, 0.1, 1.0])),
+        ),
+        replicas=replicas,
+        policy=draw(_POLICIES),
+        queue_depth=draw(st.integers(1, 64)),
+        autoscale=autoscale,
+        control_interval_s=0.05,
+        hang_timeout_s=0.1,
+        schedule=schedule,
+        drain_grace_s=draw(st.floats(0.0, 2.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleet_configs())
+def test_fleet_conserves_requests_and_is_deterministic(config):
+    batch_sizes, latencies = [], []
+    fleet = ServingFleet(config)
+    observe = fleet.metrics.observe
+
+    def recording(batch):
+        batch_sizes.append(len(batch))
+        latencies.extend(batch)
+        observe(batch)
+
+    fleet.metrics.observe = recording
+    result = fleet.run()
+    assert _lost(result) == 0
+    assert result.served == sum(batch_sizes) and result.batches == len(batch_sizes)
+    assert all(latency >= 0.0 for latency in latencies)
+    assert simulate_serving(config).to_dict() == result.to_dict()
+
+
+# ----------------------------------------------------------------------
+# Counted complexity: the heap holds what is in flight, not the arrivals
+# ----------------------------------------------------------------------
+def test_heap_traffic_is_per_batch_not_per_arrival(monkeypatch):
+    import heapq
+
+    service = stub_service(max_batch=32)
+    config = FleetConfig(
+        service=service,
+        traffic=TrafficConfig(
+            seed=9,
+            duration_s=20_000 / (0.8 * 2 * service.throughput()),
+            base_qps=0.8 * 2 * service.throughput(),
+            deadline_s=1.0,
+        ),
+        replicas=2,
+        policy="continuous:32",
+        queue_depth=512,
+    )
+    pushes, peak = 0, 0
+    heappush = heapq.heappush
+
+    def counting(heap, item):
+        nonlocal pushes, peak
+        heappush(heap, item)
+        pushes += 1
+        peak = max(peak, len(heap))
+
+    monkeypatch.setattr("repro.serve.fleet.heapq.heappush", counting)
+    result = simulate_serving(config)
+    assert result.arrived > 19_000
+    ticks = len(result.samples)
+    assert pushes < ticks + 3 * result.batches + 2 * result.provisions + 8
+    assert peak <= ticks + 4 * config.replicas
+    assert pushes < result.arrived / 2  # used to exceed arrivals

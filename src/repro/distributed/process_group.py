@@ -11,12 +11,30 @@ Sections 3.3.1–3.3.2 of the paper:
   :class:`Work`; ``Work.wait()`` blocks the CPU thread, while
   ``Work.wait(stream)`` only inserts a GPU-side dependency — the
   distinction FSDP exploits to overlap communication with computation.
+
+The contract, in three parts:
+
+- *front-end*: every tensor collective is defined once, on
+  :class:`ProcessGroup` — it validates the call and hands
+  ``_collective`` its kind, byte count, read / write sets and how to
+  ``combine`` the ranks' inputs and ``split`` the result over outputs;
+- ``_transport(kind, nbytes, stream, reads, writes, combine,
+  shard_nbytes)``: the one method a backend implements (beside
+  ``barrier`` / ``all_reduce_scalar``) — launch the collective on the
+  stream and return ``(Work, combined)``, ``combined`` being ``combine``
+  of every member's flat float64 input, or ``None`` if no real data moved;
+- *a backend may assume* the arguments are already validated, and that
+  the one quantizing store into the outputs and ``_note_data_use``
+  happen above it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from repro import dtypes
 from repro.cuda import sanitizer
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
@@ -79,6 +97,11 @@ class ReduceOp:
     SUM = "sum"
     AVG = "avg"
     MAX = "max"
+
+
+def _check_reduce_op(op: str) -> None:
+    if op not in (ReduceOp.SUM, ReduceOp.AVG, ReduceOp.MAX):
+        raise DistributedError(f"unknown reduce op {op}")
 
 
 class Work:
@@ -207,7 +230,11 @@ class ProcessGroup:
         abort = self.device.abort
         if abort is None or not abort.enabled or not abort.poisoned:
             return
-        raise self._attach_flight_dump(
+        raise self._rank_failure_error(kind)
+
+    def _rank_failure_error(self, kind: CollectiveKind) -> RankFailureError:
+        abort = self.device.abort
+        return self._attach_flight_dump(
             RankFailureError(
                 kind=kind.value,
                 ranks=self.ranks,
@@ -333,8 +360,9 @@ class ProcessGroup:
 
         Feeds both the allocator's cross-stream reuse gate
         (``record_stream`` semantics) and, when enabled, the
-        stream-order sanitizer.  Call after ``_launch_collective`` so
-        the accesses attribute to the collective kernel just enqueued.
+        stream-order sanitizer.  ``_collective`` calls it after the
+        transport, so the accesses attribute to the collective kernel
+        just enqueued.
         """
         stream = stream or self.comm_stream
         device = self.device
@@ -398,14 +426,12 @@ class ProcessGroup:
         nbytes: int,
         stream: Optional[Stream],
         *,
-        collective_start: Optional[float] = None,
         shard_nbytes=None,
     ) -> Work:
         """Enqueue the collective kernel and return its Work handle.
 
-        ``collective_start`` lets threaded backends impose the max of
-        all ranks' ready times; the symmetric backend assumes peers are
-        in lockstep with this rank.
+        Peers are assumed in lockstep with this rank (the symmetric
+        backend's launch; the threaded one rendezvouses in ``_run``).
 
         Consults the installed fault injector first: injected delays
         push the issue time, degraded links stretch the duration, and a
@@ -421,10 +447,7 @@ class ProcessGroup:
         device.consume_cpu(device.spec.kernel_launch_cpu)
         duration = self._collective_duration(kind, nbytes, shard_nbytes)
         duration *= decision.duration_factor
-        issue = device.cpu_time()
-        if collective_start is not None:
-            issue = max(issue, collective_start)
-        issue += decision.delay_s
+        issue = device.cpu_time() + decision.delay_s
         record = self._record_issue(kind, nbytes, stream, issue)
         if decision.hang or duration > self.timeout:
             # The collective would never complete (or not before the
@@ -455,9 +478,23 @@ class ProcessGroup:
                     device.consume_cpu(self.timeout)
                     device.emit_mark(f"watchdog-drain:{kind.value}")
             raise self._timeout_error(kind)
-        start, end = stream.enqueue(
-            duration, issue_time=max(issue, stream.ready_time), label=kind.value
+        return self._enqueue(
+            kind, nbytes, stream, duration, max(issue, stream.ready_time), record
         )
+
+    def _enqueue(
+        self,
+        kind: CollectiveKind,
+        nbytes: int,
+        stream: Stream,
+        duration: float,
+        issue_time: float,
+        record,
+    ) -> Work:
+        """The tail every launch shares once its issue time is settled:
+        kernel on the stream, flight record completed and announced,
+        traffic counted, completion event tracked for the watchdog."""
+        start, end = stream.enqueue(duration, issue_time=issue_time, label=kind.value)
         self._record_launch(record, start, end)
         self._account_traffic(kind, nbytes)
         event = stream.record_event()
@@ -465,50 +502,115 @@ class ProcessGroup:
         return Work(event, on_complete=lambda: self._retire_op(token))
 
     # ------------------------------------------------------------------
-    # Collective API (implemented by backends)
+    # Collective front-end: every tensor collective is stated once, here
     # ------------------------------------------------------------------
+    def _transport(
+        self, kind, nbytes, stream, reads, writes, combine, shard_nbytes
+    ) -> tuple[Work, object]:
+        """The backend (module docstring): ``(Work, combined | None)``."""
+        raise NotImplementedError
+
+    def _collective(
+        self, kind, nbytes, stream, *, reads, writes, combine, split=None, shard_nbytes=None
+    ) -> Work:
+        """Run one validated collective through the backend.
+
+        ``combine`` maps the member ranks' inputs (each rank's ``reads``
+        flattened into one float64 array, in rank order) to a result
+        every rank shares; ``split`` cuts this rank's values out of it,
+        one flat array per tensor in ``writes`` (default: the result is
+        already that list).  ``_transport`` returns ``None`` for the
+        result when no real data moved (abstract tensors).
+        """
+        work, combined = self._transport(
+            kind, nbytes, stream, reads, writes, combine, shard_nbytes
+        )
+        if combined is not None:
+            parts = combined if split is None else split(combined)
+            for output, values in zip(writes, parts):
+                if output.is_materialized:
+                    output._np.reshape(-1)[...] = dtypes.quantize(values, output.dtype)
+        self._note_data_use(stream, reads=reads, writes=writes)
+        return work
+
+    def _gather(self, pairs: Sequence[tuple[Tensor, Tensor]], stream) -> Work:
+        if not pairs:
+            raise DistributedError(
+                "all_gather_into_tensor_coalesced: empty coalescing bucket"
+            )
+        nbytes = 0
+        for output, input in pairs:
+            if output.numel != input.numel * self.world_size:
+                raise DistributedError(
+                    f"all_gather_into_tensor: output numel {output.numel} != "
+                    f"world_size {self.world_size} * input numel {input.numel}"
+                )
+            nbytes += output.numel * input.dtype.itemsize
+        inputs = tuple(i for _, i in pairs)
+
+        def combine(datas):
+            # One rank-major concatenation per pair, built once for the
+            # group instead of once per receiving rank.
+            gathered, offset = [], 0
+            for input in inputs:
+                end = offset + input.numel
+                gathered.append(np.concatenate([d[offset:end] for d in datas]))
+                offset = end
+            return gathered
+
+        return self._collective(
+            CollectiveKind.ALL_GATHER_BASE, nbytes, stream,
+            reads=inputs, writes=tuple(o for o, _ in pairs), combine=combine,
+        )
+
+    def _reduce(
+        self, kind, stream, op: str, inputs, outputs, starts: Sequence[int], shard_nbytes=None
+    ) -> Work:
+        """Elementwise ``op`` over the ranks' concatenated ``inputs``;
+        ``outputs[k]`` receives the reduced elements from ``starts[k]``
+        on.  Reducing a concatenation is reducing each part, which is
+        why coalescing is bitwise-neutral."""
+        _check_reduce_op(op)
+        world = self.world_size
+
+        def combine(datas):
+            if op == ReduceOp.MAX:
+                return np.max(datas, axis=0)
+            total = np.sum(datas, axis=0)
+            return total / world if op == ReduceOp.AVG else total
+
+        def split(reduced):
+            return [reduced[s : s + o.numel] for o, s in zip(outputs, starts)]
+
+        return self._collective(
+            kind, sum(i.numel * i.dtype.itemsize for i in inputs), stream,
+            reads=inputs, writes=outputs, combine=combine, split=split,
+            shard_nbytes=shard_nbytes,
+        )
+
+    def _reduce_scatter(self, pairs: Sequence[tuple[Tensor, Tensor]], op: str, stream) -> Work:
+        if not pairs:
+            raise DistributedError(
+                "reduce_scatter_tensor_coalesced: empty coalescing bucket"
+            )
+        starts, offset = [], 0
+        for output, input in pairs:
+            if input.numel != output.numel * self.world_size:
+                raise DistributedError(
+                    f"reduce_scatter_tensor: input numel {input.numel} != "
+                    f"world_size {self.world_size} * output numel {output.numel}"
+                )
+            starts.append(offset + self.rank * output.numel)
+            offset += input.numel
+        inputs, outputs = tuple(i for _, i in pairs), tuple(o for o, _ in pairs)
+        return self._reduce(CollectiveKind.REDUCE_SCATTER, stream, op, inputs, outputs, starts)
+
+    # The single-pair forms are the coalesced forms over one pair; both
+    # go through the private helper so a call is one boundary span.
     def all_gather_into_tensor(
         self, output: Tensor, input: Tensor, *, stream: Optional[Stream] = None
     ) -> Work:
-        raise NotImplementedError
-
-    def reduce_scatter_tensor(
-        self, output: Tensor, input: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
-    ) -> Work:
-        raise NotImplementedError
-
-    def reduce_scatter(
-        self,
-        output: Tensor,
-        input: Tensor,
-        input_sizes: Sequence[int],
-        op: str = ReduceOp.SUM,
-        *,
-        stream: Optional[Stream] = None,
-    ) -> Work:
-        """Reduce-scatter with *uneven* per-rank output sizes.
-
-        ``input`` is the 1-D concatenation of ``world_size`` segments of
-        ``input_sizes[r]`` elements each; after the elementwise
-        reduction rank ``r`` receives segment ``r`` in ``output``
-        (``output.numel == input_sizes[rank]``, possibly zero).  The
-        per-parameter backend uses this for exact dim-0 shards whose
-        tail chunks are short.
-        """
-        raise NotImplementedError
-
-    def all_reduce(
-        self, tensor: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
-    ) -> Work:
-        raise NotImplementedError
-
-    def broadcast(self, tensor: Tensor, src: int, *, stream: Optional[Stream] = None) -> Work:
-        raise NotImplementedError
-
-    def all_gather(
-        self, outputs: Sequence[Tensor], input: Tensor, *, stream: Optional[Stream] = None
-    ) -> Work:
-        raise NotImplementedError
+        return self._gather(((output, input),), stream)
 
     def all_gather_into_tensor_coalesced(
         self,
@@ -525,7 +627,12 @@ class ProcessGroup:
         target.  The fault injector is consulted once: a bucket is one
         logical collective, keeping SPMD fault sequences aligned.
         """
-        raise NotImplementedError
+        return self._gather(pairs, stream)
+
+    def reduce_scatter_tensor(
+        self, output: Tensor, input: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
+    ) -> Work:
+        return self._reduce_scatter(((output, input),), op, stream)
 
     def reduce_scatter_tensor_coalesced(
         self,
@@ -541,7 +648,76 @@ class ProcessGroup:
         inputs and slicing per-pair rank segments yields exactly the
         same values as separate collectives.
         """
-        raise NotImplementedError
+        return self._reduce_scatter(pairs, op, stream)
+
+    def reduce_scatter(
+        self,
+        output: Tensor,
+        input: Tensor,
+        input_sizes: Sequence[int],
+        op: str = ReduceOp.SUM,
+        *,
+        stream: Optional[Stream] = None,
+    ) -> Work:
+        """Reduce-scatter with *uneven* per-rank output sizes.
+
+        ``input`` is the 1-D concatenation of ``world_size`` segments of
+        ``input_sizes[r]`` elements each; after the elementwise
+        reduction rank ``r`` receives segment ``r`` in ``output``
+        (``output.numel == input_sizes[rank]``, possibly zero).  Nothing
+        in the repository calls it: it survives, once, because the
+        frozen ``perfbench`` boundary table names it (ROADMAP item 5a).
+        """
+        sizes = list(input_sizes)
+        if len(sizes) != self.world_size:
+            raise DistributedError(
+                f"reduce_scatter: {len(sizes)} segment sizes for a "
+                f"group of {self.world_size} ranks"
+            )
+        if sum(sizes) != input.numel:
+            raise DistributedError(
+                f"reduce_scatter: segment sizes sum to {sum(sizes)} but "
+                f"input has {input.numel} elements"
+            )
+        if output.numel != sizes[self.rank]:
+            raise DistributedError(
+                f"reduce_scatter: output numel {output.numel} != this rank's "
+                f"segment size {sizes[self.rank]}"
+            )
+        even = len(set(sizes)) == 1
+        return self._reduce(
+            CollectiveKind.REDUCE_SCATTER if even else CollectiveKind.REDUCE_SCATTER_UNEVEN,
+            stream, op, (input,), (output,), (sum(sizes[: self.rank]),),
+            shard_nbytes=None if even else [s * input.dtype.itemsize for s in sizes],
+        )
+
+    def all_reduce(
+        self, tensor: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
+    ) -> Work:
+        return self._reduce(CollectiveKind.ALL_REDUCE, stream, op, (tensor,), (tensor,), (0,))
+
+    def broadcast(self, tensor: Tensor, src: int, *, stream: Optional[Stream] = None) -> Work:
+        if src not in self.ranks:
+            raise DistributedError(f"broadcast src {src} not in group {self.ranks}")
+        src_index = self.ranks.index(src)
+        return self._collective(
+            CollectiveKind.BROADCAST, tensor.numel * tensor.dtype.itemsize, stream,
+            reads=(tensor,), writes=(tensor,), combine=lambda datas: (datas[src_index],),
+        )
+
+    def all_gather(
+        self, outputs: Sequence[Tensor], input: Tensor, *, stream: Optional[Stream] = None
+    ) -> Work:
+        if len(outputs) != self.world_size:
+            raise DistributedError("all_gather needs one output tensor per rank")
+        sizes = [o.numel for o in outputs]
+        even = len(set(sizes)) == 1 and sizes[0] == input.numel
+        return self._collective(
+            CollectiveKind.ALL_GATHER_LIST if even else CollectiveKind.ALL_GATHER_UNEVEN,
+            sum(sizes) * input.dtype.itemsize, stream,
+            reads=(input,), writes=tuple(outputs), combine=list,
+            shard_nbytes=[s * input.dtype.itemsize for s in sizes],
+        )
 
     def all_to_all_bytes(self, nbytes: int, *, stream: Optional[Stream] = None) -> Work:
         """Cost-only all-to-all of ``nbytes`` total payload.
@@ -551,58 +727,3 @@ class ProcessGroup:
         simulation (the lookup itself is rank-local).
         """
         return self._launch_collective(CollectiveKind.ALL_TO_ALL, nbytes, stream)
-
-    def barrier(self) -> None:
-        raise NotImplementedError
-
-    def all_reduce_scalar(self, value: float, op: str = ReduceOp.SUM) -> float:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Shared validation
-    # ------------------------------------------------------------------
-    def _check_all_gather_shapes(self, output: Tensor, input: Tensor) -> None:
-        if output.numel != input.numel * self.world_size:
-            raise DistributedError(
-                f"all_gather_into_tensor: output numel {output.numel} != "
-                f"world_size {self.world_size} * input numel {input.numel}"
-            )
-
-    def _check_reduce_scatter_shapes(self, output: Tensor, input: Tensor) -> None:
-        if input.numel != output.numel * self.world_size:
-            raise DistributedError(
-                f"reduce_scatter_tensor: input numel {input.numel} != "
-                f"world_size {self.world_size} * output numel {output.numel}"
-            )
-
-    def _check_coalesced_pairs(
-        self, pairs: Sequence[tuple[Tensor, Tensor]], *, kind: str
-    ) -> None:
-        if not pairs:
-            raise DistributedError(f"{kind}: empty coalescing bucket")
-        check = (
-            self._check_all_gather_shapes
-            if kind == "all_gather_into_tensor_coalesced"
-            else self._check_reduce_scatter_shapes
-        )
-        for output, input in pairs:
-            check(output, input)
-
-    def _check_reduce_scatter_uneven_shapes(
-        self, output: Tensor, input: Tensor, input_sizes: Sequence[int]
-    ) -> None:
-        if len(input_sizes) != self.world_size:
-            raise DistributedError(
-                f"reduce_scatter: {len(input_sizes)} segment sizes for a "
-                f"group of {self.world_size} ranks"
-            )
-        if sum(input_sizes) != input.numel:
-            raise DistributedError(
-                f"reduce_scatter: segment sizes sum to {sum(input_sizes)} but "
-                f"input has {input.numel} elements"
-            )
-        if output.numel != input_sizes[self.rank]:
-            raise DistributedError(
-                f"reduce_scatter: output numel {output.numel} != this rank's "
-                f"segment size {input_sizes[self.rank]}"
-            )

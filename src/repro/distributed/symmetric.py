@@ -12,12 +12,8 @@ For numerics-preserving runs use :class:`ThreadedProcessGroup`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.distributed.process_group import ProcessGroup, ReduceOp, Work
+from repro.distributed.process_group import ProcessGroup, ReduceOp, _check_reduce_op
 from repro.errors import DistributedError
-from repro.hw.comm_model import CollectiveKind
-from repro.tensor import Tensor
 
 __all__ = ["SymmetricProcessGroup"]
 
@@ -25,98 +21,30 @@ __all__ = ["SymmetricProcessGroup"]
 class SymmetricProcessGroup(ProcessGroup):
     """Single-process stand-in for a full group of lockstep ranks."""
 
-    def all_gather_into_tensor(self, output, input, *, stream=None) -> Work:
-        self._check_all_gather_shapes(output, input)
-        if output.is_materialized and self.world_size > 1:
+    def _transport(self, kind, nbytes, stream, reads, writes, combine, shard_nbytes):
+        if self.world_size > 1 and any(t.is_materialized for t in writes):
             raise DistributedError(
-                "SymmetricProcessGroup cannot produce real gathered data; "
-                "use the threaded backend for materialized tensors"
+                f"SymmetricProcessGroup moves no real data ({kind.value} would "
+                "leave the output stale); use the threaded backend for "
+                "materialized tensors"
             )
-        nbytes = output.numel * input.dtype.itemsize
-        work = self._launch_collective(CollectiveKind.ALL_GATHER_BASE, nbytes, stream)
-        self._note_data_use(stream, reads=(input,), writes=(output,))
-        return work
-
-    def reduce_scatter_tensor(self, output, input, op=ReduceOp.SUM, *, stream=None) -> Work:
-        self._check_reduce_scatter_shapes(output, input)
-        nbytes = input.numel * input.dtype.itemsize
-        work = self._launch_collective(CollectiveKind.REDUCE_SCATTER, nbytes, stream)
-        self._note_data_use(stream, reads=(input,), writes=(output,))
-        return work
-
-    def all_gather_into_tensor_coalesced(self, pairs, *, stream=None) -> Work:
-        self._check_coalesced_pairs(pairs, kind="all_gather_into_tensor_coalesced")
-        for output, _ in pairs:
-            if output.is_materialized and self.world_size > 1:
-                raise DistributedError(
-                    "SymmetricProcessGroup cannot produce real gathered data; "
-                    "use the threaded backend for materialized tensors"
-                )
-        nbytes = sum(o.numel * i.dtype.itemsize for o, i in pairs)
-        work = self._launch_collective(CollectiveKind.ALL_GATHER_BASE, nbytes, stream)
-        self._note_data_use(
-            stream,
-            reads=tuple(i for _, i in pairs),
-            writes=tuple(o for o, _ in pairs),
-        )
-        return work
-
-    def reduce_scatter_tensor_coalesced(self, pairs, op=ReduceOp.SUM, *, stream=None) -> Work:
-        self._check_coalesced_pairs(pairs, kind="reduce_scatter_tensor_coalesced")
-        nbytes = sum(i.numel * i.dtype.itemsize for _, i in pairs)
-        work = self._launch_collective(CollectiveKind.REDUCE_SCATTER, nbytes, stream)
-        self._note_data_use(
-            stream,
-            reads=tuple(i for _, i in pairs),
-            writes=tuple(o for o, _ in pairs),
-        )
-        return work
-
-    def reduce_scatter(
-        self, output, input, input_sizes, op=ReduceOp.SUM, *, stream=None
-    ) -> Work:
-        self._check_reduce_scatter_uneven_shapes(output, input, input_sizes)
-        sizes = list(input_sizes)
-        even = len(set(sizes)) == 1
-        kind = (
-            CollectiveKind.REDUCE_SCATTER
-            if even
-            else CollectiveKind.REDUCE_SCATTER_UNEVEN
-        )
-        nbytes = input.numel * input.dtype.itemsize
-        shard_nbytes = None if even else [s * input.dtype.itemsize for s in sizes]
         work = self._launch_collective(kind, nbytes, stream, shard_nbytes=shard_nbytes)
-        self._note_data_use(stream, reads=(input,), writes=(output,))
-        return work
+        return work, None
 
-    def all_reduce(self, tensor, op=ReduceOp.SUM, *, stream=None) -> Work:
-        nbytes = tensor.numel * tensor.dtype.itemsize
-        work = self._launch_collective(CollectiveKind.ALL_REDUCE, nbytes, stream)
-        self._note_data_use(stream, reads=(tensor,), writes=(tensor,))
-        return work
-
-    def broadcast(self, tensor, src: int, *, stream=None) -> Work:
-        nbytes = tensor.numel * tensor.dtype.itemsize
-        work = self._launch_collective(CollectiveKind.BROADCAST, nbytes, stream)
-        self._note_data_use(stream, reads=(tensor,), writes=(tensor,))
-        return work
-
-    def all_gather(self, outputs: Sequence[Tensor], input: Tensor, *, stream=None) -> Work:
-        sizes = [o.numel for o in outputs]
-        even = len(set(sizes)) == 1 and sizes[0] == input.numel
-        kind = CollectiveKind.ALL_GATHER_LIST if even else CollectiveKind.ALL_GATHER_UNEVEN
-        nbytes = sum(sizes) * input.dtype.itemsize
-        shard_nbytes = [s * input.dtype.itemsize for s in sizes]
-        work = self._launch_collective(kind, nbytes, stream, shard_nbytes=shard_nbytes)
-        self._note_data_use(stream, reads=(input,), writes=tuple(outputs))
-        return work
+    # perfbench/boundaries.py resolves each collective with vars(cls)[name]
+    # on the concrete class: one alias per name until ROADMAP item 5a.
+    all_gather_into_tensor = ProcessGroup.all_gather_into_tensor
+    reduce_scatter_tensor = ProcessGroup.reduce_scatter_tensor
+    all_gather_into_tensor_coalesced = ProcessGroup.all_gather_into_tensor_coalesced
+    reduce_scatter_tensor_coalesced = ProcessGroup.reduce_scatter_tensor_coalesced
+    reduce_scatter = ProcessGroup.reduce_scatter
+    all_reduce = ProcessGroup.all_reduce
+    broadcast = ProcessGroup.broadcast
+    all_gather = ProcessGroup.all_gather
 
     def barrier(self) -> None:
         self.device.consume_cpu(self.comm_model.launch_overhead)
 
     def all_reduce_scalar(self, value: float, op: str = ReduceOp.SUM) -> float:
-        if op == ReduceOp.SUM:
-            return float(value) * self.world_size
-        if op == ReduceOp.AVG or op == ReduceOp.MAX:
-            return float(value)
-        raise DistributedError(f"unknown reduce op {op}")
+        _check_reduce_op(op)
+        return float(value) * self.world_size if op == ReduceOp.SUM else float(value)

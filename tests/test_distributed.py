@@ -115,6 +115,30 @@ class TestReductions:
 
         assert all(v == 1.5 for v in run(fn))
 
+    def test_reduce_scatter_max_and_uneven(self):
+        """Every reduce-scatter form goes through the one reduction
+        helper, so MAX means MAX for them too (it summed before)."""
+
+        def fn(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            x = repro.tensor(np.arange(4, dtype=np.float32) * (rank + 1), device=dev)
+            out = repro.empty(1, device=dev)
+            g.reduce_scatter_tensor(out, x, op=ReduceOp.MAX).wait()
+            sizes = [1, 0, 2, 1]
+            uneven = repro.empty(sizes[rank], device=dev)
+            g.reduce_scatter(uneven, x, sizes).wait()
+            return out.item(), uneven.numpy().tolist()
+
+        # max over ranks of arange(4) * (r + 1) = 4 * arange(4); the sum is 10 *.
+        total = (10 * np.arange(4, dtype=np.float32)).tolist()
+        assert run(fn) == [
+            (0.0, total[0:1]),
+            (4.0, []),
+            (8.0, total[1:3]),
+            (12.0, total[3:4]),
+        ]
+
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=4))
     def test_all_reduce_property(self, values):

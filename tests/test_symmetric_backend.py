@@ -1,10 +1,13 @@
 """Symmetric (single-rank, perf) process-group backend."""
 
+import dataclasses
+
 import pytest
 
 import repro
 from repro import distributed as dist, dtypes
 from repro.errors import DistributedError
+from repro.hw.specs import DEFAULT_HOST, cluster_of
 
 
 @pytest.fixture()
@@ -48,11 +51,25 @@ class TestCollectives:
         assert work.query()
 
     def test_all_gather_rejects_materialized(self, world):
+        """No collective may return with a real output left as it was:
+        the refusal is the transport's, not two collectives' own."""
         g = dist.default_group()
         out = repro.zeros(32)  # cpu, materialized
         shard = repro.zeros(2)
-        with pytest.raises(DistributedError):
-            g.all_gather_into_tensor(out, shard)
+        calls = [
+            lambda: g.all_gather_into_tensor(out, shard),
+            lambda: g.all_gather_into_tensor_coalesced([(out, shard)]),
+            lambda: g.reduce_scatter_tensor(shard, out),
+            lambda: g.reduce_scatter_tensor_coalesced([(shard, out)]),
+            lambda: g.reduce_scatter(shard, out, [2] * 16),
+            lambda: g.all_reduce(repro.ones(4)),
+            lambda: g.broadcast(repro.ones(4), src=0),
+            lambda: g.all_gather([repro.zeros(2) for _ in range(16)], shard),
+        ]
+        for call in calls:
+            with pytest.raises(DistributedError, match="moves no real data"):
+                call()
+        assert g.collective_count == 0
 
     def test_reduce_scatter_and_all_reduce_cost_ordering(self, world):
         g = dist.default_group()
@@ -132,3 +149,90 @@ class TestSubgroups:
         g.all_gather_into_tensor(out, shard)
         assert g.cross_host_bytes == 0
         assert g.bytes_sent > 0
+
+
+class TestThreadedRankVsSymmetric:
+    """ROADMAP item 8: the lockstep backend against a real (abstract)
+    threaded world, clock for clock."""
+
+    @staticmethod
+    def _on_both(program):
+        """``program(rank)`` on four abstract ranks over two hosts, then
+        on the symmetric stand-in for rank 0: ``(threaded, symmetric)``."""
+
+        def topology():
+            return cluster_of(4, host=dataclasses.replace(DEFAULT_HOST, gpus_per_host=2))
+
+        threaded = dist.spawn(program, 4, topology=topology(), materialize=False)
+        dist.shutdown()
+        dist.init_single_process(4, topology=topology())
+        try:
+            return threaded, program(0)
+        finally:
+            dist.shutdown()
+
+    def test_tensor_collectives_are_clock_equal(self):
+        def program(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+
+            def e(n):
+                return repro.empty(n, device=dev)
+
+            shard, full = e(1000), e(4000)
+            uneven = [100, 200, 300, 400]
+            calls = [
+                lambda: g.all_gather_into_tensor(full, shard),
+                lambda: g.reduce_scatter_tensor(shard, full),
+                lambda: g.all_gather_into_tensor_coalesced([(full, shard), (e(8), e(2))]),
+                lambda: g.reduce_scatter_tensor_coalesced([(shard, full), (e(2), e(8))]),
+                lambda: g.reduce_scatter(e(uneven[rank]), e(1000), uneven),
+                lambda: g.all_reduce(full),
+                lambda: g.broadcast(full, src=1),
+                lambda: g.all_gather([e(1000) for _ in range(4)], shard),
+                lambda: g.all_gather([e(n) for n in uneven], e(uneven[rank])),
+            ]
+            clocks = []
+            for call in calls:
+                work = call()
+                clocks.append(
+                    (work.completion_time, g.comm_stream.ready_time, dev.cpu_time())
+                )
+            return clocks, g.bytes_sent, g.cross_host_bytes, g.collective_count
+
+        threaded, symmetric = self._on_both(program)
+        assert symmetric[2] > 0  # the group really spans two hosts
+        for rank_result in threaded:
+            assert rank_result == symmetric
+
+    def test_barrier_and_scalar_are_not_backend_equal(self):
+        """Known divergence, pinned as it stands for item 8 (changing
+        either side moves simulated numbers): the symmetric barrier is
+        ``launch_overhead`` of CPU and its scalar all-reduce is free; the
+        threaded barrier is a 0-byte BROADCAST on the comm stream that
+        the CPU waits for and that counts as a collective, and its
+        scalar all-reduce ends at ``start + launch_overhead``."""
+
+        def program(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            overhead = g.comm_model.launch_overhead
+            seen = []
+            for call in (g.barrier, lambda: g.all_reduce_scalar(1.0)):
+                cpu, ready, count = dev.cpu_time(), g.comm_stream.ready_time, g.collective_count
+                call()
+                seen.append(
+                    (
+                        dev.cpu_time() == cpu + overhead,
+                        g.comm_stream.ready_time > ready,
+                        dev.cpu_time() == g.comm_stream.ready_time,
+                        g.collective_count - count,
+                    )
+                )
+            return seen
+
+        threaded, symmetric = self._on_both(program)
+        #                    cpu+=overhead  stream moved  cpu waited  counted
+        assert symmetric == [(True, False, False, 0), (False, False, False, 0)]
+        for rank_result in threaded:
+            assert rank_result == [(False, True, True, 1), (True, False, False, 0)]

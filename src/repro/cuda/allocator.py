@@ -24,7 +24,8 @@ allocator at the fidelity Section 3.4 of the paper requires:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.cuda import sanitizer
@@ -90,6 +91,7 @@ class Block:
         "prev",
         "next",
         "reuse_ready_time",
+        "_sanitizer",
         "__weakref__",
     )
 
@@ -102,10 +104,26 @@ class Block:
         self.prev: Optional[Block] = None
         self.next: Optional[Block] = None
         self.reuse_ready_time = 0.0
+        #: The stream-order sanitizer's shadow of this block (owner-stamped).
+        self._sanitizer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alloc" if self.allocated else "free"
         return f"Block(seg={self.segment.segment_id}, off={self.offset}, size={self.size}, {state})"
+
+
+class _Pool(list):
+    """One stream's cached free blocks, plus their byte total.
+
+    ``free_bytes`` is kept current wherever a block enters or leaves
+    the pool, so the per-stream breakdown never walks the blocks.
+    """
+
+    __slots__ = ("free_bytes",)
+
+    def __init__(self):
+        super().__init__()
+        self.free_bytes = 0
 
 
 @dataclass
@@ -145,7 +163,7 @@ class CachingAllocator:
         self.device = device
         self.capacity = capacity
         self.stats = MemoryStats()
-        self._pools: dict[int, list[Block]] = {}
+        self._pools: defaultdict[int, _Pool] = defaultdict(_Pool)
         # Pooled blocks with a nonzero cross-stream retire time, by id.
         # ``active`` = allocated + pooled-but-unretired bytes; almost all
         # pooled blocks have ``reuse_ready_time == 0``, so tracking the
@@ -153,8 +171,11 @@ class CachingAllocator:
         # O(all cached blocks) on every allocate/free.
         self._pending_reuse: dict[int, Block] = {}
         # Live segments by id (registered at cudaMalloc, dropped at
-        # release) — backs the per-stream reserved breakdown.
+        # release), and their bytes per allocation stream, kept current
+        # at the same two points (a stream leaves when its last segment
+        # does).
         self._segments: dict[int, Segment] = {}
+        self._reserved_by_stream: dict[int, int] = {}
         self._next_segment_id = 0
         # Bytes claimed by foreign allocations (fault injection's
         # transient OOM pressure); subtracted from usable capacity.
@@ -174,6 +195,7 @@ class CachingAllocator:
         if nbytes < 0:
             raise ValueError("pressure must be non-negative")
         self.pressure_bytes = nbytes
+        self._refresh_active()
         self._sample("pressure")
 
     @property
@@ -224,8 +246,10 @@ class CachingAllocator:
         block.allocated = False
         self.stats.allocated_bytes -= block.requested
         block.requested = 0
-        merged = self._coalesce(block)
-        self._pools.setdefault(merged.segment.stream_id, []).append(merged)
+        pool = self._pools[block.segment.stream_id]
+        merged = self._coalesce(block, pool)
+        pool.append(merged)
+        pool.free_bytes += merged.size
         if merged.reuse_ready_time > 0.0:
             self._pending_reuse[id(merged)] = merged
         self._bump_active()
@@ -260,26 +284,25 @@ class CachingAllocator:
     # Profiler queries
     # ------------------------------------------------------------------
     def reserved_bytes_by_stream(self) -> dict[int, int]:
-        """Segment bytes per allocation stream; sums to reserved_bytes."""
-        out: dict[int, int] = {}
-        for segment in self._segments.values():
-            out[segment.stream_id] = out.get(segment.stream_id, 0) + segment.size
-        return out
+        """Segment bytes per allocation stream; sums to reserved_bytes.
+
+        O(streams): read from the totals kept at cudaMalloc and release.
+        """
+        return dict(self._reserved_by_stream)
 
     def pool_bytes_by_stream(self) -> dict[int, int]:
-        """Free cached bytes per stream pool."""
+        """Free cached bytes per non-empty stream pool, in O(streams)."""
         return {
-            stream_id: sum(block.size for block in pool)
-            for stream_id, pool in self._pools.items()
-            if pool
+            stream_id: pool.free_bytes for stream_id, pool in self._pools.items() if pool
         }
 
     def _sample(self, reason: str) -> None:
         """Announce a state-changing allocator event to the device's
-        ``on_alloc`` observers as ``(allocator, cpu_time, reason)``."""
+        ``on_alloc`` observers as ``(allocator, cpu_time, reason)``.
+
+        Every caller has just refreshed ``active``."""
         observers = self.device._on_alloc
         if observers:
-            self._refresh_active()
             now = self.device.cpu_time()
             for on_alloc in observers:
                 on_alloc(self, now, reason)
@@ -310,12 +333,13 @@ class CachingAllocator:
         if best is None:
             return None
         pool.pop(best_index)
+        pool.free_bytes -= best_size
         self._pending_reuse.pop(id(best), None)
         self.stats.num_block_reuses += 1
-        self._maybe_split(best, size, stream)
+        self._maybe_split(best, size)
         return best
 
-    def _maybe_split(self, block: Block, size: int, stream: "Stream") -> None:
+    def _maybe_split(self, block: Block, size: int) -> None:
         remainder = block.size - size
         should_split = (
             remainder >= _SPLIT_REMAINDER_MIN
@@ -331,7 +355,9 @@ class CachingAllocator:
             block.next.prev = rest
         block.next = rest
         block.size = size
-        self._pools.setdefault(block.segment.stream_id, []).append(rest)
+        pool = self._pools[block.segment.stream_id]
+        pool.append(rest)
+        pool.free_bytes += remainder
         if rest.reuse_ready_time > 0.0:
             self._pending_reuse[id(rest)] = rest
 
@@ -348,8 +374,11 @@ class CachingAllocator:
             segment_size = size
             if self.stats.reserved_bytes + segment_size > self.usable_capacity:
                 return None
-        segment = Segment(self._next_segment_id, segment_size, stream.stream_id, is_small)
+        stream_id = stream.stream_id
+        segment = Segment(self._next_segment_id, segment_size, stream_id, is_small)
         self._segments[segment.segment_id] = segment
+        by_stream = self._reserved_by_stream
+        by_stream[stream_id] = by_stream.get(stream_id, 0) + segment_size
         self._next_segment_id += 1
         self.stats.reserved_bytes += segment_size
         self.stats.reserved_peak = max(self.stats.reserved_peak, self.stats.reserved_bytes)
@@ -358,7 +387,7 @@ class CachingAllocator:
             _CUDA_MALLOC_CALL_COST + segment_size / _CUDA_MALLOC_MAPPING_BYTES_PER_S
         )
         block = Block(segment, 0, segment_size)
-        self._maybe_split(block, size, stream)
+        self._maybe_split(block, size)
         return block
 
     def _retry_free_cached(self, stream: "Stream") -> None:
@@ -384,7 +413,8 @@ class CachingAllocator:
         """Unmap whole free segments; returns how many were released."""
         now = self.device.cpu_time()
         released = 0
-        for stream_id, pool in list(self._pools.items()):
+        by_stream = self._reserved_by_stream
+        for stream_id, pool in self._pools.items():
             kept: list[Block] = []
             for block in pool:
                 whole_segment_free = (
@@ -392,13 +422,20 @@ class CachingAllocator:
                 )
                 retired = block.reuse_ready_time <= now
                 if whole_segment_free and (retired or not require_retired):
-                    self.stats.reserved_bytes -= block.segment.size
-                    self._segments.pop(block.segment.segment_id, None)
+                    segment = block.segment
+                    self.stats.reserved_bytes -= segment.size
+                    del self._segments[segment.segment_id]
+                    left = by_stream[stream_id] - segment.size
+                    if left:
+                        by_stream[stream_id] = left
+                    else:
+                        del by_stream[stream_id]
+                    pool.free_bytes -= block.size
                     self._pending_reuse.pop(id(block), None)
                     released += 1
                 else:
                     kept.append(block)
-            self._pools[stream_id] = kept
+            pool[:] = kept
         # Released blocks may have counted toward active (pending
         # cross-stream retirement); recompute so active <= reserved holds
         # without waiting for the next allocate/free.
@@ -407,16 +444,17 @@ class CachingAllocator:
             self._sample("release")
         return released
 
-    def _coalesce(self, block: Block) -> Block:
+    def _coalesce(self, block: Block, pool: _Pool) -> Block:
         """Merge ``block`` with free neighbors; returns the merged block.
 
-        Free neighbors are always resident in the pool, so merging
-        removes them from it; the caller re-inserts the result.
+        Free neighbors are always resident in ``pool`` (the pool of the
+        block's stream), so merging removes them from it; the caller
+        re-inserts the result.
         """
-        pool = self._pools.setdefault(block.segment.stream_id, [])
         neighbor = block.prev
         if neighbor is not None and not neighbor.allocated:
             pool.remove(neighbor)
+            pool.free_bytes -= neighbor.size
             self._pending_reuse.pop(id(neighbor), None)
             neighbor.next = block.next
             if block.next is not None:
@@ -427,6 +465,7 @@ class CachingAllocator:
         neighbor = block.next
         if neighbor is not None and not neighbor.allocated:
             pool.remove(neighbor)
+            pool.free_bytes -= neighbor.size
             self._pending_reuse.pop(id(neighbor), None)
             block.next = neighbor.next
             if neighbor.next is not None:

@@ -160,6 +160,9 @@ class Device:
         # signature on every rendezvous round and cross-checks it
         # before combining (the desync detector).
         self.desync_checker = None
+        # The stream-order sanitizer's host clock for this device's CPU
+        # thread, as ``(owner, clock)``.
+        self._sanitizer = None
         self._next_stream_id = 0
         self.streams: list[Stream] = []
         if kind == "sim_gpu":

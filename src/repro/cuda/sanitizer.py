@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.errors import ExecOrderViolation, StreamOrderViolation
 
@@ -75,25 +73,46 @@ __all__ = [
 _tls = threading.local()
 
 
-@dataclass(frozen=True)
 class LaunchRecord:
-    """One kernel launch, as remembered by the sanitizer."""
+    """One kernel launch, as remembered by the sanitizer (read-only by
+    convention: records are shared between shadows and violations)."""
 
-    stream_name: str
-    stream_key: int
-    seq: int
-    label: str
-    site: Optional[str] = None
+    __slots__ = ("stream_name", "stream_key", "seq", "label", "site")
+
+    def __init__(
+        self, stream_name: str, stream_key: int, seq: int, label: str, site: Optional[str] = None
+    ):
+        self.stream_name = stream_name
+        self.stream_key = stream_key
+        self.seq = seq
+        self.label = label
+        self.site = site
 
     def describe(self) -> str:
         where = f" during {self.site}" if self.site else ""
         return f"{self.label!r} (kernel #{self.seq} on stream {self.stream_name!r}{where})"
 
+    def __repr__(self) -> str:
+        return (
+            f"LaunchRecord({self.stream_name!r}, {self.stream_key}, {self.seq}, "
+            f"{self.label!r}, {self.site!r})"
+        )
+
+
+# Shadow state lives in a ``_sanitizer`` slot on the object it shadows
+# (Stream, Storage, Block; an ``(owner, ...)`` tuple on Event and
+# Device), stamped with the owning sanitizer's ``_owner`` token.  State
+# whose stamp is not the active sanitizer's reads as absent, so a fresh
+# ``enable()`` / ``reset()`` / ``enabled()`` starts empty without
+# visiting anything, and no shadow keeps its object (or the sanitizer)
+# alive.
+
 
 class _StreamState:
-    __slots__ = ("key", "seq", "clock", "clock_shared", "last")
+    __slots__ = ("owner", "key", "seq", "clock", "clock_shared", "last")
 
-    def __init__(self, key: int):
+    def __init__(self, owner: object, key: int):
+        self.owner = owner
         self.key = key
         #: Count of kernels enqueued on this stream so far.
         self.seq = 0
@@ -128,9 +147,10 @@ class _StreamState:
 
 
 class _StorageShadow:
-    __slots__ = ("block", "generation", "last_write", "readers")
+    __slots__ = ("owner", "block", "generation", "last_write", "readers")
 
-    def __init__(self, block, generation=0):
+    def __init__(self, owner: object, block, generation: int):
+        self.owner = owner
         #: The allocator block backing the storage when last seen, plus
         #: that block's allocation generation; a release/reallocate
         #: cycle starts a fresh shadow (new lifetime) even when the
@@ -142,6 +162,18 @@ class _StorageShadow:
         self.readers: dict[int, LaunchRecord] = {}
 
 
+class _BlockShadow:
+    __slots__ = ("owner", "generation", "uses")
+
+    def __init__(self, owner: object, generation: int):
+        self.owner = owner
+        #: How many times the allocator handed the block out.
+        self.generation = generation
+        #: Accesses since the last hand-out, per stream key:
+        #: ``(seq, end time, record)``; None when there were none.
+        self.uses: Optional[dict] = None
+
+
 def _merge(into: dict[int, int], other: dict[int, int]) -> None:
     for key, seq in other.items():
         if into.get(key, 0) < seq:
@@ -151,42 +183,47 @@ def _merge(into: dict[int, int], other: dict[int, int]) -> None:
 class StreamOrderSanitizer:
     """Happens-before tracker over streams, events and the allocator.
 
-    All state is keyed by object identity through weak references, so
-    tracking never extends the lifetime of streams, events, storages or
-    allocator blocks.  A single instance may observe many devices (the
-    threaded backend runs ranks as threads, each with its own device);
-    an internal lock makes the handlers thread-safe.
+    Shadow state is held in slots on the streams, events, devices,
+    storages and blocks it describes and stamped with this instance's
+    ``_owner`` token (see above), so tracking costs no lookup per access
+    and keeps no tracked object alive.  A single instance may observe
+    many devices (the threaded backend runs ranks as threads, each with
+    its own device); an internal lock makes the handlers thread-safe.
     """
 
     def __init__(self, *, raise_on_violation: bool = True):
         self.raise_on_violation = raise_on_violation
         self.violations: list[StreamOrderViolation] = []
         self._lock = threading.RLock()
-        self._streams: WeakKeyDictionary = WeakKeyDictionary()  # Stream -> _StreamState
-        self._events: WeakKeyDictionary = WeakKeyDictionary()  # Event -> clock
-        self._hosts: WeakKeyDictionary = WeakKeyDictionary()  # Device -> clock
-        self._storages: WeakKeyDictionary = WeakKeyDictionary()  # Storage -> _StorageShadow
-        self._blocks: WeakKeyDictionary = WeakKeyDictionary()  # Block -> {key: (seq, end, rec)}
-        self._block_gen: WeakKeyDictionary = WeakKeyDictionary()  # Block -> alloc count
+        #: Stamp on every shadow this instance creates; a token rather
+        #: than ``self`` so shadows never keep the sanitizer (and the
+        #: tracebacks of its violations) alive.
+        self._owner = object()
         self._next_key = 0
 
     # ------------------------------------------------------------------
     # Stream / event hooks (wired from repro.cuda.stream / device)
     # ------------------------------------------------------------------
     def _state(self, stream: "Stream") -> _StreamState:
-        state = self._streams.get(stream)
-        if state is None:
+        state = stream._sanitizer
+        if state is None or state.owner is not self._owner:
             self._next_key += 1
-            state = _StreamState(self._next_key)
-            self._streams[stream] = state
+            state = stream._sanitizer = _StreamState(self._owner, self._next_key)
         return state
+
+    def _host_clock(self, device: "Device") -> Optional[dict[int, int]]:
+        """What the device's CPU thread has observed complete (or None)."""
+        entry = device._sanitizer
+        if entry is None or entry[0] is not self._owner:
+            return None
+        return entry[1]
 
     def on_kernel(self, stream: "Stream", label: str) -> None:
         """A kernel was enqueued on ``stream`` (any label, any origin)."""
         with self._lock:
             state = self._state(stream)
             state.seq += 1
-            host = self._hosts.get(stream.device)
+            host = self._host_clock(stream.device)
             if host:
                 # The launching CPU thread already observed everything in
                 # the host clock; the new kernel inherits that ordering.
@@ -203,21 +240,21 @@ class StreamOrderSanitizer:
         with self._lock:
             state = self._state(stream)
             state.clock_shared = True
-            self._events[event] = (state.clock, state.key, state.seq)
+            event._sanitizer = (self._owner, state.clock, state.key, state.seq)
 
     def _event_clock(self, event: "Event") -> tuple[dict[int, int], Optional[int], int]:
-        clock = self._events.get(event)
-        if clock is None:
-            # Recorded before the sanitizer was enabled: conservatively
-            # treat it as covering everything enqueued so far on its
-            # device (avoids false positives at the enable boundary).
-            base = {}
-            for stream in getattr(event.device, "streams", ()):
-                state = self._streams.get(stream)
-                if state is not None:
-                    base[state.key] = state.seq
-            clock = (base, None, 0)
-        return clock
+        entry = event._sanitizer
+        if entry is not None and entry[0] is self._owner:
+            return entry[1:]
+        # Recorded before the sanitizer was enabled: conservatively
+        # treat it as covering everything enqueued so far on its
+        # device (avoids false positives at the enable boundary).
+        base = {}
+        for stream in getattr(event.device, "streams", ()):
+            state = stream._sanitizer
+            if state is not None and state.owner is self._owner:
+                base[state.key] = state.seq
+        return base, None, 0
 
     def on_wait_event(self, stream: "Stream", event: "Event") -> None:
         with self._lock:
@@ -235,10 +272,10 @@ class StreamOrderSanitizer:
             state.advance(other_state.key, other_state.seq)
 
     def _host(self, device: "Device") -> dict[int, int]:
-        host = self._hosts.get(device)
+        host = self._host_clock(device)
         if host is None:
             host = {}
-            self._hosts[device] = host
+            device._sanitizer = (self._owner, host)
         return host
 
     def on_host_sync_event(self, event: "Event") -> None:
@@ -294,18 +331,30 @@ class StreamOrderSanitizer:
     ) -> None:
         if storage.device is not device or not device.is_sim_gpu:
             return  # host scalars riding along in a GPU op, etc.
+        owner = self._owner
         block = storage.block
-        generation = self._block_gen.get(block, 0) if block is not None else 0
-        shadow = self._storages.get(storage)
-        if shadow is None or shadow.block is not block or shadow.generation != generation:
+        if block is None:
+            block_shadow = None
+            generation = 0
+        else:
+            block_shadow = block._sanitizer
+            if block_shadow is None or block_shadow.owner is not owner:
+                block_shadow = block._sanitizer = _BlockShadow(owner, 0)
+            generation = block_shadow.generation
+        shadow = storage._sanitizer
+        if (
+            shadow is None
+            or shadow.owner is not owner
+            or shadow.block is not block
+            or shadow.generation != generation
+        ):
             # New storage lifetime: the allocator may hand back the very
             # same Block object on reallocate, so block identity alone is
             # not enough — the allocation generation disambiguates.  Any
             # accesses from the previous lifetime were retired by the
             # allocator's own reuse gate (checked in on_block_alloc).
-            shadow = _StorageShadow(block, generation)
-            self._storages[storage] = shadow
-        if block is None:
+            shadow = storage._sanitizer = _StorageShadow(owner, block, generation)
+        if block_shadow is None:
             self._report(
                 device,
                 kind="use-after-free",
@@ -338,10 +387,9 @@ class StreamOrderSanitizer:
             shadow.readers = {}
         else:
             shadow.readers[state.key] = record
-        uses = self._blocks.get(block)
+        uses = block_shadow.uses
         if uses is None:
-            uses = {}
-            self._blocks[block] = uses
+            uses = block_shadow.uses = {}
         uses[state.key] = (state.seq, stream.ready_time, record)
 
     @staticmethod
@@ -363,10 +411,15 @@ class StreamOrderSanitizer:
         ordered before the allocating stream by a happens-before edge.
         """
         with self._lock:
-            self._block_gen[block] = self._block_gen.get(block, 0) + 1
-            uses = self._blocks.pop(block, None)
+            block_shadow = block._sanitizer
+            if block_shadow is None or block_shadow.owner is not self._owner:
+                block._sanitizer = _BlockShadow(self._owner, 1)
+                return
+            block_shadow.generation += 1
+            uses = block_shadow.uses
             if not uses:
                 return
+            block_shadow.uses = None
             state = self._state(stream)
             now = device.cpu_time()
             for key, (seq, end, prev) in uses.items():

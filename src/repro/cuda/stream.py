@@ -27,12 +27,19 @@ __all__ = ["Stream", "Event"]
 class Stream:
     """One in-order execution timeline on a simulated device."""
 
+    __slots__ = (
+        "device", "stream_id", "name", "ready_time", "kernels_enqueued", "_sanitizer",
+        "__weakref__",
+    )
+
     def __init__(self, device: "Device", stream_id: int, name: str = ""):
         self.device = device
         self.stream_id = stream_id
         self.name = name or f"stream{stream_id}"
         self.ready_time = 0.0
         self.kernels_enqueued = 0
+        #: The stream-order sanitizer's state for this stream (owner-stamped).
+        self._sanitizer = None
 
     def enqueue(
         self,
@@ -104,9 +111,13 @@ class Stream:
 class Event:
     """A recorded point on a stream's timeline."""
 
+    __slots__ = ("device", "time", "_sanitizer", "__weakref__")
+
     def __init__(self, device: "Device"):
         self.device = device
         self.time: Optional[float] = None
+        #: The stream-order sanitizer's clock snapshot (owner-stamped).
+        self._sanitizer = None
 
     def query(self) -> bool:
         """True if the event has completed relative to the CPU clock."""

@@ -245,15 +245,17 @@ class FlightRecorder:
             groups.setdefault(key, []).append(record)
         out = []
         for (group_ranks, seq), records in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            issued = tuple(sorted({r.rank for r in records}))
+            issuers = {r.rank for r in records}
             launched = tuple(sorted({r.rank for r in records if r.launched}))
-            missing = tuple(r for r in group_ranks if r not in issued)
-            stalled = len(launched) < len(issued)
+            stalled = len(launched) < len(issuers)
             still_running = now is not None and any(
                 r.end_time is not None and r.end_time > now for r in records
             )
             if not (stalled or still_running):
                 continue
+            issued = tuple(sorted(issuers))
+            # Only for entries in flight: a scan of the whole group.
+            missing = tuple(r for r in group_ranks if r not in issuers)
             out.append(
                 InFlightCollective(
                     kind=records[0].kind,

@@ -21,7 +21,7 @@ Samples export as Chrome-trace **counter tracks** (``"ph": "C"``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = ["MemorySample", "MemoryTimeline"]
 
@@ -127,33 +127,28 @@ class MemoryTimeline:
     # ------------------------------------------------------------------
     # Chrome-trace counter tracks
     # ------------------------------------------------------------------
-    def counter_events(self, *, pid: int = 0) -> list:
-        """Chrome-trace ``"ph": "C"`` records for every sample."""
-        events = []
+    def counter_events(self, *, pid: int = 0) -> Iterator[dict]:
+        """Chrome-trace ``"ph": "C"`` records for every sample, lazily
+        (the export streams them; ``list(...)`` to hold them all)."""
         for sample in self.samples:
             ts = sample.time * 1e6
-            events.append(
-                {
-                    "name": "mem.bytes",
+            yield {
+                "name": "mem.bytes",
+                "ph": "C",
+                "ts": ts,
+                "pid": pid,
+                "args": {
+                    "allocated": sample.allocated,
+                    "active": sample.active,
+                    "reserved": sample.reserved,
+                },
+            }
+            for stream_id, nbytes in sorted(sample.reserved_by_stream.items()):
+                name = self.stream_names.get(stream_id, str(stream_id))
+                yield {
+                    "name": f"mem.reserved.{name}",
                     "ph": "C",
                     "ts": ts,
                     "pid": pid,
-                    "args": {
-                        "allocated": sample.allocated,
-                        "active": sample.active,
-                        "reserved": sample.reserved,
-                    },
+                    "args": {"bytes": nbytes},
                 }
-            )
-            for stream_id, nbytes in sorted(sample.reserved_by_stream.items()):
-                name = self.stream_names.get(stream_id, str(stream_id))
-                events.append(
-                    {
-                        "name": f"mem.reserved.{name}",
-                        "ph": "C",
-                        "ts": ts,
-                        "pid": pid,
-                        "args": {"bytes": nbytes},
-                    }
-                )
-        return events

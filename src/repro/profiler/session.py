@@ -80,6 +80,8 @@ class ProfilerSession:
         #: Collective intervals regardless of unit attribution (totals).
         self.comm_intervals: list = []
         self._scopes: list = []
+        #: The open scopes, outermost first, ``"|"``-joined.
+        self.scope = ""
         self._prefetched: set = set()
         self._lock = threading.Lock()
         # id(device) -> (device, detach, whether ``flight`` was put on it)
@@ -117,15 +119,17 @@ class ProfilerSession:
     # ------------------------------------------------------------------
     # Scope stack
     # ------------------------------------------------------------------
-    @property
-    def scope(self) -> str:
-        return "|".join(label for label, _ in self._scopes)
+    def _rejoin_scope(self) -> None:
+        # Read on every span, sample and collective, changed only here:
+        # join once per push / pop / reset instead of once per read.
+        self.scope = "|".join(label for label, _ in self._scopes)
 
     def push_scope(self, label: str, *, pinned: bool = False) -> None:
         """Push a scope; ``pinned`` scopes survive iteration-boundary
         resets (outer spans like ``serve:batch@<replica>`` that enclose
         whole iterations rather than living inside one)."""
         self._scopes.append((label, pinned))
+        self._rejoin_scope()
 
     def pop_scope(self, label: Optional[str] = None) -> None:
         """Pop the topmost matching scope; tolerant of imbalance.
@@ -138,15 +142,18 @@ class ProfilerSession:
             return
         if label is None:
             self._scopes.pop()
+            self._rejoin_scope()
             return
         for i in range(len(self._scopes) - 1, -1, -1):
             if self._scopes[i][0] == label:
                 del self._scopes[i]
+                self._rejoin_scope()
                 return
 
     def reset_scopes(self) -> None:
         """Drop unpinned scopes."""
         self._scopes = [entry for entry in self._scopes if entry[1]]
+        self._rejoin_scope()
 
     #: A unit whose backward never ran leaves its scope pushed;
     #: iteration boundaries are known-empty points.

@@ -27,7 +27,10 @@ __all__ = ["Storage"]
 class Storage:
     """A flat buffer of ``numel`` elements of ``dtype`` on ``device``."""
 
-    __slots__ = ("device", "dtype", "numel", "nbytes", "data", "block", "freed", "__weakref__")
+    __slots__ = (
+        "device", "dtype", "numel", "nbytes", "data", "block", "freed", "_sanitizer",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -44,6 +47,8 @@ class Storage:
         self.nbytes = self.numel * dtype.itemsize
         self.block = None
         self.freed = False
+        #: The stream-order sanitizer's shadow (owner-stamped).
+        self._sanitizer = None
         if device.is_sim_gpu:
             self.block = device.allocator.allocate(self.nbytes, device.current_stream)
         if data is not None:

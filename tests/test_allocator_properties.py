@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cuda.allocator import _round_size
 from repro.cuda.device import Device
+from repro.errors import OutOfMemoryError
 
 MiB = 2**20
 
@@ -225,3 +226,89 @@ class TestStatsInvariants:
 
         extra = retry_cost(3) - retry_cost(1)
         assert abs(extra - 2 * _CUDA_FREE_PER_SEGMENT_COST) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# The per-stream breakdowns are incremental: they must equal a recount
+# ----------------------------------------------------------------------
+def recount_by_stream(alloc):
+    """From-scratch oracle: (segment bytes, free pooled bytes) per stream."""
+    reserved = {}
+    for segment in alloc._segments.values():
+        reserved[segment.stream_id] = reserved.get(segment.stream_id, 0) + segment.size
+    pooled = {
+        stream_id: sum(block.size for block in pool)
+        for stream_id, pool in alloc._pools.items()
+        if pool
+    }
+    return reserved, pooled
+
+
+@st.composite
+def breakdown_script(draw):
+    """alloc / free / record_use / empty_cache / set_pressure / retry /
+    CPU-advance steps over three streams of a small device."""
+    ops = []
+    live = 0
+    for _ in range(draw(st.integers(1, 50))):
+        kind = draw(
+            st.sampled_from(
+                ["alloc", "alloc", "alloc", "free", "free", "use", "empty", "pressure",
+                 "retry", "advance"]
+            )
+        )
+        if kind == "alloc":
+            ops.append(("alloc", draw(st.integers(1, 24 * MiB)), draw(st.integers(0, 2))))
+            live += 1
+        elif kind in ("free", "use") and live:
+            index = draw(st.integers(0, live - 1))
+            if kind == "free":
+                ops.append(("free", index))
+                live -= 1
+            else:
+                ops.append(("use", index, draw(st.integers(0, 2)), draw(st.floats(0, 1e-2))))
+        elif kind == "pressure":
+            ops.append(("pressure", draw(st.sampled_from([0, 8 * MiB, 32 * MiB]))))
+        elif kind == "retry":
+            ops.append(("retry", draw(st.integers(0, 2))))
+        elif kind == "advance":
+            ops.append(("advance", draw(st.floats(0, 1e-2))))
+        elif kind == "empty":
+            ops.append(("empty",))
+    return ops
+
+
+class TestIncrementalBreakdown:
+    @settings(max_examples=60, deadline=None)
+    @given(script=breakdown_script())
+    def test_breakdowns_equal_a_recount_after_every_step(self, script):
+        dev = make_device(capacity=96 * MiB)
+        alloc = dev.allocator
+        streams = [dev.default_stream, dev.new_stream("side"), dev.new_stream("comm")]
+        live = []
+        for op in script:
+            if op[0] == "alloc":
+                try:
+                    live.append(alloc.allocate(op[1], streams[op[2]]))
+                except OutOfMemoryError:
+                    live.append(None)
+            elif op[0] == "free":
+                block = live.pop(op[1])
+                if block is not None:
+                    alloc.free(block)
+            elif op[0] == "use":
+                block = live[op[1]]
+                if block is not None:
+                    alloc.record_use(block, streams[op[2]], dev.cpu_time() + op[3])
+            elif op[0] == "empty":
+                alloc.empty_cache()
+            elif op[0] == "pressure":
+                alloc.set_pressure(op[1])
+            elif op[0] == "retry":
+                alloc._retry_free_cached(streams[op[1]])
+            else:
+                dev.consume_cpu(op[1])
+            reserved, pooled = recount_by_stream(alloc)
+            assert alloc.reserved_bytes_by_stream() == reserved
+            assert alloc.pool_bytes_by_stream() == pooled
+            assert sum(reserved.values()) == alloc.stats.reserved_bytes

@@ -224,7 +224,7 @@ class TestMemoryTimeline:
         allocator = device.allocator
         allocator.allocate(2 * MiB, device.default_stream)
         timeline.on_alloc(allocator, 0.5, "alloc")
-        events = timeline.counter_events()
+        events = list(timeline.counter_events())
         device_track = [e for e in events if e["name"] == "mem.bytes"]
         assert len(device_track) == 1
         event = device_track[0]

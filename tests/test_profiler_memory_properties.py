@@ -170,7 +170,7 @@ class TestEndToEndTrainingRun:
     def test_counter_events_mirror_samples(self, profiled_run):
         session, _ = profiled_run
         samples = session.memory.samples
-        events = session.memory.counter_events()
+        events = list(session.memory.counter_events())
         device_track = [e for e in events if e["name"] == "mem.bytes"]
         assert len(device_track) == len(samples)
         for sample, event in zip(samples, device_track):

@@ -8,7 +8,9 @@ trace integration, and the end-to-end negative test: deleting the
 ``wait_event`` in the FSDP all-gather path must trip the sanitizer.
 """
 
+import contextlib
 import json
+import weakref
 
 import pytest
 
@@ -257,6 +259,132 @@ class TestReporting:
         finally:
             sanitizer.disable()
         assert not sanitizer.is_enabled()
+
+
+class TestFreshState:
+    """Shadow state lives on the streams, storages and blocks themselves,
+    stamped with its sanitizer: a new instance must see none of it."""
+
+    def test_next_instance_does_not_report_previous_state(self, gpu):
+        t = repro.empty(1024, device=gpu)
+        side = gpu.new_stream("side")
+        with sanitizer.enabled(raise_on_violation=False) as first:
+            launch(gpu, gpu.default_stream, writes=(t,))
+            launch(gpu, side, reads=(t,))
+        assert [v.kind for v in first.violations] == ["read-after-write"]
+        with sanitizer.enabled() as second:
+            # Against the first instance's shadow this write would race
+            # the side-stream read (write-after-read).
+            launch(gpu, gpu.default_stream, writes=(t,))
+            with pytest.raises(StreamOrderViolation) as exc:
+                launch(gpu, side, reads=(t,))
+        # Stream sequence numbers restarted too: both kernels are #1.
+        assert (exc.value.prev.seq, exc.value.cur.seq) == (1, 1)
+        assert first.violations[0].kind == "read-after-write"
+        assert len(second.violations) == 1
+
+    def test_reset_forgets_tracked_state(self, gpu, sanitizer_off):
+        t = repro.empty(1024, device=gpu)
+        side = gpu.new_stream("side")
+        sanitizer.enable()
+        try:
+            launch(gpu, gpu.default_stream, writes=(t,))
+            sanitizer.reset()
+            launch(gpu, side, reads=(t,))  # the write was before the reset
+            assert sanitizer.active().violations == []
+        finally:
+            sanitizer.disable()
+
+    def test_unretired_reuse_is_not_reported_by_the_next_instance(self, gpu):
+        """The block uses recorded under one instance are not checked by
+        the next (positive control: ``test_unretired_block_reuse_is_caught``)."""
+        keep1 = repro.empty(1024, device=gpu)
+        victim = repro.empty(1024, device=gpu)
+        keep2 = repro.empty(1024, device=gpu)
+        side = gpu.new_stream("side")
+        with sanitizer.enabled():
+            # Key the default stream first, as the next instance will,
+            # so the side-stream use is not mistaken for same-stream.
+            launch(gpu, gpu.default_stream, writes=(keep1,))
+            launch(gpu, side, reads=(victim,))
+            block = victim._storage.block
+            victim._storage.release()
+            block.reuse_ready_time = 0.0
+        with sanitizer.enabled() as fresh:
+            assert repro.empty(1024, device=gpu)._storage.block is not None
+        assert fresh.violations == []
+        del keep1, keep2
+
+    def test_controls_still_fire_on_objects_an_earlier_instance_tracked(self, gpu):
+        """Stale shadows are replaced, not adopted: every control fires
+        under a new instance on streams, storages and blocks the previous
+        one already shadowed."""
+        keep1 = repro.empty(1024, device=gpu)
+        victim = repro.empty(1024, device=gpu)
+        keep2 = repro.empty(1024, device=gpu)
+        side = gpu.new_stream("side")
+        with sanitizer.enabled():
+            for t in (keep1, victim, keep2):
+                launch(gpu, gpu.default_stream, writes=(t,))
+                launch(gpu, gpu.default_stream, reads=(t,))
+        gpu.synchronize()
+        with sanitizer.enabled():
+            launch(gpu, gpu.default_stream, writes=(keep1,))
+            with pytest.raises(StreamOrderViolation, match="read-after-write"):
+                launch(gpu, side, reads=(keep1,))
+        gpu.synchronize()
+        with sanitizer.enabled():
+            launch(gpu, side, reads=(victim,))
+            block = victim._storage.block
+            victim._storage.release()
+            block.reuse_ready_time = 0.0
+            with pytest.raises(StreamOrderViolation) as exc:
+                repro.empty(1024, device=gpu)
+        assert exc.value.kind == "unretired-block-reuse"
+        with sanitizer.enabled():
+            launch(gpu, gpu.default_stream, writes=(keep2,))
+            gpu.synchronize()
+            keep2._storage.release()
+            with pytest.raises(StreamOrderViolation, match="use-after-free"):
+                launch(gpu, gpu.default_stream, reads=(keep2,))
+        del keep1
+
+
+class TestLifetime:
+    """Tracking must not keep a storage alive past its last tensor."""
+
+    @staticmethod
+    def _free_log(sanitize: bool):
+        device = Device("sim_gpu", capacity=1 << 30)
+        device.materialize_data = False
+        side = device.new_stream("side")
+        log = []
+
+        class Recorder:
+            def on_alloc(self, allocator, time, reason):
+                log.append((reason, time, allocator.stats.allocated_bytes))
+
+        device.observe(Recorder())
+        with sanitizer.enabled() if sanitize else contextlib.nullcontext():
+            t = repro.empty(1024, device=device)
+            launch(device, device.default_stream, writes=(t,))
+            side.wait_event(device.default_stream.record_event())
+            launch(device, side, reads=(t,))
+            storage = t._storage
+            block = storage.block
+            ref = weakref.ref(storage)
+            del t, storage
+            alive = ref() is not None
+            pooled = block in device.allocator._pools[block.segment.stream_id]
+        return alive, pooled, log
+
+    def test_weakref_dies_and_block_returns_at_the_same_time(self, sanitizer_off):
+        plain = self._free_log(sanitize=False)
+        sanitized = self._free_log(sanitize=True)
+        assert sanitized == plain
+        alive, pooled, log = sanitized
+        assert not alive and pooled
+        assert log[-1][0] == "free" and log[-1][2] == 0
 
 
 def _forward_once(device, world):

@@ -286,3 +286,107 @@ class TestZeroDurationEvents:
         marks = sum(1 for name, _ in tracer.marks if name in kinds)
         assert marks >= 2  # the zero-byte broadcasts landed as marks
         assert events + marks == len(recorder)
+
+
+# ----------------------------------------------------------------------
+# Chrome-trace bytes: the chunked C-encoded writer is json.dumps exactly
+# ----------------------------------------------------------------------
+import hashlib  # noqa: E402
+
+from repro.perf import timeline  # noqa: E402
+
+#: sha256 of the trace ``profiled_gpt_trace`` writes, recorded with the
+#: writer that ``json.dump``-ed one list of every record.
+GOLDEN_TRACE_SHA256 = "f845bbb840f1d205e0a01e6bfcc4ce88777b8bad540b6fb80b311840f9bd68ef"
+
+
+def _reference_bytes(spans, marks, extra=()) -> str:
+    """The document as one ``json.dumps`` (what ``json.dump`` writes)."""
+    records = []
+    for name, stream, start, end, scope in spans:
+        record = {
+            "name": name, "ph": "X", "ts": start * 1e6, "dur": (end - start) * 1e6,
+            "pid": 0, "tid": stream,
+        }
+        if scope:
+            record["args"] = {"scope": scope}
+        records.append(record)
+    records += [
+        {"name": name, "ph": "i", "ts": t * 1e6, "pid": 0, "tid": "marks", "s": "g"}
+        for name, t in marks
+    ]
+    return json.dumps({"traceEvents": records + list(extra)})
+
+
+def _written(tmp_path, spans, marks, extra=()) -> str:
+    path = tmp_path / "trace.json"
+    timeline.write_chrome_trace(str(path), spans, marks, extra)
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def profiled_gpt_trace(tmp_path_factory):
+    """A fixed profiled minGPT run: (session, path of its trace)."""
+    from repro.models.mingpt import GptConfig
+    from repro.models.transformer import TransformerBlock
+    from repro.perf import SimConfig, simulate_training
+    from repro.perf.workloads import gpt_builder, gpt_loss_fn
+    from repro.profiler import ProfilerSession
+
+    gpt = GptConfig(
+        vocab_size=512, block_size=32, n_layer=4, n_head=4, n_embd=64,
+        checkpoint_blocks=False,
+    )
+    session = ProfilerSession()
+    simulate_training(
+        SimConfig(
+            name="trace-golden",
+            build_model=gpt_builder(gpt),
+            make_loss=gpt_loss_fn(gpt, 2, 32),
+            batch_size=2,
+            world_size=8,
+            auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
+            iterations=1,
+            warmup=1,
+            profiler=session,
+        )
+    )
+    path = tmp_path_factory.mktemp("golden") / "trace.json"
+    session.to_chrome_trace(str(path))
+    return session, path
+
+
+class TestChromeTraceBytes:
+    def test_profiled_run_matches_golden_bytes(self, profiled_gpt_trace):
+        _, path = profiled_gpt_trace
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
+
+    @pytest.mark.parametrize("chunk", [1, 7, 371])
+    def test_chunk_size_never_shows_in_the_bytes(
+        self, profiled_gpt_trace, tmp_path, monkeypatch, chunk
+    ):
+        """371 is the run's span count: the spans end on a chunk edge."""
+        session, golden = profiled_gpt_trace
+        monkeypatch.setattr(timeline, "CHROME_TRACE_CHUNK", chunk)
+        path = tmp_path / "trace.json"
+        session.to_chrome_trace(str(path))
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_no_events(self, tmp_path):
+        assert _written(tmp_path, [], []) == '{"traceEvents": []}' == _reference_bytes([], [])
+
+    def test_marks_only(self, tmp_path):
+        marks = [("fault:delay@r0", 0.25), ("sanitizer:read-after-write", 1.5)]
+        assert _written(tmp_path, [], marks) == _reference_bytes([], marks)
+
+    @pytest.mark.parametrize("extra", [0, 1, -1])
+    def test_record_count_around_a_chunk_multiple(self, tmp_path, monkeypatch, extra):
+        monkeypatch.setattr(timeline, "CHROME_TRACE_CHUNK", 4)
+        count = 3 * 4 + extra  # spans + marks + counters: 12 = 3 whole chunks
+        spans = [("k", "default", i * 1e-3, i * 1e-3 + 5e-4, "s" if i % 2 else "") for i in range(5)]
+        marks = [(f"m{i}", i * 0.1) for i in range(3)]
+        counters = [{"name": "mem.bytes", "ph": "C", "ts": float(i), "pid": 0, "args": {"a": i}}
+                    for i in range(count - len(spans) - len(marks))]
+        assert _written(tmp_path, spans, marks, iter(counters)) == _reference_bytes(
+            spans, marks, counters
+        )

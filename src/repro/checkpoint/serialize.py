@@ -37,7 +37,7 @@ def blob_crc32(blob: bytes) -> int:
     return zlib.crc32(blob) & 0xFFFFFFFF
 
 
-def _encode(obj: Any, data: list[bytes], cursor: list[int]):
+def _encode(obj: Any, data: list[memoryview], cursor: list[int]):
     if isinstance(obj, Tensor):
         detached = obj.detach()
         entry = {
@@ -52,12 +52,10 @@ def _encode(obj: Any, data: list[bytes], cursor: list[int]):
         if detached.is_materialized:
             # Storage bytes, not logical bytes: bfloat16 is emulated in
             # float32 storage, so ``stored`` can exceed ``nbytes``.
-            raw = np.ascontiguousarray(
-                detached._np, dtype=detached.dtype.np_dtype
-            ).tobytes()
-            entry["stored"] = len(raw)
-            data.append(raw)
-            cursor[0] += len(raw)
+            array = np.ascontiguousarray(detached._np, dtype=detached.dtype.np_dtype)
+            entry["stored"] = array.nbytes
+            data.append(memoryview(array))
+            cursor[0] += array.nbytes
         return entry
     if isinstance(obj, dict):
         for key in obj:
@@ -81,11 +79,15 @@ def _encode(obj: Any, data: list[bytes], cursor: list[int]):
 
 
 def serialize_state(obj: Any) -> bytes:
-    """Encode a nested payload into one blob (see module docstring)."""
-    data: list[bytes] = []
+    """Encode a nested payload into one blob (see module docstring).
+
+    Tensor bytes are copied once, by the final join, straight out of
+    (contiguous views of) the tensors' storage.
+    """
+    data: list[memoryview] = []
     cursor = [0]
     header = json.dumps(_encode(obj, data, cursor)).encode("utf-8")
-    return MAGIC + len(header).to_bytes(8, "little") + header + b"".join(data)
+    return b"".join([MAGIC, len(header).to_bytes(8, "little"), header, *data])
 
 
 def _decode(entry: Any, data: memoryview):

@@ -14,6 +14,7 @@ simulator, allocator and sanitizer, under the same observers.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.autograd.grad_mode import no_grad
@@ -121,13 +122,29 @@ class CompiledExecutor:
     """Replay a :class:`CompiledSchedule` through the eager runtime."""
 
     def __init__(self, runtime, schedule: CompiledSchedule):
-        self.runtime = runtime
+        # The runtime owns this executor: both it and its units are
+        # named weakly, like the runtime names its units.
+        self._runtime = weakref.ref(runtime)
         self.schedule = schedule
         self._units: dict = {
-            unit.label: unit for unit in runtime.units if unit.handle is not None
+            unit.label: unit.ref for unit in runtime.units if unit.handle is not None
         }
         self._issued: dict = {}  # bucket id -> completion Event (or None)
         self._fired: set = set()
+
+    @property
+    def runtime(self):
+        return self._runtime()
+
+    def _members(self, bucket) -> list:
+        """The live units of ``bucket`` that own a handle."""
+        members = []
+        for label in bucket.units:
+            ref = self._units.get(label)
+            unit = None if ref is None else ref()
+            if unit is not None and unit.handle is not None:
+                members.append(unit)
+        return members
 
     # ------------------------------------------------------------------
     # Hook entry points (called from FsdpUnit / FsdpRuntime)
@@ -203,13 +220,7 @@ class CompiledExecutor:
         runtime = self.runtime
         device = runtime.device
         self._issued[bucket_id] = None
-        members = [
-            unit
-            for unit in (self._units.get(label) for label in bucket.units)
-            if unit is not None
-            and unit.handle is not None
-            and not unit.handle.is_unsharded
-        ]
+        members = [unit for unit in self._members(bucket) if not unit.handle.is_unsharded]
         if not members:
             return
         for unit in members:
@@ -249,11 +260,7 @@ class CompiledExecutor:
         bucket = self.schedule.buckets[bucket_id]
         runtime = self.runtime
         device = runtime.device
-        members = [
-            unit
-            for unit in (self._units.get(label) for label in bucket.units)
-            if unit is not None and unit.handle is not None
-        ]
+        members = self._members(bucket)
         if not members:
             return
         with device.scope(f"reduce:{members[0].label}"):

@@ -38,6 +38,7 @@ from repro.distributed.process_group import (
 from repro.distributed.rendezvous import (
     Rendezvous,
     RendezvousAbortedError,
+    RendezvousCombineError,
     RendezvousTimeoutError,
 )
 from repro.distributed.symmetric import SymmetricProcessGroup
@@ -76,6 +77,7 @@ __all__ = [
     "CoordinatedAbort",
     "Rendezvous",
     "RendezvousAbortedError",
+    "RendezvousCombineError",
     "RendezvousTimeoutError",
     "retry_backoff",
 ]

@@ -16,6 +16,7 @@ replicated groups, Section 3.2.2).
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -304,44 +305,81 @@ def spawn(
 
     results: list = [None] * world_size
     errors: list = [None] * world_size
-
-    def worker(rank: int) -> None:
-        ctx = WorldContext(
-            rank=rank,
-            world_size=world_size,
-            device=devices[rank],
-            topology=topology,
-            comm_model=shared_comm_model,
-            backend="threaded",
-            cluster=cluster,
-            collective_timeout=collective_timeout,
-            fault_injector=injector,
-        )
-        _tls.ctx = ctx
-        try:
-            results[rank] = fn(rank, *args)
-        except BaseException as exc:  # noqa: BLE001 - propagated below
-            errors[rank] = exc
-        finally:
-            _tls.ctx = None
-
     threads = [
-        threading.Thread(target=worker, args=(rank,), name=f"rank{rank}")
+        threading.Thread(
+            target=_run_rank,
+            args=(
+                WorldContext(
+                    rank=rank,
+                    world_size=world_size,
+                    device=devices[rank],
+                    topology=topology,
+                    comm_model=shared_comm_model,
+                    backend="threaded",
+                    cluster=cluster,
+                    collective_timeout=collective_timeout,
+                    fault_injector=injector,
+                ),
+                fn,
+                args,
+                results,
+                errors,
+            ),
+            name=f"rank{rank}",
+        )
         for rank in range(world_size)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    for rank, error in enumerate(errors):
-        if error is not None:
-            wrapper = DistributedError(f"rank {rank} failed: {error!r}")
-            wrapper.rank_errors = {
-                r: e for r, e in enumerate(errors) if e is not None
-            }
-            wrapper.failed_ranks = _failed_ranks(errors)
-            raise wrapper from error
-    return results
+    rank_errors = {rank: error for rank, error in enumerate(errors) if error is not None}
+    if not rank_errors:
+        return results
+    for error in rank_errors.values():
+        _release_frames(error)
+    rank, error = next(iter(rank_errors.items()))
+    wrapper = DistributedError(f"rank {rank} failed: {error!r}")
+    wrapper.rank_errors = rank_errors
+    wrapper.failed_ranks = _failed_ranks(errors)
+    try:
+        raise wrapper from error
+    finally:
+        # This frame is on the wrapper's traceback: holding the wrapper
+        # here too would be a cycle.
+        del wrapper
+
+
+def _run_rank(ctx: WorldContext, fn: Callable, args: tuple, results: list, errors: list) -> None:
+    """One rank thread's body.  A module function, not a closure: a
+    rank error's traceback keeps this frame's function alive, and a
+    closure over ``errors`` would make that a cycle."""
+    _tls.ctx = ctx
+    try:
+        results[ctx.rank] = fn(ctx.rank, *args)
+    except BaseException as exc:  # noqa: BLE001 - propagated by spawn
+        errors[ctx.rank] = exc
+    finally:
+        _tls.ctx = None
+
+
+def _release_frames(error: BaseException) -> None:
+    """Clear the locals of every frame on the tracebacks of ``error`` and
+    of the exceptions chained to it (frames of a finished rank thread).
+
+    A kept error (``ElasticResult.failures``) would otherwise pin its
+    rank's whole world: model, optimizer, devices.  The traceback stays
+    printable; only frame locals go.
+    """
+    seen: set[int] = set()
+    pending = [error]
+    while pending:
+        exc = pending.pop()
+        if exc is None or id(exc) in seen:
+            continue
+        seen.add(id(exc))
+        traceback.clear_frames(exc.__traceback__)
+        pending += (exc.__cause__, exc.__context__)
 
 
 def _failed_ranks(errors: list) -> tuple[int, ...]:

@@ -10,11 +10,16 @@ be reused for an unbounded sequence of collectives.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import DistributedError
 
-__all__ = ["Rendezvous", "RendezvousAbortedError", "RendezvousTimeoutError"]
+__all__ = [
+    "Rendezvous",
+    "RendezvousAbortedError",
+    "RendezvousCombineError",
+    "RendezvousTimeoutError",
+]
 
 _DEFAULT_TIMEOUT = 120.0
 
@@ -57,6 +62,41 @@ class RendezvousAbortedError(DistributedError):
         )
 
 
+class RendezvousCombineError(DistributedError):
+    """The round's combiner raised, so no member got a result.
+
+    Every member of that round raises this; the last arrival, which ran
+    the combiner, chains the original exception as ``__cause__``.
+    """
+
+    def __init__(self, member_rank: int, generation: int, failure: str):
+        self.member_rank = member_rank
+        self.generation = generation
+        self.failure = failure
+        super().__init__(
+            f"rendezvous combiner failed (member {member_rank}, "
+            f"generation {generation}): {failure}"
+        )
+
+
+class _Round:
+    """One meeting: the payloads so far, then what the combiner made.
+
+    The rendezvous opens a fresh round the moment this one completes,
+    so the outcome is held only by the members still reading it.
+    """
+
+    __slots__ = ("generation", "payloads", "arrived", "done", "result", "failure")
+
+    def __init__(self, generation: int, world_size: int):
+        self.generation = generation
+        self.payloads: Optional[list] = [None] * world_size
+        self.arrived = 0
+        self.done = False
+        self.result = None
+        self.failure: Optional[str] = None
+
+
 class Rendezvous:
     """A reusable all-to-all meeting point for ``world_size`` threads."""
 
@@ -66,10 +106,7 @@ class Rendezvous:
         self.world_size = world_size
         self.timeout = timeout
         self._cond = threading.Condition()
-        self._generation = 0
-        self._arrived = 0
-        self._payloads: list = [None] * world_size
-        self._result = None
+        self._round = _Round(0, world_size)
 
     def exchange(
         self,
@@ -82,11 +119,12 @@ class Rendezvous:
     ):
         """Deposit ``payload``; the last thread runs ``combiner(payloads)``.
 
-        Returns the combiner's result to every member.  ``timeout``
-        (wall-clock seconds) overrides the rendezvous default; on
-        expiry a :class:`RendezvousTimeoutError` is raised and the
-        round is left un-completed (the world must be torn down — a
-        partial rendezvous cannot be rejoined).
+        Returns the combiner's result to every member; if the combiner
+        raises, every member raises :class:`RendezvousCombineError`.
+        ``timeout`` (wall-clock seconds) overrides the rendezvous
+        default; on expiry a :class:`RendezvousTimeoutError` is raised
+        and the round is left un-completed (the world must be torn down
+        — a partial rendezvous cannot be rejoined).
 
         ``abort`` (a ``repro.resilience.CoordinatedAbort``) makes the
         wait abort-aware: a mid-round declaration notifies this
@@ -99,27 +137,38 @@ class Rendezvous:
         if abort is not None:
             abort.register_condition(self._cond)
         with self._cond:
-            generation = self._generation
-            self._payloads[member_rank] = payload
-            self._arrived += 1
-            if self._arrived == self.world_size:
+            meeting = self._round
+            meeting.payloads[member_rank] = payload
+            meeting.arrived += 1
+            if meeting.arrived == self.world_size:
+                self._round = _Round(meeting.generation + 1, self.world_size)
+                payloads, meeting.payloads = meeting.payloads, None
+                meeting.failure = "the combiner did not return"
                 try:
-                    self._result = combiner(self._payloads)
+                    meeting.result = combiner(payloads)
+                    meeting.failure = None
+                except Exception as exc:
+                    meeting.failure = repr(exc)
+                    raise RendezvousCombineError(
+                        member_rank, meeting.generation, meeting.failure
+                    ) from exc
                 finally:
-                    self._arrived = 0
-                    self._payloads = [None] * self.world_size
-                    self._generation += 1
+                    meeting.done = True
                     self._cond.notify_all()
-                return self._result
+                return meeting.result
 
             def done() -> bool:
-                if self._generation != generation:
+                if meeting.done:
                     return True
                 return abort is not None and abort.enabled and abort.poisoned
 
             completed = self._cond.wait_for(done, timeout=deadline)
-            if self._generation != generation:
-                return self._result
+            if meeting.done:
+                if meeting.failure is not None:
+                    raise RendezvousCombineError(
+                        member_rank, meeting.generation, meeting.failure
+                    )
+                return meeting.result
             if completed:
-                raise RendezvousAbortedError(member_rank, generation)
-            raise RendezvousTimeoutError(member_rank, deadline, generation)
+                raise RendezvousAbortedError(member_rank, meeting.generation)
+            raise RendezvousTimeoutError(member_rank, deadline, meeting.generation)

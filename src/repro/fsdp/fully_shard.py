@@ -17,9 +17,9 @@ Two sharding backends are available:
   (:mod:`repro.fsdp.per_param`).
 
 Every unit *claims* the parameters it shards (an ``_fsdp_param_owner``
-mark on the module and parameter objects).  The claims make nested
-per-parameter units composable (an outer unit skips what inner units
-own) and turn the two classic mis-uses — annotating the same module
+weak reference on the module and parameter objects).  The claims make
+nested per-parameter units composable (an outer unit skips what inner
+units own) and turn the two classic mis-uses — annotating the same module
 twice, or annotating a module whose parameters were already taken by
 an ancestor unit (top-down application) — into typed
 :class:`FsdpError`\\ s naming the offending module path.
@@ -66,7 +66,7 @@ def _check_ancestor_claims(module: Module) -> None:
         if getattr(m, "_fsdp_unit", None) is not None
     }
     for path, sub in module.named_modules():
-        owner = getattr(sub, "_fsdp_param_owner", None)
+        owner = _owner(sub)
         if owner is not None and id(owner) not in subtree_units:
             where = path or "."
             raise FsdpError(
@@ -77,12 +77,18 @@ def _check_ancestor_claims(module: Module) -> None:
             )
 
 
+def _owner(obj):
+    """The unit that claimed ``obj`` (a module or parameter), or None.
+
+    A claim is a weak reference: the claiming unit's handle holds the
+    claimed parameters, so a strong mark would be a cycle.
+    """
+    claim = getattr(obj, "_fsdp_param_owner", None)
+    return None if claim is None else claim()
+
+
 def _unclaimed(triples):
-    return [
-        (mod, name, param)
-        for mod, name, param in triples
-        if getattr(param, "_fsdp_param_owner", None) is None
-    ]
+    return [(mod, name, param) for mod, name, param in triples if _owner(param) is None]
 
 
 def fully_shard(
@@ -173,8 +179,8 @@ def fully_shard(
         # Claim marks: parameter-level for collection filtering (the
         # per-parameter backend keeps parameters registered), module-
         # level for the bottom-up ordering diagnostics above.
-        object.__setattr__(mod, "_fsdp_param_owner", unit)
-        setattr(param, "_fsdp_param_owner", unit)
+        object.__setattr__(mod, "_fsdp_param_owner", unit.ref)
+        setattr(param, "_fsdp_param_owner", unit.ref)
 
     config = dict(
         backward_prefetch=backward_prefetch,

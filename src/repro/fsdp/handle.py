@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,19 +28,52 @@ from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.tensor import Tensor
 
-__all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle"]
+__all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook"]
 
 
-@dataclass
 class ParamInfo:
     """One ``module.name`` binding and where its parameter lives inside
-    the record's logical buffer (tied bindings share an ``offset``)."""
+    the record's logical buffer (tied bindings share an ``offset``).
 
-    module: Module
-    name: str
-    shape: tuple[int, ...]
-    numel: int
-    offset: int
+    The binding names its module weakly: the module owns the unit that
+    owns this record, so a strong edge back would close a cycle.
+    """
+
+    __slots__ = ("_module", "name", "shape", "numel", "offset")
+
+    def __init__(
+        self,
+        module: Optional[Module],
+        name: str,
+        shape: tuple[int, ...],
+        numel: int,
+        offset: int,
+    ):
+        self._module = None if module is None else weakref.ref(module)
+        self.name = name
+        self.shape = shape
+        self.numel = numel
+        self.offset = offset
+
+    @property
+    def module(self) -> Optional[Module]:
+        return None if self._module is None else self._module()
+
+
+def weak_hook(method: Callable) -> Callable:
+    """The bound ``method`` as a hook that does not keep its object alive.
+
+    Hooks sit on tensors and autograd nodes their object owns (a unit's
+    FlatParameter, a handle's parameters); a strong hook would close an
+    ownership cycle.  Once the object is gone the hook does nothing.
+    """
+    target, func = weakref.ref(method.__self__), method.__func__
+
+    def hook(*args):
+        obj = target()
+        return None if obj is None else func(obj, *args)
+
+    return hook
 
 
 @dataclass

@@ -53,7 +53,7 @@ from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.distributed.mesh import DeviceMesh, Shard, chunk_numels, local_chunk
 from repro.errors import FsdpError
-from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
+from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord, weak_hook
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.storage import Storage
@@ -86,7 +86,6 @@ class ShardedParam(ShardRecord):
 
     def __init__(
         self,
-        module: Module,
         name: str,
         param: Parameter,
         device: Device,
@@ -96,7 +95,6 @@ class ShardedParam(ShardRecord):
         full_precision_dtype: dtypes.DType,
         label: str = "",
     ):
-        self.module = module
         self.name = name
         self.param = param
         self.device = device
@@ -346,7 +344,6 @@ class PerParamHandle(ShardHandle):
                 # sharded once and its later bindings join the record.
                 self.sharded_params.append(
                     ShardedParam(
-                        module,
                         name,
                         param,
                         device,
@@ -586,9 +583,9 @@ class PerParamHandle(ShardHandle):
             return None
         self._post_backward_cb = callback
         self._expected_grads = len(targets)
+        on_grad_ready = weak_hook(self._on_grad_ready)
         handles = [
-            sp.param.register_post_accumulate_grad_hook(self._on_grad_ready)
-            for sp in targets
+            sp.param.register_post_accumulate_grad_hook(on_grad_ready) for sp in targets
         ]
         return _MultiHandle(handles)
 

@@ -22,6 +22,7 @@ This module implements Sections 3.3 and 3.4:
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from typing import Optional
 
@@ -32,6 +33,7 @@ from repro.cuda.stream import Event, Stream
 from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
 from repro.fsdp.flat_param import FlatParamHandle
+from repro.fsdp.handle import weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
 from repro.tensor import Tensor
 
@@ -76,9 +78,11 @@ class FsdpRuntime:
         self.forward_prefetch = forward_prefetch
         self.limit_all_gathers = limit_all_gathers
         self.rate_limit_inflight = rate_limit_inflight
-        self.units: list[FsdpUnit] = []
-        self.exec_order: list[FsdpUnit] = []
-        self.prev_exec_order: list[FsdpUnit] = []
+        # Units own the runtime they share; the runtime names them only
+        # through weak references, so a model's FSDP state dies with it.
+        self._units: list[weakref.ref] = []
+        self._exec_order: list[weakref.ref] = []
+        self._prev_exec_order: list[weakref.ref] = []
         self.exec_validator = ExecOrderValidator()
         self._inflight: deque[Event] = deque()
         self._final_callback_queued = False
@@ -92,6 +96,21 @@ class FsdpRuntime:
         self._detach_capture = None
         #: CompiledExecutor replaying the compiled schedule, or None.
         self.compiled = None
+
+    @property
+    def units(self) -> list["FsdpUnit"]:
+        """The attached units, in attach order."""
+        return _live(self._units)
+
+    @property
+    def exec_order(self) -> list["FsdpUnit"]:
+        """This iteration's units in first pre-forward order."""
+        return _live(self._exec_order)
+
+    @property
+    def prev_exec_order(self) -> list["FsdpUnit"]:
+        """The previous iteration's :attr:`exec_order`."""
+        return _live(self._prev_exec_order)
 
     # ------------------------------------------------------------------
     # Rate limiter (Section 3.4)
@@ -166,8 +185,8 @@ class FsdpRuntime:
         self.iteration += 1
         self._advance_compile_state()
         self.exec_validator.start_iteration()
-        self.prev_exec_order = self.exec_order
-        self.exec_order = []
+        self._prev_exec_order = self._exec_order
+        self._exec_order = []
         self.in_backward = False
         self._final_callback_queued = False
         for unit in self.units:
@@ -240,8 +259,8 @@ class FsdpRuntime:
         self._inflight.clear()
         self._final_callback_queued = False
         self.in_backward = False
-        self.exec_order = []
-        self.prev_exec_order = []
+        self._exec_order = []
+        self._prev_exec_order = []
         # A half-recorded capture is useless; a compiled schedule stays
         # valid (the step's structure does not change across restarts).
         self._stop_capture()
@@ -259,8 +278,8 @@ class FsdpRuntime:
         self.unshard_stream.wait_stream(self.device.default_stream)
 
     def record_pre_forward(self, unit: "FsdpUnit") -> None:
-        if unit not in self.exec_order:
-            self.exec_order.append(unit)
+        if unit.ref not in self._exec_order:
+            self._exec_order.append(unit.ref)
             if unit.handle is not None:
                 # Checkpoint recompute re-enters pre_forward but is
                 # deduplicated above, so the validator sees each unit
@@ -318,14 +337,16 @@ class FsdpRuntime:
         Uses the reverse of the current iteration's pre-forward order,
         which approximates the pre-backward order (Section 3.3.2).
         """
-        order = self.exec_order
+        order = self._exec_order
         try:
-            index = order.index(unit)
+            index = order.index(unit.ref)
         except ValueError:
             return None
-        for candidate in reversed(order[:index]):
+        for ref in reversed(order[:index]):
+            candidate = ref()
             if (
-                candidate.handle is not None
+                candidate is not None
+                and candidate.handle is not None
                 and not candidate.pre_backward_ran
                 and not candidate.handle.is_unsharded
             ):
@@ -338,14 +359,16 @@ class FsdpRuntime:
         Uses the previous iteration's order: forward prefetching
         assumes a static graph across iterations (Section 3.3.3).
         """
-        order = self.prev_exec_order
+        order = self._prev_exec_order
         try:
-            index = order.index(unit)
+            index = order.index(unit.ref)
         except ValueError:
             return None
-        for candidate in order[index + 1 :]:
+        for ref in order[index + 1 :]:
+            candidate = ref()
             if (
-                candidate.handle is not None
+                candidate is not None
+                and candidate.handle is not None
                 and not candidate.handle.is_unsharded
                 and not candidate.forward_ran
             ):
@@ -375,6 +398,9 @@ class FsdpUnit:
         if reshard_after_forward is None:
             reshard_after_forward = plan.strategy.reshard_after_forward
         self.reshard_after_forward = reshard_after_forward
+        #: How the runtime, the compiled executor and the autograd hooks
+        #: refer to this unit (its module owns it).
+        self.ref = weakref.ref(self)
         self.runtime: Optional[FsdpRuntime] = None
         self.no_sync = False
         self.pending_reduce_work = None
@@ -388,15 +414,15 @@ class FsdpUnit:
     # ------------------------------------------------------------------
     def attach_runtime(self, runtime: FsdpRuntime) -> None:
         self.runtime = runtime
-        if self not in runtime.units:
-            runtime.units.append(self)
+        if self.ref not in runtime._units:
+            runtime._units.append(self.ref)
         if self.handle is not None and self._post_backward_hook_handle is None:
             # Backend-agnostic: the flat handle hooks its single
             # FlatParameter, the per-parameter handle counts individual
             # gradients; both fire ``_post_backward_hook`` when the
             # unit's gradients are finalized.
             self._post_backward_hook_handle = self.handle.register_post_backward(
-                self._post_backward_hook
+                weak_hook(self._post_backward_hook)
             )
 
     def reset_iteration_state(self) -> None:
@@ -564,6 +590,11 @@ class FsdpUnit:
             target = runtime.next_backward_unit(self)
             if target is not None:
                 target._issue_unshard(reason="backward_prefetch")
+
+
+def _live(refs: list[weakref.ref]) -> list:
+    """The referents of ``refs`` that are still alive, in order."""
+    return [obj for obj in (ref() for ref in refs) if obj is not None]
 
 
 def _flatten_tensors(output) -> list[Tensor]:

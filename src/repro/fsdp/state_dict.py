@@ -42,19 +42,22 @@ def _module_fqns(root: Module) -> dict[int, str]:
     """Map module ids to original-model FQNs, skipping FSDP wrappers."""
     from repro.fsdp.api import FullyShardedDataParallel
 
+    # Pre-order walk on an explicit stack (a recursive closure would be
+    # a reference cycle per call).
     mapping: dict[int, str] = {}
-
-    def walk(module: Module, prefix: str) -> None:
+    pending: list[tuple[Module, str]] = [(root, "")]
+    while pending:
+        module, prefix = pending.pop()
         if isinstance(module, FullyShardedDataParallel):
-            walk(module.module, prefix)
-            return
+            pending.append((module.module, prefix))
+            continue
         mapping[id(module)] = prefix
-        for name, child in module._modules.items():
-            if child is None:
-                continue
-            walk(child, f"{prefix}.{name}" if prefix else name)
-
-    walk(root, "")
+        children = [
+            (child, f"{prefix}.{name}" if prefix else name)
+            for name, child in module._modules.items()
+            if child is not None
+        ]
+        pending.extend(reversed(children))
     return mapping
 
 

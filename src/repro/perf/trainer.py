@@ -779,11 +779,12 @@ class _ElasticJob:
     iteration_times: list = field(default_factory=list)
 
     def save_shard(self, rank: int, wrapped: Module, opt, iteration: int) -> None:
+        # No snapshot copy: serializing copies the live shards once.
         self.result.store.save_shard(
             iteration=iteration,
             rank=rank,
             world_size=dist.get_world_size(),
-            blob=ckpt.serialize_state(ckpt.snapshot_payload(wrapped, opt, copy=True)),
+            blob=ckpt.serialize_state(ckpt.snapshot_payload(wrapped, opt, copy=False)),
             units=ckpt.unit_layouts(wrapped),
         )
 

@@ -188,7 +188,10 @@ class Tensor:
         self.numel = other.numel
         self.dtype = other.dtype
         self.nbytes = other.nbytes
-        self._base = other._base
+        # Repointing at an alias of this very tensor (a shard handle
+        # swapping back to ``param.data`` taken earlier) must not make
+        # the tensor its own base: that is a reference cycle.
+        self._base = None if other._base is self else other._base
 
     # ------------------------------------------------------------------
     # Autograd plumbing

@@ -6,7 +6,9 @@ import pytest
 import repro
 from repro import ops
 from repro.autograd import engine, no_grad, queue_callback
+from repro.cuda.device import Device, cpu_device
 from repro.nn import functional as F
+from repro.ops.shape import narrow_along
 from tests.conftest import gradcheck
 
 
@@ -189,6 +191,33 @@ class TestReductionAndShapeGradients:
         gradcheck(
             lambda x_, w_, b_: ops.conv2d(x_, w_, b_, 1, 1), [x, w, b], ref, atol=5e-3
         )
+
+
+class TestCopyGradients:
+    """Backwards of the copying ops, which no model path differentiates."""
+
+    def test_narrow_copy_off_dim0(self):
+        x = np.random.rand(3, 5).astype(np.float32)
+
+        def op(a):
+            part = narrow_along(a, 1, 1, 3)  # the copying narrow
+            return ops.mul(part, part)
+
+        gradcheck(op, [x], lambda a: (a[:, 1:4] ** 2).sum())
+
+    def test_clone(self):
+        x = np.random.rand(2, 3).astype(np.float32)
+        gradcheck(lambda a: ops.mul(ops.clone(a), a), [x], lambda a: (a * a).sum())
+
+    def test_to_device_and_back(self):
+        x = np.random.rand(4).astype(np.float32)
+        gpu = Device("sim_gpu")
+
+        def op(a):
+            on_gpu = ops.to_device(a, gpu)
+            return ops.to_device(ops.mul(on_gpu, on_gpu), cpu_device())
+
+        gradcheck(op, [x], lambda a: (a * a).sum())
 
 
 class TestEngineBehavior:

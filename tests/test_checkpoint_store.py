@@ -1,5 +1,6 @@
 """repro.checkpoint: serialization, two-phase commit, integrity faults."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from repro import checkpoint as ck, dtypes
 from repro.checkpoint.manifest import CheckpointManifest, ParamSpec, ShardEntry, UnitLayout
+from repro.cuda.device import meta_device
 from repro.distributed import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.errors import CheckpointCorruptionError, CheckpointError
-from repro.tensor import tensor
+from repro.tensor import empty, tensor
 
 
 def payload(seed=0):
@@ -78,6 +80,31 @@ class TestSerialize:
             ck.serialize_state({"bad": object()})
         with pytest.raises(CheckpointError):
             ck.serialize_state({1: "non-string key"})
+
+    def test_blob_bytes_are_golden(self):
+        # The blob layout, and so every stored checkpoint's CRC, is
+        # fixed: however serialization is written, these bytes hold.
+        rng = np.random.default_rng(3)
+        obj = {
+            "model": {
+                "w": tensor(rng.standard_normal((3, 5)).astype(np.float32)),
+                "bf": tensor(rng.standard_normal(7).astype(np.float32), dtype=dtypes.bfloat16),
+                "half": tensor(rng.standard_normal(4).astype(np.float16)),
+                "abstract": empty(128, 64, device=meta_device()),
+                "none": None,
+            },
+            "optim": [
+                {"step": 3, "exp_avg": tensor(np.arange(6, dtype=np.float32)).view(2, 3)},
+                (1.5, None, "adam", [tensor(np.array([1, 2, 3], dtype=np.int64)), True]),
+            ],
+            "shard_index": {"flat_param.000.x": 1},
+        }
+        blob = ck.serialize_state(obj)
+        assert len(blob) == 1209
+        assert hashlib.sha256(blob).hexdigest() == (
+            "50333fc78dd373d3a7985537d97e6e3bddaf4182798c556ac1d275206087c95a"
+        )
+        assert ck.blob_crc32(blob) == 669640750
 
 
 class TestManifest:

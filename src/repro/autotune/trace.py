@@ -95,9 +95,10 @@ class ModelTrace:
 
         A path belongs to the unit with the *longest* path that is a
         dotted prefix of it; the root unit ('') catches everything else
-        — mirroring how ``_auto_wrap`` assigns parameters.  Under a
-        low-precision ``compute_dtype`` the float32 kernels are priced
-        at that dtype's rate and width; bytes stay as recorded.
+        — the innermost-unit ownership the auto-wrap walk's claims give
+        (``unit_paths`` come from its dry run, ``describe_wrap_plan``).
+        Under a low-precision ``compute_dtype`` the float32 kernels are
+        priced at that dtype's rate and width; bytes stay as recorded.
         """
         ordered = sorted((p for p in unit_paths if p), key=len, reverse=True)
         owners: dict[str, str] = {}

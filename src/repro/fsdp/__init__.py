@@ -4,7 +4,8 @@ Public surface:
 
 - :class:`FullyShardedDataParallel` (model wrapper) and
   :func:`fully_shard` (module annotator) — the two user APIs of
-  Section 4;
+  Section 4 — with :func:`no_sync`, :func:`summon_full_params` and
+  :func:`clip_grad_norm_` over the units under either;
 - :class:`ShardingStrategy` — FULL_SHARD / SHARD_GRAD_OP / NO_SHARD /
   HYBRID_SHARD / HYBRID_SHARD_ZERO2 (Section 3.2);
 - :class:`MixedPrecision` — native mixed precision (Section 4.4);
@@ -13,7 +14,13 @@ Public surface:
   the sharded gradient scaler.
 """
 
-from repro.fsdp.api import FullyShardedDataParallel, fsdp_modules
+from repro.fsdp.api import (
+    FullyShardedDataParallel,
+    clip_grad_norm_,
+    fsdp_modules,
+    no_sync,
+    summon_full_params,
+)
 from repro.fsdp.deferred_init import deferred_init, is_deferred, materialize_module
 from repro.fsdp.flat_param import FlatParamHandle, FlatParameter
 from repro.fsdp.fully_shard import fully_shard
@@ -53,6 +60,9 @@ __all__ = [
     "FullyShardedDataParallel",
     "fully_shard",
     "fsdp_modules",
+    "no_sync",
+    "summon_full_params",
+    "clip_grad_norm_",
     "FlatParameter",
     "FlatParamHandle",
     "PerParamHandle",

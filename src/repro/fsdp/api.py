@@ -1,11 +1,18 @@
-"""``FullyShardedDataParallel`` — the model-wrapper frontend (Section 4).
+"""``FullyShardedDataParallel`` — the model-wrapper frontend (Section 4) —
+and the unit machinery both frontends share.
 
-Wrapping replaces sub-modules selected by ``auto_wrap_policy`` with
-nested FSDP units (each owning one FlatParameter) and makes the wrapped
-instance a unit for the residual parameters.  The first forward call of
-the outermost wrapper performs lazy root initialization: it creates the
-shared runtime (streams, rate limiter, execution-order tracker) and
-attaches every unit beneath it.
+The wrapper and the :func:`~repro.fsdp.fully_shard.fully_shard`
+annotator are two spellings of one mechanism: every unit is built by
+:func:`_shard_unit`, nested units are chosen by one post-order
+:func:`_auto_wrap` walk, and every unit runs :func:`_pre_forward` before
+its module.  They differ only in where the unit lives — on a wrapper
+that replaces the module, or on the module itself behind forward hooks.
+:func:`no_sync`, :func:`summon_full_params` and :func:`clip_grad_norm_`
+are functions of the unit tree under a root, so they serve both.
+
+The first forward of the outermost unit performs lazy root
+initialization: it creates the shared runtime (streams, rate limiter,
+execution-order tracker) and attaches every unit beneath it.
 """
 
 from __future__ import annotations
@@ -18,17 +25,25 @@ from repro import nn, ops
 from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.distributed import ProcessGroup
+from repro.distributed.mesh import DeviceMesh
 from repro.errors import FsdpError
-from repro.fsdp.flat_param import FlatParamHandle, FlatParameter
+from repro.fsdp.flat_param import FlatParamHandle
 from repro.fsdp.mixed_precision import MixedPrecision
 from repro.fsdp.offload import CPUOffload
+from repro.fsdp.per_param import PerParamHandle
 from repro.fsdp.runtime import BackwardPrefetch, FsdpRuntime, FsdpUnit, RATE_LIMIT_INFLIGHT
-from repro.fsdp.sharding import ShardingStrategy, make_process_groups
+from repro.fsdp.sharding import ShardingPlan, ShardingStrategy, make_process_groups
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.tensor import Tensor, empty
 
-__all__ = ["FullyShardedDataParallel", "fsdp_modules"]
+__all__ = [
+    "FullyShardedDataParallel",
+    "fsdp_modules",
+    "no_sync",
+    "summon_full_params",
+    "clip_grad_norm_",
+]
 
 
 class FullyShardedDataParallel(nn.Module):
@@ -58,8 +73,6 @@ class FullyShardedDataParallel(nn.Module):
     ):
         super().__init__()
         device = device or dist.get_device()
-        self._device = device
-        ignored_ids = _ignored_module_ids(ignored_modules)
         self._config = dict(
             sharding_strategy=sharding_strategy,
             sharding_factor=sharding_factor,
@@ -75,75 +88,49 @@ class FullyShardedDataParallel(nn.Module):
             compile_bucket_elems=compile_bucket_elems,
             compile_memory_budget=compile_memory_budget,
         )
-
         # Units report themselves by dotted module path (falling back to
         # the class name at the root), so exec-order and sanitizer
         # diagnostics name *which* submodule diverged even when several
         # share a class.
         unit_label = label or type(module).__name__
+        ignored_ids = _ignored_module_ids(ignored_modules)
 
         if auto_wrap_policy is not None:
             _auto_wrap(
                 module,
                 auto_wrap_policy,
-                dict(self._config, process_group=process_group),
+                lambda child, child_label: FullyShardedDataParallel(
+                    child,
+                    process_group,
+                    ignored_modules=ignored_modules,
+                    label=child_label,
+                    **self._config,
+                ),
                 ignored_ids,
                 prefix=f"{unit_label}.",
             )
-
-        plan = make_process_groups(
-            sharding_strategy, process_group, sharding_factor=sharding_factor
+        unit = _shard_unit(
+            module,
+            make_process_groups(sharding_strategy, process_group, sharding_factor=sharding_factor),
+            device,
+            backend="flat_param",
+            mixed_precision=mixed_precision,
+            cpu_offload=cpu_offload,
+            param_init_fn=param_init_fn,
+            ignored_ids=ignored_ids,
+            label=unit_label,
         )
-        # Ignored modules (e.g. model-parallel sparse embedding tables)
-        # are materialized on the device but never flattened or sharded.
-        ignored_triples = _collect_unit_params(module, only_ids=ignored_ids)
-        _materialize_unit_params(ignored_triples, device, None)
-        triples = _collect_unit_params(module, skip_ids=ignored_ids)
-        _materialize_unit_params(triples, device, param_init_fn)
-        triples = _collect_unit_params(module, skip_ids=ignored_ids)
-        _move_buffers(module, device, mixed_precision)
-
-        handle: Optional[FlatParamHandle] = None
-        if triples:
-            mp = mixed_precision
-            handle = FlatParamHandle(
-                triples,
-                device,
-                plan.shard_group,
-                param_dtype=mp.param_dtype if mp else None,
-                reduce_dtype=mp.resolved_reduce_dtype() if mp else None,
-                keep_low_precision_grads=mp.keep_low_precision_grads if mp else False,
-                offload_params=bool(cpu_offload and cpu_offload.offload_params),
-                label=unit_label,
-            )
-            self.register_parameter("_flat_param", handle.flat_param)
-
+        if unit.handle is not None:
+            self.register_parameter("_flat_param", unit.handle.flat_param)
         self.module = module
-        self._fsdp_unit = FsdpUnit(handle, plan, label=unit_label)
+        self._fsdp_unit = unit
 
-    # ------------------------------------------------------------------
-    # Forward
-    # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
-        self._lazy_init()
-        if self._fsdp_unit.is_root:
-            args, kwargs = _cast_forward_inputs(
-                self._config["mixed_precision"], args, kwargs
-            )
-        self._fsdp_unit.pre_forward()
-        output = self.module(*args, **kwargs)
-        return self._fsdp_unit.post_forward(output)
-
-    def _lazy_init(self) -> None:
-        if self._fsdp_unit.runtime is not None:
-            return
-        # The first wrapper whose forward runs with no runtime attached
-        # is the root: it builds the shared runtime and adopts every
-        # unit underneath it.
-        _init_runtime_for_root(self, self._fsdp_unit, self._device, self._config)
+        args, kwargs = _pre_forward(self, self._fsdp_unit, self._config, args, kwargs)
+        return self._fsdp_unit.post_forward(self.module(*args, **kwargs))
 
     # ------------------------------------------------------------------
-    # Introspection / utilities
+    # Introspection / utilities (the unit-tree functions, as methods)
     # ------------------------------------------------------------------
     @property
     def sharding_strategy(self) -> ShardingStrategy:
@@ -151,74 +138,16 @@ class FullyShardedDataParallel(nn.Module):
 
     @property
     def flat_handles(self) -> list[FlatParamHandle]:
-        return [u.handle for u in _units_under(self) if u.handle is not None]
+        return _handles_under(self)
 
-    @contextlib.contextmanager
     def no_sync(self):
-        """Accumulate gradients without communication (Section 3.3.4).
+        return no_sync(self)
 
-        Each rank keeps *unsharded* gradients locally — higher memory,
-        less communication — until the first backward outside the
-        context reduces them.
-        """
-        units = _units_under(self)
-        previous = [u.no_sync for u in units]
-        for unit in units:
-            unit.no_sync = True
-        try:
-            yield
-        finally:
-            for unit, value in zip(units, previous):
-                unit.no_sync = value
-
-    @contextlib.contextmanager
     def summon_full_params(self, *, writeback: bool = True):
-        """Temporarily materialize unsharded parameters on every rank.
-
-        Inside the context the original parameter attributes are valid
-        unsharded views (useful for evaluation, surgery or export).
-        With ``writeback`` (default), in-place edits made through the
-        views are scattered back into the local shards on exit;
-        otherwise edits are discarded with the unsharded storage.
-        """
-        units = [u for u in _units_under(self) if u.handle is not None]
-        was_unsharded = []
-        for unit in units:
-            handle = unit.handle
-            was_unsharded.append(handle.is_unsharded)
-            if not handle.is_unsharded:
-                event = handle.unshard()
-                if event is not None:
-                    event.synchronize()
-            handle.use_unsharded_views()
-        try:
-            yield self
-        finally:
-            for unit, keep in zip(units, was_unsharded):
-                handle = unit.handle
-                if writeback:
-                    handle.writeback_unsharded_to_shard()
-                if not keep:
-                    handle.reshard()
+        return summon_full_params(self, writeback=writeback)
 
     def clip_grad_norm_(self, max_norm: float) -> float:
-        """Gradient clipping that is correct under sharding.
-
-        Delegates to :func:`repro.optim.clip.clip_grad_norm_` with the
-        shard group: local shard norms are squared-summed across ranks
-        before the square root (Section 7.2.1 explains why a local-only
-        norm is wrong).
-        """
-        from repro.optim.clip import clip_grad_norm_
-
-        units = [u for u in _units_under(self) if u.handle is not None]
-        if not units:
-            return 0.0
-        return clip_grad_norm_(
-            [u.handle.flat_param for u in units],
-            max_norm,
-            process_group=units[0].plan.shard_group,
-        )
+        return clip_grad_norm_(self, max_norm)
 
     def extra_repr(self) -> str:
         unit = self._fsdp_unit
@@ -233,7 +162,7 @@ def fsdp_modules(module: Module) -> list[FullyShardedDataParallel]:
 
 
 # ----------------------------------------------------------------------
-# Wiring helpers (shared with fully_shard)
+# Functions of the unit tree (either frontend)
 # ----------------------------------------------------------------------
 def _units_under(root: Module) -> list[FsdpUnit]:
     units: list[FsdpUnit] = []
@@ -244,9 +173,179 @@ def _units_under(root: Module) -> list[FsdpUnit]:
     return units
 
 
-def _init_runtime_for_root(
-    root_module: Module, root_unit: FsdpUnit, device: Device, config: dict
+def _handles_under(root: Module) -> list:
+    return [u.handle for u in _units_under(root) if u.handle is not None]
+
+
+@contextlib.contextmanager
+def no_sync(root: Module):
+    """Accumulate gradients without communication (Section 3.3.4).
+
+    Each rank keeps *unsharded* gradients locally — higher memory, less
+    communication — until the first backward outside the context
+    reduces them.
+    """
+    units = _units_under(root)
+    previous = [u.no_sync for u in units]
+    for unit in units:
+        unit.no_sync = True
+    try:
+        yield
+    finally:
+        for unit, value in zip(units, previous):
+            unit.no_sync = value
+
+
+@contextlib.contextmanager
+def summon_full_params(root: Module, *, writeback: bool = True):
+    """Temporarily materialize unsharded parameters on every rank.
+
+    Inside the context the original parameter attributes are valid
+    unsharded views (useful for evaluation, surgery or export).  With
+    ``writeback`` (default), in-place edits made through the views are
+    scattered back into the local shards on exit; otherwise edits are
+    discarded with the unsharded storage.
+    """
+    handles = _handles_under(root)
+    was_unsharded = [handle.is_unsharded for handle in handles]
+    for handle in handles:
+        if not handle.is_unsharded:
+            event = handle.unshard()
+            if event is not None:
+                event.synchronize()
+        handle.use_unsharded_views()
+    try:
+        yield root
+    finally:
+        for handle, keep in zip(handles, was_unsharded):
+            if writeback:
+                handle.writeback_unsharded_to_shard()
+            if not keep:
+                handle.reshard()
+
+
+def clip_grad_norm_(root: Module, max_norm: float) -> float:
+    """Gradient clipping that is correct under sharding.
+
+    Delegates to :func:`repro.optim.clip.clip_grad_norm_` over every
+    unit's sharded parameters with the shard group: local shard norms
+    are squared-summed across ranks before the square root (Section
+    7.2.1 explains why a local-only norm is wrong).
+    """
+    from repro.optim.clip import clip_grad_norm_ as clip
+
+    handles = _handles_under(root)
+    if not handles:
+        return 0.0
+    params = [record.optim_param for handle in handles for record in handle.shard_records()]
+    return clip(params, max_norm, process_group=handles[0].shard_group)
+
+
+# ----------------------------------------------------------------------
+# The one unit builder and the one auto-wrap walk
+# ----------------------------------------------------------------------
+def _shard_unit(
+    module: Module,
+    plan: ShardingPlan,
+    device: Device,
+    *,
+    backend: str,
+    mixed_precision: Optional[MixedPrecision],
+    cpu_offload: Optional[CPUOffload],
+    param_init_fn: Optional[Callable[[Module], None]],
+    ignored_ids: set[int],
+    label: str,
+    mesh: Optional[DeviceMesh] = None,
+) -> FsdpUnit:
+    """One FSDP unit over the parameters under ``module`` that no nested
+    unit claimed and no ignored module holds.
+
+    Materializes them (ignored modules too: e.g. model-parallel sparse
+    embedding tables live on the device but are never sharded), moves
+    buffers, builds the ``backend``'s handle and the unit, and claims
+    the parameters so an enclosing unit skips them.
+    """
+    offload = bool(cpu_offload and cpu_offload.offload_params)
+    if offload and backend == "per_param":
+        raise FsdpError("the per_param backend does not support CPU offloading (cpu_offload)")
+    _materialize_unit_params(_collect_unit_params(module, ignored_ids, ignored=True), device, None)
+    _materialize_unit_params(_collect_unit_params(module, ignored_ids), device, param_init_fn)
+    triples = _collect_unit_params(module, ignored_ids)
+    _move_buffers(module, device, mixed_precision)
+
+    handle = None
+    if triples:
+        mp = mixed_precision or MixedPrecision()
+        precision = dict(
+            param_dtype=mp.param_dtype,
+            reduce_dtype=mp.resolved_reduce_dtype(),
+            keep_low_precision_grads=mp.keep_low_precision_grads,
+            label=label,
+        )
+        if backend == "per_param":
+            mesh = mesh or DeviceMesh.from_plan(plan, device)
+            handle = PerParamHandle(triples, device, plan.shard_group, mesh=mesh, **precision)
+        else:
+            handle = FlatParamHandle(
+                triples, device, plan.shard_group, offload_params=offload, **precision
+            )
+    unit = FsdpUnit(handle, plan, label=label)
+    # Claims are weak: the unit's handle holds the claimed parameters,
+    # so a strong mark would be a cycle.  Module-level marks serve
+    # fully_shard's ordering diagnostics.
+    for mod, _name, param in triples:
+        object.__setattr__(mod, "_fsdp_param_owner", unit.ref)
+        param._fsdp_param_owner = unit.ref
+    if isinstance(handle, FlatParamHandle):
+        handle.flat_param._fsdp_param_owner = unit.ref
+    return unit
+
+
+def _auto_wrap(
+    module: Module,
+    policy: Callable[[Module], bool],
+    wrap: Callable[[Module, str], Module],
+    ignored_ids: set[int],
+    prefix: str = "",
 ) -> None:
+    """Make every child ``policy`` selects an FSDP unit, post-order.
+
+    A child's own children are visited first, so by the time the
+    policy sees a module every nested unit has claimed its parameters
+    (what a size-based policy must not count).  ``wrap(child, label)``
+    builds the unit and returns what takes the child's place — a
+    wrapper, or the child itself when annotated in place.  Ignored
+    modules and existing units are not entered.
+    """
+    for name, child in list(module._modules.items()):
+        if child is None or id(child) in ignored_ids:
+            continue
+        if getattr(child, "_fsdp_unit", None) is not None:
+            continue
+        _auto_wrap(child, policy, wrap, ignored_ids, prefix=f"{prefix}{name}.")
+        if policy(child):
+            module._modules[name] = wrap(child, f"{prefix}{name}")
+
+
+# ----------------------------------------------------------------------
+# Wiring helpers
+# ----------------------------------------------------------------------
+def _pre_forward(module: Module, unit: FsdpUnit, config: dict, args: tuple, kwargs: dict):
+    """What a unit runs before its module's forward, on either frontend.
+
+    The first unit to run with no runtime attached is the root: it
+    builds the shared runtime and adopts every unit under it.  The root
+    casts floating inputs, positional and keyword, to the compute dtype.
+    """
+    if unit.runtime is None:
+        _init_runtime_for_root(module, unit, config)
+    if unit.is_root:
+        args, kwargs = _cast_forward_inputs(config["mixed_precision"], args, kwargs)
+    unit.pre_forward()
+    return args, kwargs
+
+
+def _init_runtime_for_root(root_module: Module, root_unit: FsdpUnit, config: dict) -> None:
     compile_settings = None
     if config.get("compile"):
         from repro.compile import CompileSettings
@@ -257,7 +356,7 @@ def _init_runtime_for_root(
             memory_budget=config.get("compile_memory_budget"),
         )
     runtime = FsdpRuntime(
-        device,
+        config["device"],
         backward_prefetch=config["backward_prefetch"],
         forward_prefetch=config["forward_prefetch"],
         limit_all_gathers=config["limit_all_gathers"],
@@ -290,60 +389,34 @@ def _cast_forward_inputs(mixed_precision, args: tuple, kwargs: dict):
 
 def _ignored_module_ids(ignored_modules) -> set[int]:
     """Ids of ignored modules and all their descendants."""
-    ids: set[int] = set()
-    for module in ignored_modules or ():
-        for sub in module.modules():
-            ids.add(id(sub))
-    return ids
+    return {id(sub) for module in ignored_modules or () for sub in module.modules()}
 
 
-def _auto_wrap(
-    module: Module,
-    policy,
-    wrap_kwargs: dict,
-    ignored_ids: set[int] = frozenset(),
-    prefix: str = "",
-) -> None:
-    for name, child in list(module._modules.items()):
-        if child is None or isinstance(child, FullyShardedDataParallel):
-            continue
-        if id(child) in ignored_ids:
-            continue
-        _auto_wrap(child, policy, wrap_kwargs, ignored_ids, prefix=f"{prefix}{name}.")
-        if policy(child):
-            kwargs = dict(wrap_kwargs)
-            kwargs.pop("param_init_fn", None)
-            module._modules[name] = FullyShardedDataParallel(
-                child,
-                kwargs.pop("process_group", None),
-                param_init_fn=wrap_kwargs.get("param_init_fn"),
-                label=f"{prefix}{name}",
-                **kwargs,
-            )
+def _owner(obj) -> Optional[FsdpUnit]:
+    """The unit that claimed ``obj`` (a module or parameter), or None."""
+    claim = getattr(obj, "_fsdp_param_owner", None)
+    return None if claim is None else claim()
 
 
 def _collect_unit_params(
-    module: Module,
-    skip_ids: set[int] = frozenset(),
-    only_ids: Optional[set[int]] = None,
+    module: Module, ignored_ids: set[int], *, ignored: bool = False
 ) -> list[tuple[Module, str, Parameter]]:
-    """Parameters of this unit: everything not already flattened.
+    """Unclaimed ``(module, name, parameter)`` bindings under ``module``
+    outside the ignored modules — or, with ``ignored``, inside them."""
+    return [
+        (mod, name, param)
+        for mod in module.modules()
+        if (id(mod) in ignored_ids) == ignored
+        for name, param in mod._parameters.items()
+        if param is not None and _owner(param) is None
+    ]
 
-    ``skip_ids`` excludes ignored modules; ``only_ids`` selects just
-    those (used to materialize ignored modules without sharding them).
-    """
-    triples: list[tuple[Module, str, Parameter]] = []
-    for mod in module.modules():
-        if only_ids is not None:
-            if id(mod) not in only_ids:
-                continue
-        elif id(mod) in skip_ids:
-            continue
-        for name, param in mod._parameters.items():
-            if param is None or isinstance(param, FlatParameter):
-                continue
-            triples.append((mod, name, param))
-    return triples
+
+def _unclaimed_numel(module: Module, ignored_ids: set[int] = frozenset()) -> int:
+    """Elements of the distinct parameters :func:`_collect_unit_params`
+    finds (a tied parameter counts once)."""
+    params = {id(p): p for _, _, p in _collect_unit_params(module, ignored_ids)}
+    return sum(p.numel for p in params.values())
 
 
 def _materialize_unit_params(

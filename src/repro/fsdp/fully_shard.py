@@ -5,7 +5,10 @@ installs FSDP logic as forward pre/post hooks via
 ``register_forward_pre_hook`` / ``register_forward_hook``, preserving
 both the model structure and parameter fully-qualified names.  Apply it
 bottom-up (inner blocks first, the root module last); the root's first
-forward performs lazy runtime initialization.
+forward performs lazy runtime initialization.  The unit itself is built
+exactly as the wrapper builds its own (:func:`repro.fsdp.api._shard_unit`),
+and ``no_sync`` / ``summon_full_params`` / ``clip_grad_norm_`` from
+:mod:`repro.fsdp` work on an annotated root as on a wrapper.
 
 Two sharding backends are available:
 
@@ -18,11 +21,11 @@ Two sharding backends are available:
 
 Every unit *claims* the parameters it shards (an ``_fsdp_param_owner``
 weak reference on the module and parameter objects).  The claims make
-nested per-parameter units composable (an outer unit skips what inner
-units own) and turn the two classic mis-uses — annotating the same module
-twice, or annotating a module whose parameters were already taken by
-an ancestor unit (top-down application) — into typed
-:class:`FsdpError`\\ s naming the offending module path.
+nested units composable (an outer unit skips what inner units own) and
+turn the two classic mis-uses — annotating the same module twice, or
+annotating a module whose parameters were already taken by an ancestor
+unit (top-down application) — into typed :class:`FsdpError`\\ s naming
+the offending module path.
 """
 
 from __future__ import annotations
@@ -34,16 +37,9 @@ from repro.cuda.device import Device
 from repro.distributed import ProcessGroup
 from repro.distributed.mesh import DeviceMesh
 from repro.errors import FsdpError
-from repro.fsdp.api import (
-    _collect_unit_params,
-    _init_runtime_for_root,
-    _materialize_unit_params,
-    _move_buffers,
-)
-from repro.fsdp.flat_param import FlatParamHandle
+from repro.fsdp.api import _ignored_module_ids, _owner, _pre_forward, _shard_unit
 from repro.fsdp.mixed_precision import MixedPrecision
-from repro.fsdp.per_param import PerParamHandle
-from repro.fsdp.runtime import BackwardPrefetch, FsdpUnit, RATE_LIMIT_INFLIGHT
+from repro.fsdp.runtime import BackwardPrefetch, RATE_LIMIT_INFLIGHT
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy, make_process_groups
 from repro.nn.module import Module
 
@@ -77,20 +73,6 @@ def _check_ancestor_claims(module: Module) -> None:
             )
 
 
-def _owner(obj):
-    """The unit that claimed ``obj`` (a module or parameter), or None.
-
-    A claim is a weak reference: the claiming unit's handle holds the
-    claimed parameters, so a strong mark would be a cycle.
-    """
-    claim = getattr(obj, "_fsdp_param_owner", None)
-    return None if claim is None else claim()
-
-
-def _unclaimed(triples):
-    return [(mod, name, param) for mod, name, param in triples if _owner(param) is None]
-
-
 def fully_shard(
     module: Module,
     process_group: Optional[ProcessGroup] = None,
@@ -107,6 +89,7 @@ def fully_shard(
     cpu_offload=None,
     device: Optional[Device] = None,
     param_init_fn: Optional[Callable[[Module], None]] = None,
+    ignored_modules: Optional[list[Module]] = None,
     label: Optional[str] = None,
     compile: bool = False,
     compile_bucket_elems: Optional[int] = None,
@@ -133,54 +116,23 @@ def fully_shard(
         plan = make_process_groups(
             sharding_strategy, process_group, sharding_factor=sharding_factor
         )
-    unit_label = label or type(module).__name__
-
-    triples = _unclaimed(_collect_unit_params(module))
-    _materialize_unit_params(triples, device, param_init_fn)
-    triples = _unclaimed(_collect_unit_params(module))
-    _move_buffers(module, device, mixed_precision)
-
-    mp = mixed_precision
-    handle = None
-    if triples:
-        if backend == "per_param":
-            if cpu_offload is not None and getattr(cpu_offload, "offload_params", False):
-                raise FsdpError(
-                    "the per_param backend does not support CPU offloading"
-                )
-            handle = PerParamHandle(
-                triples,
-                device,
-                plan.shard_group,
-                mesh=mesh or DeviceMesh.from_plan(plan, device),
-                param_dtype=mp.param_dtype if mp else None,
-                reduce_dtype=mp.resolved_reduce_dtype() if mp else None,
-                keep_low_precision_grads=mp.keep_low_precision_grads if mp else False,
-                label=unit_label,
-            )
-        else:
-            handle = FlatParamHandle(
-                triples,
-                device,
-                plan.shard_group,
-                param_dtype=mp.param_dtype if mp else None,
-                reduce_dtype=mp.resolved_reduce_dtype() if mp else None,
-                keep_low_precision_grads=mp.keep_low_precision_grads if mp else False,
-                offload_params=bool(cpu_offload and cpu_offload.offload_params),
-                label=unit_label,
-            )
-            # FQN preservation: the FlatParameter is registered on the
-            # annotated module itself, not on a wrapper.
-            module.register_parameter("_flat_param", handle.flat_param)
-
-    unit = FsdpUnit(handle, plan, label=unit_label)
+    unit = _shard_unit(
+        module,
+        plan,
+        device,
+        backend=backend,
+        mixed_precision=mixed_precision,
+        cpu_offload=cpu_offload,
+        param_init_fn=param_init_fn,
+        ignored_ids=_ignored_module_ids(ignored_modules),
+        label=label or type(module).__name__,
+        mesh=mesh,
+    )
+    if backend == "flat_param" and unit.handle is not None:
+        # FQN preservation: the FlatParameter is registered on the
+        # annotated module itself, not on a wrapper.
+        module.register_parameter("_flat_param", unit.handle.flat_param)
     object.__setattr__(module, "_fsdp_unit", unit)
-    for mod, _name, param in triples:
-        # Claim marks: parameter-level for collection filtering (the
-        # per-parameter backend keeps parameters registered), module-
-        # level for the bottom-up ordering diagnostics above.
-        object.__setattr__(mod, "_fsdp_param_owner", unit.ref)
-        setattr(param, "_fsdp_param_owner", unit.ref)
 
     config = dict(
         backward_prefetch=backward_prefetch,
@@ -190,22 +142,12 @@ def fully_shard(
         compile=compile,
         compile_bucket_elems=compile_bucket_elems,
         compile_memory_budget=compile_memory_budget,
+        device=device,
+        mixed_precision=mixed_precision,
     )
-
-    def _pre_hook(mod: Module, args):
-        if unit.runtime is None:
-            _init_runtime_for_root(mod, unit, device, config)
-        new_args = args
-        if unit.is_root:
-            from repro.fsdp.api import _cast_forward_inputs
-
-            new_args, _ = _cast_forward_inputs(mixed_precision, args, {})
-        unit.pre_forward()
-        return new_args
-
-    def _post_hook(mod: Module, args, output):
-        return unit.post_forward(output)
-
-    module.register_forward_pre_hook(_pre_hook)
-    module.register_forward_hook(_post_hook)
+    module.register_forward_pre_hook(
+        lambda mod, args, kwargs: _pre_forward(mod, unit, config, args, kwargs),
+        with_kwargs=True,
+    )
+    module.register_forward_hook(lambda mod, args, output: unit.post_forward(output))
     return module

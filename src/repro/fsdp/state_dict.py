@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.autograd.grad_mode import no_grad
 from repro.errors import FsdpError, ShardLayoutError
+from repro.fsdp.api import FullyShardedDataParallel, _handles_under
 from repro.fsdp.handle import ParamInfo, ShardRecord
 from repro.nn.module import Module
 from repro.tensor import Tensor, tensor
@@ -40,8 +41,6 @@ NamedRecord = tuple[str, ShardRecord, list[tuple[str, ParamInfo]]]
 
 def _module_fqns(root: Module) -> dict[int, str]:
     """Map module ids to original-model FQNs, skipping FSDP wrappers."""
-    from repro.fsdp.api import FullyShardedDataParallel
-
     # Pre-order walk on an explicit stack (a recursive closure would be
     # a reference cycle per call).
     mapping: dict[int, str] = {}
@@ -59,12 +58,6 @@ def _module_fqns(root: Module) -> dict[int, str]:
         ]
         pending.extend(reversed(children))
     return mapping
-
-
-def _handles_under(root: Module) -> list:
-    from repro.fsdp.api import _units_under
-
-    return [u.handle for u in _units_under(root) if u.handle is not None]
 
 
 def _join(prefix: str, name: str) -> str:

@@ -9,17 +9,20 @@ parameters already assigned to a nested unit; residual parameters go
 to the parent.
 
 :func:`describe_wrap_plan` evaluates a policy *without* constructing
-any FSDP wrapper: it mirrors the post-order traversal of
-``_auto_wrap`` and returns the would-be units with their parameter
-counts in module-tree (≈ execution) order.  The autotune planner uses
+any FSDP unit: it is a dry run of the one auto-wrap walk both frontends
+use (``repro.fsdp.api._auto_wrap``), so the policy sees the same
+claimed parameters it would see while wrapping, and returns the
+would-be units with their parameter counts.  The autotune planner uses
 this to cost candidate wrap plans statically.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Type
 
+from repro.fsdp.api import _auto_wrap, _collect_unit_params, _ignored_module_ids, _unclaimed_numel
 from repro.nn.module import Module
 
 __all__ = [
@@ -56,14 +59,14 @@ def size_based_auto_wrap_policy(
     *,
     exclude_wrap_modules: Optional[Iterable[Type[Module]]] = None,
 ) -> Policy:
-    """Wrap any submodule whose (unassigned) parameters exceed a size.
+    """Wrap any submodule whose unclaimed parameters reach a size.
 
-    Only parameters *not already assigned* to a nested wrapped unit
-    count toward the threshold: ``_auto_wrap`` wraps children first
-    (post-order), and the parameters of an already-wrapped child live
-    in its FlatParameter.  Counting them again would make every
-    ancestor of a wrapped block look oversized and wrap far too
-    eagerly (one unit per level of the module tree).
+    Only parameters *no nested unit has claimed* count toward the
+    threshold: the walk wraps children first (post-order), and counting
+    a wrapped child's parameters again would make every ancestor of a
+    wrapped block look oversized and wrap far too eagerly (one unit per
+    level of the module tree).  Parameters of ignored modules nested in
+    the submodule do count (a policy does not know them).
 
     ``exclude_wrap_modules`` (default: ``ModuleList``) are never
     wrapped themselves — a ``ModuleList`` is not callable, so wrapping
@@ -80,42 +83,10 @@ def size_based_auto_wrap_policy(
     def policy(module: Module) -> bool:
         if isinstance(module, excluded):
             return False
-        return _unassigned_numel(module) >= min_num_params
+        return _unclaimed_numel(module) >= min_num_params
 
     policy.__wrap_label__ = f"size_based(min={min_num_params})"
     return policy
-
-
-def _unassigned_numel(module: Module) -> int:
-    """Parameters of ``module`` not owned by a nested FSDP unit.
-
-    Nested units show up in two forms by the time a parent policy runs:
-    wrapper-style (``FullyShardedDataParallel`` child whose parameters
-    are FlatParameters) and composable (``fully_shard`` leaves a
-    ``_fsdp_unit`` on the annotated module).  Both register
-    FlatParameters, so filtering those out is exact; the module-level
-    check additionally skips composable units' not-yet-flattened
-    parameters when the plan is evaluated statically.
-    """
-    from repro.fsdp.flat_param import FlatParameter
-
-    total = 0
-    seen: set[int] = set()
-    for mod in module.modules():
-        if getattr(mod, "_fsdp_unit", None) is not None and mod is not module:
-            # An already-wrapped nested unit (wrapper or composable):
-            # everything beneath it is assigned.  Module.modules() still
-            # yields its descendants, so mark them as seen.
-            for sub in mod.modules():
-                seen.add(id(sub))
-            continue
-        if id(mod) in seen:
-            continue
-        for param in mod._parameters.values():
-            if param is None or isinstance(param, FlatParameter):
-                continue
-            total += param.numel
-    return total
 
 
 def transformer_auto_wrap_policy(block_classes: Iterable[Type[Module]]) -> Policy:
@@ -142,15 +113,12 @@ class WrapUnitPlan:
 
     Attributes:
         path: dotted module path ('' for the root residual unit).
-        numel: parameters this unit's FlatParameter would flatten
-            (excluding parameters of nested units).
-        num_modules: modules contributing parameters or structure to
-            this unit (a proxy for per-unit kernel-launch count).
+        numel: parameters this unit would shard (excluding parameters
+            of nested units and ignored modules).
     """
 
     path: str
     numel: int
-    num_modules: int
 
 
 def describe_wrap_plan(
@@ -161,55 +129,32 @@ def describe_wrap_plan(
 ) -> list[WrapUnitPlan]:
     """Units that wrapping ``module`` with ``policy`` would create.
 
-    Mirrors ``_auto_wrap``'s post-order traversal without touching the
-    module: children are assigned first, parents see only residual
-    parameters.  The root residual unit is returned *first* (it is
-    unsharded first each iteration), followed by nested units in
-    module-tree order, which matches execution order for the models in
-    this repository (definition order == call order).
+    A dry run of the auto-wrap walk: where wrapping builds a unit, the
+    dry run records it and claims its parameters for the rest of the
+    walk, exactly as the unit would; every claim is withdrawn before
+    returning, so the module is left as it was.  The root residual unit
+    is returned *first* (it is unsharded first each iteration), followed
+    by the nested units in the order the walk builds them (post-order).
     """
-    ignored_ids: set[int] = set()
-    for ignored in ignored_modules or ():
-        for sub in ignored.modules():
-            ignored_ids.add(id(sub))
-
-    assigned: set[int] = set(ignored_ids)
+    ignored_ids = _ignored_module_ids(ignored_modules)
     units: list[WrapUnitPlan] = []
+    claimed: list = []
 
-    def visit(mod: Module, path: str) -> None:
-        for name, child in mod._modules.items():
-            if child is None or id(child) in ignored_ids:
-                continue
-            child_path = f"{path}.{name}" if path else name
-            visit(child, child_path)
-            if policy is not None and policy(child):
-                numel, count = _residual_params(child, assigned)
-                _mark_assigned(child, assigned)
-                if numel > 0:
-                    units.append(WrapUnitPlan(child_path, numel, count))
+    def plan(child: Module, path: str) -> Module:
+        unit = WrapUnitPlan(path, _unclaimed_numel(child, ignored_ids))
+        claim = weakref.ref(unit)
+        for _, _, param in _collect_unit_params(child, ignored_ids):
+            param._fsdp_param_owner = claim
+            claimed.append(param)
+        if unit.numel > 0:
+            units.append(unit)
+        return child
 
-    visit(module, "")
-    root_numel, root_count = _residual_params(module, assigned)
-    root = WrapUnitPlan("", root_numel, root_count)
+    try:
+        if policy is not None:
+            _auto_wrap(module, policy, plan, ignored_ids)
+        root = WrapUnitPlan("", _unclaimed_numel(module, ignored_ids))
+    finally:
+        for param in claimed:
+            param._fsdp_param_owner = None
     return [root] + units
-
-
-def _residual_params(module: Module, assigned: set[int]) -> tuple[int, int]:
-    from repro.fsdp.flat_param import FlatParameter
-
-    numel = 0
-    count = 0
-    for mod in module.modules():
-        if id(mod) in assigned:
-            continue
-        count += 1
-        for param in mod._parameters.values():
-            if param is None or isinstance(param, FlatParameter):
-                continue
-            numel += param.numel
-    return numel, count
-
-
-def _mark_assigned(module: Module, assigned: set[int]) -> None:
-    for mod in module.modules():
-        assigned.add(id(mod))

@@ -148,10 +148,14 @@ class Module:
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
-    def register_forward_pre_hook(self, hook: Callable) -> RemovableHandle:
-        """``hook(module, args)`` may return replacement args."""
+    def register_forward_pre_hook(
+        self, hook: Callable, *, with_kwargs: bool = False
+    ) -> RemovableHandle:
+        """``hook(module, args)`` may return replacement args; with
+        ``with_kwargs``, ``hook(module, args, kwargs)`` returns the
+        replacement ``(args, kwargs)`` or None."""
         handle = RemovableHandle(self._forward_pre_hooks)
-        self._forward_pre_hooks[handle.hook_id] = hook
+        self._forward_pre_hooks[handle.hook_id] = (hook, with_kwargs)
         return handle
 
     def register_forward_hook(self, hook: Callable) -> RemovableHandle:
@@ -168,7 +172,12 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         if self._forward_pre_hooks:
-            for hook in list(self._forward_pre_hooks.values()):
+            for hook, with_kwargs in list(self._forward_pre_hooks.values()):
+                if with_kwargs:
+                    result = hook(self, args, kwargs)
+                    if result is not None:
+                        args, kwargs = result
+                    continue
                 result = hook(self, args)
                 if result is not None:
                     args = result if isinstance(result, tuple) else (result,)

@@ -34,7 +34,6 @@ from repro.errors import (
     CollectiveFailedError,
     CollectiveTimeoutError,
     DistributedError,
-    FsdpError,
     OutOfMemoryError,
     RankCrashedError,
     RankFailureError,
@@ -42,13 +41,13 @@ from repro.errors import (
 from repro.fsdp import (
     BackwardPrefetch,
     CPUOffload,
-    FlatParameter,
     FullyShardedDataParallel,
     MixedPrecision,
     ShardingStrategy,
     fully_shard,
+    no_sync,
 )
-from repro.fsdp.api import _units_under
+from repro.fsdp.api import _auto_wrap, _ignored_module_ids, _units_under
 from repro.fsdp.deferred_init import deferred_init, materialize_module
 from repro.fsdp.wrap import policy_label
 from repro.hw.specs import ClusterTopology
@@ -230,9 +229,16 @@ def simulated_world(world_size: int, *, topology=None, session=None, **init) -> 
         dist.shutdown()
 
 
-def _fsdp_kwargs(config: SimConfig, device: Device) -> dict:
-    """The FSDP knobs both sharding backends' constructors take."""
-    return dict(
+def wrap_model(config: SimConfig, device: Device) -> Module:
+    """Build ``config``'s model deferred and wrap it for ``device``."""
+    model = deferred_init(config.build_model)
+    if config.parallelism == "ddp":
+        # DDP fully materializes the replica on the device: this is
+        # where >2.28B models hit out-of-memory (Figure 6(a)).
+        materialize_module(model, device)
+        return DistributedDataParallel(model, broadcast_parameters=False)
+    ignored = config.ignored_modules_of(model) if config.ignored_modules_of else None
+    shared = dict(
         sharding_strategy=config.sharding_strategy,
         sharding_factor=config.sharding_factor,
         mixed_precision=config.mixed_precision,
@@ -240,67 +246,27 @@ def _fsdp_kwargs(config: SimConfig, device: Device) -> dict:
         forward_prefetch=config.forward_prefetch,
         limit_all_gathers=config.limit_all_gathers,
         rate_limit_inflight=config.rate_limit_inflight,
+        cpu_offload=CPUOffload(offload_params=True) if config.cpu_offload else None,
         compile=config.compile,
         compile_bucket_elems=config.compile_bucket_elems,
         compile_memory_budget=config.compile_memory_budget,
         device=device,
-    )
-
-
-def wrap_model(config: SimConfig, device: Device) -> Module:
-    """Build ``config``'s model deferred and wrap it for ``device``."""
-    if config.parallelism == "ddp":
-        # DDP fully materializes the replica on the device: this is
-        # where >2.28B models hit out-of-memory (Figure 6(a)).
-        model = deferred_init(config.build_model)
-        materialize_module(model, device)
-        return DistributedDataParallel(model, broadcast_parameters=False)
-    if config.backend == "per_param":
-        return _annotate_per_param(config, device)
-    model = deferred_init(config.build_model)
-    ignored = config.ignored_modules_of(model) if config.ignored_modules_of else None
-    return FullyShardedDataParallel(
-        model,
         ignored_modules=ignored,
-        cpu_offload=CPUOffload(offload_params=True) if config.cpu_offload else None,
-        auto_wrap_policy=config.auto_wrap_policy,
-        **_fsdp_kwargs(config, device),
     )
-
-
-def _annotate_per_param(config: SimConfig, device: Device) -> Module:
-    """Build the model annotated with per-parameter fully_shard units.
-
-    The per_param backend has no wrapper object, so features that live
-    on the wrapper (no_sync, ignored modules, CPU offload) are rejected
-    up front with a typed error rather than silently ignored.
-    """
-    if config.cpu_offload:
-        raise FsdpError("backend='per_param' does not support cpu_offload")
-    if config.ignored_modules_of is not None:
-        raise FsdpError("backend='per_param' does not support ignored_modules_of")
-    if config.accumulate_no_sync:
-        raise FsdpError(
-            "backend='per_param' does not support accumulate_no_sync "
-            "(no wrapper to provide no_sync); use accumulate_steps with "
-            "reduction instead"
-        )
-    model = deferred_init(config.build_model)
-    shared = dict(backend="per_param", **_fsdp_kwargs(config, device))
+    if config.backend == "flat_param":
+        return FullyShardedDataParallel(model, auto_wrap_policy=config.auto_wrap_policy, **shared)
     # Labels follow the wrapper's convention ("<RootClass>.<path>") so
     # profiler traces are comparable across backends.
     root_label = type(model).__name__
     if config.auto_wrap_policy is not None:
-        # Annotate bottom-up: named_modules yields parents before
-        # children, so walk it in reverse to satisfy fully_shard's
-        # inner-first ordering requirement.
-        for path, sub in reversed(list(model.named_modules())):
-            if sub is model:
-                continue
-            if config.auto_wrap_policy(sub):
-                fully_shard(sub, label=f"{root_label}.{path}", **shared)
-    fully_shard(model, label=root_label, **shared)
-    return model
+        _auto_wrap(
+            model,
+            config.auto_wrap_policy,
+            lambda child, label: fully_shard(child, backend="per_param", label=label, **shared),
+            _ignored_module_ids(ignored),
+            prefix=f"{root_label}.",
+        )
+    return fully_shard(model, backend="per_param", label=root_label, **shared)
 
 
 def sharded_units(wrapped: Module) -> list:
@@ -320,12 +286,16 @@ class _Run:
             units = sharded_units(self.wrapped)
             if units:
                 result.sharding_factor = units[0].plan.sharding_factor
-            if config.ignored_modules_of is not None:
-                # Ignored (model-parallel sparse) parameters use their
-                # own streaming optimizer in production whose cost
-                # scales with touched rows, not table size; exclude them
-                # from the dense optimizer here.
-                params = [p for p in params if isinstance(p, FlatParameter)]
+            # The dense optimizer steps what the units shard.  Ignored
+            # (model-parallel sparse) parameters use their own streaming
+            # optimizer in production whose cost scales with touched
+            # rows, not table size.
+            owned = {
+                id(record.optim_param)
+                for unit in units
+                for record in unit.handle.shard_records()
+            }
+            params = [p for p in params if id(p) in owned]
         if config.optimizer == "adam":
             self.optimizer = Adam(params, lr=1e-4, foreach=config.foreach_optimizer)
         else:
@@ -425,12 +395,7 @@ def _run_iteration(config: SimConfig, wrapped: Module, device: Device, optimizer
         # accumulate_steps-1 microbatches either still reduce
         # (with communication) or run under no_sync (without).
         for micro in range(config.accumulate_steps - 1):
-            scope = (
-                wrapped.no_sync()
-                if config.accumulate_no_sync
-                else contextlib.nullcontext()
-            )
-            with scope:
+            with no_sync(wrapped) if config.accumulate_no_sync else contextlib.nullcontext():
                 config.make_loss(wrapped, device).backward()
     loss = config.make_loss(wrapped, device)
     loss.backward()

@@ -146,42 +146,19 @@ def test_eval_forward_parity_shard_grad_op(backend):
 
 
 def _golden_spec(backend):
-    """Replica spec for the trace test, per backend.
-
-    flat_param serves DHEN (FSDP-ignored sparse table + the sparse
-    all-to-all exchange); per_param — which rejects ignored modules by
-    design — serves a transformer block stack instead.
-    """
+    """Replica spec for the trace test: DHEN on either backend (an
+    FSDP-ignored sparse table + the sparse all-to-all exchange)."""
+    from repro.models import DHEN_TINY
+    from repro.perf.workloads import dhen_builder, dhen_ignored_modules, dhen_infer_fn
     from repro.serve import ReplicaSpec
-
-    if backend == "flat_param":
-        from repro.models import DHEN_TINY
-        from repro.perf.workloads import (
-            dhen_builder,
-            dhen_ignored_modules,
-            dhen_infer_fn,
-        )
-
-        return ReplicaSpec(
-            name="golden",
-            build_model=dhen_builder(DHEN_TINY),
-            make_batch=dhen_infer_fn(DHEN_TINY),
-            gpus=2,
-            backend=backend,
-            ignored_modules_of=dhen_ignored_modules,
-            max_batch=4,
-        )
-
-    def make_batch(model, device, batch):
-        x = repro.empty(batch, 4, D_MODEL, device=device)
-        return model(x)
 
     return ReplicaSpec(
         name="golden",
-        build_model=_block_builder(),
-        make_batch=make_batch,
+        build_model=dhen_builder(DHEN_TINY),
+        make_batch=dhen_infer_fn(DHEN_TINY),
         gpus=2,
         backend=backend,
+        ignored_modules_of=dhen_ignored_modules,
         max_batch=4,
     )
 
@@ -213,8 +190,7 @@ def test_inference_issues_no_reduce_scatter(backend):
     kinds = {interval.kind for interval in served}
     assert any(kind.startswith("all_gather") for kind in kinds)
     assert not any(kind == "reduce_scatter" for kind in kinds)
-    if backend == "flat_param":
-        # DHEN's sparse exchange also lands under the serving span.
-        assert "all_to_all" in kinds
+    # DHEN's sparse exchange also lands under the serving span.
+    assert "all_to_all" in kinds
     # Latencies were measured and are positive at every anchor.
     assert all(service.latency(b) > 0 for b in service.anchors)

@@ -110,13 +110,6 @@ class InMemoryStorage:
         with self._lock:
             return path in self._objects
 
-    def delete_prefix(self, prefix: str) -> int:
-        with self._lock:
-            doomed = [p for p in self._objects if p.startswith(prefix)]
-            for path in doomed:
-                del self._objects[path]
-            return len(doomed)
-
     def list(self, prefix: str = "") -> list[str]:
         with self._lock:
             return sorted(p for p in self._objects if p.startswith(prefix))

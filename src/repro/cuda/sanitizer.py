@@ -66,7 +66,6 @@ __all__ = [
     "disable",
     "reset",
     "enabled",
-    "set_launch_site",
     "launch_site",
 ]
 
@@ -535,14 +534,6 @@ def enabled(*, raise_on_violation: bool = True):
 # ----------------------------------------------------------------------
 # Launch-site plumbing (used by the autograd engine for diagnostics)
 # ----------------------------------------------------------------------
-def set_launch_site(site: Optional[str]) -> None:
-    _tls.site = site
-
-
-def current_launch_site() -> Optional[str]:
-    return getattr(_tls, "site", None)
-
-
 @contextmanager
 def launch_site(site: str):
     """Attribute kernels launched inside the block to ``site``."""

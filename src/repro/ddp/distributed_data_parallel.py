@@ -19,6 +19,7 @@ against (Sections 2.1 and 5.2):
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Optional
 
 from repro import nn
@@ -65,10 +66,10 @@ class DistributedDataParallel(nn.Module):
         self._buckets = self._build_buckets()
         self._hooks = []
         self._backward_prepared = False
-        for bucket in self._buckets:
+        for index, bucket in enumerate(self._buckets):
             for param in bucket.params:
                 handle = param.register_post_accumulate_grad_hook(
-                    self._make_grad_hook(bucket)
+                    self._make_grad_hook(index)
                 )
                 self._hooks.append(handle)
         if broadcast_parameters and self.process_group.world_size > 1:
@@ -118,10 +119,17 @@ class DistributedDataParallel(nn.Module):
             self._backward_prepared = True
         return self.module(*args, **kwargs)
 
-    def _make_grad_hook(self, bucket: _Bucket):
+    def _make_grad_hook(self, index: int):
+        # The hook sits on a parameter the module owns: holding this DDP
+        # (or the bucket, which lists the parameters) strongly would close
+        # a cycle, and a world's models must die by reference count.
+        ddp = weakref.ref(self)
+
         def hook(param) -> None:
-            if not (self.require_backward_grad_sync and self._backward_prepared):
+            self = ddp()
+            if self is None or not (self.require_backward_grad_sync and self._backward_prepared):
                 return
+            bucket = self._buckets[index]
             bucket.pending -= 1
             if bucket.pending == 0:
                 self._launch_bucket(bucket)

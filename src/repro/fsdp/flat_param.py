@@ -29,9 +29,8 @@ from typing import Optional, Sequence
 from repro import dtypes, ops
 from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device, cpu_device
-from repro.cuda.stream import Event, Stream
-from repro.distributed import ProcessGroup, ReduceOp, Work
-from repro.errors import FsdpError
+from repro.cuda.stream import Stream
+from repro.distributed import ProcessGroup
 from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
 from repro.hw.kernel_model import KernelCost
 from repro.nn.module import Module
@@ -49,11 +48,24 @@ class FlatParameter(Parameter):
 
 
 class FlatParamHandle(ShardHandle, ShardRecord):
-    """Manages one FlatParameter's shard/unshard lifecycle.
+    """The flat layout of a :class:`ShardHandle`: one FlatParameter.
 
-    The handle is its own :class:`ShardRecord`: one logical buffer (the
-    padded concatenation) with one binding per original parameter.
+    The handle is its own one :class:`ShardRecord`: one logical buffer
+    (the padded concatenation) with one binding per original parameter.
     """
+
+    #: Padding makes every rank's chunk equally long.
+    even = True
+
+    # The lifecycle is ShardHandle's; these names are looked up in the
+    # class body by perfbench's span boundaries.
+    unshard = ShardHandle.unshard
+    unshard_pair = ShardHandle.unshard_pair
+    unshard_commit = ShardHandle.unshard_commit
+    reshard = ShardHandle.reshard
+    reduce_grad = ShardHandle.reduce_grad
+    reduce_grad_pair = ShardHandle.reduce_grad_pair
+    flush_post_backward = ShardHandle.flush_post_backward
 
     def __init__(
         self,
@@ -105,14 +117,15 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         self._build_storages(originals, requires_grad)
         self._deregister_and_bind()
 
-        # Runtime state -------------------------------------------------
-        self.is_unsharded = not self.needs_unshard
-        self._views: list[Tensor] = []
+        self._init_lifecycle()
 
     # ------------------------------------------------------------------
     # Shard record (see repro.fsdp.handle.ShardRecord)
     # ------------------------------------------------------------------
-    def shard_records(self) -> list["FlatParamHandle"]:
+    @property
+    def records(self) -> list["FlatParamHandle"]:
+        # A property, not an attribute: a list holding the handle would
+        # be an ownership cycle.
         return [self]
 
     @property
@@ -225,121 +238,45 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             object.__setattr__(info.module, info.name, placeholder)
 
     # ------------------------------------------------------------------
-    # Unshard / reshard
+    # Record-level lifecycle steps (driven by ShardHandle)
     # ------------------------------------------------------------------
-    def unshard(self, stream: Optional[Stream] = None) -> Optional[Event]:
-        """AllGather the shards into the unsharded storage.
-
-        Runs entirely on ``stream`` (the producer/communication
-        stream): the destination tensor is allocated there, which is
-        the allocator behaviour Section 3.4's rate limiter exists to
-        tame.  Returns the completion event, or None if already
-        unsharded.
-        """
-        if self.is_unsharded:
-            return None
-        device = self.device
-        ad_hoc = stream is None
-        if ad_hoc:
-            # Ad-hoc unshard (summon_full_params, state-dict): nothing
-            # upstream ordered the comm stream after the producer of the
-            # local shard (e.g. the optimizer step on the compute
-            # stream), so insert the NCCL-style implicit edge here.  The
-            # runtime's overlap path passes its own stream and manages
-            # ordering via begin_iteration.
-            stream = self.shard_group.comm_stream
-            current = device.current_stream
-            if current is not None and current is not stream:
-                stream.wait_stream(current)
-        with device.stream(stream), no_grad():
-            source = self._local_shard
-            if self.offload_params:
-                self._staged_shard_storage.reallocate()
-                self._h2d_copy(self._staged_shard, self._local_shard, stream)
-                source = self._staged_shard
-            if self._mp_shard is not None:
-                self._mp_shard_storage.reallocate()
-                self._mp_shard.copy_(source)
-                gather_input = self._mp_shard
-            else:
-                gather_input = source
-            self._unsharded_storage.reallocate()
-            if self.sharding_factor > 1:
-                self.shard_group.all_gather_into_tensor(
-                    self._unsharded_flat, gather_input, stream=stream
-                )
-            else:
-                self._unsharded_flat.copy_(gather_input)
-            if self._mp_shard is not None:
-                self._mp_shard_storage.release()
-            if self.offload_params:
-                self._staged_shard_storage.release()
-        event = stream.record_event()
-        if ad_hoc:
-            # The caller computes on its own (usually the default)
-            # stream right away and never sees the event, so close the
-            # ordering loop here — the same wait summon_full_params
-            # performs in PyTorch after an out-of-band unshard.
-            consumer = device.current_stream or device.default_stream
-            if consumer is not stream:
-                consumer.wait_event(event)
-        self.is_unsharded = True
-        return event
-
-    def unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
-        """Stage this handle for a *bucketed* AllGather.
-
-        The compiled executor merges several units' gathers into one
-        ``all_gather_into_tensor_coalesced``; this performs everything
-        the eager :meth:`unshard` does up to the collective (mixed-
-        precision cast, unsharded storage reallocation) and returns the
-        ``(output, input)`` pair for the bucket.  The caller holds
-        ``device.stream(stream)`` / ``no_grad`` and must call
-        :meth:`unshard_commit` after enqueueing the collective.
-
-        Returns None when this handle cannot join a bucket (already
-        unsharded, unsharded with ``F == 1``, or CPU offload) — the
-        caller falls back to a plain :meth:`unshard`.
-        """
-        if self.is_unsharded or self.sharding_factor <= 1 or self.offload_params:
-            return None
+    def _gather_into(self, stream: Stream) -> None:
+        """AllGather (or, with ``F == 1``, copy) the shard straight into
+        the unsharded storage: H2D-stage an offloaded shard, cast it to
+        the compute dtype, then gather (caller holds stream/no_grad)."""
         source = self._local_shard
-        if self._mp_shard is not None:
-            self._mp_shard_storage.reallocate()
-            self._mp_shard.copy_(source)
-            gather_input = self._mp_shard
+        if self.offload_params:
+            self._staged_shard_storage.reallocate()
+            self._h2d_copy(self._staged_shard, self._local_shard, stream)
+            source = self._staged_shard
+        gather_input = self._gather_input(source)
+        self._unsharded_storage.reallocate()
+        if self.sharding_factor > 1:
+            self.shard_group.all_gather_into_tensor(
+                self._unsharded_flat, gather_input, stream=stream
+            )
         else:
-            gather_input = source
+            self._unsharded_flat.copy_(gather_input)
+        self._commit_pair()
+        if self.offload_params:
+            self._staged_shard_storage.release()
+
+    def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
+        """:meth:`_gather_into` up to the collective, as a bucket's
+        ``(output, input)`` pair (None under CPU offload)."""
+        if self.offload_params:
+            return None
+        gather_input = self._gather_input(self._local_shard)
         self._unsharded_storage.reallocate()
         return (self._unsharded_flat, gather_input)
 
-    def unshard_commit(self) -> None:
-        """Finish a bucketed unshard once the collective is enqueued."""
-        if self._mp_shard is not None:
-            self._mp_shard_storage.release()
-        self.is_unsharded = True
-
-    def reshard(self) -> bool:
-        """Free the unsharded storage; point the FlatParameter at its shard.
-
-        Returns True when storage was actually released.
-        """
-        if not self.needs_unshard or not self.is_unsharded:
-            return False
-        self._unsharded_storage.release()
-        self.flat_param.data = self._local_shard
-        self.is_unsharded = False
-        return True
-
-    def use_unsharded_views(self) -> None:
+    def _use_unsharded(self) -> None:
         """Rebuild the original parameters as views of the FlatParameter.
 
         The split/view calls are autograd-visible, so gradient flow
         naturally targets the unsharded FlatParameter gradient
-        (Section 3.2.3).  Must be called with the handle unsharded.
+        (Section 3.2.3).
         """
-        if not self.is_unsharded:
-            raise FsdpError(f"cannot create views while sharded ({self.label})")
         if self.needs_unshard:
             self.flat_param.data = self._unsharded_flat
         sections = [info.numel for info in self._unique_infos]
@@ -349,104 +286,14 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         views_by_offset: dict[int, Tensor] = {}
         for info, piece in zip(self._unique_infos, pieces):
             views_by_offset[info.offset] = ops.view(piece, info.shape)
-        self._views = list(views_by_offset.values())
         for info in self.param_infos:
             object.__setattr__(info.module, info.name, views_by_offset[info.offset])
 
-    # ------------------------------------------------------------------
-    # Gradient handling
-    # ------------------------------------------------------------------
-    def prepare_gradient_for_backward(self) -> None:
-        """Stash any sharded gradient so unsharded accumulation is clean.
+    def _use_sharded(self) -> None:
+        self._unsharded_storage.release()
+        self.flat_param.data = self._local_shard
 
-        Without this, the engine would try to add an unsharded gradient
-        onto last iteration's sharded one (gradient accumulation *with*
-        communication keeps sharded grads across iterations,
-        Section 3.3.4).
-        """
-        grad = self.flat_param.grad
-        if grad is not None and grad.numel == self.shard_numel and self.needs_unshard:
-            with no_grad():
-                if self._saved_grad_shard is not None:
-                    grad = grad + self._saved_grad_shard
-            self._saved_grad_shard = grad
-            self.flat_param.grad = None
-
-    def reduce_grad(
-        self,
-        stream: Stream,
-        *,
-        replicate_group: Optional[ProcessGroup] = None,
-        no_sync: bool = False,
-    ) -> Optional[Work]:
-        """Post-backward gradient path: ReduceScatter (+AllReduce).
-
-        With ``no_sync`` the unsharded gradient is accumulated locally
-        and no communication happens (accumulate-without-communication,
-        Section 3.3.4).
-        """
-        with no_grad():
-            grad = self.take_grad()
-            if grad is None:
-                return None
-            if no_sync:
-                self._unsharded_grad_accum = grad
-                return None
-            with self.device.stream(stream):
-                # The gradient was produced on the compute stream; the
-                # reduction must not start before it is final.
-                stream.wait_stream(self.device.default_stream)
-                if grad.dtype is not self.reduce_dtype:
-                    grad = ops.cast(grad, self.reduce_dtype)
-                work: Optional[Work] = None
-                if self.sharding_factor > 1:
-                    new_shard = empty(
-                        self.shard_numel, dtype=self.reduce_dtype, device=self.device
-                    )
-                    work = self.shard_group.reduce_scatter_tensor(
-                        new_shard, grad, op=ReduceOp.AVG, stream=stream
-                    )
-                else:
-                    new_shard = grad
-                new_shard, work = self._reduce_tail(
-                    new_shard, work, stream, replicate_group
-                )
-                self._stash_reduced(new_shard)
-                return work
-
-    def reduce_grad_pair(
-        self, *, replicate_group: Optional[ProcessGroup] = None
-    ) -> Optional[ReduceJob]:
-        """Stage this unit's gradient reduction for a coalesced bucket.
-
-        Performs everything :meth:`reduce_grad` does before the
-        ReduceScatter (accumulate pending contributions, cast to the
-        reduce dtype, allocate the destination shard) and defers the
-        rest into the returned job's ``finish``.  The caller holds
-        ``device.stream(stream)`` / ``no_grad`` and has already ordered
-        the stream after the compute stream.
-
-        Returns None when no bucket collective is needed (no gradient,
-        ``F == 1``, or CPU offload); the caller falls back to
-        :meth:`reduce_grad`, which handles those cases eagerly.
-        """
-        if self.sharding_factor <= 1 or self.offload_params:
-            return None
-        grad = self.take_grad()
-        if grad is None:
-            return None
-        if grad.dtype is not self.reduce_dtype:
-            grad = ops.cast(grad, self.reduce_dtype)
-        new_shard = empty(self.shard_numel, dtype=self.reduce_dtype, device=self.device)
-
-        def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
-            shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
-            self._stash_reduced(shard)
-            return work
-
-        return ReduceJob(new_shard, grad, finish)
-
-    def _stash_reduced(self, shard: Tensor) -> None:
+    def stash_grad(self, new_shard: Tensor) -> None:
         """Park the reduced shard (caller holds the reduction stream)."""
         if self.offload_params:
             # The optimizer runs on host shards: move the reduced
@@ -456,14 +303,14 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             pcie = 25e9
             device.launch(
                 KernelCost(
-                    bytes_moved=shard.nbytes * (device.spec.mem_bandwidth / pcie)
+                    bytes_moved=new_shard.nbytes * (device.spec.mem_bandwidth / pcie)
                 ),
-                shard.dtype,
-                reads=(shard._storage,),
+                new_shard.dtype,
+                reads=(new_shard._storage,),
                 label="d2h",
             )
-            shard = ops.to_device(shard, cpu_device())
-        self.stash_grad(shard)
+            new_shard = ops.to_device(new_shard, cpu_device())
+        ShardRecord.stash_grad(self, new_shard)
 
     def _h2d_copy(self, device_dst: Tensor, host_src: Tensor, stream: Stream) -> None:
         """Host-to-device copy over PCIe (data + simulated transfer time)."""
@@ -478,62 +325,4 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             stream=stream,
             writes=(device_dst._storage,),
             label="h2d",
-        )
-
-    def writeback_unsharded_to_shard(self) -> None:
-        """Scatter this rank's slice of the unsharded data into its shard.
-
-        Supports ``summon_full_params(writeback=True)``: edits made
-        through the unsharded views persist.  With mixed precision the
-        views are in compute precision, so the writeback is a cast.
-        """
-        if not self.needs_unshard or not self.is_unsharded:
-            return
-        start = self.shard_group.rank * self.shard_numel
-        with no_grad():
-            my_slice = Tensor(
-                self._unsharded_storage,
-                (self.shard_numel,),
-                offset=start,
-                dtype=self.compute_dtype,
-            )
-            self._local_shard.copy_(my_slice)
-
-    def gather_full_precision(self) -> Tensor:
-        """AllGather the *full-precision* shards into a fresh tensor.
-
-        Used by full state-dict collection; the caller drops the result
-        when done (it is independent of the unsharded compute storage).
-        """
-        return self.gather(self._local_shard)
-
-    def restore_stashed_gradient(self) -> None:
-        """Put back a stashed sharded grad if no reduction consumed it."""
-        if self._saved_grad_shard is not None and self.flat_param.grad is None:
-            self.flat_param.grad = self._saved_grad_shard
-            self._saved_grad_shard = None
-
-    # ------------------------------------------------------------------
-    # Post-backward signalling (shared surface with PerParamHandle)
-    # ------------------------------------------------------------------
-    def register_post_backward(self, callback):
-        """Fire ``callback`` when the unit's gradient is finalized.
-
-        For the flat backend that is simply the FlatParameter's
-        post-accumulate-grad hook; the per-parameter backend counts
-        individual parameter gradients instead.
-        """
-        if not self.flat_param.requires_grad:
-            return None
-        return self.flat_param.register_post_accumulate_grad_hook(callback)
-
-    def flush_post_backward(self) -> bool:
-        """The flat backend never leaves partial gradient counts."""
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FlatParamHandle({self.label or 'unit'}, numel={self.total_numel}, "
-            f"padded={self.padded_numel}, F={self.sharding_factor}, "
-            f"unsharded={self.is_unsharded})"
         )

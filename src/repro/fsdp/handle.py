@@ -1,4 +1,4 @@
-"""What the two sharding backends share (Sections 3.2.1, 3.3.4, 4).
+"""The one sharding handle (Sections 3.2.1, 3.3, 3.3.4, 4).
 
 - :class:`ShardRecord` — the one description of a persistent shard:
   *which slice of which logical buffer this rank keeps*.  A
@@ -9,8 +9,19 @@
   parameter alone.  State dicts, optimizer state, checkpoint layouts
   and heal/restore loads are written once against this contract
   (:func:`repro.fsdp.state_dict.shard_records`).
-- :class:`ShardHandle` — the base of both handles: constructor
-  prologue, size introspection and the post-collective reduce tail.
+- :class:`ShardHandle` — the unit lifecycle, written once over the
+  handle's ``records``: unshard, use the unsharded views, reshard,
+  then reduce, stash and restore gradients.  The two handle classes
+  are layout constructors; what a layout does to *one* record is a
+  record-level step (``_gather_into``, ``_gather_pair``,
+  ``_use_unsharded``, ``_use_sharded``, ``stash_grad``, ``_shaped``).
+
+The collective shape follows from the records alone: one record (every
+flat unit, every single-parameter per-parameter unit) gathers straight
+into its storage, several stage through the rank-major
+``chunk_cat`` / ``ChunkUncat`` pair; a gradient reduction goes straight
+from the gradient when the unit is one record with even chunks, and is
+packed otherwise.
 """
 
 from __future__ import annotations
@@ -20,13 +31,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro import dtypes, ops
+from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
-from repro.cuda.stream import Stream
+from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.errors import FsdpError
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, empty, zeros
 
 __all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook"]
 
@@ -112,6 +124,12 @@ class ShardRecord:
     - ``gather(value)`` — AllGather a ``shard``-shaped tensor (the shard
       itself or an optimizer state tensor) into a fresh 1-D tensor of
       ``padded_numel`` elements.
+
+    For the handle's lifecycle a record also provides its unsharded
+    ``_unsharded_storage``, a released ``_mp_shard`` when it casts
+    before gathering, ``even`` (every rank's chunk is equally long) and
+    the layout steps ``_gather_into`` / ``_gather_pair`` /
+    ``_use_unsharded`` / ``_use_sharded``.
     """
 
     # Gradient stash (Section 3.3.4): reduced shards park here until
@@ -119,6 +137,8 @@ class ShardRecord:
     # contributions accumulate under ``no_sync``.
     _saved_grad_shard: Optional[Tensor] = None
     _unsharded_grad_accum: Optional[Tensor] = None
+    #: True while ``.grad`` holds a restored *sharded* gradient.
+    grad_restored = False
 
     @property
     def shard_index(self) -> int:
@@ -153,12 +173,58 @@ class ShardRecord:
             new_shard = new_shard + self._saved_grad_shard
         self._saved_grad_shard = new_shard.detach()
 
+    def _shaped(self, flat: Tensor) -> Tensor:
+        """The record's view of a reduced 1-D shard (the flat layout's
+        shard is 1-D already)."""
+        return flat
+
+    def _gather_input(self, source: Tensor) -> Tensor:
+        """``source`` as the gather sends it: cast into the reallocated
+        compute-precision ``_mp_shard`` when the record has one."""
+        if self._mp_shard is None:
+            return source
+        self._mp_shard_storage.reallocate()
+        self._mp_shard.copy_(source)
+        return self._mp_shard
+
+    def _commit_pair(self) -> None:
+        """Release the cast shard once the gather is enqueued."""
+        if self._mp_shard is not None:
+            self._mp_shard_storage.release()
+
+    def _writeback(self) -> None:
+        """Copy this rank's slice of the unsharded data into the shard
+        (a cast when the unsharded data is in compute precision)."""
+        if not self.shard_numel:
+            return
+        with no_grad():
+            my_slice = Tensor(
+                self._unsharded_storage,
+                (self.shard_numel,),
+                offset=self.shard_offset,
+                dtype=self.compute_dtype,
+            )
+            self.shard.copy_(my_slice)
+
 
 class ShardHandle:
-    """Base of the two handles: what does not depend on the layout."""
+    """One unit's shard/unshard lifecycle over its ``records``.
+
+    Subclasses construct the records (``_init_common`` first,
+    ``_init_lifecycle`` last) and provide the record-level steps.
+    Lifecycle methods call private helpers, never each other's public
+    entry points, so each public call is one traced handle span.
+    """
 
     #: CPU offloading exists only on the flat-parameter backend.
     offload_params = False
+    #: Whether unsharding also repoints the parameters at their
+    #: unsharded views.  Per-parameter units need it: saved activations
+    #: reference the parameter objects, so a backward-prefetch unshard
+    #: must restore the views before the unit's backward kernels read
+    #: them.  The flat views are autograd-visible splits, rebuilt by the
+    #: runtime's pre-forward.
+    _views_follow_unshard = False
 
     def _init_common(
         self,
@@ -202,6 +268,31 @@ class ShardHandle:
         self.keep_low_precision_grads = keep_low_precision_grads
         return originals, [index_of[id(param)] for _, _, param in params]
 
+    def _init_lifecycle(self) -> None:
+        """Sizes and runtime state, once the records exist."""
+        records = self.records
+        self.total_numel = sum(r.total_numel for r in records)
+        self.padded_numel = sum(r.padded_numel for r in records)
+        self.padding = self.padded_numel - self.total_numel
+        #: This rank's resident sharded elements (uneven across ranks
+        #: under exact dim-0 chunking).
+        self.shard_numel = sum(r.shard_numel for r in records)
+        self.is_unsharded = not self.needs_unshard
+        # Post-backward gradient counter (see register_post_backward).
+        self._post_backward_cb: Optional[Callable] = None
+        self._expected_grads = 0
+        self._grads_seen = 0
+        # Staging buffer of a bucketed unshard between pair and commit.
+        self._staged_gather: Optional[Tensor] = None
+        # Rank-major staging (see repro.ops.chunk): segments are as long
+        # as rank 0's, and all equally long exactly when every record's
+        # chunks are.
+        self._seg_max = sum(r.layout_shard_numel for r in records)
+        self._even_batch = all(r.even for r in records)
+
+    def shard_records(self) -> list[ShardRecord]:
+        return self.records
+
     @property
     def needs_unshard(self) -> bool:
         return (
@@ -222,10 +313,387 @@ class ShardHandle:
         """Bytes of optimizer state attached to this unit's shards."""
         return sum(
             value.nbytes
-            for record in self.shard_records()
+            for record in self.records
             for value in optimizer.state.get(id(record.optim_param), {}).values()
             if isinstance(value, Tensor)
         )
+
+    # ------------------------------------------------------------------
+    # Unshard / reshard
+    # ------------------------------------------------------------------
+    def unshard(self, stream: Optional[Stream] = None) -> Optional[Event]:
+        """AllGather the shards into the persistent unsharded storage.
+
+        Runs entirely on ``stream`` (the producer/communication
+        stream): the destination is allocated there, which is the
+        allocator behaviour Section 3.4's rate limiter exists to tame.
+        One record gathers straight into its storage (no staging copy;
+        with ``F == 1`` each record cast-copies); several are copied
+        into one rank-major buffer, gathered with ONE collective and
+        copied out — the FSDP2 batching that keeps the per-unit
+        collective count identical across layouts.  Returns the
+        completion event, or None if already unsharded.
+        """
+        if self.is_unsharded:
+            return None
+        device = self.device
+        ad_hoc = stream is None
+        if ad_hoc:
+            # Ad-hoc unshard (summon_full_params, state-dict): nothing
+            # upstream ordered the comm stream after the producer of the
+            # shards (e.g. the optimizer step on the compute stream), so
+            # insert the NCCL-style implicit edge here.  The runtime's
+            # overlap path passes its own stream and manages ordering
+            # via begin_iteration.
+            stream = self.shard_group.comm_stream
+            current = device.current_stream
+            if current is not None and current is not stream:
+                stream.wait_stream(current)
+        with device.stream(stream), no_grad():
+            records = self.records
+            if self.sharding_factor == 1 or len(records) == 1:
+                for record in records:
+                    record._gather_into(stream)
+            else:
+                gathered, local = self._batched_copy_in()
+                self.shard_group.all_gather_into_tensor(gathered, local, stream=stream)
+                self._batched_copy_out(gathered)
+        event = stream.record_event()
+        if ad_hoc:
+            # The caller computes on its own (usually the default)
+            # stream right away and never sees the event, so close the
+            # ordering loop here — the same wait summon_full_params
+            # performs in PyTorch after an out-of-band unshard.
+            consumer = device.current_stream or device.default_stream
+            if consumer is not stream:
+                consumer.wait_event(event)
+        self.is_unsharded = True
+        if self._views_follow_unshard:
+            self.use_unsharded_views()
+        return event
+
+    def _batched_copy_in(self) -> tuple[Tensor, Tensor]:
+        """Stage the rank-major AllGather input (caller holds stream/no_grad).
+
+        Uneven per-rank segments (parameters whose dim 0 does not
+        divide the shard group) are padded to the largest segment *in
+        the transient staging buffers only*, so the collective is
+        always the fast even ``all_gather_into_tensor`` ring — never
+        the broadcast-per-rank uneven fallback the paper's Figure 2(b)
+        measures.  Persistent shards stay exact.
+        """
+        device = self.device
+        seg_max = self._seg_max
+        # Copy-in: this rank's chunks of every record, concatenated in
+        # record order (the layout every rank assumes).
+        if self.shard_numel:
+            shards = [record.shard for record in self.records]
+            local = shards[0] if len(shards) == 1 else ops.cat(shards)
+        else:
+            local = empty(0, dtype=self.full_precision_dtype, device=device)
+        if local.dtype is not self.compute_dtype:
+            local = ops.cast(local, self.compute_dtype)
+        if not self._even_batch:
+            padded = zeros(seg_max, dtype=self.compute_dtype, device=device)
+            if local.numel:
+                ops.narrow(padded, 0, 0, local.numel).copy_(local)
+            local = padded
+        gathered = empty(
+            self.sharding_factor * seg_max, dtype=self.compute_dtype, device=device
+        )
+        return gathered, local
+
+    def _batched_copy_out(self, gathered: Tensor) -> None:
+        """Reassemble each record from its per-rank chunks into its
+        persistent unsharded storage (saved activations alias it, so the
+        staging buffer cannot be the destination) with one fused kernel
+        for the whole unit — the ``torch._foreach_copy_`` idiom."""
+        for record in self.records:
+            record._unsharded_storage.reallocate()
+        self._copy_out(gathered)
+
+    def unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
+        """Stage this handle for a *bucketed* AllGather.
+
+        The compiled executor merges several units' gathers into one
+        ``all_gather_into_tensor_coalesced``; this performs everything
+        :meth:`unshard` does up to the collective and returns the
+        ``(output, input)`` pair for the bucket.  The caller holds
+        ``device.stream(stream)`` / ``no_grad`` and must call
+        :meth:`unshard_commit` after enqueueing the collective.
+
+        Returns None when this handle cannot join a bucket (already
+        unsharded, ``F == 1``, CPU offload, or one record with uneven
+        chunks, which needs the list AllGather) — the caller falls back
+        to a plain :meth:`unshard`.
+        """
+        if self.is_unsharded or self.sharding_factor <= 1:
+            return None
+        records = self.records
+        if len(records) > 1:
+            gathered, local = self._batched_copy_in()
+            self._staged_gather = gathered
+            return (gathered, local)
+        self._staged_gather = None
+        return records[0]._gather_pair()
+
+    def unshard_commit(self) -> None:
+        """Finish a bucketed unshard once the collective is enqueued."""
+        if self._staged_gather is not None:
+            self._batched_copy_out(self._staged_gather)
+            self._staged_gather = None
+        else:
+            self.records[0]._commit_pair()
+        self.is_unsharded = True
+        if self._views_follow_unshard:
+            self.use_unsharded_views()
+
+    def reshard(self) -> bool:
+        """Free the unsharded storage; point the parameters at their shards.
+
+        Returns True when storage was actually released.
+        """
+        if not self.needs_unshard or not self.is_unsharded:
+            return False
+        for record in self.records:
+            record._use_sharded()
+        self.is_unsharded = False
+        return True
+
+    def use_unsharded_views(self) -> None:
+        """Point the parameters at their unsharded data (must be unsharded)."""
+        if not self.is_unsharded:
+            raise FsdpError(f"cannot create views while sharded ({self.label})")
+        for record in self.records:
+            record._use_unsharded()
+
+    def writeback_unsharded_to_shard(self) -> None:
+        """Scatter this rank's slice of the unsharded data into its shards.
+
+        Supports ``summon_full_params(writeback=True)``: edits made
+        through the unsharded views persist.
+        """
+        if not self.needs_unshard or not self.is_unsharded:
+            return
+        for record in self.records:
+            record._writeback()
+
+    # ------------------------------------------------------------------
+    # Post-backward signalling
+    # ------------------------------------------------------------------
+    def register_post_backward(self, callback: Callable) -> Optional[list]:
+        """Fire ``callback`` when the unit's last expected gradient lands.
+
+        Each ``requires_grad`` record's post-accumulate-grad hook bumps
+        a counter; reaching the number of such records triggers the
+        unit's reduction.  A flat unit is the one-record case: it fires
+        at every AccumulateGrad of its FlatParameter.
+        """
+        targets = [r.optim_param for r in self.records if r.optim_param.requires_grad]
+        if not targets:
+            return None
+        self._post_backward_cb = callback
+        self._expected_grads = len(targets)
+        on_grad_ready = weak_hook(self._on_grad_ready)
+        return [param.register_post_accumulate_grad_hook(on_grad_ready) for param in targets]
+
+    def _on_grad_ready(self, _variable) -> None:
+        self._grads_seen += 1
+        if self._grads_seen >= self._expected_grads:
+            self._grads_seen = 0
+            self._post_backward_cb(None)
+
+    def flush_post_backward(self) -> bool:
+        """Drain a partial gradient count (checkpoint recompute tails).
+
+        A GraphTask that finalizes only some of the unit's gradients
+        (e.g. the last activation-checkpoint recompute of a parent
+        unit) leaves the counter short of the full complement; the
+        end-of-backward callback calls this so those gradients are
+        still reduced.  Returns True when the unit callback fired.
+        """
+        if self._grads_seen == 0 or self._post_backward_cb is None:
+            return False
+        self._grads_seen = 0
+        self._post_backward_cb(None)
+        return True
+
+    # ------------------------------------------------------------------
+    # Gradient handling
+    # ------------------------------------------------------------------
+    def prepare_gradient_for_backward(self) -> None:
+        """Stash restored sharded gradients so unsharded accumulation is
+        clean (accumulation *with* communication keeps sharded grads
+        across iterations, Section 3.3.4)."""
+        for record in self.records:
+            param = record.optim_param
+            grad = param.grad
+            if grad is not None and record.grad_restored and self.needs_unshard:
+                with no_grad():
+                    if record._saved_grad_shard is not None:
+                        grad = grad + record._saved_grad_shard
+                record._saved_grad_shard = grad
+                param.grad = None
+            record.grad_restored = False
+
+    def restore_stashed_gradient(self) -> None:
+        """Move reduced shards into ``.grad`` for the optimizer."""
+        for record in self.records:
+            param = record.optim_param
+            if record._saved_grad_shard is not None and param.grad is None:
+                param.grad = record._saved_grad_shard
+                record._saved_grad_shard = None
+                record.grad_restored = True
+
+    def reduce_grad(
+        self,
+        stream: Stream,
+        *,
+        replicate_group: Optional[ProcessGroup] = None,
+        no_sync: bool = False,
+    ) -> Optional[Work]:
+        """Post-backward gradient path: one ReduceScatter (+AllReduce).
+
+        With ``no_sync`` the unsharded gradients are accumulated locally
+        and no communication happens (accumulate-without-communication,
+        Section 3.3.4).  Averaging happens over the shard group in
+        float64 elementwise, so the sharded gradients are bitwise the
+        same whichever layout reduced them.
+        """
+        device = self.device
+        with no_grad():
+            pending = self._collect_pending(no_sync)
+            if not pending:
+                return None
+            work: Optional[Work] = None
+            with device.stream(stream):
+                # The gradients were produced on the compute stream; the
+                # reduction must not start before they are final.
+                stream.wait_stream(device.default_stream)
+                sharded = self.sharding_factor > 1
+                if sharded and not self._reduces_direct():
+                    job = self._pack_reduction(pending, replicate_group)
+                    work = self.shard_group.reduce_scatter_tensor(
+                        job.output, job.input, op=ReduceOp.AVG, stream=stream
+                    )
+                    return job.finish(work, stream)
+                while pending:
+                    # Popped, so each gradient dies at its cast.
+                    record, grad = pending.pop(0)
+                    if grad.dtype is not self.reduce_dtype:
+                        grad = ops.cast(grad, self.reduce_dtype)
+                    if sharded:
+                        new_shard = empty(
+                            record.shard_numel, dtype=self.reduce_dtype, device=device
+                        )
+                        work = self.shard_group.reduce_scatter_tensor(
+                            new_shard, grad, op=ReduceOp.AVG, stream=stream
+                        )
+                    else:
+                        new_shard = grad
+                    # Rebound, so the low-precision shard dies before the stash.
+                    new_shard, work = self._reduce_tail(
+                        new_shard, work, stream, replicate_group
+                    )
+                    record.stash_grad(record._shaped(new_shard) if sharded else new_shard)
+        return work
+
+    def reduce_grad_pair(
+        self, *, replicate_group: Optional[ProcessGroup] = None
+    ) -> Optional[ReduceJob]:
+        """Stage this unit's gradient reduction for a coalesced bucket.
+
+        Performs everything :meth:`reduce_grad` does before the
+        ReduceScatter and defers the rest into the returned job's
+        ``finish``.  The caller holds ``device.stream(stream)`` /
+        ``no_grad`` and has already ordered the stream after the compute
+        stream.  Returns None when no bucket collective is needed (no
+        gradient, ``F == 1``, or CPU offload); the caller falls back to
+        :meth:`reduce_grad`, which handles those cases eagerly.
+        """
+        if self.sharding_factor <= 1 or self.offload_params:
+            return None
+        pending = self._collect_pending(False)
+        if not pending:
+            return None
+        if not self._reduces_direct():
+            return self._pack_reduction(pending, replicate_group)
+        record, grad = pending.pop()
+        if grad.dtype is not self.reduce_dtype:
+            grad = ops.cast(grad, self.reduce_dtype)
+        new_shard = empty(record.shard_numel, dtype=self.reduce_dtype, device=self.device)
+
+        def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
+            shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
+            record.stash_grad(record._shaped(shard))
+            return work
+
+        return ReduceJob(new_shard, grad, finish)
+
+    def _collect_pending(self, no_sync: bool) -> list[tuple[ShardRecord, Tensor]]:
+        """Drain ``.grad`` slots into (record, gradient) reduction pairs."""
+        pending: list[tuple[ShardRecord, Tensor]] = []
+        for record in self.records:
+            grad = record.take_grad()
+            if grad is None:
+                continue
+            if no_sync:
+                record._unsharded_grad_accum = grad
+                continue
+            pending.append((record, grad))
+        return pending
+
+    def _reduces_direct(self) -> bool:
+        """A unit of one record with even chunks reduces straight from
+        its gradient; several records are packed, however many of them
+        have a gradient pending."""
+        records = self.records
+        return len(records) == 1 and records[0].even
+
+    def _pack_reduction(
+        self,
+        pending: list[tuple[ShardRecord, Tensor]],
+        replicate_group: Optional[ProcessGroup],
+    ) -> ReduceJob:
+        """Stage a packed reduction: everything but the collective.
+
+        One fused ``ops.chunk_cat`` packs the gradients into a
+        rank-major buffer (each destination rank's segment concatenates
+        that rank's chunk of every gradient), zero-padded to the largest
+        segment when uneven, so the collective is always the even ring
+        ``reduce_scatter_tensor`` (zeros reduce to zeros and the pad
+        tail of the output is never sliced out).  Host work is
+        O(records), whatever the size of the shard group.  The pad
+        buffer is owned here, not by the pack, so that it dies with this
+        frame — after the cast and ``out`` are allocated.
+        """
+        device = self.device
+        grads = [grad for _, grad in pending]
+        chunks = [record.layout_shard_numel for record, _ in pending]
+        seg_max = sum(chunks)
+        pad_total = self.sharding_factor * seg_max - sum(g.numel for g in grads)
+        pad_buf = (
+            zeros(pad_total, dtype=grads[0].dtype, device=device)
+            if pad_total
+            else None
+        )
+        flat_in = ops.chunk_cat(grads, chunks, self.sharding_factor, pad_buf)
+        if flat_in.dtype is not self.reduce_dtype:
+            flat_in = ops.cast(flat_in, self.reduce_dtype)
+        out = empty(seg_max, dtype=self.reduce_dtype, device=device)
+
+        def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
+            result, work = self._reduce_tail(out, work, stream, replicate_group)
+            # Split this rank's reduced segment back into record shards.
+            offset = 0
+            for record, _ in pending:
+                record.stash_grad(
+                    record._shaped(ops.narrow(result, 0, offset, record.shard_numel))
+                )
+                offset += record.shard_numel
+            return work
+
+        return ReduceJob(out, flat_in, finish)
 
     def _reduce_tail(
         self,
@@ -252,3 +720,10 @@ class ShardHandle:
         ):
             shard = ops.cast(shard, self.full_precision_dtype)
         return shard, work
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"{type(self).__name__}({self.label or 'unit'}, records={len(self.records)}, "
+            f"numel={self.total_numel}, padded={self.padded_numel}, "
+            f"F={self.sharding_factor}, unsharded={self.is_unsharded})"
+        )

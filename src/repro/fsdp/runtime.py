@@ -32,8 +32,7 @@ from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
 from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
-from repro.fsdp.flat_param import FlatParamHandle
-from repro.fsdp.handle import weak_hook
+from repro.fsdp.handle import ShardHandle, weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
 from repro.tensor import Tensor
 
@@ -377,11 +376,11 @@ class FsdpRuntime:
 
 
 class FsdpUnit:
-    """Per-unit runtime logic driving one FlatParamHandle."""
+    """Per-unit runtime logic driving one ShardHandle."""
 
     def __init__(
         self,
-        handle: Optional[FlatParamHandle],
+        handle: Optional[ShardHandle],
         plan: ShardingPlan,
         *,
         is_root: bool = False,
@@ -417,10 +416,8 @@ class FsdpUnit:
         if self.ref not in runtime._units:
             runtime._units.append(self.ref)
         if self.handle is not None and self._post_backward_hook_handle is None:
-            # Backend-agnostic: the flat handle hooks its single
-            # FlatParameter, the per-parameter handle counts individual
-            # gradients; both fire ``_post_backward_hook`` when the
-            # unit's gradients are finalized.
+            # The handle counts its records' gradients and fires
+            # ``_post_backward_hook`` when the unit's are finalized.
             self._post_backward_hook_handle = self.handle.register_post_backward(
                 weak_hook(self._post_backward_hook)
             )

@@ -5,10 +5,13 @@ and ``FsdpRuntime.emit`` the one place the FSDP lifecycle (Sections
 3.3-3.4, 4.3) is announced.  A ten-line observer is therefore enough to
 pin the lifecycle itself: which points arrive, how often, in what order,
 and that neither the sharding backend nor the compiled executor changes
-the sequence a subscriber sees.  The last test holds the other
-direction: a subscriber does not change what the compile capture hears.
+the sequence a subscriber sees, and how often a unit's gradients are
+announced final when activation checkpointing recomputes its forward.
+The last test holds the other direction: a subscriber does not change
+what the compile capture hears.
 """
 
+import collections
 import dataclasses
 import functools
 
@@ -16,8 +19,9 @@ import pytest
 
 from repro.bench.autotune import bench_gpt_workload, per_block_config
 from repro.perf import simulate_training
+from repro.perf.workloads import gpt_builder
 from repro.profiler import ProfilerSession
-from tests.test_engine_speed import tiny_config
+from tests.test_engine_speed import TINY, tiny_config
 
 ITERATIONS = 3
 UNIT_POINTS = ("pre_forward", "post_forward", "pre_backward", "post_backward")
@@ -39,7 +43,7 @@ class LifecycleLog:
         self.events.append((point, label))
 
 
-def _lifecycle(backend: str, compile: bool) -> list:
+def _lifecycle(backend: str, compile: bool, **overrides) -> list:
     """The announcements of a short run, one list per iteration."""
     log = LifecycleLog()
     make_loss = tiny_config().make_loss
@@ -56,6 +60,7 @@ def _lifecycle(backend: str, compile: bool) -> list:
             make_loss=observed_loss,
             iterations=ITERATIONS - 1,
             warmup=1,
+            **overrides,
         )
     )
     assert not result.oom
@@ -111,6 +116,32 @@ def test_compiled_replay_keeps_the_lifecycle_and_drops_the_dead_waits(lifecycles
     assert keep(compiled[-1]) == keep(eager[-1])
     # The executor waits on bucket events itself; ``wait`` is an eager point.
     assert not any(point == "wait" for point, _ in compiled[-1])
+
+
+#: ``post_backward`` points per unit and iteration of the tiny GPT with
+#: checkpointed blocks and one (root) unit, recorded before the flat
+#: handle's post-backward hook became the one-record case of the
+#: per-parameter gradient counter.
+CHECKPOINTED_POST_BACKWARDS = {"flat_param": {"MinGPT": 5}, "per_param": {"MinGPT": 1}}
+
+
+@pytest.mark.parametrize("backend", ["flat_param", "per_param"])
+def test_checkpoint_recompute_post_backward_counts(backend):
+    """Each block's recompute is its own GraphTask that finalizes some
+    of the root unit's gradients.  The FlatParameter is one leaf, final
+    in every task (four recomputes and the outer backward); the
+    per-parameter counter fires once, when the last gradient lands."""
+    iterations = _lifecycle(
+        backend,
+        False,
+        build_model=gpt_builder(dataclasses.replace(TINY, checkpoint_blocks=True)),
+        auto_wrap_policy=None,
+    )
+    counts = [
+        dict(collections.Counter(label for point, label in events if point == "post_backward"))
+        for events in iterations
+    ]
+    assert counts == [CHECKPOINTED_POST_BACKWARDS[backend]] * ITERATIONS
 
 
 def test_session_does_not_change_what_the_capture_hears():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import distributed as dist, nn
+from repro.ddp import DistributedDataParallel
 from repro.distributed import FaultEvent, FaultKind, FaultSchedule, Rendezvous
 from repro.errors import (
     CollectiveTimeoutError,
@@ -182,6 +183,23 @@ class TestElasticRunDies:
         (failure,) = result.failures
         assert isinstance(failure, cause)
         assert "Traceback" in "".join(traceback.format_exception(failure))
+
+
+@pytest.mark.usefixtures("no_collector")
+def test_ddp_dies_on_del():
+    """A gradient hook on a parameter must not hold its DDP: parameter,
+    hook, DDP and module would form a cycle."""
+
+    def step(rank):
+        module = build_model()
+        ddp = DistributedDataParallel(module)
+        make_loss(ddp, rank, 0).backward()
+        refs = [weakref.ref(ddp), weakref.ref(module)]
+        del ddp, module
+        return [ref() is None for ref in refs]
+
+    for dead in dist.spawn(step, 2):
+        assert dead == [True, True]
 
 
 SMALL = GptConfig(vocab_size=1000, block_size=64, n_layer=3, n_head=4, n_embd=128)

@@ -73,8 +73,6 @@ def run_backward(
     retain_graph: bool = False,
 ) -> None:
     """Run backward from ``tensors`` seeded with ``grad_tensors``."""
-    from repro.tensor import Tensor  # local to avoid import cycle
-
     if len(tensors) != len(grad_tensors):
         raise ValueError("tensors and grad_tensors must have equal length")
 
@@ -139,21 +137,24 @@ def _execute(roots: list[tuple[Edge, "Tensor"]], retain_graph: bool) -> None:
 
     while ready:
         node = ready.popleft()
-        buffer = buffers.pop(node, [None] * node.num_outputs)
+        buffer = buffers.pop(node, None)
+        if buffer is None:
+            buffer = [None] * node.num_outputs
 
         if isinstance(node, AccumulateGrad):
             grad = buffer[0]
             if grad is not None:
                 variable = node.variable
                 if variable is not None:
-                    for hook in list(variable._hooks.values()):
-                        replacement = hook(grad)
-                        if replacement is not None:
-                            grad = replacement
+                    if variable._hooks:
+                        for hook in list(variable._hooks.values()):
+                            replacement = hook(grad)
+                            if replacement is not None:
+                                grad = replacement
                     node.accumulate(grad)
             continue
 
-        if all(g is None for g in buffer):
+        if buffer[0] is None if len(buffer) == 1 else all(g is None for g in buffer):
             # No gradient flowed into this node; propagate the "no grad"
             # signal without executing backward.
             for edge in node.next_edges:
@@ -163,17 +164,24 @@ def _execute(roots: list[tuple[Edge, "Tensor"]], retain_graph: bool) -> None:
                 node.ctx.release()
             continue
 
-        for i, hooks in enumerate(node.output_hooks):
-            grad = buffer[i]
-            if grad is None or not hooks:
-                continue
-            for hook in list(hooks.values()):
-                replacement = hook(grad)
-                if replacement is not None:
-                    grad = replacement
-            buffer[i] = grad
+        output_hooks = node.output_hooks
+        if output_hooks is None:
+            # Drop the previous node's last gradient here, as the hook
+            # loop's rebinding does: it must be freed before this
+            # backward allocates (free order shapes the memory digests).
+            grad = None
+        else:
+            for i, hooks in enumerate(output_hooks):
+                grad = buffer[i]
+                if grad is None or not hooks:
+                    continue
+                for hook in list(hooks.values()):
+                    replacement = hook(grad)
+                    if replacement is not None:
+                        grad = replacement
+                buffer[i] = grad
 
-        if sanitizer.is_enabled():
+        if sanitizer._ACTIVE is not None:
             # Attribute kernels launched by this node to its backward,
             # so violations name the node instead of a bare "kernel".
             with sanitizer.launch_site(f"backward:{node.name}"):

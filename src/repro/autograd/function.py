@@ -17,6 +17,7 @@ does on unit outputs) still fire.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.autograd.grad_mode import _state, is_grad_enabled, no_grad
@@ -26,7 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Context", "Function", "Node", "AccumulateGrad", "Edge", "RemovableHandle"]
 
-# Lazily bound Tensor class (repro.tensor imports this module).
+# The Tensor class, bound by ``repro.tensor`` once it exists (that
+# module imports this one, so this one cannot import it).
 _Tensor = None
 
 
@@ -45,11 +47,15 @@ class RemovableHandle:
 
 
 class Context:
-    """Per-call storage for ``Function.forward`` → ``backward``."""
+    """Per-call storage for ``Function.forward`` → ``backward``.
 
-    def __init__(self):
-        self.saved_tensors: tuple = ()
-        self._released = False
+    No ``__init__``: the ops set what their backward reads, and apply
+    sets ``needs_input_grad`` while grad mode is on (the only time a
+    node, and so a backward, is recorded), so a context costs one
+    object and no frame.
+    """
+
+    saved_tensors: tuple = ()
 
     def save_for_backward(self, *tensors) -> None:
         self.saved_tensors = tensors
@@ -57,7 +63,6 @@ class Context:
     def release(self) -> None:
         """Drop saved tensors so activation storage can be freed."""
         self.saved_tensors = ()
-        self._released = True
 
 
 class Edge:
@@ -71,37 +76,52 @@ class Edge:
 
 
 class Node:
-    """A backward node recorded for one ``Function.apply`` call."""
+    """A backward node recorded for one ``Function.apply`` call.
 
-    __slots__ = (
-        "function",
-        "ctx",
-        "next_edges",
-        "num_outputs",
-        "output_hooks",
-        "name",
-        "metadata",
-        "__weakref__",
-    )
+    Holds only what the engine reads.  ``output_hooks`` stays ``None``
+    until a hook is registered on one of the node's outputs (see
+    :meth:`watch_output`); the name is derived, not stored.
+    """
 
-    def __init__(self, function: type["Function"], ctx: Context, next_edges: list[Optional[Edge]]):
+    __slots__ = ("function", "ctx", "next_edges", "num_outputs", "output_hooks", "__weakref__")
+
+    def __init__(
+        self,
+        function: type["Function"],
+        ctx: Context,
+        next_edges: list[Optional[Edge]],
+        num_outputs: int,
+    ):
         self.function = function
         self.ctx = ctx
         self.next_edges = next_edges
-        self.num_outputs = 1
-        # One hook dict per forward output, shared with the output
-        # tensor so later ``register_hook`` calls are visible here.
-        self.output_hooks: list[dict[int, Any]] = []
-        self.name = function.__name__
-        self.metadata: dict[str, Any] = {}
+        self.num_outputs = num_outputs
+        self.output_hooks: Optional[list[Optional[dict[int, Any]]]] = None
+
+    @property
+    def name(self) -> str:
+        return self.function.__name__
+
+    def watch_output(self, output_nr: int, hooks: dict[int, Any]) -> None:
+        """Fire ``hooks`` (an output tensor's hook dict, shared by
+        identity so later registrations are seen) on that output's
+        gradient."""
+        if self.output_hooks is None:
+            self.output_hooks = [None] * self.num_outputs
+        self.output_hooks[output_nr] = hooks
 
     def run_backward(self, grad_outputs: list[Optional["Tensor"]]) -> tuple:
-        """Invoke the function's backward under ``no_grad``."""
-        with no_grad():
+        """Invoke the function's backward under ``no_grad`` (inlined, as
+        in :meth:`Function.apply`: this runs once per recorded op)."""
+        previous = _state.enabled
+        _state.enabled = False
+        try:
             if self.num_outputs == 1:
                 grads = self.function.backward(self.ctx, grad_outputs[0])
             else:
                 grads = self.function.backward(self.ctx, *grad_outputs)
+        finally:
+            _state.enabled = previous
         if not isinstance(grads, tuple):
             grads = (grads,)
         return grads
@@ -116,8 +136,6 @@ class AccumulateGrad:
     __slots__ = ("variable_ref", "post_hooks", "next_edges", "num_outputs", "name", "__weakref__")
 
     def __init__(self, variable: "Tensor"):
-        import weakref
-
         self.variable_ref = weakref.ref(variable)
         self.post_hooks: dict[int, Any] = {}
         self.next_edges: list[Optional[Edge]] = []
@@ -157,48 +175,42 @@ class Function:
 
     @classmethod
     def apply(cls, *args, **kwargs):
-        global _Tensor
-        Tensor = _Tensor
-        if Tensor is None:
-            from repro.tensor import Tensor
-
-            _Tensor = Tensor
-
-        any_grad = False
-        flags = []
-        for a in args:
-            flag = isinstance(a, Tensor) and a.requires_grad and a.dtype.is_floating
-            flags.append(flag)
-            if flag:
-                any_grad = True
-        needs_input_grad = tuple(flags)
-        needs_grad = any_grad and getattr(_state, "enabled", True)
-
         ctx = Context()
-        ctx.needs_input_grad = needs_input_grad
         # Inlined no_grad(): apply() runs once per op dispatch, and the
         # context-manager protocol is measurable there.
-        previous = getattr(_state, "enabled", True)
+        previous = _state.enabled
+        needs_grad = False
+        if previous:
+            # Which inputs want a gradient, and their graph edges.  Only
+            # a recorded node reads them, so under no_grad nothing is
+            # computed.
+            Tensor = _Tensor
+            flags = []
+            next_edges: list[Optional[Edge]] = []
+            for a in args:
+                if isinstance(a, Tensor) and a.requires_grad and a.dtype.is_floating:
+                    flags.append(True)
+                    next_edges.append(a._grad_edge())
+                    needs_grad = True
+                else:
+                    flags.append(False)
+                    next_edges.append(None)
+            ctx.needs_input_grad = tuple(flags)
         _state.enabled = False
         try:
             outputs = cls.forward(ctx, *args, **kwargs)
         finally:
             _state.enabled = previous
-        single = not isinstance(outputs, tuple)
-        output_tuple = (outputs,) if single else outputs
 
         if needs_grad:
-            next_edges: list[Optional[Edge]] = [
-                args[i]._grad_edge() if flag else None
-                for i, flag in enumerate(needs_input_grad)
-            ]
-            node = Node(cls, ctx, next_edges)
-            node.num_outputs = len(output_tuple)
+            output_tuple = outputs if isinstance(outputs, tuple) else (outputs,)
+            node = Node(cls, ctx, next_edges, len(output_tuple))
             for i, out in enumerate(output_tuple):
                 out.requires_grad = True
                 out.grad_fn = node
                 out._output_nr = i
-                node.output_hooks.append(out._hooks)
-        else:
+                if out._hooks is not None:
+                    node.watch_output(i, out._hooks)
+        elif ctx.saved_tensors:
             ctx.release()
         return outputs

@@ -211,49 +211,124 @@ class CachingAllocator:
         Follows the caching-allocator procedure: try the stream's pool,
         then cudaMalloc, then retry after releasing all cached blocks,
         then raise :class:`OutOfMemoryError`.
+
+        Runs once per tensor, so the pool search and the split are
+        written out here, not called.
         """
         size = _round_size(nbytes)
-        block = self._find_pooled(size, stream)
-        if block is None:
-            block = self._try_cuda_malloc(size, stream)
-        if block is None:
-            self._retry_free_cached(stream)
-            block = self._find_pooled(size, stream)
+        stats = self.stats
+        retried = False
+        while True:
+            # Best fit from the stream's pool: the smallest block that
+            # fits and whose cross-stream uses have retired; ties go to
+            # the earliest pooled block.
+            pool = self._pools.get(stream.stream_id)
+            block = None
+            if pool:
+                now = self.device._cpu_time
+                best_index = -1
+                best_size = 0
+                for index, candidate in enumerate(pool):
+                    candidate_size = candidate.size
+                    if candidate_size < size or (block is not None and candidate_size >= best_size):
+                        continue
+                    if candidate.reuse_ready_time > now:
+                        # Cross-stream use has not retired yet; unsafe to reuse.
+                        continue
+                    block, best_index, best_size = candidate, index, candidate_size
+                    if candidate_size == size:
+                        # Exact fit: nothing later in the pool can beat it.
+                        break
+                if block is not None:
+                    del pool[best_index]
+                    pool.free_bytes -= best_size
+                    self._pending_reuse.pop(id(block), None)
+                    stats.num_block_reuses += 1
             if block is None:
                 block = self._try_cuda_malloc(size, stream)
-        if block is None:
-            self.stats.num_ooms += 1
-            raise OutOfMemoryError(
-                self.device, nbytes, self.capacity, self.stats.reserved_bytes
-            )
+            if block is not None:
+                break
+            if retried:
+                stats.num_ooms += 1
+                raise OutOfMemoryError(self.device, nbytes, self.capacity, stats.reserved_bytes)
+            self._retry_free_cached(stream)
+            retried = True
+        # Split off the remainder when it is worth keeping.
+        remainder = block.size - size
+        if remainder >= _SPLIT_REMAINDER_MIN and (
+            block.segment.is_small or remainder >= _SMALL_BLOCK_LIMIT
+        ):
+            rest = Block(block.segment, block.offset + size, remainder)
+            rest.reuse_ready_time = block.reuse_ready_time
+            rest.prev = block
+            rest.next = block.next
+            if block.next is not None:
+                block.next.prev = rest
+            block.next = rest
+            block.size = size
+            pool = self._pools[block.segment.stream_id]
+            pool.append(rest)
+            pool.free_bytes += remainder
+            if rest.reuse_ready_time > 0.0:
+                self._pending_reuse[id(rest)] = rest
         block.allocated = True
         block.requested = nbytes
-        stats = self.stats
         stats.allocated_bytes += nbytes
         if stats.allocated_bytes > stats.allocated_peak:
             stats.allocated_peak = stats.allocated_bytes
-        self._bump_active()
+        self._refresh_active()
         san = sanitizer._ACTIVE
         if san is not None:
             san.on_block_alloc(self.device, stream, block)
-        self._sample("alloc")
+        if self.device._on_alloc:
+            self._sample("alloc")
         return block
 
     def free(self, block: Block) -> None:
-        """Return a block to its stream's pool (CPU-side free)."""
+        """Return a block to its stream's pool (CPU-side free), merged
+        with its free neighbours (written out, like :meth:`allocate`'s
+        pool search)."""
         if not block.allocated:
             return
         block.allocated = False
-        self.stats.allocated_bytes -= block.requested
+        stats = self.stats
+        stats.allocated_bytes -= block.requested
         block.requested = 0
         pool = self._pools[block.segment.stream_id]
-        merged = self._coalesce(block, pool)
-        pool.append(merged)
-        pool.free_bytes += merged.size
-        if merged.reuse_ready_time > 0.0:
-            self._pending_reuse[id(merged)] = merged
-        self._bump_active()
-        self._sample("free")
+        pending_reuse = self._pending_reuse
+        # Free neighbours are always resident in this pool (the pool of
+        # the block's stream): merging takes them out, and the merged
+        # block goes back in.
+        neighbor = block.prev
+        if neighbor is not None and not neighbor.allocated:
+            pool.remove(neighbor)
+            pool.free_bytes -= neighbor.size
+            pending_reuse.pop(id(neighbor), None)
+            neighbor.next = block.next
+            if block.next is not None:
+                block.next.prev = neighbor
+            neighbor.size += block.size
+            if block.reuse_ready_time > neighbor.reuse_ready_time:
+                neighbor.reuse_ready_time = block.reuse_ready_time
+            block = neighbor
+        neighbor = block.next
+        if neighbor is not None and not neighbor.allocated:
+            pool.remove(neighbor)
+            pool.free_bytes -= neighbor.size
+            pending_reuse.pop(id(neighbor), None)
+            block.next = neighbor.next
+            if neighbor.next is not None:
+                neighbor.next.prev = block
+            block.size += neighbor.size
+            if neighbor.reuse_ready_time > block.reuse_ready_time:
+                block.reuse_ready_time = neighbor.reuse_ready_time
+        pool.append(block)
+        pool.free_bytes += block.size
+        if block.reuse_ready_time > 0.0:
+            pending_reuse[id(block)] = block
+        self._refresh_active()
+        if self.device._on_alloc:
+            self._sample("free")
 
     def record_use(self, block: Block, stream: "Stream", end_time: float) -> None:
         """Note that a kernel on ``stream`` uses ``block`` until ``end_time``.
@@ -262,8 +337,8 @@ class CachingAllocator:
         stream and do not delay reuse; uses from other streams do
         (``record_stream`` semantics).
         """
-        if stream.stream_id != block.segment.stream_id:
-            block.reuse_ready_time = max(block.reuse_ready_time, end_time)
+        if stream.stream_id != block.segment.stream_id and end_time > block.reuse_ready_time:
+            block.reuse_ready_time = end_time
 
     def memory_stats(self) -> dict[str, int]:
         self._refresh_active()
@@ -303,64 +378,13 @@ class CachingAllocator:
         Every caller has just refreshed ``active``."""
         observers = self.device._on_alloc
         if observers:
-            now = self.device.cpu_time()
+            now = self.device._cpu_time
             for on_alloc in observers:
                 on_alloc(self, now, reason)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _find_pooled(self, size: int, stream: "Stream") -> Optional[Block]:
-        pool = self._pools.get(stream.stream_id)
-        if not pool:
-            return None
-        now = self.device._cpu_time
-        best: Optional[Block] = None
-        best_index = -1
-        best_size = 0
-        for index, block in enumerate(pool):
-            block_size = block.size
-            if block_size < size or (best is not None and block_size >= best_size):
-                continue
-            if block.reuse_ready_time > now:
-                # Cross-stream use has not retired yet; unsafe to reuse.
-                continue
-            best, best_index, best_size = block, index, block_size
-            if block_size == size:
-                # Exact fit: nothing later in the pool can beat it, and
-                # ties resolve to the earliest pooled block either way.
-                break
-        if best is None:
-            return None
-        pool.pop(best_index)
-        pool.free_bytes -= best_size
-        self._pending_reuse.pop(id(best), None)
-        self.stats.num_block_reuses += 1
-        self._maybe_split(best, size)
-        return best
-
-    def _maybe_split(self, block: Block, size: int) -> None:
-        remainder = block.size - size
-        should_split = (
-            remainder >= _SPLIT_REMAINDER_MIN
-            and (block.segment.is_small or remainder >= _SMALL_BLOCK_LIMIT)
-        )
-        if not should_split:
-            return
-        rest = Block(block.segment, block.offset + size, remainder)
-        rest.reuse_ready_time = block.reuse_ready_time
-        rest.prev = block
-        rest.next = block.next
-        if block.next is not None:
-            block.next.prev = rest
-        block.next = rest
-        block.size = size
-        pool = self._pools[block.segment.stream_id]
-        pool.append(rest)
-        pool.free_bytes += remainder
-        if rest.reuse_ready_time > 0.0:
-            self._pending_reuse[id(rest)] = rest
-
     def _try_cuda_malloc(self, size: int, stream: "Stream") -> Optional[Block]:
         is_small = size <= _SMALL_BLOCK_LIMIT
         if is_small:
@@ -386,9 +410,7 @@ class CachingAllocator:
         self.device.consume_cpu(
             _CUDA_MALLOC_CALL_COST + segment_size / _CUDA_MALLOC_MAPPING_BYTES_PER_S
         )
-        block = Block(segment, 0, segment_size)
-        self._maybe_split(block, size)
-        return block
+        return Block(segment, 0, segment_size)
 
     def _retry_free_cached(self, stream: "Stream") -> None:
         """The cudaMalloc-retry path: device sync + release cached segments."""
@@ -444,60 +466,26 @@ class CachingAllocator:
             self._sample("release")
         return released
 
-    def _coalesce(self, block: Block, pool: _Pool) -> Block:
-        """Merge ``block`` with free neighbors; returns the merged block.
-
-        Free neighbors are always resident in ``pool`` (the pool of the
-        block's stream), so merging removes them from it; the caller
-        re-inserts the result.
-        """
-        neighbor = block.prev
-        if neighbor is not None and not neighbor.allocated:
-            pool.remove(neighbor)
-            pool.free_bytes -= neighbor.size
-            self._pending_reuse.pop(id(neighbor), None)
-            neighbor.next = block.next
-            if block.next is not None:
-                block.next.prev = neighbor
-            neighbor.size += block.size
-            neighbor.reuse_ready_time = max(neighbor.reuse_ready_time, block.reuse_ready_time)
-            block = neighbor
-        neighbor = block.next
-        if neighbor is not None and not neighbor.allocated:
-            pool.remove(neighbor)
-            pool.free_bytes -= neighbor.size
-            self._pending_reuse.pop(id(neighbor), None)
-            block.next = neighbor.next
-            if neighbor.next is not None:
-                neighbor.next.prev = block
-            block.size += neighbor.size
-            block.reuse_ready_time = max(block.reuse_ready_time, neighbor.reuse_ready_time)
-        return block
-
-    def _bump_active(self) -> None:
-        self._refresh_active()
-        stats = self.stats
-        if stats.active_bytes > stats.active_peak:
-            stats.active_peak = stats.active_bytes
-
     def _refresh_active(self) -> None:
+        """``active = allocated + pooled-but-unretired bytes``, and its
+        peak.  O(pending): a handful of blocks in steady state."""
         stats = self.stats
         pending_reuse = self._pending_reuse
-        if not pending_reuse:
-            stats.active_bytes = stats.allocated_bytes
-            return
-        now = self.device._cpu_time
-        pending = 0
-        retired = None
-        for key, block in pending_reuse.items():
-            if block.allocated or block.reuse_ready_time <= now:
-                if retired is None:
-                    retired = [key]
+        active = stats.allocated_bytes
+        if pending_reuse:
+            now = self.device._cpu_time
+            retired = None
+            for key, block in pending_reuse.items():
+                if block.allocated or block.reuse_ready_time <= now:
+                    if retired is None:
+                        retired = [key]
+                    else:
+                        retired.append(key)
                 else:
-                    retired.append(key)
-            else:
-                pending += block.size
-        if retired is not None:
-            for key in retired:
-                del pending_reuse[key]
-        stats.active_bytes = stats.allocated_bytes + pending
+                    active += block.size
+            if retired is not None:
+                for key in retired:
+                    del pending_reuse[key]
+        stats.active_bytes = active
+        if active > stats.active_peak:
+            stats.active_peak = active

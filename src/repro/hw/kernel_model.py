@@ -15,7 +15,7 @@ ratios and scaling shapes rather than kernel-exact times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import dtypes
 from repro.hw.specs import GpuSpec
@@ -23,9 +23,12 @@ from repro.hw.specs import GpuSpec
 __all__ = ["KernelCostModel", "KernelCost"]
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class KernelCost(NamedTuple):
     """Cost declaration attached to a single kernel launch.
+
+    A tuple, so the duration memo hashes and compares it in C (a frozen
+    dataclass's generated ``__hash__`` / ``__eq__`` ran as Python frames
+    on every launch).
 
     Attributes:
         flops: floating point operations performed.
@@ -41,9 +44,9 @@ class KernelCost:
 class KernelCostModel:
     """Maps :class:`KernelCost` declarations to durations on a GPU.
 
-    Durations are memoized on ``(cost, dtype)`` — :class:`KernelCost`
-    is a frozen dataclass, and models see the same few hundred shapes
-    every training iteration.  Disable with ``cache=False`` for
+    Durations are memoized on ``(cost, dtype.name)`` — :class:`KernelCost`
+    is a tuple, and models see the same few hundred shapes every
+    training iteration.  Disable with ``cache=False`` for
     differential testing of the uncached path.
     """
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import nn
+from repro import nn, ops
 from repro.nn import functional as F
 from repro.models.transformer import TransformerBlock
 from repro.tensor import Tensor, zeros
@@ -92,8 +92,6 @@ class DeepViT(nn.Module):
         self.head = nn.Linear(config.d_model, config.num_classes, **kwargs)
 
     def forward(self, images: Tensor) -> Tensor:
-        from repro import ops
-
         patches = self.patch_embed(images)  # (B, C, P, P)
         batch, channels = patches.shape[0], patches.shape[1]
         num_patches = patches.shape[2] * patches.shape[3]

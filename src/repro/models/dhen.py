@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import nn, ops
+from repro.autograd.grad_mode import no_grad
 from repro.distributed import ProcessGroup
 from repro.models.transformer import MultiHeadAttention
 from repro.nn import functional as F
@@ -186,8 +187,6 @@ class DHEN(nn.Module):
         graph, no gradient buffers, and (under FSDP) no ReduceScatter:
         the runtime reshards immediately after the forward.
         """
-        from repro.autograd.grad_mode import no_grad
-
         with no_grad():
             return F.sigmoid(self.forward(sparse_ids, dense_features))
 
@@ -196,21 +195,11 @@ class DHEN(nn.Module):
         logits = self.forward(sparse_ids, dense_features)
         probs = F.sigmoid(logits)
         eps = 1e-7
-        one = _scalar(1.0, probs)
-        safe = ops.maximum(probs, _scalar(eps, probs))
-        safe_inv = ops.maximum(ops.sub(one, probs), _scalar(eps, probs))
+        one = ops.scalar_like(1.0, probs)
+        safe = ops.maximum(probs, ops.scalar_like(eps, probs))
+        safe_inv = ops.maximum(ops.sub(one, probs), ops.scalar_like(eps, probs))
         loss = ops.add(
             ops.mul(labels, ops.log(safe)),
             ops.mul(ops.sub(one, labels), ops.log(safe_inv)),
         )
         return ops.neg(ops.mean(loss))
-
-
-def _scalar(value: float, like: Tensor):
-    import numpy as np
-
-    from repro.tensor import tensor
-
-    return tensor(
-        np.asarray(value, dtype=like.dtype.np_dtype), dtype=like.dtype, device=like.device
-    )

@@ -8,10 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import nn
+from repro import random as rrandom
+from repro.autograd import no_grad
 from repro.nn import functional as F
 from repro.models.transformer import TransformerBlock
-from repro.tensor import Tensor, zeros
+from repro.tensor import Tensor, cat, tensor, zeros
 
 __all__ = ["GptConfig", "MinGPT", "GPT_TINY", "GPT3_175B", "GPT_MEDIUM_SIM"]
 
@@ -107,14 +111,6 @@ class MinGPT(nn.Module):
         ``temperature <= 0`` selects the argmax (greedy decoding).
         Works with FSDP via ``summon_full_params`` or a normal forward.
         """
-        import numpy as np
-
-        from repro import ops
-        from repro.autograd import no_grad
-        from repro.tensor import cat, tensor
-
-        from repro import random as rrandom
-
         with no_grad():
             for _ in range(max_new_tokens):
                 window = idx

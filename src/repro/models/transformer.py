@@ -75,7 +75,7 @@ class MultiHeadAttention(nn.Module):
             )
         else:
             scores = ops.matmul(q, ops.transpose(k, -2, -1))
-            scores = ops.mul(scores, _scalar(1.0 / math.sqrt(self.head_dim), scores))
+            scores = ops.mul(scores, ops.scalar_like(1.0 / math.sqrt(self.head_dim), scores))
             if mask is not None:
                 scores = ops.masked_fill(scores, mask, -1e9)
             weights = ops.softmax(scores, dim=-1)
@@ -165,13 +165,3 @@ class TransformerBlock(nn.Module):
             x = x + self.cross_attn(self.ln_cross(x), context=context)
         x = x + self.mlp(self.ln2(x))
         return x
-
-
-def _scalar(value: float, like: Tensor):
-    import numpy as np
-
-    from repro.tensor import tensor
-
-    return tensor(
-        np.asarray(value, dtype=like.dtype.np_dtype), dtype=like.dtype, device=like.device
-    )

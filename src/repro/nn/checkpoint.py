@@ -18,6 +18,7 @@ from typing import Callable
 
 from repro import random as rrandom
 from repro.autograd.engine import grad as autograd_grad
+from repro.autograd.engine import run_backward
 from repro.autograd.function import Function
 from repro.autograd.grad_mode import enable_grad
 from repro.tensor import Tensor
@@ -70,8 +71,6 @@ class _CheckpointFunction(Function):
             grad_map = {id(d): g for d, g in zip(grad_inputs_wanted, computed)}
         elif grad_roots:
             # Still run backward so parameter gradients accumulate.
-            from repro.autograd.engine import run_backward
-
             run_backward(grad_roots, seed_grads)
 
         input_grads = tuple(grad_map.get(id(d)) for d in detached)

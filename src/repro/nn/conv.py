@@ -6,11 +6,12 @@ import math
 from typing import Optional
 
 from repro import dtypes, ops
+from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device, cpu_device
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.tensor import Tensor, empty
+from repro.tensor import Tensor, empty, ones, zeros
 
 __all__ = ["Conv2d", "BatchNorm2d"]
 
@@ -84,8 +85,6 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.weight = Parameter(empty(num_features, dtype=dtype, device=device))
         self.bias = Parameter(empty(num_features, dtype=dtype, device=device))
-        from repro.tensor import ones, zeros
-
         self.register_buffer("running_mean", zeros(num_features, dtype=dtype, device=device))
         self.register_buffer("running_var", ones(num_features, dtype=dtype, device=device))
         init.ones_(self.weight)
@@ -97,8 +96,6 @@ class BatchNorm2d(Module):
             mean = ops.mean(x, (0, 2, 3), keepdim=True)
             centered = ops.sub(x, mean)
             var = ops.mean(ops.mul(centered, centered), (0, 2, 3), keepdim=True)
-            from repro.autograd.grad_mode import no_grad
-
             if x.is_materialized:
                 with no_grad():
                     m = self.momentum
@@ -110,7 +107,7 @@ class BatchNorm2d(Module):
             mean = self.running_mean.view(1, c, 1, 1)
             var = self.running_var.view(1, c, 1, 1)
             centered = ops.sub(x, mean)
-        denom = ops.sqrt(ops.add(var, _scalar(self.eps, x)))
+        denom = ops.sqrt(ops.add(var, ops.scalar_like(self.eps, x)))
         normed = ops.div(centered, denom)
         scale = self.weight.view(1, c, 1, 1)
         shift = self.bias.view(1, c, 1, 1)
@@ -118,13 +115,3 @@ class BatchNorm2d(Module):
 
     def extra_repr(self) -> str:
         return f"{self.num_features}, eps={self.eps}"
-
-
-def _scalar(value: float, like: Tensor) -> Tensor:
-    import numpy as np
-
-    from repro.tensor import tensor
-
-    return tensor(
-        np.asarray(value, dtype=like.dtype.np_dtype), dtype=like.dtype, device=like.device
-    )

@@ -86,16 +86,10 @@ def scaled_dot_product_attention(
     head_dim = q.shape[-1]
     scores = ops.matmul(q, ops.transpose(k, -2, -1))
     scale = 1.0 / math.sqrt(head_dim)
-    scores = ops.mul(scores, _scalar(scale, scores))
+    scores = ops.mul(scores, ops.scalar_like(scale, scores))
     if attn_mask is not None:
         scores = ops.masked_fill(scores, attn_mask, -1e9)
     weights = ops.softmax(scores, dim=-1)
     if dropout_p > 0.0:
         weights = ops.dropout(weights, dropout_p, training=training)
     return ops.matmul(weights, v)
-
-
-def _scalar(value: float, like: Tensor) -> Tensor:
-    return tensor(
-        np.asarray(value, dtype=like.dtype.np_dtype), dtype=like.dtype, device=like.device
-    )

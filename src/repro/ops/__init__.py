@@ -21,6 +21,7 @@ from repro.ops.basic import (
     neg,
     pow,
     relu,
+    scalar_like,
     sigmoid,
     sqrt,
     sub,
@@ -82,6 +83,7 @@ __all__ = [
     "permute",
     "pow",
     "relu",
+    "scalar_like",
     "sigmoid",
     "softmax",
     "split",

@@ -79,7 +79,7 @@ def make_result(
             cost,
             dtype,
             stream=stream,
-            reads=tuple(t._storage for t in inputs),
+            reads=tuple([t._storage for t in inputs]),
             writes=(storage,),
         )
     if materialize:
@@ -90,8 +90,6 @@ def make_result(
 
 def sum_to_shape(grad: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce a broadcasted gradient back to ``shape``."""
-    from repro import ops
-
     if grad.shape == tuple(shape):
         return grad
     # Leading dims that were added by broadcasting.
@@ -100,5 +98,5 @@ def sum_to_shape(grad: Tensor, shape: tuple[int, ...]) -> Tensor:
     for i, target in enumerate(shape):
         if target == 1 and grad.shape[extra + i] != 1:
             reduce_dims.append(extra + i)
-    result = ops.sum(grad, tuple(reduce_dims), keepdim=False) if reduce_dims else grad
+    result = grad.sum(tuple(reduce_dims), keepdim=False) if reduce_dims else grad
     return result.view(*shape)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import dtypes
+from repro import random as rrandom
 from repro.autograd.function import Function
 from repro.cuda.device import Device
 from repro.ops._helpers import KernelCost, elementwise_cost, make_result, sum_to_shape
-from repro.tensor import Tensor
+from repro.tensor import Tensor, _wrap
+from repro.tensor import tensor as make_tensor
 
 __all__ = [
     "add",
@@ -32,6 +34,7 @@ __all__ = [
     "relu",
     "gelu",
     "sigmoid",
+    "scalar_like",
 ]
 
 
@@ -131,7 +134,7 @@ class _Pow(Function):
     def backward(ctx, grad: Tensor):
         (a,) = ctx.saved_tensors
         e = ctx.exponent
-        return mul(grad, mul(pow(a, e - 1.0), _scalar_like(e, grad))), None
+        return mul(grad, mul(pow(a, e - 1.0), scalar_like(e, grad))), None
 
 
 class _Abs(Function):
@@ -157,7 +160,7 @@ class _Sqrt(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         (out,) = ctx.saved_tensors
-        return div(grad, mul(out, _scalar_like(2.0, out)))
+        return div(grad, mul(out, scalar_like(2.0, out)))
 
 
 class _Exp(Function):
@@ -195,7 +198,7 @@ class _Tanh(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         (out,) = ctx.saved_tensors
-        one = _scalar_like(1.0, out)
+        one = scalar_like(1.0, out)
         return mul(grad, sub(one, mul(out, out)))
 
 
@@ -211,7 +214,7 @@ class _Sigmoid(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         (out,) = ctx.saved_tensors
-        one = _scalar_like(1.0, out)
+        one = scalar_like(1.0, out)
         return mul(grad, mul(out, sub(one, out)))
 
 
@@ -317,7 +320,7 @@ class _Where(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         (cond,) = ctx.saved_tensors
-        zero = _scalar_like(0.0, grad)
+        zero = scalar_like(0.0, grad)
         grad_a = sum_to_shape(where(cond, grad, zero), ctx.a_shape)
         grad_b = sum_to_shape(where(cond, zero, grad), ctx.b_shape)
         return None, grad_a, grad_b
@@ -341,7 +344,7 @@ class _Maximum(Function):
             grad.dtype,
             (a, b),
         )
-        one = _scalar_like(1.0, grad)
+        one = scalar_like(1.0, grad)
         grad_a = sum_to_shape(mul(grad, mask), a.shape)
         grad_b = sum_to_shape(mul(grad, sub(one, mask)), b.shape)
         return grad_a, grad_b
@@ -363,7 +366,7 @@ class _MaskedFill(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         (mask,) = ctx.saved_tensors
-        zero = _scalar_like(0.0, grad)
+        zero = scalar_like(0.0, grad)
         return sum_to_shape(where(mask, zero, grad), ctx.a_shape), None, None
 
 
@@ -376,8 +379,6 @@ class _Dropout(Function):
         mask_holder: dict[str, np.ndarray] = {}
 
         def compute():
-            from repro import random as rrandom
-
             rng = rrandom.Generator.numpy_rng(seed)
             mask = (rng.random(a.shape) >= p).astype(a.dtype.np_dtype) * scale
             mask_holder["mask"] = mask
@@ -385,8 +386,6 @@ class _Dropout(Function):
 
         out = make_result(compute, a.shape, a.dtype, (a,))
         if "mask" in mask_holder:
-            from repro.tensor import tensor as make_tensor
-
             ctx.mask = make_tensor(mask_holder["mask"], dtype=a.dtype, device=a.device)
         else:
             ctx.mask = None
@@ -404,12 +403,10 @@ class _Dropout(Function):
         return mul(grad, ctx.mask), None, None
 
 
-def _scalar_like(value: float, like: Tensor) -> Tensor:
-    from repro.tensor import tensor as make_tensor
-
-    return make_tensor(
-        np.asarray(value, dtype=like.dtype.np_dtype), dtype=like.dtype, device=like.device
-    )
+def scalar_like(value: float, like: Tensor) -> Tensor:
+    """A 0-d tensor of ``value`` with ``like``'s dtype and device (no
+    data where ``like``'s device keeps none, as for operator scalars)."""
+    return _wrap(value, like)
 
 
 # ----------------------------------------------------------------------
@@ -504,6 +501,4 @@ def dropout(a: Tensor, p: float = 0.5, training: bool = True) -> Tensor:
         return a
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    from repro import random as rrandom
-
     return _Dropout.apply(a, p, rrandom.fork_seed())

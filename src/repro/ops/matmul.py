@@ -8,6 +8,8 @@ import numpy as np
 
 from repro.autograd.function import Function
 from repro.ops._helpers import KernelCost, make_result, sum_to_shape
+from repro.ops.reduce import sum as rsum
+from repro.ops.shape import transpose, view
 from repro.tensor import Tensor
 
 __all__ = ["matmul", "linear", "matmul_flops", "linear_flops"]
@@ -76,8 +78,6 @@ class _Matmul(Function):
 
 
 def _swap_last(t: Tensor) -> Tensor:
-    from repro.ops.shape import transpose
-
     return transpose(t, t.ndim - 2, t.ndim - 1)
 
 
@@ -118,9 +118,6 @@ class _Linear(Function):
         in_features = weight.shape[1]
         out_features = weight.shape[0]
         batch_elems = x.numel // in_features
-
-        from repro.ops.shape import view
-        from repro.ops.reduce import sum as rsum
 
         grad2d = view(grad, (batch_elems, out_features))
         grad_x = grad_w = grad_b = None

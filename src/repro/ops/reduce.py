@@ -7,8 +7,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro import dtypes
 from repro.autograd.function import Function
 from repro.ops._helpers import KernelCost, make_result
+from repro.ops.basic import div, scalar_like
+from repro.ops.shape import expand, view
 from repro.tensor import Tensor
 
 __all__ = ["sum", "mean", "max", "argmax"]
@@ -58,8 +61,6 @@ class _Sum(Function):
 
     @staticmethod
     def backward(ctx, grad: Tensor):
-        from repro.ops.shape import expand, view
-
         keep_shape = _reduced_shape(ctx.src_shape, ctx.dims, keepdim=True)
         grad = view(grad, keep_shape)
         return expand(grad, ctx.src_shape), None, None
@@ -97,9 +98,6 @@ class _Max(Function):
 
 def argmax(a: Tensor, dim: int = -1) -> Tensor:
     """Indices of the maxima along ``dim`` (not differentiable)."""
-    from repro import dtypes
-    from repro.ops._helpers import make_result
-
     dim = dim % a.ndim
     shape = tuple(s for i, s in enumerate(a.shape) if i != dim)
     return make_result(
@@ -121,10 +119,8 @@ def mean(a: Tensor, dim: DimArg = None, keepdim: bool = False) -> Tensor:
         count = a.numel
     else:
         count = math.prod(a.shape[d] for d in dims)
-    from repro.ops.basic import div, _scalar_like
-
     total = sum(a, dim, keepdim)
-    return div(total, _scalar_like(float(count), total))
+    return div(total, scalar_like(float(count), total))
 
 
 def max(a: Tensor) -> Tensor:

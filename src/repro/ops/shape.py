@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result
-from repro.tensor import Tensor
+from repro.ops._helpers import KernelCost, make_result, sum_to_shape
+from repro.tensor import Tensor, zeros
 
 __all__ = [
     "view",
@@ -71,8 +71,6 @@ class _Split(Function):
 
     @staticmethod
     def backward(ctx, *grads):
-        from repro.tensor import zeros
-
         pieces = []
         for grad, length in zip(grads, ctx.sections):
             if grad is None:
@@ -99,8 +97,6 @@ class _Narrow(Function):
 
     @staticmethod
     def backward(ctx, grad: Tensor):
-        from repro.tensor import zeros
-
         src_shape = ctx.src_shape
         before = ctx.start
         after = src_shape[0] - before - grad.shape[0]
@@ -165,8 +161,6 @@ class _NarrowCopy(Function):
 
     @staticmethod
     def backward(ctx, grad: Tensor):
-        from repro.tensor import zeros
-
         dim, start = ctx.dim, ctx.start
 
         def compute():
@@ -236,8 +230,6 @@ class _Expand(Function):
 
     @staticmethod
     def backward(ctx, grad: Tensor):
-        from repro.ops._helpers import sum_to_shape
-
         return sum_to_shape(grad, ctx.src_shape), None
 
 
@@ -264,7 +256,7 @@ class _GetItemCopy(Function):
 
 
 def _resolve_shape(shape: tuple[int, ...], numel: int) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if shape.count(-1) > 1:
         raise ValueError("only one dimension may be -1")
     if -1 in shape:
@@ -306,13 +298,13 @@ def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
 
 
 def transpose(a: Tensor, dim0: int, dim1: int) -> Tensor:
-    dim0 = dim0 % a.ndim
-    dim1 = dim1 % a.ndim
-    return _Transpose.apply(a, dim0, dim1)
+    ndim = len(a.shape)
+    return _Transpose.apply(a, dim0 % ndim, dim1 % ndim)
 
 
 def permute(a: Tensor, dims: tuple[int, ...]) -> Tensor:
-    return _Permute.apply(a, tuple(d % a.ndim for d in dims))
+    ndim = len(a.shape)
+    return _Permute.apply(a, tuple([d % ndim for d in dims]))
 
 
 def expand(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -339,6 +331,4 @@ def pad_right(a: Tensor, padding: int) -> Tensor:
         raise ValueError("padding must be non-negative")
     if padding == 0:
         return a
-    from repro.tensor import zeros
-
     return cat([a, zeros(padding, dtype=a.dtype, device=a.device)], 0)

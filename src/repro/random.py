@@ -39,31 +39,27 @@ class Generator:
         return np.random.default_rng(child_seed)
 
 
-    def get_state(self):
+    def get_state(self) -> tuple:
         """Snapshot of the generator state (for checkpoint replay).
 
         A ``SeedSequence`` is fully described by its constructor inputs
-        plus the spawn counter, so the snapshot rebuilds one instead of
-        deep-copying (activation checkpointing snapshots twice per
-        checkpointed region, making this a hot path).
+        plus the spawn counter, so the snapshot is those four values
+        (activation checkpointing snapshots twice per checkpointed
+        region, making this a hot path).
         """
         with _lock:
             ss = self._seed_seq
-            return np.random.SeedSequence(
-                entropy=ss.entropy,
-                spawn_key=ss.spawn_key,
-                pool_size=ss.pool_size,
-                n_children_spawned=ss.n_children_spawned,
-            )
+            return (ss.entropy, ss.spawn_key, ss.pool_size, ss.n_children_spawned)
 
-    def set_state(self, state) -> None:
+    def set_state(self, state: tuple) -> None:
         """Restore a snapshot taken by :meth:`get_state`."""
         with _lock:
+            entropy, spawn_key, pool_size, spawned = state
             self._seed_seq = np.random.SeedSequence(
-                entropy=state.entropy,
-                spawn_key=state.spawn_key,
-                pool_size=state.pool_size,
-                n_children_spawned=state.n_children_spawned,
+                entropy=entropy,
+                spawn_key=spawn_key,
+                pool_size=pool_size,
+                n_children_spawned=spawned,
             )
 
 

@@ -117,7 +117,14 @@ class Storage:
             self.data = np.zeros(self.numel, dtype=self.dtype.np_dtype)
 
     def __del__(self):  # pragma: no cover - exercised indirectly
+        # The body of ``free`` (the object is going away, so ``freed``
+        # and ``data`` need no update): one frame above the allocator.
         try:
-            self.free()
+            if not self.freed:
+                block = self.block
+                if block is not None:
+                    allocator = self.device.allocator
+                    if allocator is not None:
+                        allocator.free(block)
         except Exception:
             pass

@@ -26,6 +26,8 @@ import numpy as np
 
 from repro import dtypes
 from repro import random as rrandom
+from repro.autograd import function as _function
+from repro.autograd.engine import run_backward
 from repro.autograd.function import AccumulateGrad, Edge, RemovableHandle
 from repro.autograd.grad_mode import is_grad_enabled, no_grad
 from repro.cuda.device import Device, cpu_device
@@ -54,7 +56,7 @@ __all__ = [
 def _normalize_shape(shape) -> tuple[int, ...]:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return tuple(int(s) for s in shape)
+    return tuple(map(int, shape))
 
 
 class Tensor:
@@ -72,7 +74,6 @@ class Tensor:
         "grad_fn",
         "_output_nr",
         "_hooks",
-        "_post_accumulate_grad_hooks",
         "_accumulate_grad",
         "_base",
         "_init_records",
@@ -103,8 +104,8 @@ class Tensor:
         self.grad: Optional[Tensor] = None
         self.grad_fn = None
         self._output_nr = 0
-        self._hooks: dict[int, object] = {}
-        self._post_accumulate_grad_hooks: dict[int, object] = {}
+        # Created by the first ``register_hook`` (almost no tensor has one).
+        self._hooks: Optional[dict[int, object]] = None
         self._accumulate_grad: Optional[AccumulateGrad] = None
         self._base = base
         self._init_records: Optional[list] = None
@@ -212,14 +213,17 @@ class Tensor:
         return self
 
     def backward(self, gradient: Optional["Tensor"] = None, retain_graph: bool = False) -> None:
-        from repro.autograd.engine import run_backward
-
         run_backward([self], [gradient], retain_graph=retain_graph)
 
     def register_hook(self, hook) -> RemovableHandle:
         """Call ``hook(grad)`` when this tensor's gradient is computed."""
-        handle = RemovableHandle(self._hooks)
-        self._hooks[handle.hook_id] = hook
+        hooks = self._hooks
+        if hooks is None:
+            hooks = self._hooks = {}
+            if self.grad_fn is not None:
+                self.grad_fn.watch_output(self._output_nr, hooks)
+        handle = RemovableHandle(hooks)
+        hooks[handle.hook_id] = hook
         return handle
 
     def register_post_accumulate_grad_hook(self, hook) -> RemovableHandle:
@@ -259,57 +263,37 @@ class Tensor:
     # Operator sugar (implementations live in repro.ops)
     # ------------------------------------------------------------------
     def __add__(self, other):
-        from repro import ops
-
         return ops.add(self, _wrap(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from repro import ops
-
         return ops.sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        from repro import ops
-
         return ops.sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        from repro import ops
-
         return ops.mul(self, _wrap(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        from repro import ops
-
         return ops.div(self, _wrap(other, self))
 
     def __rtruediv__(self, other):
-        from repro import ops
-
         return ops.div(_wrap(other, self), self)
 
     def __neg__(self):
-        from repro import ops
-
         return ops.neg(self)
 
     def __pow__(self, exponent):
-        from repro import ops
-
         return ops.pow(self, float(exponent))
 
     def __matmul__(self, other):
-        from repro import ops
-
         return ops.matmul(self, other)
 
     def __getitem__(self, index):
-        from repro import ops
-
         return ops.getitem(self, index)
 
     # Non-differentiable comparisons -----------------------------------
@@ -353,8 +337,6 @@ class Tensor:
     # Shape ops
     # ------------------------------------------------------------------
     def view(self, *shape) -> "Tensor":
-        from repro import ops
-
         return ops.view(self, _normalize_shape(shape))
 
     def reshape(self, *shape) -> "Tensor":
@@ -364,18 +346,12 @@ class Tensor:
         return self.view(self.numel)
 
     def split(self, split_size_or_sections, dim: int = 0):
-        from repro import ops
-
         return ops.split(self, split_size_or_sections, dim)
 
     def narrow(self, dim: int, start: int, length: int) -> "Tensor":
-        from repro import ops
-
         return ops.narrow(self, dim, start, length)
 
     def transpose(self, dim0: int, dim1: int) -> "Tensor":
-        from repro import ops
-
         return ops.transpose(self, dim0, dim1)
 
     def t(self) -> "Tensor":
@@ -384,8 +360,6 @@ class Tensor:
         return self.transpose(0, 1)
 
     def permute(self, *dims) -> "Tensor":
-        from repro import ops
-
         return ops.permute(self, _normalize_shape(dims))
 
     def unsqueeze(self, dim: int) -> "Tensor":
@@ -403,8 +377,6 @@ class Tensor:
         return self.view(*shape)
 
     def expand(self, *shape) -> "Tensor":
-        from repro import ops
-
         return ops.expand(self, _normalize_shape(shape))
 
     def contiguous(self) -> "Tensor":
@@ -414,58 +386,36 @@ class Tensor:
     # Math (differentiable; see repro.ops)
     # ------------------------------------------------------------------
     def sum(self, dim=None, keepdim: bool = False) -> "Tensor":
-        from repro import ops
-
         return ops.sum(self, dim, keepdim)
 
     def mean(self, dim=None, keepdim: bool = False) -> "Tensor":
-        from repro import ops
-
         return ops.mean(self, dim, keepdim)
 
     def max(self):
-        from repro import ops
-
         return ops.max(self)
 
     def sqrt(self) -> "Tensor":
-        from repro import ops
-
         return ops.sqrt(self)
 
     def exp(self) -> "Tensor":
-        from repro import ops
-
         return ops.exp(self)
 
     def log(self) -> "Tensor":
-        from repro import ops
-
         return ops.log(self)
 
     def tanh(self) -> "Tensor":
-        from repro import ops
-
         return ops.tanh(self)
 
     def abs(self) -> "Tensor":
-        from repro import ops
-
         return ops.abs(self)
 
     def clone(self) -> "Tensor":
-        from repro import ops
-
         return ops.clone(self)
 
     def pow(self, exponent: float) -> "Tensor":
-        from repro import ops
-
         return ops.pow(self, float(exponent))
 
     def masked_fill(self, mask: "Tensor", value: float) -> "Tensor":
-        from repro import ops
-
         return ops.masked_fill(self, mask, value)
 
     def norm(self) -> "Tensor":
@@ -476,8 +426,6 @@ class Tensor:
     # dtype / device movement
     # ------------------------------------------------------------------
     def to(self, device: Optional[Device] = None, dtype: Optional[dtypes.DType] = None) -> "Tensor":
-        from repro import ops
-
         result = self
         if dtype is not None and dtype is not result.dtype:
             result = ops.cast(result, dtype)
@@ -637,6 +585,11 @@ class Tensor:
                 raise RuntimeError(f"unknown recorded init op {op!r}")
 
 
+# ``Function.apply`` tests its arguments against this class; the
+# autograd package loads first, so the class is handed over here.
+_function._Tensor = Tensor
+
+
 def _wrap(value, like: Tensor) -> Tensor:
     """Coerce python scalars / numpy arrays to a Tensor like ``like``."""
     if isinstance(value, Tensor):
@@ -769,12 +722,14 @@ def empty_like(t: Tensor) -> Tensor:
 
 
 def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
-    from repro import ops
-
     return ops.cat(list(tensors), dim)
 
 
 def stack(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
-    from repro import ops
-
     return ops.cat([t.unsqueeze(dim) for t in tensors], dim)
+
+
+# ``repro.ops`` builds on this module, so it is imported last: the
+# methods above reach it as a module global, not by an import statement
+# per call.
+from repro import ops  # noqa: E402

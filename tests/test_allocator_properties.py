@@ -312,3 +312,66 @@ class TestIncrementalBreakdown:
             assert alloc.reserved_bytes_by_stream() == reserved
             assert alloc.pool_bytes_by_stream() == pooled
             assert sum(reserved.values()) == alloc.stats.reserved_bytes
+
+
+# ----------------------------------------------------------------------
+# The pool search written out in ``allocate`` must choose what a plain
+# best-fit scan chooses, and ``active`` must equal a walk of the pending
+# blocks
+# ----------------------------------------------------------------------
+def scan_best_fit(alloc, size, stream):
+    """The smallest block that fits and has retired, ties to the
+    earliest pooled."""
+    now = alloc.device.cpu_time()
+    best = None
+    for block in alloc._pools.get(stream.stream_id, ()):
+        if block.size >= size and block.reuse_ready_time <= now:
+            if best is None or block.size < best.size:
+                best = block
+    return best
+
+
+def recount_active(alloc):
+    now = alloc.device.cpu_time()
+    pending = [b for b in alloc._pending_reuse.values() if b.reuse_ready_time > now]
+    return alloc.stats.allocated_bytes + sum(b.size for b in pending)
+
+
+class TestBestFit:
+    @settings(max_examples=60, deadline=None)
+    @given(script=breakdown_script())
+    def test_allocate_chooses_what_a_scan_chooses(self, script):
+        dev = make_device(capacity=96 * MiB)
+        alloc = dev.allocator
+        streams = [dev.default_stream, dev.new_stream("side"), dev.new_stream("comm")]
+        live = []
+        for op in script:
+            if op[0] == "alloc":
+                expected = scan_best_fit(alloc, _round_size(op[1]), streams[op[2]])
+                try:
+                    block = alloc.allocate(op[1], streams[op[2]])
+                except OutOfMemoryError:
+                    block = None
+                if expected is not None:
+                    assert block is expected
+                live.append(block)
+            elif op[0] == "free":
+                block = live.pop(op[1])
+                if block is not None:
+                    alloc.free(block)
+            elif op[0] == "use":
+                block = live[op[1]]
+                if block is not None:
+                    alloc.record_use(block, streams[op[2]], dev.cpu_time() + op[3])
+            elif op[0] == "empty":
+                alloc.empty_cache()
+            elif op[0] == "pressure":
+                alloc.set_pressure(op[1])
+            elif op[0] == "retry":
+                alloc._retry_free_cached(streams[op[1]])
+            else:
+                dev.consume_cpu(op[1])
+            for pool in alloc._pools.values():
+                assert pool.free_bytes == sum(block.size for block in pool)
+            alloc._refresh_active()
+            assert alloc.stats.active_bytes == recount_active(alloc)

@@ -373,3 +373,61 @@ class TestHooks:
         b.register_hook(lambda g: order.append("b"))
         b.sum().backward()
         assert order == ["b", "a"]
+
+
+class TestGraphRecords:
+    """A recorded op keeps only what the engine reads."""
+
+    def test_node_has_no_per_op_dict(self):
+        from repro.autograd.function import Node
+
+        x = repro.randn(3, requires_grad=True)
+        node = (x * 2.0).grad_fn
+        assert isinstance(node, Node)
+        assert not hasattr(node, "__dict__")
+        assert node.output_hooks is None
+        assert node.name == "_Mul"
+
+    def test_hook_dict_is_made_by_the_first_registration(self):
+        x = repro.randn(3, requires_grad=True)
+        y = x * 2.0
+        assert y._hooks is None
+        y.register_hook(lambda g: None)
+        assert y.grad_fn.output_hooks == [y._hooks]
+
+    def test_hook_on_one_output_of_a_multi_output_node(self):
+        x = repro.randn(4, requires_grad=True)
+        first, second = ops.split(x, [1, 3])
+        seen = []
+        second.register_hook(lambda g: seen.append(g.shape))
+        (first.sum() + second.sum()).backward()
+        assert seen == [(3,)]
+        assert first.grad_fn.output_hooks[0] is None
+        np.testing.assert_allclose(x.grad.numpy(), np.ones(4))
+
+    def test_input_flags_only_under_grad_mode(self):
+        contexts = []
+
+        class Probe(repro.autograd.Function):
+            @staticmethod
+            def forward(ctx, a):
+                contexts.append(ctx)
+                return a * 1.0
+
+            @staticmethod
+            def backward(ctx, grad):
+                return grad
+
+        x = repro.randn(3, requires_grad=True)
+        Probe.apply(x)
+        with no_grad():
+            Probe.apply(x)
+        assert contexts[0].needs_input_grad == (True,)
+        assert not hasattr(contexts[1], "needs_input_grad")
+
+    def test_kernel_costs_hash_and_compare_in_c(self):
+        from repro.hw.kernel_model import KernelCost
+
+        assert KernelCost.__hash__ is tuple.__hash__
+        assert KernelCost.__eq__ is tuple.__eq__
+        assert KernelCost(flops=2.0) == KernelCost(2.0, 0.0, False)

@@ -220,10 +220,6 @@ def init_single_process(
     device.abort = _resolve_abort(coordinated_abort)
     if flight_recorder is not None:
         device.flight_recorder = flight_recorder
-    if injector is not None:
-        # Injected faults surface as instant marks on the device's
-        # timeline (visible once a tracer is attached).
-        injector.mark_hook = device.emit_mark
     ctx = WorldContext(
         rank=rank,
         world_size=world_size,

@@ -33,7 +33,7 @@ import enum
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = [
     "FaultKind",
@@ -450,9 +450,6 @@ class FaultInjector:
         self._generation = 0
         self._crash_generation: dict[int, int] = {}
         self.injected: list[InjectedFault] = []
-        #: Optional ``callable(label)`` notified when a fault fires
-        #: (wired to the timeline tracer's mark channel).
-        self.mark_hook: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -469,14 +466,17 @@ class FaultInjector:
         with self._lock:
             self._generation += 1
 
-    def _mark(self, label: str) -> None:
-        if self.mark_hook is not None:
-            self.mark_hook(label)
-
     def _log(self, fault: InjectedFault) -> None:
+        """Record ``fault`` and announce it as a mark on the device of
+        the rank that hit it: the calling thread's rank, when that
+        rank's world is the one this injector serves."""
+        from repro.distributed.api import _current
+
         with self._lock:
             self.injected.append(fault)
-        self._mark(f"fault:{fault.kind.value}@r{fault.rank}")
+        ctx = _current(required=False)
+        if ctx is not None and ctx.fault_injector is self:
+            ctx.device.emit_mark(f"fault:{fault.kind.value}@r{fault.rank}")
 
     # ------------------------------------------------------------------
     # Iteration-boundary faults (crashes, memory pressure)
@@ -614,7 +614,6 @@ class FaultInjector:
         *,
         rank: int,
         kind: str,
-        ranks: Sequence[int] = (),
         attempt: int = 0,
     ) -> FaultDecision:
         """Decide the fate of one collective attempt on ``rank``.

@@ -18,14 +18,18 @@ The contract, in three parts:
   :class:`ProcessGroup` — it validates the call and hands
   ``_collective`` its kind, byte count, read / write sets and how to
   ``combine`` the ranks' inputs and ``split`` the result over outputs;
-- ``_transport(kind, nbytes, stream, reads, writes, combine,
-  shard_nbytes)``: the one method a backend implements (beside
-  ``barrier`` / ``all_reduce_scalar``) — launch the collective on the
-  stream and return ``(Work, combined)``, ``combined`` being ``combine``
-  of every member's flat float64 input, or ``None`` if no real data moved;
-- *a backend may assume* the arguments are already validated, and that
-  the one quantizing store into the outputs and ``_note_data_use``
-  happen above it.
+- *launch*: ``_launch_collective`` is the one launch sequence of every
+  collective on every backend — abort check, fault consultation and
+  retries, the no-checker desync raise, stream ordering and launch CPU,
+  the flight-record issue at ``cpu + delay``, the watchdog (coordinated
+  declare or uncoordinated drain), the backend's arrival, the enqueue;
+- *backend*: ``_arrive(kind, ready, data, signature, combine) -> (start,
+  combined)`` — when the collective may start given this rank's
+  ``ready`` time, and ``combine`` of every member's flat float64
+  ``data`` (``None`` if no real data moved) — plus ``barrier`` /
+  ``all_reduce_scalar``, the class attribute ``_hang_issues`` (whose
+  view of a HANG the backend models) and one alias line per collective
+  for ``perfbench``.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ __all__ = [
 ]
 
 #: Watchdog deadline for one collective, in seconds.  Interpreted on the
-#: simulated clock by the symmetric backend and on the wall clock by the
-#: threaded backend's rendezvous (where a crashed peer really does hang
-#: the calling thread).
+#: simulated clock by the watchdog of every launch, and on the wall clock
+#: by the threaded backend's rendezvous (where a crashed peer really does
+#: hang the calling thread).
 DEFAULT_COLLECTIVE_TIMEOUT = 60.0
 
 #: First retry-with-backoff sleep after a transient collective failure
@@ -169,9 +173,13 @@ class ProcessGroup:
         self.collective_count = 0
         self.retries_attempted = 0
         # NCCL-style watchdog bookkeeping: ops launched but not yet
-        # observed complete by the CPU, keyed by a launch token.
+        # observed complete by the CPU, keyed by their launch number.
         self._pending_ops: dict[int, tuple[str, Event]] = {}
-        self._op_counter = 0
+        # Per-group launch counter, also the desync signature's sequence
+        # number: each rank holds its own group instance and SPMD
+        # programs issue group collectives in lockstep, so counters
+        # agree across ranks exactly when the program is in sync.
+        self._launches = 0
         # The group's membership is fixed, so whether it crosses hosts
         # is too — computed once instead of per collective.
         self._spans_hosts = len(comm_model.topology.hosts_spanned(self.ranks)) > 1
@@ -186,21 +194,6 @@ class ProcessGroup:
     def pending_collectives(self) -> int:
         """Depth of the launched-but-not-retired collective queue."""
         return len(self._pending_ops)
-
-    def _track_launch(self, kind: CollectiveKind, event: Event) -> int:
-        # Purge ops whose completion the CPU clock has already passed, so
-        # GPU-side-only waits (``Work.wait(stream)``) don't pile up.
-        now = self.device.cpu_time()
-        done = [t for t, (_, e) in self._pending_ops.items() if e.time is not None and e.time <= now]
-        for token in done:
-            del self._pending_ops[token]
-        token = self._op_counter
-        self._op_counter += 1
-        self._pending_ops[token] = (kind.value, event)
-        return token
-
-    def _retire_op(self, token: int) -> None:
-        self._pending_ops.pop(token, None)
 
     def _timeout_error(self, kind: CollectiveKind) -> CollectiveTimeoutError:
         return self._attach_flight_dump(
@@ -253,23 +246,17 @@ class ProcessGroup:
             if e.time is None or e.time > now
         )
 
-    def _injector_seq(self) -> int:
-        injector = self.device.fault_injector
-        if injector is None:
-            return max(self.collective_count, 0)
-        # on_collective already advanced the counter for this launch.
-        return max(injector.collective_seq(self.global_rank) - 1, 0)
-
     def _desync_error(
         self, kind: CollectiveKind, nbytes: int, dtype: str = ""
     ) -> CollectiveDesyncError:
-        """Injected-desync verdict for the lockstep (symmetric) backend.
+        """Injected-desync verdict known only to this rank (no checker).
 
-        The simulated peers are in lockstep by construction, so the
-        true signature is what every peer reports; the injected rank's
-        divergence is the deterministic perturbation.
+        The peers are assumed in lockstep, so the true signature is what
+        every peer reports; the injected rank's divergence is the
+        deterministic perturbation.
         """
-        seq = self._injector_seq()
+        # on_collective already advanced the injector's counter.
+        seq = max(self.device.fault_injector.collective_seq(self.global_rank) - 1, 0)
         expected = collective_signature(
             kind=kind.value, nbytes=nbytes, dtype=dtype, ranks=self.ranks, seq=seq
         )
@@ -299,7 +286,7 @@ class ProcessGroup:
         attempt = 0
         while True:
             decision = injector.on_collective(
-                rank=self.global_rank, kind=kind.value, ranks=self.ranks, attempt=attempt
+                rank=self.global_rank, kind=kind.value, attempt=attempt
             )
             if not decision.fail:
                 return decision
@@ -398,15 +385,6 @@ class ProcessGroup:
             scope=self.device.scope_path(),
         )
 
-    def _record_launch(self, record, start: float, end: float) -> None:
-        """Complete ``record`` (if there is one) and announce the
-        launched collective to the device's ``on_collective`` observers."""
-        if record is None:
-            return
-        self.device.flight_recorder.record_launch(record, start, end)
-        for on_collective in self.device._on_collective:
-            on_collective(record)
-
     def _account_traffic(self, kind: CollectiveKind, nbytes: int) -> None:
         world = self.world_size
         if world <= 1:
@@ -426,61 +404,79 @@ class ProcessGroup:
         nbytes: int,
         stream: Optional[Stream],
         *,
+        data: Optional[np.ndarray] = None,
+        combine=None,
+        dtype: str = "",
         shard_nbytes=None,
-    ) -> Work:
-        """Enqueue the collective kernel and return its Work handle.
+    ) -> tuple[Work, object]:
+        """The one launch sequence (module docstring): ``(Work,
+        combined | None)``.
 
-        Peers are assumed in lockstep with this rank (the symmetric
-        backend's launch; the threaded one rendezvouses in ``_run``).
-
-        Consults the installed fault injector first: injected delays
-        push the issue time, degraded links stretch the duration, and a
-        hang (or a stretch past ``timeout``) trips the watchdog, which
-        raises :class:`CollectiveTimeoutError` instead of completing.
+        Injected delays push the issue time, which a busy stream absorbs
+        (the collective starts at ``max(cpu + delay, stream frontier)``);
+        degraded links stretch the duration; a hang, or a stretch past
+        ``timeout``, trips the watchdog, which raises
+        :class:`CollectiveTimeoutError` instead of completing.  Faults
+        change timing, never the combined payload.
         """
         self._abort_check(kind)
+        seq = self._launches
+        self._launches += 1
         decision = self._consult_faults(kind)
-        if decision.desync:
-            raise self._desync_error(kind, nbytes)
-        stream = self._order_after_caller(stream)
         device = self.device
+        signature = None
+        if device.desync_checker:
+            signature = collective_signature(
+                kind=kind.value, nbytes=nbytes, dtype=dtype, ranks=self.ranks, seq=seq
+            )
+            if decision.desync:
+                signature = perturb_signature(signature)
+        elif decision.desync:
+            # Negative control without the checker installed: the
+            # divergence is known only locally, so surface it directly
+            # (a real deployment would deadlock here instead).
+            raise self._desync_error(kind, nbytes, dtype)
+        if decision.hang and not self._hang_issues:
+            # This rank is the hung one: it never reaches the collective,
+            # so it never issues — the dump's "missing rank".
+            self._watchdog(kind, device.cpu_time())
+        stream = self._order_after_caller(stream)
         device.consume_cpu(device.spec.kernel_launch_cpu)
         duration = self._collective_duration(kind, nbytes, shard_nbytes)
         duration *= decision.duration_factor
         issue = device.cpu_time() + decision.delay_s
         record = self._record_issue(kind, nbytes, stream, issue)
+        ready = max(issue, stream.ready_time)
         if decision.hang or duration > self.timeout:
-            # The collective would never complete (or not before the
-            # deadline): the watchdog blocks until the deadline, then
-            # aborts with a typed error instead of hanging forever.  The
-            # flight record stays un-launched — the dump will show this
-            # rank issued but never reached the kernel.
-            live_pending = self._live_pending()
-            device.advance_cpu_to(max(issue, stream.ready_time) + self.timeout)
-            device.emit_mark(f"watchdog:{kind.value}")
-            abort = device.abort
-            if abort is not None and abort.enabled:
-                # Coordinated abort: one watchdog interval covers the
-                # whole teardown — the declaration poisons every group
-                # sharing the world, so pending ops are abandoned, not
-                # drained, and later launches fail fast.
-                abort.declare(
-                    self.global_rank,
-                    sim_time=device.cpu_time(),
-                    detection_s=self.timeout,
-                )
-            elif abort is not None:
-                # Uncoordinated teardown (the negative control): with
-                # no abort propagation, every already-pending collective
-                # must be drained to its own watchdog deadline, one
-                # serial timeout each.
-                for _ in range(live_pending):
-                    device.consume_cpu(self.timeout)
-                    device.emit_mark(f"watchdog-drain:{kind.value}")
-            raise self._timeout_error(kind)
-        return self._enqueue(
-            kind, nbytes, stream, duration, max(issue, stream.ready_time), record
-        )
+            # Issued, never launched: the flight record stays open.
+            self._watchdog(kind, ready)
+        start, combined = self._arrive(kind, ready, data, signature, combine)
+        return self._enqueue(kind, nbytes, stream, duration, start, record, seq), combined
+
+    def _watchdog(self, kind: CollectiveKind, since: float):
+        """The collective would never complete (or not before the
+        deadline): block until ``since + timeout``, then abort with a
+        typed error instead of hanging forever."""
+        device = self.device
+        live_pending = self._live_pending()
+        device.advance_cpu_to(since + self.timeout)
+        device.emit_mark(f"watchdog:{kind.value}")
+        abort = device.abort
+        if abort is not None and abort.enabled:
+            # Coordinated abort: one watchdog interval covers the whole
+            # teardown — the declaration poisons every group sharing the
+            # world (and wakes peers parked in a rendezvous), so pending
+            # ops are abandoned, not drained, and later launches fail fast.
+            abort.declare(self.global_rank, sim_time=device.cpu_time(), detection_s=self.timeout)
+        elif abort is not None:
+            # Uncoordinated teardown (the negative control): with no
+            # abort propagation, every already-pending collective must
+            # be drained to its own watchdog deadline, one serial
+            # timeout each.
+            for _ in range(live_pending):
+                device.consume_cpu(self.timeout)
+                device.emit_mark(f"watchdog-drain:{kind.value}")
+        raise self._timeout_error(kind)
 
     def _enqueue(
         self,
@@ -490,26 +486,44 @@ class ProcessGroup:
         duration: float,
         issue_time: float,
         record,
+        token: int,
     ) -> Work:
-        """The tail every launch shares once its issue time is settled:
-        kernel on the stream, flight record completed and announced,
-        traffic counted, completion event tracked for the watchdog."""
+        """The launch's tail once the peers have arrived: kernel on the
+        stream, flight record completed and announced to the device's
+        ``on_collective`` observers, traffic counted, completion event
+        tracked for the watchdog under the launch number ``token``."""
+        device = self.device
         start, end = stream.enqueue(duration, issue_time=issue_time, label=kind.value)
-        self._record_launch(record, start, end)
+        if record is not None:
+            device.flight_recorder.record_launch(record, start, end)
+            for on_collective in device._on_collective:
+                on_collective(record)
         self._account_traffic(kind, nbytes)
         event = stream.record_event()
-        token = self._track_launch(kind, event)
-        return Work(event, on_complete=lambda: self._retire_op(token))
+        # Purge ops whose completion the CPU clock has already passed, so
+        # GPU-side-only waits (``Work.wait(stream)``) don't pile up.
+        now = device.cpu_time()
+        pending = self._pending_ops
+        for done in [t for t, (_, e) in pending.items() if e.time is not None and e.time <= now]:
+            del pending[done]
+        pending[token] = (kind.value, event)
+        return Work(event, on_complete=lambda: pending.pop(token, None))
+
+    # ------------------------------------------------------------------
+    # The backend: whose view of a HANG it models, and its arrival
+    # ------------------------------------------------------------------
+    #: Whether a collective a HANG fault hits is issued on this rank.
+    #: ``True``: the survivor's view (issued, never launched); ``False``:
+    #: the hung rank's own view (it never reaches the collective).
+    _hang_issues: bool
+
+    def _arrive(self, kind, ready, data, signature, combine) -> tuple[float, object]:
+        """Meet the peers (module docstring): ``(start, combined | None)``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Collective front-end: every tensor collective is stated once, here
     # ------------------------------------------------------------------
-    def _transport(
-        self, kind, nbytes, stream, reads, writes, combine, shard_nbytes
-    ) -> tuple[Work, object]:
-        """The backend (module docstring): ``(Work, combined | None)``."""
-        raise NotImplementedError
-
     def _collective(
         self, kind, nbytes, stream, *, reads, writes, combine, split=None, shard_nbytes=None
     ) -> Work:
@@ -519,11 +533,18 @@ class ProcessGroup:
         flattened into one float64 array, in rank order) to a result
         every rank shares; ``split`` cuts this rank's values out of it,
         one flat array per tensor in ``writes`` (default: the result is
-        already that list).  ``_transport`` returns ``None`` for the
-        result when no real data moved (abstract tensors).
+        already that list).  The result is ``None`` when no real data
+        moved (abstract tensors).
         """
-        work, combined = self._transport(
-            kind, nbytes, stream, reads, writes, combine, shard_nbytes
+        data = None
+        if all(t.is_materialized for t in reads):
+            payloads = [
+                np.ascontiguousarray(t._np.reshape(-1), dtype=np.float64) for t in reads
+            ]
+            data = payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
+        work, combined = self._launch_collective(
+            kind, nbytes, stream, data=data, combine=combine,
+            dtype=reads[0].dtype.name, shard_nbytes=shard_nbytes,
         )
         if combined is not None:
             parts = combined if split is None else split(combined)
@@ -726,4 +747,4 @@ class ProcessGroup:
         where only the communication time and traffic matter to the
         simulation (the lookup itself is rank-local).
         """
-        return self._launch_collective(CollectiveKind.ALL_TO_ALL, nbytes, stream)
+        return self._launch_collective(CollectiveKind.ALL_TO_ALL, nbytes, stream)[0]

@@ -21,15 +21,19 @@ __all__ = ["SymmetricProcessGroup"]
 class SymmetricProcessGroup(ProcessGroup):
     """Single-process stand-in for a full group of lockstep ranks."""
 
-    def _transport(self, kind, nbytes, stream, reads, writes, combine, shard_nbytes):
-        if self.world_size > 1 and any(t.is_materialized for t in writes):
+    #: The stand-in is every rank at once, so a HANG looks as it does
+    #: to a survivor: the collective was issued and never launched.
+    _hang_issues = True
+
+    def _arrive(self, kind, ready, data, signature, combine):
+        if data is not None and self.world_size > 1:
             raise DistributedError(
                 f"SymmetricProcessGroup moves no real data ({kind.value} would "
                 "leave the output stale); use the threaded backend for "
                 "materialized tensors"
             )
-        work = self._launch_collective(kind, nbytes, stream, shard_nbytes=shard_nbytes)
-        return work, None
+        # Every peer is ready when this rank is.
+        return ready, None
 
     # perfbench/boundaries.py resolves each collective with vars(cls)[name]
     # on the concrete class: one alias per name until ROADMAP item 5a.

@@ -2,24 +2,22 @@
 
 Used by tests and examples to check numerical equivalence (FSDP vs
 local training) with the simulated clocks still advancing: each
-collective's start time is the max of the member ranks' communication
-stream frontiers, like a real NCCL collective that cannot begin until
-every participant has joined.
+collective's start time is the max of the member ranks' ready times,
+like a real NCCL collective that cannot begin until every participant
+has joined.  The launch itself (faults, watchdog, abort, flight record)
+is :class:`ProcessGroup`'s; this backend is the rendezvous.
+
+A hung peer never joins: the others block in the rendezvous until the
+group ``timeout`` (wall clock) expires and surface a typed
+:class:`CollectiveTimeoutError` — or, with a coordinated-abort latch
+installed, wake as soon as the hung rank's watchdog declares it and
+raise :class:`RankFailureError` after charging only the declarer's
+watchdog interval.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.cuda.stream import Stream
-from repro.distributed.process_group import (
-    ProcessGroup,
-    ReduceOp,
-    Work,
-    _check_reduce_op,
-)
+from repro.distributed.process_group import ProcessGroup, ReduceOp, _check_reduce_op
 from repro.distributed.rendezvous import (
     Rendezvous,
     RendezvousAbortedError,
@@ -27,12 +25,7 @@ from repro.distributed.rendezvous import (
 )
 from repro.errors import CollectiveDesyncError
 from repro.hw.comm_model import CollectiveKind
-from repro.resilience.desync import (
-    DesyncVerdict,
-    collective_signature,
-    compare_signatures,
-    perturb_signature,
-)
+from repro.resilience.desync import DesyncVerdict, compare_signatures
 
 __all__ = ["ThreadedProcessGroup"]
 
@@ -40,88 +33,22 @@ __all__ = ["ThreadedProcessGroup"]
 class ThreadedProcessGroup(ProcessGroup):
     """Process group whose collectives rendezvous across rank threads."""
 
+    #: A threaded rank is the hung rank itself: it never reaches the
+    #: collective, so its peers' flight dump names it as missing.
+    _hang_issues = False
+
     def __init__(self, *, rendezvous: Rendezvous, **kwargs):
         super().__init__(**kwargs)
         self.rendezvous = rendezvous
-        # Per-group launch counter for desync signatures.  Each rank
-        # holds its own group instance, and SPMD programs issue group
-        # collectives in lockstep, so counters agree across ranks
-        # exactly when the program is in sync — which is the check.
-        self._desync_seq = 0
 
-    # ------------------------------------------------------------------
-    # Core rendezvous-collective template
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        kind: CollectiveKind,
-        nbytes: int,
-        data: Optional[np.ndarray],
-        combine_data,
-        stream: Optional[Stream],
-        shard_nbytes=None,
-        dtype_name: str = "",
-    ) -> tuple[Work, object]:
-        """One rendezvous collective, with fault injection and watchdog.
+    def _arrive(self, kind, ready, data, signature, combine):
+        """The rendezvous: the collective starts when the last member is
+        ready, with every member's payload combined once.
 
-        The fault injector is consulted *before* joining the rendezvous:
-        transient failures retry locally (simulated backoff, no wall
-        time), so the rank simply arrives late; injected delays push
-        this rank's ready time, which every peer observes as a late
-        collective start.  A hung rank never joins — its peers block in
-        the rendezvous until the group ``timeout`` (wall clock) expires
-        and every rank surfaces a typed :class:`CollectiveTimeoutError`
-        instead of deadlocking.  Payload combination is untouched by any
-        of this: faults change timing, never math.
-
-        With a coordinated-abort latch installed, a hung rank *declares*
-        itself on watchdog expiry: blocked peers wake immediately (the
-        latch notifies the rendezvous condition) and raise
-        :class:`RankFailureError` after charging only the declarer's
-        watchdog interval; later launches fail fast in
-        :meth:`_abort_check`.  With a desync checker installed, every
-        payload carries a ``(kind, nbytes, dtype, group, seq)``
-        signature, cross-checked before combining.
+        With a desync checker installed, every payload carries a
+        ``(kind, nbytes, dtype, group, seq)`` signature, cross-checked
+        before combining; a divergence raises on every member.
         """
-        self._abort_check(kind)
-        seq = self._desync_seq
-        self._desync_seq += 1
-        decision = self._consult_faults(kind)
-        if decision.hang:
-            # This rank's collective never completes.  Its own watchdog
-            # trips after ``timeout`` simulated seconds; peers trip
-            # their wall-clock rendezvous deadline below — or, with
-            # coordinated abort, wake on this declaration instead.
-            self.device.advance_cpu_to(self.device.cpu_time() + self.timeout)
-            self.device.emit_mark(f"watchdog:{kind.value}")
-            abort = self.device.abort
-            if abort is not None and abort.enabled:
-                abort.declare(
-                    self.global_rank,
-                    sim_time=self.device.cpu_time(),
-                    detection_s=self.timeout,
-                )
-            raise self._timeout_error(kind)
-        stream = self._order_after_caller(stream)
-        device = self.device
-        device.consume_cpu(device.spec.kernel_launch_cpu)
-        local_ready = max(device.cpu_time(), stream.ready_time) + decision.delay_s
-        signature = None
-        if device.desync_checker:
-            signature = collective_signature(
-                kind=kind.value,
-                nbytes=nbytes,
-                dtype=dtype_name,
-                ranks=self.ranks,
-                seq=seq,
-            )
-            if decision.desync:
-                signature = perturb_signature(signature)
-        elif decision.desync:
-            # Negative control without the checker installed: the
-            # divergence is known only locally, so surface it directly
-            # (a real deployment would deadlock here instead).
-            raise self._desync_error(kind, nbytes, dtype_name)
 
         def combiner(payloads):
             start = max(t for t, _, _ in payloads)
@@ -132,23 +59,16 @@ class ThreadedProcessGroup(ProcessGroup):
                     return (start, verdict)
             datas = [d for _, d, _ in payloads]
             # Real data moves only when every member brought some.
-            if combine_data is None or any(d is None for d in datas):
+            if combine is None or any(d is None for d in datas):
                 return (start, None)
-            return (start, combine_data(datas))
+            return (start, combine(datas))
 
-        # Issue is recorded *before* the rendezvous: a rank blocked
-        # waiting for a hung peer shows up as issued-but-unlaunched,
-        # while the hung peer (which raised above) never issues — the
-        # dump's "missing ranks" for this seq.
-        record = self._record_issue(kind, nbytes, stream, local_ready)
         start, combined = self._exchange(
-            kind, (local_ready, data, signature), combiner, charge_clock=True
+            kind, (ready, data, signature), combiner, charge_clock=True
         )
         if isinstance(combined, DesyncVerdict):
             raise self._verdict_error(kind, combined)
-        duration = self._collective_duration(kind, nbytes, shard_nbytes)
-        duration *= decision.duration_factor
-        return self._enqueue(kind, nbytes, stream, duration, start, record), combined
+        return start, combined
 
     def _exchange(self, kind: CollectiveKind, payload, combiner, *, charge_clock: bool):
         """One rendezvous round; its two failures come back typed.
@@ -205,20 +125,6 @@ class ThreadedProcessGroup(ProcessGroup):
             )
         )
 
-    # ------------------------------------------------------------------
-    # Transport: real payloads through the rendezvous
-    # ------------------------------------------------------------------
-    def _transport(self, kind, nbytes, stream, reads, writes, combine, shard_nbytes):
-        data = None
-        if all(t.is_materialized for t in reads):
-            payloads = [
-                np.ascontiguousarray(t._np.reshape(-1), dtype=np.float64) for t in reads
-            ]
-            data = payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
-        return self._run(
-            kind, nbytes, data, combine, stream, shard_nbytes, reads[0].dtype.name
-        )
-
     # perfbench/boundaries.py resolves each collective with vars(cls)[name]
     # on the concrete class: one alias per name until ROADMAP item 5a.
     all_gather_into_tensor = ProcessGroup.all_gather_into_tensor
@@ -231,8 +137,7 @@ class ThreadedProcessGroup(ProcessGroup):
     all_gather = ProcessGroup.all_gather
 
     def barrier(self) -> None:
-        work, _ = self._run(CollectiveKind.BROADCAST, 0, None, None, None)
-        work.wait()
+        self._launch_collective(CollectiveKind.BROADCAST, 0, None)[0].wait()
 
     def all_reduce_scalar(self, value: float, op: str = ReduceOp.SUM) -> float:
         _check_reduce_op(op)

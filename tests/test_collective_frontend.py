@@ -44,6 +44,31 @@ def test_backends_share_the_one_definition(name):
         assert vars(backend)[name] is shared
 
 
+def test_backends_are_only_their_arrival():
+    """The launch sequence (faults, watchdog, abort, flight record,
+    enqueue) runs once, on ``ProcessGroup``; a backend adds how its
+    ranks meet."""
+    for backend in (SymmetricProcessGroup, ThreadedProcessGroup):
+        assert "_arrive" in vars(backend)
+        for name in ("_launch_collective", "_consult_faults", "_watchdog", "_enqueue"):
+            assert name not in vars(backend)
+
+
+def test_all_to_all_waits_for_its_peers():
+    """Regression: the threaded all-to-all started without the
+    rendezvous, so a late rank's peers finished before it had joined."""
+
+    def late_rank_one(rank):
+        if rank == 1:
+            dist.get_device().consume_cpu(1e-3)
+        return dist.default_group().all_to_all_bytes(1_000_000).completion_time
+
+    (on_time,) = on_backend("symmetric", late_rank_one)
+    completions = on_backend("threaded", late_rank_one)
+    assert completions == [completions[1]] * WORLD
+    assert completions[1] == pytest.approx(on_time + 1e-3, rel=1e-12)
+
+
 def _empty(n):
     return repro.empty(n, device=dist.get_device())
 

@@ -6,8 +6,16 @@ import pytest
 
 import repro
 from repro import distributed as dist, dtypes
-from repro.errors import DistributedError
+from repro.distributed import FaultEvent, FaultKind, FaultSchedule
+from repro.errors import CollectiveTimeoutError, DistributedError, RankFailureError
+from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
+from repro.fsdp.deferred_init import deferred_init
 from repro.hw.specs import DEFAULT_HOST, cluster_of
+from repro.models.mingpt import GptConfig, MinGPT
+from repro.models.transformer import TransformerBlock
+from repro.optim import Adam
+from repro.perf.timeline import trace_device
+from repro.perf.workloads import gpt_loss_fn
 
 
 @pytest.fixture()
@@ -156,16 +164,17 @@ class TestThreadedRankVsSymmetric:
     threaded world, clock for clock."""
 
     @staticmethod
-    def _on_both(program):
+    def _on_both(program, **world):
         """``program(rank)`` on four abstract ranks over two hosts, then
-        on the symmetric stand-in for rank 0: ``(threaded, symmetric)``."""
+        on the symmetric stand-in for rank 0: ``(threaded, symmetric)``.
+        ``world`` (a fault schedule, a timeout) goes to both worlds."""
 
         def topology():
             return cluster_of(4, host=dataclasses.replace(DEFAULT_HOST, gpus_per_host=2))
 
-        threaded = dist.spawn(program, 4, topology=topology(), materialize=False)
+        threaded = dist.spawn(program, 4, topology=topology(), materialize=False, **world)
         dist.shutdown()
-        dist.init_single_process(4, topology=topology())
+        dist.init_single_process(4, topology=topology(), **world)
         try:
             return threaded, program(0)
         finally:
@@ -236,3 +245,113 @@ class TestThreadedRankVsSymmetric:
         assert symmetric == [(True, False, False, 0), (False, False, False, 0)]
         for rank_result in threaded:
             assert rank_result == [(False, True, True, 1), (True, False, False, 0)]
+
+    # One launch sequence: a faulted collective, and whole training
+    # steps, read the same on threaded rank 0 as on the stand-in.
+    def test_delay_behind_a_busy_stream_is_absorbed(self):
+        """A late arrival waits out a busy stream instead of adding to
+        it: the collective starts at ``max(cpu + delay, frontier)``."""
+        schedule = FaultSchedule(
+            [FaultEvent(kind=FaultKind.DELAY, rank=0, collective_index=0, delay_s=1e-6)]
+        )
+
+        def program(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            g.comm_stream.enqueue(250e-6, label="busy")
+            full, shard = repro.empty(4000, device=dev), repro.empty(1000, device=dev)
+            work = g.all_gather_into_tensor(full, shard)
+            return work.completion_time, g.comm_stream.ready_time, dev.cpu_time()
+
+        threaded, symmetric = self._on_both(program, fault_schedule=schedule)
+        assert threaded[0] == symmetric
+        assert threaded[1:] == [symmetric] * 3  # rank 0 no longer starts late
+
+    def test_stretch_past_the_timeout_trips_the_watchdog_on_both(self):
+        schedule = FaultSchedule(
+            [FaultEvent(kind=FaultKind.DELAY, rank=0, collective_index=0, duration_factor=1e9)]
+        )
+
+        def program(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            full, shard = repro.empty(4000, device=dev), repro.empty(1000, device=dev)
+            try:
+                g.all_gather_into_tensor(full, shard)
+            except (CollectiveTimeoutError, RankFailureError) as error:
+                return type(error).__name__, dev.cpu_time()
+            return "completed", dev.cpu_time()
+
+        # Coordinated abort (the default) wakes the peers of rank 0 at
+        # once: nothing waits out a wall-clock rendezvous deadline.
+        threaded, symmetric = self._on_both(
+            program, fault_schedule=schedule, collective_timeout=5.0
+        )
+        assert symmetric[0] == "CollectiveTimeoutError"
+        assert symmetric[1] > 5.0
+        assert threaded[0] == symmetric
+        assert all(name == "RankFailureError" for name, _ in threaded[1:])
+
+    def test_fault_marks_reach_the_rank_that_hit_them(self):
+        schedule = FaultSchedule([
+            FaultEvent(kind=FaultKind.DELAY, rank=0, collective_index=0, delay_s=1e-6),
+            FaultEvent(kind=FaultKind.TRANSIENT, rank=0, collective_index=1, failures=1),
+        ])
+
+        def program(rank):
+            dev = dist.get_device()
+            tracer = trace_device(dev)
+            g = dist.default_group()
+            full, shard = repro.empty(4000, device=dev), repro.empty(1000, device=dev)
+            for _ in range(3):
+                g.all_gather_into_tensor(full, shard).wait()
+            return [label for label, _ in tracer.marks]
+
+        threaded, symmetric = self._on_both(program, fault_schedule=schedule)
+        assert symmetric == ["fault:delay@r0", "fault:transient@r0", "retry:all_gather_base#1"]
+        assert threaded == [symmetric, [], [], []]
+
+    GPT = GptConfig(vocab_size=128, block_size=32, n_layer=3, n_head=2, n_embd=64)
+    #: A straggling, delayed, stretched and retrying rank 0.
+    TIMING_FAULTS = FaultSchedule([
+        FaultEvent(kind=FaultKind.STRAGGLER, rank=0, delay_s=30e-6),
+        FaultEvent(kind=FaultKind.DELAY, rank=0, collective_index=3, delay_s=20e-6,
+                   duration_factor=1.5),
+        FaultEvent(kind=FaultKind.TRANSIENT, rank=0, collective_index=5, failures=2),
+    ])  # fmt: skip
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "timing-faults"])
+    def test_fsdp_adam_steps_are_clock_and_memory_equal(self, faulted):
+        """Three FSDP + Adam steps of a 3-block minGPT: after each step
+        the CPU clock, every stream's frontier and the allocated and
+        reserved peaks match."""
+        config = self.GPT
+
+        def program(rank):
+            dev = dist.get_device()
+            model = FSDP(
+                deferred_init(lambda: MinGPT(config)),
+                auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
+                device=dev,
+            )
+            optimizer = Adam(list(model.parameters()), lr=1e-3)
+            make_loss = gpt_loss_fn(config, 2, 16)
+            steps = []
+            for step in range(3):
+                if dev.fault_injector is not None:
+                    dev.fault_injector.begin_iteration(rank, step)
+                make_loss(model, dev).backward()
+                optimizer.step()
+                optimizer.zero_grad()
+                stats = dev.allocator.stats
+                steps.append((
+                    dev.cpu_time(),
+                    [stream.ready_time for stream in dev.streams],
+                    stats.allocated_peak,
+                    stats.reserved_peak,
+                ))  # fmt: skip
+            return steps
+
+        schedule = self.TIMING_FAULTS if faulted else None
+        threaded, symmetric = self._on_both(program, fault_schedule=schedule)
+        assert threaded[0] == symmetric

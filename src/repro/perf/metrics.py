@@ -82,15 +82,20 @@ class LatencyHistogram:
         values = list(values)
         if not values:
             return
-        total = self.total
+        # One pass: validation, the in-order sum and both extremes
+        # (strict comparisons keep the first of equal extremes, as
+        # ``max``/``min`` do).
+        total, low, high = self.total, self.min, self.max
         for value in values:
             if value < 0.0:
                 raise ValueError(f"latency sample must be >= 0, got {value}")
             total += value
-        self.total = total
+            if value > high:
+                high = value
+            if value < low:
+                low = value
+        self.total, self.min, self.max = total, low, high
         self.count += len(values)
-        self.max = max(self.max, max(values))
-        self.min = min(self.min, min(values))
         if self._exact is not None:
             self._exact.extend(values)
             if len(self._exact) <= self.exact_limit:

@@ -72,24 +72,23 @@ class FixedSizeBatcher(BatchPolicy):
         self.name = f"fixed:{batch}"
 
     def ready(self, queue: RequestQueue, now: float) -> int:
-        if len(queue) >= self.batch:
+        depth = len(queue)
+        if depth >= self.batch:
             return self.batch
-        oldest = queue.oldest()
         if (
             self.max_wait_s is not None
-            and oldest is not None
+            and depth
             # The very sum next_poll schedules the poll for:
             # (0.04 + 0.02) - 0.04 is 0.0199..., short of the wait.
-            and now >= oldest.arrival_s + self.max_wait_s
+            and now >= queue[0].arrival_s + self.max_wait_s
         ):
-            return len(queue)
+            return depth
         return 0
 
     def next_poll(self, queue: RequestQueue, now: float) -> Optional[float]:
-        oldest = queue.oldest()
-        if self.max_wait_s is None or oldest is None:
+        if self.max_wait_s is None or not queue:
             return None
-        return oldest.arrival_s + self.max_wait_s
+        return queue[0].arrival_s + self.max_wait_s
 
     def clone(self) -> "FixedSizeBatcher":
         return FixedSizeBatcher(self.batch, max_wait_s=self.max_wait_s)
@@ -111,7 +110,7 @@ class ContinuousBatcher(BatchPolicy):
             return 0
         if depth >= self.max_batch or self.max_wait_s <= 0.0:
             return min(depth, self.max_batch)
-        oldest = queue.oldest()
+        oldest = queue[0]
         # Deadline-bounded linger: give a partial batch a chance to
         # fill, but never let the oldest request's slack run out.
         linger_until = min(
@@ -123,9 +122,9 @@ class ContinuousBatcher(BatchPolicy):
         return 0
 
     def next_poll(self, queue: RequestQueue, now: float) -> Optional[float]:
-        oldest = queue.oldest()
-        if oldest is None or self.max_wait_s <= 0.0:
+        if not queue or self.max_wait_s <= 0.0:
             return None
+        oldest = queue[0]
         return min(oldest.arrival_s + self.max_wait_s, oldest.deadline_s)
 
     def clone(self) -> "ContinuousBatcher":
@@ -155,7 +154,7 @@ class TokenBucketBatcher(BatchPolicy):
             self._refilled_at = now
 
     def ready(self, queue: RequestQueue, now: float) -> int:
-        if len(queue) == 0:
+        if not queue:
             return 0
         self._refill(now)
         if self._tokens >= 1.0:
@@ -163,7 +162,7 @@ class TokenBucketBatcher(BatchPolicy):
         return 0
 
     def next_poll(self, queue: RequestQueue, now: float) -> Optional[float]:
-        if len(queue) == 0:
+        if not queue:
             return None
         self._refill(now)
         if self._tokens >= 1.0:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,6 +73,7 @@ _PRIO = {"done": 0, "up": 1, "watchdog": 2, "arrival": 3, "poll": 4, "tick": 5}
 #: Routing preference: live, else still starting (a constant: the enum
 #: lookups would be the costliest thing routing does per arrival).
 _ROUTABLE = (ReplicaState.LIVE, ReplicaState.STARTING)
+_LIVE = ReplicaState.LIVE
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,7 @@ class ServingFleet:
         replica.state = ReplicaState.DOWN
         replica.busy = False
         replica.wake_seq += 1
+        replica.poll_at = None
         replica.invalidate_cache()
         stranded = replica.queue.drain()
         if redistribute:
@@ -212,14 +215,16 @@ class ServingFleet:
     def _route(self, request: Request, *, exclude: Optional[int] = None) -> None:
         """Send to the least-loaded replica (live preferred, else one
         still starting); shed when nobody can ever serve it."""
-        target, depth = None, 0
+        replicas = self.replicas.values()
         for state in _ROUTABLE:
             # rid-ascending and strictly-smaller: ties keep the lower rid.
-            for replica in self.replicas.values():
-                if replica.state is state and replica.rid != exclude:
-                    queued = len(replica.queue)
-                    if target is None or queued < depth:
-                        target, depth = replica, queued
+            # The depth test comes first: it is a C call, and it fails
+            # for most replicas a scan visits.
+            target, depth = None, sys.maxsize
+            for replica in replicas:
+                queued = len(replica.queue)
+                if queued < depth and replica.state is state and replica.rid != exclude:
+                    target, depth = replica, queued
             if target is not None:
                 break
         if target is None or not target.queue.push(request):
@@ -231,19 +236,23 @@ class ServingFleet:
     # -- the scheduler -------------------------------------------------
     def _serve(self, replica: Replica) -> None:
         """Try to form and launch a batch on a free, live replica."""
-        if replica.busy or replica.state is not ReplicaState.LIVE:
+        if replica.busy or replica.state is not _LIVE:
             return
         now = self._now
-        expired = replica.queue.expire(now)
-        self.metrics.timed_out += len(expired)
-        size = replica.policy.ready(replica.queue, now)
+        queue, policy = replica.queue, replica.policy
+        if queue.earliest_deadline <= now:  # else nothing can have expired
+            self.metrics.timed_out += len(queue.expire(now))
+        size = policy.ready(queue, now)
         if size <= 0:
-            poll_at = replica.policy.next_poll(replica.queue, now)
-            if poll_at is not None and poll_at > now:
+            poll_at = policy.next_poll(queue, now)
+            # A poll already pending for that very time wakes it then: an
+            # arrival to a lingering replica usually names the same one.
+            if poll_at is not None and poll_at > now and poll_at != replica.poll_at:
+                replica.poll_at = poll_at
                 replica.wake_seq += 1
                 self._push(poll_at, ("poll", replica.rid, replica.wake_seq))
             return
-        batch = replica.queue.pop_batch(size)
+        batch = queue.pop_batch(size)
         if not batch:
             return
         self._launch(replica, batch)
@@ -395,8 +404,10 @@ class ServingFleet:
                 self._on_done(replicas[rid], batch, started)
             elif kind == "poll":
                 _, rid, wake_seq = payload
-                if replicas[rid].wake_seq == wake_seq:  # else a stale poll
-                    self._serve(replicas[rid])
+                replica = replicas[rid]
+                if replica.wake_seq == wake_seq:  # else a stale poll
+                    replica.poll_at = None
+                    self._serve(replica)
             elif kind == "watchdog":
                 _, rid, batch, wake_seq = payload
                 self._on_watchdog(replicas[rid], batch, wake_seq)

@@ -21,6 +21,41 @@ from repro.perf.metrics import LatencyHistogram, PerfResult
 __all__ = ["TickSample", "ServeMetrics", "ServeResult"]
 
 
+class _Window(LatencyHistogram):
+    """One control window's latencies, each also in ``cumulative``.
+
+    While the window is exact it is an ordinary histogram.  Past its
+    exact limit it folds nothing: its buckets are the cumulative
+    histogram's minus the cumulative's buckets when the window opened —
+    exactly the window's samples, provided those buckets then held
+    every earlier sample (bucketed) or none (empty).  A window opened
+    on a non-empty exact cumulative folds its own samples.
+    """
+
+    def __init__(self, cumulative: LatencyHistogram):
+        super().__init__(
+            exact_limit=cumulative.exact_limit, resolution=cumulative.resolution
+        )
+        self._cumulative = cumulative
+        self._opened = (
+            None if cumulative.exact and cumulative.count else dict(cumulative._buckets)
+        )
+
+    def _fold(self, values: list[float]) -> None:
+        if self._opened is None:
+            super()._fold(values)
+
+    def percentile(self, q: float) -> float:
+        opened = self._opened
+        if self._exact is None and opened is not None:
+            self._buckets = {
+                index: n - opened.get(index, 0)
+                for index, n in self._cumulative._buckets.items()
+                if n != opened.get(index, 0)
+            }
+        return super().percentile(q)
+
+
 @dataclass(frozen=True)
 class TickSample:
     """Fleet state at one control tick (the autoscaler's observation)."""
@@ -41,7 +76,7 @@ class ServeMetrics:
     def __init__(self, *, slo_s: float):
         self.slo_s = slo_s
         self.latency = LatencyHistogram()
-        self._window = LatencyHistogram()
+        self._window = _Window(self.latency)
         self.arrived = 0
         self.served = 0
         self.shed = 0
@@ -68,10 +103,11 @@ class ServeMetrics:
     def observe(self, latencies: list[float]) -> None:
         """One batch completed; each request's end-to-end latency."""
         self.served += len(latencies)
-        self.latency.extend(latencies)
+        self.latency.extend(latencies)  # first: the window's buckets read it
         self._window.extend(latencies)
         slo_s = self.slo_s
-        self.slo_violations += sum(1 for latency in latencies if latency > slo_s)
+        if latencies and max(latencies) > slo_s:  # most batches count none
+            self.slo_violations += sum(1 for latency in latencies if latency > slo_s)
 
     def tick(
         self,
@@ -95,7 +131,7 @@ class ServeMetrics:
             starting=starting,
         )
         self.samples.append(sample)
-        self._window = LatencyHistogram()
+        self._window = _Window(self.latency)
         return sample
 
     def finish(self, *, duration_s: float, gpus_per_replica: int) -> "ServeResult":

@@ -10,72 +10,85 @@ A :class:`RequestQueue` is plain FIFO with two protective behaviours:
   (serving them would burn GPU time producing an answer nobody is
   waiting for).
 
-Counters live on the queue so fleet metrics can aggregate them
-per-replica.
+The queue *is* a ``deque`` that only :meth:`RequestQueue.push` grows,
+so routing reads its depth and the batching policies its head with C
+calls (``len(queue)``, ``queue[0]``).  Counters live on the queue so
+fleet metrics can aggregate them per-replica.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Optional
+from operator import attrgetter
 
 from repro.serve.traffic import Request
 
 __all__ = ["RequestQueue"]
 
+_deadline = attrgetter("deadline_s")  # read in C, no frame per request
 
-class RequestQueue:
+
+class RequestQueue(deque):
     """Bounded FIFO of pending requests for one replica."""
 
     def __init__(self, max_depth: int = 256):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        super().__init__()
         self.max_depth = max_depth
-        self._items: deque[Request] = deque()
         self.shed = 0
         self.timed_out = 0
         self.pushed = 0
         #: High-water mark of the queue depth.
         self.peak_depth = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
+        #: No queued request's deadline is earlier (``inf`` when empty):
+        #: :meth:`expire` scans only once ``now`` has reached it.
+        self.earliest_deadline = math.inf
 
     def push(self, request: Request) -> bool:
         """Admit ``request``; False (and a shed count) when full."""
-        items = self._items
-        if len(items) >= self.max_depth:
+        depth = len(self)
+        if depth >= self.max_depth:
             self.shed += 1
             return False
-        items.append(request)
+        self.append(request)
         self.pushed += 1
-        if len(items) > self.peak_depth:
-            self.peak_depth = len(items)
+        if depth >= self.peak_depth:
+            self.peak_depth = depth + 1
+        if request.deadline_s < self.earliest_deadline:
+            self.earliest_deadline = request.deadline_s
         return True
 
     def expire(self, now: float) -> list[Request]:
         """Drop (and count) queued requests whose deadline passed.
 
         Re-routed requests queue behind younger ones, so deadlines are
-        not monotone and every call scans; the queue is rebuilt only
-        when the scan found something.
+        not monotone: a call scans the whole queue, but only when the
+        earliest-deadline bound says one can have passed, and rebuilds
+        it only when the scan found something.
         """
-        expired = [r for r in self._items if r.deadline_s <= now]
+        if now < self.earliest_deadline:
+            return []
+        expired = [r for r in self if r.deadline_s <= now]
         if expired:
-            self._items = deque(r for r in self._items if r.deadline_s > now)
+            kept = [r for r in self if r.deadline_s > now]
+            self.clear()
+            self.extend(kept)
             self.timed_out += len(expired)
+        self.earliest_deadline = min(map(_deadline, self), default=math.inf)
         return expired
-
-    def oldest(self) -> Optional[Request]:
-        return self._items[0] if self._items else None
 
     def pop_batch(self, n: int) -> list[Request]:
         """Dequeue up to ``n`` requests in arrival order."""
-        items = self._items
-        return [items.popleft() for _ in range(min(n, len(items)))]
+        if n >= len(self):
+            return self.drain()
+        popleft = self.popleft
+        return [popleft() for _ in range(n)]
 
     def drain(self) -> list[Request]:
         """Remove and return everything (replica death: requeue/shed)."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self)
+        self.clear()
+        self.earliest_deadline = math.inf
         return items

@@ -183,6 +183,8 @@ class Replica:
     #: Guards stale scheduled polls: a poll event only fires if the
     #: replica's wake sequence still matches.
     wake_seq: int = 0
+    #: Time of the poll the current ``wake_seq`` names (None: none).
+    poll_at: Optional[float] = None
     batches_served: int = 0
     requests_served: int = 0
     #: Simulated seconds this replica spent serving batches.

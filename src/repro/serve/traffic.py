@@ -132,6 +132,15 @@ class TrafficGenerator:
             peak *= config.burst_factor
         return peak
 
+    @property
+    def floor_rate(self) -> float:
+        """A rate ``rate(t)`` never falls below, in float arithmetic too:
+        ``sin`` >= -1 and every step of ``rate`` rounds monotonically."""
+        config = self.config
+        if config.diurnal_period_s > 0.0 and config.diurnal_amplitude > 0.0:
+            return config.base_qps * (1.0 - config.diurnal_amplitude)
+        return config.base_qps
+
     # ------------------------------------------------------------------
     def generate(self) -> list[Request]:
         """Materialize the full stream (restartable: fresh RNG state)."""
@@ -140,15 +149,25 @@ class TrafficGenerator:
         # Skip the burst-window draws the constructor made from this seed.
         for _ in range(config.bursts):
             rng.uniform(0.0, config.duration_s)
-        # One call per candidate arrival from here on: bind everything.
-        random_, expovariate, randrange = rng.random, rng.expovariate, rng.randrange
+        # The per-arrival draws are written out so an arrival pays for
+        # no stdlib frame: ``expovariate(peak)`` is ``-log(1 - random())
+        # / peak`` and ``randrange(n)`` is ``getrandbits`` rejection
+        # sampling on ``n.bit_length()`` bits -- the same calls on the
+        # same generator, so the stream is bitwise the library's.
+        random_, getrandbits, log = rng.random, rng.getrandbits, math.log
         rate, peak, duration_s = self.rate, self.peak_rate, config.duration_s
-        # Without modulation rate(t) is base_qps == peak for every t:
-        # the acceptance draw is still made, and always passes.
-        flat = peak == config.base_qps
+        # A candidate whose acceptance draw is at or under the floor is
+        # accepted whatever rate(t) says, so rate(t) is asked only above
+        # it (never, without modulation: then the floor is the peak).
+        floor = self.floor_rate
         deadline_s, hot_fraction = config.deadline_s, config.hot_fraction
-        cumulative, last_hot = self._hot_cumulative, config.hot_keys - 1
+        # Zipf edges without the last: a draw past every kept edge is the
+        # last hot key, which is also where the full list clamps a draw
+        # past its rounded-short last edge.
+        edges, last_hot = self._hot_cumulative[:-1], config.hot_keys - 1
         cold_keys = config.key_space - config.hot_keys
+        cold_bits = cold_keys.bit_length()
+        new = tuple.__new__  # Request(...) without the namedtuple frame
         requests: list[Request] = []
         append = requests.append
         t = 0.0
@@ -156,18 +175,23 @@ class TrafficGenerator:
             # Thinning: candidate gaps at the peak rate, accepted with
             # probability rate(t)/peak — an exact inhomogeneous Poisson
             # sampler as long as rate(t) <= peak everywhere.
-            t += expovariate(peak)
+            t += -log(1.0 - random_()) / peak
             if t >= duration_s:
                 break
             threshold = random_() * peak
-            if not flat and threshold > rate(t):
+            if threshold > floor and threshold > rate(t):
                 continue
             if random_() < hot_fraction:
                 # First Zipf edge at or above the draw.
-                key = min(bisect_left(cumulative, random_()), last_hot)
+                key = bisect_left(edges, random_())
             else:
-                key = last_hot + 1 + randrange(cold_keys)
-            append(Request(len(requests), t, key, t + deadline_s))
+                key = getrandbits(cold_bits)
+                while key >= cold_keys:
+                    if not cold_keys:  # randrange(0)'s refusal
+                        raise ValueError("no cold keys: key_space == hot_keys")
+                    key = getrandbits(cold_bits)
+                key += last_hot + 1
+            append(new(Request, (len(requests), t, key, t + deadline_s)))
         return requests
 
     def __iter__(self) -> Iterator[Request]:

@@ -84,7 +84,7 @@ class TestRequestQueue:
             assert queue.push(_request(i, i * 0.1))
         assert len(queue) == 5
         assert queue.peak_depth == 5
-        assert queue.oldest().rid == 0
+        assert queue[0].rid == 0
         batch = queue.pop_batch(3)
         assert [r.rid for r in batch] == [0, 1, 2]
         assert len(queue) == 2

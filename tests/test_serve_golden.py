@@ -10,19 +10,27 @@ deadlines, crash + autoscale, hang + watchdog, a damaged warm image, the
 key cache, a fault campaign, and bursty traffic whose cumulative
 histogram crosses ``exact_limit``.
 
-The second half pins ``LatencyHistogram.extend`` to ``add`` one by one.
+The second half pins ``LatencyHistogram.extend`` to ``add`` one by one,
+and the fleet's per-window p99 to a fresh histogram of the window.
 """
 
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.distributed.fault import FaultEvent, FaultKind, FaultSchedule
 from repro.perf.metrics import LatencyHistogram
-from repro.serve import AutoscaleConfig, FleetConfig, TrafficConfig, simulate_serving
+from repro.serve import (
+    AutoscaleConfig,
+    FleetConfig,
+    ServeMetrics,
+    TrafficConfig,
+    simulate_serving,
+)
 from tests.test_serve_fleet import MAX_BATCH, stub_service
 
 
@@ -237,3 +245,37 @@ def test_extend_rejects_a_negative_sample_without_mutating(bucketed):
     with pytest.raises(ValueError):
         hist.extend([0.4, -1.0, 0.5])
     assert _state(hist) == before
+
+
+# ----------------------------------------------------------------------
+# A control window's p99 == a fresh histogram fed only that window
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    sizes=st.lists(st.integers(min_value=1, max_value=1500), max_size=24),
+    ticks=st.sets(st.integers(min_value=0, max_value=24)),
+)
+# Small windows, then one opened on a non-empty exact cumulative that
+# outgrows its exact list (the window folds its own samples), then
+# windows on a bucketed cumulative (bucket differences).
+@example(seed=1, sizes=[100, 2000, 3000, 500, 5000, 10, 4500], ticks={0, 3, 4, 5})
+def test_window_p99_is_a_fresh_histogram_of_the_window(seed, sizes, ticks):
+    rng = random.Random(seed)
+    metrics = ServeMetrics(slo_s=0.5)
+    window = LatencyHistogram()
+    for i, size in enumerate(sizes):
+        # Some zero and sub-FLOOR samples: they share bucket 0.
+        batch = [
+            rng.uniform(0.0, 1.0) if rng.random() < 0.9 else rng.choice((0.0, 5e-7))
+            for _ in range(size)
+        ]
+        metrics.observe(batch)
+        window.extend(batch)
+        if i in ticks:
+            sample = metrics.tick(
+                t=float(i), interval_s=1.0, queue_depth=0, live=1, starting=0
+            )
+            assert sample.qps == window.count
+            assert sample.p99_s == (window.percentile(99.0) if window.count else 0.0)
+            window = LatencyHistogram()

@@ -11,10 +11,19 @@ space, deadlines offset by exactly the SLO.
 """
 
 import math
+import random
+from bisect import bisect_left
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve import FleetConfig, TrafficConfig, TrafficGenerator, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    Request,
+    TrafficConfig,
+    TrafficGenerator,
+    simulate_serving,
+)
 from tests.test_serve_fleet import stub_service
 
 
@@ -141,6 +150,74 @@ def test_stream_properties_hold_for_any_config(
     assert arrivals == sorted(arrivals)
     assert all(0.0 <= t < config.duration_s for t in arrivals)
     assert all(0 <= r.key < config.key_space for r in first)
+
+
+def stdlib_stream(config):
+    """The sampler spelled with the library's draws, one call each
+    (``expovariate``, ``randrange``, ``rate(t)`` for every candidate)."""
+    generator = TrafficGenerator(config)
+    rng = random.Random(config.seed)
+    for _ in range(config.bursts):
+        rng.uniform(0.0, config.duration_s)
+    peak, last_hot = generator.peak_rate, config.hot_keys - 1
+    requests, t = [], 0.0
+    while True:
+        t += rng.expovariate(peak)
+        if t >= config.duration_s:
+            return requests
+        if rng.random() * peak > generator.rate(t):
+            continue
+        if rng.random() < config.hot_fraction:
+            key = min(bisect_left(generator._hot_cumulative, rng.random()), last_hot)
+        else:
+            key = last_hot + 1 + rng.randrange(config.key_space - config.hot_keys)
+        requests.append(Request(len(requests), t, key, t + config.deadline_s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.0, 0.9),
+    period=st.sampled_from([0.0, 0.3, 1.0]),
+    bursts=st.integers(0, 3),
+    hot_keys=st.integers(1, 40),
+    cold_keys=st.integers(1, 5000),
+    zipf_s=st.floats(0.5, 2.0),
+    hot_fraction=st.floats(0.0, 1.0),
+)
+def test_stream_is_bitwise_the_stdlib_samplers(
+    seed, amplitude, period, bursts, hot_keys, cold_keys, zipf_s, hot_fraction
+):
+    """``generate`` writes the per-arrival draws out and skips ``rate(t)``
+    under its floor; the stream must not move by a bit."""
+    config = TrafficConfig(
+        seed=seed,
+        duration_s=1.0,
+        base_qps=300.0,
+        diurnal_period_s=period,
+        diurnal_amplitude=amplitude,
+        bursts=bursts,
+        burst_duration_s=0.1,
+        hot_keys=hot_keys,
+        key_space=hot_keys + cold_keys,
+        zipf_s=zipf_s,
+        hot_fraction=hot_fraction,
+    )
+    assert TrafficGenerator(config).generate() == stdlib_stream(config)
+
+
+def test_floor_rate_bounds_the_curve():
+    generator = TrafficGenerator(_config(seed=5, **BUSY))
+    floor = generator.floor_rate
+    assert all(generator.rate(i * 1e-4) >= floor for i in range(20_000))
+    assert TrafficGenerator(_config()).floor_rate == _config().base_qps
+
+
+def test_no_cold_key_space_is_refused_at_a_cold_draw():
+    with pytest.raises(ValueError):
+        TrafficGenerator(_config(hot_keys=16, key_space=16, hot_fraction=0.5)).generate()
+    # Every draw hot: no cold draw is made, as with randrange before.
+    assert TrafficGenerator(_config(hot_keys=16, key_space=16, hot_fraction=1.0)).generate()
 
 
 # ----------------------------------------------------------------------

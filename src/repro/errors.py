@@ -21,6 +21,7 @@ __all__ = [
     "CheckpointCorruptionError",
     "StreamOrderViolation",
     "ExecOrderViolation",
+    "StrandedReplicaError",
 ]
 
 
@@ -316,3 +317,24 @@ class ExecOrderViolation(StreamOrderViolation):
         self.expected = expected
         self.actual = actual
         self.position = position
+
+
+class StrandedReplicaError(ReproError):
+    """A batching policy said "not ready" and named a poll at or before now.
+
+    The serving fleet would drop such a poll, and nothing but an arrival
+    would wake the replica again; once its queue is full, admission
+    refuses every arrival before the scheduler runs, so the replica never
+    serves again.  Carries the replica id, the policy's name, the
+    simulated time and the poll time the policy named.
+    """
+
+    def __init__(self, *, replica: int, policy: str, now: float, poll_at: float):
+        self.replica = replica
+        self.policy = policy
+        self.now = now
+        self.poll_at = poll_at
+        super().__init__(
+            f"replica {replica}: policy {policy} is not ready at t={now!r} "
+            f"and names a poll at t={poll_at!r}, which nothing would wake"
+        )

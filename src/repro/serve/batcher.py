@@ -24,6 +24,7 @@ bench and the chaos campaigns.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.serve.queue import RequestQueue
@@ -165,9 +166,16 @@ class TokenBucketBatcher(BatchPolicy):
         if not queue:
             return None
         self._refill(now)
-        if self._tokens >= 1.0:
+        tokens, since, rate = self._tokens, self._refilled_at, self.rate
+        if tokens >= 1.0:
             return None
-        return now + (1.0 - self._tokens) / self.rate
+        # The closed form can land an ulp short of a whole token in the
+        # refill ready() runs there, or round to ``now`` itself: step up
+        # to the first float time at which that very sum reaches one.
+        poll = now + (1.0 - tokens) / rate
+        while tokens + (poll - since) * rate < 1.0:
+            poll = math.nextafter(poll, math.inf)
+        return poll
 
     def on_batch(self, now: float) -> None:
         self._refill(now)

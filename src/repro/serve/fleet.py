@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
+from repro.errors import StrandedReplicaError
 from repro.perf.timeline import Tracer
 from repro.resilience import (
     CHECKPOINT_RESTORE_BANDWIDTH,
@@ -245,9 +246,16 @@ class ServingFleet:
         size = policy.ready(queue, now)
         if size <= 0:
             poll_at = policy.next_poll(queue, now)
+            if poll_at is None:
+                return
+            if poll_at <= now:
+                # A dropped poll would strand the replica (errors.py).
+                raise StrandedReplicaError(
+                    replica=replica.rid, policy=policy.name, now=now, poll_at=poll_at
+                )
             # A poll already pending for that very time wakes it then: an
             # arrival to a lingering replica usually names the same one.
-            if poll_at is not None and poll_at > now and poll_at != replica.poll_at:
+            if poll_at != replica.poll_at:
                 replica.poll_at = poll_at
                 replica.wake_seq += 1
                 self._push(poll_at, ("poll", replica.rid, replica.wake_seq))

@@ -4,11 +4,12 @@ The serving loop's host cost may change; its reports may not.  ``GOLDEN``
 holds the sha256 of each case's full report — ``to_dict()`` plus every
 tick sample and every control-plane event — recorded at commit 3d8bf8a,
 when every arrival still sat in the event heap and metrics were fed one
-request at a time.  One case per branch of the loop: each policy kind,
-the poll path, the shed path, expiry with re-routed (out-of-order)
-deadlines, crash + autoscale, hang + watchdog, a damaged warm image, the
-key cache, a fault campaign, and bursty traffic whose cumulative
-histogram crosses ``exact_limit``.
+request at a time (``token_bucket`` re-recorded since: see its entry).
+One case per branch of the loop: each policy kind, the poll path, the
+shed path, expiry with re-routed (out-of-order) deadlines, crash +
+autoscale, hang + watchdog, a damaged warm image, the key cache, a
+fault campaign, and bursty traffic whose cumulative histogram crosses
+``exact_limit``.
 
 The second half pins ``LatencyHistogram.extend`` to ``add`` one by one,
 and the fleet's per-window p99 to a fresh histogram of the window.
@@ -164,7 +165,9 @@ GOLDEN = {
     "fixed_wait_cap": "e0f7b62609f3517591553bfc6e08a5890e5d7e54455d0ed161ab6f3c62d8bfdd",
     "continuous": "41a2430e08a50b2f391046f4b42c1cc8a743cf4fa437cfc6a20977fae0ec88a6",
     "continuous_linger": "8312eb53f2b09976ccd7ab2661c82b1401ddc748a453525f922ef9cb8a7e1451",
-    "token_bucket": "d1423a1e9df4534fe2cd3d408a8917597833c793e067eee55a007eeba9a6a3fb",
+    # Re-recorded when the bucket's poll stopped stranding both replicas
+    # at t = 0.88 s (tests/test_serve_polls.py); the only digest moved.
+    "token_bucket": "7a32596c9a9dfeea82886a35def7f7bd0baee9e933ecf6af495cf51264553d1d",
     "overload": "7f313e7d53752668720cc0daafd6167534b0ba163f74d6e0a8117b1fc784481e",
     "tight_deadline_rerouted": "5fc9135a563d5954ef01e3b9e1a13a6f131fadf98fa607055681484c15b48adf",
     "crash_autoscale": "c4f8bc63ad49aa8610859bf36766a267c448c4e3e099ed56b878ed848b4a0f89",

@@ -3,15 +3,14 @@
 from benchmarks.conftest import run_once
 from repro.bench.fig5 import trace_iteration
 from repro.fsdp import BackwardPrefetch
-from repro.perf.timeline import overlap_fraction
 
 
 def test_fig5_overlap_measured(benchmark):
     def run():
         results = {}
         for prefetch in (BackwardPrefetch.BACKWARD_PRE, BackwardPrefetch.NONE):
-            tracer, latency = trace_iteration(prefetch)
-            results[prefetch] = (overlap_fraction(tracer), latency, tracer)
+            session, latency = trace_iteration(prefetch)
+            results[prefetch] = (session.totals()["overlap_fraction"], latency, session)
         return results
 
     results = run_once(benchmark, run)
@@ -26,9 +25,9 @@ def test_fig5_overlap_measured(benchmark):
     assert with_pf[0] > 0.5
     # The trace contains both collective kinds on the unshard stream
     # and compute on the default stream (the Figure 5 structure).
-    tracer = with_pf[2]
-    labels = {e.name for e in tracer.events}
+    session = with_pf[2]
+    labels = {span.label for span in session.kernel_events}
     assert {"kernel", "all_gather_base", "reduce_scatter"} <= labels
-    streams = tracer.by_stream()
+    streams = {span.stream for span in session.kernel_events}
     assert any("unshard" in s for s in streams)
     assert any("default" in s for s in streams)

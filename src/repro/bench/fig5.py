@@ -21,8 +21,9 @@ from repro.fsdp import BackwardPrefetch, FullyShardedDataParallel, ModuleWrapPol
 from repro.fsdp.mixed_precision import BF16_MIXED
 from repro.models.mingpt import GptConfig, MinGPT
 from repro.models.transformer import TransformerBlock
-from repro.perf.timeline import overlap_fraction, trace_device
+from repro.perf.timeline import ascii_gantt
 from repro.perf.workloads import gpt_loss_fn
+from repro.profiler import ProfilerSession
 
 __all__ = ["trace_iteration", "run"]
 
@@ -32,7 +33,7 @@ SMALL_GPT = GptConfig(
 
 
 def trace_iteration(backward_prefetch: BackwardPrefetch, world_size: int = 8):
-    """One traced steady-state iteration; returns (tracer, latency)."""
+    """One profiled steady-state iteration; returns (session, latency)."""
     dist.shutdown()
     ctx = dist.init_single_process(world_size, materialize=False)
     device = ctx.device
@@ -52,14 +53,15 @@ def trace_iteration(backward_prefetch: BackwardPrefetch, world_size: int = 8):
         make_loss(wrapped, device).backward()
         wrapped.zero_grad()
     device.synchronize()
-    tracer = trace_device(device)
+    session = ProfilerSession()
+    session.install(device)
     start = device.now()
     make_loss(wrapped, device).backward()
     wrapped.zero_grad()
     device.synchronize()
     latency = device.now() - start
-    tracer.detach()
-    result = (tracer, latency)
+    session.uninstall(device)
+    result = (session, latency)
     dist.shutdown()
     return result
 
@@ -67,14 +69,15 @@ def trace_iteration(backward_prefetch: BackwardPrefetch, world_size: int = 8):
 def run(fast: bool = False) -> None:
     rows = []
     for prefetch in BackwardPrefetch:
-        tracer, latency = trace_iteration(prefetch)
+        session, latency = trace_iteration(prefetch)
         print(f"\n== Figure 5: one iteration, backward_prefetch={prefetch.value} ==")
-        print(tracer.ascii_gantt(width=100))
+        print(ascii_gantt(session.kernel_events, width=100))
         # Compute-stream idle between its first and last kernel: the
         # time computation waited on communication.
-        busy = tracer.busy_intervals(lambda s: "default" in s)
+        busy = session.compute_intervals()
         idle = sum(nxt[0] - prev[1] for prev, nxt in zip(busy, busy[1:]))
-        rows.append((prefetch.value, latency, overlap_fraction(tracer), idle))
+        overlap = session.totals()["overlap_fraction"]
+        rows.append((prefetch.value, latency, overlap, idle))
     print(f"\n{'backward_prefetch':>18}  iteration  comm hidden  compute idle")
     for name, latency, overlap, idle in rows:
         print(

@@ -1,7 +1,7 @@
 """Performance simulation: drivers, metrics, workload factories."""
 
 from repro.perf.metrics import GiB, LatencyHistogram, PerfResult, nearest_rank
-from repro.perf.timeline import Tracer, merge_intervals, overlap_fraction, trace_device
+from repro.perf.timeline import ascii_gantt, merge_intervals
 from repro.perf.trainer import (
     ElasticResult,
     SimConfig,
@@ -18,9 +18,7 @@ __all__ = [
     "SimConfig",
     "simulate_training",
     "workloads",
-    "Tracer",
-    "trace_device",
-    "overlap_fraction",
+    "ascii_gantt",
     "merge_intervals",
     "ElasticResult",
     "train_elastic",

@@ -27,8 +27,7 @@ from repro.profiler.flight_recorder import (
 from repro.profiler.memory import MemorySample, MemoryTimeline
 from repro.profiler.session import ProfilerSession, profile_device
 from repro.profiler.stats import (
-    CommInterval,
-    KernelEvent,
+    Span,
     UnitProfile,
     UnshardIssue,
     exposed_overlapped,
@@ -46,8 +45,7 @@ __all__ = [
     "MemoryTimeline",
     "ProfilerSession",
     "profile_device",
-    "CommInterval",
-    "KernelEvent",
+    "Span",
     "UnitProfile",
     "UnshardIssue",
     "exposed_overlapped",

@@ -3,8 +3,11 @@
 A session is an observer of a simulated device (``Device.observe``):
 
 - ``on_span`` / ``on_mark``: every kernel and collective span lands in
-  :attr:`kernel_events` tagged with the current *scope* (see below),
-  every instant event in :attr:`marks`;
+  :attr:`kernel_events` as a :class:`repro.profiler.stats.Span` tagged
+  with the current *scope* (see below), every instant event in
+  :attr:`marks`.  A span without duration (``end <= start``, e.g. a
+  zero-byte collective under a free comm model) becomes a mark, so the
+  trace's collective count reconciles with the flight recorder's;
 - ``on_alloc``: every allocator event produces a
   :class:`repro.profiler.memory.MemorySample`;
 - ``on_collective``: each launched collective's flight record is
@@ -35,7 +38,7 @@ from repro.perf.timeline import merge_intervals, write_chrome_trace
 from repro.profiler.flight_recorder import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.profiler.memory import MemoryTimeline
 from repro.profiler.stats import (
-    KernelEvent,
+    Span,
     UnitProfile,
     UnshardIssue,
     exposed_overlapped,
@@ -164,7 +167,9 @@ class ProfilerSession:
     # ------------------------------------------------------------------
     def on_span(self, label: str, stream: str, start: float, end: float) -> None:
         if end > start:
-            self.kernel_events.append(KernelEvent(label, stream, start, end, self.scope))
+            self.kernel_events.append(Span(label, stream, start, end, self.scope))
+        else:
+            self.marks.append((label, start))
 
     def on_mark(self, label: str, time: float) -> None:
         self.marks.append((label, time))
@@ -181,7 +186,8 @@ class ProfilerSession:
         if label is None:
             return
         self.unit(label).record_collective(
-            record.kind, record.nbytes, record.start_time, record.end_time, record.scope
+            Span(record.kind, record.stream, record.start_time, record.end_time, record.scope),
+            record.nbytes,
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +275,14 @@ class ProfilerSession:
     # Reporting
     # ------------------------------------------------------------------
     def totals(self) -> dict:
-        """Aggregate observability metrics (finalizes first)."""
+        """Aggregate observability metrics (finalizes first).
+
+        ``overlap_fraction`` is the repo's one measure of Figure 5's
+        overlap: the share of flight-recorded collective time hidden
+        under the compute streams' busy intervals (1.0 without any
+        communication).  Other spans on a communication stream, such
+        as mixed-precision casts, are not communication.
+        """
         self.finalize()
         compute = self.compute_intervals()
         exposed, overlapped = exposed_overlapped(self.comm_intervals, compute)
@@ -327,10 +340,7 @@ class ProfilerSession:
     def to_chrome_trace(self, path: str) -> None:
         """Write spans + instant marks + memory counter tracks."""
         write_chrome_trace(
-            path,
-            ((e.label, e.stream, e.start, e.end, e.scope) for e in self.kernel_events),
-            self.marks,
-            self.memory.counter_events(),
+            path, self.kernel_events, self.marks, self.memory.counter_events()
         )
 
 

@@ -20,12 +20,12 @@ The stats glossary (also documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.perf.timeline import exposed_overlapped
 
 __all__ = [
-    "KernelEvent",
-    "CommInterval",
+    "Span",
     "UnshardIssue",
     "UnitProfile",
     "scope_leaf",
@@ -45,29 +45,18 @@ def scope_parent(scope: str) -> str:
     return parts[-2] if len(parts) > 1 else ""
 
 
-@dataclass
-class KernelEvent:
-    """One kernel/collective span recorded via the device trace hook."""
+class Span(NamedTuple):
+    """One kernel, collective or serving-batch span on a stream.
+
+    The ``(label, stream, start, end, scope)`` record the session keeps
+    and :func:`repro.perf.timeline.write_chrome_trace` exports as is.
+    """
 
     label: str
     stream: str
     start: float
     end: float
     scope: str = ""
-
-
-@dataclass
-class CommInterval:
-    """One collective kernel attributed to a unit."""
-
-    kind: str
-    start: float
-    end: float
-    scope: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -103,7 +92,9 @@ class UnitProfile:
     comm_intervals: list = field(default_factory=list)
     reshard_times: list = field(default_factory=list)
 
-    def record_collective(self, kind: str, nbytes: int, start: float, end: float, scope: str) -> None:
+    def record_collective(self, span: Span, nbytes: int) -> None:
+        """Count one collective; ``span.label`` is its kind."""
+        kind = span.label
         if kind.startswith("all_gather"):
             self.allgather_count += 1
             self.allgather_bytes += nbytes
@@ -113,8 +104,8 @@ class UnitProfile:
         elif kind == "all_reduce":
             self.all_reduce_count += 1
             self.all_reduce_bytes += nbytes
-        self.comm_time_s += end - start
-        self.comm_intervals.append(CommInterval(kind, start, end, scope))
+        self.comm_time_s += span.end - span.start
+        self.comm_intervals.append(span)
 
     def as_dict(self) -> dict:
         return {

@@ -53,7 +53,6 @@ from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.errors import StrandedReplicaError
-from repro.perf.timeline import Tracer
 from repro.resilience import (
     CHECKPOINT_RESTORE_BANDWIDTH,
     CHECKPOINT_VERIFY_BANDWIDTH,
@@ -102,9 +101,9 @@ class FleetConfig:
     rendezvous_s: float = 0.05
     #: Cold-tier re-pull multiplier when a warm image is damaged.
     fallback_factor: float = 2.0
-    #: Optional :class:`repro.perf.timeline.Tracer` receiving
+    #: Optional :class:`repro.profiler.ProfilerSession` receiving
     #: ``serve:batch@<rid>`` spans and fault/scaling marks.
-    tracer: Optional[Tracer] = None
+    profiler: Optional[object] = None
     #: Let the run continue past the traffic window until queues drain
     #: (bounded by ``drain_grace_s``).
     drain_grace_s: float = 2.0
@@ -144,8 +143,8 @@ class ServingFleet:
 
     def _mark(self, label: str) -> None:
         self.metrics.note(self._now, label)
-        if self.config.tracer is not None:
-            self.config.tracer.on_mark(label, self._now)
+        if self.config.profiler is not None:
+            self.config.profiler.on_mark(label, self._now)
 
     def _live(self) -> list[Replica]:
         return [r for r in self.replicas.values() if r.state is ReplicaState.LIVE]
@@ -316,8 +315,8 @@ class ServingFleet:
     # -- event handlers ------------------------------------------------
     def _on_done(self, replica: Replica, batch: list[Request], started: float) -> None:
         now = self._now
-        if self.config.tracer is not None:
-            self.config.tracer.on_span(
+        if self.config.profiler is not None:
+            self.config.profiler.on_span(
                 f"serve:batch@{replica.rid}", f"replica{replica.rid}", started, now
             )
         replica.busy = False

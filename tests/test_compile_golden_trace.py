@@ -190,7 +190,7 @@ class TestReduceScatterPlacement:
             (c.start, c.end)
             for unit in session.units.values()
             for c in unit.comm_intervals
-            if c.kind == "reduce_scatter"
+            if c.label == "reduce_scatter"
         ]
         backward = merge_intervals(
             (e.start, e.end)

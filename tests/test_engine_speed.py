@@ -29,7 +29,6 @@ from repro.models import GptConfig, MinGPT, T5_TINY, T5Model
 from repro.models.transformer import TransformerBlock
 from repro.nn import functional as F
 from repro.perf import SimConfig, simulate_training
-from repro.perf.timeline import trace_device
 from repro.optim import Adam
 from repro.perf.trainer import (
     SteadyState,
@@ -106,29 +105,23 @@ class TestFastForward:
 
     def test_observer_attached_mid_run_vetoes(self):
         """Regression: the veto was evaluated once before the loop, so a
-        tracer attached from ``make_loss`` — the only way to trace a
-        ``simulate_training`` device — was fast-forwarded over."""
+        session installed from ``make_loss`` was fast-forwarded over."""
 
         def traced(fast_forward: bool):
-            tracers = []
+            session = ProfilerSession()
             make_loss = gpt_loss_fn(TINY, 2, 32)
 
             def attaching_loss(model, device):
-                if not tracers:
-                    tracers.append(trace_device(device))
+                session.install(device)  # idempotent: attaches on the first call
                 return make_loss(model, device)
 
             result = simulate_training(
                 tiny_config(make_loss=attaching_loss, fast_forward=fast_forward)
             )
             assert "fast_forwarded_iterations" not in result.extras
-            return len(tracers[0].events)
+            return len(session.kernel_events)
 
         assert traced(True) == traced(False) > 0
-
-
-def _attach_tracer(device):
-    return trace_device(device).detach
 
 
 def _attach_session(device):
@@ -190,7 +183,6 @@ class TestFastForwardGuard:
     @pytest.mark.parametrize(
         "attach",
         [
-            _attach_tracer,
             _attach_session,
             _attach_memory_timeline,
             _attach_flight_recorder,
@@ -332,11 +324,12 @@ def _traced_timeline(materialize: bool, build_model, loss_fn):
         )
         loss_fn(wrapped, device).backward()  # warmup (lazy init)
         wrapped.zero_grad()
-        tracer = trace_device(device)
+        session = ProfilerSession()
+        session.install(device)
         for _ in range(2):
             loss_fn(wrapped, device).backward()
             wrapped.zero_grad()
-        return list(tracer._raw), list(tracer.marks)
+        return list(session.kernel_events), list(session.marks)
 
     dist.shutdown()
     return dist.spawn(run, 2, materialize=materialize)
@@ -387,11 +380,12 @@ def _traced_symmetric(build_model, loss_fn, *, cached: bool):
         )
         loss_fn(wrapped, ctx.device).backward()
         wrapped.zero_grad()
-        tracer = trace_device(ctx.device)
+        session = ProfilerSession()
+        session.install(ctx.device)
         for _ in range(2):
             loss_fn(wrapped, ctx.device).backward()
             wrapped.zero_grad()
-        return list(tracer._raw), list(tracer.marks)
+        return list(session.kernel_events), list(session.marks)
     finally:
         dist.shutdown()
 

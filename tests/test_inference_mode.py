@@ -187,7 +187,7 @@ def test_inference_issues_no_reduce_scatter(backend):
         for interval in unit.comm_intervals
         if "serve:batch@golden" in interval.scope
     ]
-    kinds = {interval.kind for interval in served}
+    kinds = {interval.label for interval in served}
     assert any(kind.startswith("all_gather") for kind in kinds)
     assert not any(kind == "reduce_scatter" for kind in kinds)
     # DHEN's sparse exchange also lands under the serving span.

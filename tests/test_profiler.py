@@ -20,12 +20,12 @@ import pytest
 
 import repro
 from repro.cuda.device import Device
-from repro.perf.timeline import trace_device
 from repro.profiler import (
     CollectiveRecord,
     FlightRecorder,
     MemoryTimeline,
     ProfilerSession,
+    Span,
     UnitProfile,
     exposed_overlapped,
     profile_device,
@@ -277,24 +277,20 @@ class TestStatsHelpers:
         )
         assert (exposed, overlapped) == (3.0, 0.0)
 
-    def test_comm_interval_duration(self):
-        from repro.profiler import CommInterval
-
-        assert CommInterval("all_reduce", 1.0, 2.5).duration == pytest.approx(1.5)
-
     def test_unit_profile_counters(self):
         unit = UnitProfile("layer0")
-        unit.record_collective("all_gather_base", 100, 0.0, 1.0, "s")
-        unit.record_collective("all_gather_into_tensor", 50, 1.0, 2.0, "s")
-        unit.record_collective("reduce_scatter", 25, 2.0, 3.0, "s")
-        unit.record_collective("all_reduce", 10, 3.0, 4.0, "s")
-        unit.record_collective("broadcast", 5, 4.0, 5.0, "s")  # uncategorized
+        unit.record_collective(Span("all_gather_base", "c", 0.0, 1.0, "s"), 100)
+        unit.record_collective(Span("all_gather_into_tensor", "c", 1.0, 2.0, "s"), 50)
+        unit.record_collective(Span("reduce_scatter", "c", 2.0, 3.0, "s"), 25)
+        unit.record_collective(Span("all_reduce", "c", 3.0, 4.0, "s"), 10)
+        unit.record_collective(Span("broadcast", "c", 4.0, 5.0, "s"), 5)  # uncategorized
         assert unit.allgather_count == 2
         assert unit.allgather_bytes == 150
         assert unit.reduce_scatter_count == 1
         assert unit.reduce_scatter_bytes == 25
         assert unit.all_reduce_count == 1
         assert unit.comm_time_s == pytest.approx(5.0)
+        assert unit.comm_intervals[2] == ("reduce_scatter", "c", 2.0, 3.0, "s")
         assert len(unit.comm_intervals) == 5
         payload = unit.as_dict()
         assert payload["label"] == "layer0"
@@ -332,55 +328,58 @@ class TestProfilerSession:
         """Install coexists with an earlier observer (idempotently) and
         uninstall leaves that observer attached."""
         device = make_device()
-        tracer = trace_device(device)
+        timeline = MemoryTimeline()
+        device.observe(timeline)
         session = ProfilerSession()
         session.install(device)
         session.install(device)  # idempotent
-        assert device.observers == (tracer, session)
+        assert device.observers == (timeline, session)
         device.default_stream.enqueue(1e-3, label="gemm")
         device.allocator.allocate(MiB, device.default_stream)
-        assert [e.name for e in tracer.events] == ["gemm"]  # earlier observer still fed
+        assert len(timeline.samples) == 1  # earlier observer still fed
         assert [e.label for e in session.kernel_events] == ["gemm"]  # once, not twice
         assert len(session.memory.samples) == 1
         assert device.flight_recorder is session.flight
         session.uninstall(device)
-        assert device.observers == (tracer,)
+        assert device.observers == (timeline,)
         assert device.flight_recorder is None
         device.default_stream.enqueue(1e-3, label="after")
         device.allocator.allocate(MiB, device.default_stream)
-        assert [e.name for e in tracer.events] == ["gemm", "after"]
+        assert len(timeline.samples) == 2
         assert len(session.kernel_events) == len(session.memory.samples) == 1
 
     def test_install_chains_existing_mark_hook(self):
         device = make_device()
-        tracer = trace_device(device)
+        earlier = ProfilerSession()
+        earlier.install(device)
         with profile_device(device) as session:
             device.emit_mark("fault:hang@r0")
-        assert tracer.marks == [("fault:hang@r0", 0.0)]
+        assert earlier.marks == [("fault:hang@r0", 0.0)]
         assert [label for label, _ in session.marks] == ["fault:hang@r0"]
 
-    def test_tracer_detach_leaves_the_session_attached(self):
-        """Regression: the only way to stop a tracer was to null the
+    def test_observer_detach_leaves_the_session_attached(self):
+        """Regression: the only way to stop an observer was to null the
         device's span slot, which blinded every observer chained
         beneath it (a session installed first stopped at one event)."""
         device = make_device()
         with profile_device(device) as session:
-            tracer = trace_device(device)
+            later = ProfilerSession()
+            later.install(device)
             device.default_stream.enqueue(1e-3, label="both")
-            tracer.detach()
-            tracer.detach()  # idempotent
+            later.uninstall(device)
+            later.uninstall(device)  # idempotent
             device.default_stream.enqueue(1e-3, label="session-only")
             device.emit_mark("after-detach")
-        assert [e.name for e in tracer.events] == ["both"]
-        assert tracer.marks == []
+        assert [e.label for e in later.kernel_events] == ["both"]
+        assert later.marks == []
         assert [e.label for e in session.kernel_events] == ["both", "session-only"]
         assert [label for label, _ in session.marks] == ["after-detach"]
 
     @staticmethod
     def _observed_iteration(session_first: bool):
-        """A short FSDP run watched by a session and a tracer, attached
-        in the given order; returns what each saw, and whether the tracer
-        still sees events once the session is gone."""
+        """A short FSDP run watched by a session and a memory timeline,
+        attached in the given order; returns what each saw, and whether
+        the timeline still sees allocations once the session is gone."""
         from repro import distributed as dist
         from tests.test_timeline import run_iteration
 
@@ -388,11 +387,12 @@ class TestProfilerSession:
         device = dist.init_single_process(8, materialize=False).device
         try:
             session = ProfilerSession()
+            timeline = MemoryTimeline()
             if session_first:
                 session.install(device)
-                tracer = trace_device(device)
+                device.observe(timeline)
             else:
-                tracer = trace_device(device)
+                device.observe(timeline)
                 session.install(device)
             run_iteration(device)
             device.emit_mark("iteration-done")
@@ -401,31 +401,31 @@ class TestProfilerSession:
                 session.totals(),
                 len(session.kernel_events),
                 len(session.marks),
-                len(tracer.events),
-                len(tracer.marks),
+                len(session.memory.samples),
+                len(timeline.samples),
             )
             session.uninstall(device)
-            before = len(tracer.events)
-            device.default_stream.enqueue(1e-3, label="after-uninstall")
-            return seen, len(tracer.events) - before, len(session.kernel_events) - seen[1]
+            before = len(timeline.samples)
+            device.allocator.allocate(MiB, device.default_stream)
+            return seen, len(timeline.samples) - before, len(session.memory.samples) - seen[3]
         finally:
             dist.shutdown()
 
-    def test_tracer_and_session_attach_in_either_order(self):
-        """Regression: ``trace_device`` used to assign the device hooks
-        outright, so a tracer attached after a session blinded it (zero
+    def test_two_observers_attach_in_either_order(self):
+        """Regression: attaching an observer used to assign the device
+        hooks outright, so one attached after a session blinded it (zero
         kernel events, all communication reported exposed) and the
-        session's uninstall then detached the tracer."""
-        tracer_first, traced_after_a, session_after_a = self._observed_iteration(False)
-        session_first, traced_after_b, session_after_b = self._observed_iteration(True)
-        assert tracer_first == session_first
-        totals, kernel_events, marks, tracer_events, tracer_marks = session_first
-        assert kernel_events == tracer_events > 0
-        assert marks == tracer_marks > 0
+        session's uninstall then detached the other observer."""
+        timeline_first, seen_after_a, session_after_a = self._observed_iteration(False)
+        session_first, seen_after_b, session_after_b = self._observed_iteration(True)
+        assert timeline_first == session_first
+        totals, kernel_events, marks, session_samples, timeline_samples = session_first
+        assert kernel_events > 0 and marks > 0
+        assert session_samples == timeline_samples > 0
         assert totals["overlapped_comm_s"] > 0
-        # Uninstalling the session leaves the tracer attached, and the
+        # Uninstalling the session leaves the timeline attached, and the
         # session itself stops recording.
-        assert traced_after_a == traced_after_b == 1
+        assert seen_after_a == seen_after_b == 1
         assert session_after_a == session_after_b == 0
 
     def test_uninstall_unknown_device_is_noop(self):
@@ -467,8 +467,8 @@ class TestProfilerSession:
             device.emit_mark("watchdog:all_gather_base")
             device.default_stream.enqueue(0.0, label="noop")
             device.default_stream.enqueue(1e-3, label="work")
-        assert [label for label, _ in session.marks] == ["watchdog:all_gather_base"]
-        # Zero-duration spans carry no time and are dropped.
+        # Zero-duration spans carry no time: they are recorded as marks.
+        assert [label for label, _ in session.marks] == ["watchdog:all_gather_base", "noop"]
         assert [e.label for e in session.kernel_events] == ["work"]
         assert device.observers == ()  # context manager uninstalled
 

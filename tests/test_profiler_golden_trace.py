@@ -99,7 +99,7 @@ def unshard_intervals(session, label: str, reasons: tuple):
     return [
         (c.start, c.end)
         for c in unit.comm_intervals
-        if c.kind.startswith("all_gather") and scope_leaf(c.scope) in wanted
+        if c.label.startswith("all_gather") and scope_leaf(c.scope) in wanted
     ]
 
 
@@ -207,7 +207,7 @@ class TestReduceScatterOverlap:
             scatters = [
                 (c.start, c.end)
                 for c in session.units[current].comm_intervals
-                if c.kind == "reduce_scatter"
+                if c.label == "reduce_scatter"
             ]
             gradients = compute_kernels(session, "backward", successor)
             assert scatters and gradients, (current, successor)

@@ -23,7 +23,7 @@ from repro.errors import DistributedError, StreamOrderViolation
 from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
 from repro.fsdp.runtime import FsdpUnit
 from repro.hw.kernel_model import KernelCost
-from repro.perf.timeline import trace_device
+from repro.profiler import ProfilerSession
 
 # Long enough on the GPU that the host clock stays well behind the
 # kernel's completion, keeping cross-stream hazards open.
@@ -228,16 +228,17 @@ class TestReporting:
         assert len(kinds) >= 2
 
     def test_violations_export_as_trace_marks(self, gpu, tmp_path):
-        tracer = trace_device(gpu)
+        session = ProfilerSession()
+        session.install(gpu)
         t = repro.empty(1024, device=gpu)
         side = gpu.new_stream("side")
         with sanitizer.enabled(raise_on_violation=False):
             launch(gpu, gpu.default_stream, writes=(t,))
             launch(gpu, side, reads=(t,))
-        marks = tracer.sanitizer_marks()
-        assert marks and marks[0][0] == "sanitizer:read-after-write"
+        marks = [label for label, _ in session.marks if label.startswith("sanitizer:")]
+        assert marks and marks[0] == "sanitizer:read-after-write"
         path = tmp_path / "trace.json"
-        tracer.to_chrome_trace(str(path))
+        session.to_chrome_trace(str(path))
         events = json.loads(path.read_text())["traceEvents"]
         instants = [e for e in events if e["ph"] == "i"]
         assert any(e["name"].startswith("sanitizer:") for e in instants)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed.fault import FaultEvent, FaultKind, FaultSchedule
-from repro.perf.timeline import Tracer
+from repro.perf.timeline import ascii_gantt
+from repro.profiler import ProfilerSession
 from repro.serve import (
     AutoscaleConfig,
     Autoscaler,
@@ -354,7 +355,7 @@ def test_tight_deadline_times_requests_out():
     assert result.timed_out > 0
 
 
-def _crash_config(service, *, tracer=None, seed=37):
+def _crash_config(service, *, profiler=None, seed=37):
     capacity = _capacity(service)
     return FleetConfig(
         service=service,
@@ -369,7 +370,7 @@ def _crash_config(service, *, tracer=None, seed=37):
         schedule=FaultSchedule(
             [FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=300)]
         ),
-        tracer=tracer,
+        profiler=profiler,
     )
 
 
@@ -413,15 +414,15 @@ def test_hang_triggers_watchdog_and_repair():
 
 
 def test_tracer_records_serve_spans_and_marks():
-    tracer = Tracer()
+    session = ProfilerSession()
     service = stub_service()
-    simulate_serving(_crash_config(service, tracer=tracer))
-    span_names = {event.name for event in tracer.events}
+    simulate_serving(_crash_config(service, profiler=session))
+    span_names = {span.label for span in session.kernel_events}
     assert any(name.startswith("serve:batch@") for name in span_names)
-    mark_names = {name for name, _ in tracer.marks}
+    mark_names = {name for name, _ in session.marks}
     assert any(name.startswith("serve:crash@") for name in mark_names)
     assert any(name.startswith("serve:provision@") for name in mark_names)
-    gantt = tracer.ascii_gantt()
+    gantt = ascii_gantt(session.kernel_events)
     assert "S" in gantt.splitlines()[1]  # serve spans render as 'S'
     assert "S=serve" in gantt
 

@@ -14,8 +14,8 @@ from repro.hw.specs import DEFAULT_HOST, cluster_of
 from repro.models.mingpt import GptConfig, MinGPT
 from repro.models.transformer import TransformerBlock
 from repro.optim import Adam
-from repro.perf.timeline import trace_device
 from repro.perf.workloads import gpt_loss_fn
+from repro.profiler import ProfilerSession
 
 
 @pytest.fixture()
@@ -300,12 +300,13 @@ class TestThreadedRankVsSymmetric:
 
         def program(rank):
             dev = dist.get_device()
-            tracer = trace_device(dev)
+            session = ProfilerSession()
+            session.install(dev)
             g = dist.default_group()
             full, shard = repro.empty(4000, device=dev), repro.empty(1000, device=dev)
             for _ in range(3):
                 g.all_gather_into_tensor(full, shard).wait()
-            return [label for label, _ in tracer.marks]
+            return [label for label, _ in session.marks]
 
         threaded, symmetric = self._on_both(program, fault_schedule=schedule)
         assert symmetric == ["fault:delay@r0", "fault:transient@r0", "retry:all_gather_base#1"]

@@ -1,4 +1,9 @@
-"""Timeline tracing and overlap measurement (Figure 5)."""
+"""Span recording and overlap measurement (Figure 5).
+
+:class:`repro.profiler.ProfilerSession` is the device's one span and
+mark recorder; :func:`repro.perf.timeline.exposed_overlapped` is the
+overlap arithmetic its ``totals()`` reports.
+"""
 
 import json
 
@@ -11,20 +16,21 @@ from repro.fsdp import (
     FullyShardedDataParallel as FSDP,
     ModuleWrapPolicy,
 )
-from repro.perf.timeline import (
-    Tracer,
-    merge_intervals,
-    overlap_fraction,
-    trace_device,
-)
+from repro.perf.timeline import ascii_gantt, merge_intervals
+from repro.profiler import CollectiveRecord, ProfilerSession, Span
+
+
+def profiled(device) -> ProfilerSession:
+    session = ProfilerSession()
+    session.install(device)
+    return session
 
 
 @pytest.fixture()
 def traced_world():
     dist.shutdown()
     ctx = dist.init_single_process(8, materialize=False)
-    tracer = trace_device(ctx.device)
-    yield ctx, tracer
+    yield ctx, profiled(ctx.device)
     dist.shutdown()
 
 
@@ -43,63 +49,81 @@ def run_iteration(device, **fsdp_kwargs):
     return wrapped
 
 
+def collective(session, start, end, *, kind="all_gather_base", stream="fsdp-unshard"):
+    """Feed ``session`` one launched collective's flight record."""
+    session.on_collective(
+        CollectiveRecord(
+            index=0, seq=0, rank=0, kind=kind, nbytes=0, group_ranks=(0,),
+            stream=stream, scope="", issue_time=start, start_time=start, end_time=end,
+        )
+    )
+
+
+def overlap(session) -> float:
+    return session.totals()["overlap_fraction"]
+
+
 class TestTracer:
+    """The session as the device's span and mark recorder."""
+
     def test_records_kernels_and_collectives(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        labels = {e.name for e in tracer.events}
+        labels = {e.label for e in session.kernel_events}
         assert "kernel" in labels
         assert "all_gather_base" in labels
         assert "reduce_scatter" in labels
 
     def test_streams_separated(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        streams = tracer.by_stream()
+        streams = {e.stream for e in session.kernel_events}
         assert any("default" in s for s in streams)
         assert any("unshard" in s for s in streams)
 
     def test_events_well_formed(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        for event in tracer.events:
-            assert event.end > event.start >= 0.0
+        for span in session.kernel_events:
+            assert type(span) is Span
+            assert span.end > span.start >= 0.0
 
     def test_chrome_trace_export(self, traced_world, tmp_path):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
         path = tmp_path / "trace.json"
-        tracer.to_chrome_trace(str(path))
-        data = json.loads(path.read_text())
-        assert len(data["traceEvents"]) == len(tracer.events)
-        assert all("ts" in e and "dur" in e for e in data["traceEvents"])
+        session.to_chrome_trace(str(path))
+        records = json.loads(path.read_text())["traceEvents"]
+        spans = [e for e in records if e["ph"] == "X"]
+        assert len(spans) == len(session.kernel_events)
+        assert all("ts" in e and "dur" in e for e in spans)
 
     def test_ascii_gantt(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        chart = tracer.ascii_gantt(width=60)
+        chart = ascii_gantt(session.kernel_events, width=60)
         assert "default" in chart
         assert "A" in chart  # all-gathers visible
 
     def test_empty_tracer(self):
-        tracer = Tracer()
-        assert tracer.ascii_gantt() == "(no events)"
-        assert overlap_fraction(tracer) == 1.0
+        session = ProfilerSession()
+        assert ascii_gantt(session.kernel_events) == "(no events)"
+        assert overlap(session) == 1.0
 
     def test_clear(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        tracer.on_mark("fault:delay@r0", 1.0)
-        tracer.clear()
-        assert not tracer.events
-        assert not tracer.marks
+        session.on_mark("fault:delay@r0", 1.0)
+        session.begin_measurement()
+        assert not session.kernel_events
+        assert not session.marks
 
     def test_marks_exported_as_instant_events(self, tmp_path):
-        tracer = Tracer()
-        tracer.on_span("kernel", "default", 0.0, 1.0)
-        tracer.on_mark("fault:straggler@r0", 0.5)
+        session = ProfilerSession()
+        session.on_span("kernel", "default", 0.0, 1.0)
+        session.on_mark("fault:straggler@r0", 0.5)
         path = tmp_path / "trace.json"
-        tracer.to_chrome_trace(str(path))
+        session.to_chrome_trace(str(path))
         data = json.loads(path.read_text())
         instants = [e for e in data["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 1
@@ -115,27 +139,28 @@ class TestTracer:
         )
         ctx = dist.init_single_process(8, materialize=False, fault_schedule=schedule)
         try:
-            tracer = trace_device(ctx.device)
+            session = profiled(ctx.device)
             run_iteration(ctx.device)
-            assert any(name.startswith("fault:delay") for name, _ in tracer.marks)
+            assert any(name.startswith("fault:delay") for name, _ in session.marks)
         finally:
             dist.shutdown()
 
 
 class TestOverlap:
+    """``overlap_fraction`` is flight-recorded collective time hidden
+    under the compute (default) streams' merged busy intervals."""
+
     def test_busy_interval_merging(self):
-        tracer = Tracer()
-        tracer.on_span("kernel", "default", 0.0, 1.0)
-        tracer.on_span("kernel", "default", 0.5, 2.0)
-        tracer.on_span("kernel", "default", 3.0, 4.0)
-        merged = tracer.busy_intervals(lambda s: True)
-        assert merged == [(0.0, 2.0), (3.0, 4.0)]
+        session = ProfilerSession()
+        session.on_span("kernel", "default", 0.0, 1.0)
+        session.on_span("kernel", "default", 0.5, 2.0)
+        session.on_span("kernel", "default", 3.0, 4.0)
+        assert session.compute_intervals() == [(0.0, 2.0), (3.0, 4.0)]
 
     def test_overlap_fraction_bounds(self, traced_world):
-        ctx, tracer = traced_world
+        ctx, session = traced_world
         run_iteration(ctx.device)
-        fraction = overlap_fraction(tracer)
-        assert 0.0 <= fraction <= 1.0
+        assert 0.0 <= overlap(session) <= 1.0
 
     def test_merge_intervals(self):
         assert merge_intervals([]) == []
@@ -150,23 +175,23 @@ class TestOverlap:
         exactly 2s, so the fraction is pinned at 2/3 — a naive
         unmerged pairwise intersection would report 4.5/5 ≈ 0.9.
         """
-        tracer = Tracer()
-        tracer.on_span("all_gather", "fsdp-unshard", 0.0, 2.0)
-        tracer.on_span("all_gather", "fsdp-unshard", 1.0, 3.0)
-        tracer.on_span("kernel", "default", 0.5, 1.5)
-        tracer.on_span("kernel", "default", 1.0, 2.5)
-        tracer.on_span("kernel", "default", 4.0, 5.0)
-        assert overlap_fraction(tracer) == pytest.approx(2.0 / 3.0)
+        session = ProfilerSession()
+        collective(session, 0.0, 2.0)
+        collective(session, 1.0, 3.0)
+        session.on_span("kernel", "default", 0.5, 1.5)
+        session.on_span("kernel", "default", 1.0, 2.5)
+        session.on_span("kernel", "default", 4.0, 5.0)
+        assert overlap(session) == pytest.approx(2.0 / 3.0)
 
     def test_overlap_fraction_disjoint_and_full(self):
-        tracer = Tracer()
-        tracer.on_span("all_gather", "comm", 0.0, 1.0)
-        tracer.on_span("kernel", "default", 2.0, 3.0)
-        assert overlap_fraction(tracer) == 0.0
-        tracer.clear()
-        tracer.on_span("all_gather", "comm", 1.0, 2.0)
-        tracer.on_span("kernel", "default", 0.0, 3.0)
-        assert overlap_fraction(tracer) == 1.0
+        session = ProfilerSession()
+        collective(session, 0.0, 1.0)
+        session.on_span("kernel", "default", 2.0, 3.0)
+        assert overlap(session) == 0.0
+        session.begin_measurement()
+        collective(session, 1.0, 2.0)
+        session.on_span("kernel", "default", 0.0, 3.0)
+        assert overlap(session) == 1.0
 
     def test_prefetch_does_not_reduce_overlap(self):
         """Figure 5's claim: the machinery overlaps comm with compute."""
@@ -174,9 +199,9 @@ class TestOverlap:
         for prefetch in (BackwardPrefetch.NONE, BackwardPrefetch.BACKWARD_PRE):
             dist.shutdown()
             ctx = dist.init_single_process(8, materialize=False)
-            tracer = trace_device(ctx.device)
+            session = profiled(ctx.device)
             run_iteration(ctx.device, backward_prefetch=prefetch)
-            results[prefetch] = overlap_fraction(tracer)
+            results[prefetch] = overlap(session)
             dist.shutdown()
         assert results[BackwardPrefetch.BACKWARD_PRE] >= results[BackwardPrefetch.NONE] - 0.05
 
@@ -192,8 +217,8 @@ from repro.profiler import FlightRecorder  # noqa: E402
 
 
 @st.composite
-def _intervals(draw, stream: str):
-    """Adversarial (name, stream, start, end) tuples.
+def _intervals(draw):
+    """Adversarial ``(start, end)`` pairs.
 
     Drawn starts cluster in a narrow range so overlapping, nested,
     duplicated and zero-length intervals are all common.
@@ -203,18 +228,19 @@ def _intervals(draw, stream: str):
     for _ in range(count):
         start = draw(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
         dur = draw(st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False))
-        out.append(("op", stream, start, start + dur))
+        out.append((start, start + dur))
     return out
 
 
 class TestOverlapFractionProperty:
-    @given(comm=_intervals("pg-comm"), compute=_intervals("default"))
+    @given(comm=_intervals(), compute=_intervals())
     def test_fraction_bounded(self, comm, compute):
-        tracer = Tracer()
-        for name, stream, start, end in comm + compute:
-            tracer.on_span(name, stream, start, end)
-        fraction = overlap_fraction(tracer)
-        assert 0.0 <= fraction <= 1.0
+        session = ProfilerSession()
+        for start, end in comm:
+            collective(session, start, end, stream="pg-comm")
+        for start, end in compute:
+            session.on_span("op", "default", start, end)
+        assert 0.0 <= overlap(session) <= 1.0
 
     def test_internally_overlapping_comm_not_double_counted(self):
         """Regression: re-merging each side must precede intersection.
@@ -224,36 +250,36 @@ class TestOverlapFractionProperty:
         (unmerged) comm list against compute counts the doubly-covered
         span twice and reports > 1.
         """
-        tracer = Tracer()
+        session = ProfilerSession()
         for start, end in [(0.0, 10.0), (2.0, 4.0), (3.0, 8.0)]:
-            tracer.on_span("all_gather_base", "unshard", start, end)
-        tracer.on_span("kernel", "default", 0.0, 10.0)
-        assert overlap_fraction(tracer) == 1.0
+            collective(session, start, end, stream="unshard")
+        session.on_span("kernel", "default", 0.0, 10.0)
+        assert overlap(session) == 1.0
 
     def test_concurrent_compute_streams_count_once(self):
-        tracer = Tracer()
-        tracer.on_span("comm", "pg-comm", 0.0, 4.0)
+        session = ProfilerSession()
+        collective(session, 0.0, 4.0, stream="pg-comm")
         # Two default-stream contexts busy over the same span.
-        tracer.on_span("kernel", "default", 0.0, 2.0)
-        tracer.on_span("kernel", "default-2", 1.0, 2.0)
-        assert overlap_fraction(tracer) == pytest.approx(0.5)
+        session.on_span("kernel", "default", 0.0, 2.0)
+        session.on_span("kernel", "default-2", 1.0, 2.0)
+        assert overlap(session) == pytest.approx(0.5)
 
     def test_no_comm_is_fully_overlapped(self):
-        tracer = Tracer()
-        tracer.on_span("kernel", "default", 0.0, 1.0)
-        assert overlap_fraction(tracer) == 1.0
+        session = ProfilerSession()
+        session.on_span("kernel", "default", 0.0, 1.0)
+        assert overlap(session) == 1.0
 
 
 class TestZeroDurationEvents:
     def test_zero_duration_recorded_as_mark(self):
-        tracer = Tracer()
-        tracer.on_span("kernel", "default", 1.0, 2.0)
-        tracer.on_span("broadcast", "pg-comm", 3.0, 3.0)
-        assert len(tracer.events) == 1
-        assert tracer.marks == [("broadcast", 3.0)]
+        session = ProfilerSession()
+        session.on_span("kernel", "default", 1.0, 2.0)
+        session.on_span("broadcast", "pg-comm", 3.0, 3.0)
+        assert [span.label for span in session.kernel_events] == ["kernel"]
+        assert session.marks == [("broadcast", 3.0)]
 
     def test_counts_reconcile_with_flight_recorder(self):
-        """Every issued collective appears in the trace — as an event
+        """Every issued collective appears in the trace — as a span
         when it has duration, as an instant mark when its simulated
         cost rounds to zero — so trace counts always reconcile with
         the flight recorder's issue count.
@@ -266,7 +292,7 @@ class TestZeroDurationEvents:
         ctx = dist.init_single_process(
             8, materialize=False, comm_model=free, flight_recorder=recorder
         )
-        tracer = trace_device(ctx.device)
+        session = profiled(ctx.device)
         try:
             group = dist.default_group()
             payload = repro.empty(64, device=ctx.device)
@@ -282,10 +308,10 @@ class TestZeroDurationEvents:
             dist.shutdown()
 
         kinds = {kind.value for kind in CollectiveKind}
-        events = sum(1 for e in tracer.events if e.name in kinds)
-        marks = sum(1 for name, _ in tracer.marks if name in kinds)
+        spans = sum(1 for e in session.kernel_events if e.label in kinds)
+        marks = sum(1 for name, _ in session.marks if name in kinds)
         assert marks >= 2  # the zero-byte broadcasts landed as marks
-        assert events + marks == len(recorder)
+        assert spans + marks == len(recorder)
 
 
 # ----------------------------------------------------------------------

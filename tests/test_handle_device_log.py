@@ -11,7 +11,12 @@ recorded before the two handle classes shared one lifecycle.
 
 Cases: a flat unit, a multi-parameter per_param unit and a
 single-parameter per_param unit; eager and compiled; accumulation with
-and without ``no_sync``.
+and without ``no_sync``.  A second table pins the shapes where a unit's
+collective is not one plain AllGather / ReduceScatter pair, each eager
+and compiled: NO_SHARD (``F == 1``: a cast copy and a replicate-group
+AllReduce), HYBRID_SHARD with a sharding factor of 2 (the AllReduce
+tail), flat CPU offload (the H2D staging) and a bfloat16 reduce dtype
+(the reduced shard is cast back after the collective).
 """
 
 import hashlib
@@ -21,7 +26,14 @@ import pytest
 
 import repro
 from repro import distributed as dist, dtypes, nn
-from repro.fsdp import FullyShardedDataParallel as FSDP, MixedPrecision, fully_shard, no_sync
+from repro.fsdp import (
+    CPUOffload,
+    FullyShardedDataParallel as FSDP,
+    MixedPrecision,
+    ShardingStrategy,
+    fully_shard,
+    no_sync,
+)
 from repro.optim import SGD
 
 WORLD = 4
@@ -90,7 +102,22 @@ def meta_world():
     dist.shutdown()
 
 
+#: The fallback shapes: FSDP keyword arguments of a flat Linear(16, 16) unit.
+SHAPES = {
+    "no_shard": dict(sharding_strategy=ShardingStrategy.NO_SHARD, mixed_precision=MIXED),
+    "hybrid": dict(
+        sharding_strategy=ShardingStrategy.HYBRID_SHARD, sharding_factor=2, mixed_precision=MIXED
+    ),
+    "cpu_offload": dict(cpu_offload=CPUOffload(offload_params=True), mixed_precision=MIXED),
+    "bf16_reduce": dict(
+        mixed_precision=MixedPrecision(param_dtype=dtypes.bfloat16, reduce_dtype=dtypes.bfloat16)
+    ),
+}
+
+
 def _wrap(layout, device, compile):
+    if layout in SHAPES:
+        return FSDP(nn.Linear(16, 16), compile=compile, device=device, **SHAPES[layout])
     if layout == "flat":
         return FSDP(nn.Linear(16, 16), mixed_precision=MIXED, compile=compile, device=device)
     # One record per distinct parameter: weight and bias, or a lone
@@ -120,6 +147,7 @@ def _device_log(layout, compile, no_sync_first):
     opt = SGD(list(model.parameters()), lr=0.1)
     for _ in range(2):  # a compiled unit records, then compiles
         _iteration(model, opt, device, no_sync_first)
+    assert (model._fsdp_unit.runtime.compiled is not None) == compile
     log = DeviceLog(device)
     with log:
         _iteration(model, opt, device, no_sync_first)
@@ -161,6 +189,31 @@ CASES = [
 )
 def test_unit_iteration_device_log_is_unchanged(meta_world, layout, compile, no_sync_first):
     assert _device_log(layout, compile, no_sync_first) == DIGESTS[layout, compile, no_sync_first]
+
+
+#: Recorded before eager units issued their collectives through the
+#: compiled executor's bucket routines.
+SHAPE_DIGESTS = {
+    ("no_shard", False): "ee452dcb248dd4a39a42d8f510b0e6b16e4a54380b9e6ed5f402d00b74846557",
+    ("no_shard", True): "ee452dcb248dd4a39a42d8f510b0e6b16e4a54380b9e6ed5f402d00b74846557",
+    ("hybrid", False): "dbfc97e03d018b49686c557e357edecaf5600f02f8da2884f2a898ea6289749e",
+    ("hybrid", True): "dbfc97e03d018b49686c557e357edecaf5600f02f8da2884f2a898ea6289749e",
+    ("cpu_offload", False): "ba9b0346c05fe5c05014d6363fb94ff1ea5dec71564e27daf414e285e8db3490",
+    ("cpu_offload", True): "ba9b0346c05fe5c05014d6363fb94ff1ea5dec71564e27daf414e285e8db3490",
+    ("bf16_reduce", False): "59e535942926c18569b89252e73190d246b285e3d273a57f950ac804da199412",
+    ("bf16_reduce", True): "55c71c7348c5396e37604ad3a51d7a11b4867e705fb231e414af53f839296cbe",
+}
+
+SHAPE_CASES = [(shape, compile) for shape in SHAPES for compile in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "shape, compile",
+    SHAPE_CASES,
+    ids=[f"{shape}-{'compiled' if compile else 'eager'}" for shape, compile in SHAPE_CASES],
+)
+def test_fallback_shape_device_log_is_unchanged(meta_world, shape, compile):
+    assert _device_log(shape, compile, False) == SHAPE_DIGESTS[shape, compile]
 
 
 def _reduction_log(handle, device):

@@ -6,10 +6,11 @@ runtime already has) to actions.  :class:`CompiledExecutor` replays it
 inside the unmodified eager hook skeleton — ``FsdpUnit.pre_forward``
 still records execution order, announces its lifecycle points and
 installs views; only the *communication* decisions (what to issue,
-what to wait on, when to reduce) are delegated here.  Everything lowers
-to the same ``Stream.enqueue`` / ``Device.launch`` sequence the eager
-path uses, so ``SimConfig.compile=True`` runs through the unchanged
-simulator, allocator and sanitizer, under the same observers.
+what to wait on, when to reduce) are delegated here.  A bucket is issued
+and reduced by the same two routines the eager hooks call with one unit
+(``FsdpRuntime.unshard_units`` / ``reduce_units``), so
+``SimConfig.compile=True`` runs through the unchanged simulator,
+allocator and sanitizer, under the same observers.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import weakref
 from typing import Optional
 
-from repro.autograd.grad_mode import no_grad
 from repro.compile.ir import Graph, NodeKind
-from repro.distributed.process_group import ReduceOp
 
 __all__ = ["CompiledExecutor", "CompiledSchedule", "ScheduledBucket"]
 
@@ -155,25 +154,24 @@ class CompiledExecutor:
         self._fire(("iter_begin", ""))
 
     def on_pre_forward(self, unit) -> None:
-        label = unit.label
-        self._fire(("pre_forward", label))
-        self._ensure_issued("forward", unit)
-        self._wait(("pre_forward", label))
+        self._consume("forward", ("pre_forward", unit.label), unit)
 
     def on_pre_backward(self, unit) -> None:
-        label = unit.label
-        self._fire(("pre_backward", label))
-        self._ensure_issued("backward", unit)
-        self._wait(("pre_backward", label))
+        self._consume("backward", ("pre_backward", unit.label), unit)
 
     def on_post_backward(self, unit) -> None:
-        self._fire(("post_backward", unit.label))
+        label = unit.label
+        self._fire(("post_backward", label))
+        if label not in self.schedule.rs_bucket_of:
+            # Safety net, reduce half: a unit the schedule does not know
+            # reduces as a bucket of one at its own post-backward.
+            self.runtime.reduce_units((unit,))
 
     def on_finalize(self) -> None:
         # Sweep: any reduce bucket whose trigger never fired (a unit's
         # backward was skipped) still flushes whatever gradients exist.
         for bucket in self.schedule.rs_buckets:
-            self._flush_bucket(bucket.id)
+            self._reduce(bucket)
 
     # ------------------------------------------------------------------
     def _fire(self, trigger) -> None:
@@ -181,123 +179,40 @@ class CompiledExecutor:
             return
         self._fired.add(trigger)
         for action, bucket_id in self.schedule.actions.get(trigger, ()):
+            bucket = self.schedule.buckets[bucket_id]
             if action == "issue":
-                self._issue_bucket(bucket_id)
+                self._issue(bucket)
             else:
-                self._flush_bucket(bucket_id)
+                self._reduce(bucket)
 
-    def _ensure_issued(self, phase: str, unit) -> None:
-        """Safety net for capture/execution divergence: if this unit's
-        bucket has not issued by its own consume point, issue it now
-        (the verifier proves this never happens for a faithful replay)."""
+    def _consume(self, phase: str, point, unit) -> None:
+        """Fire ``point``'s actions, make sure ``unit`` is gathered and
+        keep the point's surviving wait.
+
+        Safety net for capture/execution divergence: a bucket that has
+        not issued by its member's consume point issues now (the
+        verifier proves this never happens for a faithful replay), and
+        a unit unknown to the schedule unshards as a bucket of one, so
+        correctness never depends on the schedule being exhaustive.
+        """
+        self._fire(point)
+        default_stream = self.runtime.device.default_stream
         bucket_id = self.schedule.ag_bucket_of.get((phase, unit.label))
-        if bucket_id is not None:
-            if bucket_id not in self._issued:
-                self._issue_bucket(bucket_id)
-            return
-        handle = unit.handle
-        if handle is not None and not handle.is_unsharded:
-            # Unit unknown to the schedule (divergence): fall back to a
-            # plain eager unshard so correctness never depends on the
-            # schedule being exhaustive.
-            runtime = self.runtime
-            runtime.admit_allgather()
-            event = handle.unshard(runtime.unshard_stream)
-            unit._last_unshard_event = event
-            runtime.device.default_stream.wait_event(event)
-
-    def _wait(self, point) -> None:
-        bucket_id = self.schedule.waits.get(point)
         if bucket_id is None:
-            return
-        event = self._issued.get(bucket_id)
+            event = self.runtime.unshard_units((unit,), f"compiled_{phase}")
+            if event is not None:
+                default_stream.wait_event(event)
+        elif bucket_id not in self._issued:
+            self._issue(self.schedule.buckets[bucket_id])
+        bucket_id = self.schedule.waits.get(point)
+        event = None if bucket_id is None else self._issued.get(bucket_id)
         if event is not None:
-            self.runtime.device.default_stream.wait_event(event)
+            default_stream.wait_event(event)
 
-    # ------------------------------------------------------------------
-    def _issue_bucket(self, bucket_id: int) -> None:
-        bucket = self.schedule.buckets[bucket_id]
-        runtime = self.runtime
-        device = runtime.device
-        self._issued[bucket_id] = None
-        members = [unit for unit in self._members(bucket) if not unit.handle.is_unsharded]
-        if not members:
-            return
-        for unit in members:
-            runtime.emit("unshard_issue", unit, reason=bucket.reason)
-        with device.scope(f"unshard:{members[0].label}@{bucket.reason}"):
-            runtime.admit_allgather()
-            stream = runtime.unshard_stream
-            pairs = []
-            committing = []
-            fallback = []
-            with device.stream(stream), no_grad():
-                for unit in members:
-                    pair = unit.handle.unshard_pair(stream)
-                    if pair is None:
-                        fallback.append(unit)
-                    else:
-                        pairs.append(pair)
-                        committing.append(unit.handle)
-                if pairs:
-                    committing[0].shard_group.all_gather_into_tensor_coalesced(
-                        pairs, stream=stream
-                    )
-                    for handle in committing:
-                        handle.unshard_commit()
-            for unit in fallback:
-                # Handles the coalesced path cannot batch (CPU offload,
-                # world size 1, uneven per-parameter layouts) unshard
-                # individually on the same stream — still covered by
-                # the bucket's single completion event below.
-                unit.handle.unshard(stream)
-            event = stream.record_event()
-        for unit in members:
-            unit._last_unshard_event = event
-        self._issued[bucket_id] = event
+    def _issue(self, bucket) -> None:
+        self._issued[bucket.id] = self.runtime.unshard_units(self._members(bucket), bucket.reason)
 
-    def _flush_bucket(self, bucket_id: int) -> None:
-        bucket = self.schedule.buckets[bucket_id]
-        runtime = self.runtime
-        device = runtime.device
+    def _reduce(self, bucket) -> None:
         members = self._members(bucket)
-        if not members:
-            return
-        with device.scope(f"reduce:{members[0].label}"):
-            stream = runtime.unshard_stream
-            jobs = []
-            fallback = []
-            with device.stream(stream), no_grad():
-                stream.wait_stream(device.default_stream)
-                for unit in members:
-                    if unit.no_sync:
-                        fallback.append(unit)
-                        continue
-                    job = unit.handle.reduce_grad_pair(
-                        replicate_group=unit.plan.replicate_group
-                    )
-                    if job is None:
-                        fallback.append(unit)
-                    else:
-                        jobs.append((unit, job))
-                if jobs:
-                    group = jobs[0][0].handle.shard_group
-                    work = group.reduce_scatter_tensor_coalesced(
-                        [(job.output, job.input) for _, job in jobs],
-                        op=ReduceOp.AVG,
-                        stream=stream,
-                    )
-                    for unit, job in jobs:
-                        finished = job.finish(work, stream)
-                        unit.pending_reduce_work = finished or work
-            for unit in fallback:
-                # no_sync accumulation, world size 1 and no-gradient
-                # units keep the eager reduction (which no-ops or
-                # all-reduces as appropriate).
-                work = unit.handle.reduce_grad(
-                    stream,
-                    replicate_group=unit.plan.replicate_group,
-                    no_sync=unit.no_sync,
-                )
-                if work is not None:
-                    unit.pending_reduce_work = work
+        if members:
+            self.runtime.reduce_units(members)

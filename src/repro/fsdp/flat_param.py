@@ -241,9 +241,10 @@ class FlatParamHandle(ShardHandle, ShardRecord):
     # Record-level lifecycle steps (driven by ShardHandle)
     # ------------------------------------------------------------------
     def _gather_into(self, stream: Stream) -> None:
-        """AllGather (or, with ``F == 1``, copy) the shard straight into
-        the unsharded storage: H2D-stage an offloaded shard, cast it to
-        the compute dtype, then gather (caller holds stream/no_grad)."""
+        """Unshard where no pair is gathered — CPU offload or ``F == 1``
+        (caller holds stream/no_grad): H2D-stage an offloaded shard,
+        cast it to the compute dtype, then gather (with ``F == 1``,
+        copy) straight into the unsharded storage."""
         source = self._local_shard
         if self.offload_params:
             self._staged_shard_storage.reallocate()
@@ -262,8 +263,8 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             self._staged_shard_storage.release()
 
     def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
-        """:meth:`_gather_into` up to the collective, as a bucket's
-        ``(output, input)`` pair (None under CPU offload)."""
+        """The ``(output, input)`` AllGather pair (None under CPU
+        offload, whose H2D staging :meth:`_gather_into` does)."""
         if self.offload_params:
             return None
         gather_input = self._gather_input(self._local_shard)

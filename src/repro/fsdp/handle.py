@@ -21,7 +21,12 @@ flat unit, every single-parameter per-parameter unit) gathers straight
 into its storage, several stage through the rank-major
 ``chunk_cat`` / ``ChunkUncat`` pair; a gradient reduction goes straight
 from the gradient when the unit is one record with even chunks, and is
-packed otherwise.
+packed otherwise.  Each collective has one staged protocol —
+``unshard_pair`` / ``unshard_commit`` and ``reduce_grad_pair`` /
+:meth:`ReduceJob.finish` — that stages a unit's ``(output, input)`` pair
+for a (coalesced) collective, or does the whole step itself where no such
+collective runs; ``unshard`` and ``reduce_grad`` are that protocol plus
+one collective.
 """
 
 from __future__ import annotations
@@ -90,18 +95,21 @@ def weak_hook(method: Callable) -> Callable:
 
 @dataclass
 class ReduceJob:
-    """One unit's staged contribution to a coalesced ReduceScatter.
+    """One unit's staged contribution to a (coalesced) ReduceScatter.
 
-    ``output``/``input`` are the pair handed to
-    ``reduce_scatter_tensor_coalesced``; ``finish(work, stream)`` runs
-    after the collective is enqueued (same stream context) and performs
-    the per-unit tail: hybrid-shard AllReduce, precision cast back,
-    stash-accumulate.  It returns the Work the unit should track.
+    ``output``/``input`` are the collective's pair (both None where no
+    collective runs); ``finish(work, stream)`` runs after the collective
+    is enqueued (same stream context) and performs the per-unit tail:
+    hybrid-shard AllReduce, precision cast back, stash-accumulate.  It
+    returns the Work the unit should track.
     """
 
-    output: Tensor
-    input: Tensor
-    finish: "Callable[[Optional[Work], Stream], Optional[Work]]"
+    output: Optional[Tensor]
+    input: Optional[Tensor]
+    _finish: "Callable[[ReduceJob, Optional[Work], Stream], Optional[Work]]"
+
+    def finish(self, work: Optional[Work], stream: Stream) -> Optional[Work]:
+        return self._finish(self, work, stream)
 
 
 class ShardRecord:
@@ -282,7 +290,7 @@ class ShardHandle:
         self._post_backward_cb: Optional[Callable] = None
         self._expected_grads = 0
         self._grads_seen = 0
-        # Staging buffer of a bucketed unshard between pair and commit.
+        # Staging buffer of a batched unshard between pair and commit.
         self._staged_gather: Optional[Tensor] = None
         # Rank-major staging (see repro.ops.chunk): segments are as long
         # as rank 0's, and all equally long exactly when every record's
@@ -324,15 +332,12 @@ class ShardHandle:
     def unshard(self, stream: Optional[Stream] = None) -> Optional[Event]:
         """AllGather the shards into the persistent unsharded storage.
 
+        The staged protocol plus one collective: :meth:`unshard_pair`,
+        one ``all_gather_into_tensor`` over its pair, :meth:`unshard_commit`.
         Runs entirely on ``stream`` (the producer/communication
         stream): the destination is allocated there, which is the
         allocator behaviour Section 3.4's rate limiter exists to tame.
-        One record gathers straight into its storage (no staging copy;
-        with ``F == 1`` each record cast-copies); several are copied
-        into one rank-major buffer, gathered with ONE collective and
-        copied out — the FSDP2 batching that keeps the per-unit
-        collective count identical across layouts.  Returns the
-        completion event, or None if already unsharded.
+        Returns the completion event, or None if already unsharded.
         """
         if self.is_unsharded:
             return None
@@ -350,14 +355,13 @@ class ShardHandle:
             if current is not None and current is not stream:
                 stream.wait_stream(current)
         with device.stream(stream), no_grad():
-            records = self.records
-            if self.sharding_factor == 1 or len(records) == 1:
-                for record in records:
-                    record._gather_into(stream)
-            else:
-                gathered, local = self._batched_copy_in()
-                self.shard_group.all_gather_into_tensor(gathered, local, stream=stream)
-                self._batched_copy_out(gathered)
+            pair = self._unshard_pair(stream)
+            if pair is not None:
+                # Unpacked: at return the staging buffer dies before the
+                # cast shard, the order the device-log digests pin.
+                output, input = pair
+                self.shard_group.all_gather_into_tensor(output, input, stream=stream)
+                self._unshard_commit()
         event = stream.record_event()
         if ad_hoc:
             # The caller computes on its own (usually the default)
@@ -367,27 +371,48 @@ class ShardHandle:
             consumer = device.current_stream or device.default_stream
             if consumer is not stream:
                 consumer.wait_event(event)
-        self.is_unsharded = True
-        if self._views_follow_unshard:
-            self.use_unsharded_views()
         return event
 
-    def _batched_copy_in(self) -> tuple[Tensor, Tensor]:
-        """Stage the rank-major AllGather input (caller holds stream/no_grad).
+    def _unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
+        """Stage this (sharded) handle's AllGather.
 
-        Uneven per-rank segments (parameters whose dim 0 does not
-        divide the shard group) are padded to the largest segment *in
-        the transient staging buffers only*, so the collective is
-        always the fast even ``all_gather_into_tensor`` ring — never
-        the broadcast-per-rank uneven fallback the paper's Figure 2(b)
-        measures.  Persistent shards stay exact.
+        Performs everything the unshard does up to the collective and
+        returns its ``(output, input)`` pair.  The caller holds
+        ``device.stream(stream)`` / ``no_grad``, runs one AllGather over
+        the pair (alone or in a bucket's coalesced one) and then calls
+        ``unshard_commit``.  Where no pairable collective runs —
+        ``F == 1`` (a cast copy), CPU offload (the H2D staging) or one
+        record with uneven chunks (the list AllGather) — the handle
+        unshards itself here and returns None.
+
+        One record gathers straight into its storage.  Several are
+        copied into one rank-major buffer and copied out at commit (the
+        FSDP2 batching that keeps the per-unit collective count
+        identical across layouts); uneven per-rank segments (parameters
+        whose dim 0 does not divide the shard group) are padded to the
+        largest segment *in the transient staging buffers only*, so the
+        collective is always the fast even ``all_gather_into_tensor``
+        ring — never the broadcast-per-rank uneven fallback the paper's
+        Figure 2(b) measures.  Persistent shards stay exact.
         """
+        records = self.records
+        if self.sharding_factor > 1 and len(records) == 1:
+            pair = records[0]._gather_pair()
+            if pair is not None:
+                return pair
+        if self.sharding_factor == 1 or len(records) == 1:
+            for record in records:
+                record._gather_into(stream)
+            self.is_unsharded = True
+            if self._views_follow_unshard:
+                self.use_unsharded_views()
+            return None
         device = self.device
         seg_max = self._seg_max
         # Copy-in: this rank's chunks of every record, concatenated in
         # record order (the layout every rank assumes).
         if self.shard_numel:
-            shards = [record.shard for record in self.records]
+            shards = [record.shard for record in records]
             local = shards[0] if len(shards) == 1 else ops.cat(shards)
         else:
             local = empty(0, dtype=self.full_precision_dtype, device=device)
@@ -398,55 +423,33 @@ class ShardHandle:
             if local.numel:
                 ops.narrow(padded, 0, 0, local.numel).copy_(local)
             local = padded
-        gathered = empty(
-            self.sharding_factor * seg_max, dtype=self.compute_dtype, device=device
-        )
-        return gathered, local
+        gathered = empty(self.sharding_factor * seg_max, dtype=self.compute_dtype, device=device)
+        self._staged_gather = gathered
+        return (gathered, local)
 
-    def _batched_copy_out(self, gathered: Tensor) -> None:
-        """Reassemble each record from its per-rank chunks into its
-        persistent unsharded storage (saved activations alias it, so the
-        staging buffer cannot be the destination) with one fused kernel
-        for the whole unit — the ``torch._foreach_copy_`` idiom."""
-        for record in self.records:
-            record._unsharded_storage.reallocate()
-        self._copy_out(gathered)
+    def _unshard_commit(self) -> None:
+        """Finish a staged unshard once its collective is enqueued.
 
-    def unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
-        """Stage this handle for a *bucketed* AllGather.
-
-        The compiled executor merges several units' gathers into one
-        ``all_gather_into_tensor_coalesced``; this performs everything
-        :meth:`unshard` does up to the collective and returns the
-        ``(output, input)`` pair for the bucket.  The caller holds
-        ``device.stream(stream)`` / ``no_grad`` and must call
-        :meth:`unshard_commit` after enqueueing the collective.
-
-        Returns None when this handle cannot join a bucket (already
-        unsharded, ``F == 1``, CPU offload, or one record with uneven
-        chunks, which needs the list AllGather) — the caller falls back
-        to a plain :meth:`unshard`.
+        Several records are reassembled from their per-rank chunks into
+        their persistent unsharded storages (saved activations alias
+        them, so the staging buffer cannot be the destination) by one
+        fused kernel for the whole unit — the ``torch._foreach_copy_``
+        idiom.
         """
-        if self.is_unsharded or self.sharding_factor <= 1:
-            return None
-        records = self.records
-        if len(records) > 1:
-            gathered, local = self._batched_copy_in()
-            self._staged_gather = gathered
-            return (gathered, local)
-        self._staged_gather = None
-        return records[0]._gather_pair()
-
-    def unshard_commit(self) -> None:
-        """Finish a bucketed unshard once the collective is enqueued."""
         if self._staged_gather is not None:
-            self._batched_copy_out(self._staged_gather)
+            for record in self.records:
+                record._unsharded_storage.reallocate()
+            self._copy_out(self._staged_gather)
             self._staged_gather = None
         else:
             self.records[0]._commit_pair()
         self.is_unsharded = True
         if self._views_follow_unshard:
             self.use_unsharded_views()
+
+    # The staged protocol's public entry points, one traced span each.
+    unshard_pair = _unshard_pair
+    unshard_commit = _unshard_commit
 
     def reshard(self) -> bool:
         """Free the unsharded storage; point the parameters at their shards.
@@ -554,8 +557,11 @@ class ShardHandle:
     ) -> Optional[Work]:
         """Post-backward gradient path: one ReduceScatter (+AllReduce).
 
-        With ``no_sync`` the unsharded gradients are accumulated locally
-        and no communication happens (accumulate-without-communication,
+        The staged protocol plus one collective: drain the gradients,
+        order ``stream`` after the compute stream, stage the job, run
+        one ``reduce_scatter_tensor`` over its pair and finish it.  With
+        ``no_sync`` the unsharded gradients are accumulated locally and
+        no communication happens (accumulate-without-communication,
         Section 3.3.4).  Averaging happens over the shard group in
         float64 elementwise, so the sharded gradients are bitwise the
         same whichever layout reduced them.
@@ -565,41 +571,23 @@ class ShardHandle:
             pending = self._collect_pending(no_sync)
             if not pending:
                 return None
-            work: Optional[Work] = None
             with device.stream(stream):
                 # The gradients were produced on the compute stream; the
                 # reduction must not start before they are final.
                 stream.wait_stream(device.default_stream)
-                sharded = self.sharding_factor > 1
-                if sharded and not self._reduces_direct():
-                    job = self._pack_reduction(pending, replicate_group)
+                job = self._stage_reduction(pending, replicate_group)
+                work = None
+                if job.output is not None:
                     work = self.shard_group.reduce_scatter_tensor(
                         job.output, job.input, op=ReduceOp.AVG, stream=stream
                     )
-                    return job.finish(work, stream)
-                while pending:
-                    # Popped, so each gradient dies at its cast.
-                    record, grad = pending.pop(0)
-                    if grad.dtype is not self.reduce_dtype:
-                        grad = ops.cast(grad, self.reduce_dtype)
-                    if sharded:
-                        new_shard = empty(
-                            record.shard_numel, dtype=self.reduce_dtype, device=device
-                        )
-                        work = self.shard_group.reduce_scatter_tensor(
-                            new_shard, grad, op=ReduceOp.AVG, stream=stream
-                        )
-                    else:
-                        new_shard = grad
-                    # Rebound, so the low-precision shard dies before the stash.
-                    new_shard, work = self._reduce_tail(
-                        new_shard, work, stream, replicate_group
-                    )
-                    record.stash_grad(record._shaped(new_shard) if sharded else new_shard)
-        return work
+                return job.finish(work, stream)
 
     def reduce_grad_pair(
-        self, *, replicate_group: Optional[ProcessGroup] = None
+        self,
+        *,
+        replicate_group: Optional[ProcessGroup] = None,
+        no_sync: bool = False,
     ) -> Optional[ReduceJob]:
         """Stage this unit's gradient reduction for a coalesced bucket.
 
@@ -607,28 +595,13 @@ class ShardHandle:
         ReduceScatter and defers the rest into the returned job's
         ``finish``.  The caller holds ``device.stream(stream)`` /
         ``no_grad`` and has already ordered the stream after the compute
-        stream.  Returns None when no bucket collective is needed (no
-        gradient, ``F == 1``, or CPU offload); the caller falls back to
-        :meth:`reduce_grad`, which handles those cases eagerly.
+        stream.  Returns None when nothing is reduced (no gradient, or
+        ``no_sync`` accumulation); a job without a pair when no
+        collective runs (``F == 1``: its ``finish`` does the
+        replicate-group AllReduce).
         """
-        if self.sharding_factor <= 1 or self.offload_params:
-            return None
-        pending = self._collect_pending(False)
-        if not pending:
-            return None
-        if not self._reduces_direct():
-            return self._pack_reduction(pending, replicate_group)
-        record, grad = pending.pop()
-        if grad.dtype is not self.reduce_dtype:
-            grad = ops.cast(grad, self.reduce_dtype)
-        new_shard = empty(record.shard_numel, dtype=self.reduce_dtype, device=self.device)
-
-        def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
-            shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
-            record.stash_grad(record._shaped(shard))
-            return work
-
-        return ReduceJob(new_shard, grad, finish)
+        pending = self._collect_pending(no_sync)
+        return self._stage_reduction(pending, replicate_group) if pending else None
 
     def _collect_pending(self, no_sync: bool) -> list[tuple[ShardRecord, Tensor]]:
         """Drain ``.grad`` slots into (record, gradient) reduction pairs."""
@@ -643,12 +616,52 @@ class ShardHandle:
             pending.append((record, grad))
         return pending
 
-    def _reduces_direct(self) -> bool:
-        """A unit of one record with even chunks reduces straight from
-        its gradient; several records are packed, however many of them
-        have a gradient pending."""
+    def _stage_reduction(
+        self,
+        pending: list[tuple[ShardRecord, Tensor]],
+        replicate_group: Optional[ProcessGroup],
+    ) -> ReduceJob:
+        """The reduction of the drained ``pending`` gradients, up to the
+        collective (caller holds the reduction stream and no_grad).
+
+        With ``F == 1`` each gradient is its own reduced shard and the
+        job has no pair.  A unit of one record with even chunks reduces
+        straight from its gradient; several records are packed, however
+        many of them have a gradient pending.
+        """
+        if self.sharding_factor == 1:
+
+            def finish_unsharded(_job, work: Optional[Work], stream: Stream) -> Optional[Work]:
+                while pending:
+                    # Popped, so each gradient dies at its cast.
+                    record, grad = pending.pop(0)
+                    if grad.dtype is not self.reduce_dtype:
+                        grad = ops.cast(grad, self.reduce_dtype)
+                    new_shard = grad
+                    new_shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
+                    record.stash_grad(new_shard)
+                return work
+
+            return ReduceJob(None, None, finish_unsharded)
         records = self.records
-        return len(records) == 1 and records[0].even
+        if len(records) > 1 or not records[0].even:
+            return self._pack_reduction(pending, replicate_group)
+        record, grad = pending.pop()
+        if grad.dtype is not self.reduce_dtype:
+            grad = ops.cast(grad, self.reduce_dtype)
+        new_shard = empty(record.shard_numel, dtype=self.reduce_dtype, device=self.device)
+
+        def finish_direct(job: ReduceJob, work: Optional[Work], stream: Stream) -> Optional[Work]:
+            # The pair is taken out of the job: unless a bucket still
+            # holds it, the reduce-dtype shard dies at its cast back and
+            # the gradient before the reduced shard.
+            shard, job.output = job.output, None
+            shard, work = self._reduce_tail(shard, work, stream, replicate_group)
+            record.stash_grad(record._shaped(shard))
+            job.input = None
+            return work
+
+        return ReduceJob(new_shard, grad, finish_direct)
 
     def _pack_reduction(
         self,
@@ -682,7 +695,7 @@ class ShardHandle:
             flat_in = ops.cast(flat_in, self.reduce_dtype)
         out = empty(seg_max, dtype=self.reduce_dtype, device=device)
 
-        def finish(work: Optional[Work], stream: Stream) -> Optional[Work]:
+        def finish(_job, work: Optional[Work], stream: Stream) -> Optional[Work]:
             result, work = self._reduce_tail(out, work, stream, replicate_group)
             # Split this rank's reduced segment back into record shards.
             offset = 0
@@ -707,10 +720,12 @@ class ShardHandle:
         reduced ``shard`` (hybrid sharding) and the cast back to full
         precision.  Returns the shard to stash and the Work to track.
 
-        The low-precision input dies when its *caller* drops it — eager
-        callers rebind their variable to the result, staged jobs keep
-        theirs until the job is dropped — and allocator peaks depend on
-        which, so this stays a method, not a closure.
+        The low-precision input dies when its *caller* drops it — a
+        direct job takes its shard out of the job and rebinds it to the
+        result, a packed job keeps its output until the job is dropped,
+        and a bucket keeps every pair until it has finished — and
+        allocator peaks depend on which, so this stays a method, not a
+        closure.
         """
         if replicate_group is not None and replicate_group.world_size > 1:
             work = replicate_group.all_reduce(shard, op=ReduceOp.AVG, stream=stream)

@@ -220,17 +220,12 @@ class ShardedParam(ShardRecord):
     # Record-level lifecycle steps (driven by ShardHandle)
     # ------------------------------------------------------------------
     def _gather_into(self, stream: Stream) -> None:
-        """AllGather (or cast-copy) this parameter straight into its
-        unsharded storage (caller holds stream/no_grad)."""
+        """Unshard where no pair is gathered (caller holds stream/no_grad):
+        ``F == 1`` cast-copies, uneven chunks take the list AllGather."""
         self._unsharded_storage.reallocate()
         if self.sharding_factor > 1:
             source = self._gather_input(self.sharded_data)
-            if self.even:
-                self.shard_group.all_gather_into_tensor(
-                    self._unsharded_flat, source, stream=stream
-                )
-            else:
-                self.shard_group.all_gather(self._rank_views, source, stream=stream)
+            self.shard_group.all_gather(self._rank_views, source, stream=stream)
             self._commit_pair()
         else:
             # NO_SHARD with mixed precision: a cast copy into the
@@ -238,9 +233,8 @@ class ShardedParam(ShardRecord):
             self.unsharded_param.copy_(self.sharded_data)
 
     def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
-        """:meth:`_gather_into` up to the collective, as a bucket's
-        ``(output, input)`` pair (None for uneven chunks, which need the
-        list AllGather)."""
+        """The even chunks' ``(output, input)`` AllGather pair (None for
+        uneven chunks, which need the list AllGather)."""
         if not self.even:
             return None
         self._unsharded_storage.reallocate()

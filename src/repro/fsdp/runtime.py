@@ -17,6 +17,10 @@ This module implements Sections 3.3 and 3.4:
   producer-stream blocks instead of over-allocating (3.4);
 - an end-of-backward callback waits for pending reductions so the
   optimizer never consumes gradients early (4.3).
+
+Both collectives are issued by two routines, :meth:`FsdpRuntime.unshard_units`
+and :meth:`FsdpRuntime.reduce_units`: the eager hooks pass one unit, the
+compiled executor (:mod:`repro.compile.schedule`) a bucket's members.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from __future__ import annotations
 import enum
 import weakref
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.autograd.engine import queue_callback
-from repro.autograd.grad_mode import is_grad_enabled
+from repro.autograd.grad_mode import is_grad_enabled, no_grad
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
+from repro.distributed import ReduceOp
 from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
 from repro.fsdp.handle import ShardHandle, weak_hook
@@ -139,6 +144,81 @@ class FsdpRuntime:
         """Record a free event on the compute stream (called at reshard)."""
         event = self.device.default_stream.record_event()
         self._inflight.append(event)
+
+    # ------------------------------------------------------------------
+    # Unit collectives: one bucket routine each; an eager unit is a
+    # bucket of one, whose handle stages and releases its own buffers
+    # (ShardHandle.unshard / reduce_grad), while a compiled bucket keeps
+    # every member's pair until all have finished.  The device-log
+    # digests pin both lifetimes.
+    # ------------------------------------------------------------------
+    def unshard_units(self, units: Sequence["FsdpUnit"], reason: str) -> Optional[Event]:
+        """AllGather the still-sharded ``units`` with one collective on
+        the unshard stream, behind the rate limiter (Sections 3.3-3.4).
+
+        Returns the completion event, which is also each unit's
+        ``_last_unshard_event`` (None when nothing was sharded).
+        """
+        units = [unit for unit in units if not unit.handle.is_unsharded]
+        if not units:
+            return None
+        for unit in units:
+            self.emit("unshard_issue", unit, reason=reason)
+        device = self.device
+        with device.scope(f"unshard:{units[0].label}@{reason}"):
+            self.admit_allgather()
+            stream = self.unshard_stream
+            if self.compiled is None:
+                event = units[0].handle.unshard(stream)
+            else:
+                with device.stream(stream), no_grad():
+                    staged = [(unit.handle, unit.handle.unshard_pair(stream)) for unit in units]
+                    pairs = [pair for _, pair in staged if pair is not None]
+                    if pairs:
+                        units[0].handle.shard_group.all_gather_into_tensor_coalesced(
+                            pairs, stream=stream
+                        )
+                    for handle, pair in staged:
+                        if pair is not None:
+                            handle.unshard_commit()
+                event = stream.record_event()
+        for unit in units:
+            unit._last_unshard_event = event
+        return event
+
+    def reduce_units(self, units: Sequence["FsdpUnit"]) -> None:
+        """ReduceScatter the gradients of ``units`` with one collective
+        on the unshard stream, ordered after the compute stream; each
+        unit tracks its Work as ``pending_reduce_work``."""
+        device = self.device
+        stream = self.unshard_stream
+        with device.scope(f"reduce:{units[0].label}"):
+            if self.compiled is None:
+                (unit,) = units
+                unit.pending_reduce_work = unit.handle.reduce_grad(
+                    stream, replicate_group=unit.plan.replicate_group, no_sync=unit.no_sync
+                )
+                return
+            with device.stream(stream), no_grad():
+                stream.wait_stream(device.default_stream)
+                jobs = []
+                for unit in units:
+                    job = unit.handle.reduce_grad_pair(
+                        replicate_group=unit.plan.replicate_group, no_sync=unit.no_sync
+                    )
+                    if job is not None:
+                        jobs.append((unit, job))
+                pairs = [(job.output, job.input) for _, job in jobs if job.output is not None]
+                work = None
+                if pairs:
+                    work = units[0].handle.shard_group.reduce_scatter_tensor_coalesced(
+                        pairs, op=ReduceOp.AVG, stream=stream
+                    )
+                for unit, job in jobs:
+                    unit.pending_reduce_work = job.finish(work, stream)
+                # The pairs go first, then each job drops what it still
+                # holds: the free order the device-log digests pin.
+                del pairs
 
     # ------------------------------------------------------------------
     # Lifecycle announcements
@@ -428,17 +508,9 @@ class FsdpUnit:
         self.post_backward_ran = False
 
     # ------------------------------------------------------------------
-    # Unshard with overlap + rate limiting
+    # Reshard and wait (the collectives are FsdpRuntime.unshard_units /
+    # reduce_units)
     # ------------------------------------------------------------------
-    def _issue_unshard(self, reason: str = "forward") -> None:
-        runtime = self._require_runtime()
-        if self.handle is None or self.handle.is_unsharded:
-            return
-        runtime.emit("unshard_issue", self, reason=reason)
-        with runtime.device.scope(f"unshard:{self.label}@{reason}"):
-            runtime.admit_allgather()
-            self._last_unshard_event = self.handle.unshard(runtime.unshard_stream)
-
     def _reshard_and_note(self) -> None:
         """Reshard the handle; on an actual free, feed the rate limiter
         and announce it."""
@@ -490,11 +562,11 @@ class FsdpUnit:
             runtime.emit(
                 "prefetch_outcome", self, already_unsharded=self.handle.is_unsharded
             )
-        self._issue_unshard()
+        runtime.unshard_units((self,), "forward")
         if runtime.forward_prefetch:
             target = runtime.next_forward_unit(self)
             if target is not None:
-                target._issue_unshard(reason="forward_prefetch")
+                runtime.unshard_units((target,), "forward_prefetch")
         self._wait_unshard_on_compute()
         self.handle.use_unsharded_views()
 
@@ -546,7 +618,7 @@ class FsdpUnit:
         if runtime.compiled is not None:
             runtime.compiled.on_pre_backward(self)
             return None
-        self._issue_unshard(reason="pre_backward")
+        runtime.unshard_units((self,), "pre_backward")
         if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_PRE:
             # Issue the next unit's AllGather now, ahead of this unit's
             # ReduceScatter on the shared communication stream.  The
@@ -554,7 +626,7 @@ class FsdpUnit:
             # find the handle already unsharded and only wait).
             target = runtime.next_backward_unit(self)
             if target is not None:
-                target._issue_unshard(reason="backward_prefetch")
+                runtime.unshard_units((target,), "backward_prefetch")
         self._wait_unshard_on_compute()
         return None
 
@@ -577,16 +649,11 @@ class FsdpUnit:
             # the handle until then.
             runtime.compiled.on_post_backward(self)
             return
-        with runtime.device.scope(f"reduce:{self.label}"):
-            self.pending_reduce_work = self.handle.reduce_grad(
-                runtime.unshard_stream,
-                replicate_group=self.plan.replicate_group,
-                no_sync=self.no_sync,
-            )
+        runtime.reduce_units((self,))
         if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_POST:
             target = runtime.next_backward_unit(self)
             if target is not None:
-                target._issue_unshard(reason="backward_prefetch")
+                runtime.unshard_units((target,), "backward_prefetch")
 
 
 def _live(refs: list[weakref.ref]) -> list:

@@ -26,14 +26,26 @@ worker also asserts the compiled executor actually installed — a test
 that silently fell back to eager would prove nothing.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import distributed as dist, nn
-from repro.fsdp import ShardingStrategy, fully_shard
+from repro.cuda import sanitizer
+from repro.errors import ExecOrderViolation
+from repro.fsdp import (
+    FullyShardedDataParallel as FSDP,
+    ModuleWrapPolicy,
+    ShardingStrategy,
+    fully_shard,
+)
 from repro.fsdp.optim_state import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
 from repro.optim import SGD, Adam
+from repro.profiler import profile_device
+from repro.profiler.stats import scope_leaf
 from tests.conftest import copy_weights
 from tests.test_per_param_parity import (
     D_MODEL,
@@ -243,3 +255,111 @@ class TestTransformerBlocks:
             world=4,
             strategy=ShardingStrategy.SHARD_GRAD_OP,
         )
+
+
+# ----------------------------------------------------------------------
+# A unit the captured schedule does not know
+# ----------------------------------------------------------------------
+#: Rows of the late-join case's batch (split over two ranks).
+BATCH_LATE = 4
+
+#: The iteration at which the late unit first runs: after iteration 1
+#: was captured and iteration 2 replayed the compiled schedule.
+LATE_FROM = 3
+
+
+class _LateJoin(nn.Module):
+    """Two Linear units; ``late`` joins the forward at iteration
+    :data:`LATE_FROM`, so the schedule compiled from iteration 1 has no
+    bucket for it."""
+
+    def __init__(self):
+        super().__init__()
+        self.first = nn.Linear(5, 6)
+        self.late = nn.Linear(6, 6)
+        self.iteration = 0
+
+    def forward(self, x):
+        self.iteration += 1
+        h = self.first(x)
+        return self.late(h) if self.iteration >= LATE_FROM else h
+
+
+@contextlib.contextmanager
+def _sanitized_late_join():
+    """Run under the stream-order sanitizer, collecting instead of
+    raising: the late unit is an execution-order divergence the
+    validator reports by design, and the only violation allowed."""
+    with sanitizer.enabled(raise_on_violation=False) as active:
+        yield
+    assert active.violations
+    for violation in active.violations:
+        assert isinstance(violation, ExecOrderViolation), violation
+        assert violation.actual == "_LateJoin.late", violation
+
+
+def _wrap_late_join(model, compile, device):
+    return FSDP(
+        model, auto_wrap_policy=ModuleWrapPolicy({nn.Linear}), compile=compile, device=device
+    )
+
+
+class TestLateJoiningUnit:
+    def test_late_unit_trains_bitwise_like_eager(self):
+        """The executor's safety net unshards a unit unknown to the
+        schedule and reduces it as a bucket of one at its post-backward;
+        without the reduction its gradient stays unsharded and the
+        optimizer step fails on the shard shape.  Both arms run under
+        the stream-order sanitizer."""
+        repro.manual_seed(101)
+        xs, ys = repro.randn(BATCH_LATE, 5).numpy(), repro.randn(BATCH_LATE, 6).numpy()
+        repro.manual_seed(7)
+        state0 = {k: v.detach().numpy().copy() for k, v in _LateJoin().named_parameters()}
+
+        def worker(compile):
+            def run(rank):
+                model = _LateJoin()
+                copy_weights(model, state0)
+                model = _wrap_late_join(model, compile, dist.get_device())
+                opt = SGD(list(model.parameters()), lr=0.05)
+                losses = _train(model, opt, xs, ys, rank, 2, STEPS + 1)
+                assert (model._fsdp_unit.runtime.compiled is not None) == compile
+                sd = {k: v.numpy().copy() for k, v in full_state_dict(model).items()}
+                return losses, sd
+
+            return run
+
+        with _sanitized_late_join():
+            eager = dist.spawn(worker(False), 2)
+        with _sanitized_late_join():
+            compiled = dist.spawn(worker(True), 2)
+        for rank, ((el, esd), (cl, csd)) in enumerate(zip(eager, compiled)):
+            assert el == cl, f"rank {rank} losses diverged: eager {el} vs compiled {cl}"
+            assert_states_bitwise(esd, csd, context=f"rank {rank} eager vs compiled")
+
+    def test_late_unit_collectives_are_announced(self):
+        """Abstract mode: every AllGather of the late unit is announced
+        as an ``unshard_issue`` and issued under its ``unshard:`` scope,
+        and its gradient is reduce-scattered."""
+        dist.shutdown()
+        ctx = dist.init_single_process(2, materialize=False)
+        try:
+            device = ctx.device
+            model = _wrap_late_join(_LateJoin(), True, device)
+            opt = SGD(list(model.parameters()), lr=0.05)
+            with _sanitized_late_join(), profile_device(device) as session:
+                for _ in range(STEPS):
+                    model(repro.empty(4, 5, device=device)).sum().backward()
+                    opt.step()
+                    opt.zero_grad()
+            assert model._fsdp_unit.runtime.compiled is not None
+        finally:
+            dist.shutdown()
+        late = session.units["_LateJoin.late"]
+        gathers = [span for span in late.comm_intervals if span.label.startswith("all_gather")]
+        # Forward and backward in each of iterations LATE_FROM .. STEPS.
+        assert len(gathers) == 2 * (STEPS - LATE_FROM + 1)
+        assert len(late.unshard_issues) == len(gathers)
+        for span in gathers:
+            assert scope_leaf(span.scope).startswith("unshard:_LateJoin.late@"), span.scope
+        assert late.reduce_scatter_bytes > 0

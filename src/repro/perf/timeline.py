@@ -17,7 +17,9 @@ spans:
 from __future__ import annotations
 
 import json
-from itertools import islice
+from bisect import bisect_right
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -26,6 +28,9 @@ __all__ = [
     "exposed_overlapped",
     "merge_intervals",
 ]
+
+
+_end_of = itemgetter(1)
 
 
 def merge_intervals(intervals) -> list[tuple[float, float]]:
@@ -53,20 +58,28 @@ def exposed_overlapped(comm_intervals, compute_intervals) -> tuple[float, float]
     intersection of the merged comm intervals with the compute
     intervals; exposed is the remainder, so the pair sums to the
     *merged* comm span (self-overlap counted once, never twice).
+
+    Each comm interval bisects to the first compute interval that ends
+    after it starts, so a unit with a few collectives costs a few
+    lookups, not a walk over the iteration's compute.
     """
     comm = merge_intervals(comm_intervals)
     total = sum(end - start for start, end in comm)
     hidden = 0.0
-    i = j = 0
-    while i < len(comm) and j < len(compute_intervals):
-        lo = max(comm[i][0], compute_intervals[j][0])
-        hi = min(comm[i][1], compute_intervals[j][1])
-        if hi > lo:
-            hidden += hi - lo
-        if comm[i][1] <= compute_intervals[j][1]:
-            i += 1
-        else:
-            j += 1
+    count = len(compute_intervals)
+    first = 0
+    for start, end in comm:
+        first = bisect_right(compute_intervals, start, first, count, key=_end_of)
+        index = first
+        while index < count:
+            busy_start, busy_end = compute_intervals[index]
+            if busy_start >= end:
+                break
+            lo = max(start, busy_start)
+            hi = min(end, busy_end)
+            if hi > lo:
+                hidden += hi - lo
+            index += 1
     return total - hidden, hidden
 
 
@@ -77,7 +90,7 @@ CHROME_TRACE_CHUNK = 4096
 _encode = json.JSONEncoder().encode
 
 
-def _chrome_records(spans, marks, extra_records) -> Iterator[dict]:
+def _chrome_records(spans, marks) -> Iterator[dict]:
     for name, stream, start, end, scope in spans:
         record = {
             "name": name,
@@ -92,14 +105,34 @@ def _chrome_records(spans, marks, extra_records) -> Iterator[dict]:
         yield record
     for name, time in marks:
         yield {"name": name, "ph": "i", "ts": time * 1e6, "pid": 0, "tid": "marks", "s": "g"}
-    yield from extra_records
+
+
+def _encoded(records) -> Iterator[str]:
+    """Record text, ``", "``-joined, in pieces of at most
+    :data:`CHROME_TRACE_CHUNK` records: dicts go through the C encoder,
+    ``str`` pieces (records the caller encoded) pass as they are."""
+    chunk: list = []
+    for record in records:
+        if type(record) is str:
+            if chunk:
+                yield _encode(chunk)[1:-1]
+                chunk = []
+            if record:
+                yield record
+            continue
+        chunk.append(record)
+        if len(chunk) >= CHROME_TRACE_CHUNK:
+            yield _encode(chunk)[1:-1]
+            chunk = []
+    if chunk:
+        yield _encode(chunk)[1:-1]
 
 
 def write_chrome_trace(
     path: str,
     spans: Iterable[tuple[str, str, float, float, str]],
     marks: Iterable[tuple[str, float]],
-    extra_records: Iterable[dict] = (),
+    extra_records: Iterable[dict | str] = (),
 ) -> None:
     """Write a Chrome-trace JSON (times in microseconds).
 
@@ -107,19 +140,20 @@ def write_chrome_trace(
     complete (``X``) events, one track per stream, with the scope (when
     there is one) under ``args``; ``marks`` are ``(name, time)`` instant
     (``i``) events; ``extra_records`` (e.g. memory counter tracks) are
-    appended as given.
+    appended as given: each is a record dict, or a ``str`` of records
+    already encoded as ``json.dumps`` encodes them and ``", "``-joined
+    (:meth:`repro.profiler.MemoryTimeline.encoded_counters`).
 
     Records are built lazily and encoded :data:`CHROME_TRACE_CHUNK` at a
     time by the C encoder; the file is byte-identical to ``json.dumps``
     of the whole ``{"traceEvents": [...]}`` document.
     """
-    records = _chrome_records(spans, marks, extra_records)
     with open(path, "w") as f:
         f.write('{"traceEvents": [')
         separator = ""
-        while chunk := list(islice(records, CHROME_TRACE_CHUNK)):
+        for piece in _encoded(chain(_chrome_records(spans, marks), extra_records)):
             f.write(separator)
-            f.write(_encode(chunk)[1:-1])
+            f.write(piece)
             separator = ", "
         f.write("]}")
 

@@ -530,8 +530,10 @@ class Measurement:
         result.cross_host_gib = cross / GiB / iterations
         result.collectives = count // iterations
         if self.session is not None:
-            self.session.finalize()
-            totals = self.session.totals()
+            # The window's one summary: a later ``summary()`` (the
+            # trace export's) reuses it.
+            summary = result.extras["profiler"] = self.session.summary()
+            totals = summary["totals"]
             # Times per iteration (comparable to iteration_latency);
             # hit/miss counts raw over the measured window.
             result.exposed_comm_s = totals["exposed_comm_s"] / iterations
@@ -539,7 +541,6 @@ class Measurement:
             result.rate_limit_stall_s = totals["rate_limit_stall_s"] / iterations
             result.prefetch_hits = totals["prefetch_hits"]
             result.prefetch_misses = totals["prefetch_misses"]
-            result.extras["profiler"] = self.session.summary()
 
 
 def _detection_latency(failure: BaseException) -> float:

@@ -8,8 +8,9 @@ A session is an observer of a simulated device (``Device.observe``):
   :attr:`marks`.  A span without duration (``end <= start``, e.g. a
   zero-byte collective under a free comm model) becomes a mark, so the
   trace's collective count reconciles with the flight recorder's;
-- ``on_alloc``: every allocator event produces a
-  :class:`repro.profiler.memory.MemorySample`;
+- ``on_alloc``: every allocator event appends one record to
+  :attr:`memory` (the timeline's own recorder is the handler, so the
+  session adds no frame per event);
 - ``on_collective``: each launched collective's flight record is
   attributed to a unit by its scope.  Process groups record into
   ``device.flight_recorder``; :meth:`install` puts the session's own
@@ -26,6 +27,11 @@ element attributes collectives and memory samples to a FlatParameter
 unit and phase.  :meth:`finalize` then computes per-unit exposed vs.
 overlapped communication by intersecting each unit's collective
 intervals with the default (compute) stream's busy intervals.
+
+Everything derived is computed once per window: :meth:`finalize` merges
+the compute intervals once and :meth:`summary` builds its report once;
+any newly recorded span, collective or lifecycle event (or memory
+sample, for the summary) makes the next read recompute.
 """
 
 from __future__ import annotations
@@ -89,7 +95,12 @@ class ProfilerSession:
         self._lock = threading.Lock()
         # id(device) -> (device, detach, whether ``flight`` was put on it)
         self._installed: dict = {}
+        # Derived state: current while ``_finalized`` holds (every
+        # recording handler clears it).  ``_summary`` is the report and
+        # the sample count it read.
         self._finalized = False
+        self._compute: list = []
+        self._summary: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Installation
@@ -125,7 +136,7 @@ class ProfilerSession:
     def _rejoin_scope(self) -> None:
         # Read on every span, sample and collective, changed only here:
         # join once per push / pop / reset instead of once per read.
-        self.scope = "|".join(label for label, _ in self._scopes)
+        self.scope = self.memory.scope = "|".join(label for label, _ in self._scopes)
 
     def push_scope(self, label: str, *, pinned: bool = False) -> None:
         """Push a scope; ``pinned`` scopes survive iteration-boundary
@@ -168,19 +179,23 @@ class ProfilerSession:
     def on_span(self, label: str, stream: str, start: float, end: float) -> None:
         if end > start:
             self.kernel_events.append(Span(label, stream, start, end, self.scope))
+            self._finalized = False
         else:
             self.marks.append((label, start))
 
     def on_mark(self, label: str, time: float) -> None:
         self.marks.append((label, time))
 
-    def on_alloc(self, allocator, time: float, reason: str) -> None:
-        self.memory.on_alloc(allocator, time, reason, scope=self.scope)
+    @property
+    def on_alloc(self):
+        """The memory timeline's recorder: stamps the open scope."""
+        return self.memory.on_alloc
 
     def on_collective(self, record) -> None:
         """Attribute one launched collective by its issue-time scope."""
         if record.start_time is None or record.end_time is None:
             return
+        self._finalized = False
         self.comm_intervals.append((record.start_time, record.end_time))
         label = _unit_of_scope(scope_leaf(record.scope))
         if label is None:
@@ -195,6 +210,9 @@ class ProfilerSession:
     # keyword; each takes what it needs)
     # ------------------------------------------------------------------
     def unit(self, label: str) -> UnitProfile:
+        """The profile of ``label`` (created on first use); a caller
+        records into it, so the derived state goes stale."""
+        self._finalized = False
         with self._lock:
             profile = self.units.get(label)
             if profile is None:
@@ -224,12 +242,14 @@ class ProfilerSession:
             unit.prefetch_misses += 1
 
     def on_pre_backward(self, label: str, **_) -> None:
+        self._finalized = False
         self.backward_order.append(label)
 
     def on_reshard(self, label: str, time: float, **_) -> None:
         self.unit(label).reshard_times.append(time)
 
     def on_rate_limit_admit(self, *, depth: int, stall_s: float) -> None:
+        self._finalized = False
         self.rate_limit_depths.append(depth)
         self.rate_limit_stall_s += stall_s
         label = _unit_of_scope(scope_leaf(self.scope))
@@ -259,16 +279,18 @@ class ProfilerSession:
         )
 
     def finalize(self) -> None:
-        """Compute exposed/overlapped splits for every unit (idempotent)."""
+        """Merge the compute intervals and compute exposed/overlapped
+        splits for every unit, once per change (idempotent)."""
         if self._finalized:
             return
-        compute = self.compute_intervals()
+        self._compute = compute = self.compute_intervals()
         for profile in self.units.values():
             exposed, overlapped = exposed_overlapped(
                 ((c.start, c.end) for c in profile.comm_intervals), compute
             )
             profile.exposed_comm_s = exposed
             profile.overlapped_comm_s = overlapped
+        self._summary = None
         self._finalized = True
 
     # ------------------------------------------------------------------
@@ -284,7 +306,7 @@ class ProfilerSession:
         as mixed-precision casts, are not communication.
         """
         self.finalize()
-        compute = self.compute_intervals()
+        compute = self._compute
         exposed, overlapped = exposed_overlapped(self.comm_intervals, compute)
         total = exposed + overlapped
         # Checkpoint D2H snapshots run on their own stream under a
@@ -316,21 +338,32 @@ class ProfilerSession:
         }
 
     def summary(self) -> dict:
-        """JSON-able report: totals, per-unit table, memory attribution."""
+        """JSON-able report: totals, per-unit table, memory attribution.
+
+        Computed once until something new is recorded: repeated calls
+        share the report's sections (read them, do not mutate them).
+        The flight section is read fresh, since a shared recorder also
+        records other ranks' collectives.
+        """
         self.finalize()
-        peak = self.memory.peak("active")
+        samples = len(self.memory)
+        if self._summary is None or self._summary[0] != samples:
+            peak = self.memory.peak("active")
+            self._summary = samples, {
+                "totals": self.totals(),
+                "units": [
+                    self.units[label].as_dict() for label in sorted(self.units)
+                ],
+                "backward_order": list(self.backward_order),
+                "memory": {
+                    "samples": samples,
+                    "peak_active_bytes": peak.active if peak else 0,
+                    "peak_scope": scope_leaf(peak.scope) if peak else "",
+                    "attribution": self.memory.attribution("active", top=8),
+                },
+            }
         return {
-            "totals": self.totals(),
-            "units": [
-                self.units[label].as_dict() for label in sorted(self.units)
-            ],
-            "backward_order": list(self.backward_order),
-            "memory": {
-                "samples": len(self.memory.samples),
-                "peak_active_bytes": peak.active if peak else 0,
-                "peak_scope": scope_leaf(peak.scope) if peak else "",
-                "attribution": self.memory.attribution("active", top=8),
-            },
+            **self._summary[1],
             "flight": {
                 "recorded": self.flight.total_recorded,
                 "in_flight": len(self.flight.in_flight()),
@@ -338,9 +371,10 @@ class ProfilerSession:
         }
 
     def to_chrome_trace(self, path: str) -> None:
-        """Write spans + instant marks + memory counter tracks."""
+        """Write spans + instant marks + memory counter tracks (the
+        counters pre-encoded straight from the timeline's log)."""
         write_chrome_trace(
-            path, self.kernel_events, self.marks, self.memory.counter_events()
+            path, self.kernel_events, self.marks, self.memory.encoded_counters()
         )
 
 

@@ -614,3 +614,115 @@ class TestProfilerSession:
         span = next(e for e in trace["traceEvents"] if e["ph"] == "X")
         assert span["args"]["scope"] == "forward:u0"
         assert session.units["u0"].reshard_times == [2e-3]
+
+
+# ----------------------------------------------------------------------
+# Derived state is computed once per window and never goes stale
+# ----------------------------------------------------------------------
+class TestDerivedStateStaysCurrent:
+    @staticmethod
+    def _collective(session, start, end):
+        record = session.flight.record_issue(
+            rank=0, kind="all_gather_base", nbytes=1000, group_ranks=(0, 1),
+            stream="fsdp-unshard", time=start, scope="forward:u0|unshard:u0@forward",
+        )
+        session.flight.record_launch(record, start, end)
+        session.on_collective(record)
+
+    def _fed(self, *collectives):
+        session = ProfilerSession()
+        session.on_span("gemm", "default", 10.0, 11.0)
+        for start, end in collectives:
+            self._collective(session, start, end)
+        return session
+
+    def test_collective_after_summary_refreshes_the_unit_split(self):
+        """Regression: ``finalize`` ran once per measured window, so a
+        collective recorded after a ``summary()`` left its unit's split
+        stale (0.5 s exposed against 1.5 s in ``totals()``)."""
+        session = self._fed((0.0, 0.5))
+        assert session.summary()["units"][0]["exposed_comm_s"] == 0.5
+        self._collective(session, 1.0, 2.0)
+        unit = session.summary()["units"][0]
+        fresh = self._fed((0.0, 0.5), (1.0, 2.0)).summary()
+        assert unit["exposed_comm_s"] == session.totals()["exposed_comm_s"] == 1.5
+        assert session.units["u0"].exposed_comm_s == 1.5
+        assert {k: v for k, v in session.summary().items() if k != "flight"} == {
+            k: v for k, v in fresh.items() if k != "flight"
+        }
+
+    def test_span_after_summary_refreshes_the_overlap(self):
+        session = self._fed((0.0, 1.0))
+        assert session.summary()["totals"]["overlap_fraction"] == 0.0
+        session.on_span("gemm", "default", 0.0, 1.0)
+        assert session.summary()["totals"]["overlap_fraction"] == 1.0
+        assert session.summary()["units"][0]["overlapped_comm_s"] == 1.0
+
+    def test_lifecycle_events_after_summary_show(self):
+        session = self._fed()
+        session.summary()
+        session.on_pre_backward("u1")
+        session.on_rate_limit_admit(depth=2, stall_s=0.25)
+        session.on_unshard_issue("u2", reason="backward_prefetch", time=0.0)
+        session.on_prefetch_outcome("u2", already_unsharded=True)
+        summary = session.summary()
+        assert summary["backward_order"] == ["u1"]
+        assert summary["totals"]["max_rate_limit_depth"] == 2
+        assert summary["totals"]["prefetch_hits"] == 1
+
+    def test_memory_sample_after_summary_shows(self):
+        device = make_device()
+        with profile_device(device) as session:
+            device.allocator.allocate(MiB, device.default_stream)
+            first = session.summary()["memory"]
+            with device.scope("backward:u1"):
+                device.allocator.allocate(4 * MiB, device.default_stream)
+            second = session.summary()["memory"]
+        assert (first["samples"], second["samples"]) == (1, 2)
+        assert second["peak_scope"] == "backward:u1"
+
+    def test_summary_is_computed_once_per_change(self, monkeypatch):
+        session = self._fed((0.0, 0.5))
+        calls = []
+        real = session.memory.attribution
+        monkeypatch.setattr(
+            session.memory, "attribution", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        first = session.summary()
+        assert session.summary()["totals"] is first["totals"]
+        assert len(calls) == 1
+        self._collective(session, 1.0, 2.0)
+        session.summary()
+        assert len(calls) == 2
+
+
+class TestAllocatorEventCost:
+    def test_one_profiler_frame_per_allocator_event(self):
+        """The session hands allocator events straight to its timeline's
+        recorder: one Python frame in ``repro.profiler`` per event once
+        the segment map stops changing."""
+        import os
+        import sys
+
+        import repro.profiler
+
+        profiler_dir = os.path.dirname(repro.profiler.__file__)
+        device = make_device()
+        stream = device.default_stream
+        with profile_device(device) as session:
+            device.allocator.free(device.allocator.allocate(MiB, stream))
+            frames = []
+
+            def count(frame, event, _arg):
+                code = frame.f_code
+                if event == "call" and code.co_filename.startswith(profiler_dir):
+                    frames.append(code.co_name)
+
+            sys.setprofile(count)
+            try:
+                block = device.allocator.allocate(MiB, stream)  # from the pool
+                device.allocator.free(block)
+            finally:
+                sys.setprofile(None)
+        assert frames == ["on_alloc", "on_alloc"]
+        assert len(session.memory) == 4

@@ -14,6 +14,8 @@ over two streams; the end-to-end check replays a real FSDP training
 simulation and validates every sample the run produced.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,35 @@ class TestCounterTrackProperties:
         assert last.allocated == stats.allocated_bytes
         assert last.reserved == stats.reserved_bytes
         assert sum(last.reserved_by_stream.values()) == stats.reserved_bytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(script=two_stream_script())
+    def test_each_sample_reads_what_the_allocator_reported(self, script):
+        """The lazily built view of the compact log equals the
+        allocator's own per-stream queries at every event."""
+        dev = make_device()
+        timeline = install_timeline(dev)
+        side = dev.new_stream("side")
+        streams = [dev.default_stream, side]
+        live = []
+        expected = []
+
+        def snapshot(allocator, time, reason):
+            expected.append(
+                (allocator.pool_bytes_by_stream(), allocator.reserved_bytes_by_stream())
+            )
+
+        dev.observe(SimpleNamespace(on_alloc=snapshot))
+        for op, arg, stream_idx in script:
+            if op == "alloc":
+                live.append(dev.allocator.allocate(arg, streams[stream_idx]))
+            elif op == "free":
+                dev.allocator.free(live.pop(arg))
+            else:
+                dev.allocator.record_use(live[arg], side, dev.cpu_time() + 1e-3)
+        dev.allocator.empty_cache()
+        assert [(s.pool_bytes, dict(s.reserved_by_stream)) for s in timeline.samples] == expected
+        assert timeline.peak("active") == max(timeline.samples, key=lambda s: s.active)
 
     @settings(max_examples=40, deadline=None)
     @given(script=two_stream_script())

@@ -416,3 +416,164 @@ class TestChromeTraceBytes:
         assert _written(tmp_path, spans, marks, iter(counters)) == _reference_bytes(
             spans, marks, counters
         )
+
+
+# ----------------------------------------------------------------------
+# The memory log's public views, pinned to the bytes recorded before the
+# timeline kept a compact log
+# ----------------------------------------------------------------------
+#: sha256 of ``json.dumps([s.as_dict() for s in session.memory.samples])``
+#: and of ``json.dumps(session.summary())`` on ``profiled_gpt_trace``,
+#: recorded when every sample was a ``MemorySample`` built at event time.
+SAMPLES_SHA256 = "8f230828c6d2655902d0d6da4accda98fa74863384187c4a2594ada33fd9aa5b"
+SUMMARY_SHA256 = "3964e95e58010fd58be0be9f5e522ab9ac64c05e34681c5784f243ed5dcdaf86"
+
+
+def _sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+class TestMemoryViews:
+    def test_sample_view_matches_pinned_bytes(self, profiled_gpt_trace):
+        session, _ = profiled_gpt_trace
+        samples = session.memory.samples
+        assert len(samples) == len(session.memory) == 732
+        assert _sha256_json([s.as_dict() for s in samples]) == SAMPLES_SHA256
+
+    def test_summary_matches_pinned_bytes(self, profiled_gpt_trace):
+        session, _ = profiled_gpt_trace
+        assert _sha256_json(session.summary()) == SUMMARY_SHA256
+
+    def test_shared_segment_maps_are_read_only(self, profiled_gpt_trace):
+        session, _ = profiled_gpt_trace
+        samples = session.memory.samples
+        first, second = next(
+            (a, b)
+            for a, b in zip(samples, samples[1:])
+            if a.reserved_by_stream is b.reserved_by_stream and a.reserved_by_stream
+        )
+        stream_id = next(iter(first.reserved_by_stream))
+        before = second.reserved_by_stream[stream_id]
+        with pytest.raises(TypeError):
+            first.reserved_by_stream[stream_id] = 0
+        with pytest.raises(TypeError):
+            del first.reserved_by_stream[stream_id]
+        assert second.reserved_by_stream[stream_id] == before
+        assert _sha256_json([s.as_dict() for s in samples]) == SAMPLES_SHA256
+
+
+# ----------------------------------------------------------------------
+# Differential: the writer (pre-encoded counters included) is json.dumps
+# ----------------------------------------------------------------------
+from types import SimpleNamespace  # noqa: E402
+
+from repro.profiler import MemoryTimeline  # noqa: E402
+
+#: Floats the encoder formats in unusual ways: signed zero, the short
+#: exponent forms, subnormals, and a time whose microseconds overflow.
+_EDGE_FLOATS = [-0.0, 0.0, 1e-07, 1e22, 5e-324, 1.1125369292536007e-308, 1e16, 1.5e303]
+_times = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_byte_counts = st.one_of(st.integers(0, 2**53), st.integers(2**53 + 1, 2**80))
+#: Quotes, backslashes, control characters and non-ASCII, often.
+_texts = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "😀"])),
+)
+
+
+@st.composite
+def _memory_log(draw, times):
+    """A timeline fed by a stand-in allocator: drawn counters, pools,
+    segment maps, stream names and scopes."""
+    stream_ids = draw(st.lists(st.integers(0, 6), unique=True, max_size=4))
+    streams = [SimpleNamespace(stream_id=i, name=draw(_texts)) for i in stream_ids]
+    allocator = SimpleNamespace(
+        stats=SimpleNamespace(), _pools={}, _reserved_by_stream={},
+        device=SimpleNamespace(streams=streams),
+    )
+    timeline = MemoryTimeline()
+    for _ in range(draw(st.integers(0, 12))):
+        allocator.stats.allocated_bytes = draw(_byte_counts)
+        allocator.stats.active_bytes = draw(_byte_counts)
+        allocator.stats.reserved_bytes = draw(_byte_counts)
+        for stream_id in draw(st.lists(st.sampled_from(stream_ids + [9]), max_size=3)):
+            allocator._pools[stream_id] = SimpleNamespace(free_bytes=draw(_byte_counts))
+        if draw(st.booleans()):
+            allocator._reserved_by_stream = {
+                stream_id: draw(_byte_counts)
+                for stream_id in draw(st.lists(st.sampled_from(stream_ids + [9]), max_size=4))
+            }
+        timeline.on_alloc(allocator, draw(times), "alloc", scope=draw(_texts))
+    return timeline
+
+
+@st.composite
+def _trace_input(draw, times):
+    spans = [
+        (draw(_texts), draw(_texts), start, start + draw(_times), draw(_texts))
+        for start in draw(st.lists(times, max_size=6))
+    ]
+    marks = [(draw(_texts), time) for time in draw(st.lists(times, max_size=4))]
+    return spans, marks, draw(_memory_log(times))
+
+
+class TestWriterEqualsJsonDumps:
+    @staticmethod
+    def _check(tmp_path_factory, spans, marks, memory, chunk):
+        saved = timeline.CHROME_TRACE_CHUNK
+        timeline.CHROME_TRACE_CHUNK = chunk
+        try:
+            path = tmp_path_factory.mktemp("differential") / "trace.json"
+            timeline.write_chrome_trace(str(path), spans, marks, memory.encoded_counters())
+        finally:
+            timeline.CHROME_TRACE_CHUNK = saved
+        reference = _reference_bytes(spans, marks, list(memory.counter_events()))
+        assert path.read_text() == reference
+
+    @given(trace=_trace_input(_times), chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_finite_values(self, tmp_path_factory, trace, chunk):
+        self._check(tmp_path_factory, *trace, chunk)
+
+    @given(trace=_trace_input(st.one_of(_times, _non_finite)), chunk=st.sampled_from([1, 4096]))
+    def test_non_finite_times_write_what_json_dumps_writes(self, tmp_path_factory, trace, chunk):
+        """``NaN`` / ``Infinity`` / ``-Infinity``, as ``json.dumps``
+        (``allow_nan=True``) writes them."""
+        self._check(tmp_path_factory, *trace, chunk)
+
+    def test_dict_and_encoded_records_mix(self, tmp_path):
+        counters = [{"name": "mem.bytes", "ph": "C", "ts": 1.0, "pid": 0, "args": {"a": 1}}]
+        encoded = json.dumps(counters[0])
+        path = tmp_path / "trace.json"
+        timeline.write_chrome_trace(str(path), [], [], [counters[0], encoded, "", counters[0]])
+        assert path.read_text() == _reference_bytes([], [], counters * 3)
+
+
+# ----------------------------------------------------------------------
+# The bisected overlap split is the two-pointer walk, bit for bit
+# ----------------------------------------------------------------------
+def _two_pointer_split(comm_intervals, compute_intervals):
+    """The split as a merge walk over both lists."""
+    comm = merge_intervals(comm_intervals)
+    total = sum(end - start for start, end in comm)
+    hidden = 0.0
+    i = j = 0
+    while i < len(comm) and j < len(compute_intervals):
+        lo = max(comm[i][0], compute_intervals[j][0])
+        hi = min(comm[i][1], compute_intervals[j][1])
+        if hi > lo:
+            hidden += hi - lo
+        if comm[i][1] <= compute_intervals[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total - hidden, hidden
+
+
+class TestBisectedSplit:
+    @given(comm=_intervals(), compute=_intervals())
+    def test_equals_the_merge_walk(self, comm, compute):
+        merged = merge_intervals(compute)
+        assert timeline.exposed_overlapped(comm, merged) == _two_pointer_split(comm, merged)

@@ -190,8 +190,9 @@ def estimate_peak_memory(
 
     # ----- gradient shards + ReduceScatter transients (comm pool) -----
     if strategy is ShardingStrategy.NO_SHARD and not mixed:
-        # reduce_grad all-reduces the engine's gradient in place: the
-        # full gradients live on the compute pool instead.
+        # The F == 1 reduction job (reduce_grad_pair) all-reduces the
+        # engine's gradient in place: the full gradients live on the
+        # compute pool instead.
         grad_shards = 0.0
         reduce_transient = 0.0
         unsharded_grad = float(sum(unsharded_b))

@@ -24,9 +24,11 @@ from the gradient when the unit is one record with even chunks, and is
 packed otherwise.  Each collective has one staged protocol —
 ``unshard_pair`` / ``unshard_commit`` and ``reduce_grad_pair`` /
 :meth:`ReduceJob.finish` — that stages a unit's ``(output, input)`` pair
-for a (coalesced) collective, or does the whole step itself where no such
-collective runs; ``unshard`` and ``reduce_grad`` are that protocol plus
-one collective.
+for a coalesced collective, or does the whole step itself where no such
+collective runs — and one routine that runs it over a bucket of handles,
+:func:`unshard_bucket` / :func:`reduce_bucket`.  Eager units (buckets of
+one), compiled buckets and the ad-hoc ``unshard`` / ``reduce_grad`` all
+run them, so buffer lifetimes are written once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.tensor import Tensor, empty, zeros
 
-__all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook"]
+__all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook",
+           "reduce_bucket", "unshard_bucket"]
 
 
 class ParamInfo:
@@ -220,8 +223,6 @@ class ShardHandle:
 
     Subclasses construct the records (``_init_common`` first,
     ``_init_lifecycle`` last) and provide the record-level steps.
-    Lifecycle methods call private helpers, never each other's public
-    entry points, so each public call is one traced handle span.
     """
 
     #: CPU offloading exists only on the flat-parameter backend.
@@ -329,61 +330,37 @@ class ShardHandle:
     # ------------------------------------------------------------------
     # Unshard / reshard
     # ------------------------------------------------------------------
-    def unshard(self, stream: Optional[Stream] = None) -> Optional[Event]:
-        """AllGather the shards into the persistent unsharded storage.
-
-        The staged protocol plus one collective: :meth:`unshard_pair`,
-        one ``all_gather_into_tensor`` over its pair, :meth:`unshard_commit`.
-        Runs entirely on ``stream`` (the producer/communication
-        stream): the destination is allocated there, which is the
-        allocator behaviour Section 3.4's rate limiter exists to tame.
-        Returns the completion event, or None if already unsharded.
+    def unshard(self) -> Optional[Event]:
+        """Ad-hoc AllGather (``summon_full_params``): a bucket of one on
+        the shard group's stream, inside the two edges nothing upstream
+        provides — that stream waits for the producer of the shards (e.g.
+        the optimizer step), the caller's stream for the gather.  Returns
+        the completion event, or None if already unsharded.
         """
         if self.is_unsharded:
             return None
         device = self.device
-        ad_hoc = stream is None
-        if ad_hoc:
-            # Ad-hoc unshard (summon_full_params, state-dict): nothing
-            # upstream ordered the comm stream after the producer of the
-            # shards (e.g. the optimizer step on the compute stream), so
-            # insert the NCCL-style implicit edge here.  The runtime's
-            # overlap path passes its own stream and manages ordering
-            # via begin_iteration.
-            stream = self.shard_group.comm_stream
-            current = device.current_stream
-            if current is not None and current is not stream:
-                stream.wait_stream(current)
-        with device.stream(stream), no_grad():
-            pair = self._unshard_pair(stream)
-            if pair is not None:
-                # Unpacked: at return the staging buffer dies before the
-                # cast shard, the order the device-log digests pin.
-                output, input = pair
-                self.shard_group.all_gather_into_tensor(output, input, stream=stream)
-                self._unshard_commit()
-        event = stream.record_event()
-        if ad_hoc:
-            # The caller computes on its own (usually the default)
-            # stream right away and never sees the event, so close the
-            # ordering loop here — the same wait summon_full_params
-            # performs in PyTorch after an out-of-band unshard.
-            consumer = device.current_stream or device.default_stream
-            if consumer is not stream:
-                consumer.wait_event(event)
+        stream = self.shard_group.comm_stream
+        current = device.current_stream
+        if current is not None and current is not stream:
+            stream.wait_stream(current)
+        event = unshard_bucket([self], stream)
+        consumer = device.current_stream or device.default_stream
+        if consumer is not stream:
+            consumer.wait_event(event)
         return event
 
-    def _unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
+    def unshard_pair(self, stream: Stream) -> Optional[tuple[Tensor, Tensor]]:
         """Stage this (sharded) handle's AllGather.
 
         Performs everything the unshard does up to the collective and
-        returns its ``(output, input)`` pair.  The caller holds
-        ``device.stream(stream)`` / ``no_grad``, runs one AllGather over
-        the pair (alone or in a bucket's coalesced one) and then calls
-        ``unshard_commit``.  Where no pairable collective runs —
-        ``F == 1`` (a cast copy), CPU offload (the H2D staging) or one
-        record with uneven chunks (the list AllGather) — the handle
-        unshards itself here and returns None.
+        returns its ``(output, input)`` pair.  The caller
+        (:func:`unshard_bucket`) holds ``device.stream(stream)`` /
+        ``no_grad``, runs one coalesced AllGather over its handles'
+        pairs and then calls ``unshard_commit``.  Where no pairable
+        collective runs — ``F == 1`` (a cast copy), CPU offload (the H2D
+        staging) or one record with uneven chunks (the list AllGather) —
+        the handle unshards itself here and returns None.
 
         One record gathers straight into its storage.  Several are
         copied into one rank-major buffer and copied out at commit (the
@@ -427,7 +404,7 @@ class ShardHandle:
         self._staged_gather = gathered
         return (gathered, local)
 
-    def _unshard_commit(self) -> None:
+    def unshard_commit(self) -> None:
         """Finish a staged unshard once its collective is enqueued.
 
         Several records are reassembled from their per-rank chunks into
@@ -446,10 +423,6 @@ class ShardHandle:
         self.is_unsharded = True
         if self._views_follow_unshard:
             self.use_unsharded_views()
-
-    # The staged protocol's public entry points, one traced span each.
-    unshard_pair = _unshard_pair
-    unshard_commit = _unshard_commit
 
     def reshard(self) -> bool:
         """Free the unsharded storage; point the parameters at their shards.
@@ -557,31 +530,17 @@ class ShardHandle:
     ) -> Optional[Work]:
         """Post-backward gradient path: one ReduceScatter (+AllReduce).
 
-        The staged protocol plus one collective: drain the gradients,
-        order ``stream`` after the compute stream, stage the job, run
-        one ``reduce_scatter_tensor`` over its pair and finish it.  With
-        ``no_sync`` the unsharded gradients are accumulated locally and
-        no communication happens (accumulate-without-communication,
+        A bucket of one through :func:`reduce_bucket`, which orders
+        ``stream`` after the compute stream that produced the gradients.
+        With ``no_sync`` the unsharded gradients are accumulated locally
+        and no communication happens (accumulate-without-communication,
         Section 3.3.4).  Averaging happens over the shard group in
         float64 elementwise, so the sharded gradients are bitwise the
-        same whichever layout reduced them.
+        same whichever layout reduced them.  Returns the Work to track,
+        or None when nothing was reduced.
         """
-        device = self.device
-        with no_grad():
-            pending = self._collect_pending(no_sync)
-            if not pending:
-                return None
-            with device.stream(stream):
-                # The gradients were produced on the compute stream; the
-                # reduction must not start before they are final.
-                stream.wait_stream(device.default_stream)
-                job = self._stage_reduction(pending, replicate_group)
-                work = None
-                if job.output is not None:
-                    work = self.shard_group.reduce_scatter_tensor(
-                        job.output, job.input, op=ReduceOp.AVG, stream=stream
-                    )
-                return job.finish(work, stream)
+        finished = reduce_bucket([(self, replicate_group, no_sync)], stream)
+        return finished[0][1] if finished else None
 
     def reduce_grad_pair(
         self,
@@ -589,22 +548,19 @@ class ShardHandle:
         replicate_group: Optional[ProcessGroup] = None,
         no_sync: bool = False,
     ) -> Optional[ReduceJob]:
-        """Stage this unit's gradient reduction for a coalesced bucket.
+        """Stage this unit's gradient reduction: drain the gradients and
+        do everything before the ReduceScatter, deferring the rest into
+        the returned job's ``finish``.  The caller (:func:`reduce_bucket`)
+        holds ``device.stream(stream)`` / ``no_grad`` and has ordered the
+        stream after the compute stream.
 
-        Performs everything :meth:`reduce_grad` does before the
-        ReduceScatter and defers the rest into the returned job's
-        ``finish``.  The caller holds ``device.stream(stream)`` /
-        ``no_grad`` and has already ordered the stream after the compute
-        stream.  Returns None when nothing is reduced (no gradient, or
-        ``no_sync`` accumulation); a job without a pair when no
-        collective runs (``F == 1``: its ``finish`` does the
-        replicate-group AllReduce).
+        Returns None when nothing is reduced (no gradient, or ``no_sync``
+        accumulation).  With ``F == 1`` each gradient is its own reduced
+        shard and the job has no pair (its ``finish`` does the
+        replicate-group AllReduce).  A unit of one record with even
+        chunks reduces straight from its gradient; several records are
+        packed, however many of them have a gradient pending.
         """
-        pending = self._collect_pending(no_sync)
-        return self._stage_reduction(pending, replicate_group) if pending else None
-
-    def _collect_pending(self, no_sync: bool) -> list[tuple[ShardRecord, Tensor]]:
-        """Drain ``.grad`` slots into (record, gradient) reduction pairs."""
         pending: list[tuple[ShardRecord, Tensor]] = []
         for record in self.records:
             grad = record.take_grad()
@@ -614,21 +570,8 @@ class ShardHandle:
                 record._unsharded_grad_accum = grad
                 continue
             pending.append((record, grad))
-        return pending
-
-    def _stage_reduction(
-        self,
-        pending: list[tuple[ShardRecord, Tensor]],
-        replicate_group: Optional[ProcessGroup],
-    ) -> ReduceJob:
-        """The reduction of the drained ``pending`` gradients, up to the
-        collective (caller holds the reduction stream and no_grad).
-
-        With ``F == 1`` each gradient is its own reduced shard and the
-        job has no pair.  A unit of one record with even chunks reduces
-        straight from its gradient; several records are packed, however
-        many of them have a gradient pending.
-        """
+        if not pending:
+            return None
         if self.sharding_factor == 1:
 
             def finish_unsharded(_job, work: Optional[Work], stream: Stream) -> Optional[Work]:
@@ -652,9 +595,9 @@ class ShardHandle:
         new_shard = empty(record.shard_numel, dtype=self.reduce_dtype, device=self.device)
 
         def finish_direct(job: ReduceJob, work: Optional[Work], stream: Stream) -> Optional[Work]:
-            # The pair is taken out of the job: unless a bucket still
-            # holds it, the reduce-dtype shard dies at its cast back and
-            # the gradient before the reduced shard.
+            # The pair is taken out of the job, so once the bucket drops
+            # its pairs the reduce-dtype shard and the gradient are gone
+            # before the job is.
             shard, job.output = job.output, None
             shard, work = self._reduce_tail(shard, work, stream, replicate_group)
             record.stash_grad(record._shaped(shard))
@@ -720,12 +663,12 @@ class ShardHandle:
         reduced ``shard`` (hybrid sharding) and the cast back to full
         precision.  Returns the shard to stash and the Work to track.
 
-        The low-precision input dies when its *caller* drops it — a
-        direct job takes its shard out of the job and rebinds it to the
-        result, a packed job keeps its output until the job is dropped,
-        and a bucket keeps every pair until it has finished — and
-        allocator peaks depend on which, so this stays a method, not a
-        closure.
+        The low-precision input dies when its *caller* drops it — the
+        bucket (:func:`reduce_bucket`) keeps every pair until all its
+        jobs have finished, a direct job takes its shard out of the job
+        and rebinds it to the result, a packed job keeps its output until
+        the job is dropped — and allocator peaks depend on which, so this
+        stays a method, not a closure.
         """
         if replicate_group is not None and replicate_group.world_size > 1:
             work = replicate_group.all_reduce(shard, op=ReduceOp.AVG, stream=stream)
@@ -742,3 +685,65 @@ class ShardHandle:
             f"numel={self.total_numel}, padded={self.padded_numel}, "
             f"F={self.sharding_factor}, unsharded={self.is_unsharded})"
         )
+
+
+def unshard_bucket(handles: Sequence[ShardHandle], stream: Stream) -> Event:
+    """AllGather the still-sharded ``handles`` with one collective on
+    ``stream``, the way every unit is unsharded: stage each handle's
+    pair, run one coalesced AllGather over the pairs, commit each
+    staged handle.  The pairs die when this returns, after the
+    completion event is recorded.  Everything runs on ``stream``: the
+    destinations are allocated there, which is the allocator behaviour
+    Section 3.4's rate limiter exists to tame.
+    """
+    device = handles[0].device
+    with device.stream(stream), no_grad():
+        staged = [(handle, handle.unshard_pair(stream)) for handle in handles]
+        pairs = [pair for _, pair in staged if pair is not None]
+        if pairs:
+            handles[0].shard_group.all_gather_into_tensor_coalesced(pairs, stream=stream)
+        for handle, pair in staged:
+            if pair is not None:
+                handle.unshard_commit()
+        return stream.record_event()
+
+
+def reduce_bucket(
+    requests: Sequence[tuple[ShardHandle, Optional[ProcessGroup], bool]],
+    stream: Stream,
+) -> list[tuple[int, Optional[Work]]]:
+    """ReduceScatter the gradients of each ``(handle, replicate_group,
+    no_sync)`` request with one collective on ``stream``, ordered after
+    the compute stream that produced them.
+
+    Each handle stages a :class:`ReduceJob`; one coalesced ReduceScatter
+    runs over the jobs' pairs and every job finishes.  The pairs are
+    dropped first, then each job drops what it still holds: the free
+    order the device-log digests pin.  Returns ``(index, work)`` for
+    every request that reduced something.  When every request is
+    ``no_sync`` (Section 3.3.4) nothing is reduced: the gradients are
+    folded on the compute stream that produced them, and ``stream`` is
+    neither ordered nor allocated from.
+    """
+    device = requests[0][0].device
+    if all(no_sync for _, _, no_sync in requests):
+        with no_grad():
+            for handle, replicate_group, _ in requests:
+                handle.reduce_grad_pair(replicate_group=replicate_group, no_sync=True)
+        return []
+    with device.stream(stream), no_grad():
+        stream.wait_stream(device.default_stream)
+        jobs = []
+        for index, (handle, replicate_group, no_sync) in enumerate(requests):
+            job = handle.reduce_grad_pair(replicate_group=replicate_group, no_sync=no_sync)
+            if job is not None:
+                jobs.append((index, job))
+        pairs = [(job.output, job.input) for _, job in jobs if job.output is not None]
+        work = None
+        if pairs:
+            work = requests[0][0].shard_group.reduce_scatter_tensor_coalesced(
+                pairs, op=ReduceOp.AVG, stream=stream
+            )
+        finished = [(index, job.finish(work, stream)) for index, job in jobs]
+        del pairs
+    return finished

@@ -31,13 +31,12 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.autograd.engine import queue_callback
-from repro.autograd.grad_mode import is_grad_enabled, no_grad
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
-from repro.distributed import ReduceOp
 from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
-from repro.fsdp.handle import ShardHandle, weak_hook
+from repro.fsdp.handle import ShardHandle, reduce_bucket, unshard_bucket, weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
 from repro.tensor import Tensor
 
@@ -146,11 +145,11 @@ class FsdpRuntime:
         self._inflight.append(event)
 
     # ------------------------------------------------------------------
-    # Unit collectives: one bucket routine each; an eager unit is a
-    # bucket of one, whose handle stages and releases its own buffers
-    # (ShardHandle.unshard / reduce_grad), while a compiled bucket keeps
-    # every member's pair until all have finished.  The device-log
-    # digests pin both lifetimes.
+    # Unit collectives: one bucket routine each, for an eager unit (a
+    # bucket of one) and a compiled bucket alike.  The handle module's
+    # unshard_bucket / reduce_bucket stage every member, issue one
+    # coalesced collective and own the buffer lifetimes the device-log
+    # digests pin.
     # ------------------------------------------------------------------
     def unshard_units(self, units: Sequence["FsdpUnit"], reason: str) -> Optional[Event]:
         """AllGather the still-sharded ``units`` with one collective on
@@ -164,24 +163,9 @@ class FsdpRuntime:
             return None
         for unit in units:
             self.emit("unshard_issue", unit, reason=reason)
-        device = self.device
-        with device.scope(f"unshard:{units[0].label}@{reason}"):
+        with self.device.scope(f"unshard:{units[0].label}@{reason}"):
             self.admit_allgather()
-            stream = self.unshard_stream
-            if self.compiled is None:
-                event = units[0].handle.unshard(stream)
-            else:
-                with device.stream(stream), no_grad():
-                    staged = [(unit.handle, unit.handle.unshard_pair(stream)) for unit in units]
-                    pairs = [pair for _, pair in staged if pair is not None]
-                    if pairs:
-                        units[0].handle.shard_group.all_gather_into_tensor_coalesced(
-                            pairs, stream=stream
-                        )
-                    for handle, pair in staged:
-                        if pair is not None:
-                            handle.unshard_commit()
-                event = stream.record_event()
+            event = unshard_bucket([unit.handle for unit in units], self.unshard_stream)
         for unit in units:
             unit._last_unshard_event = event
         return event
@@ -189,36 +173,11 @@ class FsdpRuntime:
     def reduce_units(self, units: Sequence["FsdpUnit"]) -> None:
         """ReduceScatter the gradients of ``units`` with one collective
         on the unshard stream, ordered after the compute stream; each
-        unit tracks its Work as ``pending_reduce_work``."""
-        device = self.device
-        stream = self.unshard_stream
-        with device.scope(f"reduce:{units[0].label}"):
-            if self.compiled is None:
-                (unit,) = units
-                unit.pending_reduce_work = unit.handle.reduce_grad(
-                    stream, replicate_group=unit.plan.replicate_group, no_sync=unit.no_sync
-                )
-                return
-            with device.stream(stream), no_grad():
-                stream.wait_stream(device.default_stream)
-                jobs = []
-                for unit in units:
-                    job = unit.handle.reduce_grad_pair(
-                        replicate_group=unit.plan.replicate_group, no_sync=unit.no_sync
-                    )
-                    if job is not None:
-                        jobs.append((unit, job))
-                pairs = [(job.output, job.input) for _, job in jobs if job.output is not None]
-                work = None
-                if pairs:
-                    work = units[0].handle.shard_group.reduce_scatter_tensor_coalesced(
-                        pairs, op=ReduceOp.AVG, stream=stream
-                    )
-                for unit, job in jobs:
-                    unit.pending_reduce_work = job.finish(work, stream)
-                # The pairs go first, then each job drops what it still
-                # holds: the free order the device-log digests pin.
-                del pairs
+        unit that reduced tracks its Work as ``pending_reduce_work``."""
+        requests = [(unit.handle, unit.plan.replicate_group, unit.no_sync) for unit in units]
+        with self.device.scope(f"reduce:{units[0].label}"):
+            for index, work in reduce_bucket(requests, self.unshard_stream):
+                units[index].pending_reduce_work = work
 
     # ------------------------------------------------------------------
     # Lifecycle announcements

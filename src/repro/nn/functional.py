@@ -53,24 +53,35 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return ops.mean(ops.mul(diff, diff))
 
 
-_mask_cache: dict[tuple[int, int], Tensor] = {}
+_mask_cache: dict[int, Tensor] = {}
+_host_masks: dict[int, np.ndarray] = {}
 
 
 def causal_mask(seq_len: int, device=None) -> Tensor:
     """Boolean mask that is True above the diagonal (disallowed keys).
 
     Cached per (sequence length, device) — paper-scale simulations hit
-    this once per attention layer per iteration.
+    this once per attention layer per iteration.  A device keeps its
+    own masks, so they live and die with it and no device's cache
+    evicts another's (what a device allocates must not depend on the
+    devices that ran before it); the read-only host array behind them
+    is built once per length.
     """
-    key = (seq_len, id(device) if device is not None else -1)
-    cached = _mask_cache.get(key)
+    masks = _mask_cache if device is None else vars(device).setdefault("_causal_masks", {})
+    cached = masks.get(seq_len)
     if cached is not None:
         return cached
-    mask = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
-    result = tensor(mask, dtype=dtypes.bool_, device=device)
-    if len(_mask_cache) > 64:
-        _mask_cache.clear()
-    _mask_cache[key] = result
+    host = _host_masks.get(seq_len)
+    if host is None:
+        host = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
+        host.flags.writeable = False
+        if len(_host_masks) > 64:
+            _host_masks.clear()
+        _host_masks[seq_len] = host
+    result = tensor(host, dtype=dtypes.bool_, device=device)
+    if len(masks) > 64:
+        masks.clear()
+    masks[seq_len] = result
     return result
 
 

@@ -124,6 +124,23 @@ class TestCrossStreamGating:
         alloc.allocate(30 * MiB, dev.default_stream)
         assert alloc.stats.num_cuda_mallocs == mallocs
 
+    def test_merge_with_prev_keeps_the_pending_use(self):
+        dev = make_device()
+        compute = dev.new_stream("compute")
+        alloc = dev.allocator
+        # Two adjacent 10 MiB blocks: one 20 MiB segment, split.
+        first = alloc.allocate(10 * MiB, dev.default_stream)
+        second = alloc.allocate(10 * MiB, dev.default_stream)
+        assert second.prev is first
+        alloc.free(first)
+        alloc.record_use(second, compute, end_time=1.0)
+        # Merges into the free ``first``: the merged block inherits the
+        # compute stream's unretired use.
+        alloc.free(second)
+        mallocs = alloc.stats.num_cuda_mallocs
+        alloc.allocate(20 * MiB, dev.default_stream)
+        assert alloc.stats.num_cuda_mallocs == mallocs + 1, "reused unsafe merged block"
+
     def test_active_counts_pending_blocks(self):
         dev = make_device()
         compute = dev.new_stream("compute")

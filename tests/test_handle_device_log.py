@@ -7,7 +7,10 @@ set the timeline.  Each case below runs one FSDP unit (FULL_SHARD over
 four ranks, bfloat16 parameters, float32 reduction) through a training
 iteration of two accumulated micro-batches and an SGD step, records the
 device log of that iteration and compares its sha256 with the digest
-recorded before the two handle classes shared one lifecycle.
+recorded for the compiled unit before the two handle classes shared one
+lifecycle.  An eager unit runs the same staged collective routines as a
+compiled bucket, with the same buffer lifetimes, so each eager case and
+its compiled partner share one digest.
 
 Cases: a flat unit, a multi-parameter per_param unit and a
 single-parameter per_param unit; eager and compiled; accumulation with
@@ -16,7 +19,10 @@ collective is not one plain AllGather / ReduceScatter pair, each eager
 and compiled: NO_SHARD (``F == 1``: a cast copy and a replicate-group
 AllReduce), HYBRID_SHARD with a sharding factor of 2 (the AllReduce
 tail), flat CPU offload (the H2D staging) and a bfloat16 reduce dtype
-(the reduced shard is cast back after the collective).
+(the reduced shard is cast back after the collective).  A third table
+runs an iteration of two ``no_sync`` micro-batches and a synced one, so
+that a ``no_sync`` micro-batch folds a gradient into an earlier one,
+and pins its allocated and reserved peaks as well.
 """
 
 import hashlib
@@ -128,10 +134,12 @@ def _wrap(layout, device, compile):
     )
 
 
-def _iteration(model, opt, device, no_sync_first):
-    for micro in range(2):
+def _iteration(model, opt, device, no_sync_micros):
+    """``no_sync_micros`` micro-batches under ``no_sync``, then one synced
+    (two micro-batches at least), then the optimizer step."""
+    for micro in range(max(2, no_sync_micros + 1)):
         x = repro.empty(4, 16, device=device)
-        if no_sync_first and micro == 0:
+        if micro < no_sync_micros:
             with no_sync(model):
                 model(x).sum().backward()
         else:
@@ -140,35 +148,40 @@ def _iteration(model, opt, device, no_sync_first):
     opt.zero_grad()
 
 
-def _device_log(layout, compile, no_sync_first):
+def _logged_iteration(layout, compile, no_sync_micros):
+    """The digest of one iteration's device log and the iteration's
+    allocated and reserved peaks."""
     device = dist.get_device()
     repro.manual_seed(0)
     model = _wrap(layout, device, compile)
     opt = SGD(list(model.parameters()), lr=0.1)
     for _ in range(2):  # a compiled unit records, then compiles
-        _iteration(model, opt, device, no_sync_first)
+        _iteration(model, opt, device, no_sync_micros)
     assert (model._fsdp_unit.runtime.compiled is not None) == compile
+    device.reset_peak_memory_stats()
     log = DeviceLog(device)
     with log:
-        _iteration(model, opt, device, no_sync_first)
+        _iteration(model, opt, device, no_sync_micros)
     assert log.events
-    return log.digest()
+    stats = device.memory_stats()
+    return log.digest(), stats["allocated_bytes.all.peak"], stats["reserved_bytes.all.peak"]
 
 
-#: Recorded before FlatParamHandle and PerParamHandle shared one lifecycle.
+def _device_log(layout, compile, no_sync_first):
+    return _logged_iteration(layout, compile, int(no_sync_first))[0]
+
+
+#: (layout, no_sync) -> digest of an eager unit and of a compiled one:
+#: the compiled unit's digest, recorded before FlatParamHandle and
+#: PerParamHandle shared one lifecycle.  An eager unit is a compiled
+#: bucket of one, buffer lifetimes included, so one digest pins both.
 DIGESTS = {
-    ("flat", False, False): "16123d8c1ed44398c8c6119fdb6bbcbe592f2b275462536bb1e8aed6dcc3407b",
-    ("flat", False, True): "1031900f4c27f4c17b8862164e50ec2a0a14c175ce1d6663102c3d5dd215bf54",
-    ("flat", True, False): "16123d8c1ed44398c8c6119fdb6bbcbe592f2b275462536bb1e8aed6dcc3407b",
-    ("flat", True, True): "3abd69935a90c22fafba4bf22e47aebfcf4b892b40bf5bebed15f9067ff6cb26",
-    ("per_param_multi", False, False): "220bfbcfdabf4c40d702dd054d72d69d850079f33b49805dfa23a951ce040cc3",
-    ("per_param_multi", False, True): "e8a81294958b953e4edd212138e7a52671d34bf72902d3378229be568ada558c",
-    ("per_param_multi", True, False): "7da9a664f9226295a8e880195c7cf55bc92ad30dae11b9a580d19ab2b3d89a8b",
-    ("per_param_multi", True, True): "0d4bb445a67e1c213d40026304a66aa21a5b83944210e18afd70d8bbaecf7dc9",
-    ("per_param_single", False, False): "0836b10967fec0f3c2f4f19618b7362133a9645c3f1e5f0bdf6f5ee563574553",
-    ("per_param_single", False, True): "1cb182486cf64fb19b977720c009215e96c4ca6c0ac9b63be359bb4858888e9b",
-    ("per_param_single", True, False): "0836b10967fec0f3c2f4f19618b7362133a9645c3f1e5f0bdf6f5ee563574553",
-    ("per_param_single", True, True): "0042e666aeeb72873aa91b8e11bf9f7ec49e7c320a888473f69e842defc9a6dd",
+    ("flat", False): "16123d8c1ed44398c8c6119fdb6bbcbe592f2b275462536bb1e8aed6dcc3407b",
+    ("flat", True): "3abd69935a90c22fafba4bf22e47aebfcf4b892b40bf5bebed15f9067ff6cb26",
+    ("per_param_multi", False): "7da9a664f9226295a8e880195c7cf55bc92ad30dae11b9a580d19ab2b3d89a8b",
+    ("per_param_multi", True): "0d4bb445a67e1c213d40026304a66aa21a5b83944210e18afd70d8bbaecf7dc9",
+    ("per_param_single", False): "0836b10967fec0f3c2f4f19618b7362133a9645c3f1e5f0bdf6f5ee563574553",
+    ("per_param_single", True): "0042e666aeeb72873aa91b8e11bf9f7ec49e7c320a888473f69e842defc9a6dd",
 }
 
 CASES = [
@@ -188,20 +201,45 @@ CASES = [
     ],
 )
 def test_unit_iteration_device_log_is_unchanged(meta_world, layout, compile, no_sync_first):
-    assert _device_log(layout, compile, no_sync_first) == DIGESTS[layout, compile, no_sync_first]
+    assert _device_log(layout, compile, no_sync_first) == DIGESTS[layout, no_sync_first]
 
 
-#: Recorded before eager units issued their collectives through the
-#: compiled executor's bucket routines.
+#: layout -> (digest, allocated peak, reserved peak) of an iteration of
+#: two ``no_sync`` micro-batches and a synced one, eager and compiled.
+#: The second ``no_sync`` micro-batch folds its gradient into the first
+#: on the compute stream; the synced one folds on the reduction stream,
+#: as in the table above.  The peaks are an eager unit's before it ran
+#: the compiled bucket routines.
+ACCUMULATION = {
+    "flat": ("1e1a0d9fb9b74a2a46964c35722c84214b0ebee77280b361b8875a5a8c9af983", 2708, 6 << 20),
+    "per_param_multi": (
+        "2512935ad64ff8dfb04e8b757b4cead7f682f1d00efdd31e84f8832ad5a42eb3", 3252, 6 << 20
+    ),
+    "per_param_single": (
+        "f8b16d826c11d6273d928faf230a3bc83b958c62c739c87160fb20a5e148e8a2", 1604, 8 << 20
+    ),
+}
+
+ACCUMULATION_CASES = [(layout, compile) for layout in ACCUMULATION for compile in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "layout, compile",
+    ACCUMULATION_CASES,
+    ids=[f"{layout}-{'compiled' if c else 'eager'}" for layout, c in ACCUMULATION_CASES],
+)
+def test_no_sync_accumulation_device_log_and_peaks(meta_world, layout, compile):
+    assert _logged_iteration(layout, compile, 2) == ACCUMULATION[layout]
+
+
+#: shape -> digest of an eager unit and of a compiled one (the compiled
+#: unit's digest, recorded before eager units issued their collectives
+#: through the compiled executor's bucket routines).
 SHAPE_DIGESTS = {
-    ("no_shard", False): "ee452dcb248dd4a39a42d8f510b0e6b16e4a54380b9e6ed5f402d00b74846557",
-    ("no_shard", True): "ee452dcb248dd4a39a42d8f510b0e6b16e4a54380b9e6ed5f402d00b74846557",
-    ("hybrid", False): "dbfc97e03d018b49686c557e357edecaf5600f02f8da2884f2a898ea6289749e",
-    ("hybrid", True): "dbfc97e03d018b49686c557e357edecaf5600f02f8da2884f2a898ea6289749e",
-    ("cpu_offload", False): "ba9b0346c05fe5c05014d6363fb94ff1ea5dec71564e27daf414e285e8db3490",
-    ("cpu_offload", True): "ba9b0346c05fe5c05014d6363fb94ff1ea5dec71564e27daf414e285e8db3490",
-    ("bf16_reduce", False): "59e535942926c18569b89252e73190d246b285e3d273a57f950ac804da199412",
-    ("bf16_reduce", True): "55c71c7348c5396e37604ad3a51d7a11b4867e705fb231e414af53f839296cbe",
+    "no_shard": "ee452dcb248dd4a39a42d8f510b0e6b16e4a54380b9e6ed5f402d00b74846557",
+    "hybrid": "dbfc97e03d018b49686c557e357edecaf5600f02f8da2884f2a898ea6289749e",
+    "cpu_offload": "ba9b0346c05fe5c05014d6363fb94ff1ea5dec71564e27daf414e285e8db3490",
+    "bf16_reduce": "55c71c7348c5396e37604ad3a51d7a11b4867e705fb231e414af53f839296cbe",
 }
 
 SHAPE_CASES = [(shape, compile) for shape in SHAPES for compile in (False, True)]
@@ -213,7 +251,7 @@ SHAPE_CASES = [(shape, compile) for shape in SHAPES for compile in (False, True)
     ids=[f"{shape}-{'compiled' if compile else 'eager'}" for shape, compile in SHAPE_CASES],
 )
 def test_fallback_shape_device_log_is_unchanged(meta_world, shape, compile):
-    assert _device_log(shape, compile, False) == SHAPE_DIGESTS[shape, compile]
+    assert _device_log(shape, compile, False) == SHAPE_DIGESTS[shape]
 
 
 def _reduction_log(handle, device):

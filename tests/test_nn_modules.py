@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro import nn
 from repro.autograd import no_grad
+from repro.cuda.device import Device
 from repro.nn import functional as F
 
 
@@ -223,6 +224,17 @@ class TestFunctional:
         m2 = F.causal_mask(8)
         assert m1 is m2
         assert m1.numpy()[0, 1] and not m1.numpy()[1, 0]
+
+    def test_causal_mask_is_cached_per_device(self):
+        """Each device gets masks of its own (a new device can reuse a
+        dead one's ``id``), and filling one device's cache evicts no
+        other device's mask."""
+        first, second = Device("sim_gpu"), Device("sim_gpu")
+        first.materialize_data = second.materialize_data = False
+        mask = F.causal_mask(8, device=first)
+        for seq_len in range(1, 100):
+            assert F.causal_mask(seq_len, device=second).device is second
+        assert F.causal_mask(8, device=first) is mask
 
     def test_attention_causality(self):
         q = repro.randn(1, 1, 4, 8)

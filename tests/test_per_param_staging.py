@@ -36,6 +36,7 @@ from repro.distributed.mesh import chunk_bounds
 from repro.errors import StreamOrderViolation
 from repro.fsdp import fully_shard
 from repro.fsdp.per_param import PerParamHandle
+from repro.fsdp.runtime import FsdpRuntime
 from repro.hw.kernel_model import KernelCost
 from repro.perf import trainer
 from repro.tensor import Tensor, empty, zeros
@@ -424,15 +425,17 @@ def meta_world():
 
 def test_sanitizer_sees_gradient_reads_of_the_fused_pack(meta_world, monkeypatch):
     """Without the compute -> reduction stream edge the pack races the
-    backward kernels that wrote the gradients it reads."""
-    reduce_grad = PerParamHandle.reduce_grad
+    backward kernels that wrote the gradients it reads.  The edge is
+    dropped on the path every unit's reduction takes,
+    ``FsdpRuntime.reduce_units``; its one stream wait is that edge."""
+    reduce_units = FsdpRuntime.reduce_units
 
-    def reduce_grad_without_edge(self, stream, **kwargs):
+    def reduce_units_without_edge(self, units):
         with monkeypatch.context() as patch:
             patch.setattr(Stream, "wait_stream", lambda self, other: None)
-            return reduce_grad(self, stream, **kwargs)
+            return reduce_units(self, units)
 
-    monkeypatch.setattr(PerParamHandle, "reduce_grad", reduce_grad_without_edge)
+    monkeypatch.setattr(FsdpRuntime, "reduce_units", reduce_units_without_edge)
     with sanitizer.enabled():
         with pytest.raises(StreamOrderViolation) as exc:
             _per_param_step(meta_world.device)

@@ -18,11 +18,14 @@ import repro
 from repro import distributed as dist, nn
 from repro.cuda import sanitizer
 from repro.cuda.device import Device
+from repro.cuda.stream import Stream
 from repro.dtypes import float32
 from repro.errors import DistributedError, StreamOrderViolation
 from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
+from repro.fsdp.flat_param import FlatParamHandle
 from repro.fsdp.runtime import FsdpUnit
 from repro.hw.kernel_model import KernelCost
+from repro.optim import SGD
 from repro.profiler import ProfilerSession
 
 # Long enough on the GPU that the host clock stays well behind the
@@ -433,3 +436,53 @@ class TestFsdpIntegration:
                 assert sanitizer.active().violations == []
         finally:
             dist.shutdown()
+
+
+def _step_then_summon(device):
+    """One SGD step on an FSDP ``Linear``, then ``summon_full_params``:
+    the ad-hoc AllGather reads the shards the step just wrote."""
+    wrapped = FSDP(nn.Linear(16, 16), device=device)
+    opt = SGD(list(wrapped.parameters()), lr=0.1)
+    wrapped(repro.empty(4, 16, device=device)).sum().backward()
+    opt.step()
+    with wrapped.summon_full_params():
+        pass
+
+
+class TestAdHocUnshard:
+    """The ad-hoc unshard (``ShardHandle.unshard``) orders its stream
+    after the producer of the shards, the optimizer step on the compute
+    stream; nothing upstream does it for ``summon_full_params``.
+
+    Its consumer wait (the compute stream waiting on the completion
+    event) is not pinned here: under ``summon_full_params`` dropping it
+    is an equivalent mutant, because ``summon_full_params`` calls
+    ``event.synchronize()``, which orders the host and every later
+    launch after the AllGather (0 violations with that wait dropped).
+    """
+
+    @pytest.fixture()
+    def world(self):
+        dist.shutdown()
+        yield dist.init_single_process(4, materialize=False)
+        dist.shutdown()
+
+    def test_missing_producer_wait_is_caught(self, world, monkeypatch):
+        unshard = FlatParamHandle.unshard
+
+        def unshard_without_producer_edge(self):
+            with monkeypatch.context() as patch:
+                patch.setattr(Stream, "wait_stream", lambda self, other: None)
+                return unshard(self)
+
+        monkeypatch.setattr(FlatParamHandle, "unshard", unshard_without_producer_edge)
+        with sanitizer.enabled():
+            with pytest.raises(StreamOrderViolation) as exc:
+                _step_then_summon(world.device)
+        assert exc.value.kind == "read-after-write"
+        assert exc.value.prev.stream_name == "default"  # the optimizer step
+
+    def test_intact_ad_hoc_unshard_is_clean(self, world):
+        with sanitizer.enabled() as active:
+            _step_then_summon(world.device)
+            assert active.violations == []

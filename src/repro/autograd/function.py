@@ -56,13 +56,24 @@ class Context:
     """
 
     saved_tensors: tuple = ()
+    saved_arrays: tuple = ()
 
     def save_for_backward(self, *tensors) -> None:
         self.saved_tensors = tensors
 
+    def save_arrays(self, *arrays) -> None:
+        """Keep host arrays the forward computed for the backward to
+        reuse (functional mode only: an op calls this from its
+        ``compute``).  They are made read-only, so no op output can
+        adopt one; they hold host memory only, never a device block."""
+        for array in arrays:
+            array.flags.writeable = False
+        self.saved_arrays = arrays
+
     def release(self) -> None:
-        """Drop saved tensors so activation storage can be freed."""
+        """Drop saved tensors and arrays so their memory can be freed."""
         self.saved_tensors = ()
+        self.saved_arrays = ()
 
 
 class Edge:

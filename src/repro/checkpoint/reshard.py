@@ -39,8 +39,8 @@ from repro.fsdp.optim_state import (
     load_sharded_optim_state_dict,
     sharded_optim_state_dict,
 )
+from repro.fsdp.api import unit_tree
 from repro.fsdp.state_dict import (
-    _module_fqns,
     _named_buffers_clean,
     load_buffers,
     load_full_state_dict,
@@ -112,7 +112,7 @@ def snapshot_payload(
         payload["optim"] = sharded_optim_state_dict(root, optimizer, copy=copy)
     buffers = {
         name: buffer.detach()
-        for name, buffer in _named_buffers_clean(root, _module_fqns(root))
+        for name, buffer in _named_buffers_clean(unit_tree(root))
         if buffer.is_materialized
     }
     if buffers:

@@ -12,12 +12,14 @@ are functions of the unit tree under a root, so they serve both.
 
 The first forward of the outermost unit performs lazy root
 initialization: it creates the shared runtime (streams, rate limiter,
-execution-order tracker) and attaches every unit beneath it.
+execution-order tracker), attaches every unit beneath it and keeps the
+walk that found them (:class:`UnitTree`) for the state-dict paths.
 """
 
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Optional
 
 from repro import distributed as dist
@@ -165,12 +167,69 @@ def fsdp_modules(module: Module) -> list[FullyShardedDataParallel]:
 # Functions of the unit tree (either frontend)
 # ----------------------------------------------------------------------
 def _units_under(root: Module) -> list[FsdpUnit]:
-    units: list[FsdpUnit] = []
-    for mod in root.modules():
-        unit = getattr(mod, "_fsdp_unit", None)
-        if isinstance(unit, FsdpUnit) and unit not in units:
-            units.append(unit)
-    return units
+    """The FSDP units under ``root``, in pre-order (one :func:`unit_tree`)."""
+    return unit_tree(root).units
+
+
+class UnitTree:
+    """One pre-order walk of the module tree under ``root``: its FSDP
+    units, and the original-model FQN of every module that is not an
+    FSDP wrapper (a wrapper's module takes the wrapper's place).
+
+    The root's lazy init keeps its walk on the runtime (see
+    :func:`unit_tree`), naming units and modules weakly: they own the
+    runtime, so a strong edge back would close a cycle.
+    """
+
+    __slots__ = ("root", "fqns", "_units", "_modules")
+
+    def __init__(self, root: Module):
+        self.root = weakref.ref(root)
+        #: id(module) -> FQN; a module reached twice keeps its last name.
+        self.fqns: dict[int, str] = {}
+        self._units: list[weakref.ref] = []
+        self._modules: list[weakref.ref] = []
+        seen: set[int] = set()
+        pending: list[tuple[Module, str]] = [(root, "")]
+        while pending:
+            module, prefix = pending.pop()
+            unit = vars(module).get("_fsdp_unit")
+            if isinstance(unit, FsdpUnit) and id(unit) not in seen:
+                seen.add(id(unit))
+                self._units.append(unit.ref)
+            if isinstance(module, FullyShardedDataParallel):
+                pending.append((module.module, prefix))
+                continue
+            self.fqns[id(module)] = prefix
+            self._modules.append(weakref.ref(module))
+            children = [
+                (child, f"{prefix}.{name}" if prefix else name)
+                for name, child in module._modules.items()
+                if child is not None
+            ]
+            pending.extend(reversed(children))
+
+    @property
+    def units(self) -> list[FsdpUnit]:
+        return [ref() for ref in self._units]
+
+    def named_modules(self):
+        """``(fqn, module)`` for every non-wrapper module, in pre-order."""
+        fqns = self.fqns
+        for ref in self._modules:
+            module = ref()
+            yield fqns[id(module)], module
+
+
+def unit_tree(root: Module) -> UnitTree:
+    """The walk ``root``'s lazy init kept, once ``root`` has run as an
+    FSDP root; a fresh walk before that (when a checkpoint is resumed)."""
+    unit = vars(root).get("_fsdp_unit")
+    runtime = unit.runtime if isinstance(unit, FsdpUnit) else None
+    tree = runtime.tree if runtime is not None else None
+    if tree is not None and tree.root() is root:
+        return tree
+    return UnitTree(root)
 
 
 def _handles_under(root: Module) -> list:
@@ -367,7 +426,8 @@ def _init_runtime_for_root(root_module: Module, root_unit: FsdpUnit, config: dic
     # The paper intentionally keeps the outermost unit's parameters in
     # memory between forward and backward (Section 3.3.1, Figure 5).
     root_unit.reshard_after_forward = False
-    for unit in _units_under(root_module):
+    runtime.tree = UnitTree(root_module)
+    for unit in runtime.tree.units:
         unit.attach_runtime(runtime)
     if root_unit.runtime is None:
         root_unit.attach_runtime(runtime)

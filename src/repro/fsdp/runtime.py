@@ -99,6 +99,8 @@ class FsdpRuntime:
         self._detach_capture = None
         #: CompiledExecutor replaying the compiled schedule, or None.
         self.compiled = None
+        #: The root's :class:`~repro.fsdp.api.UnitTree`, kept by its lazy init.
+        self.tree = None
 
     @property
     def units(self) -> list["FsdpUnit"]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.autograd.grad_mode import no_grad
 from repro.errors import FsdpError, ShardLayoutError
-from repro.fsdp.api import FullyShardedDataParallel, _handles_under
+from repro.fsdp.api import UnitTree, unit_tree
 from repro.fsdp.handle import ParamInfo, ShardRecord
 from repro.nn.module import Module
 from repro.tensor import Tensor, tensor
@@ -39,27 +39,6 @@ __all__ = [
 NamedRecord = tuple[str, ShardRecord, list[tuple[str, ParamInfo]]]
 
 
-def _module_fqns(root: Module) -> dict[int, str]:
-    """Map module ids to original-model FQNs, skipping FSDP wrappers."""
-    # Pre-order walk on an explicit stack (a recursive closure would be
-    # a reference cycle per call).
-    mapping: dict[int, str] = {}
-    pending: list[tuple[Module, str]] = [(root, "")]
-    while pending:
-        module, prefix = pending.pop()
-        if isinstance(module, FullyShardedDataParallel):
-            pending.append((module.module, prefix))
-            continue
-        mapping[id(module)] = prefix
-        children = [
-            (child, f"{prefix}.{name}" if prefix else name)
-            for name, child in module._modules.items()
-            if child is not None
-        ]
-        pending.extend(reversed(children))
-    return mapping
-
-
 def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
@@ -73,12 +52,13 @@ def unit_records(root: Module) -> list[list[NamedRecord]]:
     :class:`~repro.fsdp.handle.ShardRecord` only; which handle class
     produced a record never matters.
     """
-    fqns = _module_fqns(root)
+    tree = unit_tree(root)
+    handles = [u.handle for u in tree.units if u.handle is not None]
     units = []
-    for index, handle in enumerate(_handles_under(root)):
+    for index, handle in enumerate(handles):
         unit = []
         for record in handle.shard_records():
-            named = [(_join(fqns[id(b.module)], b.name), b) for b in record.param_infos]
+            named = [(_join(tree.fqns[id(b.module)], b.name), b) for b in record.param_infos]
             unit.append((record.shard_key(index, named[0][0]), record, named))
         units.append(unit)
     return units
@@ -128,11 +108,12 @@ def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
     """
     # Keys in registration order — a per-parameter record lists a tied
     # parameter's aliases together, wherever they were registered.
-    fqns = _module_fqns(root)
+    tree = unit_tree(root)
     result: "OrderedDict[str, Tensor]" = OrderedDict.fromkeys(
-        _join(fqns[id(info.module)], info.name)
-        for handle in _handles_under(root)
-        for info in handle.param_infos
+        _join(tree.fqns[id(info.module)], info.name)
+        for unit in tree.units
+        if unit.handle is not None
+        for info in unit.handle.param_infos
     )
     for _key, record, named in shard_records(root):
         full = record.gather(record.shard)
@@ -143,25 +124,24 @@ def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
             values = flat[b.offset : b.offset + b.numel].reshape(b.shape)
             result[fqn] = tensor(np.array(values), dtype=record.shard.dtype)
         del full
-    for name, buffer in _named_buffers_clean(root, fqns):
+    for name, buffer in _named_buffers_clean(tree):
         result[name] = tensor(buffer.numpy(), dtype=buffer.dtype)
     return result
 
 
-def _named_buffers_clean(root: Module, fqns: dict[int, str]):
-    for module in root.modules():
-        if id(module) not in fqns:
-            continue
+def _named_buffers_clean(tree: UnitTree):
+    """Every module buffer under original-model FQNs."""
+    for prefix, module in tree.named_modules():
         for name, buffer in module._buffers.items():
             if buffer is None:
                 continue
-            yield _join(fqns[id(module)], name), buffer
+            yield _join(prefix, name), buffer
 
 
 def load_buffers(root: Module, state: dict) -> None:
     """Restore the module buffers ``state`` names (rank-local values;
     never sharded, so they ride beside the shards in every payload)."""
-    for name, buffer in _named_buffers_clean(root, _module_fqns(root)):
+    for name, buffer in _named_buffers_clean(unit_tree(root)):
         if name in state and buffer.is_materialized:
             buffer._np[...] = _flat_numpy(state[name]).reshape(buffer.shape)
 

@@ -96,8 +96,14 @@ class Module:
             yield from child.named_modules(child_prefix)
 
     def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
+        """:meth:`named_modules` without the names: the same pre-order,
+        on an explicit stack, building no name string."""
+        pending = [self]
+        while pending:
+            module = pending.pop()
             yield module
+            children = [child for child in module._modules.values() if child is not None]
+            pending.extend(reversed(children))
 
     def children(self) -> Iterator["Module"]:
         for child in self._modules.values():

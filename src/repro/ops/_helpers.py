@@ -8,6 +8,9 @@ Each op builds its output through :func:`make_result`, which
   time advances,
 - runs the numpy computation only when every input is materialized
   (functional mode); in abstract mode only shapes/costs flow.
+
+An output is written once: its storage adopts the computed array when
+nothing else can see it, and copies it otherwise.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def make_result(
     )
     shape = tuple(shape)
     numel = math.prod(shape) if shape else 1
-    storage = Storage(device, dtype, numel, materialize=materialize)
+    storage = Storage(device, dtype, numel, materialize=False)
     out = Tensor(storage, shape)
     if device.is_sim_gpu:
         if cost is None:
@@ -83,8 +86,16 @@ def make_result(
             writes=(storage,),
         )
     if materialize:
-        result = compute()
-        out._np[...] = dtypes.quantize(np.asarray(result), dtype).reshape(shape)
+        result = dtypes.quantize(np.asarray(compute()), dtype)
+        # Adopt the array only if nothing else can see it: it owns its
+        # memory (a ``Tensor._np`` view owns none), is writable (arrays
+        # a ``ctx`` keeps are read-only) and is no input's own array.
+        flags = result.flags
+        if not (flags.owndata and flags.writeable and flags.c_contiguous) or any(
+            result is t._storage.data for t in inputs
+        ):
+            result = result.copy()
+        storage.data = result.reshape(numel)
     return out
 
 

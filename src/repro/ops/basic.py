@@ -247,7 +247,9 @@ class _Gelu(Function):
 
         def compute():
             x = a._np
-            return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+            tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+            ctx.save_arrays(tanh_inner)
+            return 0.5 * x * (1.0 + tanh_inner)
 
         return make_result(compute, a.shape, a.dtype, (a,), cost=cost)
 
@@ -257,9 +259,10 @@ class _Gelu(Function):
         cost = elementwise_cost(a, a, flops_per_element=14.0)
 
         def compute():
+            # The forward's tanh, not a recompute: float32 ``x**3`` is
+            # most of GELU's host cost.
             x = a._np
-            inner = _GELU_C * (x + 0.044715 * x**3)
-            tanh_inner = np.tanh(inner)
+            (tanh_inner,) = ctx.saved_arrays
             sech2 = 1.0 - tanh_inner**2
             d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
             return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner

@@ -107,7 +107,7 @@ class _Linear(Function):
             y = x._np.reshape(-1, in_features) @ weight._np.T
             if bias is not None:
                 y = y + bias._np
-            return y.reshape(shape)
+            return y  # 2-D: a reshaped view would not be adopted, but copied
 
         return make_result(compute, shape, x.dtype, inputs, cost=cost)
 

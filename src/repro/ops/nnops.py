@@ -74,11 +74,14 @@ class _LogSoftmax(Function):
 
 
 class _LayerNorm(Function):
-    """Layer normalization over the trailing dimension."""
+    """Layer normalization over the trailing dimension.
+
+    The forward keeps the normalized input and ``sqrt(var + eps)`` for
+    the backward, which recomputes neither.
+    """
 
     @staticmethod
     def forward(ctx, a: Tensor, weight, bias, eps: float) -> Tensor:
-        ctx.eps = eps
         ctx.save_for_backward(a, weight, bias)
         inputs = tuple(t for t in (a, weight, bias) if t is not None)
         cost = KernelCost(flops=8 * a.numel, bytes_moved=3 * a.nbytes)
@@ -87,7 +90,9 @@ class _LayerNorm(Function):
             x = a._np
             mu = x.mean(axis=-1, keepdims=True)
             var = x.var(axis=-1, keepdims=True)
-            y = (x - mu) / np.sqrt(var + eps)
+            std = np.sqrt(var + eps)
+            y = (x - mu) / std
+            ctx.save_arrays(y, std)
             if weight is not None:
                 y = y * weight._np
             if bias is not None:
@@ -99,22 +104,15 @@ class _LayerNorm(Function):
     @staticmethod
     def backward(ctx, grad: Tensor):
         a, weight, bias = ctx.saved_tensors
-        eps = ctx.eps
         needs = ctx.needs_input_grad
         n = a.shape[-1]
         cost = KernelCost(flops=12 * a.numel, bytes_moved=4 * a.nbytes)
-
-        def normed():
-            x = a._np
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
-            return (x - mu) / np.sqrt(var + eps), np.sqrt(var + eps)
 
         grad_a = grad_w = grad_b = None
         if needs[0]:
 
             def compute_ga():
-                xhat, std = normed()
+                xhat, std = ctx.saved_arrays
                 g = grad._np
                 if weight is not None:
                     g = g * weight._np
@@ -126,7 +124,7 @@ class _LayerNorm(Function):
         if weight is not None and needs[1]:
 
             def compute_gw():
-                xhat, _ = normed()
+                xhat, _ = ctx.saved_arrays
                 return (grad._np * xhat).reshape(-1, n).sum(axis=0)
 
             grad_w = make_result(compute_gw, (n,), a.dtype, (a, grad))

@@ -10,6 +10,10 @@ rule that stops matching anything fails too).
   the step is compiled, and in ``repro.fsdp`` only the two staged
   routines ``unshard_bucket`` / ``reduce_bucket`` call a coalesced
   collective.
+- An op output is written once: ``repro.ops._helpers.make_result``
+  calls no ``np.zeros`` / ``numpy.zeros`` and builds its ``Storage``
+  with ``materialize=False`` (a materialized one is zero-filled); the
+  storage adopts or copies the computed array instead.
 """
 
 import ast
@@ -21,6 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHARED_ROUTINES = {"handle.py": {"unshard_bucket", "reduce_bucket"}}
 #: The runtime methods that must not test ``.compiled``.
 UNIT_COLLECTIVES = {"FsdpRuntime": {"unshard_units", "reduce_units"}}
+#: The functions that must not zero-fill, by file.
+WRITE_ONCE = {"_helpers.py": {"make_result"}}
 
 
 def _functions(tree: ast.AST, scope: tuple = ()):
@@ -68,6 +74,34 @@ def coalesced_calls(path: str, source: str) -> list[str]:
     return found
 
 
+def zero_fills(path: str, source: str) -> list[str]:
+    """Zero-fills in the write-once functions: ``np.zeros`` /
+    ``numpy.zeros`` calls, and ``Storage`` built with any
+    ``materialize`` but the constant False."""
+    found = []
+    for scope, func in _functions(ast.parse(source)):
+        if scope or func.name not in WRITE_ONCE.get(Path(path).name, ()):
+            continue
+        for node in ast.walk(func):
+            callee = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == "zeros"
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id in ("np", "numpy")
+            ):
+                found.append(f"{path}:{node.lineno}: {func.name} calls {callee.value.id}.zeros")
+            elif isinstance(callee, ast.Name) and callee.id == "Storage":
+                materialize = [k.value for k in node.keywords if k.arg == "materialize"]
+                if not (
+                    materialize
+                    and isinstance(materialize[0], ast.Constant)
+                    and materialize[0].value is False
+                ):
+                    found.append(f"{path}:{node.lineno}: {func.name} may zero-fill a Storage")
+    return found
+
+
 def _tree_violations(rule, paths) -> list[str]:
     return [v for path in paths for v in rule(str(path), path.read_text())]
 
@@ -80,6 +114,10 @@ def test_only_the_shared_routines_call_coalesced_collectives():
     paths = sorted((SRC / "fsdp").rglob("*.py"))
     assert paths
     assert _tree_violations(coalesced_calls, paths) == []
+
+
+def test_make_result_writes_each_output_once():
+    assert _tree_violations(zero_fills, [SRC / "ops" / "_helpers.py"]) == []
 
 
 _FORKED_RUNTIME = '''
@@ -126,4 +164,30 @@ def test_negative_control_a_second_coalesced_caller_is_caught():
     assert [v.split(": ", 1)[1] for v in found] == [
         "ShardHandle.unshard calls all_gather_into_tensor_coalesced",
         "issue calls reduce_scatter_tensor_coalesced",
+    ]
+
+
+_ZERO_FILLING_MAKE_RESULT = '''
+import numpy
+import numpy as np
+
+
+def make_result(compute, shape, dtype, inputs):
+    out = np.zeros(shape, dtype=dtype.np_dtype)
+    out[...] = compute()
+    storage = Storage(device, dtype, out.size, materialize=materialize)
+    return numpy.zeros(1) if not shape else out
+
+
+def sum_to_shape(grad, shape):
+    return np.zeros(shape)
+'''
+
+
+def test_negative_control_a_zero_filling_make_result_is_caught():
+    found = zero_fills("_helpers.py", _ZERO_FILLING_MAKE_RESULT)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "make_result calls np.zeros",
+        "make_result may zero-fill a Storage",
+        "make_result calls numpy.zeros",
     ]

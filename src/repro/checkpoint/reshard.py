@@ -6,21 +6,22 @@ record (:class:`repro.fsdp.handle.ShardRecord`) — plus the
 each record's logical buffer was laid out and chunked at save time.
 That metadata is enough to reverse the layout entirely offline:
 
-1. **reassemble** — for every record, concatenate its saved chunks in
-   shard-index order, drop the padding, and slice the unpadded buffer
-   back into per-FQN logical tensors using the recorded ``ParamSpec``
+1. **reassemble** — for every record and every field of it (the
+   shard, and each optimizer state tensor, which is sharded exactly
+   like the shard), concatenate its saved chunks in shard-index order
+   (skipping replicas), drop the padding, and slice the buffer back
+   into per-FQN logical tensors using the recorded ``ParamSpec``
    offsets (the paper's §4.1 sharded state dict, run in reverse);
 2. **scatter** — hand the resulting consolidated state dicts to
    :func:`repro.fsdp.state_dict.load_full_state_dict` and
-   :func:`repro.fsdp.optim_state.load_full_optim_state_dict`, which
+   :func:`repro.fsdp.state_dict.load_full_optim_state_dict`, which
    already know how to slice logical tensors into whatever layout the
    *restoring* model uses.
 
 Because step 1 depends only on the manifest and step 2 only on the new
 model, the two layouts never need to agree: world size, sharding
 factor, wrap granularity and sharding backend can all change between
-save and restore, and optimizer state (sharded identically to its
-record) rides along for free.  No communication is involved — every restoring rank
+save and restore.  No communication is involved — every restoring rank
 reads the shards it needs and keeps only its own slice.
 """
 
@@ -34,23 +35,22 @@ import numpy as np
 from repro import dtypes
 from repro.checkpoint.manifest import CheckpointManifest, ParamSpec, UnitLayout
 from repro.errors import CheckpointError, ShardLayoutError
-from repro.fsdp.optim_state import (
-    load_full_optim_state_dict,
-    load_sharded_optim_state_dict,
-    sharded_optim_state_dict,
-)
 from repro.fsdp.api import unit_tree
 from repro.fsdp.state_dict import (
     _named_buffers_clean,
+    _per_fqn,
     load_buffers,
+    load_full_optim_state_dict,
     load_full_state_dict,
+    load_sharded_optim_state_dict,
     load_sharded_state_dict,
     shard_records,
+    sharded_optim_state_dict,
     sharded_state_dict,
     unit_records,
 )
 from repro.nn.module import Module
-from repro.tensor import Tensor, tensor
+from repro.tensor import Tensor
 
 __all__ = [
     "unit_layouts",
@@ -135,19 +135,16 @@ def load_payload(root: Module, optimizer: Optional[object], payload: dict) -> No
     load_buffers(root, payload.get("buffers", {}))
 
 
-def _chunks_by_index(
-    unit: UnitLayout, payloads: dict[int, dict], section: str, name: str = ""
-) -> list[np.ndarray]:
-    """Collect one chunk per shard index for a unit, in index order."""
+def _collect(unit: UnitLayout, payloads: dict[int, dict], field) -> np.ndarray:
+    """One field of one saved record (its shard or one optimizer state
+    tensor), reassembled: ``field(payload)`` is a rank's chunk or None;
+    one chunk per shard index, concatenated in index order."""
     chunks: dict[int, np.ndarray] = {}
     for rank, payload in payloads.items():
         index = payload.get("shard_index", {}).get(unit.key, rank)
         if index in chunks:
             continue  # replica under a hybrid layout
-        if section == "model":
-            entry = payload.get("model", {}).get(unit.key)
-        else:
-            entry = payload.get("optim", {}).get("state", {}).get(unit.key, {}).get(name)
+        entry = field(payload)
         if entry is None:
             continue
         if not isinstance(entry, Tensor) or not entry.is_materialized:
@@ -162,17 +159,18 @@ def _chunks_by_index(
             f"unit {unit.key!r}: missing shard chunk(s) {missing} "
             f"(need {unit.factor}, have {sorted(chunks)})"
         )
-    return [chunks[i] for i in range(unit.factor)]
+    parts = [chunks[i] for i in range(unit.factor)]
+    flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if flat.size != unit.padded_numel:
+        raise CheckpointError(
+            f"unit {unit.key!r}: reassembled {flat.size} elements, "
+            f"manifest declares {unit.padded_numel}"
+        )
+    return flat
 
 
-def _slice_params(
-    unit: UnitLayout, flat: np.ndarray, dtype: dtypes.DType
-) -> "OrderedDict[str, Tensor]":
-    out: "OrderedDict[str, Tensor]" = OrderedDict()
-    for spec in unit.params:
-        values = flat[spec.offset : spec.offset + spec.numel].reshape(spec.shape)
-        out[spec.fqn] = tensor(np.array(values), dtype=dtype)
-    return out
+def _optim_entry(payload: dict, key: str) -> dict:
+    return payload.get("optim", {}).get("state", {}).get(key) or {}
 
 
 def assemble_full_state(
@@ -195,39 +193,21 @@ def assemble_full_state(
     have_optim = any("optim" in p for p in payloads.values())
     for unit in manifest.units:
         dtype = dtypes.get(unit.dtype)
-        chunks = _chunks_by_index(unit, payloads, "model")
-        flat = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        if flat.size != unit.padded_numel:
-            raise CheckpointError(
-                f"unit {unit.key!r}: reassembled {flat.size} elements, "
-                f"manifest declares {unit.padded_numel}"
-            )
-        model_state.update(_slice_params(unit, flat[: unit.total_numel], dtype))
-
+        specs = [(spec.fqn, spec) for spec in unit.params]
+        shard = _collect(unit, payloads, lambda p: p.get("model", {}).get(unit.key))
+        model_state.update(_per_fqn(shard, specs, dtype))
         if not have_optim:
             continue
         # Tensor state names + scalars from any payload holding this unit.
-        names: set[str] = set()
-        scalars: dict[str, object] = {}
-        for payload in payloads.values():
-            entry = payload.get("optim", {}).get("state", {}).get(unit.key)
-            if not entry:
-                continue
-            for name, value in entry.items():
-                if isinstance(value, Tensor):
-                    names.add(name)
-                else:
-                    scalars[name] = value
-        per_fqn: dict[str, dict] = {
-            spec.fqn: dict(scalars) for spec in unit.params
-        }
-        for name in sorted(names):
-            chunks = _chunks_by_index(unit, payloads, "optim", name)
-            flat = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            sliced = _slice_params(unit, flat[: unit.total_numel], dtype)
-            for fqn, value in sliced.items():
-                per_fqn[fqn][name] = value
-        optim_entries.update(per_fqn)
+        saved = [_optim_entry(p, unit.key) for p in payloads.values()]
+        scalars = {n: v for entry in saved for n, v in entry.items() if not isinstance(v, Tensor)}
+        names = sorted({n for entry in saved for n, v in entry.items() if isinstance(v, Tensor)})
+        entries = {fqn: dict(scalars) for fqn, _ in specs}
+        for name in names:
+            field = _collect(unit, payloads, lambda p: _optim_entry(p, unit.key).get(name))
+            for fqn, value in _per_fqn(field, specs, dtype).items():
+                entries[fqn][name] = value
+        optim_entries.update(entries)
 
     optim_state: Optional[dict] = None
     if have_optim:

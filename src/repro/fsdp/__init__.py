@@ -32,18 +32,16 @@ from repro.fsdp.exec_order import (
     plan_flat_param_groups,
     record_execution_order,
 )
-from repro.fsdp.optim_state import (
-    full_optim_state_dict,
-    load_full_optim_state_dict,
-    load_sharded_optim_state_dict,
-    sharded_optim_state_dict,
-)
 from repro.fsdp.runtime import BackwardPrefetch, FsdpRuntime, FsdpUnit, RATE_LIMIT_INFLIGHT
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy, make_process_groups
 from repro.fsdp.state_dict import (
+    full_optim_state_dict,
     full_state_dict,
+    load_full_optim_state_dict,
     load_full_state_dict,
+    load_sharded_optim_state_dict,
     load_sharded_state_dict,
+    sharded_optim_state_dict,
     sharded_state_dict,
 )
 from repro.fsdp.wrap import (

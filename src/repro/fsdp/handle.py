@@ -318,15 +318,6 @@ class ShardHandle:
     def sharded_nbytes(self) -> int:
         return self.shard_numel * self.full_precision_dtype.itemsize
 
-    def optim_state_nbytes(self, optimizer) -> int:
-        """Bytes of optimizer state attached to this unit's shards."""
-        return sum(
-            value.nbytes
-            for record in self.records
-            for value in optimizer.state.get(id(record.optim_param), {}).values()
-            if isinstance(value, Tensor)
-        )
-
     # ------------------------------------------------------------------
     # Unshard / reshard
     # ------------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""State-dict collection for sharded models.
+"""State dicts for sharded models: parameters and optimizer state.
 
-Two flavours, mirroring ``torch.distributed.fsdp``:
+Every optimizer state tensor (Adam's ``exp_avg``/``exp_avg_sq``) is
+sharded exactly like its record's shard
+(:class:`repro.fsdp.handle.ShardRecord`), so the model half and the
+optimizer half are the same shard-shaped fields of the same records,
+moved by four private moves:
 
-- :func:`full_state_dict` — every rank AllGathers full-precision
-  parameters one unit at a time (peak memory = one unsharded unit) and
-  returns original-FQN → tensor, identical to the unwrapped model's
-  ``state_dict()``;
-- :func:`sharded_state_dict` — each rank returns only its local shards
-  (cheap; pair with :func:`load_sharded_state_dict`).
+- :func:`_snapshot` / :func:`_adopt` — sharded save and load: each rank
+  keeps (restores) exactly its own shard of each field, and a field
+  saved under another layout is refused with :class:`ShardLayoutError`;
+- :func:`_unshard` — full save: AllGather one field of one record at a
+  time (peak memory = one unsharded record) and slice it per original
+  FQN, as the unwrapped model's ``state_dict()`` / optimizer would key it;
+- :func:`_scatter` — full load: write the part of a per-FQN tensor that
+  falls in this rank's shard (e.g. when resuming on another world size).
 
-:func:`load_full_state_dict` scatters a full state dict back into the
-local shards.
+Scalars (Adam's ``step``) and param groups pass through as they are.
 """
 
 from __future__ import annotations
@@ -24,13 +29,18 @@ from repro.errors import FsdpError, ShardLayoutError
 from repro.fsdp.api import UnitTree, unit_tree
 from repro.fsdp.handle import ParamInfo, ShardRecord
 from repro.nn.module import Module
-from repro.tensor import Tensor, tensor
+from repro.optim.optimizer import Optimizer
+from repro.tensor import Tensor, tensor, zeros_like
 
 __all__ = [
     "full_state_dict",
     "load_full_state_dict",
     "sharded_state_dict",
     "load_sharded_state_dict",
+    "full_optim_state_dict",
+    "load_full_optim_state_dict",
+    "sharded_optim_state_dict",
+    "load_sharded_optim_state_dict",
     "shard_records",
 ]
 
@@ -78,34 +88,95 @@ def _distinct(named: list[tuple[str, ParamInfo]]) -> list[tuple[str, ParamInfo]]
     return list(first.values())
 
 
-def _overlap(record: ShardRecord, binding: ParamInfo) -> tuple[slice, slice]:
-    """Where ``binding`` meets this rank's shard: ``(slice of the flat
-    shard, slice of the flat parameter)`` — empty when they are disjoint."""
-    start = record.shard_offset
-    lo = max(binding.offset, start)
-    hi = max(lo, min(binding.offset + binding.numel, start + record.shard.numel))
-    return slice(lo - start, hi - start), slice(lo - binding.offset, hi - binding.offset)
-
-
 def _flat_numpy(value) -> np.ndarray:
     array = value.numpy() if isinstance(value, Tensor) else np.asarray(value)
     return array.reshape(-1)
 
 
-def _snapshot(value: Tensor, copy: bool) -> Tensor:
-    """Detached alias of ``value``, or an independent copy of its data."""
+def _per_fqn(flat: np.ndarray, bindings, dtype) -> "OrderedDict[str, Tensor]":
+    """Slice a record's logical buffer into one tensor per ``(fqn,
+    binding)``; a binding is a live ``ParamInfo`` or a manifest
+    ``ParamSpec`` (both give ``offset``, ``numel`` and ``shape``)."""
+    out: "OrderedDict[str, Tensor]" = OrderedDict()
+    for fqn, b in bindings:
+        values = flat[b.offset : b.offset + b.numel].reshape(b.shape)
+        out[fqn] = tensor(np.array(values), dtype=dtype)
+    return out
+
+
+def _snapshot(value, copy: bool):
+    """Sharded save: a detached alias of a field, or with ``copy`` an
+    independent copy of its data; a scalar passes through."""
+    if not isinstance(value, Tensor):
+        return value
     value = value.detach()
     if copy and value.is_materialized:
         value = tensor(value.numpy().copy(), dtype=value.dtype)
     return value
 
 
-def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
-    """Collect the unsharded, full-precision state dict (Section 4).
+def _adopt(what: str, key: str, value, target: Tensor) -> None:
+    """Sharded load: copy a saved field into ``target`` (the shard or one
+    of its optimizer state tensors), refusing one that does not fit."""
+    if isinstance(value, Tensor) and value.numel != target.numel:
+        raise ShardLayoutError(
+            f"{what} has {value.numel} elements but the model's local shard has "
+            f"{target.numel} — checkpoint taken at a different world size "
+            "or wrap granularity? Use repro.checkpoint.load_resharded.",
+            key=key,
+            expected=target.numel,
+            actual=value.numel,
+        )
+    if target.numel:
+        target.copy_(value)
 
-    Records are gathered one at a time so peak memory stays at one
-    unsharded record.  Requires functional (materialized) mode.
-    """
+
+def _unshard(what: str, record: ShardRecord, value: Tensor, bindings) -> "OrderedDict":
+    """Full save: AllGather a shard-shaped ``value`` and slice it per FQN."""
+    if value.numel != record.shard.numel:
+        raise FsdpError(
+            f"{what} has {value.numel} elements; expected the shard size "
+            f"{record.shard.numel} — was the optimizer built after FSDP wrapping?"
+        )
+    full = record.gather(value)
+    if not full.is_materialized:
+        raise FsdpError(f"{what} requires materialized tensors")
+    return _per_fqn(full._np.reshape(-1), bindings, value.dtype)
+
+
+def _scatter(what: str, record: ShardRecord, binding: ParamInfo, value, target: Tensor) -> None:
+    """Full load: copy into ``target`` (shard-shaped) the part of the
+    per-FQN ``value`` that falls in this rank's shard — binding
+    ``[offset, offset+numel)`` ∩ shard ``[shard_offset,
+    shard_offset+shard.numel)``, empty when they are disjoint."""
+    if not target.is_materialized:
+        raise FsdpError(f"{what} requires materialized tensors")
+    start = record.shard_offset
+    lo = max(binding.offset, start)
+    hi = max(lo, min(binding.offset + binding.numel, start + record.shard.numel))
+    target._np.reshape(-1)[lo - start : hi - start] = _flat_numpy(value)[
+        lo - binding.offset : hi - binding.offset
+    ]
+
+
+def _checked_entry(state: dict, key: str, what: str):
+    """``state[key]``, or the typed refusal for a foreign layout."""
+    if key not in state:
+        raise ShardLayoutError(f"{what} is missing {key!r}", key=key)
+    return state[key]
+
+
+def _full_entry(state: dict, fqn: str, what: str):
+    """``state[fqn]``, or a ``KeyError`` naming the missing FQN."""
+    if fqn not in state:
+        raise KeyError(f"{what} is missing {fqn!r}")
+    return state[fqn]
+
+
+def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
+    """Collect the unsharded, full-precision state dict (Section 4),
+    identical to the unwrapped model's ``state_dict()``.  Requires
+    functional (materialized) mode."""
     # Keys in registration order — a per-parameter record lists a tied
     # parameter's aliases together, wherever they were registered.
     tree = unit_tree(root)
@@ -116,14 +187,7 @@ def full_state_dict(root: Module) -> "OrderedDict[str, Tensor]":
         for info in unit.handle.param_infos
     )
     for _key, record, named in shard_records(root):
-        full = record.gather(record.shard)
-        if not full.is_materialized:
-            raise FsdpError("full_state_dict requires materialized tensors")
-        flat = full._np.reshape(-1)
-        for fqn, b in named:
-            values = flat[b.offset : b.offset + b.numel].reshape(b.shape)
-            result[fqn] = tensor(np.array(values), dtype=record.shard.dtype)
-        del full
+        result.update(_unshard("full_state_dict", record, record.shard, named))
     for name, buffer in _named_buffers_clean(tree):
         result[name] = tensor(buffer.numpy(), dtype=buffer.dtype)
     return result
@@ -149,14 +213,9 @@ def load_buffers(root: Module, state: dict) -> None:
 def load_full_state_dict(root: Module, state: dict) -> None:
     """Scatter a full state dict into each rank's local shards."""
     for _key, record, named in shard_records(root):
-        if not record.shard.is_materialized:
-            raise FsdpError("load_full_state_dict requires materialized tensors")
-        shard = record.shard._np.reshape(-1)
         for fqn, binding in _distinct(named):
-            if fqn not in state:
-                raise KeyError(f"state dict is missing {fqn!r}")
-            dst, src = _overlap(record, binding)
-            shard[dst] = _flat_numpy(state[fqn])[src]
+            value = _full_entry(state, fqn, "state dict")
+            _scatter("load_full_state_dict", record, binding, value, record.shard)
     load_buffers(root, state)
 
 
@@ -173,26 +232,6 @@ def sharded_state_dict(root: Module, *, copy: bool = False) -> "OrderedDict[str,
     )
 
 
-def _checked_entry(state: dict, key: str, what: str):
-    """``state[key]``, or the typed refusal for a foreign layout."""
-    if key not in state:
-        raise ShardLayoutError(f"{what} is missing {key!r}", key=key)
-    return state[key]
-
-
-def _check_shard_numel(what: str, key: str, value: Tensor, record: ShardRecord) -> None:
-    """Refuse a saved tensor that does not fit ``record``'s local shard."""
-    if value.numel != record.shard.numel:
-        raise ShardLayoutError(
-            f"{what} has {value.numel} elements but the model's local shard has "
-            f"{record.shard.numel} — checkpoint taken at a different world size "
-            "or wrap granularity? Use repro.checkpoint.load_resharded.",
-            key=key,
-            expected=record.shard.numel,
-            actual=value.numel,
-        )
-
-
 def load_sharded_state_dict(root: Module, state: dict) -> None:
     """Load shards saved by :func:`sharded_state_dict` (same layout).
 
@@ -205,7 +244,96 @@ def load_sharded_state_dict(root: Module, state: dict) -> None:
     with no_grad():
         for key, record, _ in shard_records(root):
             value = _checked_entry(state, key, "sharded state dict")
+            _adopt(f"shard {key!r}", key, value, record.shard)
+
+
+def _group_meta(optimizer: Optimizer) -> list[dict]:
+    return [
+        {k: v for k, v in group.items() if k != "params"}
+        for group in optimizer.param_groups
+    ]
+
+
+def _state_shard(param_state: dict, name: str, record: ShardRecord) -> Tensor:
+    """The state tensor ``name`` of ``record``'s parameter, created on
+    first use exactly as the optimizer's next step would create it
+    (shaped like the sharded parameter, which for a per-parameter
+    record is the dim-0 view, not the flat shard)."""
+    current = param_state.get(name)
+    if not isinstance(current, Tensor) or current.numel != record.shard.numel:
+        current = param_state[name] = zeros_like(record.optim_param.detach())
+    return current
+
+
+def sharded_optim_state_dict(model: Module, optimizer: Optimizer, *, copy: bool = False) -> dict:
+    """Each rank's local optimizer-state shards, keyed like
+    :func:`sharded_state_dict`.
+
+    No communication: every rank saves exactly its own shard of each
+    state tensor.  ``copy=True`` snapshots the values so the checkpoint
+    survives further optimizer steps — the format elastic recovery
+    restores from.
+    """
+    state_out: "OrderedDict[str, dict]" = OrderedDict()
+    for key, record, _ in shard_records(model):
+        saved = optimizer.state.get(id(record.optim_param), {})
+        state_out[key] = {name: _snapshot(value, copy) for name, value in saved.items()}
+    return {"state": state_out, "param_groups": _group_meta(optimizer)}
+
+
+def load_sharded_optim_state_dict(model: Module, optimizer: Optimizer, state_dict: dict) -> None:
+    """Load shards saved by :func:`sharded_optim_state_dict` (same layout)."""
+    state = state_dict["state"]
+    with no_grad():
+        for key, record, _ in shard_records(model):
+            saved = _checked_entry(state, key, "sharded optimizer state dict")
+            param_state = optimizer.state.setdefault(id(record.optim_param), {})
+            for name, value in saved.items():
+                if isinstance(value, Tensor):
+                    target = _state_shard(param_state, name, record)
+                    _adopt(f"optimizer shard {key!r}[{name!r}]", key, value, target)
+                else:
+                    param_state[name] = value
+    for group, meta in zip(optimizer.param_groups, state_dict.get("param_groups", ())):
+        for k, v in meta.items():
+            if k != "params":
+                group[k] = v
+
+
+def full_optim_state_dict(model: Module, optimizer: Optimizer) -> dict:
+    """Consolidate optimizer state, keyed by original parameter FQNs.
+
+    Returns ``{"state": {fqn: {name: value}}, "param_groups": [...]}``
+    where tensors are unsharded and scalars (e.g. Adam's ``step``) pass
+    through.  Requires functional (materialized) mode.
+    """
+    state_out: "OrderedDict[str, dict]" = OrderedDict()
+    for _key, record, named in shard_records(model):
+        bindings = _distinct(named)
+        saved = optimizer.state.get(id(record.optim_param), {})
+        scalars = {n: v for n, v in saved.items() if not isinstance(v, Tensor)}
+        entries = {fqn: dict(scalars) for fqn, _ in bindings}
+        for name, value in saved.items():
             if isinstance(value, Tensor):
-                _check_shard_numel(f"shard {key!r}", key, value, record)
-            if record.shard.numel:
-                record.shard.copy_(value)
+                what = f"optimizer state tensor {name!r} of {named[0][0]!r}"
+                for fqn, full in _unshard(what, record, value, bindings).items():
+                    entries[fqn][name] = full
+        state_out.update(entries)
+    param_groups = _group_meta(optimizer)
+    for meta in param_groups:
+        meta["params"] = sorted(state_out.keys())
+    return {"state": state_out, "param_groups": param_groups}
+
+
+def load_full_optim_state_dict(model: Module, optimizer: Optimizer, state_dict: dict) -> None:
+    """Scatter a consolidated optimizer state dict into local shards."""
+    state = state_dict["state"]
+    for _key, record, named in shard_records(model):
+        param_state = optimizer.state.setdefault(id(record.optim_param), {})
+        for fqn, binding in _distinct(named):
+            for name, value in _full_entry(state, fqn, "optimizer state dict").items():
+                if isinstance(value, Tensor):
+                    target = _state_shard(param_state, name, record)
+                    _scatter("load_full_optim_state_dict", record, binding, value, target)
+                else:
+                    param_state[name] = value

@@ -274,6 +274,12 @@ def sharded_units(wrapped: Module) -> list:
     return [unit for unit in _units_under(wrapped) if unit.handle is not None]
 
 
+def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
+    """Bytes in one rank's shard of a model+optimizer checkpoint: the
+    tensors of the payload it would save."""
+    return payload_nbytes(ckpt.snapshot_payload(wrapped, optimizer, copy=False))
+
+
 class _Run:
     """What one :func:`simulate_training` call builds in its world (the
     build stage), and what its loop must remember across a rewind."""
@@ -308,11 +314,7 @@ class _Run:
         self.started: dict[int, float] = {}
 
     def checkpoint_nbytes(self) -> int:
-        """Bytes in one rank's shard of a model+optimizer checkpoint."""
-        return sum(
-            unit.handle.sharded_nbytes + unit.handle.optim_state_nbytes(self.optimizer)
-            for unit in sharded_units(self.wrapped)
-        )
+        return _checkpoint_nbytes(self.wrapped, self.optimizer)
 
     def runtime(self):
         for unit in _units_under(self.wrapped):
@@ -784,8 +786,7 @@ class _ElasticJob:
             return 0
         manifest, payloads = store.read_all(start)
         ckpt.load_resharded(wrapped, opt, manifest=manifest, payloads=payloads)
-        nbytes = payload_nbytes(ckpt.snapshot_payload(wrapped, opt, copy=False))
-        restore_s = sum(restore_seconds(nbytes, dist.get_world_size()))
+        restore_s = sum(restore_seconds(_checkpoint_nbytes(wrapped, opt), dist.get_world_size()))
         device.consume_cpu(restore_s)
         if rank == 0:
             with self.lock:

@@ -13,8 +13,8 @@ import pytest
 import repro
 from repro import checkpoint as ck, distributed as dist, nn
 from repro.errors import ShardLayoutError
-from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
-from repro.fsdp.optim_state import (
+from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy, ShardingStrategy
+from repro.fsdp import (
     full_optim_state_dict,
     load_sharded_optim_state_dict,
     sharded_optim_state_dict,
@@ -219,6 +219,59 @@ class TestReshardModels:
             build, load_world, load_policy, manifest, payloads, backend=load_backend
         )
         assert_states_equal(reference, restored)
+
+
+class TestHybridRestore:
+    """A checkpoint saved with replicas: under HYBRID_SHARD two ranks
+    hold each chunk, the payloads' ``shard_index`` maps say which, and
+    reassembly keeps one chunk per index."""
+
+    def test_same_layout_and_resharded_restores_are_bitwise(self):
+        from repro.models.transformer import TransformerBlock
+
+        blocks = ModuleWrapPolicy({TransformerBlock})
+        hybrid = dict(sharding_strategy=ShardingStrategy.HYBRID_SHARD, sharding_factor=2)
+        store = ck.DistributedCheckpointStore()
+
+        def save(rank):
+            repro.manual_seed(77)
+            wrapped = shard_model(gpt_builder(), blocks, "flat_param", **hybrid)
+            opt = Adam(wrapped.parameters(), lr=1e-2)
+            for step in range(2):
+                gpt_loss(wrapped, rank, step).backward()
+                opt.step()
+                opt.zero_grad()
+            store.save_shard(
+                iteration=2,
+                rank=rank,
+                world_size=4,
+                blob=ck.serialize_state(ck.snapshot_payload(wrapped, opt, copy=True)),
+                units=ck.unit_layouts(wrapped),
+            )
+            return full_state_dict(wrapped), full_optim_state_dict(wrapped, opt)
+
+        reference = dist.spawn(save, 4)[0]
+        assert {entry["step"] for entry in reference[1]["state"].values()} == {2}
+        manifest, payloads = store.read_all(2)
+        for unit in manifest.units:
+            held = sorted(payloads[rank]["shard_index"][unit.key] for rank in payloads)
+            assert held == [0, 0, 1, 1], unit.key
+
+        def restore(backend, policy, same_layout, **kwargs):
+            def worker(rank):
+                repro.manual_seed(31)
+                wrapped = shard_model(gpt_builder(), policy, backend, **kwargs)
+                opt = Adam(wrapped.parameters(), lr=1e-2)
+                assert ck.layouts_match(wrapped, manifest) is same_layout
+                ck.load_resharded(wrapped, opt, manifest=manifest, payloads=payloads)
+                return full_state_dict(wrapped), full_optim_state_dict(wrapped, opt)
+
+            return worker
+
+        for restored in dist.spawn(restore("flat_param", blocks, True, **hybrid), 4):
+            assert_states_equal(reference, restored)
+        for restored in dist.spawn(restore("per_param", None, False), 2):
+            assert_states_equal(reference, restored)
 
 
 def bn_builder():

@@ -41,7 +41,7 @@ from repro.fsdp import (
     ShardingStrategy,
     fully_shard,
 )
-from repro.fsdp.optim_state import full_optim_state_dict
+from repro.fsdp import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
 from repro.optim import SGD, Adam
 from repro.profiler import profile_device

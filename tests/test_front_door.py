@@ -34,7 +34,7 @@ from repro.fsdp import (
 )
 from repro.fsdp.api import _units_under
 from repro.fsdp.deferred_init import deferred_init
-from repro.fsdp.optim_state import full_optim_state_dict
+from repro.fsdp import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
 from repro.models.dhen import DHEN_TINY, DhenLayer
 from repro.nn import functional as F

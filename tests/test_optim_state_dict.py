@@ -11,14 +11,16 @@ from repro.fsdp import (
     full_optim_state_dict,
     load_full_optim_state_dict,
 )
-from repro.fsdp.optim_state import (
+from repro.fsdp import (
     load_sharded_optim_state_dict,
     sharded_optim_state_dict,
 )
+from repro.errors import FsdpError
 from repro.fsdp.state_dict import (
     full_state_dict,
     load_full_state_dict,
     load_sharded_state_dict,
+    shard_records,
     sharded_state_dict,
 )
 from repro.optim import Adam
@@ -276,3 +278,70 @@ class TestBothBackends:
                 load_full_optim_state_dict(model, opt, {"state": {}})
 
         dist.spawn(fn, 2)
+
+
+def full_tied_state():
+    """A consolidated TiedNarrow model state and optimizer state (Adam
+    after one step), as a full save would hand them to a load."""
+    model_state = {k: repro.tensor(v) for k, v in tied_reference().items()}
+    optim_state = {
+        "state": {
+            name: {
+                "step": 1,
+                "exp_avg": repro.tensor(np.full(p.shape, 0.25, np.float32)),
+                "exp_avg_sq": repro.tensor(np.full(p.shape, 0.5, np.float32)),
+            }
+            for name, p in TiedNarrow().named_parameters()
+        },
+        "param_groups": [],
+    }
+    return model_state, optim_state
+
+
+class TestOneScatterRule:
+    """Both halves of a full load go through one scatter with one rule:
+    a non-materialized target is refused on every rank, also on a rank
+    whose shard misses every binding; a materialized empty shard takes
+    nothing and raises nothing."""
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_meta_mode_loads_are_refused_on_every_rank(self, backend, rank):
+        model_state, optim_state = full_tied_state()
+        dist.shutdown()
+        ctx = dist.init_single_process(4, rank=rank, materialize=False)
+        try:
+            model = shard_model(TiedNarrow(), None, backend, device=ctx.device)
+            opt = Adam(model.parameters(), lr=0.05)
+            shards = [record.shard.numel for _, record, _ in shard_records(model)]
+            # Every TiedNarrow parameter has 3 rows: rank 3's per-param
+            # shards are all empty.
+            assert (backend == "per_param" and rank == 3) == (not any(shards))
+            with pytest.raises(FsdpError, match="materialized"):
+                load_full_state_dict(model, model_state)
+            with pytest.raises(FsdpError, match="materialized"):
+                load_full_optim_state_dict(model, opt, optim_state)
+        finally:
+            dist.shutdown()
+
+    def test_an_empty_per_param_shard_loads_nothing(self):
+        model_state, optim_state = full_tied_state()
+
+        def fn(rank):
+            model, opt = tied_train(tied_reference(), "per_param", steps=0)
+            load_full_state_dict(model, model_state)
+            load_full_optim_state_dict(model, opt, optim_state)
+            records = shard_records(model)
+            held = [record.shard.numel for _, record, _ in records]
+            state = [opt.state[id(record.optim_param)] for _, record, _ in records]
+            sizes = [[v.numel for k, v in s.items() if k != "step"] for s in state]
+            steps = [s["step"] for s in state]
+            return held, sizes, steps, {k: v.numpy() for k, v in full_state_dict(model).items()}
+
+        results = dist.spawn(fn, 4)
+        held, sizes, steps, _ = results[3]
+        assert held == [0] * len(held) and sizes == [[0, 0]] * len(held)
+        assert steps == [1] * len(held)
+        for _, _, _, full in results:
+            for name, value in model_state.items():
+                np.testing.assert_array_equal(full[name], value.numpy())

@@ -33,7 +33,7 @@ import repro
 from repro import distributed as dist, nn
 from repro.ddp import DistributedDataParallel as DDP
 from repro.fsdp import BF16_MIXED, ShardingStrategy, fully_shard
-from repro.fsdp.optim_state import full_optim_state_dict
+from repro.fsdp import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
 from repro.models.transformer import TransformerBlock
 from repro.optim import SGD, Adam

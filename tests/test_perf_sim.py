@@ -10,8 +10,13 @@ from repro.fsdp import ModuleWrapPolicy, ShardingStrategy
 from repro.fsdp.mixed_precision import BF16_MIXED
 from repro.models.mingpt import GptConfig
 from repro.models.transformer import TransformerBlock
+from repro.checkpoint import snapshot_payload
+from repro.optim import Adam
 from repro.perf import SimConfig, simulate_training
+from repro.perf.trainer import sharded_units, simulated_world, wrap_model
 from repro.perf.workloads import gpt_builder, gpt_loss_fn
+from repro.resilience import payload_nbytes
+from repro.tensor import Tensor
 
 SMALL = GptConfig(
     vocab_size=1000, block_size=64, n_layer=3, n_head=4, n_embd=128, checkpoint_blocks=True
@@ -230,3 +235,44 @@ class TestWorldStage:
         with pytest.raises(RuntimeError, match="wrap_model raised"):
             padding_accounting(small_config(build_model=self._broken_builder))
         assert not dist.is_initialized()
+
+
+class TestCheckpointBytes:
+    """A rank's checkpoint weight has one definition: the tensor bytes
+    of the payload it would save."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(backend="per_param"),
+            dict(sharding_strategy=ShardingStrategy.HYBRID_SHARD, sharding_factor=2),
+            dict(cpu_offload=True),
+        ],
+        ids=["flat", "per_param", "hybrid", "cpu_offload"],
+    )
+    def test_payload_bytes_are_shards_plus_optimizer_state(self, overrides):
+        config = small_config(world_size=4, **overrides)
+        counts = []
+        with simulated_world(config.world_size) as ctx:
+            wrapped = wrap_model(config, ctx.device)
+            opt = Adam(wrapped.parameters(), lr=1e-4)
+            for step in range(2):
+                if step:
+                    config.make_loss(wrapped, ctx.device).backward()
+                    opt.step()
+                    opt.zero_grad()
+                handles = [unit.handle for unit in sharded_units(wrapped)]
+                reference = sum(h.sharded_nbytes for h in handles) + sum(
+                    value.nbytes
+                    for h in handles
+                    for record in h.shard_records()
+                    for value in opt.state.get(id(record.optim_param), {}).values()
+                    if isinstance(value, Tensor)
+                )
+                got = payload_nbytes(snapshot_payload(wrapped, opt, copy=False))
+                counts.append((got, reference))
+        (before, reference_before), (after, reference_after) = counts
+        assert before == reference_before and after == reference_after
+        # Adam's two state tensors per shard arrive with the first step.
+        assert after == 3 * before

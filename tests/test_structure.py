@@ -14,6 +14,11 @@ rule that stops matching anything fails too).
   calls no ``np.zeros`` / ``numpy.zeros`` and builds its ``Storage``
   with ``materialize=False`` (a materialized one is zero-filled); the
   storage adopts or copies the computed array instead.
+- Optimizer state is one more field of a shard record: under
+  ``repro.{fsdp,checkpoint,perf,resilience}`` only
+  ``fsdp/state_dict.py`` reads a ``.state`` attribute (syntax cannot
+  tell an optimizer's from another's, so every read counts), and no
+  function in ``fsdp/handle.py`` takes an optimizer parameter.
 """
 
 import ast
@@ -27,6 +32,12 @@ SHARED_ROUTINES = {"handle.py": {"unshard_bucket", "reduce_bucket"}}
 UNIT_COLLECTIVES = {"FsdpRuntime": {"unshard_units", "reduce_units"}}
 #: The functions that must not zero-fill, by file.
 WRITE_ONCE = {"_helpers.py": {"make_result"}}
+#: The packages whose optimizer-state reads are confined, and the one
+#: file allowed to read it.
+STATE_PACKAGES = ("fsdp", "checkpoint", "perf", "resilience")
+STATE_READER = Path("fsdp") / "state_dict.py"
+#: Parameter names that hand a function an optimizer.
+OPTIMIZER_ARGS = {"optimizer", "optim", "opt"}
 
 
 def _functions(tree: ast.AST, scope: tuple = ()):
@@ -102,6 +113,37 @@ def zero_fills(path: str, source: str) -> list[str]:
     return found
 
 
+def state_reads(path: str, source: str) -> list[str]:
+    """Reads of a ``.state`` attribute: ``x.state`` or
+    ``getattr(x, "state")``."""
+    found = []
+    nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Attribute, ast.Call))]
+    for node in sorted(nodes, key=lambda n: (n.lineno, n.col_offset)):
+        if isinstance(node, ast.Attribute) and node.attr == "state":
+            found.append(f"{path}:{node.lineno}: reads {ast.unparse(node)}")
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "state"
+        ):
+            found.append(f"{path}:{node.lineno}: reads {ast.unparse(node)}")
+    return found
+
+
+def optimizer_params(path: str, source: str) -> list[str]:
+    """Functions that take an optimizer parameter."""
+    found = []
+    for scope, func in _functions(ast.parse(source)):
+        args = func.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.arg in OPTIMIZER_ARGS:
+                name = ".".join(scope + (func.name,))
+                found.append(f"{path}:{func.lineno}: {name} takes {arg.arg}")
+    return found
+
+
 def _tree_violations(rule, paths) -> list[str]:
     return [v for path in paths for v in rule(str(path), path.read_text())]
 
@@ -118,6 +160,23 @@ def test_only_the_shared_routines_call_coalesced_collectives():
 
 def test_make_result_writes_each_output_once():
     assert _tree_violations(zero_fills, [SRC / "ops" / "_helpers.py"]) == []
+
+
+def test_only_the_state_dict_module_reads_optimizer_state():
+    paths = [
+        path
+        for package in STATE_PACKAGES
+        for path in sorted((SRC / package).rglob("*.py"))
+        if path.relative_to(SRC) != STATE_READER
+    ]
+    assert len(paths) > 20
+    assert (SRC / STATE_READER).exists()
+    assert state_reads(str(STATE_READER), (SRC / STATE_READER).read_text())
+    assert _tree_violations(state_reads, paths) == []
+
+
+def test_the_handle_takes_no_optimizer():
+    assert _tree_violations(optimizer_params, [SRC / "fsdp" / "handle.py"]) == []
 
 
 _FORKED_RUNTIME = '''
@@ -190,4 +249,36 @@ def test_negative_control_a_zero_filling_make_result_is_caught():
         "make_result calls np.zeros",
         "make_result may zero-fill a Storage",
         "make_result calls numpy.zeros",
+    ]
+
+
+_STATE_READING_HANDLE = '''
+class ShardHandle:
+    @property
+    def sharded_nbytes(self):
+        return self.shard_numel * 4
+
+    def optim_state_nbytes(self, optimizer):
+        return sum(v.nbytes for v in optimizer.state.get(id(self.param), {}).values())
+
+
+def checkpoint_nbytes(run, *, opt=None):
+    table = getattr(run.optimizer, "state")
+    return len(table)
+'''
+
+
+def test_negative_control_an_optimizer_state_reader_is_caught():
+    found = state_reads("handle.py", _STATE_READING_HANDLE)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "reads optimizer.state",
+        "reads getattr(run.optimizer, 'state')",
+    ]
+
+
+def test_negative_control_a_handle_taking_an_optimizer_is_caught():
+    found = optimizer_params("handle.py", _STATE_READING_HANDLE)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "ShardHandle.optim_state_nbytes takes optimizer",
+        "checkpoint_nbytes takes opt",
     ]

@@ -43,10 +43,10 @@ from repro.checkpoint.store import (
 )
 from repro.checkpoint.writer import (
     DRAIN_BANDWIDTH,
-    PCIE_BANDWIDTH,
     AsyncCheckpointWriter,
     CheckpointSaveRecord,
 )
+from repro.hw.kernel_model import PCIE_BANDWIDTH
 
 __all__ = [
     "ParamSpec",

@@ -1,8 +1,8 @@
 """Async checkpoint writer: snapshot on a side stream, commit in background.
 
-The cost model mirrors production async checkpointing (and the D2H
-staging copies elsewhere in this codebase, e.g.
-``FlatParamHandle._h2d_copy``):
+The cost model mirrors production async checkpointing, with the one
+host-copy price every PCIe transfer here pays
+(:meth:`repro.hw.kernel_model.KernelCost.host_copy`):
 
 1. **Snapshot (D2H)** — each shard's bytes cross PCIe on a dedicated
    ``checkpoint`` stream.  The copy is issued as a cost-modeled kernel,
@@ -11,8 +11,8 @@ staging copies elsewhere in this codebase, e.g.
    the other streams; only the kernel *launch* overhead touches the
    CPU clock.
 2. **Commit (background writer)** — a simulated writer thread drains
-   the snapshot to persistent storage at ``drain_bandwidth``.  The
-   commit completes at ``snapshot_done + nbytes / drain_bandwidth``
+   the snapshot to persistent storage at ``DRAIN_BANDWIDTH``.  The
+   commit completes at ``snapshot_done + nbytes / DRAIN_BANDWIDTH``
    without blocking the training loop.
 
 ``async_=False`` degenerates to synchronous checkpointing: the CPU
@@ -29,16 +29,12 @@ checkpointing's larger loss-of-work window observable in experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.kernel_model import KernelCost
 
-__all__ = ["AsyncCheckpointWriter", "CheckpointSaveRecord", "PCIE_BANDWIDTH", "DRAIN_BANDWIDTH"]
-
-#: Host-link bandwidth for the D2H snapshot copy (matches the PCIe
-#: model used by parameter offload staging).
-PCIE_BANDWIDTH = 25e9
+__all__ = ["AsyncCheckpointWriter", "CheckpointSaveRecord", "DRAIN_BANDWIDTH"]
 
 #: Background-writer drain bandwidth to persistent storage, modeling a
 #: parallel filesystem client (slower than PCIe; the commit tail).
@@ -61,18 +57,9 @@ class CheckpointSaveRecord:
 class AsyncCheckpointWriter:
     """Cost-models checkpoint saves for one rank's device."""
 
-    def __init__(
-        self,
-        device,
-        *,
-        async_: bool = True,
-        pcie_bandwidth: float = PCIE_BANDWIDTH,
-        drain_bandwidth: float = DRAIN_BANDWIDTH,
-    ):
+    def __init__(self, device, *, async_: bool = True):
         self.device = device
         self.async_ = async_
-        self.pcie_bandwidth = pcie_bandwidth
-        self.drain_bandwidth = drain_bandwidth
         self.stream = (
             device.new_stream("checkpoint") if device is not None and device.is_sim_gpu else None
         )
@@ -95,16 +82,14 @@ class AsyncCheckpointWriter:
         if self.stream is not None and nbytes > 0:
             with device.scope(f"checkpoint:save@{iteration}"):
                 _, snapshot_done = device.launch(
-                    KernelCost(
-                        bytes_moved=nbytes * (device.spec.mem_bandwidth / self.pcie_bandwidth)
-                    ),
+                    KernelCost.host_copy(nbytes, device.spec),
                     dtype or dtypes.uint8,
                     stream=self.stream,
                     label="ckpt-d2h",
                 )
         else:
             snapshot_done = issue
-        commit_time = snapshot_done + (nbytes / self.drain_bandwidth if nbytes else 0.0)
+        commit_time = snapshot_done + (nbytes / DRAIN_BANDWIDTH if nbytes else 0.0)
         stall = 0.0
         if not self.async_:
             # Synchronous save: the training loop blocks until durable.

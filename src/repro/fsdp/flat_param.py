@@ -31,11 +31,10 @@ from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device, cpu_device
 from repro.cuda.stream import Stream
 from repro.distributed import ProcessGroup
-from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
+from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord, released
 from repro.hw.kernel_model import KernelCost
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.storage import Storage
 from repro.tensor import Tensor, empty
 
 __all__ = ["FlatParameter", "FlatParamHandle", "ParamInfo", "ReduceJob"]
@@ -164,7 +163,6 @@ class FlatParamHandle(ShardHandle, ShardRecord):
     # Construction internals
     # ------------------------------------------------------------------
     def _build_storages(self, originals: Sequence[Parameter], requires_grad: bool) -> None:
-        device = self.device
         with no_grad():
             flats = [ops.view(p.detach(), (p.numel,)) for p in originals]
             full_flat = ops.cat(flats, 0) if len(flats) > 1 else flats[0]
@@ -177,48 +175,20 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         for p in originals:
             p._storage.free()
 
+        self._staged_shard: Optional[Tensor] = None
         if self.offload_params:
             # CPU offloading: the permanent full-precision shard lives
             # in host memory; a released device staging buffer receives
             # the H2D copy before each AllGather.
             with no_grad():
                 local_shard = ops.to_device(local_shard, cpu_device())
-            self._staged_shard_storage: Optional[Storage] = Storage(
-                device, self.full_precision_dtype, self.shard_numel
-            )
-            self._staged_shard = Tensor(
-                self._staged_shard_storage, (self.shard_numel,)
-            )
-            self._staged_shard_storage.release()
-        else:
-            self._staged_shard_storage = None
-            self._staged_shard = None
+            self._staged_shard = released(self.device, self.full_precision_dtype, self.shard_numel)
 
         self.flat_param = FlatParameter(local_shard, requires_grad=requires_grad)
-
-        if self.needs_unshard:
-            self._unsharded_storage = Storage(
-                device, self.compute_dtype, self.padded_numel
-            )
-            self._unsharded_flat = Tensor(self._unsharded_storage, (self.padded_numel,))
-            self._unsharded_storage.release()
-        else:
-            # NO_SHARD in full precision: the local shard *is* the full
-            # flat parameter; no second copy exists.
-            self._unsharded_storage = local_shard._storage
-            self._unsharded_flat = local_shard
-
-        if self.compute_dtype is not self.full_precision_dtype:
-            self._mp_shard_storage: Optional[Storage] = Storage(
-                device, self.compute_dtype, self.shard_numel
-            )
-            self._mp_shard = Tensor(self._mp_shard_storage, (self.shard_numel,))
-            self._mp_shard_storage.release()
-        else:
-            self._mp_shard_storage = None
-            self._mp_shard = None
-
         self._local_shard = local_shard
+        # NO_SHARD in full precision: the local shard *is* the full flat
+        # parameter; no second copy exists.
+        self._build_buffers(local_shard, cast=self.compute_dtype is not self.full_precision_dtype)
 
     def _deregister_and_bind(self) -> None:
         """Remove originals from module registries; bind alias views.
@@ -247,7 +217,7 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         copy) straight into the unsharded storage."""
         source = self._local_shard
         if self.offload_params:
-            self._staged_shard_storage.reallocate()
+            self._staged_shard._storage.reallocate()
             self._h2d_copy(self._staged_shard, self._local_shard, stream)
             source = self._staged_shard
         gather_input = self._gather_input(source)
@@ -260,7 +230,7 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             self._unsharded_flat.copy_(gather_input)
         self._commit_pair()
         if self.offload_params:
-            self._staged_shard_storage.release()
+            self._staged_shard._storage.release()
 
     def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
         """The ``(output, input)`` AllGather pair (None under CPU
@@ -290,22 +260,14 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         for info in self.param_infos:
             object.__setattr__(info.module, info.name, views_by_offset[info.offset])
 
-    def _use_sharded(self) -> None:
-        self._unsharded_storage.release()
-        self.flat_param.data = self._local_shard
-
     def stash_grad(self, new_shard: Tensor) -> None:
         """Park the reduced shard (caller holds the reduction stream)."""
         if self.offload_params:
             # The optimizer runs on host shards: move the reduced
             # gradient shard D2H (PCIe cost on the reduction stream).
             # The host-side accumulate is safe only after this copy.
-            device = self.device
-            pcie = 25e9
-            device.launch(
-                KernelCost(
-                    bytes_moved=new_shard.nbytes * (device.spec.mem_bandwidth / pcie)
-                ),
+            self.device.launch(
+                KernelCost.host_copy(new_shard.nbytes, self.device.spec),
                 new_shard.dtype,
                 reads=(new_shard._storage,),
                 label="d2h",
@@ -317,11 +279,8 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         """Host-to-device copy over PCIe (data + simulated transfer time)."""
         if device_dst.is_materialized and host_src.is_materialized:
             device_dst._np[...] = host_src._np
-        gpu = self.device
-        # Scale bytes so the roofline yields bytes / PCIe bandwidth.
-        pcie = 25e9
-        gpu.launch(
-            KernelCost(bytes_moved=device_dst.nbytes * (gpu.spec.mem_bandwidth / pcie)),
+        self.device.launch(
+            KernelCost.host_copy(device_dst.nbytes, self.device.spec),
             device_dst.dtype,
             stream=stream,
             writes=(device_dst._storage,),

@@ -14,7 +14,10 @@
   then reduce, stash and restore gradients.  The two handle classes
   are layout constructors; what a layout does to *one* record is a
   record-level step (``_gather_into``, ``_gather_pair``,
-  ``_use_unsharded``, ``_use_sharded``, ``stash_grad``, ``_shaped``).
+  ``_use_unsharded``, ``stash_grad``, ``_shaped``).  What every record
+  does alike is written once on :class:`ShardRecord`: building its
+  released unsharded and cast buffers, swapping back to the shard, and
+  draining its gradient.
 
 The collective shape follows from the records alone: one record (every
 flat unit, every single-parameter per-parameter unit) gathers straight
@@ -45,10 +48,11 @@ from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.errors import FsdpError
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
+from repro.storage import Storage
 from repro.tensor import Tensor, empty, zeros
 
 __all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook",
-           "reduce_bucket", "unshard_bucket"]
+           "reduce_bucket", "released", "unshard_bucket"]
 
 
 class ParamInfo:
@@ -78,6 +82,15 @@ class ParamInfo:
     @property
     def module(self) -> Optional[Module]:
         return None if self._module is None else self._module()
+
+
+def released(device: Device, dtype: dtypes.DType, numel: int) -> Tensor:
+    """A 1-D buffer whose storage is allocated, then released: it is
+    reallocated before each use and keeps its identity, so views (and
+    activations autograd saved) alias it across release cycles."""
+    storage = Storage(device, dtype, numel)
+    storage.release()
+    return Tensor(storage, (numel,))
 
 
 def weak_hook(method: Callable) -> Callable:
@@ -136,11 +149,10 @@ class ShardRecord:
       itself or an optimizer state tensor) into a fresh 1-D tensor of
       ``padded_numel`` elements.
 
-    For the handle's lifecycle a record also provides its unsharded
-    ``_unsharded_storage``, a released ``_mp_shard`` when it casts
-    before gathering, ``even`` (every rank's chunk is equally long) and
-    the layout steps ``_gather_into`` / ``_gather_pair`` /
-    ``_use_unsharded`` / ``_use_sharded``.
+    For the handle's lifecycle a record builds its released unsharded
+    and cast buffers with :meth:`_build_buffers` and provides ``even``
+    (every rank's chunk is equally long) and the layout steps
+    ``_gather_into`` / ``_gather_pair`` / ``_use_unsharded``.
     """
 
     # Gradient stash (Section 3.3.4): reduced shards park here until
@@ -157,15 +169,20 @@ class ShardRecord:
         global rank; reassembly keys chunks by it."""
         return self.shard_group.rank
 
-    def take_grad(self) -> Optional[Tensor]:
-        """Drain ``.grad``, folding in any ``no_sync`` accumulation."""
+    def drain_grad(self, no_sync: bool) -> bool:
+        """Fold ``.grad`` and any earlier ``no_sync`` accumulation on the
+        stream that produced them; park the sum under ``no_sync``, else
+        leave it in ``.grad`` for the reduction.  Returns whether a
+        gradient is pending reduction."""
         param = self.optim_param
-        grad = param.grad
-        param.grad = None
-        if grad is not None and self._unsharded_grad_accum is not None:
-            grad = grad + self._unsharded_grad_accum
+        if param.grad is None:
+            return False
+        if self._unsharded_grad_accum is not None:
+            param.grad = param.grad + self._unsharded_grad_accum
             self._unsharded_grad_accum = None
-        return grad
+        if no_sync:
+            self._unsharded_grad_accum, param.grad = param.grad, None
+        return not no_sync
 
     def stash_grad(self, new_shard: Tensor) -> None:
         """Park a reduced shard, accumulating onto an earlier one.
@@ -189,19 +206,37 @@ class ShardRecord:
         shard is 1-D already)."""
         return flat
 
+    def _build_buffers(self, shard: Tensor, *, cast: bool) -> None:
+        """Build the released unsharded buffer of ``padded_numel``
+        compute-precision elements (``shard`` itself when nothing is
+        unsharded) and, with ``cast``, the released compute-precision
+        cast of ``shard`` the gather sends.  The parameter's current data
+        is the view :meth:`_use_sharded` swaps back to."""
+        device, dtype = self.device, self.compute_dtype
+        self._sharded_view = self.optim_param.data
+        if self.needs_unshard:
+            shard = released(device, dtype, self.padded_numel)
+        self._unsharded_flat, self._unsharded_storage = shard, shard._storage
+        self._mp_shard = released(device, dtype, self.shard_numel) if cast else None
+
+    def _use_sharded(self) -> None:
+        """Free the unsharded buffer; point the parameter at its shard."""
+        self._unsharded_storage.release()
+        self.optim_param.data = self._sharded_view
+
     def _gather_input(self, source: Tensor) -> Tensor:
         """``source`` as the gather sends it: cast into the reallocated
         compute-precision ``_mp_shard`` when the record has one."""
         if self._mp_shard is None:
             return source
-        self._mp_shard_storage.reallocate()
+        self._mp_shard._storage.reallocate()
         self._mp_shard.copy_(source)
         return self._mp_shard
 
     def _commit_pair(self) -> None:
         """Release the cast shard once the gather is enqueued."""
         if self._mp_shard is not None:
-            self._mp_shard_storage.release()
+            self._mp_shard._storage.release()
 
     def _writeback(self) -> None:
         """Copy this rank's slice of the unsharded data into the shard
@@ -521,46 +556,41 @@ class ShardHandle:
     ) -> Optional[Work]:
         """Post-backward gradient path: one ReduceScatter (+AllReduce).
 
-        A bucket of one through :func:`reduce_bucket`, which orders
-        ``stream`` after the compute stream that produced the gradients.
-        With ``no_sync`` the unsharded gradients are accumulated locally
-        and no communication happens (accumulate-without-communication,
-        Section 3.3.4).  Averaging happens over the shard group in
-        float64 elementwise, so the sharded gradients are bitwise the
-        same whichever layout reduced them.  Returns the Work to track,
-        or None when nothing was reduced.
+        A bucket of one through :func:`reduce_bucket`, which drains the
+        gradients on the compute stream that produced them and orders
+        ``stream`` after it.  With ``no_sync`` the unsharded gradients
+        are accumulated locally and no communication happens
+        (accumulate-without-communication, Section 3.3.4).  Averaging
+        happens over the shard group in float64 elementwise, so the
+        sharded gradients are bitwise the same whichever layout reduced
+        them.  Returns the Work to track, or None when nothing was
+        reduced.
         """
         finished = reduce_bucket([(self, replicate_group, no_sync)], stream)
         return finished[0][1] if finished else None
 
     def reduce_grad_pair(
-        self,
-        *,
-        replicate_group: Optional[ProcessGroup] = None,
-        no_sync: bool = False,
+        self, *, replicate_group: Optional[ProcessGroup] = None
     ) -> Optional[ReduceJob]:
-        """Stage this unit's gradient reduction: drain the gradients and
-        do everything before the ReduceScatter, deferring the rest into
-        the returned job's ``finish``.  The caller (:func:`reduce_bucket`)
-        holds ``device.stream(stream)`` / ``no_grad`` and has ordered the
+        """Stage this unit's gradient reduction: take the drained
+        ``.grad`` of each record and do everything before the
+        ReduceScatter, deferring the rest into the returned job's
+        ``finish``.  The caller (:func:`reduce_bucket`) holds
+        ``device.stream(stream)`` / ``no_grad`` and has ordered the
         stream after the compute stream.
 
-        Returns None when nothing is reduced (no gradient, or ``no_sync``
-        accumulation).  With ``F == 1`` each gradient is its own reduced
-        shard and the job has no pair (its ``finish`` does the
-        replicate-group AllReduce).  A unit of one record with even
-        chunks reduces straight from its gradient; several records are
-        packed, however many of them have a gradient pending.
+        Returns None when no gradient is pending.  With ``F == 1`` each
+        gradient is its own reduced shard and the job has no pair (its
+        ``finish`` does the replicate-group AllReduce).  A unit of one
+        record with even chunks reduces straight from its gradient;
+        several records are packed, however many of them have a gradient
+        pending.
         """
         pending: list[tuple[ShardRecord, Tensor]] = []
         for record in self.records:
-            grad = record.take_grad()
-            if grad is None:
-                continue
-            if no_sync:
-                record._unsharded_grad_accum = grad
-                continue
-            pending.append((record, grad))
+            grad, record.optim_param.grad = record.optim_param.grad, None
+            if grad is not None:
+                pending.append((record, grad))
         if not pending:
             return None
         if self.sharding_factor == 1:
@@ -571,8 +601,7 @@ class ShardHandle:
                     record, grad = pending.pop(0)
                     if grad.dtype is not self.reduce_dtype:
                         grad = ops.cast(grad, self.reduce_dtype)
-                    new_shard = grad
-                    new_shard, work = self._reduce_tail(new_shard, work, stream, replicate_group)
+                    new_shard, work = self._reduce_tail(grad, work, stream, replicate_group)
                     record.stash_grad(new_shard)
                 return work
 
@@ -704,29 +733,29 @@ def reduce_bucket(
     stream: Stream,
 ) -> list[tuple[int, Optional[Work]]]:
     """ReduceScatter the gradients of each ``(handle, replicate_group,
-    no_sync)`` request with one collective on ``stream``, ordered after
-    the compute stream that produced them.
+    no_sync)`` request with one collective on ``stream``.
 
-    Each handle stages a :class:`ReduceJob`; one coalesced ReduceScatter
-    runs over the jobs' pairs and every job finishes.  The pairs are
-    dropped first, then each job drops what it still holds: the free
-    order the device-log digests pin.  Returns ``(index, work)`` for
-    every request that reduced something.  When every request is
-    ``no_sync`` (Section 3.3.4) nothing is reduced: the gradients are
-    folded on the compute stream that produced them, and ``stream`` is
-    neither ordered nor allocated from.
+    Every record's gradient is first drained on the compute stream that
+    produced it (Section 3.4): a ``no_sync`` request parks its unsharded
+    gradients (Section 3.3.4), every other request folds in any earlier
+    accumulation.  Only if a gradient is still pending does the bucket
+    enter ``stream``, ordered after the compute stream: each handle
+    stages a :class:`ReduceJob`, one coalesced ReduceScatter runs over
+    the jobs' pairs and every job finishes.  The pairs are dropped
+    first, then each job drops what it still holds: the free order the
+    device-log digests pin.  Returns ``(index, work)`` for every request
+    that reduced something.
     """
     device = requests[0][0].device
-    if all(no_sync for _, _, no_sync in requests):
-        with no_grad():
-            for handle, replicate_group, _ in requests:
-                handle.reduce_grad_pair(replicate_group=replicate_group, no_sync=True)
+    with no_grad():
+        pending = [r.drain_grad(no_sync) for h, _, no_sync in requests for r in h.records]
+    if not any(pending):
         return []
     with device.stream(stream), no_grad():
         stream.wait_stream(device.default_stream)
         jobs = []
-        for index, (handle, replicate_group, no_sync) in enumerate(requests):
-            job = handle.reduce_grad_pair(replicate_group=replicate_group, no_sync=no_sync)
+        for index, (handle, replicate_group, _) in enumerate(requests):
+            job = handle.reduce_grad_pair(replicate_group=replicate_group)
             if job is not None:
                 jobs.append((index, job))
         pairs = [(job.output, job.input) for _, job in jobs if job.output is not None]

@@ -142,29 +142,15 @@ class ShardedParam(ShardRecord):
                 # itself; nothing is freed.
                 sharded = param.detach()
         self.sharded_data = sharded
-        self.sharded_param = self.param.data
-
-        if self.needs_unshard:
-            self._unsharded_storage = Storage(device, self.compute_dtype, self.numel)
-            self._unsharded_flat = Tensor(self._unsharded_storage, (self.numel,))
-            self.unsharded_param = Tensor(self._unsharded_storage, self.shape)
-            self._unsharded_storage.release()
-        else:
-            self._unsharded_storage = sharded._storage
-            self._unsharded_flat = None
-            self.unsharded_param = sharded
-
-        if self.compute_dtype is not self.full_precision_dtype and self.sharding_factor > 1:
-            self._mp_shard_storage: Optional[Storage] = Storage(
-                device, self.compute_dtype, self.shard_numel
-            )
-            self._mp_shard: Optional[Tensor] = Tensor(
-                self._mp_shard_storage, (self.shard_numel,)
-            )
-            self._mp_shard_storage.release()
-        else:
-            self._mp_shard_storage = None
-            self._mp_shard = None
+        # With F == 1 a mixed-precision unshard is one cast copy, so
+        # nothing is cast before gathering.
+        self._build_buffers(
+            sharded,
+            cast=self.compute_dtype is not self.full_precision_dtype and self.sharding_factor > 1,
+        )
+        self.unsharded_param = (
+            Tensor(self._unsharded_storage, self.shape) if self.needs_unshard else sharded
+        )
 
     def _chunk_views(self, storage: Storage) -> list[Tensor]:
         """Per-rank chunk views of a full-parameter storage: what the
@@ -243,10 +229,6 @@ class ShardedParam(ShardRecord):
     def _use_unsharded(self) -> None:
         if self.needs_unshard:
             self.param.data = self.unsharded_param
-
-    def _use_sharded(self) -> None:
-        self._unsharded_storage.release()
-        self.param.data = self.sharded_param
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -38,6 +38,7 @@ from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
 from repro.fsdp.handle import ShardHandle, reduce_bucket, unshard_bucket, weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
+from repro.nn.checkpoint import current_recompute
 from repro.tensor import Tensor
 
 __all__ = ["BackwardPrefetch", "FsdpRuntime", "FsdpUnit", "RATE_LIMIT_INFLIGHT"]
@@ -449,6 +450,9 @@ class FsdpUnit:
         self.forward_ran = False
         self.pre_backward_ran = False
         self.post_backward_ran = False
+        #: The checkpoint recompute that last entered this unit's
+        #: forward (0: a plain forward).
+        self.entered_by = 0
         self._post_backward_hook_handle = None
 
     # ------------------------------------------------------------------
@@ -506,6 +510,7 @@ class FsdpUnit:
             runtime.begin_iteration()
         runtime.record_pre_forward(self)
         self.forward_ran = True
+        self.entered_by = current_recompute()
         runtime.emit("pre_forward", self)
         # Scope everything the unit's forward does (kernels, nested
         # units, its own unshard) under ``forward:<label>``; popped in
@@ -602,8 +607,13 @@ class FsdpUnit:
         runtime.emit("post_backward", self)
         runtime.device.pop_scope(f"backward:{self.label}")
         # Free the unsharded parameters before reducing, shrinking the
-        # peak: gradient memory replaces parameter memory.
-        self._reshard_and_note()
+        # peak: gradient memory replaces parameter memory.  Not inside
+        # a checkpoint recompute that only read the views this unit's
+        # forward left: a later recompute may read them again, so the
+        # outer backward's firing (or the end of backward) reshards.
+        recompute = current_recompute()
+        if not recompute or recompute == self.entered_by:
+            self._reshard_and_note()
         if runtime.compiled is not None:
             # The executor flushes this unit's reduce bucket when its
             # trigger (the bucket's last member) fires; grads park in

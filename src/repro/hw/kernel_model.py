@@ -20,7 +20,11 @@ from typing import NamedTuple
 from repro import dtypes
 from repro.hw.specs import GpuSpec
 
-__all__ = ["KernelCostModel", "KernelCost"]
+__all__ = ["KernelCostModel", "KernelCost", "PCIE_BANDWIDTH"]
+
+#: Host<->device link bandwidth in bytes/s (PCIe): CPU-offload staging,
+#: offloaded gradient shards and checkpoint snapshots cross it.
+PCIE_BANDWIDTH = 25e9
 
 
 class KernelCost(NamedTuple):
@@ -39,6 +43,12 @@ class KernelCost(NamedTuple):
     flops: float = 0.0
     bytes_moved: float = 0.0
     is_matmul: bool = False
+
+    @classmethod
+    def host_copy(cls, nbytes: float, gpu: GpuSpec) -> "KernelCost":
+        """A host<->device copy of ``nbytes``: its traffic is scaled so
+        that the roofline yields ``nbytes / PCIE_BANDWIDTH``."""
+        return cls(bytes_moved=nbytes * (gpu.mem_bandwidth / PCIE_BANDWIDTH))
 
 
 class KernelCostModel:

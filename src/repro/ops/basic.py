@@ -296,11 +296,8 @@ class _ToDevice(Function):
     @staticmethod
     def forward(ctx, a: Tensor, device: Device) -> Tensor:
         ctx.src_device = a.device
-        cost = None
-        if device.is_sim_gpu or a.device.is_sim_gpu:
-            gpu = device if device.is_sim_gpu else a.device
-            # Host<->device copies ride PCIe.
-            cost = KernelCost(bytes_moved=a.nbytes * (gpu.spec.mem_bandwidth / 25e9))
+        # A copy onto a GPU rides PCIe; one off it launches nothing.
+        cost = KernelCost.host_copy(a.nbytes, device.spec) if device.is_sim_gpu else None
         compute = (lambda: a._np.copy()) if a.is_materialized else None
         return make_result(compute, a.shape, a.dtype, (a,), cost=cost, device=device)
 

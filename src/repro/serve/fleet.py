@@ -31,7 +31,7 @@ batch until the watchdog declares the replica dead, and
 checkpoint image is intact — a damaged image falls back to a cold-tier
 re-pull at ``fallback_factor`` the cost.  Replacement capacity is
 provisioned with the same restore + verify cost model the elastic
-trainer charges (``CHECKPOINT_RESTORE_BANDWIDTH`` et al.), so serving
+trainer charges (:func:`repro.resilience.restore_seconds`), so serving
 recovery and training recovery stay mutually calibrated.
 
 Work unanswered when the loop stops at the horizon — queued, in a
@@ -53,10 +53,7 @@ from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.errors import StrandedReplicaError
-from repro.resilience import (
-    CHECKPOINT_RESTORE_BANDWIDTH,
-    CHECKPOINT_VERIFY_BANDWIDTH,
-)
+from repro.resilience import restore_seconds
 from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.batcher import make_policy
 from repro.serve.metrics import ServeMetrics, ServeResult
@@ -109,13 +106,10 @@ class FleetConfig:
     drain_grace_s: float = 2.0
 
     def provision_s(self) -> float:
-        """Cost of standing up one replica from the warm image."""
-        nbytes = self.service.model_bytes
-        return (
-            self.rendezvous_s
-            + nbytes / CHECKPOINT_RESTORE_BANDWIDTH
-            + nbytes / CHECKPOINT_VERIFY_BANDWIDTH
-        )
+        """Cost of standing up one replica from the warm image: a
+        one-rank restore, priced like the elastic trainer's."""
+        load_s, verify_s = restore_seconds(self.service.model_bytes, 1)
+        return self.rendezvous_s + load_s + verify_s
 
 
 class ServingFleet:

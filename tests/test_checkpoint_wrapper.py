@@ -1,6 +1,9 @@
 """CheckpointWrapper / apply_activation_checkpointing tests."""
 
+import threading
+
 import numpy as np
+import pytest
 
 import repro
 from repro import distributed as dist, nn
@@ -124,3 +127,67 @@ class TestSanitizerComposition:
         with sanitizer.enabled():
             dist.spawn(fn, 2)
             assert sanitizer.active().violations == []
+
+
+_BUILD_LOCK = threading.Lock()
+
+
+def _root_unit(backend, device, checkpointed):
+    """``build()`` as one root unit, its blocks checkpointed or not; the
+    weights are the same on every rank thread."""
+    from repro.fsdp import FullyShardedDataParallel as FSDP, fully_shard
+
+    with _BUILD_LOCK:  # the generator is process-global
+        repro.manual_seed(5)
+        model = build()
+    if checkpointed:
+        nn.apply_activation_checkpointing(
+            model, lambda m: isinstance(m, nn.Sequential) and len(m) == 3
+        )
+    if backend == "flat":
+        return FSDP(model, device=device)
+    return fully_shard(model, backend="per_param", device=device)
+
+
+@pytest.mark.parametrize("backend", ["flat", "per_param"])
+class TestRootUnitOverCheckpointedBlocks:
+    """One root unit and no unit inside the checkpointed blocks: each
+    recompute is its own GraphTask that reads the root's unsharded views
+    without re-entering its forward, and a FlatParameter fires the
+    post-backward in every one of them.  The views stay unsharded until
+    the outer backward's firing reshards them."""
+
+    def test_clean_under_sanitizer(self, backend):
+        from repro.cuda import sanitizer
+
+        dist.shutdown()
+        ctx = dist.init_single_process(4, materialize=False)
+        try:
+            with sanitizer.enabled():
+                wrapped = _root_unit(backend, ctx.device, checkpointed=True)
+                for _ in range(2):
+                    x = repro.empty(2, 4, device=ctx.device).requires_grad_()
+                    wrapped(x).sum().backward()
+                    wrapped.zero_grad()
+                assert sanitizer.active().violations == []
+        finally:
+            dist.shutdown()
+
+    def test_gradients_equal_the_plain_model(self, backend):
+        def fn(rank):
+            device = dist.get_device()
+            values = np.arange(8, dtype=np.float32).reshape(2, 4) / 8
+            grads = []
+            for checkpointed in (False, True):
+                wrapped = _root_unit(backend, device, checkpointed)
+                # A reentrant checkpoint's output needs an input that
+                # requires grad.
+                x = repro.tensor(values, device=device).requires_grad_()
+                wrapped(x).sum().backward()
+                grads.append([p.grad.numpy().copy() for p in wrapped.parameters()])
+            return grads
+
+        for plain, checkpointed in dist.spawn(fn, 2):
+            assert len(plain) == len(checkpointed)
+            for a, b in zip(plain, checkpointed):
+                assert np.array_equal(a, b)

@@ -175,13 +175,17 @@ def _device_log(layout, compile, no_sync_first):
 #: the compiled unit's digest, recorded before FlatParamHandle and
 #: PerParamHandle shared one lifecycle.  An eager unit is a compiled
 #: bucket of one, buffer lifetimes included, so one digest pins both.
+#: The ``no_sync`` entries were re-recorded when the synced micro-batch
+#: began folding the accumulated gradient on the compute stream: its
+#: one allocation and add moved from the reduction stream to
+#: ``default``, and no other event changed.
 DIGESTS = {
     ("flat", False): "16123d8c1ed44398c8c6119fdb6bbcbe592f2b275462536bb1e8aed6dcc3407b",
-    ("flat", True): "3abd69935a90c22fafba4bf22e47aebfcf4b892b40bf5bebed15f9067ff6cb26",
+    ("flat", True): "1031900f4c27f4c17b8862164e50ec2a0a14c175ce1d6663102c3d5dd215bf54",
     ("per_param_multi", False): "7da9a664f9226295a8e880195c7cf55bc92ad30dae11b9a580d19ab2b3d89a8b",
-    ("per_param_multi", True): "0d4bb445a67e1c213d40026304a66aa21a5b83944210e18afd70d8bbaecf7dc9",
+    ("per_param_multi", True): "1da6a00627688e3fcca14851cffa598793190e17f5ded684002dd05e4677911b",
     ("per_param_single", False): "0836b10967fec0f3c2f4f19618b7362133a9645c3f1e5f0bdf6f5ee563574553",
-    ("per_param_single", True): "0042e666aeeb72873aa91b8e11bf9f7ec49e7c320a888473f69e842defc9a6dd",
+    ("per_param_single", True): "1cb182486cf64fb19b977720c009215e96c4ca6c0ac9b63be359bb4858888e9b",
 }
 
 CASES = [
@@ -206,17 +210,17 @@ def test_unit_iteration_device_log_is_unchanged(meta_world, layout, compile, no_
 
 #: layout -> (digest, allocated peak, reserved peak) of an iteration of
 #: two ``no_sync`` micro-batches and a synced one, eager and compiled.
-#: The second ``no_sync`` micro-batch folds its gradient into the first
-#: on the compute stream; the synced one folds on the reduction stream,
-#: as in the table above.  The peaks are an eager unit's before it ran
-#: the compiled bucket routines.
+#: Every micro-batch after the first folds its gradient into the
+#: accumulated one on the compute stream that produced it, the synced
+#: one included, before the reduction stream is entered.  The peaks are
+#: an eager unit's before it ran the compiled bucket routines.
 ACCUMULATION = {
-    "flat": ("1e1a0d9fb9b74a2a46964c35722c84214b0ebee77280b361b8875a5a8c9af983", 2708, 6 << 20),
+    "flat": ("aace7618b720824c7b801734b6ffb4cc819601c41177a431544a2cdd8ad26134", 2708, 6 << 20),
     "per_param_multi": (
-        "2512935ad64ff8dfb04e8b757b4cead7f682f1d00efdd31e84f8832ad5a42eb3", 3252, 6 << 20
+        "1627b67d5c28f28f8efca866b121e8a074a7df332616a3e2bb6c9c9897782d0d", 3252, 6 << 20
     ),
     "per_param_single": (
-        "f8b16d826c11d6273d928faf230a3bc83b958c62c739c87160fb20a5e148e8a2", 1604, 8 << 20
+        "0e15393ec7b652c3b212f073f6094b22c40bfd091ad732845d74c388a1a23220", 1604, 8 << 20
     ),
 }
 
@@ -230,6 +234,41 @@ ACCUMULATION_CASES = [(layout, compile) for layout in ACCUMULATION for compile i
 )
 def test_no_sync_accumulation_device_log_and_peaks(meta_world, layout, compile):
     assert _logged_iteration(layout, compile, 2) == ACCUMULATION[layout]
+
+
+@pytest.mark.parametrize(
+    "layout, compile",
+    ACCUMULATION_CASES,
+    ids=[f"{layout}-{'compiled' if c else 'eager'}" for layout, c in ACCUMULATION_CASES],
+)
+def test_every_gradient_fold_launches_on_the_compute_stream(meta_world, layout, compile):
+    """The drain rule (Sections 3.3.4 and 3.4): in an iteration of two
+    ``no_sync`` micro-batches and a synced one, each micro-batch after
+    the first folds every record's gradient into the accumulated one,
+    and that add launches on the compute stream that produced both,
+    the synced micro-batch's included."""
+    device = dist.get_device()
+    repro.manual_seed(0)
+    model = _wrap(layout, device, compile)
+    opt = SGD(list(model.parameters()), lr=0.1)
+    for _ in range(2):  # a compiled unit records, then compiles
+        _iteration(model, opt, device, 2)
+    records = model._fsdp_unit.handle.shard_records()
+    launch, folds = device.launch, []
+
+    def spy(cost, dtype, *, stream=None, reads=(), **kw):
+        accumulated = {id(r._unsharded_grad_accum._storage)
+                       for r in records if r._unsharded_grad_accum is not None}  # fmt: skip
+        if accumulated & {id(storage) for storage in reads}:
+            folds.append((stream or device.current_stream or device.default_stream).name)
+        return launch(cost, dtype, stream=stream, reads=reads, **kw)
+
+    device.launch = spy
+    try:
+        _iteration(model, opt, device, 2)
+    finally:
+        del device.launch
+    assert folds == ["default"] * (2 * len(records))
 
 
 #: shape -> digest of an eager unit and of a compiled one (the compiled

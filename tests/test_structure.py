@@ -9,7 +9,14 @@ rule that stops matching anything fails too).
   so ``FsdpRuntime.unshard_units`` / ``reduce_units`` never ask whether
   the step is compiled, and in ``repro.fsdp`` only the two staged
   routines ``unshard_bucket`` / ``reduce_bucket`` call a coalesced
-  collective.
+  collective, one call each.  The compiled executor (``repro.compile``)
+  calls no handle collective, no coalesced collective and not the rate
+  limiter, which ``FsdpRuntime.unshard_units`` enters at the one
+  ``admit_allgather()`` call site.
+- One sharding handle: the unit lifecycle and the record steps written
+  on ``repro.fsdp.handle`` are defined nowhere else in ``repro.fsdp``;
+  a layout class may only alias them (``reshard = ShardHandle.reshard``,
+  the names perfbench's span boundaries look up).
 - An op output is written once: ``repro.ops._helpers.make_result``
   calls no ``np.zeros`` / ``numpy.zeros`` and builds its ``Storage``
   with ``materialize=False`` (a materialized one is zero-filled); the
@@ -38,6 +45,17 @@ STATE_PACKAGES = ("fsdp", "checkpoint", "perf", "resilience")
 STATE_READER = Path("fsdp") / "state_dict.py"
 #: Parameter names that hand a function an optimizer.
 OPTIMIZER_ARGS = {"optimizer", "optim", "opt"}
+#: The handle collectives the compiled executor must not call.
+HANDLE_COLLECTIVES = {
+    "unshard", "unshard_pair", "unshard_commit", "reduce_grad", "reduce_grad_pair",
+}  # fmt: skip
+#: What only ``fsdp/handle.py`` defines: the unit lifecycle, the drain
+#: rule, the record buffers and the swap back to the shard.
+LIFECYCLE = HANDLE_COLLECTIVES | {
+    "reshard", "use_unsharded_views", "prepare_gradient_for_backward",
+    "restore_stashed_gradient", "register_post_backward", "flush_post_backward",
+    "writeback_unsharded_to_shard", "drain_grad", "_build_buffers", "_use_sharded",
+}  # fmt: skip
 
 
 def _functions(tree: ast.AST, scope: tuple = ()):
@@ -144,6 +162,82 @@ def optimizer_params(path: str, source: str) -> list[str]:
     return found
 
 
+def _callee(call: ast.Call) -> str:
+    """The called name: ``f`` of ``f(...)`` and ``x.f(...)``, and the
+    constant ``name`` of ``getattr(x, "name")(...)``."""
+    callee = call.func
+    if isinstance(callee, ast.Attribute):
+        return callee.attr
+    if isinstance(callee, ast.Name):
+        return callee.id
+    if (
+        isinstance(callee, ast.Call)
+        and getattr(callee.func, "id", "") == "getattr"
+        and len(callee.args) > 1
+        and isinstance(callee.args[1], ast.Constant)
+    ):
+        return str(callee.args[1].value)
+    return ""
+
+
+def _uses(path: str, source: str, wanted, *, defs: bool = True) -> list[str]:
+    """Every call whose callee name ``wanted(name)`` accepts and, with
+    ``defs``, every function definition of such a name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and wanted(_callee(node)):
+            found.append((node.lineno, node.col_offset, f"calls {_callee(node)}"))
+        elif defs and isinstance(node, ast.FunctionDef) and wanted(node.name):
+            found.append((node.lineno, node.col_offset, f"defines {node.name}"))
+    return [f"{path}:{line}: {what}" for line, _, what in sorted(found)]
+
+
+def _coalesced(name: str) -> bool:
+    return name.endswith("_coalesced")
+
+
+def executor_collectives(path: str, source: str) -> list[str]:
+    """Uses of the rate limiter, a handle collective or a coalesced
+    collective (in ``repro.compile``)."""
+    return _uses(
+        path,
+        source,
+        lambda name: name == "admit_allgather" or name in HANDLE_COLLECTIVES or _coalesced(name),
+    )
+
+
+def admission_sites(path: str, source: str) -> list[str]:
+    """Every ``admit_allgather()`` call."""
+    return _uses(path, source, "admit_allgather".__eq__, defs=False)
+
+
+def coalesced_sites(path: str, source: str) -> list[str]:
+    """Every call and definition of a ``*_coalesced`` collective."""
+    return _uses(path, source, _coalesced)
+
+
+def second_lifecycle(path: str, source: str) -> list[str]:
+    """Definitions of a :data:`LIFECYCLE` name, and class-body bindings
+    of one to anything but ``ShardHandle.<the same name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in LIFECYCLE:
+            found.append(f"{path}:{node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+                for target in targets:
+                    name = getattr(target, "id", "")
+                    value = stmt.value
+                    if name in LIFECYCLE and not (
+                        isinstance(value, ast.Attribute)
+                        and value.attr == name
+                        and getattr(value.value, "id", "") == "ShardHandle"
+                    ):
+                        found.append(f"{path}:{stmt.lineno}: {node.name} binds {name}")
+    return found
+
+
 def _tree_violations(rule, paths) -> list[str]:
     return [v for path in paths for v in rule(str(path), path.read_text())]
 
@@ -156,6 +250,33 @@ def test_only_the_shared_routines_call_coalesced_collectives():
     paths = sorted((SRC / "fsdp").rglob("*.py"))
     assert paths
     assert _tree_violations(coalesced_calls, paths) == []
+
+
+def test_the_executor_calls_no_unit_collective():
+    paths = sorted((SRC / "compile").rglob("*.py"))
+    assert paths
+    assert _tree_violations(executor_collectives, paths) == []
+
+
+def test_the_rate_limiter_has_one_call_site():
+    sites = _tree_violations(admission_sites, sorted(SRC.rglob("*.py")))
+    assert [site.split(":")[0] for site in sites] == [str(SRC / "fsdp" / "runtime.py")]
+
+
+def test_the_handle_issues_two_coalesced_collectives():
+    path = SRC / "fsdp" / "handle.py"
+    assert len(coalesced_sites(str(path), path.read_text())) == 2
+    paths = [p for p in sorted((SRC / "fsdp").rglob("*.py")) if p.name != "handle.py"]
+    assert _tree_violations(coalesced_sites, paths) == []
+
+
+def test_the_lifecycle_is_defined_once():
+    paths = [p for p in sorted((SRC / "fsdp").rglob("*.py")) if p.name != "handle.py"]
+    assert len(paths) > 5
+    handle = (SRC / "fsdp" / "handle.py").read_text()
+    defined = {n.name for n in ast.walk(ast.parse(handle)) if isinstance(n, ast.FunctionDef)}
+    assert LIFECYCLE <= defined
+    assert _tree_violations(second_lifecycle, paths) == []
 
 
 def test_make_result_writes_each_output_once():
@@ -281,4 +402,71 @@ def test_negative_control_a_handle_taking_an_optimizer_is_caught():
     assert [v.split(": ", 1)[1] for v in found] == [
         "ShardHandle.optim_state_nbytes takes optimizer",
         "checkpoint_nbytes takes opt",
+    ]
+
+
+_COLLECTIVE_CALLING_EXECUTOR = '''
+class CompiledExecutor:
+    def on_pre_forward(self, unit):
+        self.runtime.admit_allgather()
+        unit.handle.unshard_pair(self.stream)
+        getattr(unit.handle, "reduce_grad")(self.stream)
+        self.group.all_gather_into_tensor_coalesced([])
+
+    def on_finalize(self):
+        self.runtime.unshard_units(self.units, "finalize")
+
+    def admit_allgather(self):
+        pass
+'''
+
+
+def test_negative_control_an_executor_collective_is_caught():
+    found = executor_collectives("schedule.py", _COLLECTIVE_CALLING_EXECUTOR)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "calls admit_allgather",
+        "calls unshard_pair",
+        "calls reduce_grad",
+        "calls all_gather_into_tensor_coalesced",
+        "defines admit_allgather",
+    ]
+
+
+def test_negative_control_a_second_admission_and_a_third_coalesced_call_are_caught():
+    source = _SECOND_COALESCED_CALLER + _COLLECTIVE_CALLING_EXECUTOR
+    assert len(admission_sites("runtime.py", source)) == 1
+    assert len(admission_sites("runtime.py", source + "admit_allgather()\n")) == 2
+    assert len(coalesced_sites("handle.py", source)) == 4
+    defined = source + "def reduce_scatter_coalesced(pairs):\n    pass\n"
+    assert coalesced_sites("handle.py", defined)[-1].endswith("defines reduce_scatter_coalesced")
+
+
+_SECOND_LIFECYCLE = '''
+class PerParamHandle(ShardHandle):
+    unshard = ShardHandle.unshard
+    reshard = ShardHandle.unshard
+    flush_post_backward = lambda self: None
+
+    def reduce_grad_pair(self, *, replicate_group=None):
+        return None
+
+
+class ShardedParam(ShardRecord):
+    def _use_sharded(self):
+        self.param.data = self.sharded_param
+
+
+def drain_grad(record, no_sync):
+    return False
+'''
+
+
+def test_negative_control_a_second_lifecycle_is_caught():
+    found = second_lifecycle("per_param.py", _SECOND_LIFECYCLE)
+    assert sorted(v.split(": ", 1)[1] for v in found) == [
+        "PerParamHandle binds flush_post_backward",
+        "PerParamHandle binds reshard",
+        "defines _use_sharded",
+        "defines drain_grad",
+        "defines reduce_grad_pair",
     ]

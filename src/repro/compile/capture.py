@@ -9,8 +9,11 @@ events into IR nodes with dependency and wait edges.
 Capture refuses structures the compiler cannot replay: a unit whose
 forward runs twice in one iteration (activation-checkpoint recompute
 re-enters ``pre_forward`` and would re-fire its collectives at
-positions the schedule cannot represent) marks the capture unsupported
-and the runtime stays eager.
+positions the schedule cannot represent), or whose gradients are
+reduced twice (a flat unit over checkpointed blocks that are not units
+fires its post-backward once per recompute, and a unit belongs to one
+reduce-scatter bucket), marks the capture unsupported and the runtime
+refuses to compile the step.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class CaptureHook:
     def __init__(self):
         self._events: list = []
         self._seen_forward: set = set()
+        self._seen_reduce: set = set()
         self.complete = False
         #: Human-readable reason capture cannot be compiled, or None.
         self.unsupported: Optional[str] = None
@@ -58,6 +62,7 @@ class CaptureHook:
     def on_iteration_begin(self) -> None:
         self._events = []
         self._seen_forward = set()
+        self._seen_reduce = set()
         self.complete = False
         self.unsupported = None
         self.footprints = {}
@@ -108,6 +113,13 @@ class CaptureHook:
     def on_post_backward(
         self, label: str, *, nbytes: int, group_key: int, dtype: str, **_
     ) -> None:
+        if label in self._seen_reduce:
+            self.unsupported = (
+                f"unit {label!r} reduced its gradients twice in one iteration "
+                "(a post-backward per activation-checkpoint recompute?); the "
+                "compiler puts each unit in one reduce-scatter bucket"
+            )
+        self._seen_reduce.add(label)
         self._events.append(("post_backward", label, nbytes, group_key, dtype))
 
     def on_finalize(self) -> None:

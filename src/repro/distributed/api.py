@@ -20,6 +20,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro import random as rrandom
 from repro.cuda.device import Device
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.distributed.process_group import (
@@ -301,6 +302,7 @@ def spawn(
 
     results: list = [None] * world_size
     errors: list = [None] * world_size
+    rng_state = rrandom.get_state()
     threads = [
         threading.Thread(
             target=_run_rank,
@@ -320,6 +322,7 @@ def spawn(
                 args,
                 results,
                 errors,
+                rng_state,
             ),
             name=f"rank{rank}",
         )
@@ -346,13 +349,17 @@ def spawn(
         del wrapper
 
 
-def _run_rank(ctx: WorldContext, fn: Callable, args: tuple, results: list, errors: list) -> None:
-    """One rank thread's body.  A module function, not a closure: a
-    rank error's traceback keeps this frame's function alive, and a
-    closure over ``errors`` would make that a cycle."""
+def _run_rank(
+    ctx: WorldContext, fn: Callable, args: tuple, results: list, errors: list, rng_state: tuple
+) -> None:
+    """One rank thread's body, on a generator of its own started from
+    the spawning thread's ``rng_state``.  A module function, not a
+    closure: a rank error's traceback keeps this frame's function alive,
+    and a closure over ``errors`` would make that a cycle."""
     _tls.ctx = ctx
     try:
-        results[ctx.rank] = fn(ctx.rank, *args)
+        with rrandom._thread_generator(rng_state):
+            results[ctx.rank] = fn(ctx.rank, *args)
     except BaseException as exc:  # noqa: BLE001 - propagated by spawn
         errors[ctx.rank] = exc
     finally:

@@ -28,7 +28,6 @@ from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.distributed import ProcessGroup
 from repro.distributed.mesh import DeviceMesh
-from repro.errors import FsdpError
 from repro.fsdp.flat_param import FlatParamHandle
 from repro.fsdp.mixed_precision import MixedPrecision
 from repro.fsdp.offload import CPUOffload
@@ -324,9 +323,6 @@ def _shard_unit(
     buffers, builds the ``backend``'s handle and the unit, and claims
     the parameters so an enclosing unit skips them.
     """
-    offload = bool(cpu_offload and cpu_offload.offload_params)
-    if offload and backend == "per_param":
-        raise FsdpError("the per_param backend does not support CPU offloading (cpu_offload)")
     _materialize_unit_params(_collect_unit_params(module, ignored_ids, ignored=True), device, None)
     _materialize_unit_params(_collect_unit_params(module, ignored_ids), device, param_init_fn)
     triples = _collect_unit_params(module, ignored_ids)
@@ -335,19 +331,18 @@ def _shard_unit(
     handle = None
     if triples:
         mp = mixed_precision or MixedPrecision()
-        precision = dict(
+        settings = dict(
             param_dtype=mp.param_dtype,
             reduce_dtype=mp.resolved_reduce_dtype(),
             keep_low_precision_grads=mp.keep_low_precision_grads,
+            offload_params=bool(cpu_offload and cpu_offload.offload_params),
             label=label,
         )
         if backend == "per_param":
             mesh = mesh or DeviceMesh.from_plan(plan, device)
-            handle = PerParamHandle(triples, device, plan.shard_group, mesh=mesh, **precision)
+            handle = PerParamHandle(triples, device, plan.shard_group, mesh=mesh, **settings)
         else:
-            handle = FlatParamHandle(
-                triples, device, plan.shard_group, offload_params=offload, **precision
-            )
+            handle = FlatParamHandle(triples, device, plan.shard_group, **settings)
     unit = FsdpUnit(handle, plan, label=label)
     # Claims are weak: the unit's handle holds the claimed parameters,
     # so a strong mark would be a cycle.  Module-level marks serve

@@ -24,18 +24,17 @@ sharded copy retained for the optimizer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro import dtypes, ops
+from repro import ops
 from repro.autograd.grad_mode import no_grad
-from repro.cuda.device import Device, cpu_device
+from repro.cuda.device import Device
 from repro.cuda.stream import Stream
-from repro.distributed import ProcessGroup
-from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord, released
-from repro.hw.kernel_model import KernelCost
+from repro.distributed import ProcessGroup, Work
+from repro.fsdp.handle import ParamInfo, ReduceJob, ShardHandle, ShardRecord
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.tensor import Tensor, empty
+from repro.tensor import Tensor
 
 __all__ = ["FlatParameter", "FlatParamHandle", "ParamInfo", "ReduceJob"]
 
@@ -71,23 +70,10 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         params: Sequence[tuple[Module, str, Parameter]],
         device: Device,
         shard_group: ProcessGroup,
-        *,
-        param_dtype: Optional[dtypes.DType] = None,
-        reduce_dtype: Optional[dtypes.DType] = None,
-        keep_low_precision_grads: bool = False,
-        offload_params: bool = False,
-        label: str = "",
+        **settings,
     ):
-        originals, owner = self._init_common(
-            params,
-            device,
-            shard_group,
-            param_dtype=param_dtype,
-            reduce_dtype=reduce_dtype,
-            keep_low_precision_grads=keep_low_precision_grads,
-            label=label,
-        )
-        self.offload_params = offload_params
+        """``settings`` are :meth:`ShardHandle._init_common`'s keywords."""
+        originals, owner = self._init_common(params, device, shard_group, **settings)
 
         # --- flatten-concat-chunk -------------------------------------
         offsets: list[int] = []
@@ -128,10 +114,6 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         return [self]
 
     @property
-    def shard(self) -> Tensor:
-        return self._local_shard
-
-    @property
     def optim_param(self) -> FlatParameter:
         return self.flat_param
 
@@ -148,16 +130,8 @@ class FlatParamHandle(ShardHandle, ShardRecord):
         # the wrap order, not on any one parameter's name.
         return f"flat_param.{unit_index:03d}.{self.label}"
 
-    def gather(self, value: Tensor) -> Tensor:
-        if self.sharding_factor == 1:
-            return ops.clone(value)
-        with no_grad():
-            if value.device.is_cpu:
-                # Offloaded state: stage through the device for the collective.
-                value = ops.to_device(value.detach(), self.device)
-            full = empty(self.padded_numel, dtype=value.dtype, device=self.device)
-            self.shard_group.all_gather_into_tensor(full, value.detach()).wait()
-        return full
+    def _gather_full(self, full: Tensor, value: Tensor) -> Work:
+        return self.shard_group.all_gather_into_tensor(full, value)
 
     # ------------------------------------------------------------------
     # Construction internals
@@ -168,27 +142,17 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             full_flat = ops.cat(flats, 0) if len(flats) > 1 else flats[0]
             full_flat = ops.pad_right(full_flat, self.padding)
             start = self.shard_group.rank * self.shard_numel
-            local_shard = ops.clone(ops.narrow(full_flat, 0, start, self.shard_numel))
+            self.shard = ops.clone(ops.narrow(full_flat, 0, start, self.shard_numel))
         del full_flat, flats
         # Release the originals' storage: their data now lives in the
         # shards across the group.
         for p in originals:
             p._storage.free()
 
-        self._staged_shard: Optional[Tensor] = None
-        if self.offload_params:
-            # CPU offloading: the permanent full-precision shard lives
-            # in host memory; a released device staging buffer receives
-            # the H2D copy before each AllGather.
-            with no_grad():
-                local_shard = ops.to_device(local_shard, cpu_device())
-            self._staged_shard = released(self.device, self.full_precision_dtype, self.shard_numel)
-
-        self.flat_param = FlatParameter(local_shard, requires_grad=requires_grad)
-        self._local_shard = local_shard
+        self.flat_param = FlatParameter(self.shard, requires_grad=requires_grad)
         # NO_SHARD in full precision: the local shard *is* the full flat
         # parameter; no second copy exists.
-        self._build_buffers(local_shard, cast=self.compute_dtype is not self.full_precision_dtype)
+        self._build_buffers(cast=self.compute_dtype is not self.full_precision_dtype)
 
     def _deregister_and_bind(self) -> None:
         """Remove originals from module registries; bind alias views.
@@ -211,35 +175,13 @@ class FlatParamHandle(ShardHandle, ShardRecord):
     # Record-level lifecycle steps (driven by ShardHandle)
     # ------------------------------------------------------------------
     def _gather_into(self, stream: Stream) -> None:
-        """Unshard where no pair is gathered — CPU offload or ``F == 1``
-        (caller holds stream/no_grad): H2D-stage an offloaded shard,
-        cast it to the compute dtype, then gather (with ``F == 1``,
-        copy) straight into the unsharded storage."""
-        source = self._local_shard
-        if self.offload_params:
-            self._staged_shard._storage.reallocate()
-            self._h2d_copy(self._staged_shard, self._local_shard, stream)
-            source = self._staged_shard
-        gather_input = self._gather_input(source)
+        """Unshard with ``F == 1``, where no pair is gathered (caller
+        holds stream/no_grad): copy the gather input into the unsharded
+        storage."""
+        gather_input = self._gather_input()
         self._unsharded_storage.reallocate()
-        if self.sharding_factor > 1:
-            self.shard_group.all_gather_into_tensor(
-                self._unsharded_flat, gather_input, stream=stream
-            )
-        else:
-            self._unsharded_flat.copy_(gather_input)
+        self._unsharded_flat.copy_(gather_input)
         self._commit_pair()
-        if self.offload_params:
-            self._staged_shard._storage.release()
-
-    def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
-        """The ``(output, input)`` AllGather pair (None under CPU
-        offload, whose H2D staging :meth:`_gather_into` does)."""
-        if self.offload_params:
-            return None
-        gather_input = self._gather_input(self._local_shard)
-        self._unsharded_storage.reallocate()
-        return (self._unsharded_flat, gather_input)
 
     def _use_unsharded(self) -> None:
         """Rebuild the original parameters as views of the FlatParameter.
@@ -259,30 +201,3 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             views_by_offset[info.offset] = ops.view(piece, info.shape)
         for info in self.param_infos:
             object.__setattr__(info.module, info.name, views_by_offset[info.offset])
-
-    def stash_grad(self, new_shard: Tensor) -> None:
-        """Park the reduced shard (caller holds the reduction stream)."""
-        if self.offload_params:
-            # The optimizer runs on host shards: move the reduced
-            # gradient shard D2H (PCIe cost on the reduction stream).
-            # The host-side accumulate is safe only after this copy.
-            self.device.launch(
-                KernelCost.host_copy(new_shard.nbytes, self.device.spec),
-                new_shard.dtype,
-                reads=(new_shard._storage,),
-                label="d2h",
-            )
-            new_shard = ops.to_device(new_shard, cpu_device())
-        ShardRecord.stash_grad(self, new_shard)
-
-    def _h2d_copy(self, device_dst: Tensor, host_src: Tensor, stream: Stream) -> None:
-        """Host-to-device copy over PCIe (data + simulated transfer time)."""
-        if device_dst.is_materialized and host_src.is_materialized:
-            device_dst._np[...] = host_src._np
-        self.device.launch(
-            KernelCost.host_copy(device_dst.nbytes, self.device.spec),
-            device_dst.dtype,
-            stream=stream,
-            writes=(device_dst._storage,),
-            label="h2d",
-        )

@@ -13,11 +13,14 @@
   handle's ``records``: unshard, use the unsharded views, reshard,
   then reduce, stash and restore gradients.  The two handle classes
   are layout constructors; what a layout does to *one* record is a
-  record-level step (``_gather_into``, ``_gather_pair``,
-  ``_use_unsharded``, ``stash_grad``, ``_shaped``).  What every record
-  does alike is written once on :class:`ShardRecord`: building its
-  released unsharded and cast buffers, swapping back to the shard, and
-  draining its gradient.
+  record-level step (``_gather_into``, ``_use_unsharded``,
+  ``_shaped``).  What every record does alike is written once on
+  :class:`ShardRecord`: building its released unsharded, cast and
+  staging buffers, the gather pair, swapping back to the shard,
+  draining and stashing its gradient — and CPU offload, which keeps the
+  shard, its gradient and its optimizer state in host memory and adds
+  an H2D copy where the gather input is staged and a D2H copy where
+  the reduced gradient is stashed.
 
 The collective shape follows from the records alone: one record (every
 flat unit, every single-parameter per-parameter unit) gathers straight
@@ -42,10 +45,11 @@ from typing import Callable, Optional, Sequence
 
 from repro import dtypes, ops
 from repro.autograd.grad_mode import no_grad
-from repro.cuda.device import Device
+from repro.cuda.device import Device, cpu_device
 from repro.cuda.stream import Event, Stream
 from repro.distributed import ProcessGroup, ReduceOp, Work
 from repro.errors import FsdpError
+from repro.hw.kernel_model import KernelCost
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.storage import Storage
@@ -133,7 +137,7 @@ class ShardRecord:
     loads, gathers or lays it out.  Implementations provide:
 
     - ``shard`` — this rank's full-precision shard tensor (what a
-      sharded state dict stores);
+      sharded state dict stores; in host memory under CPU offload);
     - ``optim_param`` — the ``Parameter`` the optimizer keys state by
       (its state tensors are sharded exactly like ``shard``);
     - ``shard_offset`` — where ``shard`` starts inside the logical
@@ -145,14 +149,15 @@ class ShardRecord:
       buffer;
     - ``label`` — the owning unit's label;
     - ``shard_key(unit_index, fqn)`` — the sharded-state-dict key;
-    - ``gather(value)`` — AllGather a ``shard``-shaped tensor (the shard
-      itself or an optimizer state tensor) into a fresh 1-D tensor of
-      ``padded_numel`` elements.
+    - ``_gather_full(full, value)`` — the layout's AllGather of a
+      ``shard``-shaped device tensor into ``full`` (see :meth:`gather`).
 
-    For the handle's lifecycle a record builds its released unsharded
-    and cast buffers with :meth:`_build_buffers` and provides ``even``
-    (every rank's chunk is equally long) and the layout steps
-    ``_gather_into`` / ``_gather_pair`` / ``_use_unsharded``.
+    For the handle's lifecycle a record builds its buffers with
+    :meth:`_build_buffers` and provides ``even`` (every rank's chunk is
+    equally long) and the layout steps ``_gather_into`` /
+    ``_use_unsharded``.  Its unit settings (device, shard group, label,
+    precisions, ``offload_params``) are the handle's own for a flat
+    unit and copied by :meth:`_join_unit` for a per-parameter record.
     """
 
     # Gradient stash (Section 3.3.4): reduced shards park here until
@@ -168,6 +173,41 @@ class ShardRecord:
         """Which chunk this rank holds — under hybrid layouts not the
         global rank; reassembly keys chunks by it."""
         return self.shard_group.rank
+
+    @property
+    def needs_unshard(self) -> bool:
+        """Whether compute reads a buffer other than the shard: more than
+        one rank, a compute dtype other than the shard's, or a shard in
+        host memory."""
+        return (
+            self.sharding_factor > 1
+            or self.compute_dtype is not self.full_precision_dtype
+            or self.offload_params
+        )
+
+    def _join_unit(self, unit: "ShardHandle") -> None:
+        """Take the owning unit's settings (the record keeps no
+        reference to the unit, which owns it)."""
+        self.device, self.shard_group, self.label = unit.device, unit.shard_group, unit.label
+        self.sharding_factor = unit.sharding_factor
+        self.full_precision_dtype = unit.full_precision_dtype
+        self.compute_dtype = unit.compute_dtype
+        self.offload_params = unit.offload_params
+
+    def gather(self, value: Tensor) -> Tensor:
+        """AllGather a ``shard``-shaped tensor (the shard itself or an
+        optimizer state tensor) into a fresh 1-D tensor of
+        ``padded_numel`` elements; a host value (offloaded state) is
+        staged through the device first."""
+        with no_grad():
+            value = value.detach()
+            if self.sharding_factor == 1:
+                return ops.clone(value)
+            if value.device.is_cpu:
+                value = ops.to_device(value, self.device)
+            full = empty(self.padded_numel, dtype=value.dtype, device=self.device)
+            self._gather_full(full, value).wait()
+        return full
 
     def drain_grad(self, no_sync: bool) -> bool:
         """Fold ``.grad`` and any earlier ``no_sync`` accumulation on the
@@ -195,8 +235,18 @@ class ShardRecord:
         (a parent unit's parameters used inside several
         activation-checkpoint GraphTasks fire AccumulateGrad once per
         recompute), which is why the shard is parked, not assigned to
-        ``.grad``.
+        ``.grad``.  Under CPU offload the optimizer steps host shards,
+        so the shard first moves D2H (PCIe time on the reduction
+        stream); the host-side accumulate is safe only after this copy.
         """
+        if self.offload_params:
+            self.device.launch(
+                KernelCost.host_copy(new_shard.nbytes, self.device.spec),
+                new_shard.dtype,
+                reads=(new_shard._storage,),
+                label="d2h",
+            )
+            new_shard = ops.to_device(new_shard, cpu_device())
         if self._saved_grad_shard is not None:
             new_shard = new_shard + self._saved_grad_shard
         self._saved_grad_shard = new_shard.detach()
@@ -206,16 +256,26 @@ class ShardRecord:
         shard is 1-D already)."""
         return flat
 
-    def _build_buffers(self, shard: Tensor, *, cast: bool) -> None:
-        """Build the released unsharded buffer of ``padded_numel``
-        compute-precision elements (``shard`` itself when nothing is
-        unsharded) and, with ``cast``, the released compute-precision
-        cast of ``shard`` the gather sends.  The parameter's current data
-        is the view :meth:`_use_sharded` swaps back to."""
+    def _build_buffers(self, *, cast: bool) -> None:
+        """Build the record's released buffers around its ``shard``, of
+        which ``optim_param`` holds a view.  Under CPU offload the shard
+        first moves to host memory (the caller holds no other reference,
+        so its device copy is freed here) and a released device buffer
+        of its size receives the H2D copy before each gather.  Then the
+        released unsharded buffer of ``padded_numel`` compute-precision
+        elements (the shard itself when nothing is unsharded) and, with
+        ``cast``, the released compute-precision cast the gather sends.
+        The parameter's data is then the view :meth:`_use_sharded` swaps
+        back to."""
         device, dtype = self.device, self.compute_dtype
+        self._staged_shard = None
+        if self.offload_params:
+            with no_grad():
+                self.shard = ops.to_device(self.shard, cpu_device())
+            self.optim_param.data = self._shaped(self.shard)
+            self._staged_shard = released(device, self.full_precision_dtype, self.shard_numel)
         self._sharded_view = self.optim_param.data
-        if self.needs_unshard:
-            shard = released(device, dtype, self.padded_numel)
+        shard = released(device, dtype, self.padded_numel) if self.needs_unshard else self.shard
         self._unsharded_flat, self._unsharded_storage = shard, shard._storage
         self._mp_shard = released(device, dtype, self.shard_numel) if cast else None
 
@@ -224,19 +284,52 @@ class ShardRecord:
         self._unsharded_storage.release()
         self.optim_param.data = self._sharded_view
 
-    def _gather_input(self, source: Tensor) -> Tensor:
-        """``source`` as the gather sends it: cast into the reallocated
-        compute-precision ``_mp_shard`` when the record has one."""
+    def _device_shard(self) -> Tensor:
+        """The shard where the device reads it: the shard itself, or
+        under CPU offload its H2D copy (PCIe time on the current stream)
+        into the reallocated staging buffer."""
+        staged = self._staged_shard
+        if staged is None:
+            return self.shard
+        staged._storage.reallocate()
+        if staged.is_materialized and self.shard.is_materialized:
+            staged._np[...] = self.shard._np.reshape(-1)
+        self.device.launch(
+            KernelCost.host_copy(staged.nbytes, self.device.spec),
+            staged.dtype,
+            writes=(staged._storage,),
+            label="h2d",
+        )
+        return staged
+
+    def _gather_input(self) -> Tensor:
+        """The shard as the gather sends it: on the device, cast into
+        the reallocated compute-precision ``_mp_shard`` when the record
+        has one."""
+        source = self._device_shard()
         if self._mp_shard is None:
             return source
         self._mp_shard._storage.reallocate()
         self._mp_shard.copy_(source)
         return self._mp_shard
 
+    def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
+        """The ``(output, input)`` AllGather pair of a record with even
+        chunks, straight into its unsharded storage (None for uneven
+        chunks, which :meth:`_gather_into` gathers by list)."""
+        if not self.even:
+            return None
+        gather_input = self._gather_input()
+        self._unsharded_storage.reallocate()
+        return (self._unsharded_flat, gather_input)
+
     def _commit_pair(self) -> None:
-        """Release the cast shard once the gather is enqueued."""
+        """Release the cast and the staged shard once the gather that
+        reads them is enqueued."""
         if self._mp_shard is not None:
             self._mp_shard._storage.release()
+        if self._staged_shard is not None:
+            self._staged_shard._storage.release()
 
     def _writeback(self) -> None:
         """Copy this rank's slice of the unsharded data into the shard
@@ -260,8 +353,6 @@ class ShardHandle:
     ``_init_lifecycle`` last) and provide the record-level steps.
     """
 
-    #: CPU offloading exists only on the flat-parameter backend.
-    offload_params = False
     #: Whether unsharding also repoints the parameters at their
     #: unsharded views.  Per-parameter units need it: saved activations
     #: reference the parameter objects, so a backward-prefetch unshard
@@ -276,12 +367,16 @@ class ShardHandle:
         device: Device,
         shard_group: ProcessGroup,
         *,
-        param_dtype: Optional[dtypes.DType],
-        reduce_dtype: Optional[dtypes.DType],
-        keep_low_precision_grads: bool,
-        label: str,
+        param_dtype: Optional[dtypes.DType] = None,
+        reduce_dtype: Optional[dtypes.DType] = None,
+        keep_low_precision_grads: bool = False,
+        offload_params: bool = False,
+        label: str = "",
     ) -> tuple[list[Parameter], list[int]]:
-        """Validate ``params`` and record the unit-wide settings.
+        """Validate ``params`` and record the unit-wide settings: the
+        mixed-precision dtypes, whether shards live in host memory
+        (``offload_params``) and the unit's label.  Both layouts'
+        constructors take these keywords.
 
         Returns the distinct parameters in first-seen order and, for
         each binding of ``params``, the index of its parameter (tied
@@ -310,6 +405,7 @@ class ShardHandle:
         self.compute_dtype = param_dtype or full_dtype
         self.reduce_dtype = reduce_dtype or self.compute_dtype
         self.keep_low_precision_grads = keep_low_precision_grads
+        self.offload_params = offload_params
         return originals, [index_of[id(param)] for _, _, param in params]
 
     def _init_lifecycle(self) -> None:
@@ -337,13 +433,7 @@ class ShardHandle:
     def shard_records(self) -> list[ShardRecord]:
         return self.records
 
-    @property
-    def needs_unshard(self) -> bool:
-        return (
-            self.sharding_factor > 1
-            or self.compute_dtype is not self.full_precision_dtype
-            or self.offload_params
-        )
+    needs_unshard = ShardRecord.needs_unshard
 
     @property
     def unsharded_nbytes(self) -> int:
@@ -384,9 +474,10 @@ class ShardHandle:
         (:func:`unshard_bucket`) holds ``device.stream(stream)`` /
         ``no_grad``, runs one coalesced AllGather over its handles'
         pairs and then calls ``unshard_commit``.  Where no pairable
-        collective runs — ``F == 1`` (a cast copy), CPU offload (the H2D
-        staging) or one record with uneven chunks (the list AllGather) —
-        the handle unshards itself here and returns None.
+        collective runs — ``F == 1`` (a cast copy) or one record with
+        uneven chunks (the list AllGather) — the handle unshards itself
+        here and returns None.  An offloaded shard is H2D-copied where
+        the gather input is staged, whichever path it takes.
 
         One record gathers straight into its storage.  Several are
         copied into one rank-major buffer and copied out at commit (the
@@ -415,7 +506,7 @@ class ShardHandle:
         # Copy-in: this rank's chunks of every record, concatenated in
         # record order (the layout every rank assumes).
         if self.shard_numel:
-            shards = [record.shard for record in records]
+            shards = [record._device_shard() for record in records]
             local = shards[0] if len(shards) == 1 else ops.cat(shards)
         else:
             local = empty(0, dtype=self.full_precision_dtype, device=device)
@@ -433,19 +524,20 @@ class ShardHandle:
     def unshard_commit(self) -> None:
         """Finish a staged unshard once its collective is enqueued.
 
+        Each record releases what its gather input was staged in.
         Several records are reassembled from their per-rank chunks into
         their persistent unsharded storages (saved activations alias
         them, so the staging buffer cannot be the destination) by one
         fused kernel for the whole unit — the ``torch._foreach_copy_``
         idiom.
         """
+        for record in self.records:
+            record._commit_pair()
         if self._staged_gather is not None:
             for record in self.records:
                 record._unsharded_storage.reallocate()
             self._copy_out(self._staged_gather)
             self._staged_gather = None
-        else:
-            self.records[0]._commit_pair()
         self.is_unsharded = True
         if self._views_follow_unshard:
             self.use_unsharded_views()

@@ -37,17 +37,17 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from repro import dtypes, ops
+from repro import ops
 from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.cuda.stream import Stream
-from repro.distributed import ProcessGroup
+from repro.distributed import ProcessGroup, Work
 from repro.distributed.mesh import DeviceMesh, Shard, chunk_numels, local_chunk
 from repro.fsdp.handle import ParamInfo, ShardHandle, ShardRecord
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.storage import Storage
-from repro.tensor import Tensor, empty
+from repro.tensor import Tensor
 
 __all__ = ["ShardedParam", "PerParamHandle"]
 
@@ -62,51 +62,29 @@ class ShardedParam(ShardRecord):
     binding (several when the parameter is tied) at offset 0.
     """
 
-    def __init__(
-        self,
-        name: str,
-        param: Parameter,
-        device: Device,
-        shard_group: ProcessGroup,
-        *,
-        compute_dtype: dtypes.DType,
-        full_precision_dtype: dtypes.DType,
-        label: str = "",
-    ):
+    def __init__(self, name: str, param: Parameter, unit: ShardHandle):
         self.name = name
         self.param = param
-        self.device = device
-        self.shard_group = shard_group
-        self.label = label
+        self._join_unit(unit)
         self.param_infos: list[ParamInfo] = []
         self.shape = tuple(param.shape)
         self.numel = param.numel
-        self.full_precision_dtype = full_precision_dtype
-        self.compute_dtype = compute_dtype
         self.placement = Shard(0)
 
         # Closed-form dim-0 layout: rank ``r`` owns elements
         # ``[min(r * chunk_numel, numel), min((r + 1) * chunk_numel, numel))``,
         # so nothing here is a per-rank list.
-        factor = shard_group.world_size
-        self.sharding_factor = factor
+        factor = self.sharding_factor
         rows = self.shape[0] if self.shape else 1
         row_numel = self.numel // rows if rows else 0
         self.chunk_numel = -(-rows // factor) * row_numel
-        self.shard_rows = local_chunk(rows, factor, shard_group.rank)
+        self.shard_rows = local_chunk(rows, factor, self.shard_group.rank)
         start, end = self.shard_rows
         self.shard_numel = (end - start) * row_numel
         self.shard_offset = start * row_numel
         self.even = rows % factor == 0
 
         self._build_storages()
-
-    @property
-    def needs_unshard(self) -> bool:
-        return (
-            self.sharding_factor > 1
-            or self.compute_dtype is not self.full_precision_dtype
-        )
 
     def _shaped(self, flat: Tensor) -> Tensor:
         """Dim-0 local view (``Shard(0)`` semantics) of a flat shard."""
@@ -123,33 +101,31 @@ class ShardedParam(ShardRecord):
                 old_storage = param._storage
                 if self.shard_numel:
                     flat = ops.view(param.detach(), (self.numel,))
-                    sharded = ops.clone(
+                    self.shard = ops.clone(
                         ops.narrow(flat, 0, self.shard_offset, self.shard_numel)
                     )
                 else:
                     # Parameter has fewer rows than ranks: this rank's
                     # shard is empty (no padding is ever materialized).
-                    sharded = Tensor(
+                    self.shard = Tensor(
                         Storage(device, self.full_precision_dtype, 0), (0,)
                     )
                 # The registered (visible) shard carries Shard(0)
                 # semantics: ``(local_rows, *shape[1:])``, a view over
                 # the flat buffer the collectives consume.
-                param.data = self._shaped(sharded)
+                param.data = self._shaped(self.shard)
                 old_storage.free()
             else:
                 # F == 1: the full-precision "shard" is the parameter
                 # itself; nothing is freed.
-                sharded = param.detach()
-        self.sharded_data = sharded
+                self.shard = param.detach()
         # With F == 1 a mixed-precision unshard is one cast copy, so
         # nothing is cast before gathering.
         self._build_buffers(
-            sharded,
             cast=self.compute_dtype is not self.full_precision_dtype and self.sharding_factor > 1,
         )
         self.unsharded_param = (
-            Tensor(self._unsharded_storage, self.shape) if self.needs_unshard else sharded
+            Tensor(self._unsharded_storage, self.shape) if self.needs_unshard else self.shard
         )
 
     def _chunk_views(self, storage: Storage) -> list[Tensor]:
@@ -170,10 +146,6 @@ class ShardedParam(ShardRecord):
     # Shard record (see repro.fsdp.handle.ShardRecord)
     # ------------------------------------------------------------------
     @property
-    def shard(self) -> Tensor:
-        return self.sharded_data
-
-    @property
     def optim_param(self) -> Parameter:
         return self.param
 
@@ -193,38 +165,23 @@ class ShardedParam(ShardRecord):
         # parameters into different units a same-layout restore.
         return f"per_param.{fqn}"
 
-    def gather(self, value: Tensor) -> Tensor:
-        with no_grad():
-            if self.sharding_factor == 1:
-                return ops.clone(value)
-            full = empty(self.numel, dtype=value.dtype, device=self.device)
-            views = self._chunk_views(full._storage)
-            self.shard_group.all_gather(views, value.detach()).wait()
-            return full
+    def _gather_full(self, full: Tensor, value: Tensor) -> Work:
+        return self.shard_group.all_gather(self._chunk_views(full._storage), value)
 
     # ------------------------------------------------------------------
     # Record-level lifecycle steps (driven by ShardHandle)
     # ------------------------------------------------------------------
     def _gather_into(self, stream: Stream) -> None:
         """Unshard where no pair is gathered (caller holds stream/no_grad):
-        ``F == 1`` cast-copies, uneven chunks take the list AllGather."""
+        uneven chunks take the list AllGather; ``F == 1`` is a cast copy
+        into the compute-precision buffer."""
         self._unsharded_storage.reallocate()
+        source = self._gather_input()
         if self.sharding_factor > 1:
-            source = self._gather_input(self.sharded_data)
             self.shard_group.all_gather(self._rank_views, source, stream=stream)
-            self._commit_pair()
         else:
-            # NO_SHARD with mixed precision: a cast copy into the
-            # compute-precision buffer.
-            self.unsharded_param.copy_(self.sharded_data)
-
-    def _gather_pair(self) -> Optional[tuple[Tensor, Tensor]]:
-        """The even chunks' ``(output, input)`` AllGather pair (None for
-        uneven chunks, which need the list AllGather)."""
-        if not self.even:
-            return None
-        self._unsharded_storage.reallocate()
-        return (self._unsharded_flat, self._gather_input(self.sharded_data))
+            self.unsharded_param.copy_(source)
+        self._commit_pair()
 
     def _use_unsharded(self) -> None:
         if self.needs_unshard:
@@ -261,20 +218,11 @@ class PerParamHandle(ShardHandle):
         shard_group: ProcessGroup,
         *,
         mesh: Optional[DeviceMesh] = None,
-        param_dtype: Optional[dtypes.DType] = None,
-        reduce_dtype: Optional[dtypes.DType] = None,
-        keep_low_precision_grads: bool = False,
-        label: str = "",
+        **settings,
     ):
-        _, owner = self._init_common(
-            params,
-            device,
-            shard_group,
-            param_dtype=param_dtype,
-            reduce_dtype=reduce_dtype,
-            keep_low_precision_grads=keep_low_precision_grads,
-            label=label,
-        )
+        """``settings`` are :meth:`ShardHandle._init_common`'s keywords;
+        every record takes them (:meth:`ShardRecord._join_unit`)."""
+        _, owner = self._init_common(params, device, shard_group, **settings)
         self.mesh = mesh
 
         self.sharded_params: list[ShardedParam] = []
@@ -283,17 +231,7 @@ class PerParamHandle(ShardHandle):
             if index == len(self.sharded_params):
                 # First binding of a parameter: a tied parameter is
                 # sharded once and its later bindings join the record.
-                self.sharded_params.append(
-                    ShardedParam(
-                        name,
-                        param,
-                        device,
-                        shard_group,
-                        compute_dtype=self.compute_dtype,
-                        full_precision_dtype=self.full_precision_dtype,
-                        label=label,
-                    )
-                )
+                self.sharded_params.append(ShardedParam(name, param, self))
             sp = self.sharded_params[index]
             info = ParamInfo(module, name, sp.shape, sp.numel, 0)
             sp.param_infos.append(info)

@@ -91,7 +91,6 @@ class FsdpRuntime:
         self._inflight: deque[Event] = deque()
         self._final_callback_queued = False
         self.iteration = 0
-        self.in_backward = False
         #: repro.compile.CompileSettings when compilation is requested.
         self.compile_settings = compile_settings
         #: CaptureHook recording the current (eager) iteration, or None;
@@ -228,7 +227,6 @@ class FsdpRuntime:
         self.exec_validator.start_iteration()
         self._prev_exec_order = self._exec_order
         self._exec_order = []
-        self.in_backward = False
         self._final_callback_queued = False
         for unit in self.units:
             unit.reset_iteration_state()
@@ -299,7 +297,6 @@ class FsdpRuntime:
         """
         self._inflight.clear()
         self._final_callback_queued = False
-        self.in_backward = False
         self._exec_order = []
         self._prev_exec_order = []
         # A half-recorded capture is useless; a compiled schedule stays
@@ -313,8 +310,7 @@ class FsdpRuntime:
             if unit.handle is None:
                 continue
             unit.handle.restore_stashed_gradient()
-            if unit.handle.is_unsharded and unit.handle.needs_unshard:
-                unit.handle.reshard()
+            unit.handle.reshard()
         self.exec_validator.reset()
         self.unshard_stream.wait_stream(self.device.default_stream)
 
@@ -353,11 +349,10 @@ class FsdpRuntime:
                 work.wait()
                 unit.pending_reduce_work = None
             unit.handle.restore_stashed_gradient()
-            if unit.handle.is_unsharded and unit.handle.needs_unshard:
-                # Units whose backward never ran (unused outputs) or
-                # strategies that keep parameters through backward are
-                # resharded here.
-                unit.handle.reshard()
+            # Units whose backward never ran (unused outputs) or
+            # strategies that keep parameters through backward are
+            # resharded here.
+            unit.handle.reshard()
         # ``Work.wait()`` above only covers up to each ReduceScatter's
         # completion event; the stash-accumulate launched *after* the
         # event on the same stream is not.  Order the compute stream
@@ -367,7 +362,6 @@ class FsdpRuntime:
         # stream in the reference implementation's final callback.
         self.device.default_stream.wait_stream(self.unshard_stream)
         self._final_callback_queued = False
-        self.in_backward = False
 
     # ------------------------------------------------------------------
     # Prefetch target selection
@@ -449,7 +443,6 @@ class FsdpUnit:
         # Per-iteration flags
         self.forward_ran = False
         self.pre_backward_ran = False
-        self.post_backward_ran = False
         #: The checkpoint recompute that last entered this unit's
         #: forward (0: a plain forward).
         self.entered_by = 0
@@ -470,7 +463,6 @@ class FsdpUnit:
     def reset_iteration_state(self) -> None:
         self.forward_ran = False
         self.pre_backward_ran = False
-        self.post_backward_ran = False
 
     # ------------------------------------------------------------------
     # Reshard and wait (the collectives are FsdpRuntime.unshard_units /
@@ -563,7 +555,6 @@ class FsdpUnit:
     def _pre_backward_hook(self, grad: Tensor):
         runtime = self._require_runtime()
         runtime.ensure_final_callback()
-        runtime.in_backward = True
         if self.pre_backward_ran or self.handle is None:
             return None
         self.pre_backward_ran = True
@@ -602,7 +593,6 @@ class FsdpUnit:
         # AccumulateGrad independently.  Every firing reduces its
         # contribution; the shards accumulate in the handle's stash.
         runtime = self._require_runtime()
-        self.post_backward_ran = True
         runtime.ensure_final_callback()
         runtime.emit("post_backward", self)
         runtime.device.pop_scope(f"backward:{self.label}")

@@ -4,17 +4,26 @@ A process-global generator provides reproducible initialization.  Each
 random op draws a fresh child seed from its generator; deferred
 initialization (Section 3.1) records that child seed so that replaying
 the op on a real device yields bit-identical values.
+
+A rank thread (:func:`repro.distributed.spawn`) owns a generator of its
+own, started from the spawning thread's state — the way each rank of a
+real job is its own process and PyTorch keeps one generator per CUDA
+device — so concurrent ranks never interleave draws, and every rank
+builds the model the spawning thread would have built.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["manual_seed", "default_generator", "Generator", "fork_seed"]
 
 _lock = threading.Lock()
+_tls = threading.local()
 
 
 class Generator:
@@ -67,24 +76,39 @@ _default = Generator(0)
 
 
 def default_generator() -> Generator:
-    return _default
+    """The calling thread's generator: a rank thread's own, else the
+    process-global one."""
+    return getattr(_tls, "generator", None) or _default
+
+
+@contextmanager
+def _thread_generator(state: tuple) -> Iterator[None]:
+    """Give a fresh rank thread its own generator, started from
+    ``state`` (a :meth:`Generator.get_state` snapshot), for the block."""
+    generator = Generator()
+    generator.set_state(state)
+    _tls.generator = generator
+    try:
+        yield
+    finally:
+        _tls.generator = None
 
 
 def manual_seed(seed: int) -> None:
-    """Seed the process-global generator (like ``torch.manual_seed``)."""
-    _default.manual_seed(seed)
+    """Seed the calling thread's generator (like ``torch.manual_seed``)."""
+    default_generator().manual_seed(seed)
 
 
 def fork_seed(generator: Generator | None = None) -> int:
-    """Draw a child seed from ``generator`` (default: the global one)."""
-    return (generator or _default).spawn_seed()
+    """Draw a child seed from ``generator`` (default: the thread's)."""
+    return (generator or default_generator()).spawn_seed()
 
 
 def get_state():
-    """Snapshot the global generator (activation-checkpoint replay)."""
-    return _default.get_state()
+    """Snapshot the thread's generator (activation-checkpoint replay)."""
+    return default_generator().get_state()
 
 
 def set_state(state) -> None:
-    """Restore a snapshot of the global generator."""
-    _default.set_state(state)
+    """Restore a snapshot of the thread's generator."""
+    default_generator().set_state(state)

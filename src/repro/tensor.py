@@ -710,6 +710,12 @@ def tensor(data, *, dtype: Optional[dtypes.DType] = None, device: Optional[Devic
 
 
 def zeros_like(t: Tensor) -> Tensor:
+    """Zeros shaped like ``t`` on its device.  On the host, a zero-like
+    of an abstract tensor (an offloaded shard in a meta-mode run) stays
+    abstract too: its zeros would be memory nothing reads.  A simulated
+    GPU keeps its zero-fill kernel either way."""
+    if t.device.is_cpu and not t.is_materialized:
+        return Tensor(Storage(t.device, t.dtype, t.numel, materialize=False), t.shape)
     return zeros(*t.shape, dtype=t.dtype, device=t.device)
 
 

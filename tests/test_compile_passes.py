@@ -311,3 +311,52 @@ class TestVerifierAndCapture:
         cap.on_pre_forward("A")
         with pytest.raises(FsdpError, match="incomplete"):
             cap.graph()
+
+    def test_capture_rejects_a_second_reduction_of_one_unit(self):
+        cap = CaptureHook()
+        cap.on_iteration_begin()
+        coll = dict(nbytes=NBYTES, group_key=1, dtype="float32")
+        cap.on_post_backward("A", **coll)
+        assert cap.unsupported is None
+        cap.on_post_backward("A", **coll)
+        assert cap.unsupported is not None
+        cap.on_finalize()
+        with pytest.raises(FsdpError, match="reduced its gradients twice"):
+            cap.graph()
+
+
+class TestCheckpointedBlocksUnderAFlatRoot:
+    """A flat root unit over checkpointed blocks that are not units
+    fires its post-backward once per recompute.  Compiling that step is
+    refused with a typed error at the second iteration (the verifier
+    used to fail on a unit in several reduce-scatter buckets); the
+    per_param root, which reduces once, compiles."""
+
+    @staticmethod
+    def _config(backend):
+        import dataclasses
+
+        from repro.perf.workloads import gpt_builder
+        from tests.test_engine_speed import TINY, tiny_config
+
+        checkpointed = dataclasses.replace(TINY, checkpoint_blocks=True)
+        return tiny_config(
+            backend=backend,
+            compile=True,
+            auto_wrap_policy=None,
+            build_model=gpt_builder(checkpointed),
+            iterations=2,
+        )
+
+    def test_flat_root_is_refused_with_a_typed_error(self):
+        from repro.perf import simulate_training
+
+        with pytest.raises(FsdpError, match="reduced its gradients twice"):
+            simulate_training(self._config("flat_param"))
+
+    def test_per_param_root_compiles(self):
+        from repro.perf import simulate_training
+
+        result = simulate_training(self._config("per_param"))
+        assert not result.oom
+        assert result.extras["compile"]["stats"]

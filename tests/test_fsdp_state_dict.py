@@ -182,7 +182,7 @@ class TestShardedStateDict:
 
             with no_grad():
                 for handle in wrapped.flat_handles:
-                    handle._local_shard.fill_(0.0)
+                    handle.shard.fill_(0.0)
             load_sharded_state_dict(wrapped, saved)
             return {k: v.numpy() for k, v in full_state_dict(wrapped).items()}
 

@@ -132,18 +132,23 @@ class TestPerParamGuards:
 
         dist.spawn(fn, 2)
 
-    def test_cpu_offload_rejected(self):
+    def test_cpu_offload_runs(self):
+        """CPU offload is a shard-record property: per_param takes it
+        like the flat layout, with each parameter's shard and gradient
+        on the host."""
         from repro.fsdp import CPUOffload
 
         def fn(rank):
-            with pytest.raises(FsdpError, match="CPU offloading"):
-                fully_shard(
-                    build(),
-                    backend="per_param",
-                    cpu_offload=CPUOffload(offload_params=True),
-                )
+            model = fully_shard(
+                build(),
+                backend="per_param",
+                cpu_offload=CPUOffload(offload_params=True),
+            )
+            model(repro.randn(2, 6, device=dist.get_device())).sum().backward()
+            for param in model.parameters():
+                assert param.device.is_cpu and param.grad.device.is_cpu
 
-        dist.spawn(fn, 1)
+        dist.spawn(fn, 2)
 
 
 class TestExecution:

@@ -136,21 +136,17 @@ class TestDriver:
 
 
 class TestPerParamTrainerGuards:
-    """CPU offloading is the one feature backend="per_param" lacks: it is
-    refused with a typed error, not silently dropped.  Ignored modules and
-    ``no_sync`` accumulation run on both backends
-    (``tests/test_front_door.py``)."""
+    """backend="per_param" refuses no trainer feature: CPU offloading
+    runs on both backends.  Ignored modules and ``no_sync`` accumulation
+    run on both backends too (``tests/test_front_door.py``)."""
 
-    @pytest.mark.parametrize(
-        "override, match",
-        [(dict(cpu_offload=True), "CPU offloading \\(cpu_offload\\)")],
-        ids=["cpu_offload"],
-    )
-    def test_wrapper_only_features_rejected(self, override, match):
-        from repro.errors import FsdpError
-
-        with pytest.raises(FsdpError, match=match):
-            simulate_training(small_config(backend="per_param", **override))
+    def test_cpu_offload_runs(self):
+        on_device = simulate_training(small_config(backend="per_param"))
+        offloaded = simulate_training(small_config(backend="per_param", cpu_offload=True))
+        assert not offloaded.oom
+        assert offloaded.backend == "per_param"
+        # The shards, gradients and Adam state left the device.
+        assert offloaded.peak_allocated_gib < on_device.peak_allocated_gib
 
     def test_per_param_backend_runs_clean(self):
         result = simulate_training(small_config(backend="per_param"))

@@ -91,3 +91,50 @@ class TestStateSnapshot:
         meta.replay_init_on(target2)
         np.testing.assert_array_equal(target1.numpy(), target2.numpy())
         assert abs(target1.numpy().mean() - 2.0) < 0.5
+
+
+class TestRankGenerators:
+    """Each rank thread draws from a generator of its own, started from
+    the spawning thread's state, like a rank process of a real job."""
+
+    @staticmethod
+    def _weights(model):
+        return [p.detach().numpy().copy() for p in model.parameters()]
+
+    def test_every_rank_builds_the_single_thread_model(self):
+        """More rank threads than cores, switching as often as the
+        interpreter allows: a shared generator interleaves draws."""
+        import sys
+
+        from repro import distributed as dist
+        from repro.models import GPT_TINY, MinGPT
+
+        repro.manual_seed(0)
+        reference = self._weights(MinGPT(GPT_TINY))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                repro.manual_seed(0)
+                built = dist.spawn(lambda rank: self._weights(MinGPT(GPT_TINY)), 4)
+                for weights in built:
+                    assert len(weights) == len(reference)
+                    for got, want in zip(weights, reference):
+                        assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_seeding_a_rank_leaves_the_spawning_thread_alone(self):
+        from repro import distributed as dist
+
+        repro.manual_seed(3)
+        expected = rrandom.fork_seed()
+        repro.manual_seed(3)
+
+        def rank_fn(rank):
+            repro.manual_seed(100 + rank)
+            return rrandom.fork_seed()
+
+        drawn = dist.spawn(rank_fn, 2)
+        assert drawn[0] != drawn[1]
+        assert rrandom.fork_seed() == expected

@@ -26,6 +26,17 @@ rule that stops matching anything fails too).
   ``fsdp/state_dict.py`` reads a ``.state`` attribute (syntax cannot
   tell an optimizer's from another's, so every read counts), and no
   function in ``fsdp/handle.py`` takes an optimizer parameter.
+- One front door: ``repro.fsdp.api._shard_unit`` is the one place in
+  ``repro`` that builds a ``FlatParamHandle`` or a ``PerParamHandle``
+  (one call of each); ``repro.perf`` has no module walk of its own (no
+  ``reversed(...)`` over ``named_modules()``) and no
+  ``isinstance(..., FlatParameter)`` optimizer filter; and no line of
+  ``repro`` says "does not support": per_param refuses nothing the
+  flat layout runs.
+- CPU offload is a shard-record property: ``fsdp/flat_param.py`` and
+  ``fsdp/per_param.py`` name no ``offload*`` identifier and call
+  neither ``to_device`` nor ``host_copy``; ``fsdp/handle.py`` does the
+  host copies for both layouts.
 """
 
 import ast
@@ -45,6 +56,13 @@ STATE_PACKAGES = ("fsdp", "checkpoint", "perf", "resilience")
 STATE_READER = Path("fsdp") / "state_dict.py"
 #: Parameter names that hand a function an optimizer.
 OPTIMIZER_ARGS = {"optimizer", "optim", "opt"}
+#: The unit-handle classes and the one module that builds them.
+HANDLE_CLASSES = ("FlatParamHandle", "PerParamHandle")
+HANDLE_BUILDER = Path("fsdp") / "api.py"
+#: The layout modules, which take CPU offload from their shard records,
+#: and the host-copy calls they must not make.
+LAYOUTS = ("flat_param.py", "per_param.py")
+HOST_COPIES = {"to_device", "host_copy"}
 #: The handle collectives the compiled executor must not call.
 HANDLE_COLLECTIVES = {
     "unshard", "unshard_pair", "unshard_commit", "reduce_grad", "reduce_grad_pair",
@@ -238,6 +256,74 @@ def second_lifecycle(path: str, source: str) -> list[str]:
     return found
 
 
+def handle_constructions(path: str, source: str) -> list[str]:
+    """Every call of a unit-handle class."""
+    return _uses(path, source, HANDLE_CLASSES.__contains__, defs=False)
+
+
+def reversed_module_walks(path: str, source: str) -> list[str]:
+    """``reversed(...)`` calls over a ``named_modules()`` walk, however
+    the walk is wrapped."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _callee(node) == "reversed"
+        and any(
+            isinstance(inner, ast.Call) and _callee(inner) == "named_modules"
+            for inner in ast.walk(node)
+        )
+    )
+    return [f"{path}:{line}: reverses a named_modules walk" for line in lines]
+
+
+def flat_parameter_filters(path: str, source: str) -> list[str]:
+    """``isinstance(x, FlatParameter)`` tests, a tuple of types included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) > 1:
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if getattr(kind, "id", getattr(kind, "attr", "")) == "FlatParameter":
+                    lines.append(node.lineno)
+    return [f"{path}:{line}: filters by FlatParameter" for line in sorted(lines)]
+
+
+def unsupported_refusals(path: str, source: str) -> list[str]:
+    """Lines saying "does not support" — read as text, so that comments
+    count too, as they did for the grep this rule replaced."""
+    return [
+        f"{path}:{lineno}: says 'does not support'"
+        for lineno, line in enumerate(source.splitlines(), 1)
+        if "does not support" in line
+    ]
+
+
+def layout_offload(path: str, source: str) -> list[str]:
+    """``offload*`` identifiers, leading underscores ignored (names,
+    attributes, arguments, keywords, imports, definitions), and calls
+    of a host copy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg or ""
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            name = ""
+        if name.lstrip("_").startswith("offload"):
+            found.append((node.lineno, node.col_offset, f"names {name}"))
+        if isinstance(node, ast.Call) and _callee(node) in HOST_COPIES:
+            found.append((node.lineno, node.col_offset, f"calls {_callee(node)}"))
+    return [f"{path}:{line}: {what}" for line, _, what in sorted(found)]
+
+
 def _tree_violations(rule, paths) -> list[str]:
     return [v for path in paths for v in rule(str(path), path.read_text())]
 
@@ -298,6 +384,32 @@ def test_only_the_state_dict_module_reads_optimizer_state():
 
 def test_the_handle_takes_no_optimizer():
     assert _tree_violations(optimizer_params, [SRC / "fsdp" / "handle.py"]) == []
+
+
+def test_each_handle_class_is_built_at_one_site():
+    sites = _tree_violations(handle_constructions, sorted(SRC.rglob("*.py")))
+    assert sorted(site.split(": ", 1)[1] for site in sites) == [
+        f"calls {cls}" for cls in sorted(HANDLE_CLASSES)
+    ]
+    assert {site.split(":")[0] for site in sites} == {str(SRC / HANDLE_BUILDER)}
+
+
+def test_the_trainer_has_no_walk_or_filter_of_its_own():
+    paths = sorted((SRC / "perf").rglob("*.py"))
+    assert len(paths) > 3
+    assert _tree_violations(reversed_module_walks, paths) == []
+    assert _tree_violations(flat_parameter_filters, paths) == []
+
+
+def test_nothing_is_refused_as_unsupported():
+    assert _tree_violations(unsupported_refusals, sorted(SRC.rglob("*.py"))) == []
+
+
+def test_the_layouts_take_offload_from_their_records():
+    paths = [SRC / "fsdp" / name for name in LAYOUTS]
+    assert _tree_violations(layout_offload, paths) == []
+    handle = SRC / "fsdp" / "handle.py"
+    assert len(layout_offload(str(handle), handle.read_text())) >= 3
 
 
 _FORKED_RUNTIME = '''
@@ -469,4 +581,72 @@ def test_negative_control_a_second_lifecycle_is_caught():
         "defines _use_sharded",
         "defines drain_grad",
         "defines reduce_grad_pair",
+    ]
+
+
+_SECOND_FRONT_DOOR = '''
+from repro.fsdp.flat_param import FlatParameter
+
+
+def wrap_model(config, model, device):
+    for path, sub in reversed(list(model.named_modules())):
+        if config.policy(sub):
+            fully_shard(sub, backend="per_param")
+    blocks = reversed(tuple(
+        m for _, m in model.named_modules()
+    ))
+    handle = FlatParamHandle(triples, device, group)
+    params = [p for p in model.parameters() if not isinstance(p, (Tensor, FlatParameter))]
+    if config.cpu_offload:
+        # the per_param backend does not support offload
+        raise FsdpError("the per_param backend does not support CPU offloading")
+    return PerParamHandle(triples, device, group), isinstance(p, flat_param.FlatParameter)
+'''
+
+
+def test_negative_control_a_second_front_door_is_caught():
+    assert [v.split(": ", 1)[1] for v in handle_constructions("api.py", _SECOND_FRONT_DOOR)] == [
+        "calls FlatParamHandle",
+        "calls PerParamHandle",
+    ]
+    assert [v.split(":")[1] for v in reversed_module_walks("trainer.py", _SECOND_FRONT_DOOR)] == [
+        "6",
+        "9",
+    ]
+    assert [v.split(":")[1] for v in flat_parameter_filters("trainer.py", _SECOND_FRONT_DOOR)] == [
+        "13",
+        "17",
+    ]
+    assert [v.split(":")[1] for v in unsupported_refusals("api.py", _SECOND_FRONT_DOOR)] == [
+        "15",
+        "16",
+    ]
+
+
+_LAYOUT_WITH_OFFLOAD = '''
+from repro.fsdp.offload import offload_policy
+
+
+class FlatParamHandle(ShardHandle, ShardRecord):
+    def __init__(self, params, device, group, *, offload_params=False, **settings):
+        self._init_common(params, device, group, offload_params=offload_params, **settings)
+        if self.offload_params:
+            self.shard = ops.to_device(self.shard, cpu_device())
+
+    def _offload_grad(self, grad):
+        self.device.launch(KernelCost.host_copy(grad.nbytes, self.device.spec), grad.dtype)
+'''
+
+
+def test_negative_control_offload_in_a_layout_is_caught():
+    found = layout_offload("flat_param.py", _LAYOUT_WITH_OFFLOAD)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "names offload_policy",
+        "names offload_params",
+        "names offload_params",
+        "names offload_params",
+        "names offload_params",
+        "calls to_device",
+        "names _offload_grad",
+        "calls host_copy",
     ]

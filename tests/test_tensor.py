@@ -26,6 +26,30 @@ class TestFactories:
         assert t.numel == 1
         assert t.item() == 0.0
 
+    def test_zeros_like_of_an_abstract_host_tensor_stays_abstract(self):
+        """Host memory follows the tensor it mirrors: an abstract host
+        tensor (an offloaded shard in a meta-mode run) gets an abstract
+        zero-like, a real one gets real zeros."""
+        abstract = repro.Tensor(
+            repro.storage.Storage(cpu_device(), dtypes.float32, 6, materialize=False), (2, 3)
+        )
+        like = repro.zeros_like(abstract)
+        assert like.shape == (2, 3) and like.device.is_cpu
+        assert not like.is_materialized
+        real = repro.zeros_like(repro.ones(2, 3))
+        np.testing.assert_array_equal(real.numpy(), np.zeros((2, 3)))
+
+    def test_zeros_like_on_a_simulated_gpu_keeps_its_fill_kernel(self):
+        """On a simulated GPU the zero-fill is a kernel in the device log,
+        materialized or not."""
+        device = Device("sim_gpu", index=0)
+        device.materialize_data = False
+        source = repro.empty(4, device=device)
+        before = device.kernels_launched
+        like = repro.zeros_like(source)
+        assert device.kernels_launched == before + 1
+        assert not like.is_materialized
+
     def test_tensor_from_list(self):
         t = repro.tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.dtype is dtypes.float32

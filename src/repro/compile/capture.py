@@ -6,11 +6,13 @@ the eager machinery runs unmodified.  After a complete iteration
 (``on_finalize`` seen), :meth:`CaptureHook.graph` rebuilds the captured
 events into IR nodes with dependency and wait edges.
 
-Capture refuses structures the compiler cannot replay: a unit whose
-forward runs twice in one iteration (activation-checkpoint recompute
-re-enters ``pre_forward`` and would re-fire its collectives at
-positions the schedule cannot represent), or whose gradients are
-reduced twice (a flat unit over checkpointed blocks that are not units
+Capture refuses structures the compiler cannot replay.  The unit's
+lifecycle table (:data:`repro.fsdp.runtime.MOVES`) names them as
+re-entries, and each ``pre_forward`` / ``post_backward`` announces the
+phase the unit left: a forward entered again (activation-checkpoint
+recompute re-enters ``pre_forward`` and would re-fire its collectives
+at positions the schedule cannot represent), or a post-backward after a
+reduction (a flat unit over checkpointed blocks that are not units
 fires its post-backward once per recompute, and a unit belongs to one
 reduce-scatter bucket), marks the capture unsupported and the runtime
 refuses to compile the step.
@@ -22,8 +24,14 @@ from typing import Optional
 
 from repro.compile.ir import Graph, NodeKind
 from repro.errors import FsdpError
+from repro.fsdp.runtime import UnitPhase
 
 __all__ = ["CaptureHook"]
+
+#: The recorded events that are program points (schedule triggers).
+_PROGRAM_POINTS = frozenset(
+    {"pre_forward", "post_forward", "pre_backward", "post_backward", "finalize"}
+)
 
 
 class CaptureHook:
@@ -41,33 +49,24 @@ class CaptureHook:
     """
 
     def __init__(self):
-        self._events: list = []
-        self._seen_forward: set = set()
-        self._seen_reduce: set = set()
-        self.complete = False
-        #: Human-readable reason capture cannot be compiled, or None.
-        self.unsupported: Optional[str] = None
-        #: Unit label -> measured ``(saved_bytes, transient_bytes)``.
-        self.footprints: dict = {}
         self._allocated = 0  # the allocator's, as of its last event
-        self._unsharded = 0  # parameter bytes issued and not resharded
-        # Units in forward, outermost first, each as
-        # [entry level, peak above it, bytes nested units saved].
-        self._open: list = []
+        self.on_iteration_begin()
 
     # ------------------------------------------------------------------
     # Recording callbacks (``FsdpRuntime.emit`` passes every fact by
     # keyword; each takes what it needs)
     # ------------------------------------------------------------------
     def on_iteration_begin(self) -> None:
-        self._events = []
-        self._seen_forward = set()
-        self._seen_reduce = set()
+        self._events: list = []
         self.complete = False
-        self.unsupported = None
-        self.footprints = {}
-        self._unsharded = 0
-        self._open = []
+        #: Human-readable reason capture cannot be compiled, or None.
+        self.unsupported: Optional[str] = None
+        #: Unit label -> measured ``(saved_bytes, transient_bytes)``.
+        self.footprints: dict = {}
+        self._unsharded = 0  # parameter bytes issued and not resharded
+        # Units in forward, outermost first, each as
+        # [entry level, peak above it, bytes nested units saved].
+        self._open: list = []
 
     def on_alloc(self, allocator, _time=None, _reason=None) -> None:
         self._allocated = allocator.stats.allocated_bytes
@@ -75,14 +74,13 @@ class CaptureHook:
             entry, peak, nested = frame = self._open[-1]
             frame[1] = max(peak, self._allocated - self._unsharded - entry - nested)
 
-    def on_pre_forward(self, label: str, **_) -> None:
-        if label in self._seen_forward:
+    def on_pre_forward(self, label: str, *, from_phase: UnitPhase, **_) -> None:
+        if from_phase is not UnitPhase.IDLE:
             self.unsupported = (
                 f"unit {label!r} ran forward twice in one iteration "
                 "(activation checkpointing recompute?); the compiler "
                 "requires single-pass steps"
             )
-        self._seen_forward.add(label)
         self._events.append(("pre_forward", label))
         self._open.append([self._allocated - self._unsharded, 0, 0])
 
@@ -111,19 +109,18 @@ class CaptureHook:
         self._events.append(("pre_backward", label))
 
     def on_post_backward(
-        self, label: str, *, nbytes: int, group_key: int, dtype: str, **_
+        self, label: str, *, from_phase: UnitPhase, nbytes: int, group_key: int, dtype: str, **_
     ) -> None:
-        if label in self._seen_reduce:
+        if from_phase is not UnitPhase.BACKWARD:
             self.unsupported = (
                 f"unit {label!r} reduced its gradients twice in one iteration "
                 "(a post-backward per activation-checkpoint recompute?); the "
                 "compiler puts each unit in one reduce-scatter bucket"
             )
-        self._seen_reduce.add(label)
         self._events.append(("post_backward", label, nbytes, group_key, dtype))
 
     def on_finalize(self) -> None:
-        self._events.append(("finalize",))
+        self._events.append(("finalize", ""))
         self.complete = True
 
     # ------------------------------------------------------------------
@@ -149,12 +146,11 @@ class CaptureHook:
         compute_of: dict = {}  # (phase, label) -> compute node id
         latest_ag: dict = {}  # label -> most recent ALL_GATHER node id
         reduce_ids: list = []
-        for event in self._events:
-            kind = event[0]
-            if kind == "pre_forward":
-                label = event[1]
-                point = ("pre_forward", label)
+        for kind, label, *facts in self._events:
+            if kind in _PROGRAM_POINTS:
+                point = (kind, label)
                 g.point_order.append(point)
+            if kind == "pre_forward":
                 saved, transient = self.footprints.get(label, (0, 0))
                 node = g.add(
                     NodeKind.COMPUTE_FWD,
@@ -164,26 +160,13 @@ class CaptureHook:
                     saved_bytes=saved,
                     transient_bytes=transient,
                 )
-                compute_of[("forward", label)] = node.id
-                last_compute = node.id
-            elif kind == "post_forward":
-                point = ("post_forward", event[1])
-                g.point_order.append(point)
+                compute_of[("forward", label)] = last_compute = node.id
             elif kind == "pre_backward":
-                label = event[1]
-                point = ("pre_backward", label)
-                g.point_order.append(point)
                 in_backward = True
-                node = g.add(
-                    NodeKind.COMPUTE_BWD,
-                    unit=label,
-                    trigger=point,
-                    deps={last_compute},
-                )
-                compute_of[("backward", label)] = node.id
-                last_compute = node.id
+                node = g.add(NodeKind.COMPUTE_BWD, unit=label, trigger=point, deps={last_compute})
+                compute_of[("backward", label)] = last_compute = node.id
             elif kind == "unshard":
-                label, reason, nbytes, group_key, dtype = event[1:]
+                reason, nbytes, group_key, dtype = facts
                 node = g.add(
                     NodeKind.ALL_GATHER,
                     unit=label,
@@ -199,37 +182,19 @@ class CaptureHook:
                     alloc_bytes=nbytes,
                 )
                 latest_ag[label] = node.id
-            elif kind == "wait":
-                label = event[1]
-                target = latest_ag.get(label)
-                if target is None:
-                    continue
+            elif kind == "wait" and label in latest_ag:
+                target = latest_ag[label]
                 wait = g.add(
-                    NodeKind.WAIT,
-                    unit=label,
-                    trigger=point,
-                    target=target,
-                    deps={target},
+                    NodeKind.WAIT, unit=label, trigger=point, target=target, deps={target}
                 )
-                consumer = compute_of.get(
-                    ("backward" if in_backward else "forward", label)
-                )
+                consumer = compute_of.get(("backward" if in_backward else "forward", label))
                 if consumer is not None:
                     g.node(consumer).deps.add(wait.id)
             elif kind == "reshard":
-                label, nbytes = event[1:]
-                g.add(
-                    NodeKind.RESHARD,
-                    unit=label,
-                    trigger=point,
-                    free_bytes=nbytes,
-                )
+                g.add(NodeKind.RESHARD, unit=label, trigger=point, free_bytes=facts[0])
             elif kind == "post_backward":
-                label, nbytes, group_key, dtype = event[1:]
-                point = ("post_backward", label)
-                g.point_order.append(point)
+                nbytes, group_key, dtype = facts
                 producer = compute_of.get(("backward", label))
-                deps = {producer} if producer is not None else {last_compute}
                 node = g.add(
                     NodeKind.REDUCE_SCATTER,
                     unit=label,
@@ -238,16 +203,11 @@ class CaptureHook:
                     member_nbytes=(nbytes,),
                     phase="backward",
                     trigger=point,
-                    deps=deps,
+                    deps={producer} if producer is not None else {last_compute},
                     group_key=group_key,
                     dtype=dtype,
                 )
                 reduce_ids.append(node.id)
             elif kind == "finalize":
-                g.point_order.append(("finalize", ""))
-                g.add(
-                    NodeKind.FINALIZE,
-                    trigger=("finalize", ""),
-                    deps={last_compute, *reduce_ids},
-                )
+                g.add(NodeKind.FINALIZE, trigger=point, deps={last_compute, *reduce_ids})
         return g

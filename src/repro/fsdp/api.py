@@ -29,6 +29,7 @@ from repro.cuda.device import Device
 from repro.distributed import ProcessGroup
 from repro.distributed.mesh import DeviceMesh
 from repro.fsdp.flat_param import FlatParamHandle
+from repro.fsdp.handle import Residency
 from repro.fsdp.mixed_precision import MixedPrecision
 from repro.fsdp.offload import CPUOffload
 from repro.fsdp.per_param import PerParamHandle
@@ -265,12 +266,10 @@ def summon_full_params(root: Module, *, writeback: bool = True):
     discarded with the unsharded storage.
     """
     handles = _handles_under(root)
-    was_unsharded = [handle.is_unsharded for handle in handles]
-    for handle in handles:
-        if not handle.is_unsharded:
-            event = handle.unshard()
-            if event is not None:
-                event.synchronize()
+    was_unsharded = [handle.residency is Residency.UNSHARDED for handle in handles]
+    for handle, keep in zip(handles, was_unsharded):
+        if not keep:
+            handle.unshard().synchronize()
         handle.use_unsharded_views()
     try:
         yield root

@@ -39,6 +39,7 @@ run them, so buffer lifetimes are written once.
 
 from __future__ import annotations
 
+import enum
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -55,8 +56,15 @@ from repro.nn.parameter import Parameter
 from repro.storage import Storage
 from repro.tensor import Tensor, empty, zeros
 
-__all__ = ["ParamInfo", "ReduceJob", "ShardRecord", "ShardHandle", "weak_hook",
+__all__ = ["ParamInfo", "ReduceJob", "Residency", "ShardRecord", "ShardHandle", "weak_hook",
            "reduce_bucket", "released", "unshard_bucket"]
+
+
+class Residency(enum.Enum):
+    """Where a handle's parameters are (FSDP2's ``ShardedState``)."""
+
+    SHARDED = "sharded"
+    UNSHARDED = "unsharded"
 
 
 class ParamInfo:
@@ -417,7 +425,7 @@ class ShardHandle:
         #: This rank's resident sharded elements (uneven across ranks
         #: under exact dim-0 chunking).
         self.shard_numel = sum(r.shard_numel for r in records)
-        self.is_unsharded = not self.needs_unshard
+        self._reside(Residency.SHARDED if self.needs_unshard else Residency.UNSHARDED)
         # Post-backward gradient counter (see register_post_backward).
         self._post_backward_cb: Optional[Callable] = None
         self._expected_grads = 0
@@ -453,7 +461,7 @@ class ShardHandle:
         the optimizer step), the caller's stream for the gather.  Returns
         the completion event, or None if already unsharded.
         """
-        if self.is_unsharded:
+        if self.residency is Residency.UNSHARDED:
             return None
         device = self.device
         stream = self.shard_group.comm_stream
@@ -497,9 +505,7 @@ class ShardHandle:
         if self.sharding_factor == 1 or len(records) == 1:
             for record in records:
                 record._gather_into(stream)
-            self.is_unsharded = True
-            if self._views_follow_unshard:
-                self.use_unsharded_views()
+            self._reside(Residency.UNSHARDED)
             return None
         device = self.device
         seg_max = self._seg_max
@@ -538,25 +544,31 @@ class ShardHandle:
                 record._unsharded_storage.reallocate()
             self._copy_out(self._staged_gather)
             self._staged_gather = None
-        self.is_unsharded = True
-        if self._views_follow_unshard:
-            self.use_unsharded_views()
+        self._reside(Residency.UNSHARDED)
 
     def reshard(self) -> bool:
         """Free the unsharded storage; point the parameters at their shards.
 
         Returns True when storage was actually released.
         """
-        if not self.needs_unshard or not self.is_unsharded:
+        if not self.needs_unshard or self.residency is Residency.SHARDED:
             return False
-        for record in self.records:
-            record._use_sharded()
-        self.is_unsharded = False
+        self._reside(Residency.SHARDED)
         return True
+
+    def _reside(self, residency: Residency) -> None:
+        """The one writer of ``residency``: resharded parameters point at
+        their shards; unsharded ones take their views if the layout says."""
+        self.residency = residency
+        if residency is Residency.SHARDED:
+            for record in self.records:
+                record._use_sharded()
+        elif self._views_follow_unshard:
+            self.use_unsharded_views()
 
     def use_unsharded_views(self) -> None:
         """Point the parameters at their unsharded data (must be unsharded)."""
-        if not self.is_unsharded:
+        if self.residency is Residency.SHARDED:
             raise FsdpError(f"cannot create views while sharded ({self.label})")
         for record in self.records:
             record._use_unsharded()
@@ -567,7 +579,7 @@ class ShardHandle:
         Supports ``summon_full_params(writeback=True)``: edits made
         through the unsharded views persist.
         """
-        if not self.needs_unshard or not self.is_unsharded:
+        if not self.needs_unshard or self.residency is Residency.SHARDED:
             return
         for record in self.records:
             record._writeback()
@@ -795,7 +807,7 @@ class ShardHandle:
         return (
             f"{type(self).__name__}({self.label or 'unit'}, records={len(self.records)}, "
             f"numel={self.total_numel}, padded={self.padded_numel}, "
-            f"F={self.sharding_factor}, unsharded={self.is_unsharded})"
+            f"F={self.sharding_factor}, {self.residency.value})"
         )
 
 

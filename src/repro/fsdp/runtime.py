@@ -18,7 +18,9 @@ This module implements Sections 3.3 and 3.4:
 - an end-of-backward callback waits for pending reductions so the
   optimizer never consumes gradients early (4.3).
 
-Both collectives are issued by two routines, :meth:`FsdpRuntime.unshard_units`
+A unit's place in the iteration is one :class:`UnitPhase`, moved only
+along the one table :data:`MOVES` (:meth:`FsdpUnit._move`).  Both
+collectives are issued by two routines, :meth:`FsdpRuntime.unshard_units`
 and :meth:`FsdpRuntime.reduce_units`: the eager hooks pass one unit, the
 compiled executor (:mod:`repro.compile.schedule`) a bucket's members.
 """
@@ -36,12 +38,14 @@ from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
 from repro.errors import FsdpError
 from repro.fsdp.exec_order import ExecOrderValidator
-from repro.fsdp.handle import ShardHandle, reduce_bucket, unshard_bucket, weak_hook
+from repro.fsdp.handle import Residency, ShardHandle, reduce_bucket, unshard_bucket, weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
 from repro.nn.checkpoint import current_recompute
 from repro.tensor import Tensor
 
-__all__ = ["BackwardPrefetch", "FsdpRuntime", "FsdpUnit", "RATE_LIMIT_INFLIGHT"]
+__all__ = [
+    "BackwardPrefetch", "FsdpRuntime", "FsdpUnit", "MOVES", "RATE_LIMIT_INFLIGHT", "UnitPhase",
+]  # fmt: skip
 
 # "It allows at most two inflight AllGathers, which is the minimum
 # amount to still achieve communication and computation overlap."
@@ -61,6 +65,43 @@ class BackwardPrefetch(enum.Enum):
     #: No prefetching: the next AllGather queues behind the current
     #: ReduceScatter on the single communication stream.
     NONE = "none"
+
+
+class UnitPhase(enum.Enum):
+    """Where a unit stands in one iteration (Sections 3.3 and 4.3)."""
+
+    IDLE = "idle"  # no hook ran yet this iteration
+    FORWARD = "forward"  # between its pre- and post-forward
+    FORWARD_DONE = "forward_done"  # backward has not reached it yet
+    BACKWARD = "backward"  # pre-backward ran: gradients are being computed
+    GRADS_READY = "grads_ready"  # post-backward fired: a reduction is owed
+    REDUCING = "reducing"  # reduction issued: finalize waits for it
+
+
+IDLE, FORWARD, FORWARD_DONE, BACKWARD, GRADS_READY, REDUCING = UnitPhase
+SHARDED, UNSHARDED = Residency
+
+#: The legal moves, ``(phase, hook point) -> the phase entered``.  The
+#: re-entries: a shared module, or the recompute of a unit whose forward
+#: ran inside a checkpoint, runs the forward again; each recompute fires
+#: the post-backward of a unit whose parameters it read; more outputs
+#: fire the pre-backward again; and a compiled finalize sweep reduces
+#: units with nothing to reduce.  ``begin`` starts an iteration,
+#: ``reset`` discards an aborted one.
+MOVES = {
+    (IDLE, "pre_forward"): FORWARD,
+    (FORWARD_DONE, "pre_forward"): FORWARD,
+    (FORWARD, "post_forward"): FORWARD_DONE,
+    (FORWARD_DONE, "pre_backward"): BACKWARD,
+    (BACKWARD, "post_backward"): GRADS_READY,
+    (REDUCING, "post_backward"): GRADS_READY,
+    (GRADS_READY, "reduce"): REDUCING,
+    **{(phase, "pre_backward"): phase for phase in (BACKWARD, GRADS_READY, REDUCING)},
+    **{(phase, "reduce"): phase for phase in (IDLE, FORWARD_DONE, BACKWARD, REDUCING)},
+    **{(phase, "finalize"): IDLE for phase in (IDLE, FORWARD_DONE, BACKWARD, REDUCING)},
+    **{(phase, "begin"): IDLE for phase in (IDLE, FORWARD_DONE)},
+    **{(phase, "reset"): IDLE for phase in UnitPhase},
+}
 
 
 class FsdpRuntime:
@@ -160,7 +201,7 @@ class FsdpRuntime:
         Returns the completion event, which is also each unit's
         ``_last_unshard_event`` (None when nothing was sharded).
         """
-        units = [unit for unit in units if not unit.handle.is_unsharded]
+        units = [unit for unit in units if unit.handle.residency is SHARDED]
         if not units:
             return None
         for unit in units:
@@ -175,7 +216,10 @@ class FsdpRuntime:
     def reduce_units(self, units: Sequence["FsdpUnit"]) -> None:
         """ReduceScatter the gradients of ``units`` with one collective
         on the unshard stream, ordered after the compute stream; each
-        unit that reduced tracks its Work as ``pending_reduce_work``."""
+        unit makes its ``reduce`` move, and each that reduced tracks its
+        Work as ``pending_reduce_work``."""
+        for unit in units:
+            unit._move("reduce")
         requests = [(unit.handle, unit.plan.replicate_group, unit.no_sync) for unit in units]
         with self.device.scope(f"reduce:{units[0].label}"):
             for index, work in reduce_bucket(requests, self.unshard_stream):
@@ -191,9 +235,10 @@ class FsdpRuntime:
 
         Points: ``iteration_begin``, ``rate_limit_admit(depth, stall_s)``
         and ``finalize`` carry only ``info``; the unit points
-        (``pre_forward``, ``post_forward``, ``pre_backward``,
-        ``post_backward``, ``unshard_issue(reason)``, ``wait``,
-        ``reshard``, ``prefetch_outcome(already_unsharded)``) deliver
+        (``pre_forward(from_phase)``, ``post_forward``, ``pre_backward``,
+        ``post_backward(from_phase)``, ``unshard_issue(reason)``,
+        ``wait``, ``reshard``, ``prefetch_outcome(already_unsharded)``;
+        ``from_phase`` is the phase the move left) deliver
         ``(unit.label, **facts)`` — ``info`` plus ``time`` and, for a
         unit with a handle, ``nbytes`` / ``group_key`` / ``dtype`` —
         all by keyword, so a handler names what it needs and swallows
@@ -229,7 +274,7 @@ class FsdpRuntime:
         self._exec_order = []
         self._final_callback_queued = False
         for unit in self.units:
-            unit.reset_iteration_state()
+            unit._move("begin")
         # Parameters may have just been updated by the optimizer on the
         # compute stream; communication must observe those writes.
         self.unshard_stream.wait_stream(self.device.default_stream)
@@ -306,22 +351,13 @@ class FsdpRuntime:
         for unit in self.units:
             unit.pending_reduce_work = None
             unit._last_unshard_event = None
-            unit.reset_iteration_state()
+            unit._move("reset")
             if unit.handle is None:
                 continue
             unit.handle.restore_stashed_gradient()
             unit.handle.reshard()
         self.exec_validator.reset()
         self.unshard_stream.wait_stream(self.device.default_stream)
-
-    def record_pre_forward(self, unit: "FsdpUnit") -> None:
-        if unit.ref not in self._exec_order:
-            self._exec_order.append(unit.ref)
-            if unit.handle is not None:
-                # Checkpoint recompute re-enters pre_forward but is
-                # deduplicated above, so the validator sees each unit
-                # once per iteration in first-use order.
-                self.exec_validator.record_unshard(unit.label)
 
     def ensure_final_callback(self) -> None:
         if self._final_callback_queued:
@@ -342,6 +378,7 @@ class FsdpRuntime:
         self.emit("finalize")
         self._stop_capture()
         for unit in self.units:
+            unit._move("finalize")  # none from GRADS_READY: a lost reduction
             if unit.handle is None:
                 continue
             work = unit.pending_reduce_work
@@ -366,53 +403,36 @@ class FsdpRuntime:
     # ------------------------------------------------------------------
     # Prefetch target selection
     # ------------------------------------------------------------------
-    def next_backward_unit(self, unit: "FsdpUnit") -> Optional["FsdpUnit"]:
-        """The unit expected to run backward after ``unit``.
-
-        Uses the reverse of the current iteration's pre-forward order,
-        which approximates the pre-backward order (Section 3.3.2).
-        """
-        order = self._exec_order
+    @staticmethod
+    def prefetch_targets(unit: "FsdpUnit", order: list, phase: UnitPhase) -> tuple:
+        """The unit to prefetch, as a tuple of none or one: the first
+        after ``unit`` in ``order`` (weak references) in ``phase`` with
+        its parameters sharded.  Backward prefetching passes this
+        iteration's pre-forward order reversed, approximating the
+        pre-backward order, and wants ``FORWARD_DONE`` (3.3.2); forward
+        prefetching passes the previous iteration's order (a static
+        graph) and wants ``IDLE`` (3.3.3)."""
         try:
             index = order.index(unit.ref)
         except ValueError:
-            return None
-        for ref in reversed(order[:index]):
-            candidate = ref()
-            if (
-                candidate is not None
-                and candidate.handle is not None
-                and not candidate.pre_backward_ran
-                and not candidate.handle.is_unsharded
-            ):
-                return candidate
-        return None
-
-    def next_forward_unit(self, unit: "FsdpUnit") -> Optional["FsdpUnit"]:
-        """The unit expected to run forward after ``unit``.
-
-        Uses the previous iteration's order: forward prefetching
-        assumes a static graph across iterations (Section 3.3.3).
-        """
-        order = self._prev_exec_order
-        try:
-            index = order.index(unit.ref)
-        except ValueError:
-            return None
+            return ()
         for ref in order[index + 1 :]:
             candidate = ref()
             if (
                 candidate is not None
+                and candidate.phase is phase
                 and candidate.handle is not None
-                and not candidate.handle.is_unsharded
-                and not candidate.forward_ran
+                and candidate.handle.residency is SHARDED
             ):
-                return candidate
-        return None
+                return (candidate,)
+        return ()
 
 
 class FsdpUnit:
     """Per-unit runtime logic driving one ShardHandle."""
+
+    #: Where the unit stands in this iteration; only :meth:`_move` writes it.
+    phase = IDLE
 
     def __init__(
         self,
@@ -440,9 +460,6 @@ class FsdpUnit:
         self.no_sync = False
         self.pending_reduce_work = None
         self._last_unshard_event: Optional[Event] = None
-        # Per-iteration flags
-        self.forward_ran = False
-        self.pre_backward_ran = False
         #: The checkpoint recompute that last entered this unit's
         #: forward (0: a plain forward).
         self.entered_by = 0
@@ -460,9 +477,20 @@ class FsdpUnit:
                 weak_hook(self._post_backward_hook)
             )
 
-    def reset_iteration_state(self) -> None:
-        self.forward_ran = False
-        self.pre_backward_ran = False
+    def _move(self, point: str) -> UnitPhase:
+        """Make the lifecycle move ``point`` from the current phase by
+        :data:`MOVES` (the one writer of ``phase``) and return the phase
+        left.  A move the table does not list raises, and so does a
+        post-backward that finds its parameters resharded: its gradient
+        was computed from freed storage."""
+        left = self.phase
+        entered = MOVES.get((left, point))
+        resharded = point == "post_backward" and self.handle.residency is SHARDED
+        if entered is None or resharded:
+            where = f"{left.value}{' with resharded parameters' if resharded else ''}"
+            raise FsdpError(f"FSDP unit {self.label!r}: illegal move {point!r} from {where}")
+        self.phase = entered
+        return left
 
     # ------------------------------------------------------------------
     # Reshard and wait (the collectives are FsdpRuntime.unshard_units /
@@ -500,10 +528,15 @@ class FsdpUnit:
         runtime = self._require_runtime()
         if self.is_root:
             runtime.begin_iteration()
-        runtime.record_pre_forward(self)
-        self.forward_ran = True
+        from_phase = self._move("pre_forward")
+        if from_phase is IDLE:
+            # A first entry: the order and the validator see each unit
+            # once per iteration, in first-use order.
+            runtime._exec_order.append(self.ref)
+            if self.handle is not None:
+                runtime.exec_validator.record_unshard(self.label)
         self.entered_by = current_recompute()
-        runtime.emit("pre_forward", self)
+        runtime.emit("pre_forward", self, from_phase=from_phase)
         # Scope everything the unit's forward does (kernels, nested
         # units, its own unshard) under ``forward:<label>``; popped in
         # post_forward.
@@ -518,36 +551,32 @@ class FsdpUnit:
             return
         if runtime.forward_prefetch and not self.is_root:
             runtime.emit(
-                "prefetch_outcome", self, already_unsharded=self.handle.is_unsharded
+                "prefetch_outcome", self, already_unsharded=self.handle.residency is UNSHARDED
             )
         runtime.unshard_units((self,), "forward")
         if runtime.forward_prefetch:
-            target = runtime.next_forward_unit(self)
-            if target is not None:
-                runtime.unshard_units((target,), "forward_prefetch")
+            targets = runtime.prefetch_targets(self, runtime._prev_exec_order, IDLE)
+            runtime.unshard_units(targets, "forward_prefetch")
         self._wait_unshard_on_compute()
         self.handle.use_unsharded_views()
 
     def post_forward(self, output):
         runtime = self._require_runtime()
+        self._move("post_forward")
         runtime.emit("post_forward", self)
         runtime.device.pop_scope(f"forward:{self.label}")
         if self.handle is None:
             return output
-        if self.reshard_after_forward and not self.is_root and is_grad_enabled():
-            self._reshard_and_note()
         if not is_grad_enabled():
             # Inference: free everything, no backward hooks needed.
             self._reshard_and_note()
             return output
-        self._register_pre_backward_hooks(output)
-        return output
-
-    def _register_pre_backward_hooks(self, output) -> None:
-        tensors = _flatten_tensors(output)
-        for tensor in tensors:
+        if self.reshard_after_forward and not self.is_root:
+            self._reshard_and_note()
+        for tensor in _flatten_tensors(output):
             if tensor.requires_grad:
                 tensor.register_hook(self._pre_backward_hook)
+        return output
 
     # ------------------------------------------------------------------
     # Backward path
@@ -555,15 +584,14 @@ class FsdpUnit:
     def _pre_backward_hook(self, grad: Tensor):
         runtime = self._require_runtime()
         runtime.ensure_final_callback()
-        if self.pre_backward_ran or self.handle is None:
-            return None
-        self.pre_backward_ran = True
+        if self._move("pre_backward") is not FORWARD_DONE:
+            return None  # another output's hook: the backward already began
         runtime.emit("pre_backward", self)
         if runtime.compiled is None and (
             runtime.backward_prefetch is not BackwardPrefetch.NONE
         ):
             runtime.emit(
-                "prefetch_outcome", self, already_unsharded=self.handle.is_unsharded
+                "prefetch_outcome", self, already_unsharded=self.handle.residency is UNSHARDED
             )
         # Pushed before issuing, so a backward-prefetch AllGather's
         # issue carries ``backward:<this unit>`` as its parent scope —
@@ -581,9 +609,8 @@ class FsdpUnit:
             # ReduceScatter on the shared communication stream.  The
             # target's own pre-backward hook still runs later (it will
             # find the handle already unsharded and only wait).
-            target = runtime.next_backward_unit(self)
-            if target is not None:
-                runtime.unshard_units((target,), "backward_prefetch")
+            targets = runtime.prefetch_targets(self, runtime._exec_order[::-1], FORWARD_DONE)
+            runtime.unshard_units(targets, "backward_prefetch")
         self._wait_unshard_on_compute()
         return None
 
@@ -594,7 +621,8 @@ class FsdpUnit:
         # contribution; the shards accumulate in the handle's stash.
         runtime = self._require_runtime()
         runtime.ensure_final_callback()
-        runtime.emit("post_backward", self)
+        from_phase = self._move("post_backward")
+        runtime.emit("post_backward", self, from_phase=from_phase)
         runtime.device.pop_scope(f"backward:{self.label}")
         # Free the unsharded parameters before reducing, shrinking the
         # peak: gradient memory replaces parameter memory.  Not inside
@@ -612,9 +640,8 @@ class FsdpUnit:
             return
         runtime.reduce_units((self,))
         if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_POST:
-            target = runtime.next_backward_unit(self)
-            if target is not None:
-                runtime.unshard_units((target,), "backward_prefetch")
+            targets = runtime.prefetch_targets(self, runtime._exec_order[::-1], FORWARD_DONE)
+            runtime.unshard_units(targets, "backward_prefetch")
 
 
 def _live(refs: list[weakref.ref]) -> list:
@@ -625,14 +652,7 @@ def _live(refs: list[weakref.ref]) -> list:
 def _flatten_tensors(output) -> list[Tensor]:
     if isinstance(output, Tensor):
         return [output]
-    if isinstance(output, (list, tuple)):
-        tensors: list[Tensor] = []
-        for item in output:
-            tensors.extend(_flatten_tensors(item))
-        return tensors
-    if isinstance(output, dict):
-        tensors = []
-        for item in output.values():
-            tensors.extend(_flatten_tensors(item))
-        return tensors
-    return []
+    if not isinstance(output, (list, tuple, dict)):
+        return []
+    items = output.values() if isinstance(output, dict) else output
+    return [tensor for item in items for tensor in _flatten_tensors(item)]

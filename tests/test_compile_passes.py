@@ -32,6 +32,7 @@ from repro.compile.passes import (
     reorder_for_overlap,
 )
 from repro.errors import FsdpError, StreamOrderViolation
+from repro.fsdp.runtime import UnitPhase
 
 NBYTES = 1000
 
@@ -59,7 +60,7 @@ def make_capture(
 
     for u in units:
         saved, transient = (liveness or {}).get(u, (0, 0))
-        cap.on_pre_forward(u)
+        cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
         cap.on_unshard_issue(u, reason="forward", **coll)
         allocate(nbytes)
         cap.on_wait(u)
@@ -72,7 +73,7 @@ def make_capture(
         cap.on_pre_backward(u)
         cap.on_unshard_issue(u, reason="pre_backward", **coll)
         cap.on_wait(u)
-        cap.on_post_backward(u, **coll)
+        cap.on_post_backward(u, from_phase=UnitPhase.BACKWARD, **coll)
         cap.on_reshard(u, nbytes)
     cap.on_finalize()
     return cap
@@ -115,7 +116,7 @@ class TestBucketing:
         cap = CaptureHook()
         cap.on_iteration_begin()
         for u, key in (("A", 1), ("B", 2), ("C", 2)):
-            cap.on_pre_forward(u)
+            cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
             cap.on_unshard_issue(
                 u, reason="forward", nbytes=NBYTES, group_key=key, dtype="float32"
             )
@@ -123,7 +124,9 @@ class TestBucketing:
             cap.on_post_forward(u)
         for u, key in (("C", 2), ("B", 2), ("A", 1)):
             cap.on_pre_backward(u)
-            cap.on_post_backward(u, nbytes=NBYTES, group_key=key, dtype="float32")
+            cap.on_post_backward(
+                u, from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=key, dtype="float32"
+            )
         cap.on_finalize()
         g = cap.graph()
         bucket_collectives(g, bucket_bytes=10 * NBYTES)
@@ -141,7 +144,7 @@ class TestBucketing:
         cap = CaptureHook()
         cap.on_iteration_begin()
         for u in ("A", "B", "C", "D"):
-            cap.on_pre_forward(u)
+            cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
             cap.on_unshard_issue(
                 u, reason="forward", nbytes=NBYTES, group_key=1, dtype="float32"
             )
@@ -157,11 +160,15 @@ class TestBucketing:
                 dtype="float32",
             )
         cap.on_wait("D")
-        cap.on_post_backward("D", nbytes=NBYTES, group_key=1, dtype="float32")
+        cap.on_post_backward(
+            "D", from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=1, dtype="float32"
+        )
         for u in ("B", "C", "A"):
             cap.on_pre_backward(u)
             cap.on_wait(u)
-            cap.on_post_backward(u, nbytes=NBYTES, group_key=1, dtype="float32")
+            cap.on_post_backward(
+                u, from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=1, dtype="float32"
+            )
         cap.on_finalize()
         g = cap.graph()
         bucket_collectives(g, bucket_bytes=2 * NBYTES)
@@ -298,8 +305,10 @@ class TestVerifierAndCapture:
     def test_capture_rejects_double_forward(self):
         cap = CaptureHook()
         cap.on_iteration_begin()
-        cap.on_pre_forward("A")
-        cap.on_pre_forward("A")
+        cap.on_pre_forward("A", from_phase=UnitPhase.IDLE)
+        assert cap.unsupported is None
+        # The lifecycle table's forward re-entry (a recompute).
+        cap.on_pre_forward("A", from_phase=UnitPhase.FORWARD_DONE)
         assert cap.unsupported is not None
         cap.on_finalize()
         with pytest.raises(FsdpError, match="forward twice"):
@@ -308,7 +317,7 @@ class TestVerifierAndCapture:
     def test_incomplete_capture_refuses_graph(self):
         cap = CaptureHook()
         cap.on_iteration_begin()
-        cap.on_pre_forward("A")
+        cap.on_pre_forward("A", from_phase=UnitPhase.IDLE)
         with pytest.raises(FsdpError, match="incomplete"):
             cap.graph()
 
@@ -316,9 +325,10 @@ class TestVerifierAndCapture:
         cap = CaptureHook()
         cap.on_iteration_begin()
         coll = dict(nbytes=NBYTES, group_key=1, dtype="float32")
-        cap.on_post_backward("A", **coll)
+        cap.on_post_backward("A", from_phase=UnitPhase.BACKWARD, **coll)
         assert cap.unsupported is None
-        cap.on_post_backward("A", **coll)
+        # The table's post-backward re-entry: the unit already reduced.
+        cap.on_post_backward("A", from_phase=UnitPhase.REDUCING, **coll)
         assert cap.unsupported is not None
         cap.on_finalize()
         with pytest.raises(FsdpError, match="reduced its gradients twice"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import distributed as dist, nn
 from repro.fsdp.flat_param import FlatParamHandle, FlatParameter
+from repro.fsdp.handle import Residency
 from repro.errors import FsdpError
 
 
@@ -147,12 +148,12 @@ class TestLifecycle:
             handle = FlatParamHandle(
                 [(layer, "weight", layer.weight)], device, dist.default_group()
             )
-            assert not handle.is_unsharded
+            assert handle.residency is Residency.SHARDED
             handle.unshard()
-            assert handle.is_unsharded
+            assert handle.residency is Residency.UNSHARDED
             assert handle._unsharded_storage.block is not None
             handle.reshard()
-            assert not handle.is_unsharded
+            assert handle.residency is Residency.SHARDED
             assert handle._unsharded_storage.block is None
             # flat_param now points at the local shard
             assert handle.flat_param.numel == handle.shard_numel
@@ -234,7 +235,7 @@ class TestLifecycle:
                 dist.new_group([rank]),
             )
             assert not handle.needs_unshard
-            assert handle.is_unsharded  # nothing to gather
+            assert handle.residency is Residency.UNSHARDED  # nothing to gather
             assert handle.flat_param.numel == handle.padded_numel
 
         dist.spawn(fn, 2)

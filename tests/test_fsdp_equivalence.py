@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import distributed as dist, nn
+from repro.fsdp.handle import Residency
 from repro.autograd import no_grad
 from repro.ddp import DistributedDataParallel as DDP
 from repro.fsdp import (
@@ -433,7 +434,7 @@ class TestEvalAndInference:
                 out = wrapped(repro.tensor(xs, device=device))
             # All handles must be resharded after inference.
             assert all(
-                not h.is_unsharded for h in wrapped.flat_handles if h.needs_unshard
+                h.residency is Residency.SHARDED for h in wrapped.flat_handles if h.needs_unshard
             )
             return out.numpy()
 

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro import distributed as dist, nn
+from repro.fsdp.handle import Residency
 from repro.autograd import no_grad
 from repro.fsdp import (
     BF16_MIXED,
@@ -63,7 +64,7 @@ class TestSummonFullParams:
             np.testing.assert_allclose(got, state0["0.weight"], atol=1e-6)
             # Resharded again outside.
             assert all(
-                not h.is_unsharded for h in wrapped.flat_handles if h.needs_unshard
+                h.residency is Residency.SHARDED for h in wrapped.flat_handles if h.needs_unshard
             )
 
         dist.spawn(fn, 4)

@@ -14,6 +14,8 @@ from repro.fsdp import (
     ShardingStrategy,
 )
 from repro.fsdp.api import _units_under
+from repro.fsdp.handle import Residency
+from repro.fsdp.runtime import UnitPhase
 
 
 def build(depth=3, width=8):
@@ -62,7 +64,7 @@ class TestRootAndExecOrder:
             # root not (it holds no params here, so check the flag).
             assert wrapped._fsdp_unit.reshard_after_forward is False
             nested = [u for u in _units_under(wrapped) if u.handle and not u.is_root]
-            assert all(not u.handle.is_unsharded for u in nested)
+            assert all(u.handle.residency is Residency.SHARDED for u in nested)
             out.sum().backward()
 
         dist.spawn(fn, 2)
@@ -98,9 +100,9 @@ class TestShardingStrategies:
             x = repro.randn(2, 8, device=device)
             out = wrapped(x)
             nested = [u for u in _units_under(wrapped) if u.handle and not u.is_root]
-            assert all(not u.handle.is_unsharded for u in nested)
+            assert all(u.handle.residency is Residency.SHARDED for u in nested)
             out.sum().backward()
-            assert all(not u.handle.is_unsharded for u in nested)
+            assert all(u.handle.residency is Residency.SHARDED for u in nested)
 
         dist.spawn(fn, 2)
 
@@ -111,9 +113,11 @@ class TestShardingStrategies:
             x = repro.randn(2, 8, device=device)
             out = wrapped(x)
             nested = [u for u in _units_under(wrapped) if u.handle and not u.is_root]
-            assert all(u.handle.is_unsharded for u in nested), "NRAF keeps params"
+            resident = [u.handle.residency for u in nested]
+            assert resident == [Residency.UNSHARDED] * len(nested), "NRAF keeps params"
             out.sum().backward()
-            assert all(not u.handle.is_unsharded for u in nested), "resharded post-bwd"
+            resident = [u.handle.residency for u in nested]
+            assert resident == [Residency.SHARDED] * len(nested), "resharded post-bwd"
 
         dist.spawn(fn, 2)
 
@@ -172,16 +176,15 @@ class TestPrefetch:
 
             def spy(grad):
                 result = original(grad)
-                state["prev_unsharded_at_first_pre_backward"] = (
-                    prev_unit.handle.is_unsharded
-                )
+                state["prev_residency_at_first_pre_backward"] = prev_unit.handle.residency
                 return result
 
             last_unit._pre_backward_hook = spy
             # Re-register: hooks captured at post_forward; simplest is
             # to check after backward that prefetch at least ran.
+            assert prev_unit.phase is UnitPhase.FORWARD_DONE
             out.sum().backward()
-            return prev_unit.forward_ran
+            assert prev_unit.phase is UnitPhase.IDLE  # finalized
 
         dist.spawn(fn, 2)
 
@@ -193,10 +196,11 @@ class TestPrefetch:
             # Between forward and backward: reverse-forward-order target.
             runtime = wrapped._fsdp_unit.runtime
             order = runtime.exec_order
-            target = runtime.next_backward_unit(order[-1])
-            assert target is order[-2]
+            backward = runtime._exec_order[::-1]
+            targets = runtime.prefetch_targets(order[-1], backward, UnitPhase.FORWARD_DONE)
+            assert len(targets) == 1 and targets[0] is order[-2]
             # For the first (root), nothing precedes.
-            assert runtime.next_backward_unit(order[0]) is None
+            assert runtime.prefetch_targets(order[0], backward, UnitPhase.FORWARD_DONE) == ()
             out.sum().backward()
 
         dist.spawn(fn, 2)
@@ -282,7 +286,7 @@ class TestUnusedAndRepeatedUnits:
             used_out.sum().backward()  # "not all parameters used" case
             for handle in wrapped.flat_handles:
                 if handle.needs_unshard:
-                    assert not handle.is_unsharded
+                    assert handle.residency is Residency.SHARDED
             return True
 
         assert all(dist.spawn(fn, 2))

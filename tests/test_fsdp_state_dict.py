@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro import distributed as dist, nn
+from repro.fsdp.handle import Residency
 from repro.fsdp import (
     FullyShardedDataParallel as FSDP,
     ModuleWrapPolicy,
@@ -83,7 +84,7 @@ class TestFullStateDict:
             full_state_dict(wrapped)
             for handle in wrapped.flat_handles:
                 if handle.needs_unshard:
-                    assert not handle.is_unsharded
+                    assert handle.residency is Residency.SHARDED
 
         dist.spawn(fn, 4)
 

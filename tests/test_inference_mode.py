@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro import distributed as dist, nn
+from repro.fsdp.handle import Residency
 from repro.autograd import no_grad
 from repro.ddp import DistributedDataParallel as DDP
 from repro.fsdp import ShardingStrategy, fully_shard
@@ -78,7 +79,7 @@ def _sharded_worker(build, state0, xs, *, backend, strategy):
         # Inference forwards must leave every unit resharded: serving
         # holds only 1/world of the parameters between batches.
         for handle in getattr(model, "flat_handles", []):
-            assert not handle.is_unsharded, handle.label
+            assert handle.residency is Residency.SHARDED, handle.label
         return out
 
     return worker

@@ -37,9 +37,27 @@ rule that stops matching anything fails too).
   ``fsdp/per_param.py`` name no ``offload*`` identifier and call
   neither ``to_device`` nor ``host_copy``; ``fsdp/handle.py`` does the
   host copies for both layouts.
+- The unit lifecycle is one state with one writer each: in ``repro``
+  only ``FsdpUnit._move`` writes a ``.phase`` (besides a compiled
+  bucket's own, in its constructor) and only ``ShardHandle._reside`` a
+  ``.residency``; no name of the per-iteration flags, the capture's
+  seen-sets or the twin prefetch selectors they replaced is left.
+- One observation seam: no hook slot (``trace_hook``, ``mark_hook``,
+  ``sample_hook``, ``chain_hooks``), no ``device.profiler`` and no
+  ``getattr(..., "profiler", None)`` probe, in code, strings or
+  comments of ``repro``.  Everything a device says goes through
+  ``Device.observe`` / ``FsdpRuntime.emit``.
+- Op dispatch on a frame budget: no function in the modules every op
+  dispatch passes through (``tensor``, ``storage``,
+  ``autograd/function``, ``autograd/grad_mode``, ``hw/kernel_model``
+  and the ``ops``, ``cuda``, ``nn`` and ``models`` packages) contains an
+  import statement, which would run on every call.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -322,6 +340,112 @@ def layout_offload(path: str, source: str) -> list[str]:
         if isinstance(node, ast.Call) and _callee(node) in HOST_COPIES:
             found.append((node.lineno, node.col_offset, f"calls {_callee(node)}"))
     return [f"{path}:{line}: {what}" for line, _, what in sorted(found)]
+
+
+#: The lifecycle state -> its one writer ``(class, method)``.
+STATE_WRITERS = {"phase": ("FsdpUnit", "_move"), "residency": ("ShardHandle", "_reside")}
+#: The one other owner of a ``.phase``: a compiled bucket's "forward" or
+#: "backward", set in its constructor.
+OTHER_PHASE = ("ScheduledBucket", "__init__")
+#: The names the lifecycle state replaced.
+RETIRED_LIFECYCLE = {
+    "forward_ran", "pre_backward_ran", "reset_iteration_state", "is_unsharded",
+    "_seen_forward", "_seen_reduce", "next_backward_unit", "next_forward_unit",
+}  # fmt: skip
+#: Device hook slots the observation seam replaced (matched inside
+#: identifiers too), and the same in text (strings and comments).
+HOOK_SLOTS = ("trace_hook", "mark_hook", "sample_hook", "chain_hooks")
+HOOK_TEXT = re.compile(
+    r'trace_hook|mark_hook|sample_hook|chain_hooks|device\.profiler\b|"profiler", None'
+)
+#: The modules every op dispatch passes through (``pkg/*.py`` globs).
+#: ``autograd/engine.py`` is not one: its one lazy import (the implicit
+#: scalar seed) runs once per backward, and ``repro.tensor`` imports it.
+DISPATCH_MODULES = (
+    "tensor.py", "storage.py", "autograd/function.py", "autograd/grad_mode.py",
+    "hw/kernel_model.py", "ops/*.py", "cuda/*.py", "nn/*.py", "models/*.py",
+)  # fmt: skip
+
+
+def _owners(tree: ast.AST) -> dict:
+    """Node -> the qualified name of its innermost enclosing function."""
+    owner = {}
+    for scope, func in _functions(tree):
+        for node in ast.walk(func):
+            owner[node] = scope + (func.name,)
+    return owner
+
+
+def state_writes(path: str, source: str) -> list[str]:
+    """Writes (assignment, deletion, ``setattr``) of a lifecycle state
+    attribute outside its one writer."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    found = []
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Call) and _callee(node) == "setattr" and len(node.args) > 1:
+            name = getattr(node.args[1], "value", None)
+        if name not in STATE_WRITERS:
+            continue
+        where = owner.get(node, ())[-2:]
+        if where != STATE_WRITERS[name] and not (name == "phase" and where == OTHER_PHASE):
+            found.append((node.lineno, f"{'.'.join(where) or '<module>'} writes .{name}"))
+    return [f"{path}:{line}: {what}" for line, what in sorted(found)]
+
+
+def retired_names(path: str, source: str) -> list[str]:
+    """Every identifier (or ``getattr`` string) of :data:`RETIRED_LIFECYCLE`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [
+            getattr(node, field, None)
+            for field in ("id", "attr", "name", "arg", "asname", "value")
+        ]
+        for name in names:
+            if isinstance(name, str) and name in RETIRED_LIFECYCLE:
+                found.append((getattr(node, "lineno", 0), f"names {name}"))
+    return [f"{path}:{line}: {what}" for line, what in sorted(found)]
+
+
+def hook_slots(path: str, source: str) -> list[str]:
+    """Hook slots in identifiers, ``<...device>.profiler`` attributes,
+    ``"profiler"`` directly followed by ``None`` in an argument list or
+    display, and :data:`HOOK_TEXT` in a string constant or a comment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", 0)
+        for field in ("id", "attr", "name", "arg", "asname"):
+            name = getattr(node, field, None)
+            if isinstance(name, str) and any(slot in name for slot in HOOK_SLOTS):
+                found.append(f"{path}:{line}: names {name}")
+        if isinstance(node, ast.Attribute) and node.attr == "profiler":
+            owner = getattr(node.value, "attr", None) or getattr(node.value, "id", "")
+            if owner.endswith("device"):
+                found.append(f"{path}:{line}: reads device.profiler")
+        items = (node.args if isinstance(node, ast.Call) else getattr(node, "elts", None)) or []
+        for first, second in zip(items, items[1:]):
+            if getattr(first, "value", 0) == "profiler" and getattr(second, "value", 0) is None:
+                found.append(f"{path}:{line}: probes \"profiler\", None")
+        text = node.value if isinstance(node, ast.Constant) else None
+        if isinstance(text, str) and HOOK_TEXT.search(text):
+            found.append(f"{path}:{line}: says {HOOK_TEXT.search(text).group()}")
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT and HOOK_TEXT.search(token.string):
+            found.append(f"{path}:{token.start[0]}: says {HOOK_TEXT.search(token.string).group()}")
+    return found
+
+
+def function_imports(path: str, source: str) -> list[str]:
+    """Import statements inside a function (one per enclosing function)."""
+    return [
+        f"{path}:{node.lineno}: {func.name} imports"
+        for _, func in _functions(ast.parse(source))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
 
 
 def _tree_violations(rule, paths) -> list[str]:
@@ -649,4 +773,133 @@ def test_negative_control_offload_in_a_layout_is_caught():
         "calls to_device",
         "names _offload_grad",
         "calls host_copy",
+    ]
+
+
+def test_the_lifecycle_state_has_one_writer_each():
+    paths = sorted(SRC.rglob("*.py"))
+    assert _tree_violations(state_writes, paths) == []
+    for attr, (cls, method) in STATE_WRITERS.items():
+        tree = ast.parse(next(p for p in paths if f"class {cls}" in p.read_text()).read_text())
+        writer = next(f for s, f in _functions(tree) if s[-1:] == (cls,) and f.name == method)
+        stores = [n for n in ast.walk(writer) if isinstance(n, ast.Attribute) and n.attr == attr]
+        assert any(isinstance(n.ctx, ast.Store) for n in stores), (cls, method)
+
+
+def test_the_retired_lifecycle_names_are_gone():
+    assert _tree_violations(retired_names, sorted(SRC.rglob("*.py"))) == []
+
+
+def test_one_observation_seam():
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 100
+    assert _tree_violations(hook_slots, paths) == []
+
+
+def test_op_dispatch_imports_nothing_per_call():
+    paths = sorted({path for pattern in DISPATCH_MODULES for path in SRC.glob(pattern)})
+    assert len(paths) > 30
+    assert _tree_violations(function_imports, paths) == []
+
+
+_SECOND_STATE_WRITER = '''
+class FsdpUnit:
+    def _move(self, point):
+        self.phase = MOVES[self.phase, point]
+
+    def pre_forward(self):
+        self.forward_ran = True
+        self.phase = UnitPhase.FORWARD
+
+
+class ShardHandle:
+    def _reside(self, residency):
+        self.residency = residency
+
+    def reshard(self):
+        setattr(self, "residency", Residency.SHARDED)
+        del self.residency
+
+
+class ScheduledBucket:
+    def __init__(self, phase):
+        self.phase = phase
+
+
+def reset(unit):
+    unit.phase = UnitPhase.IDLE
+    unit.pre_backward_ran = getattr(unit, "is_unsharded")
+'''
+
+
+def test_negative_control_a_second_state_writer_is_caught():
+    assert [v.split(": ", 1)[1] for v in state_writes("runtime.py", _SECOND_STATE_WRITER)] == [
+        "FsdpUnit.pre_forward writes .phase",
+        "ShardHandle.reshard writes .residency",
+        "ShardHandle.reshard writes .residency",
+        "reset writes .phase",
+    ]
+    assert [v.split(": ", 1)[1] for v in retired_names("runtime.py", _SECOND_STATE_WRITER)] == [
+        "names forward_ran",
+        "names is_unsharded",  # the same line: sorted by what
+        "names pre_backward_ran",
+    ]
+
+
+_HOOK_SLOT = '''
+class Device:
+    def __init__(self):
+        self.trace_hook = None  # the profiler's chain_hooks slot
+        self.profiler = None
+
+    def launch(self, cost):
+        session = getattr(self.device, "profiler", None)
+        if self.device.profiler is not None:
+            self.device.profiler.on_kernel(cost)
+
+
+def install(injector, device):
+    injector.mark_hook = device.emit_mark
+    return "device.profiler"
+'''
+
+
+def test_negative_control_a_hook_slot_is_caught():
+    assert sorted(v.split(": ", 1)[1] for v in hook_slots("device.py", _HOOK_SLOT)) == sorted([
+        "names trace_hook",
+        "says chain_hooks",
+        'probes "profiler", None',
+        "reads device.profiler",
+        "reads device.profiler",
+        "names mark_hook",
+        "says device.profiler",
+    ])
+
+
+_PER_CALL_IMPORT = '''
+import numpy as np
+
+
+def add(a, b):
+    from repro.ops import binary
+
+    return binary(a, b)
+
+
+class Tensor:
+    def sum(self):
+        import repro.ops as ops
+
+        def inner():
+            import math
+        return ops.sum(self)
+'''
+
+
+def test_negative_control_a_per_call_import_is_caught():
+    assert [v.split(": ", 1)[1] for v in function_imports("tensor.py", _PER_CALL_IMPORT)] == [
+        "add imports",
+        "sum imports",
+        "sum imports",
+        "inner imports",
     ]

@@ -1,12 +1,13 @@
 """Graph-captured FSDP compiler.
 
 ``repro.compile`` promotes the eager FSDP runtime's first iteration
-into a captured IR (compute, collectives, waits, reshards with
-dependency and liveness edges), runs bucketing/fusion, overlap
-reordering and dead-wait elimination over it, re-proves every rewrite
-against the pristine capture, and lowers the result to a
-:class:`~repro.compile.schedule.CompiledSchedule` the runtime replays
-from iteration two onward.  See DESIGN.md's "Compiler" section.
+into a captured IR (collectives, waits, reshards and forward activation
+footprints over the recorded program-point order), runs
+bucketing/fusion, overlap reordering and dead-wait elimination over it,
+re-proves every rewrite against the pristine capture, and indexes the
+result as a :class:`~repro.compile.schedule.CompiledSchedule` the
+runtime replays from iteration two onward.  See DESIGN.md's
+"Compiler" section.
 
 Enable with ``fully_shard(module, compile=True)`` or
 ``SimConfig(compile=True)``; iteration one runs eager under a
@@ -42,7 +43,6 @@ __all__ = [
 class CompileSettings:
     """Per-root compiler configuration (carried by ``FsdpRuntime``)."""
 
-    enabled: bool = False
     #: Bucket knee in *elements* of the gather dtype; None = Figure-2
     #: default (~33M).  Tests lower this to force multi-bucket
     #: schedules on small models.
@@ -51,9 +51,6 @@ class CompileSettings:
     #: prove the pipelined schedule stays under, against the activation
     #: footprints the capture measured.
     memory_budget: Optional[int] = None
-    #: Run the compile-time verifier (tests disable it only to show
-    #: the runtime sanitizer catches what it would have).
-    verify: bool = True
 
 
 def compile_capture(
@@ -62,14 +59,14 @@ def compile_capture(
     bucket_elems: Optional[int] = None,
     elem_size: int = 4,
     memory_budget: Optional[int] = None,
-    verify: bool = True,
 ) -> CompiledSchedule:
     """Capture -> passes -> verify -> schedule.
 
     Builds two graphs from the capture: a pristine copy the verifier
     trusts and a working copy the passes mutate.  Pass functions are
-    looked up through the module so tests can swap in broken versions
-    (the sanitizer-as-oracle negative controls).
+    looked up through their module, and the verifier through this
+    package, so tests can swap in broken versions (the
+    sanitizer-as-oracle negative controls).
     """
     captured = capture.graph()
     optimized = capture.graph()
@@ -77,8 +74,5 @@ def compile_capture(
     passes.bucket_collectives(optimized, bucket_bytes=bucket_bytes)
     passes.reorder_for_overlap(optimized, memory_budget=memory_budget)
     passes.eliminate_dead_waits(optimized)
-    if verify:
-        verify_schedule(captured, optimized)
-    schedule = CompiledSchedule(optimized)
-    schedule.captured = captured
-    return schedule
+    verify_schedule(captured, optimized)
+    return CompiledSchedule(optimized, captured)

@@ -4,7 +4,8 @@ The runtime installs a :class:`CaptureHook` for the first training
 iteration; ``FsdpRuntime.emit`` calls back at each lifecycle point while
 the eager machinery runs unmodified.  After a complete iteration
 (``on_finalize`` seen), :meth:`CaptureHook.graph` rebuilds the captured
-events into IR nodes with dependency and wait edges.
+events into IR nodes: collectives, waits, reshards and forward
+footprints over the recorded program-point order.
 
 Capture refuses structures the compiler cannot replay.  The unit's
 lifecycle table (:data:`repro.fsdp.runtime.MOVES`) names them as
@@ -92,10 +93,8 @@ class CaptureHook:
         if self._open:
             self._open[-1][2] += grown
 
-    def on_unshard_issue(
-        self, label: str, *, reason: str, nbytes: int, group_key: int, dtype: str, **_
-    ) -> None:
-        self._events.append(("unshard", label, reason, nbytes, group_key, dtype))
+    def on_unshard_issue(self, label: str, *, nbytes: int, group_key: int, dtype: str, **_) -> None:
+        self._events.append(("unshard", label, nbytes, group_key, dtype))
         self._unsharded += nbytes
 
     def on_wait(self, label: str, **_) -> None:
@@ -138,76 +137,52 @@ class CaptureHook:
         if self.unsupported:
             raise FsdpError(f"capture not compilable: {self.unsupported}")
         g = Graph()
-        begin = g.add(NodeKind.ITER_BEGIN, trigger=("iter_begin", ""))
         point = ("iter_begin", "")
         g.point_order.append(point)
         in_backward = False
-        last_compute = begin.id
-        compute_of: dict = {}  # (phase, label) -> compute node id
         latest_ag: dict = {}  # label -> most recent ALL_GATHER node id
-        reduce_ids: list = []
         for kind, label, *facts in self._events:
             if kind in _PROGRAM_POINTS:
                 point = (kind, label)
                 g.point_order.append(point)
             if kind == "pre_forward":
                 saved, transient = self.footprints.get(label, (0, 0))
-                node = g.add(
+                g.add(
                     NodeKind.COMPUTE_FWD,
                     unit=label,
                     trigger=point,
-                    deps={last_compute},
                     saved_bytes=saved,
                     transient_bytes=transient,
                 )
-                compute_of[("forward", label)] = last_compute = node.id
             elif kind == "pre_backward":
                 in_backward = True
-                node = g.add(NodeKind.COMPUTE_BWD, unit=label, trigger=point, deps={last_compute})
-                compute_of[("backward", label)] = last_compute = node.id
             elif kind == "unshard":
-                reason, nbytes, group_key, dtype = facts
+                nbytes, group_key, dtype = facts
                 node = g.add(
                     NodeKind.ALL_GATHER,
                     unit=label,
                     units=(label,),
                     nbytes=nbytes,
-                    member_nbytes=(nbytes,),
-                    reason=reason,
                     phase="backward" if in_backward else "forward",
                     trigger=point,
-                    deps={begin.id},
                     group_key=group_key,
                     dtype=dtype,
-                    alloc_bytes=nbytes,
                 )
                 latest_ag[label] = node.id
             elif kind == "wait" and label in latest_ag:
-                target = latest_ag[label]
-                wait = g.add(
-                    NodeKind.WAIT, unit=label, trigger=point, target=target, deps={target}
-                )
-                consumer = compute_of.get(("backward" if in_backward else "forward", label))
-                if consumer is not None:
-                    g.node(consumer).deps.add(wait.id)
+                g.add(NodeKind.WAIT, unit=label, trigger=point, target=latest_ag[label])
             elif kind == "reshard":
-                g.add(NodeKind.RESHARD, unit=label, trigger=point, free_bytes=facts[0])
+                g.add(NodeKind.RESHARD, unit=label, trigger=point, nbytes=facts[0])
             elif kind == "post_backward":
                 nbytes, group_key, dtype = facts
-                producer = compute_of.get(("backward", label))
-                node = g.add(
+                g.add(
                     NodeKind.REDUCE_SCATTER,
                     unit=label,
                     units=(label,),
                     nbytes=nbytes,
-                    member_nbytes=(nbytes,),
                     phase="backward",
                     trigger=point,
-                    deps={producer} if producer is not None else {last_compute},
                     group_key=group_key,
                     dtype=dtype,
                 )
-                reduce_ids.append(node.id)
-            elif kind == "finalize":
-                g.add(NodeKind.FINALIZE, trigger=point, deps={last_compute, *reduce_ids})
         return g

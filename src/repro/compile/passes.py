@@ -12,8 +12,8 @@ Three rewrites, applied in order:
    earliest-safe trigger (one bucket ahead of the consuming compute,
    software-pipelined) and pins each ReduceScatter bucket latest-safe
    (its last member's post-backward), maximizing comm/compute overlap
-   subject to the captured dependency edges and an optional memory
-   budget proved against the activation-liveness annotations.
+   subject to every consumer's wait and an optional memory budget
+   proved against the captured forward footprints.
 3. :func:`eliminate_dead_waits` — removes compute-stream waits whose
    target bucket an earlier program point already waited on; the
    compute stream is totally ordered, so a second wait is a no-op.
@@ -53,9 +53,9 @@ def _first_consumer(graph: Graph) -> dict:
     positions = graph.positions()
     first: dict = {}
     for wait in graph.live(NodeKind.WAIT):
-        pos = positions[tuple(wait.trigger)]
+        pos = positions[wait.trigger]
         if wait.target not in first or pos < first[wait.target][0]:
-            first[wait.target] = (pos, tuple(wait.trigger))
+            first[wait.target] = (pos, wait.trigger)
     return first
 
 
@@ -90,11 +90,7 @@ def _coalesce(graph: Graph, members: list, *, trigger_from_last: bool) -> Node:
     rep = members[0]
     if len(members) > 1:
         rep.units = tuple(m.unit for m in members)
-        rep.member_nbytes = tuple(m.nbytes for m in members)
         rep.nbytes = sum(m.nbytes for m in members)
-        rep.alloc_bytes = sum(m.alloc_bytes for m in members)
-        for m in members:
-            rep.deps |= m.deps
         if trigger_from_last:
             rep.trigger = members[-1].trigger
         absorbed = {m.id for m in members[1:]}
@@ -103,7 +99,6 @@ def _coalesce(graph: Graph, members: list, *, trigger_from_last: bool) -> Node:
         for wait in graph.live(NodeKind.WAIT):
             if wait.target in absorbed:
                 wait.target = rep.id
-                wait.deps = {rep.id}
     return rep
 
 
@@ -117,7 +112,7 @@ def bucket_collectives(graph: Graph, *, bucket_bytes: int) -> Graph:
         # Merge along *consumption* order so bucket members are needed
         # back-to-back (never-consumed gathers sort by issue point).
         gathers.sort(
-            key=lambda n: first.get(n.id, (positions[tuple(n.trigger)], None))[0]
+            key=lambda n: first.get(n.id, (positions[n.trigger], None))[0]
         )
         for members in _merge_runs(gathers, bucket_bytes):
             # An AllGather bucket issues where its *first* member issued
@@ -156,9 +151,9 @@ def estimate_peak_bytes(graph: Graph) -> int:
         deltas[pos] = deltas.get(pos, 0) + amount
 
     for node in graph.live(NodeKind.ALL_GATHER):
-        bump(positions[tuple(node.trigger)], node.alloc_bytes)
+        bump(positions[node.trigger], node.nbytes)
     for node in graph.live(NodeKind.RESHARD):
-        bump(positions[tuple(node.trigger)], -node.free_bytes)
+        bump(positions[node.trigger], -node.nbytes)
     for node in graph.live(NodeKind.COMPUTE_FWD):
         pre = positions[("pre_forward", node.unit)]
         post = positions[("post_forward", node.unit)]
@@ -225,7 +220,7 @@ def reorder_for_overlap(
             if estimate_peak_bytes(graph) <= memory_budget:
                 break
             own_trigger = first[bucket.id][1]
-            if tuple(bucket.trigger) == own_trigger:
+            if bucket.trigger == own_trigger:
                 continue
             bucket.trigger = own_trigger
             demoted += 1
@@ -246,7 +241,7 @@ def eliminate_dead_waits(graph: Graph) -> Graph:
     """
     positions = graph.positions()
     waits = sorted(
-        graph.live(NodeKind.WAIT), key=lambda w: positions[tuple(w.trigger)]
+        graph.live(NodeKind.WAIT), key=lambda w: positions[w.trigger]
     )
     seen: set = set()
     removed = 0

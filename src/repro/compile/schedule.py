@@ -1,13 +1,14 @@
 """Lower the optimized graph to an executable schedule and drive it.
 
-:class:`CompiledSchedule` is the static artifact: bucket tables plus a
-map from program points (the same CPU-side hook positions the eager
-runtime already has) to actions.  :class:`CompiledExecutor` replays it
-inside the unmodified eager hook skeleton — ``FsdpUnit.pre_forward``
-still records execution order, announces its lifecycle points and
-installs views; only the *communication* decisions (what to issue,
-what to wait on, when to reduce) are delegated here.  A bucket is issued
-and reduced by the same two routines the eager hooks call with one unit
+:class:`CompiledSchedule` is the static artifact: the optimized graph's
+live collective nodes, indexed by unit and by program point (the same
+CPU-side hook positions the eager runtime already has).
+:class:`CompiledExecutor` replays it inside the unmodified eager hook
+skeleton — ``FsdpUnit.pre_forward`` still records execution order,
+announces its lifecycle points and installs views; only the
+*communication* decisions (what to issue, what to wait on, when to
+reduce) are delegated here.  A bucket is issued and reduced by the same
+two routines the eager hooks call with one unit
 (``FsdpRuntime.unshard_units`` / ``reduce_units``), so
 ``SimConfig.compile=True`` runs through the unchanged simulator,
 allocator and sanitizer, under the same observers.
@@ -19,101 +20,48 @@ import weakref
 from typing import Optional
 
 from repro.compile.ir import Graph, NodeKind
+from repro.fsdp.runtime import UnitPhase
 
-__all__ = ["CompiledExecutor", "CompiledSchedule", "ScheduledBucket"]
-
-
-class ScheduledBucket:
-    __slots__ = ("id", "kind", "phase", "units", "nbytes", "trigger", "reason")
-
-    def __init__(self, *, id, kind, phase, units, nbytes, trigger, reason):
-        self.id = id
-        self.kind = kind
-        self.phase = phase
-        self.units = tuple(units)
-        self.nbytes = nbytes
-        self.trigger = tuple(trigger)
-        self.reason = reason
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "phase": self.phase,
-            "units": list(self.units),
-            "nbytes": self.nbytes,
-            "trigger": list(self.trigger),
-        }
+__all__ = ["CompiledExecutor", "CompiledSchedule"]
 
 
 class CompiledSchedule:
-    """Executable lowering of an optimized :class:`Graph`."""
+    """The optimized :class:`Graph`, indexed by program point and unit."""
 
-    def __init__(self, graph: Graph):
-        #: The optimized graph this schedule lowers; ``captured`` (set
-        #: by ``compile_capture``) is the pristine pre-pass twin —
-        #: golden-trace tests prove invariants against the pair.
+    def __init__(self, graph: Graph, captured: Optional[Graph] = None):
+        #: The optimized graph this schedule indexes, and its pristine
+        #: pre-pass twin — golden-trace tests prove invariants against
+        #: the pair.
         self.graph = graph
-        self.captured: Optional[Graph] = None
-        self.buckets: dict = {}
-        #: trigger point -> [("issue"|"flush", bucket id), ...]
+        self.captured = captured
+        self.stats = graph.stats
+        self.ag_buckets = graph.live(NodeKind.ALL_GATHER)
+        self.rs_buckets = graph.live(NodeKind.REDUCE_SCATTER)
+        #: trigger point -> the bucket nodes it issues or reduces
         self.actions: dict = {}
-        #: (phase, unit label) -> AllGather bucket id
-        self.ag_bucket_of: dict = {}
-        #: unit label -> ReduceScatter bucket id
-        self.rs_bucket_of: dict = {}
+        for bucket in self.ag_buckets + self.rs_buckets:
+            self.actions.setdefault(bucket.trigger, []).append(bucket)
+        #: (phase, unit label) -> AllGather bucket node
+        self.ag_bucket_of = {(b.phase, m): b for b in self.ag_buckets for m in b.units}
+        #: unit label -> ReduceScatter bucket node
+        self.rs_bucket_of = {m: b for b in self.rs_buckets for m in b.units}
         #: wait point -> AllGather bucket id (surviving waits only)
-        self.waits: dict = {}
-        self.stats = dict(graph.stats)
-        for node in graph.live(NodeKind.ALL_GATHER):
-            reason = "compiled_forward" if node.phase == "forward" else "compiled_backward"
-            bucket = ScheduledBucket(
-                id=node.id,
-                kind="all_gather",
-                phase=node.phase,
-                units=node.units,
-                nbytes=node.nbytes,
-                trigger=node.trigger,
-                reason=reason,
-            )
-            self.buckets[bucket.id] = bucket
-            self.actions.setdefault(bucket.trigger, []).append(("issue", bucket.id))
-            for member in bucket.units:
-                self.ag_bucket_of[(bucket.phase, member)] = bucket.id
-        for node in graph.live(NodeKind.REDUCE_SCATTER):
-            bucket = ScheduledBucket(
-                id=node.id,
-                kind="reduce_scatter",
-                phase="backward",
-                units=node.units,
-                nbytes=node.nbytes,
-                trigger=node.trigger,
-                reason="compiled_reduce",
-            )
-            self.buckets[bucket.id] = bucket
-            self.actions.setdefault(bucket.trigger, []).append(("flush", bucket.id))
-            for member in bucket.units:
-                self.rs_bucket_of[member] = bucket.id
-        for node in graph.live(NodeKind.WAIT):
-            target = node.target
-            point = tuple(node.trigger)
-            if target in self.buckets:
-                self.waits[point] = target
-
-    @property
-    def ag_buckets(self) -> list:
-        return [b for b in self.buckets.values() if b.kind == "all_gather"]
-
-    @property
-    def rs_buckets(self) -> list:
-        return [b for b in self.buckets.values() if b.kind == "reduce_scatter"]
+        self.waits: dict = {wait.trigger: wait.target for wait in graph.live(NodeKind.WAIT)}
 
     def summary(self) -> dict:
+        def describe(bucket) -> dict:
+            return {
+                "kind": bucket.kind.value,
+                "phase": bucket.phase,
+                "units": list(bucket.units),
+                "nbytes": bucket.nbytes,
+                "trigger": list(bucket.trigger),
+            }
+
         return {
-            "all_gather_buckets": [b.describe() for b in self.ag_buckets],
-            "reduce_scatter_buckets": [b.describe() for b in self.rs_buckets],
-            "stats": {
-                k: v for k, v in self.stats.items() if not isinstance(v, Graph)
-            },
+            "all_gather_buckets": [describe(b) for b in self.ag_buckets],
+            "reduce_scatter_buckets": [describe(b) for b in self.rs_buckets],
+            "stats": dict(self.stats),
         }
 
 
@@ -168,8 +116,9 @@ class CompiledExecutor:
             self.runtime.reduce_units((unit,))
 
     def on_finalize(self) -> None:
-        # Sweep: any reduce bucket whose trigger never fired (a unit's
-        # backward was skipped) still flushes whatever gradients exist.
+        # Sweep: members that still owe a reduction (their bucket's
+        # trigger never fired, or fired before their gradients existed)
+        # reduce now.
         for bucket in self.schedule.rs_buckets:
             self._reduce(bucket)
 
@@ -178,9 +127,8 @@ class CompiledExecutor:
         if trigger in self._fired:
             return
         self._fired.add(trigger)
-        for action, bucket_id in self.schedule.actions.get(trigger, ()):
-            bucket = self.schedule.buckets[bucket_id]
-            if action == "issue":
+        for bucket in self.schedule.actions.get(trigger, ()):
+            if bucket.kind is NodeKind.ALL_GATHER:
                 self._issue(bucket)
             else:
                 self._reduce(bucket)
@@ -197,22 +145,25 @@ class CompiledExecutor:
         """
         self._fire(point)
         default_stream = self.runtime.device.default_stream
-        bucket_id = self.schedule.ag_bucket_of.get((phase, unit.label))
-        if bucket_id is None:
+        bucket = self.schedule.ag_bucket_of.get((phase, unit.label))
+        if bucket is None:
             event = self.runtime.unshard_units((unit,), f"compiled_{phase}")
             if event is not None:
                 default_stream.wait_event(event)
-        elif bucket_id not in self._issued:
-            self._issue(self.schedule.buckets[bucket_id])
+        elif bucket.id not in self._issued:
+            self._issue(bucket)
         bucket_id = self.schedule.waits.get(point)
         event = None if bucket_id is None else self._issued.get(bucket_id)
         if event is not None:
             default_stream.wait_event(event)
 
     def _issue(self, bucket) -> None:
-        self._issued[bucket.id] = self.runtime.unshard_units(self._members(bucket), bucket.reason)
+        self._issued[bucket.id] = self.runtime.unshard_units(
+            self._members(bucket), f"compiled_{bucket.phase}"
+        )
 
     def _reduce(self, bucket) -> None:
-        members = self._members(bucket)
+        """Reduce the members of ``bucket`` that owe a reduction."""
+        members = [m for m in self._members(bucket) if m.phase is UnitPhase.GRADS_READY]
         if members:
             self.runtime.reduce_units(members)

@@ -41,7 +41,6 @@ def verify_schedule(captured: Graph, optimized: Graph) -> None:
     positions = optimized.positions()
 
     def pos(trigger) -> int:
-        trigger = tuple(trigger)
         if trigger not in positions:
             _fail(f"schedule references unknown program point {trigger}")
         return positions[trigger]
@@ -51,7 +50,7 @@ def verify_schedule(captured: Graph, optimized: Graph) -> None:
         if bucket.trigger[0] not in _FIREABLE:
             _fail(
                 f"all-gather bucket {bucket.describe()} triggers at "
-                f"non-executable point {tuple(bucket.trigger)}"
+                f"non-executable point {bucket.trigger}"
             )
         for member in bucket.units:
             key = (bucket.phase, member)
@@ -66,7 +65,7 @@ def verify_schedule(captured: Graph, optimized: Graph) -> None:
         if bucket.trigger[0] not in _FIREABLE:
             _fail(
                 f"reduce-scatter bucket {bucket.describe()} triggers at "
-                f"non-executable point {tuple(bucket.trigger)}"
+                f"non-executable point {bucket.trigger}"
             )
         for member in bucket.units:
             if member in rs_bucket_of:
@@ -80,7 +79,7 @@ def verify_schedule(captured: Graph, optimized: Graph) -> None:
         if p < pos(optimized.node(wait.target).trigger):
             _fail(
                 f"wait for {optimized.node(wait.target).describe()} at "
-                f"{tuple(wait.trigger)} precedes the bucket's issue"
+                f"{wait.trigger} precedes the bucket's issue"
             )
         covered_at[wait.target] = min(covered_at.get(wait.target, p), p)
 
@@ -96,12 +95,12 @@ def verify_schedule(captured: Graph, optimized: Graph) -> None:
         if pos(bucket.trigger) > consumer:
             _fail(
                 f"bucket {bucket.describe()} issues after its consumer "
-                f"{ag.unit!r} at {tuple(wait.trigger)}"
+                f"{ag.unit!r} at {wait.trigger}"
             )
         if covered_at.get(bucket.id, len(positions) + 1) > consumer:
             _fail(
                 f"no surviving wait orders {ag.unit!r}'s compute at "
-                f"{tuple(wait.trigger)} after bucket {bucket.describe()}"
+                f"{wait.trigger} after bucket {bucket.describe()}"
             )
 
     for node in captured.live(NodeKind.REDUCE_SCATTER):

@@ -404,7 +404,6 @@ def _init_runtime_for_root(root_module: Module, root_unit: FsdpUnit, config: dic
         from repro.compile import CompileSettings
 
         compile_settings = CompileSettings(
-            enabled=True,
             bucket_elems=config.get("compile_bucket_elems"),
             memory_budget=config.get("compile_memory_budget"),
         )

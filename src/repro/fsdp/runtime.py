@@ -84,10 +84,10 @@ SHARDED, UNSHARDED = Residency
 #: The legal moves, ``(phase, hook point) -> the phase entered``.  The
 #: re-entries: a shared module, or the recompute of a unit whose forward
 #: ran inside a checkpoint, runs the forward again; each recompute fires
-#: the post-backward of a unit whose parameters it read; more outputs
-#: fire the pre-backward again; and a compiled finalize sweep reduces
-#: units with nothing to reduce.  ``begin`` starts an iteration,
-#: ``reset`` discards an aborted one.
+#: the post-backward of a unit whose parameters it read; and more
+#: outputs fire the pre-backward again.  Only a unit that owes a
+#: reduction reduces.  ``begin`` starts an iteration, ``reset``
+#: discards an aborted one.
 MOVES = {
     (IDLE, "pre_forward"): FORWARD,
     (FORWARD_DONE, "pre_forward"): FORWARD,
@@ -97,7 +97,6 @@ MOVES = {
     (REDUCING, "post_backward"): GRADS_READY,
     (GRADS_READY, "reduce"): REDUCING,
     **{(phase, "pre_backward"): phase for phase in (BACKWARD, GRADS_READY, REDUCING)},
-    **{(phase, "reduce"): phase for phase in (IDLE, FORWARD_DONE, BACKWARD, REDUCING)},
     **{(phase, "finalize"): IDLE for phase in (IDLE, FORWARD_DONE, BACKWARD, REDUCING)},
     **{(phase, "begin"): IDLE for phase in (IDLE, FORWARD_DONE)},
     **{(phase, "reset"): IDLE for phase in UnitPhase},
@@ -293,7 +292,7 @@ class FsdpRuntime:
         user asked for compilation the runtime cannot honour.
         """
         settings = self.compile_settings
-        if settings is None or not settings.enabled or self.compiled is not None:
+        if settings is None or self.compiled is not None:
             return
         capture = self.capture
         if capture is not None and capture.complete and capture.unsupported:
@@ -311,7 +310,6 @@ class FsdpRuntime:
                 bucket_elems=settings.bucket_elems,
                 elem_size=elem_size,
                 memory_budget=settings.memory_budget,
-                verify=settings.verify,
             )
             self.compiled = CompiledExecutor(self, schedule)
             self.capture = None

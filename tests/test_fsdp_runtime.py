@@ -157,36 +157,46 @@ class TestShardingStrategies:
 
 class TestPrefetch:
     def test_backward_prefetch_issues_early(self):
-        """With BACKWARD_PRE, a later unit's pre-backward finds the
-        earlier unit already unsharded."""
-        observed = {}
+        """With BACKWARD_PRE, the first backward unit's pre-backward
+        gathers the second-to-last forward unit, which then finds its
+        parameters already unsharded; with NONE it gathers them itself."""
 
-        def fn(rank):
-            wrapped = wrap(build(depth=3), backward_prefetch=BackwardPrefetch.BACKWARD_PRE)
-            device = dist.get_device()
-            x = repro.randn(2, 8, device=device)
-            out = wrapped(x)
+        class Recorder:
+            def __init__(self):
+                self.events = []
+
+            def on_unshard_issue(self, label, *, reason, **_):
+                self.events.append(("issue", label, reason))
+
+            def on_pre_backward(self, label, **_):
+                self.events.append(("pre_backward", label))
+
+            def on_prefetch_outcome(self, label, *, already_unsharded, **_):
+                self.events.append(("outcome", label, already_unsharded))
+
+        def fn(rank, prefetch):
+            wrapped = wrap(build(depth=3), backward_prefetch=prefetch)
+            out = wrapped(repro.randn(2, 8, device=dist.get_device()))
             runtime = wrapped._fsdp_unit.runtime
-            units = runtime.exec_order
-            last_unit = units[-1]  # last forward = first backward
-            prev_unit = units[-2]
-            state = {}
-
-            original = last_unit._pre_backward_hook
-
-            def spy(grad):
-                result = original(grad)
-                state["prev_residency_at_first_pre_backward"] = prev_unit.handle.residency
-                return result
-
-            last_unit._pre_backward_hook = spy
-            # Re-register: hooks captured at post_forward; simplest is
-            # to check after backward that prefetch at least ran.
-            assert prev_unit.phase is UnitPhase.FORWARD_DONE
+            target = runtime.exec_order[-2].label  # second in backward
+            recorder = Recorder()
+            detach = runtime.device.observe(recorder)
             out.sum().backward()
-            assert prev_unit.phase is UnitPhase.IDLE  # finalized
+            detach()
+            events = recorder.events
+            mine = [e for e in events if e[1] == target]
+            if prefetch is BackwardPrefetch.BACKWARD_PRE:
+                issue = events.index(("issue", target, "backward_prefetch"))
+                assert issue < events.index(("pre_backward", target))
+                assert ("outcome", target, True) in mine
+                assert ("issue", target, "pre_backward") not in mine
+            else:
+                assert ("issue", target, "pre_backward") in mine
+                assert not [e for e in events if e[-1] == "backward_prefetch"]
+                assert not [e for e in events if e[0] == "outcome"]
 
-        dist.spawn(fn, 2)
+        for prefetch in (BackwardPrefetch.BACKWARD_PRE, BackwardPrefetch.NONE):
+            dist.spawn(fn, 2, args=(prefetch,))
 
     def test_next_backward_unit_selection(self):
         def fn(rank):

@@ -38,10 +38,15 @@ rule that stops matching anything fails too).
   neither ``to_device`` nor ``host_copy``; ``fsdp/handle.py`` does the
   host copies for both layouts.
 - The unit lifecycle is one state with one writer each: in ``repro``
-  only ``FsdpUnit._move`` writes a ``.phase`` (besides a compiled
-  bucket's own, in its constructor) and only ``ShardHandle._reside`` a
-  ``.residency``; no name of the per-iteration flags, the capture's
-  seen-sets or the twin prefetch selectors they replaced is left.
+  only ``FsdpUnit._move`` writes a ``.phase`` and only
+  ``ShardHandle._reside`` a ``.residency``; no name of the
+  per-iteration flags, the capture's seen-sets or the twin prefetch
+  selectors they replaced is left.
+- The compiled step is one graph: ``repro.compile`` names no mirror
+  bucket class (``ScheduledBucket``), none of the IR fields nothing
+  read (``deps``, ``member_nbytes``, ``alloc_bytes``, ``free_bytes``)
+  and none of the node kinds nothing looked up (``ITER_BEGIN``,
+  ``COMPUTE_BWD``, ``FINALIZE``).
 - One observation seam: no hook slot (``trace_hook``, ``mark_hook``,
   ``sample_hook``, ``chain_hooks``), no ``device.profiler`` and no
   ``getattr(..., "profiler", None)`` probe, in code, strings or
@@ -52,6 +57,18 @@ rule that stops matching anything fails too).
   ``autograd/function``, ``autograd/grad_mode``, ``hw/kernel_model``
   and the ``ops``, ``cuda``, ``nn`` and ``models`` packages) contains an
   import statement, which would run on every call.
+- One step model: no hand-written model trace (``trace_mingpt``,
+  ``trace_t5``, ``trace_dhen``, ``_trace_block``, ``_trace_attention``)
+  in an identifier, a string or a comment of ``repro``, and no liveness
+  fed to ``CompileSettings`` (a call or a field): ``ModelTrace`` is
+  recorded from the model's own step and the capture measures its own
+  activation footprints.
+- One span recorder: ``ProfilerSession`` records every span and mark
+  as one ``Span``, and its ``totals()`` is the one overlap measure; no
+  class ``Tracer`` / ``TraceEvent`` / ``KernelEvent`` / ``CommInterval``
+  and no function ``trace_device`` / ``overlap_fraction`` is defined
+  in ``repro``, in code or as a definition line in a string or a
+  comment.
 """
 
 import ast
@@ -344,14 +361,35 @@ def layout_offload(path: str, source: str) -> list[str]:
 
 #: The lifecycle state -> its one writer ``(class, method)``.
 STATE_WRITERS = {"phase": ("FsdpUnit", "_move"), "residency": ("ShardHandle", "_reside")}
-#: The one other owner of a ``.phase``: a compiled bucket's "forward" or
-#: "backward", set in its constructor.
-OTHER_PHASE = ("ScheduledBucket", "__init__")
 #: The names the lifecycle state replaced.
 RETIRED_LIFECYCLE = {
     "forward_ran", "pre_backward_ran", "reset_iteration_state", "is_unsharded",
     "_seen_forward", "_seen_reduce", "next_backward_unit", "next_forward_unit",
 }  # fmt: skip
+#: The names the one compiled graph replaced, in ``repro.compile``.
+RETIRED_IR = {
+    "ScheduledBucket", "deps", "member_nbytes", "alloc_bytes", "free_bytes",
+    "ITER_BEGIN", "COMPUTE_BWD", "FINALIZE",
+}  # fmt: skip
+#: The hand-written model traces the recorded step model replaced
+#: (matched inside identifiers too), and the same in text with a
+#: liveness table fed to the compiler.
+TRACE_BUILDERS = ("trace_mingpt", "trace_t5", "trace_dhen", "_trace_block", "_trace_attention")
+STEP_MODEL_TEXT = re.compile("|".join(TRACE_BUILDERS) + r"|CompileSettings\(.*liveness")
+#: A source without any of these words has nothing to flag for the step
+#: model rule, which skips it unparsed (most files).
+STEP_MODEL_WORDS = re.compile("|".join(TRACE_BUILDERS) + "|CompileSettings")
+#: The span recorders ``ProfilerSession`` replaced, and their
+#: definitions in text.
+SPAN_CLASSES = {"Tracer", "TraceEvent", "KernelEvent", "CommInterval"}
+SPAN_FUNCTIONS = {"trace_device", "overlap_fraction"}
+SPAN_TEXT = re.compile(
+    r"^[ \t]*(class (Tracer|TraceEvent|KernelEvent|CommInterval)\b"
+    r"|def (trace_device|overlap_fraction)\()",
+    re.MULTILINE,
+)
+#: The same skip for the span recorder rule.
+SPAN_WORDS = re.compile("|".join(sorted(SPAN_CLASSES | SPAN_FUNCTIONS)))
 #: Device hook slots the observation seam replaced (matched inside
 #: identifiers too), and the same in text (strings and comments).
 HOOK_SLOTS = ("trace_hook", "mark_hook", "sample_hook", "chain_hooks")
@@ -391,13 +429,13 @@ def state_writes(path: str, source: str) -> list[str]:
         if name not in STATE_WRITERS:
             continue
         where = owner.get(node, ())[-2:]
-        if where != STATE_WRITERS[name] and not (name == "phase" and where == OTHER_PHASE):
+        if where != STATE_WRITERS[name]:
             found.append((node.lineno, f"{'.'.join(where) or '<module>'} writes .{name}"))
     return [f"{path}:{line}: {what}" for line, what in sorted(found)]
 
 
-def retired_names(path: str, source: str) -> list[str]:
-    """Every identifier (or ``getattr`` string) of :data:`RETIRED_LIFECYCLE`."""
+def _named(path: str, source: str, retired: set) -> list[str]:
+    """Every identifier (or ``getattr`` string) in ``retired``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         names = [
@@ -405,9 +443,84 @@ def retired_names(path: str, source: str) -> list[str]:
             for field in ("id", "attr", "name", "arg", "asname", "value")
         ]
         for name in names:
-            if isinstance(name, str) and name in RETIRED_LIFECYCLE:
+            if isinstance(name, str) and name in retired:
                 found.append((getattr(node, "lineno", 0), f"names {name}"))
     return [f"{path}:{line}: {what}" for line, what in sorted(found)]
+
+
+def retired_names(path: str, source: str) -> list[str]:
+    """Every identifier (or ``getattr`` string) of :data:`RETIRED_LIFECYCLE`."""
+    return _named(path, source, RETIRED_LIFECYCLE)
+
+
+def retired_ir_names(path: str, source: str) -> list[str]:
+    """Every identifier (or ``getattr`` string) of :data:`RETIRED_IR`."""
+    return _named(path, source, RETIRED_IR)
+
+
+def _text(node: ast.Constant):
+    """The text of a string or bytes constant (any other value as is)."""
+    return node.value.decode("latin-1") if isinstance(node.value, bytes) else node.value
+
+
+def _says(path: str, source: str, pattern: re.Pattern) -> list[str]:
+    """Each match of ``pattern`` in a string constant or a comment."""
+    tree = ast.parse(source)
+    texts = [(n.lineno, _text(n)) for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    texts += [
+        (token.start[0], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return [
+        f"{path}:{line}: says {match.group().strip()}"
+        for line, text in texts
+        if isinstance(text, str)
+        for match in pattern.finditer(text)
+    ]
+
+
+def second_step_model(path: str, source: str) -> list[str]:
+    """Identifiers containing a :data:`TRACE_BUILDERS` name,
+    :data:`STEP_MODEL_TEXT` in a string or a comment, and ``liveness``
+    anywhere on the lines of a ``CompileSettings(...)`` call or among
+    the identifiers of a ``CompileSettings`` class."""
+    if not STEP_MODEL_WORDS.search(source):
+        return []
+    found = []
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", 0)
+        for field in ("id", "attr", "name", "arg", "asname"):
+            name = getattr(node, field, None)
+            if isinstance(name, str) and any(trace in name for trace in TRACE_BUILDERS):
+                found.append(f"{path}:{line}: names {name}")
+        if isinstance(node, ast.Call) and _callee(node) == "CompileSettings":
+            if "liveness" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                found.append(f"{path}:{line}: feeds CompileSettings liveness")
+        if isinstance(node, ast.ClassDef) and node.name == "CompileSettings":
+            found += [
+                f"{path}:{inner.lineno}: CompileSettings names {inner.id}"
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Name) and "liveness" in inner.id
+            ]
+    return found + _says(path, source, STEP_MODEL_TEXT)
+
+
+def second_span_recorder(path: str, source: str) -> list[str]:
+    """Definitions of a :data:`SPAN_CLASSES` class or a
+    :data:`SPAN_FUNCTIONS` function, and :data:`SPAN_TEXT` in a string
+    or a comment."""
+    if not SPAN_WORDS.search(source):
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name in SPAN_CLASSES:
+            found.append(f"{path}:{node.lineno}: defines class {node.name}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in SPAN_FUNCTIONS:
+                found.append(f"{path}:{node.lineno}: defines {node.name}")
+    return found + _says(path, source, SPAN_TEXT)
 
 
 def hook_slots(path: str, source: str) -> list[str]:
@@ -429,13 +542,7 @@ def hook_slots(path: str, source: str) -> list[str]:
         for first, second in zip(items, items[1:]):
             if getattr(first, "value", 0) == "profiler" and getattr(second, "value", 0) is None:
                 found.append(f"{path}:{line}: probes \"profiler\", None")
-        text = node.value if isinstance(node, ast.Constant) else None
-        if isinstance(text, str) and HOOK_TEXT.search(text):
-            found.append(f"{path}:{line}: says {HOOK_TEXT.search(text).group()}")
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.COMMENT and HOOK_TEXT.search(token.string):
-            found.append(f"{path}:{token.start[0]}: says {HOOK_TEXT.search(token.string).group()}")
-    return found
+    return found + _says(path, source, HOOK_TEXT)
 
 
 def function_imports(path: str, source: str) -> list[str]:
@@ -790,6 +897,20 @@ def test_the_retired_lifecycle_names_are_gone():
     assert _tree_violations(retired_names, sorted(SRC.rglob("*.py"))) == []
 
 
+def test_the_compiled_step_is_one_graph():
+    paths = sorted((SRC / "compile").rglob("*.py"))
+    assert len(paths) > 5
+    assert _tree_violations(retired_ir_names, paths) == []
+
+
+def test_one_step_model():
+    assert _tree_violations(second_step_model, sorted(SRC.rglob("*.py"))) == []
+
+
+def test_one_span_recorder():
+    assert _tree_violations(second_span_recorder, sorted(SRC.rglob("*.py"))) == []
+
+
 def test_one_observation_seam():
     paths = sorted(SRC.rglob("*.py"))
     assert len(paths) > 100
@@ -837,6 +958,7 @@ def test_negative_control_a_second_state_writer_is_caught():
         "FsdpUnit.pre_forward writes .phase",
         "ShardHandle.reshard writes .residency",
         "ShardHandle.reshard writes .residency",
+        "ScheduledBucket.__init__ writes .phase",
         "reset writes .phase",
     ]
     assert [v.split(": ", 1)[1] for v in retired_names("runtime.py", _SECOND_STATE_WRITER)] == [
@@ -903,3 +1025,88 @@ def test_negative_control_a_per_call_import_is_caught():
         "sum imports",
         "inner imports",
     ]
+
+
+_MIRROR_BUCKET = '''
+class ScheduledBucket:
+    def __init__(self, node):
+        self.member_nbytes = node.member_nbytes
+
+
+def build(graph, node):
+    graph.add(NodeKind.ITER_BEGIN, deps={node.id}, alloc_bytes=node.nbytes)
+    return getattr(node, "free_bytes") or NodeKind.FINALIZE or NodeKind.COMPUTE_BWD
+'''
+
+
+def test_negative_control_a_mirror_bucket_and_a_retired_ir_field_are_caught():
+    assert [v.split(": ", 1)[1] for v in retired_ir_names("schedule.py", _MIRROR_BUCKET)] == [
+        "names ScheduledBucket",
+        "names member_nbytes",
+        "names member_nbytes",
+        "names ITER_BEGIN",
+        "names alloc_bytes",
+        "names deps",
+        "names COMPUTE_BWD",
+        "names FINALIZE",
+        "names free_bytes",
+    ]
+
+
+_HAND_WRITTEN_TRACE = '''
+def trace_mingpt(config):  # built like _trace_attention
+    return [_trace_block(layer) for layer in config.layers]
+
+
+def settings(model):
+    """Replaces CompileSettings(liveness=...) and def trace_t5(...)."""
+    return CompileSettings(
+        bucket_elems=None,
+        memory_budget=estimate(model.liveness),
+    )
+
+
+class CompileSettings:
+    bucket_elems: int = 0
+    liveness: dict = None
+'''
+
+
+def test_negative_control_a_hand_written_trace_and_fed_liveness_are_caught():
+    found = second_step_model("trace.py", _HAND_WRITTEN_TRACE)
+    assert sorted(v.split(": ", 1)[1] for v in found) == sorted([
+        "names trace_mingpt",
+        "says _trace_attention",
+        "names _trace_block",
+        "says CompileSettings(liveness",
+        "says trace_t5",
+        "feeds CompileSettings liveness",
+        "CompileSettings names liveness",
+    ])
+
+
+_SECOND_SPAN_RECORDER = '''
+class KernelEvent(NamedTuple):
+    label: str
+
+
+async def overlap_fraction(spans):
+    class Tracer:
+        pass
+
+
+TEMPLATE = b"""
+    def trace_device(device):
+        pass
+"""
+'''
+
+
+def test_negative_control_a_second_span_recorder_is_caught():
+    found = second_span_recorder("stats.py", _SECOND_SPAN_RECORDER)
+    assert sorted(v.split(": ", 1)[1] for v in found) == sorted([
+        "defines class KernelEvent",
+        "defines overlap_fraction",
+        "defines class Tracer",
+        "says def trace_device(",
+    ])

@@ -17,7 +17,6 @@ allocator and sanitizer, under the same observers.
 from __future__ import annotations
 
 import weakref
-from typing import Optional
 
 from repro.compile.ir import Graph, NodeKind
 from repro.fsdp.runtime import UnitPhase
@@ -28,7 +27,7 @@ __all__ = ["CompiledExecutor", "CompiledSchedule"]
 class CompiledSchedule:
     """The optimized :class:`Graph`, indexed by program point and unit."""
 
-    def __init__(self, graph: Graph, captured: Optional[Graph] = None):
+    def __init__(self, graph: Graph, captured: Graph):
         #: The optimized graph this schedule indexes, and its pristine
         #: pre-pass twin — golden-trace tests prove invariants against
         #: the pair.

@@ -372,10 +372,11 @@ RETIRED_IR = {
     "ITER_BEGIN", "COMPUTE_BWD", "FINALIZE",
 }  # fmt: skip
 #: The hand-written model traces the recorded step model replaced
-#: (matched inside identifiers too), and the same in text with a
-#: liveness table fed to the compiler.
+#: (matched inside identifiers too) and the same in text, and a
+#: liveness table fed to the compiler on one ``CompileSettings(`` line.
 TRACE_BUILDERS = ("trace_mingpt", "trace_t5", "trace_dhen", "_trace_block", "_trace_attention")
-STEP_MODEL_TEXT = re.compile("|".join(TRACE_BUILDERS) + r"|CompileSettings\(.*liveness")
+TRACE_TEXT = re.compile("|".join(TRACE_BUILDERS))
+FED_LIVENESS = re.compile(r"CompileSettings\(.*liveness")
 #: A source without any of these words has nothing to flag for the step
 #: model rule, which skips it unparsed (most files).
 STEP_MODEL_WORDS = re.compile("|".join(TRACE_BUILDERS) + "|CompileSettings")
@@ -434,14 +435,27 @@ def state_writes(path: str, source: str) -> list[str]:
     return [f"{path}:{line}: {what}" for line, what in sorted(found)]
 
 
+def _identifiers(node: ast.AST) -> list[str]:
+    """Every identifier a node spells: any ``str`` field but a
+    constant's, so names, attributes, parameters, keywords, import
+    modules and aliases, ``global`` / ``nonlocal`` names and pattern
+    captures alike."""
+    if isinstance(node, ast.Constant):
+        return []
+    values = [getattr(node, field, None) for field in node._fields]
+    return [
+        name
+        for value in values
+        for name in (value if isinstance(value, list) else [value])
+        if isinstance(name, str)
+    ]
+
+
 def _named(path: str, source: str, retired: set) -> list[str]:
     """Every identifier (or ``getattr`` string) in ``retired``."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        names = [
-            getattr(node, field, None)
-            for field in ("id", "attr", "name", "arg", "asname", "value")
-        ]
+        names = [node.value] if isinstance(node, ast.Constant) else _identifiers(node)
         for name in names:
             if isinstance(name, str) and name in retired:
                 found.append((getattr(node, "lineno", 0), f"names {name}"))
@@ -481,30 +495,25 @@ def _says(path: str, source: str, pattern: re.Pattern) -> list[str]:
 
 
 def second_step_model(path: str, source: str) -> list[str]:
-    """Identifiers containing a :data:`TRACE_BUILDERS` name,
-    :data:`STEP_MODEL_TEXT` in a string or a comment, and ``liveness``
-    anywhere on the lines of a ``CompileSettings(...)`` call or among
-    the identifiers of a ``CompileSettings`` class."""
+    """Identifiers containing a :data:`TRACE_BUILDERS` name, one in a
+    string or a comment, and ``liveness`` after ``CompileSettings(`` on
+    a line or anywhere on the lines of a ``CompileSettings(...)`` call
+    or a ``CompileSettings`` class."""
     if not STEP_MODEL_WORDS.search(source):
         return []
     found = []
     lines = source.splitlines()
+    fed = {n for n, line in enumerate(lines, 1) if FED_LIVENESS.search(line)}
     for node in ast.walk(ast.parse(source)):
-        line = getattr(node, "lineno", 0)
-        for field in ("id", "attr", "name", "arg", "asname"):
-            name = getattr(node, field, None)
-            if isinstance(name, str) and any(trace in name for trace in TRACE_BUILDERS):
-                found.append(f"{path}:{line}: names {name}")
-        if isinstance(node, ast.Call) and _callee(node) == "CompileSettings":
-            if "liveness" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
-                found.append(f"{path}:{line}: feeds CompileSettings liveness")
-        if isinstance(node, ast.ClassDef) and node.name == "CompileSettings":
-            found += [
-                f"{path}:{inner.lineno}: CompileSettings names {inner.id}"
-                for inner in ast.walk(node)
-                if isinstance(inner, ast.Name) and "liveness" in inner.id
-            ]
-    return found + _says(path, source, STEP_MODEL_TEXT)
+        for name in _identifiers(node):
+            if any(trace in name for trace in TRACE_BUILDERS):
+                found.append(f"{path}:{node.lineno}: names {name}")
+        settings = isinstance(node, ast.Call) and _callee(node) == "CompileSettings"
+        if settings or isinstance(node, ast.ClassDef) and node.name == "CompileSettings":
+            span = range(node.lineno, node.end_lineno + 1)
+            fed |= {n for n in span if "liveness" in lines[n - 1]}
+    found += [f"{path}:{n}: feeds CompileSettings liveness" for n in sorted(fed)]
+    return found + _says(path, source, TRACE_TEXT)
 
 
 def second_span_recorder(path: str, source: str) -> list[str]:
@@ -530,9 +539,8 @@ def hook_slots(path: str, source: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source)):
         line = getattr(node, "lineno", 0)
-        for field in ("id", "attr", "name", "arg", "asname"):
-            name = getattr(node, field, None)
-            if isinstance(name, str) and any(slot in name for slot in HOOK_SLOTS):
+        for name in _identifiers(node):
+            if any(slot in name for slot in HOOK_SLOTS):
                 found.append(f"{path}:{line}: names {name}")
         if isinstance(node, ast.Attribute) and node.attr == "profiler":
             owner = getattr(node.value, "attr", None) or getattr(node.value, "id", "")
@@ -1054,7 +1062,11 @@ def test_negative_control_a_mirror_bucket_and_a_retired_ir_field_are_caught():
 
 
 _HAND_WRITTEN_TRACE = '''
+from repro.models.trace_t5 import build
+
+
 def trace_mingpt(config):  # built like _trace_attention
+    global _trace_dhen_cache
     return [_trace_block(layer) for layer in config.layers]
 
 
@@ -1075,13 +1087,15 @@ class CompileSettings:
 def test_negative_control_a_hand_written_trace_and_fed_liveness_are_caught():
     found = second_step_model("trace.py", _HAND_WRITTEN_TRACE)
     assert sorted(v.split(": ", 1)[1] for v in found) == sorted([
+        "names repro.models.trace_t5",
         "names trace_mingpt",
         "says _trace_attention",
+        "names _trace_dhen_cache",
         "names _trace_block",
-        "says CompileSettings(liveness",
         "says trace_t5",
         "feeds CompileSettings liveness",
-        "CompileSettings names liveness",
+        "feeds CompileSettings liveness",
+        "feeds CompileSettings liveness",
     ])
 
 

@@ -24,6 +24,7 @@ allocator at the fidelity Section 3.4 of the paper requires:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -43,6 +44,10 @@ _SMALL_SEGMENT_SIZE = 2 << 20  # 2 MiB
 _LARGE_SEGMENT_MIN = 20 << 20  # 20 MiB
 # Only split a block when the remainder is worth keeping.
 _SPLIT_REMAINDER_MIN = 512
+# A pooled block's order key is ``size << _ARRIVAL_BITS | arrival``:
+# size first, then the allocator-wide count of pool insertions (40 bits
+# hold a trillion of them, so keys never collide).
+_ARRIVAL_BITS = 40
 # Simulated cost of raw driver calls.  cudaMalloc pays a fixed call
 # overhead plus page-mapping time proportional to the segment size;
 # cudaFree (during a retry) synchronizes the device and pays per
@@ -80,6 +85,8 @@ class Block:
         reuse_ready_time: latest GPU completion time of kernels from
             *other* streams that used this block; gates cross-stream
             reuse.
+        key: the block's place in its stream's pool, (size, arrival)
+            packed into one int; set when the block enters the pool.
     """
 
     __slots__ = (
@@ -91,6 +98,7 @@ class Block:
         "prev",
         "next",
         "reuse_ready_time",
+        "key",
         "_sanitizer",
         "__weakref__",
     )
@@ -104,6 +112,7 @@ class Block:
         self.prev: Optional[Block] = None
         self.next: Optional[Block] = None
         self.reuse_ready_time = 0.0
+        self.key = 0
         #: The stream-order sanitizer's shadow of this block (owner-stamped).
         self._sanitizer = None
 
@@ -113,17 +122,21 @@ class Block:
 
 
 class _Pool(list):
-    """One stream's cached free blocks, plus their byte total.
+    """One stream's cached free blocks in (size, arrival) order, plus
+    their keys and their byte total.
 
-    ``free_bytes`` is kept current wherever a block enters or leaves
-    the pool, so the per-stream breakdown never walks the blocks.
+    ``keys[i]`` is ``self[i].key``, so a best fit or a removal is one
+    ``bisect`` over ``keys``.  ``free_bytes`` is kept current wherever a
+    block enters or leaves the pool, so the per-stream breakdown never
+    walks the blocks.
     """
 
-    __slots__ = ("free_bytes",)
+    __slots__ = ("free_bytes", "keys")
 
     def __init__(self):
         super().__init__()
         self.free_bytes = 0
+        self.keys: list[int] = []
 
 
 @dataclass
@@ -164,11 +177,14 @@ class CachingAllocator:
         self.capacity = capacity
         self.stats = MemoryStats()
         self._pools: defaultdict[int, _Pool] = defaultdict(_Pool)
-        # Pooled blocks with a nonzero cross-stream retire time, by id.
+        # Pool insertions so far: the arrival half of the next pool key.
+        self._arrivals = 0
+        # Pooled blocks whose cross-stream use had not retired when they
+        # were pooled, by id (a refresh drops them once retired).
         # ``active`` = allocated + pooled-but-unretired bytes; almost all
-        # pooled blocks have ``reuse_ready_time == 0``, so tracking the
-        # exceptions keeps the stats refresh O(pending) instead of
-        # O(all cached blocks) on every allocate/free.
+        # pooled blocks have retired, so tracking the exceptions keeps
+        # the stats refresh O(pending) instead of O(all cached blocks),
+        # and skips it while nothing is pending.
         self._pending_reuse: dict[int, Block] = {}
         # Live segments by id (registered at cudaMalloc, dropped at
         # release), and their bytes per allocation stream, kept current
@@ -212,8 +228,8 @@ class CachingAllocator:
         then cudaMalloc, then retry after releasing all cached blocks,
         then raise :class:`OutOfMemoryError`.
 
-        Runs once per tensor, so the pool search and the split are
-        written out here, not called.
+        Runs once per tensor, so the pool search, the split and the
+        ``active`` refresh are written out here, not called.
         """
         size = _round_size(nbytes)
         stats = self.stats
@@ -221,29 +237,26 @@ class CachingAllocator:
         while True:
             # Best fit from the stream's pool: the smallest block that
             # fits and whose cross-stream uses have retired; ties go to
-            # the earliest pooled block.
+            # the earliest pooled block.  The pool is in (size, arrival)
+            # order, so that is the first retired block at or past the
+            # bisect point.
             pool = self._pools.get(stream.stream_id)
             block = None
             if pool:
+                keys = pool.keys
                 now = self.device._cpu_time
-                best_index = -1
-                best_size = 0
-                for index, candidate in enumerate(pool):
-                    candidate_size = candidate.size
-                    if candidate_size < size or (block is not None and candidate_size >= best_size):
-                        continue
-                    if candidate.reuse_ready_time > now:
-                        # Cross-stream use has not retired yet; unsafe to reuse.
-                        continue
-                    block, best_index, best_size = candidate, index, candidate_size
-                    if candidate_size == size:
-                        # Exact fit: nothing later in the pool can beat it.
+                for index in range(bisect_left(keys, size << _ARRIVAL_BITS), len(keys)):
+                    if pool[index].reuse_ready_time <= now:
+                        block = pool[index]
+                        del pool[index]
+                        del keys[index]
+                        pool.free_bytes -= block.size
+                        if block.reuse_ready_time > 0.0:
+                            self._pending_reuse.pop(id(block), None)
+                        stats.num_block_reuses += 1
                         break
-                if block is not None:
-                    del pool[best_index]
-                    pool.free_bytes -= best_size
-                    self._pending_reuse.pop(id(block), None)
-                    stats.num_block_reuses += 1
+                    # Otherwise a cross-stream use has not retired yet;
+                    # unsafe to reuse.
             if block is None:
                 block = self._try_cuda_malloc(size, stream)
             if block is not None:
@@ -267,16 +280,26 @@ class CachingAllocator:
             block.next = rest
             block.size = size
             pool = self._pools[block.segment.stream_id]
-            pool.append(rest)
+            keys = pool.keys
+            key = rest.key = remainder << _ARRIVAL_BITS | self._arrivals
+            self._arrivals += 1
+            index = bisect_left(keys, key)
+            pool.insert(index, rest)
+            keys.insert(index, key)
+            # The block was retired when chosen, so its remainder is too:
+            # nothing joins the pending set.
             pool.free_bytes += remainder
-            if rest.reuse_ready_time > 0.0:
-                self._pending_reuse[id(rest)] = rest
         block.allocated = True
         block.requested = nbytes
         stats.allocated_bytes += nbytes
         if stats.allocated_bytes > stats.allocated_peak:
             stats.allocated_peak = stats.allocated_bytes
-        self._refresh_active()
+        if self._pending_reuse:
+            self._refresh_active()
+        else:
+            stats.active_bytes = stats.allocated_bytes
+            if stats.active_bytes > stats.active_peak:
+                stats.active_peak = stats.active_bytes
         san = sanitizer._ACTIVE
         if san is not None:
             san.on_block_alloc(self.device, stream, block)
@@ -295,15 +318,20 @@ class CachingAllocator:
         stats.allocated_bytes -= block.requested
         block.requested = 0
         pool = self._pools[block.segment.stream_id]
+        keys = pool.keys
         pending_reuse = self._pending_reuse
         # Free neighbours are always resident in this pool (the pool of
-        # the block's stream): merging takes them out, and the merged
-        # block goes back in.
+        # the block's stream), under the key they entered with: merging
+        # takes them out, and the merged block goes back in as the
+        # newest arrival.
         neighbor = block.prev
         if neighbor is not None and not neighbor.allocated:
-            pool.remove(neighbor)
+            index = bisect_left(keys, neighbor.key)
+            del pool[index]
+            del keys[index]
             pool.free_bytes -= neighbor.size
-            pending_reuse.pop(id(neighbor), None)
+            if neighbor.reuse_ready_time > 0.0:
+                pending_reuse.pop(id(neighbor), None)
             neighbor.next = block.next
             if block.next is not None:
                 block.next.prev = neighbor
@@ -313,20 +341,31 @@ class CachingAllocator:
             block = neighbor
         neighbor = block.next
         if neighbor is not None and not neighbor.allocated:
-            pool.remove(neighbor)
+            index = bisect_left(keys, neighbor.key)
+            del pool[index]
+            del keys[index]
             pool.free_bytes -= neighbor.size
-            pending_reuse.pop(id(neighbor), None)
+            if neighbor.reuse_ready_time > 0.0:
+                pending_reuse.pop(id(neighbor), None)
             block.next = neighbor.next
             if neighbor.next is not None:
                 neighbor.next.prev = block
             block.size += neighbor.size
             if neighbor.reuse_ready_time > block.reuse_ready_time:
                 block.reuse_ready_time = neighbor.reuse_ready_time
-        pool.append(block)
+        key = block.key = block.size << _ARRIVAL_BITS | self._arrivals
+        self._arrivals += 1
+        index = bisect_left(keys, key)
+        pool.insert(index, block)
+        keys.insert(index, key)
         pool.free_bytes += block.size
-        if block.reuse_ready_time > 0.0:
+        if block.reuse_ready_time > self.device._cpu_time:
             pending_reuse[id(block)] = block
-        self._refresh_active()
+        if pending_reuse:
+            self._refresh_active()
+        else:
+            # A free cannot raise the peak.
+            stats.active_bytes = stats.allocated_bytes
         if self.device._on_alloc:
             self._sample("free")
 
@@ -353,7 +392,7 @@ class CachingAllocator:
 
     def empty_cache(self) -> None:
         """Release all reusable cached segments (``torch.cuda.empty_cache``)."""
-        self._release_free_segments(require_retired=True)
+        self._release_free_segments()
 
     # ------------------------------------------------------------------
     # Profiler queries
@@ -419,31 +458,31 @@ class CachingAllocator:
         # retire, making all cached blocks releasable — and serializes
         # the pipeline: all subsequent kernels start after this point.
         self.device.synchronize()
-        # The sync advanced the CPU clock past every recorded use, so the
-        # per-stream retire state is provably satisfied: releasing with
-        # require_retired=True frees exactly the same segments while
-        # keeping the invariant that a segment is never unmapped under a
-        # still-running cross-stream kernel.
-        released_segments = self._release_free_segments(require_retired=True)
+        # The sync advanced the CPU clock past every recorded use, so
+        # every whole free segment has retired and is released.
+        released_segments = self._release_free_segments()
         # cudaFree is paid per driver call, i.e. per released segment —
         # not per 20 MiB of released bytes (a retry that frees many small
         # segments stalls the CPU for each of them; one that frees
         # nothing pays only the sync).
         self.device.consume_cpu(released_segments * _CUDA_FREE_PER_SEGMENT_COST)
 
-    def _release_free_segments(self, *, require_retired: bool) -> int:
-        """Unmap whole free segments; returns how many were released."""
+    def _release_free_segments(self) -> int:
+        """Unmap every whole free segment whose cross-stream uses have
+        retired (a segment is never unmapped under a running kernel);
+        returns how many were released."""
         now = self.device.cpu_time()
         released = 0
         by_stream = self._reserved_by_stream
         for stream_id, pool in self._pools.items():
             kept: list[Block] = []
             for block in pool:
-                whole_segment_free = (
-                    block.prev is None and block.next is None and block.offset == 0
-                )
-                retired = block.reuse_ready_time <= now
-                if whole_segment_free and (retired or not require_retired):
+                if (
+                    block.prev is None
+                    and block.next is None
+                    and block.offset == 0
+                    and block.reuse_ready_time <= now
+                ):
                     segment = block.segment
                     self.stats.reserved_bytes -= segment.size
                     del self._segments[segment.segment_id]
@@ -457,7 +496,9 @@ class CachingAllocator:
                     released += 1
                 else:
                     kept.append(block)
+            # Filtering keeps the (size, arrival) order.
             pool[:] = kept
+            pool.keys[:] = [block.key for block in kept]
         # Released blocks may have counted toward active (pending
         # cross-stream retirement); recompute so active <= reserved holds
         # without waiting for the next allocate/free.

@@ -15,11 +15,16 @@ from repro.tensor import Tensor
 try:
     from hypothesis import HealthCheck, settings
 
-    # "fast" keeps the default tier-1 run quick; CI's slow job selects
-    # "slow" via HYPOTHESIS_PROFILE for >=50 examples per property.
+    # "fast" keeps the default tier-1 run quick and derandomized, so its
+    # outcome is a function of the tree alone; CI's slow job selects
+    # "slow" via HYPOTHESIS_PROFILE for >=50 random examples per property.
     _suppress = [HealthCheck.too_slow]
     settings.register_profile(
-        "fast", max_examples=12, deadline=None, suppress_health_check=_suppress
+        "fast",
+        max_examples=12,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=_suppress,
     )
     settings.register_profile(
         "slow", max_examples=60, deadline=None, suppress_health_check=_suppress

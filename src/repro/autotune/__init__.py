@@ -16,7 +16,7 @@ Typical use::
     config = result.best.apply(wl.sim_config())   # or FSDP(model, **result.best.fsdp_kwargs())
 """
 
-from repro.autotune.memory import MemoryEstimate, estimate_peak_memory, resolve_sharding_factor
+from repro.autotune.memory import MemoryEstimate, estimate_peak_memory
 from repro.autotune.planner import (
     SearchResult,
     default_search_space,
@@ -44,6 +44,7 @@ from repro.autotune.workloads import (
     gpt_workload,
     t5_workload,
 )
+from repro.fsdp.sharding import resolve_sharding_factor
 
 __all__ = [
     "AutotunePlan",

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.fsdp.sharding import ShardingStrategy
+from repro.fsdp.sharding import ShardingStrategy, resolve_sharding_factor
 from repro.fsdp.wrap import WrapUnitPlan
 
 from repro.autotune.trace import ModelTrace
@@ -68,24 +68,6 @@ class MemoryEstimate:
     compute_pool_bytes: float
     comm_pool_bytes: float
     total_bytes: float
-
-
-def resolve_sharding_factor(
-    strategy: ShardingStrategy, sharding_factor: Optional[int], world_size: int, *, gpus_per_host: int = 8
-) -> int:
-    """The shard-group size a candidate resolves to at runtime.
-
-    Mirrors :func:`repro.fsdp.sharding.make_process_groups`: non-hybrid
-    FULL_SHARD / SHARD_GRAD_OP always shard over the full world;
-    NO_SHARD over one rank; hybrid strategies over ``sharding_factor``
-    (default: one host).
-    """
-    if strategy is ShardingStrategy.NO_SHARD:
-        return 1
-    if strategy.is_hybrid:
-        factor = sharding_factor if sharding_factor is not None else gpus_per_host
-        return max(1, min(factor, world_size))
-    return max(1, world_size)
 
 
 def _padded(numel: int, factor: int) -> int:

@@ -27,12 +27,12 @@ from typing import Optional, Sequence
 
 from repro import dtypes
 from repro.fsdp.runtime import BackwardPrefetch
-from repro.fsdp.sharding import ShardingStrategy
+from repro.fsdp.sharding import ShardingStrategy, resolve_sharding_factor
 from repro.fsdp.wrap import WrapUnitPlan
 from repro.hw.comm_model import CollectiveKind, CommModel
 from repro.hw.specs import ClusterTopology
 
-from repro.autotune.memory import resolve_sharding_factor, _padded
+from repro.autotune.memory import _padded
 from repro.autotune.trace import ModelTrace
 
 __all__ = ["UnitWork", "LatencyEstimate", "build_unit_work", "predict_iteration_latency"]

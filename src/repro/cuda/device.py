@@ -16,7 +16,7 @@ import itertools
 from typing import Optional
 
 from repro.cuda import sanitizer
-from repro.cuda.allocator import Block, CachingAllocator
+from repro.cuda.allocator import CachingAllocator
 from repro.cuda.stream import Event, Stream
 from repro.errors import DeviceError
 from repro.hw.kernel_model import KernelCost, KernelCostModel
@@ -95,14 +95,13 @@ class _CoalesceGuard:
         device = self._device
         device._coalesce = None
         self._acc = None
-        for stream, flops, bytes_moved, dtype, reads, writes, blocks in acc.values():
-            if not (flops or bytes_moved or reads or writes or blocks):
+        for stream, flops, bytes_moved, dtype, reads, writes in acc.values():
+            if not (flops or bytes_moved or reads or writes):
                 continue
             device.launch(
                 KernelCost(flops=flops, bytes_moved=bytes_moved),
                 dtype,
                 stream=stream,
-                blocks=tuple(blocks.values()),
                 reads=tuple(reads.values()),
                 writes=tuple(writes.values()),
                 label=self._label,
@@ -304,18 +303,15 @@ class Device:
         dtype,
         *,
         stream: Optional[Stream] = None,
-        blocks: tuple[Block, ...] = (),
         reads: tuple = (),
         writes: tuple = (),
         label: str = "kernel",
     ) -> tuple[float, float]:
         """Issue one kernel: consume CPU launch time, enqueue on stream.
 
-        ``blocks`` are the storage blocks the kernel touches; their
-        cross-stream usage is recorded for the allocator's reuse gate.
-        ``reads``/``writes`` name the storages the kernel accesses (for
-        the stream-order sanitizer); their blocks are recorded too, so
-        callers pass either form.
+        ``reads``/``writes`` name the storages the kernel accesses: their
+        blocks' cross-stream uses are recorded for the allocator's reuse
+        gate, and the accesses for the stream-order sanitizer.
         """
         kernel_model = self.kernel_model
         if kernel_model is None:
@@ -325,15 +321,13 @@ class Device:
         if self._coalesce is not None and not cost.is_matmul:
             entry = self._coalesce.get(id(stream))
             if entry is None:
-                entry = self._coalesce[id(stream)] = [stream, 0.0, 0.0, dtype, {}, {}, {}]
+                entry = self._coalesce[id(stream)] = [stream, 0.0, 0.0, dtype, {}, {}]
             entry[1] += cost.flops
             entry[2] += cost.bytes_moved
             for storage in reads:
                 entry[4][id(storage)] = storage
             for storage in writes:
                 entry[5][id(storage)] = storage
-            for block in blocks:
-                entry[6][id(block)] = block
             return self._cpu_time, self._cpu_time
         # Hottest function in the simulator: inline consume_cpu (the
         # overhead is a positive constant) and touch attributes once.
@@ -344,21 +338,15 @@ class Device:
         for on_launch in self._on_launch:
             on_launch(cost, dtype)
         start, end = stream.enqueue(duration, label=label)
-        allocator = self.allocator
-        seen = None
-        if blocks:
-            seen = set()
-            for block in blocks:
-                allocator.record_use(block, stream, end)
-                seen.add(id(block))
         if reads or writes:
+            allocator = self.allocator
             for storage in reads:
                 block = storage.block
-                if block is not None and storage.device is self and (seen is None or id(block) not in seen):
+                if block is not None and storage.device is self:
                     allocator.record_use(block, stream, end)
             for storage in writes:
                 block = storage.block
-                if block is not None and storage.device is self and (seen is None or id(block) not in seen):
+                if block is not None and storage.device is self:
                     allocator.record_use(block, stream, end)
             san = sanitizer._ACTIVE
             if san is not None:

@@ -31,10 +31,10 @@ in the spirit of PyTorch's CUDA Sanitizer (CSAN):
       (``unretired-block-reuse``), shadowing ``record_stream``
       semantics independently of the allocator's own bookkeeping;
   (c) **exec-order divergence** — FSDP units unshard in a different
-      order than the warmup iteration recorded
+      order than the first complete iteration
       (:class:`~repro.errors.ExecOrderViolation`, raised by
-      ``repro.fsdp.exec_order.ExecOrderValidator`` when the sanitizer
-      is enabled).
+      :class:`repro.fsdp.runtime.FsdpRuntime` against its own recorded
+      order when the sanitizer is enabled).
 
 Enable with :func:`enable` (or the ``REPRO_SANITIZER=1`` environment
 variable honoured by the test suite's fixture).  Violations also emit

@@ -179,20 +179,6 @@ def _resolve_injector(
     return None
 
 
-def _resolve_abort(coordinated_abort) -> CoordinatedAbort:
-    """Normalize the ``coordinated_abort`` argument to a shared latch.
-
-    ``True`` (the default) builds an enabled latch, ``False`` a
-    disabled one (the uncoordinated negative control — survivors drain
-    pending collectives serially); a pre-built
-    :class:`~repro.resilience.CoordinatedAbort` passes through so
-    elastic drivers and tests can configure health leases.
-    """
-    if isinstance(coordinated_abort, CoordinatedAbort):
-        return coordinated_abort
-    return CoordinatedAbort(enabled=bool(coordinated_abort))
-
-
 def init_single_process(
     world_size: int,
     *,
@@ -205,7 +191,7 @@ def init_single_process(
     fault_injector: Optional[FaultInjector] = None,
     collective_timeout: float = DEFAULT_COLLECTIVE_TIMEOUT,
     flight_recorder=None,
-    coordinated_abort=True,
+    coordinated_abort: bool = True,
 ) -> WorldContext:
     """Set up a symmetric one-rank world for performance simulation."""
     topology = topology or cluster_of(world_size)
@@ -218,7 +204,7 @@ def init_single_process(
     device.materialize_data = materialize
     injector = _resolve_injector(fault_schedule, fault_injector)
     device.fault_injector = injector
-    device.abort = _resolve_abort(coordinated_abort)
+    device.abort = CoordinatedAbort(enabled=coordinated_abort)
     if flight_recorder is not None:
         device.flight_recorder = flight_recorder
     ctx = WorldContext(
@@ -253,7 +239,7 @@ def spawn(
     fault_injector: Optional[FaultInjector] = None,
     collective_timeout: float = DEFAULT_COLLECTIVE_TIMEOUT,
     flight_recorder=None,
-    coordinated_abort=True,
+    coordinated_abort: bool = True,
     desync_check: bool = False,
 ) -> list:
     """Run ``fn(rank, *args)`` on ``world_size`` threads; returns results.
@@ -273,8 +259,7 @@ def spawn(
 
     ``coordinated_abort`` installs one shared
     :class:`~repro.resilience.CoordinatedAbort` latch across the world
-    (pass ``False`` for the uncoordinated negative control, or a
-    pre-built latch to configure health leases); ``desync_check``
+    (pass ``False`` for the uncoordinated negative control); ``desync_check``
     enables the pre-launch cross-rank collective-signature check.
     """
     topology = topology or cluster_of(world_size)
@@ -284,7 +269,7 @@ def spawn(
         )
     shared_comm_model = comm_model or CommModel(topology)
     injector = _resolve_injector(fault_schedule, fault_injector)
-    abort = _resolve_abort(coordinated_abort)
+    abort = CoordinatedAbort(enabled=coordinated_abort)
     devices = []
     for rank in range(world_size):
         device = Device("sim_gpu", index=rank, spec=topology.gpu, capacity=capacity)

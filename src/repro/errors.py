@@ -120,13 +120,13 @@ class CollectiveFailedError(CollectiveError):
 class RankFailureError(CollectiveError):
     """A peer rank was declared dead and the communicator was aborted.
 
-    Mirrors NCCL's communicator abort: once any rank's watchdog (or
-    health lease) declares a peer failed, the whole communicator is
-    poisoned — in-flight collectives on every surviving rank wake
-    immediately and subsequently issued collectives fail fast, instead
-    of each survivor serially burning a full watchdog timeout per
-    pending op.  Names the dead rank(s) so the controller can plan a
-    targeted recovery (e.g. peer healing of exactly those ranks).
+    Mirrors NCCL's communicator abort: once any rank's watchdog
+    declares a peer failed, the whole communicator is poisoned —
+    in-flight collectives on every surviving rank wake immediately and
+    subsequently issued collectives fail fast, instead of each survivor
+    serially burning a full watchdog timeout per pending op.  Names the
+    dead rank(s) so the controller can plan a targeted recovery (e.g.
+    peer healing of exactly those ranks).
     """
 
     def __init__(
@@ -301,7 +301,7 @@ class StreamOrderViolation(ReproError):
 
 
 class ExecOrderViolation(StreamOrderViolation):
-    """FSDP units unsharded in a different order than the recorded warmup
+    """FSDP units unsharded in a different order than the first complete
     iteration — prefetching would target the wrong unit (Section 3.3.2).
     """
 

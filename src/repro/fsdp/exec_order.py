@@ -21,127 +21,16 @@ provides that machinery:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.autograd.grad_mode import no_grad
-from repro.errors import ExecOrderViolation
 from repro.nn.module import Module
 
 __all__ = [
-    "ExecOrderValidator",
     "record_execution_order",
     "plan_flat_param_groups",
     "execution_order_policy",
 ]
-
-
-class ExecOrderValidator:
-    """Cross-iteration execution-order checking (Section 3.3.2).
-
-    Both prefetching modes assume the set and order of FSDP units is
-    static across iterations: backward prefetching replays the reverse
-    of the observed pre-forward order, forward prefetching replays the
-    previous iteration's order.  A model that conditionally skips a
-    submodule silently breaks that assumption — prefetch targets the
-    wrong unit and the AllGather pipeline degrades (or gathers
-    parameters nothing will consume).
-
-    The validator runs in two modes:
-
-    - **warmup** (first iteration): record each unit's *module name* as
-      it unshards;
-    - **validation** (every later iteration): each unshard must match
-      the recorded order positionally, and at the start of the next
-      iteration every recorded unit must have been seen.
-
-    Divergence raises :class:`~repro.errors.ExecOrderViolation` naming
-    the expected and actual modules (never bare indices).  Checking is
-    active only while ``repro.cuda.sanitizer`` is enabled; otherwise the
-    validator observes silently, so production-shaped runs keep the
-    seed's permissive behaviour.
-    """
-
-    def __init__(self):
-        self.expected: list[str] = []
-        self.iteration = 0
-        self.mode = "warmup"
-        self._position = 0
-
-    def reset(self) -> None:
-        """Forget everything and return to warmup.
-
-        Called after elastic recovery: the rebuilt runtime may
-        legitimately observe a different order (e.g. a resized group).
-        """
-        self.expected = []
-        self.iteration = 0
-        self.mode = "warmup"
-        self._position = 0
-
-    def start_iteration(self) -> None:
-        """Close out the previous iteration and arm the next one."""
-        if self.mode == "validate" and 0 < self._position < len(self.expected):
-            missing = ", ".join(repr(n) for n in self.expected[self._position :])
-            self._violation(
-                f"iteration {self.iteration} never unsharded unit(s) {missing} "
-                f"recorded during warmup — a conditionally-skipped submodule "
-                f"breaks prefetching's static-graph assumption "
-                f"(saw {self._position} of {len(self.expected)} units)",
-                expected=self.expected[self._position],
-                actual=None,
-                position=self._position,
-            )
-        self.iteration += 1
-        if self.mode == "warmup" and self.expected and self.iteration > 1:
-            self.mode = "validate"
-        self._position = 0
-
-    def record_unshard(self, name: str) -> None:
-        """One unit (identified by module name) reached pre-forward."""
-        if self.mode == "warmup":
-            self.expected.append(name)
-            return
-        position = self._position
-        self._position += 1
-        if position >= len(self.expected):
-            self._violation(
-                f"unit {name!r} unsharded at position {position} of iteration "
-                f"{self.iteration}, but warmup recorded only "
-                f"{len(self.expected)} unit(s)",
-                expected=None,
-                actual=name,
-                position=position,
-            )
-        elif self.expected[position] != name:
-            self._violation(
-                f"execution order diverged at position {position} of iteration "
-                f"{self.iteration}: expected unit {self.expected[position]!r} "
-                f"(recorded during warmup) but {name!r} ran — prefetching "
-                f"would target the wrong unit",
-                expected=self.expected[position],
-                actual=name,
-                position=position,
-            )
-
-    def _violation(
-        self,
-        message: str,
-        *,
-        expected: Optional[str],
-        actual: Optional[str],
-        position: int,
-    ) -> None:
-        from repro.cuda import sanitizer
-
-        san = sanitizer.active()
-        if san is None:
-            return
-        violation = ExecOrderViolation(
-            message, expected=expected, actual=actual, position=position
-        )
-        san.violations.append(violation)
-        if san.raise_on_violation:
-            raise violation
 
 
 def _own_param_numel(module: Module) -> int:

@@ -11,7 +11,8 @@ This module implements Sections 3.3 and 3.4:
 - *backward prefetching* issues the next AllGather (by reverse
   pre-forward order, freshly observed each iteration) before the
   current ReduceScatter (3.3.2); *forward prefetching* issues the next
-  forward AllGather using the previous iteration's order (3.3.3);
+  forward AllGather using the previous iteration's order (3.3.3).  Both
+  assume a static graph, which the sanitizer checks;
 - the *rate limiter* caps inflight AllGathers at two, blocking the CPU
   thread on the oldest event so the caching allocator can reuse the
   producer-stream blocks instead of over-allocating (3.4);
@@ -34,10 +35,10 @@ from typing import Optional, Sequence
 
 from repro.autograd.engine import queue_callback
 from repro.autograd.grad_mode import is_grad_enabled
+from repro.cuda import sanitizer
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
-from repro.errors import FsdpError
-from repro.fsdp.exec_order import ExecOrderValidator
+from repro.errors import ExecOrderViolation, FsdpError
 from repro.fsdp.handle import Residency, ShardHandle, reduce_bucket, unshard_bucket, weak_hook
 from repro.fsdp.sharding import ShardingPlan, ShardingStrategy
 from repro.nn.checkpoint import current_recompute
@@ -127,7 +128,8 @@ class FsdpRuntime:
         self._units: list[weakref.ref] = []
         self._exec_order: list[weakref.ref] = []
         self._prev_exec_order: list[weakref.ref] = []
-        self.exec_validator = ExecOrderValidator()
+        #: The first complete iteration's sharded unit labels, in order.
+        self._reference: Optional[list[str]] = None
         self._inflight: deque[Event] = deque()
         self._final_callback_queued = False
         self.iteration = 0
@@ -268,7 +270,7 @@ class FsdpRuntime:
     def begin_iteration(self) -> None:
         self.iteration += 1
         self._advance_compile_state()
-        self.exec_validator.start_iteration()
+        self._close_order()
         self._prev_exec_order = self._exec_order
         self._exec_order = []
         self._final_callback_queued = False
@@ -342,6 +344,8 @@ class FsdpRuntime:
         self._final_callback_queued = False
         self._exec_order = []
         self._prev_exec_order = []
+        # The rebuilt world may legitimately run another order.
+        self._reference = None
         # A half-recorded capture is useless; a compiled schedule stays
         # valid (the step's structure does not change across restarts).
         self._stop_capture()
@@ -354,8 +358,47 @@ class FsdpRuntime:
                 continue
             unit.handle.restore_stashed_gradient()
             unit.handle.reshard()
-        self.exec_validator.reset()
         self.unshard_stream.wait_stream(self.device.default_stream)
+
+    # ------------------------------------------------------------------
+    # Execution order (Section 3.3.2): prefetching assumes each iteration
+    # unshards the sharded units in the first complete iteration's order.
+    # A divergence is reported only while the sanitizer is active.
+    # ------------------------------------------------------------------
+    def _close_order(self) -> None:
+        """Keep the first complete iteration's order as the reference,
+        or report an iteration that stopped short of it."""
+        if self._reference is None:
+            self._reference = _sharded_labels(self._exec_order) or None
+        elif sanitizer._ACTIVE is not None:
+            seen = len(_sharded_labels(self._exec_order))
+            if 0 < seen < len(self._reference):
+                self._diverged(self.iteration - 1, seen, None)
+
+    def _check_order(self, unit: "FsdpUnit") -> None:
+        """Check a sharded unit's first pre-forward against the
+        reference at its position."""
+        position = len(_sharded_labels(self._exec_order)) - 1
+        reference = self._reference
+        if position >= len(reference) or reference[position] != unit.label:
+            self._diverged(self.iteration, position, unit.label)
+
+    def _diverged(self, iteration: int, position: int, actual: Optional[str]) -> None:
+        """Report that ``iteration`` unsharded ``actual`` (None: no unit)
+        at ``position`` of the reference order."""
+        reference = self._reference
+        expected = reference[position] if position < len(reference) else None
+        was, now = (repr(label) if label else "no unit" for label in (expected, actual))
+        violation = ExecOrderViolation(
+            f"execution order diverged at position {position} of iteration {iteration}: "
+            f"the reference iteration unsharded {was} there, this one {now} — "
+            f"prefetching would target the wrong unit",
+            expected=expected, actual=actual, position=position,
+        )  # fmt: skip
+        san = sanitizer._ACTIVE
+        san.violations.append(violation)
+        if san.raise_on_violation:
+            raise violation
 
     def ensure_final_callback(self) -> None:
         if self._final_callback_queued:
@@ -528,11 +571,11 @@ class FsdpUnit:
             runtime.begin_iteration()
         from_phase = self._move("pre_forward")
         if from_phase is IDLE:
-            # A first entry: the order and the validator see each unit
-            # once per iteration, in first-use order.
+            # A first entry: the order sees each unit once per
+            # iteration, in first-use order.
             runtime._exec_order.append(self.ref)
-            if self.handle is not None:
-                runtime.exec_validator.record_unshard(self.label)
+            if self.handle is not None and runtime._reference and sanitizer._ACTIVE:
+                runtime._check_order(self)
         self.entered_by = current_recompute()
         runtime.emit("pre_forward", self, from_phase=from_phase)
         # Scope everything the unit's forward does (kernels, nested
@@ -645,6 +688,11 @@ class FsdpUnit:
 def _live(refs: list[weakref.ref]) -> list:
     """The referents of ``refs`` that are still alive, in order."""
     return [obj for obj in (ref() for ref in refs) if obj is not None]
+
+
+def _sharded_labels(order: list[weakref.ref]) -> list[str]:
+    """The labels of the live units in ``order`` that have a handle."""
+    return [unit.label for unit in _live(order) if unit.handle is not None]
 
 
 def _flatten_tensors(output) -> list[Tensor]:

@@ -17,9 +17,10 @@ from typing import Optional
 
 from repro import distributed as dist
 from repro.distributed import ProcessGroup
+from repro.distributed.api import _current
 from repro.errors import ShardingError
 
-__all__ = ["ShardingStrategy", "ShardingPlan", "make_process_groups"]
+__all__ = ["ShardingStrategy", "ShardingPlan", "make_process_groups", "resolve_sharding_factor"]
 
 
 class ShardingStrategy(enum.Enum):
@@ -69,6 +70,23 @@ class ShardingPlan:
         return self.shard_group.world_size
 
 
+def resolve_sharding_factor(
+    strategy: ShardingStrategy, sharding_factor: Optional[int], world_size: int, *, gpus_per_host: int = 8
+) -> int:
+    """The shard-group size ``strategy`` resolves to in a world of
+    ``world_size``: FULL_SHARD / SHARD_GRAD_OP shard over the whole
+    world, NO_SHARD over one rank, hybrid strategies over
+    ``sharding_factor`` (default: one host), at most the world."""
+    if strategy is ShardingStrategy.NO_SHARD:
+        return 1
+    if strategy.is_hybrid:
+        factor = sharding_factor if sharding_factor is not None else gpus_per_host
+        if factor < 1:
+            raise ShardingError(f"sharding factor must be positive, got {factor}")
+        return min(factor, world_size)
+    return max(1, world_size)
+
+
 def make_process_groups(
     strategy: ShardingStrategy,
     process_group: Optional[ProcessGroup] = None,
@@ -90,15 +108,8 @@ def make_process_groups(
             raise ShardingError(
                 "pass sharding_factor, not process_group, for hybrid strategies"
             )
-        topology = None
-        if dist.is_initialized():
-            from repro.distributed.api import _current
-
-            topology = _current().topology
-        factor = sharding_factor
-        if factor is None:
-            factor = topology.host.gpus_per_host if topology is not None else 8
-        factor = min(factor, world)
+        gpus_per_host = _current().topology.host.gpus_per_host
+        factor = resolve_sharding_factor(strategy, sharding_factor, world, gpus_per_host=gpus_per_host)
         if world % factor:
             raise ShardingError(
                 f"world size {world} is not divisible by sharding factor {factor}"

@@ -189,38 +189,17 @@ class CommModel:
             copy += world * self.topology.gpu.kernel_launch_cpu
             return CommCost(base.launch, base.latency, base.transfer, copy)
 
-        if kind is CollectiveKind.ALL_GATHER_UNEVEN:
+        if kind in (CollectiveKind.ALL_GATHER_UNEVEN, CollectiveKind.REDUCE_SCATTER_UNEVEN):
             if shard_nbytes is None:
                 shard_nbytes = [nbytes // world] * world
             if len(shard_nbytes) != world:
                 raise ValueError("shard_nbytes must have one entry per rank")
-            # ProcessGroup mimics the all-gather with one broadcast per
-            # rank; each pays launch + full ring latency, and the
-            # bandwidth term is derated (no pipelining across calls).
-            # Size imbalance hurts further: the largest broadcast gates
-            # the sequence while other ranks idle.
-            launch = world * self.launch_overhead
-            latency = world * ring_latency
-            mean_shard = max(1.0, sum(shard_nbytes) / world)
-            imbalance = max(shard_nbytes) / mean_shard if shard_nbytes else 1.0
-            transfer = (
-                sum(shard_nbytes)
-                / bandwidth
-                * self.uneven_bandwidth_penalty
-                * (0.5 + 0.5 * imbalance)
-                * jitter
-            )
-            return CommCost(launch, latency, transfer)
-
-        if kind is CollectiveKind.REDUCE_SCATTER_UNEVEN:
-            if shard_nbytes is None:
-                shard_nbytes = [nbytes // world] * world
-            if len(shard_nbytes) != world:
-                raise ValueError("shard_nbytes must have one entry per rank")
-            # Mirrors the uneven all-gather fallback: one reduce per
-            # output chunk instead of a single pipelined ring, so every
-            # chunk pays launch + ring latency, bandwidth is derated and
-            # the largest chunk gates the sequence.
+            # ProcessGroup mimics the uneven collective with one
+            # broadcast (all-gather) or reduce (reduce-scatter) per rank;
+            # each pays launch + full ring latency, and the bandwidth
+            # term is derated (no pipelining across calls).  Size
+            # imbalance hurts further: the largest chunk gates the
+            # sequence while other ranks idle.
             launch = world * self.launch_overhead
             latency = world * ring_latency
             mean_shard = max(1.0, sum(shard_nbytes) / world)

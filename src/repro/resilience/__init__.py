@@ -5,9 +5,9 @@ characterizations in PAPERS.md) treat three capabilities as table
 stakes that plain watchdog-timeout recovery lacks:
 
 - :mod:`repro.resilience.abort` — **coordinated abort**.  One rank's
-  watchdog (or health-lease expiry) declaring a peer dead poisons the
-  whole communicator: in-flight collectives on every survivor wake
-  immediately and later collectives fail fast with
+  watchdog declaring a peer dead poisons the whole communicator:
+  in-flight collectives on every survivor wake immediately and later
+  collectives fail fast with
   :class:`repro.errors.RankFailureError` naming the dead rank(s),
   instead of each survivor serially burning one watchdog timeout per
   pending collective (NCCL communicator-abort semantics).

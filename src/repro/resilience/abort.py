@@ -3,15 +3,15 @@
 One :class:`CoordinatedAbort` is shared by every rank of a world and
 installed on each rank's device (the same pattern as the fault
 injector and flight recorder).  The first watchdog to declare a peer
-dead — or a health-lease expiry — poisons the whole communicator:
+dead poisons the whole communicator:
 
 - survivors blocked inside a rendezvous round are woken immediately
   through their registered condition variables (wall-clock fast) and
   raise :class:`repro.errors.RankFailureError` after charging their
   simulated clock only up to the declared detection point — roughly
   *one* watchdog interval for the whole group;
-- collectives issued *after* the declaration fail fast at launch via
-  :meth:`check`, with no additional simulated stall.
+- collectives issued *after* the declaration fail fast at launch
+  (``ProcessGroup._abort_check``), with no additional simulated stall.
 
 Without coordination (``enabled=False``) each survivor instead drains
 every pending collective to its own deadline — the serial
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-from repro.errors import RankFailureError
+from typing import Iterable
 
 __all__ = ["DEFAULT_HEALTH_PROBE_S", "CoordinatedAbort", "RankFailure"]
 
@@ -41,31 +39,23 @@ class RankFailure:
     rank: int
     sim_time: float
     detection_s: float
-    reason: str = "watchdog"
 
 
 class CoordinatedAbort:
-    """World-scoped abort latch plus optional health leases.
+    """World-scoped abort latch.
 
     ``declare`` is idempotent per rank and notifies every registered
     condition variable so blocked rendezvous waiters re-evaluate their
-    predicates immediately.  ``check`` raises for *any* declared
-    failure regardless of which group issues the collective — aborting
-    a communicator takes down every group that shares its ranks, which
-    is exactly NCCL's abort granularity.
-
-    Health leases are off by default (``lease_s=None``); when enabled,
-    ranks ``renew`` at iteration boundaries and ``expire_leases``
-    declares any rank whose lease lapsed.
+    predicates immediately.  Once poisoned, a collective of *any* group
+    fails at launch — aborting a communicator takes down every group
+    that shares its ranks, which is exactly NCCL's abort granularity.
     """
 
-    def __init__(self, *, enabled: bool = True, lease_s: Optional[float] = None):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        self.lease_s = lease_s
         self._lock = threading.Lock()
         self._failures: dict[int, RankFailure] = {}
         self._conditions: list[threading.Condition] = []
-        self._leases: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Declaration and inspection
@@ -76,7 +66,6 @@ class CoordinatedAbort:
         *,
         sim_time: float,
         detection_s: float = 0.0,
-        reason: str = "watchdog",
     ) -> None:
         if not self.enabled:
             return
@@ -86,10 +75,7 @@ class CoordinatedAbort:
             for rank in ranks:
                 if rank not in self._failures:
                     self._failures[rank] = RankFailure(
-                        rank=rank,
-                        sim_time=sim_time,
-                        detection_s=detection_s,
-                        reason=reason,
+                        rank=rank, sim_time=sim_time, detection_s=detection_s
                     )
             conditions = list(self._conditions)
         for cond in conditions:
@@ -103,10 +89,6 @@ class CoordinatedAbort:
     def failed_ranks(self) -> tuple[int, ...]:
         with self._lock:
             return tuple(sorted(self._failures))
-
-    def failures(self) -> tuple[RankFailure, ...]:
-        with self._lock:
-            return tuple(self._failures[r] for r in sorted(self._failures))
 
     def declared_time(self) -> float:
         """Latest simulated time at which a failure was declared."""
@@ -122,47 +104,6 @@ class CoordinatedAbort:
                 return 0.0
             return max(f.detection_s for f in self._failures.values())
 
-    def check(self, *, kind: str, ranks: tuple, rank: int) -> None:
-        """Fail fast if the communicator is poisoned."""
-        if not self.enabled or not self._failures:
-            return
-        error = RankFailureError(
-            kind=kind,
-            ranks=ranks,
-            rank=rank,
-            failed_ranks=self.failed_ranks(),
-            detection_s=self.detection_s(),
-        )
-        raise error
-
-    # ------------------------------------------------------------------
-    # Health leases
-    # ------------------------------------------------------------------
-    def renew(self, rank: int, now: float) -> None:
-        with self._lock:
-            self._leases[rank] = now
-
-    def expire_leases(self, now: float) -> tuple[int, ...]:
-        """Declare every rank whose lease lapsed; return the newly dead."""
-        if not self.enabled or self.lease_s is None:
-            return ()
-        with self._lock:
-            expired = tuple(
-                rank
-                for rank, renewed in self._leases.items()
-                if now - renewed > self.lease_s and rank not in self._failures
-            )
-        for rank in expired:
-            with self._lock:
-                renewed = self._leases.get(rank, 0.0)
-            self.declare(
-                rank,
-                sim_time=renewed + self.lease_s,
-                detection_s=self.lease_s,
-                reason="lease-expiry",
-            )
-        return expired
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -175,4 +116,3 @@ class CoordinatedAbort:
         """Clear declarations for a new world incarnation."""
         with self._lock:
             self._failures.clear()
-            self._leases.clear()

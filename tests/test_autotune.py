@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.autotune as at
+from repro.errors import ShardingError
 from repro.fsdp.deferred_init import deferred_init
 from repro.fsdp.runtime import BackwardPrefetch
 from repro.fsdp.sharding import ShardingStrategy
@@ -212,6 +213,8 @@ class TestMemoryEstimator:
         assert at.resolve_sharding_factor(S.NO_SHARD, None, 16) == 1
         assert at.resolve_sharding_factor(S.HYBRID_SHARD, None, 16, gpus_per_host=8) == 8
         assert at.resolve_sharding_factor(S.HYBRID_SHARD, 4, 16) == 4
+        with pytest.raises(ShardingError, match="must be positive"):
+            at.resolve_sharding_factor(S.HYBRID_SHARD, 0, 16)
 
     @pytest.mark.parametrize("wrap_index", [0, 1, 3])
     def test_peak_memory_within_25_percent(self, wrap_index):

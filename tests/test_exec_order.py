@@ -247,3 +247,32 @@ class TestExecOrderValidator:
                 assert sanitizer.active().violations == []
         finally:
             dist.shutdown()
+
+
+class TestExecOrderReset:
+    def test_reset_takes_the_next_iteration_as_the_reference(self):
+        """``reset_after_failure`` forgets the reference: the next
+        iteration may run another unit order without a report, and
+        becomes the order later iterations are checked against."""
+        from repro.cuda import sanitizer
+        from repro.errors import ExecOrderViolation
+
+        dist.shutdown()
+        ctx, model, wrapped = _wrap_skippy()
+        try:
+            with sanitizer.enabled() as active:
+                _step(ctx, wrapped)  # a, b, c: the reference once the
+                _step(ctx, wrapped)  # next iteration begins
+                wrapped._fsdp_unit.runtime.reset_after_failure()
+                model.skip_b = True
+                _step(ctx, wrapped)  # a, c: the new reference
+                _step(ctx, wrapped)
+                assert active.violations == []
+                model.skip_b = False
+                with pytest.raises(ExecOrderViolation) as exc:
+                    _step(ctx, wrapped)
+            assert (exc.value.expected, exc.value.actual, exc.value.position) == (
+                "Skippy.c", "Skippy.b", 1,
+            )  # fmt: skip
+        finally:
+            dist.shutdown()

@@ -87,31 +87,13 @@ class TestCoordinatedAbortLatch:
         assert abort.failed_ranks() == (0, 2)
         assert abort.declared_time() == 2.0
         assert abort.detection_s() == 0.5
-        with pytest.raises(RankFailureError) as exc_info:
-            abort.check(kind="all_reduce", ranks=(0, 1, 2, 3), rank=1)
-        assert exc_info.value.failed_ranks == (0, 2)
         abort.reset()
         assert not abort.poisoned
-        abort.check(kind="all_reduce", ranks=(0, 1, 2, 3), rank=1)
 
     def test_disabled_latch_never_declares(self):
         abort = CoordinatedAbort(enabled=False)
         abort.declare(1, sim_time=1.0, detection_s=1.0)
         assert not abort.poisoned
-        abort.check(kind="all_reduce", ranks=(0, 1), rank=0)
-
-    def test_lease_expiry_declares_with_lease_timing(self):
-        abort = CoordinatedAbort(lease_s=1.0)
-        abort.renew(0, 0.0)
-        abort.renew(1, 0.0)
-        assert abort.expire_leases(0.9) == ()
-        abort.renew(0, 1.0)
-        assert abort.expire_leases(1.5) == (1,)
-        assert abort.failed_ranks() == (1,)
-        (failure,) = abort.failures()
-        assert failure.reason == "lease-expiry"
-        assert failure.sim_time == 1.0  # renewed at 0, lease 1.0
-        assert failure.detection_s == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,29 @@ rule that stops matching anything fails too).
   and no function ``trace_device`` / ``overlap_fraction`` is defined
   in ``repro``, in code or as a definition line in a string or a
   comment.
+- One collective front-end and one launch: the two backend modules
+  (``distributed/symmetric.py``, ``threaded.py``) define none of the
+  eight tensor collectives (a class body may only alias
+  ``ProcessGroup.<the same name>``) and no ``_run``, and neither call
+  nor define a launch step of ``ProcessGroup._launch_collective``
+  (``_consult_faults``, ``_record_issue``, ``_enqueue``) nor call
+  ``.declare``; no ``collective_start`` is left in ``repro`` (the
+  ``mark_hook`` slot is one of the observation seam's hook slots).
+- Observers pay O(1) per event: the allocator's
+  ``reserved_bytes_by_stream`` / ``pool_bytes_by_stream`` name no
+  ``_segments`` or ``block`` and call no ``sum``; the memory timeline's
+  ``on_alloc`` builds no ``MemorySample`` and calls no ``*_by_stream``;
+  ``perf/timeline.py`` calls no ``json.dump``; the sanitizer names no
+  ``WeakKeyDictionary``.
+- Worlds end with their spawn: ``repro.{fsdp,distributed,perf}`` call
+  no ``gc.collect``.
+- Execution order is recorded once: no ``ExecOrderValidator`` or
+  ``exec_validator`` is left in ``repro``; ``FsdpRuntime`` checks its
+  own order.
+
+The last four rules match what the grep each replaced matched: a call
+spelled ``callee(``, a definition ``def name(``, an identifier, a
+string or a comment.
 """
 
 import ast
@@ -405,6 +428,37 @@ DISPATCH_MODULES = (
     "hw/kernel_model.py", "ops/*.py", "cuda/*.py", "nn/*.py", "models/*.py",
 )  # fmt: skip
 
+#: The backend modules, each only an arrival: ``ProcessGroup`` defines
+#: the eight tensor collectives and runs every launch once.
+BACKENDS = ("symmetric.py", "threaded.py")
+COLLECTIVES = {
+    "all_gather", "all_gather_into_tensor", "all_gather_into_tensor_coalesced", "reduce_scatter",
+    "reduce_scatter_tensor", "reduce_scatter_tensor_coalesced", "all_reduce", "broadcast",
+}  # fmt: skip
+#: A second collective or launch path in a backend: a collective or a
+#: ``_run`` defined, a launch step called or defined, a declaration
+#: into the abort latch.
+SECOND_LAUNCH = re.compile(
+    r"def (all_gather(_into_tensor(_coalesced)?)?|reduce_scatter(_tensor(_coalesced)?)?"
+    r"|all_reduce|broadcast|_run)\(|_consult_faults\(|_record_issue\(|_enqueue\(|\.declare\("
+)
+#: The mechanisms one front-end and one recorded order replaced.
+RETIRED_MECHANISMS = re.compile("collective_start|ExecOrderValidator|exec_validator")
+#: Observer paths that pay O(1) per event: per file, the functions (all
+#: of the file when None) and what they must not spell.
+PER_EVENT = {
+    "cuda/allocator.py": (
+        {"reserved_bytes_by_stream", "pool_bytes_by_stream"}, re.compile(r"_segments|block|sum\("),
+    ),
+    "profiler/memory.py": ({"on_alloc"}, re.compile(r"MemorySample\(|_by_stream\(")),
+    "perf/timeline.py": (None, re.compile(r"json\.dump\(")),
+    "cuda/sanitizer.py": (None, re.compile("WeakKeyDictionary")),
+}  # fmt: skip
+#: The packages whose worlds must die by reference count, and the call
+#: that would lean on the cycle collector instead.
+LIFETIME_PACKAGES = ("fsdp", "distributed", "perf")
+COLLECTION = re.compile(r"gc\.collect\(")
+
 
 def _owners(tree: ast.AST) -> dict:
     """Node -> the qualified name of its innermost enclosing function."""
@@ -561,6 +615,81 @@ def function_imports(path: str, source: str) -> list[str]:
         for node in ast.walk(func)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
+
+
+def _spelled(node: ast.AST) -> list[str]:
+    """A node as a grep would see it: a call as ``callee(``, a
+    definition as ``def name(``, a string as its text, and otherwise
+    the identifiers it spells."""
+    if isinstance(node, ast.Call):
+        return [ast.unparse(node.func) + "("]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [f"def {node.name}("]
+    if isinstance(node, ast.Constant):
+        return [_text(node)] if isinstance(_text(node), str) else []
+    return _identifiers(node)
+
+
+def _spells(path: str, source: str, pattern: re.Pattern, within=None) -> list[str]:
+    """Every node and comment ``pattern`` matches as :func:`_spelled`
+    shows it; with ``within``, only inside the bodies of the functions
+    of those names."""
+    tree = ast.parse(source)
+    roots = [func for _, func in _functions(tree) if func.name in within] if within else [tree]
+    spans = [range(root.lineno + 1, root.end_lineno + 1) for root in roots if within]
+    found = [
+        (node.lineno, text)
+        for root in roots
+        for node in ast.walk(root)
+        if node is not root or not within
+        for text in _spelled(node)
+        if pattern.search(text)
+    ]
+    found += [
+        (token.start[0], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT and pattern.search(token.string)
+        if not within or any(token.start[0] in span for span in spans)
+    ]
+    return [f"{path}:{line}: spells {text.strip()}" for line, text in sorted(found)]
+
+
+def second_launch_path(path: str, source: str) -> list[str]:
+    """:data:`SECOND_LAUNCH` spelled, and class-body bindings of a
+    :data:`COLLECTIVES` name to anything but ``ProcessGroup.<the same
+    name>``."""
+    found = _spells(path, source, SECOND_LAUNCH)
+    for node in ast.walk(ast.parse(source)):
+        for stmt in node.body if isinstance(node, ast.ClassDef) else []:
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else []:
+                name = getattr(target, "id", "")
+                if name in COLLECTIVES and ast.unparse(stmt.value) != f"ProcessGroup.{name}":
+                    found.append(f"{path}:{stmt.lineno}: {node.name} binds {name}")
+    return found
+
+
+def retired_mechanisms(path: str, source: str) -> list[str]:
+    """:data:`RETIRED_MECHANISMS` spelled; a source whose text never
+    matches has no identifier, string or comment that does, and is
+    skipped unparsed (most files)."""
+    if not RETIRED_MECHANISMS.search(source):
+        return []
+    return _spells(path, source, RETIRED_MECHANISMS)
+
+
+def per_event_walks(path: str, source: str) -> list[str]:
+    """What :data:`PER_EVENT` forbids the file (by its last two path
+    parts), spelled."""
+    within, pattern = PER_EVENT["/".join(Path(path).parts[-2:])]
+    return _spells(path, source, pattern, within)
+
+
+def collections(path: str, source: str) -> list[str]:
+    """:data:`COLLECTION` spelled (the same skip: a call of ``collect``
+    spells the word)."""
+    if not re.search(r"\bcollect\b", source):
+        return []
+    return _spells(path, source, COLLECTION)
 
 
 def _tree_violations(rule, paths) -> list[str]:
@@ -931,6 +1060,26 @@ def test_op_dispatch_imports_nothing_per_call():
     assert _tree_violations(function_imports, paths) == []
 
 
+def test_one_collective_front_end_and_one_launch():
+    paths = [SRC / "distributed" / name for name in BACKENDS]
+    assert _tree_violations(second_launch_path, paths) == []
+    assert _tree_violations(retired_mechanisms, sorted(SRC.rglob("*.py"))) == []
+
+
+def test_observers_pay_constant_time_per_event():
+    for name, (within, _) in PER_EVENT.items():
+        source = (SRC / name).read_text()
+        assert per_event_walks(str(SRC / name), source) == []
+        defined = {func.name for _, func in _functions(ast.parse(source))}
+        assert within is None or within <= defined, name
+
+
+def test_worlds_lean_on_no_collection():
+    paths = [path for package in LIFETIME_PACKAGES for path in sorted((SRC / package).rglob("*.py"))]
+    assert len(paths) > 20
+    assert _tree_violations(collections, paths) == []
+
+
 _SECOND_STATE_WRITER = '''
 class FsdpUnit:
     def _move(self, point):
@@ -1124,3 +1273,89 @@ def test_negative_control_a_second_span_recorder_is_caught():
         "defines class Tracer",
         "says def trace_device(",
     ])
+
+
+_SECOND_LAUNCH_PATH = '''
+class ThreadedProcessGroup(ProcessGroup):
+    all_gather = ProcessGroup.all_gather
+    broadcast = ProcessGroup.all_reduce
+
+    def all_reduce(self, tensor, op="sum"):
+        self._consult_faults(CollectiveKind.ALL_REDUCE)
+        self.device.abort.declare(self.rank, sim_time=0.0)
+        return self._run(tensor)
+
+    def all_reduce_scalar(self, value):
+        return value
+
+    def _run(self, tensor):  # after _record_issue(work)
+        self.stream._enqueue(tensor)
+
+
+def collective_start(kind):
+    """Replaces exec_validator.start_iteration."""
+'''
+
+
+def test_negative_control_a_second_launch_path_is_caught():
+    assert [v.split(": ", 1)[1] for v in second_launch_path("threaded.py", _SECOND_LAUNCH_PATH)] == [
+        "spells def all_reduce(",
+        "spells self._consult_faults(",
+        "spells self.device.abort.declare(",
+        "spells # after _record_issue(work)",
+        "spells def _run(",
+        "spells self.stream._enqueue(",
+        "ThreadedProcessGroup binds broadcast",
+    ]
+    assert [v.split(": ", 1)[1] for v in retired_mechanisms("api.py", _SECOND_LAUNCH_PATH)] == [
+        "spells def collective_start(",
+        "spells Replaces exec_validator.start_iteration.",
+    ]
+
+
+_PER_EVENT_WALK = '''
+import gc
+import json
+from weakref import WeakKeyDictionary
+
+
+class CachingAllocator:
+    def reserved_bytes_by_stream(self):
+        """Totals kept at cudaMalloc and segment release."""
+        return {key: sum(seg.size for seg in self._segments) for key in self._pools}
+
+    def pool_bytes_by_stream(self):
+        # one entry per pooled block
+        return dict(self._pool_bytes)
+
+    def on_alloc(self, allocator):
+        self.samples.append(MemorySample(allocator.reserved_bytes_by_stream()))
+
+    def stats(self):
+        gc.collect()
+        return json.dump(sum(block.size for block in self._segments), WeakKeyDictionary())
+'''
+
+
+def test_negative_control_a_per_event_walk_and_a_collection_are_caught():
+    def walks(name):
+        return [v.split(": ", 1)[1] for v in per_event_walks(name, _PER_EVENT_WALK)]
+
+    assert walks("src/cuda/allocator.py") == [
+        "spells _segments",
+        "spells sum(",
+        "spells # one entry per pooled block",
+    ]
+    assert walks("profiler/memory.py") == [
+        "spells MemorySample(",
+        "spells allocator.reserved_bytes_by_stream(",
+    ]
+    assert walks("perf/timeline.py") == ["spells json.dump("]
+    assert walks("cuda/sanitizer.py") == [
+        "spells WeakKeyDictionary",
+        "spells WeakKeyDictionary",
+        "spells WeakKeyDictionary(",
+    ]
+    assert [v.split(": ", 1)[1] for v in collections("api.py", _PER_EVENT_WALK)] == [
+        "spells gc.collect(",
+    ]

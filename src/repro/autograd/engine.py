@@ -103,37 +103,31 @@ def run_backward(
 
 
 def _execute(roots: list[tuple[Edge, "Tensor"]], retain_graph: bool) -> None:
+    # Delivery and the dependency count are written out at each site, not
+    # called: they run once per graph edge.  Each delivery drops its
+    # temporaries (``target``, ``inputs``, ``slot``) before the next one,
+    # as a helper's frame would: a local still holding a gradient or a
+    # node would move when its memory is freed.
     deps = _count_dependencies([edge.node for edge, _ in roots])
     buffers: dict[object, list] = {}
     ready: deque = deque()
     pending_ready: set[int] = set()
 
-    def deliver(edge: Edge, grad) -> None:
-        node = edge.node
-        buffer = buffers.get(node)
-        if buffer is None:
-            buffer = [None] * node.num_outputs
-            buffers[node] = buffer
-        if grad is not None:
-            slot = buffer[edge.input_nr]
-            if slot is None:
-                buffer[edge.input_nr] = grad
-            else:
-                with no_grad():
-                    buffer[edge.input_nr] = slot + grad
-
-    def decrement(node) -> None:
-        remaining = deps.get(node, 0) - 1
-        deps[node] = remaining
-        if remaining <= 0 and id(node) not in pending_ready:
-            pending_ready.add(id(node))
-            ready.append(node)
-
     for edge, seed in roots:
-        deliver(edge, seed)
-        if deps.get(edge.node, 0) == 0 and id(edge.node) not in pending_ready:
-            pending_ready.add(id(edge.node))
-            ready.append(edge.node)
+        target = edge.node
+        inputs = buffers.get(target)
+        if inputs is None:
+            inputs = buffers[target] = [None] * target.num_outputs
+        slot = inputs[edge.input_nr]
+        if slot is None:
+            inputs[edge.input_nr] = seed
+        else:
+            with no_grad():
+                inputs[edge.input_nr] = slot + seed
+        if deps.get(target, 0) == 0 and id(target) not in pending_ready:
+            pending_ready.add(id(target))
+            ready.append(target)
+        target = inputs = slot = None
 
     while ready:
         node = ready.popleft()
@@ -159,47 +153,65 @@ def _execute(roots: list[tuple[Edge, "Tensor"]], retain_graph: bool) -> None:
             # signal without executing backward.
             for edge in node.next_edges:
                 if edge is not None:
-                    decrement(edge.node)
-            if not retain_graph:
-                node.ctx.release()
-            continue
-
-        output_hooks = node.output_hooks
-        if output_hooks is None:
-            # Drop the previous node's last gradient here, as the hook
-            # loop's rebinding does: it must be freed before this
-            # backward allocates (free order shapes the memory digests).
-            grad = None
+                    target = edge.node
+                    remaining = deps[target] = deps.get(target, 0) - 1
+                    if remaining <= 0 and id(target) not in pending_ready:
+                        pending_ready.add(id(target))
+                        ready.append(target)
+                    target = None
         else:
-            for i, hooks in enumerate(output_hooks):
-                grad = buffer[i]
-                if grad is None or not hooks:
-                    continue
-                for hook in list(hooks.values()):
-                    replacement = hook(grad)
-                    if replacement is not None:
-                        grad = replacement
-                buffer[i] = grad
+            output_hooks = node.output_hooks
+            if output_hooks is None:
+                # Drop the previous node's last gradient here, as the hook
+                # loop's rebinding does: it must be freed before this
+                # backward allocates (free order shapes the memory digests).
+                grad = None
+            else:
+                for i, hooks in enumerate(output_hooks):
+                    grad = buffer[i]
+                    if grad is None or not hooks:
+                        continue
+                    for hook in list(hooks.values()):
+                        replacement = hook(grad)
+                        if replacement is not None:
+                            grad = replacement
+                    buffer[i] = grad
 
-        if sanitizer._ACTIVE is not None:
-            # Attribute kernels launched by this node to its backward,
-            # so violations name the node instead of a bare "kernel".
-            with sanitizer.launch_site(f"backward:{node.name}"):
+            if sanitizer._ACTIVE is not None:
+                # Attribute kernels launched by this node to its backward,
+                # so violations name the node instead of a bare "kernel".
+                with sanitizer.launch_site(f"backward:{node.name}"):
+                    grads = node.run_backward(buffer)
+            else:
                 grads = node.run_backward(buffer)
-        else:
-            grads = node.run_backward(buffer)
-        if len(grads) != len(node.next_edges):
-            raise RuntimeError(
-                f"{node.name}.backward returned {len(grads)} gradients for "
-                f"{len(node.next_edges)} inputs"
-            )
-        for grad, edge in zip(grads, node.next_edges):
-            if edge is None:
-                continue
-            deliver(edge, grad)
-            decrement(edge.node)
+            if len(grads) != len(node.next_edges):
+                raise RuntimeError(
+                    f"{node.name}.backward returned {len(grads)} gradients for "
+                    f"{len(node.next_edges)} inputs"
+                )
+            for grad, edge in zip(grads, node.next_edges):
+                if edge is None:
+                    continue
+                target = edge.node
+                if grad is not None:
+                    inputs = buffers.get(target)
+                    if inputs is None:
+                        inputs = buffers[target] = [None] * target.num_outputs
+                    slot = inputs[edge.input_nr]
+                    if slot is None:
+                        inputs[edge.input_nr] = grad
+                    else:
+                        with no_grad():
+                            inputs[edge.input_nr] = slot + grad
+                    inputs = slot = None
+                remaining = deps[target] = deps.get(target, 0) - 1
+                if remaining <= 0 and id(target) not in pending_ready:
+                    pending_ready.add(id(target))
+                    ready.append(target)
+                target = None
         if not retain_graph:
-            node.ctx.release()
+            # Drop the saved tensors and arrays so their memory can be freed.
+            node.ctx.saved_tensors = node.ctx.saved_arrays = ()
 
 
 def grad(

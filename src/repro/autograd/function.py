@@ -18,14 +18,15 @@ does on unit outputs) still fire.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.autograd.grad_mode import _state, is_grad_enabled, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tensor import Tensor
 
-__all__ = ["Context", "Function", "Node", "AccumulateGrad", "Edge", "RemovableHandle"]
+__all__ = ["Context", "Function", "Node", "AccumulateGrad", "Edge", "new_edge", "RemovableHandle"]
 
 # The Tensor class, bound by ``repro.tensor`` once it exists (that
 # module imports this one, so this one cannot import it).
@@ -70,20 +71,21 @@ class Context:
             array.flags.writeable = False
         self.saved_arrays = arrays
 
-    def release(self) -> None:
-        """Drop saved tensors and arrays so their memory can be freed."""
-        self.saved_tensors = ()
-        self.saved_arrays = ()
+
+class Edge(NamedTuple):
+    """Backward-graph edge: deliver grad to ``node`` input slot ``input_nr``.
+
+    A tuple, so :data:`new_edge` builds one in a C call: every recorded
+    op builds one per input that requires grad.
+    """
+
+    node: Any
+    input_nr: int
 
 
-class Edge:
-    """Backward-graph edge: deliver grad to ``node`` input slot ``input_nr``."""
-
-    __slots__ = ("node", "input_nr")
-
-    def __init__(self, node: "Node", input_nr: int):
-        self.node = node
-        self.input_nr = input_nr
+#: ``new_edge((node, input_nr))``: an :class:`Edge` built by one C call,
+#: as ``Edge._make`` builds it (the keyword constructor is a frame).
+new_edge = partial(tuple.__new__, Edge)
 
 
 class Node:
@@ -187,32 +189,31 @@ class Function:
     @classmethod
     def apply(cls, *args, **kwargs):
         ctx = Context()
-        # Inlined no_grad(): apply() runs once per op dispatch, and the
-        # context-manager protocol is measurable there.
-        previous = _state.enabled
+        if not _state.enabled:
+            # Grad mode is off, so no node is recorded: the forward is a
+            # plain call, and what it saved dies with ``ctx`` on return.
+            return cls.forward(ctx, *args, **kwargs)
+        # Which inputs want a gradient, and their graph edges (only a
+        # recorded node reads them).
+        Tensor = _Tensor
         needs_grad = False
-        if previous:
-            # Which inputs want a gradient, and their graph edges.  Only
-            # a recorded node reads them, so under no_grad nothing is
-            # computed.
-            Tensor = _Tensor
-            flags = []
-            next_edges: list[Optional[Edge]] = []
-            for a in args:
-                if isinstance(a, Tensor) and a.requires_grad and a.dtype.is_floating:
-                    flags.append(True)
-                    next_edges.append(a._grad_edge())
-                    needs_grad = True
-                else:
-                    flags.append(False)
-                    next_edges.append(None)
-            ctx.needs_input_grad = tuple(flags)
+        flags = []
+        next_edges: list[Optional[Edge]] = []
+        for a in args:
+            if isinstance(a, Tensor) and a.requires_grad and a.dtype.is_floating:
+                flags.append(True)
+                next_edges.append(a._grad_edge())
+                needs_grad = True
+            else:
+                flags.append(False)
+                next_edges.append(None)
+        ctx.needs_input_grad = tuple(flags)
+        # Inlined no_grad(): the forward records nothing itself.
         _state.enabled = False
         try:
             outputs = cls.forward(ctx, *args, **kwargs)
         finally:
-            _state.enabled = previous
-
+            _state.enabled = True
         if needs_grad:
             output_tuple = outputs if isinstance(outputs, tuple) else (outputs,)
             node = Node(cls, ctx, next_edges, len(output_tuple))
@@ -222,6 +223,4 @@ class Function:
                 out._output_nr = i
                 if out._hooks is not None:
                     node.watch_output(i, out._hooks)
-        elif ctx.saved_tensors:
-            ctx.release()
         return outputs

@@ -58,12 +58,8 @@ _ARRIVAL_BITS = 40
 _CUDA_MALLOC_CALL_COST = 50e-6
 _CUDA_MALLOC_MAPPING_BYTES_PER_S = 30e9
 _CUDA_FREE_PER_SEGMENT_COST = 300e-6
-
-
-def _round_size(nbytes: int) -> int:
-    if nbytes <= 0:
-        return _ALLOC_ROUND
-    return (nbytes + _ALLOC_ROUND - 1) // _ALLOC_ROUND * _ALLOC_ROUND
+#: The retire horizon of an empty pending set.
+_NEVER = float("inf")
 
 
 @dataclass
@@ -186,6 +182,13 @@ class CachingAllocator:
         # the stats refresh O(pending) instead of O(all cached blocks),
         # and skips it while nothing is pending.
         self._pending_reuse: dict[int, Block] = {}
+        # Their byte total, and a time no later than the soonest of
+        # their ``reuse_ready_time``s (the retire horizon; infinite while
+        # nothing is pending): until the CPU clock reaches it no pending
+        # block has retired, so ``active`` is ``allocated +
+        # _pending_bytes`` and nothing walks the set.
+        self._pending_bytes = 0
+        self._pending_horizon = _NEVER
         # Live segments by id (registered at cudaMalloc, dropped at
         # release), and their bytes per allocation stream, kept current
         # at the same two points (a stream leaves when its last segment
@@ -231,7 +234,8 @@ class CachingAllocator:
         Runs once per tensor, so the pool search, the split and the
         ``active`` refresh are written out here, not called.
         """
-        size = _round_size(nbytes)
+        # Whole allocation granules, at least one.
+        size = max(-(-nbytes // _ALLOC_ROUND), 1) * _ALLOC_ROUND
         stats = self.stats
         retried = False
         while True:
@@ -251,8 +255,8 @@ class CachingAllocator:
                         del pool[index]
                         del keys[index]
                         pool.free_bytes -= block.size
-                        if block.reuse_ready_time > 0.0:
-                            self._pending_reuse.pop(id(block), None)
+                        if self._pending_reuse.pop(id(block), None) is not None:
+                            self._pending_bytes -= block.size
                         stats.num_block_reuses += 1
                         break
                     # Otherwise a cross-stream use has not retired yet;
@@ -294,12 +298,12 @@ class CachingAllocator:
         stats.allocated_bytes += nbytes
         if stats.allocated_bytes > stats.allocated_peak:
             stats.allocated_peak = stats.allocated_bytes
-        if self._pending_reuse:
+        if self.device._cpu_time >= self._pending_horizon:
             self._refresh_active()
         else:
-            stats.active_bytes = stats.allocated_bytes
-            if stats.active_bytes > stats.active_peak:
-                stats.active_peak = stats.active_bytes
+            active = stats.active_bytes = stats.allocated_bytes + self._pending_bytes
+            if active > stats.active_peak:
+                stats.active_peak = active
         san = sanitizer._ACTIVE
         if san is not None:
             san.on_block_alloc(self.device, stream, block)
@@ -330,8 +334,8 @@ class CachingAllocator:
             del pool[index]
             del keys[index]
             pool.free_bytes -= neighbor.size
-            if neighbor.reuse_ready_time > 0.0:
-                pending_reuse.pop(id(neighbor), None)
+            if pending_reuse.pop(id(neighbor), None) is not None:
+                self._pending_bytes -= neighbor.size
             neighbor.next = block.next
             if block.next is not None:
                 block.next.prev = neighbor
@@ -345,8 +349,8 @@ class CachingAllocator:
             del pool[index]
             del keys[index]
             pool.free_bytes -= neighbor.size
-            if neighbor.reuse_ready_time > 0.0:
-                pending_reuse.pop(id(neighbor), None)
+            if pending_reuse.pop(id(neighbor), None) is not None:
+                self._pending_bytes -= neighbor.size
             block.next = neighbor.next
             if neighbor.next is not None:
                 neighbor.next.prev = block
@@ -361,11 +365,17 @@ class CachingAllocator:
         pool.free_bytes += block.size
         if block.reuse_ready_time > self.device._cpu_time:
             pending_reuse[id(block)] = block
-        if pending_reuse:
+            self._pending_bytes += block.size
+            if block.reuse_ready_time < self._pending_horizon:
+                self._pending_horizon = block.reuse_ready_time
+        if self.device._cpu_time >= self._pending_horizon:
             self._refresh_active()
         else:
-            # A free cannot raise the peak.
-            stats.active_bytes = stats.allocated_bytes
+            # The block may join the pending set merged with retired
+            # neighbours, so a free can raise the peak.
+            active = stats.active_bytes = stats.allocated_bytes + self._pending_bytes
+            if active > stats.active_peak:
+                stats.active_peak = active
         if self.device._on_alloc:
             self._sample("free")
 
@@ -374,7 +384,8 @@ class CachingAllocator:
 
         Uses from the block's own allocation stream are ordered by the
         stream and do not delay reuse; uses from other streams do
-        (``record_stream`` semantics).
+        (``record_stream`` semantics).  ``Device.launch`` applies this
+        rule inline to every kernel's reads and writes.
         """
         if stream.stream_id != block.segment.stream_id and end_time > block.reuse_ready_time:
             block.reuse_ready_time = end_time
@@ -492,7 +503,8 @@ class CachingAllocator:
                     else:
                         del by_stream[stream_id]
                     pool.free_bytes -= block.size
-                    self._pending_reuse.pop(id(block), None)
+                    if self._pending_reuse.pop(id(block), None) is not None:
+                        self._pending_bytes -= block.size
                     released += 1
                 else:
                     kept.append(block)
@@ -509,24 +521,27 @@ class CachingAllocator:
 
     def _refresh_active(self) -> None:
         """``active = allocated + pooled-but-unretired bytes``, and its
-        peak.  O(pending): a handful of blocks in steady state."""
+        peak.  O(1) before the retire horizon; at it, one walk of the
+        pending set (a handful of blocks in steady state) drops the
+        retired blocks and sets the next horizon."""
         stats = self.stats
-        pending_reuse = self._pending_reuse
-        active = stats.allocated_bytes
-        if pending_reuse:
-            now = self.device._cpu_time
-            retired = None
+        now = self.device._cpu_time
+        if now >= self._pending_horizon:
+            pending_reuse = self._pending_reuse
+            retired = []
+            pending_bytes = 0
+            horizon = _NEVER
             for key, block in pending_reuse.items():
-                if block.allocated or block.reuse_ready_time <= now:
-                    if retired is None:
-                        retired = [key]
-                    else:
-                        retired.append(key)
+                if block.reuse_ready_time <= now:
+                    retired.append(key)
                 else:
-                    active += block.size
-            if retired is not None:
-                for key in retired:
-                    del pending_reuse[key]
-        stats.active_bytes = active
+                    pending_bytes += block.size
+                    if block.reuse_ready_time < horizon:
+                        horizon = block.reuse_ready_time
+            for key in retired:
+                del pending_reuse[key]
+            self._pending_bytes = pending_bytes
+            self._pending_horizon = horizon
+        active = stats.active_bytes = stats.allocated_bytes + self._pending_bytes
         if active > stats.active_peak:
             stats.active_peak = active

@@ -19,7 +19,7 @@ from repro.cuda import sanitizer
 from repro.cuda.allocator import CachingAllocator
 from repro.cuda.stream import Event, Stream
 from repro.errors import DeviceError
-from repro.hw.kernel_model import KernelCost, KernelCostModel
+from repro.hw.kernel_model import KernelCost, KernelCostModel, kernel_cost
 from repro.hw.specs import A100_80GB, GpuSpec
 
 __all__ = ["Device", "cpu_device", "meta_device"]
@@ -99,7 +99,7 @@ class _CoalesceGuard:
             if not (flops or bytes_moved or reads or writes):
                 continue
             device.launch(
-                KernelCost(flops=flops, bytes_moved=bytes_moved),
+                kernel_cost((flops, bytes_moved, False)),
                 dtype,
                 stream=stream,
                 reads=tuple(reads.values()),
@@ -330,24 +330,31 @@ class Device:
                 entry[5][id(storage)] = storage
             return self._cpu_time, self._cpu_time
         # Hottest function in the simulator: inline consume_cpu (the
-        # overhead is a positive constant) and touch attributes once.
+        # overhead is a positive constant), the duration memo's hit and
+        # the allocator's ``record_use`` rule, and touch attributes once.
         self._cpu_time += self.spec.kernel_launch_cpu
-        duration = kernel_model.duration(cost, dtype)
+        duration = kernel_model._duration_cache.get((cost, dtype.name))
+        if duration is None:
+            duration = kernel_model.duration(cost, dtype)
         self.flops_total += cost.flops
         self.kernels_launched += 1
         for on_launch in self._on_launch:
             on_launch(cost, dtype)
         start, end = stream.enqueue(duration, label=label)
         if reads or writes:
-            allocator = self.allocator
-            for storage in reads:
-                block = storage.block
-                if block is not None and storage.device is self:
-                    allocator.record_use(block, stream, end)
-            for storage in writes:
-                block = storage.block
-                if block is not None and storage.device is self:
-                    allocator.record_use(block, stream, end)
+            # ``CachingAllocator.record_use``: a use from another stream
+            # than the block's own delays its reuse until ``end``.
+            stream_id = stream.stream_id
+            for storages in (reads, writes):
+                for storage in storages:
+                    block = storage.block
+                    if (
+                        block is not None
+                        and storage.device is self
+                        and block.segment.stream_id != stream_id
+                        and end > block.reuse_ready_time
+                    ):
+                        block.reuse_ready_time = end
             san = sanitizer._ACTIVE
             if san is not None:
                 san.on_access(self, stream, reads=reads, writes=writes)

@@ -15,12 +15,13 @@ ratios and scaling shapes rather than kernel-exact times.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from repro import dtypes
 from repro.hw.specs import GpuSpec
 
-__all__ = ["KernelCostModel", "KernelCost", "PCIE_BANDWIDTH"]
+__all__ = ["KernelCostModel", "KernelCost", "kernel_cost", "PCIE_BANDWIDTH"]
 
 #: Host<->device link bandwidth in bytes/s (PCIe): CPU-offload staging,
 #: offloaded gradient shards and checkpoint snapshots cross it.
@@ -49,6 +50,13 @@ class KernelCost(NamedTuple):
         """A host<->device copy of ``nbytes``: its traffic is scaled so
         that the roofline yields ``nbytes / PCIE_BANDWIDTH``."""
         return cls(bytes_moved=nbytes * (gpu.mem_bandwidth / PCIE_BANDWIDTH))
+
+
+#: ``kernel_cost((flops, bytes_moved, is_matmul))``: a :class:`KernelCost`
+#: built by one C call, as ``KernelCost._make`` builds it.  The keyword
+#: constructor runs a Python frame, and every kernel an op launches
+#: declares a cost, so the ops build theirs here.
+kernel_cost = partial(tuple.__new__, KernelCost)
 
 
 class KernelCostModel:

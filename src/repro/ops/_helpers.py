@@ -16,30 +16,21 @@ nothing else can see it, and copies it otherwise.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro import dtypes
 from repro.cuda.device import Device, cpu_device
-from repro.hw.kernel_model import KernelCost
+from repro.hw.kernel_model import KernelCost, kernel_cost
 from repro.storage import Storage
 from repro.tensor import Tensor
 
-__all__ = ["make_result", "elementwise_cost", "resolve_device", "sum_to_shape", "KernelCost"]
+__all__ = ["make_result", "elementwise_cost", "sum_to_shape", "KernelCost", "kernel_cost"]
 
-
-def resolve_device(inputs: Sequence[Tensor]) -> Device:
-    """The common device of ``inputs`` (scalars ride along)."""
-    device = None
-    for t in inputs:
-        d = t._storage.device
-        if d.is_sim_gpu or d.is_meta:
-            if device is not None and device is not d and t.numel > 1:
-                raise RuntimeError(f"tensors on different devices: {device} vs {d}")
-            if device is None or not device.is_sim_gpu:
-                device = d
-    return device or (inputs[0]._storage.device if inputs else cpu_device())
+#: A tensor's storage, read by a C call (``map`` over an op's inputs).
+_storage_of = attrgetter("_storage")
 
 
 def elementwise_cost(*tensors: Tensor, flops_per_element: float = 1.0) -> KernelCost:
@@ -50,7 +41,7 @@ def elementwise_cost(*tensors: Tensor, flops_per_element: float = 1.0) -> Kernel
         nbytes += t.nbytes
         if t.numel > numel:
             numel = t.numel
-    return KernelCost(flops=numel * flops_per_element, bytes_moved=nbytes)
+    return kernel_cost((numel * flops_per_element, nbytes, False))
 
 
 def make_result(
@@ -63,9 +54,23 @@ def make_result(
     device: Optional[Device] = None,
     stream=None,
 ) -> Tensor:
-    """Allocate, cost and (when possible) compute an op's output."""
+    """Allocate, cost and (when possible) compute an op's output.
+
+    Runs once per op, so the device rule and the read set are written
+    out here (a loop and C calls, no helper frames).
+    """
     if device is None:
-        device = resolve_device(inputs)
+        # The inputs' common device: a simulated GPU over a meta device
+        # over the first input's; scalars ride along on any device.
+        for t in inputs:
+            d = t._storage.device
+            if d.is_sim_gpu or d.is_meta:
+                if device is not None and device is not d and t.numel > 1:
+                    raise RuntimeError(f"tensors on different devices: {device} vs {d}")
+                if device is None or not device.is_sim_gpu:
+                    device = d
+        if device is None:
+            device = inputs[0]._storage.device if inputs else cpu_device()
     materialize = (
         compute is not None
         and device.materialize_data
@@ -82,7 +87,7 @@ def make_result(
             cost,
             dtype,
             stream=stream,
-            reads=tuple([t._storage for t in inputs]),
+            reads=tuple(map(_storage_of, inputs)),
             writes=(storage,),
         )
     if materialize:
@@ -104,7 +109,7 @@ def sum_to_shape(grad: Tensor, shape: tuple[int, ...]) -> Tensor:
     if grad.shape == tuple(shape):
         return grad
     # Leading dims that were added by broadcasting.
-    extra = grad.ndim - len(shape)
+    extra = len(grad.shape) - len(shape)
     reduce_dims = list(range(extra))
     for i, target in enumerate(shape):
         if target == 1 and grad.shape[extra + i] != 1:

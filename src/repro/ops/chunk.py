@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.ops._helpers import KernelCost, make_result
+from repro.ops._helpers import kernel_cost, make_result
 from repro.tensor import Tensor
 
 __all__ = ["chunk_cat", "ChunkUncat"]
@@ -82,7 +82,7 @@ def chunk_cat(
         (total,),
         dtype,
         _distinct(inputs),
-        cost=KernelCost(bytes_moved=2 * total * dtype.itemsize),
+        cost=kernel_cost((0.0, 2 * total * dtype.itemsize, False)),
     )
 
 
@@ -99,7 +99,7 @@ class ChunkUncat:
         self._outs = tuple(outs)
         self._chunks = tuple(chunks)
         self._factor = factor
-        self._cost = KernelCost(bytes_moved=2 * sum(t.nbytes for t in outs))
+        self._cost = kernel_cost((0.0, 2 * sum(t.nbytes for t in outs), False))
         self._writes = tuple(t._storage for t in _distinct(t for t in outs if t.numel))
 
     def __call__(self, src: Tensor) -> None:

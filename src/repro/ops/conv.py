@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result
+from repro.ops._helpers import kernel_cost, make_result
 from repro.tensor import Tensor
 
 __all__ = ["conv2d", "conv2d_flops"]
@@ -42,7 +42,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
 class _Conv2d(Function):
     @staticmethod
     def forward(ctx, x: Tensor, weight: Tensor, bias, stride: int, padding: int) -> Tensor:
-        if x.ndim != 4 or weight.ndim != 4:
+        if len(x.shape) != 4 or len(weight.shape) != 4:
             raise ValueError("conv2d expects x (B,C,H,W) and weight (Co,Ci,kh,kw)")
         batch, cin, h, w = x.shape
         cout, cin_w, kh, kw = weight.shape
@@ -55,9 +55,7 @@ class _Conv2d(Function):
         shape = (batch, cout, out_h, out_w)
         flops = conv2d_flops(batch, cin, cout, out_h, out_w, kh)
         out_bytes = math.prod(shape) * x.dtype.itemsize
-        cost = KernelCost(
-            flops=flops, bytes_moved=x.nbytes + weight.nbytes + out_bytes, is_matmul=True
-        )
+        cost = kernel_cost((flops, x.nbytes + weight.nbytes + out_bytes, True))
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def compute():
@@ -99,7 +97,7 @@ class _Conv2d(Function):
                     return padded[:, :, padding:-padding, padding:-padding]
                 return padded
 
-            cost = KernelCost(flops=flops, bytes_moved=2 * x.nbytes, is_matmul=True)
+            cost = kernel_cost((flops, 2 * x.nbytes, True))
             grad_x = make_result(compute_gx, x.shape, x.dtype, (x, grad), cost=cost)
         if needs[1]:
 
@@ -108,7 +106,7 @@ class _Conv2d(Function):
                 g = grad._np.transpose(0, 2, 3, 1).reshape(-1, cout)
                 return (g.T @ cols).reshape(cout, cin, kh, kw)
 
-            cost = KernelCost(flops=flops, bytes_moved=2 * weight.nbytes, is_matmul=True)
+            cost = kernel_cost((flops, 2 * weight.nbytes, True))
             grad_w = make_result(compute_gw, weight.shape, weight.dtype, (x, grad), cost=cost)
         if bias is not None and needs[2]:
             grad_b = make_result(

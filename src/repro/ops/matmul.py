@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result, sum_to_shape
+from repro.ops._helpers import kernel_cost, make_result, sum_to_shape
 from repro.ops.reduce import sum as rsum
 from repro.ops.shape import transpose, view
 from repro.tensor import Tensor
@@ -50,15 +50,13 @@ def _matmul_out_shape(a_shape, b_shape) -> tuple[int, ...]:
 class _Matmul(Function):
     @staticmethod
     def forward(ctx, a: Tensor, b: Tensor) -> Tensor:
-        if a.ndim < 2 or b.ndim < 2:
+        if len(a.shape) < 2 or len(b.shape) < 2:
             raise ValueError("matmul requires >=2-D tensors (use view for vectors)")
         ctx.save_for_backward(a, b)
         shape = _matmul_out_shape(a.shape, b.shape)
         flops = matmul_flops(a.shape, b.shape)
         out_bytes = math.prod(shape) * a.dtype.itemsize
-        cost = KernelCost(
-            flops=flops, bytes_moved=a.nbytes + b.nbytes + out_bytes, is_matmul=True
-        )
+        cost = kernel_cost((flops, a.nbytes + b.nbytes + out_bytes, True))
         return make_result(
             lambda: np.matmul(a._np, b._np), shape, a.dtype, (a, b), cost=cost
         )
@@ -78,7 +76,7 @@ class _Matmul(Function):
 
 
 def _swap_last(t: Tensor) -> Tensor:
-    return transpose(t, t.ndim - 2, t.ndim - 1)
+    return transpose(t, len(t.shape) - 2, len(t.shape) - 1)
 
 
 class _Linear(Function):
@@ -86,7 +84,7 @@ class _Linear(Function):
 
     @staticmethod
     def forward(ctx, x: Tensor, weight: Tensor, bias) -> Tensor:
-        if weight.ndim != 2:
+        if len(weight.shape) != 2:
             raise ValueError("linear weight must be 2-D (out_features, in_features)")
         out_features, in_features = weight.shape
         if x.shape[-1] != in_features:
@@ -98,9 +96,7 @@ class _Linear(Function):
         shape = x.shape[:-1] + (out_features,)
         flops = linear_flops(batch_elems, in_features, out_features)
         out_bytes = batch_elems * out_features * x.dtype.itemsize
-        cost = KernelCost(
-            flops=flops, bytes_moved=x.nbytes + weight.nbytes + out_bytes, is_matmul=True
-        )
+        cost = kernel_cost((flops, x.nbytes + weight.nbytes + out_bytes, True))
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def compute():

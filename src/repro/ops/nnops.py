@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result
+from repro.ops._helpers import kernel_cost, make_result
 from repro.tensor import Tensor
 
 __all__ = ["softmax", "log_softmax", "layer_norm", "embedding", "nll_loss"]
@@ -16,9 +16,9 @@ __all__ = ["softmax", "log_softmax", "layer_norm", "embedding", "nll_loss"]
 class _Softmax(Function):
     @staticmethod
     def forward(ctx, a: Tensor, dim: int) -> Tensor:
-        dim = dim % a.ndim
+        dim = dim % len(a.shape)
         ctx.dim = dim
-        cost = KernelCost(flops=5 * a.numel, bytes_moved=3 * a.nbytes)
+        cost = kernel_cost((5 * a.numel, 3 * a.nbytes, False))
 
         def compute():
             x = a._np
@@ -34,7 +34,7 @@ class _Softmax(Function):
     def backward(ctx, grad: Tensor):
         (out,) = ctx.saved_tensors
         dim = ctx.dim
-        cost = KernelCost(flops=4 * out.numel, bytes_moved=3 * out.nbytes)
+        cost = kernel_cost((4 * out.numel, 3 * out.nbytes, False))
 
         def compute():
             y, g = out._np, grad._np
@@ -47,9 +47,9 @@ class _Softmax(Function):
 class _LogSoftmax(Function):
     @staticmethod
     def forward(ctx, a: Tensor, dim: int) -> Tensor:
-        dim = dim % a.ndim
+        dim = dim % len(a.shape)
         ctx.dim = dim
-        cost = KernelCost(flops=5 * a.numel, bytes_moved=3 * a.nbytes)
+        cost = kernel_cost((5 * a.numel, 3 * a.nbytes, False))
 
         def compute():
             x = a._np
@@ -64,7 +64,7 @@ class _LogSoftmax(Function):
     def backward(ctx, grad: Tensor):
         (out,) = ctx.saved_tensors
         dim = ctx.dim
-        cost = KernelCost(flops=4 * out.numel, bytes_moved=3 * out.nbytes)
+        cost = kernel_cost((4 * out.numel, 3 * out.nbytes, False))
 
         def compute():
             y, g = out._np, grad._np
@@ -84,7 +84,7 @@ class _LayerNorm(Function):
     def forward(ctx, a: Tensor, weight, bias, eps: float) -> Tensor:
         ctx.save_for_backward(a, weight, bias)
         inputs = tuple(t for t in (a, weight, bias) if t is not None)
-        cost = KernelCost(flops=8 * a.numel, bytes_moved=3 * a.nbytes)
+        cost = kernel_cost((8 * a.numel, 3 * a.nbytes, False))
 
         def compute():
             x = a._np
@@ -106,7 +106,7 @@ class _LayerNorm(Function):
         a, weight, bias = ctx.saved_tensors
         needs = ctx.needs_input_grad
         n = a.shape[-1]
-        cost = KernelCost(flops=12 * a.numel, bytes_moved=4 * a.nbytes)
+        cost = kernel_cost((12 * a.numel, 4 * a.nbytes, False))
 
         grad_a = grad_w = grad_b = None
         if needs[0]:
@@ -138,14 +138,14 @@ class _LayerNorm(Function):
 class _Embedding(Function):
     @staticmethod
     def forward(ctx, weight: Tensor, indices: Tensor) -> Tensor:
-        if weight.ndim != 2:
+        if len(weight.shape) != 2:
             raise ValueError("embedding weight must be 2-D")
         ctx.save_for_backward(indices)
         ctx.weight_shape = weight.shape
         dim = weight.shape[1]
         shape = indices.shape + (dim,)
         nbytes = math.prod(shape) * weight.dtype.itemsize
-        cost = KernelCost(bytes_moved=2 * nbytes)
+        cost = kernel_cost((0.0, 2 * nbytes, False))
         return make_result(
             lambda: weight._np[indices._np], shape, weight.dtype, (weight, indices), cost=cost
         )
@@ -154,7 +154,7 @@ class _Embedding(Function):
     def backward(ctx, grad: Tensor):
         (indices,) = ctx.saved_tensors
         weight_shape = ctx.weight_shape
-        cost = KernelCost(bytes_moved=2 * grad.nbytes)
+        cost = kernel_cost((0.0, 2 * grad.nbytes, False))
 
         def compute():
             out = np.zeros(weight_shape, dtype=grad.dtype.np_dtype)
@@ -169,12 +169,12 @@ class _NllLoss(Function):
 
     @staticmethod
     def forward(ctx, log_probs: Tensor, targets: Tensor) -> Tensor:
-        if log_probs.ndim != 2:
+        if len(log_probs.shape) != 2:
             raise ValueError("nll_loss expects (N, C) log-probabilities")
         ctx.save_for_backward(log_probs, targets)
         n = log_probs.shape[0]
         ctx.n = n
-        cost = KernelCost(bytes_moved=log_probs.nbytes)
+        cost = kernel_cost((0.0, log_probs.nbytes, False))
 
         def compute():
             rows = np.arange(n)

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro import dtypes
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result
+from repro.ops._helpers import kernel_cost, make_result
 from repro.ops.basic import div, scalar_like
 from repro.ops.shape import expand, view
 from repro.tensor import Tensor
@@ -45,11 +45,11 @@ def _reduced_shape(shape: tuple[int, ...], dims: Optional[tuple[int, ...]], keep
 class _Sum(Function):
     @staticmethod
     def forward(ctx, a: Tensor, dim: DimArg, keepdim: bool) -> Tensor:
-        dims = _normalize_dims(dim, a.ndim)
+        dims = _normalize_dims(dim, len(a.shape))
         ctx.src_shape = a.shape
         ctx.dims = dims
         shape = _reduced_shape(a.shape, dims, keepdim)
-        cost = KernelCost(flops=a.numel, bytes_moved=a.nbytes)
+        cost = kernel_cost((a.numel, a.nbytes, False))
         axis = dims if dims is not None else None
         return make_result(
             lambda: np.sum(a._np, axis=axis, keepdims=keepdim),
@@ -77,7 +77,7 @@ class _Max(Function):
             (),
             a.dtype,
             (a,),
-            cost=KernelCost(flops=a.numel, bytes_moved=a.nbytes),
+            cost=kernel_cost((a.numel, a.nbytes, False)),
         )
         ctx.out = out
         return out
@@ -98,14 +98,14 @@ class _Max(Function):
 
 def argmax(a: Tensor, dim: int = -1) -> Tensor:
     """Indices of the maxima along ``dim`` (not differentiable)."""
-    dim = dim % a.ndim
+    dim = dim % len(a.shape)
     shape = tuple(s for i, s in enumerate(a.shape) if i != dim)
     return make_result(
         lambda: np.argmax(a._np, axis=dim),
         shape,
         dtypes.int64,
         (a,),
-        cost=KernelCost(flops=a.numel, bytes_moved=a.nbytes),
+        cost=kernel_cost((a.numel, a.nbytes, False)),
     )
 
 
@@ -114,7 +114,7 @@ def sum(a: Tensor, dim: DimArg = None, keepdim: bool = False) -> Tensor:
 
 
 def mean(a: Tensor, dim: DimArg = None, keepdim: bool = False) -> Tensor:
-    dims = _normalize_dims(dim, a.ndim)
+    dims = _normalize_dims(dim, len(a.shape))
     if dims is None:
         count = a.numel
     else:

@@ -6,6 +6,12 @@ no kernel), matching the autograd-visible ``torch.split()`` /
 their unsharded FlatParameter (Section 3.2.3).  Their backwards route
 gradients to the right offsets, which is how the unsharded
 FlatParameter gradient gets assembled by the engine.
+
+An alias that records no node (grad mode off, or an input that does not
+require grad) is built by the public function itself, with no
+``Function.apply``: under activation checkpointing most views are made
+so.  The Function's forward is that same function, called with grad
+mode off, plus what its backward reads.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.ops._helpers import KernelCost, make_result, sum_to_shape
+from repro.autograd.grad_mode import _state
+from repro.ops._helpers import kernel_cost, make_result, sum_to_shape
 from repro.tensor import Tensor, zeros
 
 __all__ = [
@@ -32,18 +39,11 @@ __all__ = [
 ]
 
 
-def _alias(t: Tensor, shape: tuple[int, ...], offset: int) -> Tensor:
-    return Tensor(t._storage, shape, offset=offset, dtype=t.dtype, base=t if t._base is None else t._base)
-
-
 class _View(Function):
     @staticmethod
     def forward(ctx, a: Tensor, shape: tuple[int, ...]) -> Tensor:
-        shape = _resolve_shape(shape, a.numel)
-        if math.prod(shape) != a.numel:
-            raise ValueError(f"cannot view {a.shape} as {shape}")
         ctx.src_shape = a.shape
-        return _alias(a, shape, a._offset)
+        return view(a, shape)
 
     @staticmethod
     def backward(ctx, grad: Tensor):
@@ -53,21 +53,10 @@ class _View(Function):
 class _Split(Function):
     @staticmethod
     def forward(ctx, a: Tensor, sections: tuple[int, ...]) -> tuple:
-        if a.ndim != 1:
-            raise ValueError("split views are supported on 1-D tensors only")
-        if sum(sections) != a.numel:
-            raise ValueError(
-                f"split sections {sections} do not cover {a.numel} elements"
-            )
         ctx.sections = sections
         ctx.dtype = a.dtype
         ctx.device = a.device
-        outs = []
-        offset = a._offset
-        for length in sections:
-            outs.append(_alias(a, (length,), offset))
-            offset += length
-        return tuple(outs)
+        return split(a, sections)
 
     @staticmethod
     def backward(ctx, *grads):
@@ -83,17 +72,9 @@ class _Split(Function):
 class _Narrow(Function):
     @staticmethod
     def forward(ctx, a: Tensor, dim: int, start: int, length: int) -> Tensor:
-        if dim != 0:
-            raise ValueError("narrow views are supported on dim 0 only")
-        if not 0 <= start <= a.shape[0] - length:
-            raise ValueError(
-                f"narrow out of range: start={start} length={length} size={a.shape[0]}"
-            )
-        row = a.numel // a.shape[0] if a.shape[0] else 0
         ctx.src_shape = a.shape
         ctx.start = start
-        shape = (length,) + a.shape[1:]
-        return _alias(a, shape, a._offset + start * row)
+        return narrow(a, dim, start, length)
 
     @staticmethod
     def backward(ctx, grad: Tensor):
@@ -116,12 +97,16 @@ class _Cat(Function):
         if not tensors:
             raise ValueError("cat requires at least one tensor")
         first = tensors[0]
+        sizes = []
+        nbytes = 0
+        for t in tensors:
+            sizes.append(t.shape[dim])
+            nbytes += t.nbytes
         ctx.dim = dim
-        ctx.sizes = tuple(t.shape[dim] for t in tensors)
+        ctx.sizes = tuple(sizes)
         shape = list(first.shape)
-        shape[dim] = sum(ctx.sizes)
-        nbytes = sum(t.nbytes for t in tensors)
-        cost = KernelCost(bytes_moved=2 * nbytes)
+        shape[dim] = sum(sizes)
+        cost = kernel_cost((0.0, 2 * nbytes, False))
         return make_result(
             lambda: np.concatenate([t._np for t in tensors], axis=dim),
             tuple(shape),
@@ -153,7 +138,7 @@ class _NarrowCopy(Function):
         ctx.src_shape, ctx.dim, ctx.start = a.shape, dim, start
         shape = list(a.shape)
         shape[dim] = length
-        index = [slice(None)] * a.ndim
+        index = [slice(None)] * len(a.shape)
         index[dim] = slice(start, start + length)
         return make_result(
             lambda: a._np[tuple(index)].copy(), tuple(shape), a.dtype, (a,)
@@ -184,7 +169,7 @@ class _Transpose(Function):
         ctx.dims = (dim0, dim1)
         shape = list(a.shape)
         shape[dim0], shape[dim1] = shape[dim1], shape[dim0]
-        cost = KernelCost(bytes_moved=2 * a.nbytes)
+        cost = kernel_cost((0.0, 2 * a.nbytes, False))
         return make_result(
             lambda: np.swapaxes(a._np, dim0, dim1).copy(),
             tuple(shape),
@@ -202,11 +187,12 @@ class _Transpose(Function):
 class _Permute(Function):
     @staticmethod
     def forward(ctx, a: Tensor, dims: tuple[int, ...]) -> Tensor:
-        if sorted(dims) != list(range(a.ndim)):
-            raise ValueError(f"invalid permutation {dims} for {a.ndim}-D tensor")
+        ndim = len(a.shape)
+        if sorted(dims) != list(range(ndim)):
+            raise ValueError(f"invalid permutation {dims} for {ndim}-D tensor")
         ctx.dims = dims
-        shape = tuple(a.shape[d] for d in dims)
-        cost = KernelCost(bytes_moved=2 * a.nbytes)
+        shape = tuple(map(a.shape.__getitem__, dims))
+        cost = kernel_cost((0.0, 2 * a.nbytes, False))
         return make_result(
             lambda: np.transpose(a._np, dims).copy(), shape, a.dtype, (a,), cost=cost
         )
@@ -223,7 +209,7 @@ class _Expand(Function):
     @staticmethod
     def forward(ctx, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         ctx.src_shape = a.shape
-        cost = KernelCost(bytes_moved=a.nbytes + math.prod(shape) * a.dtype.itemsize)
+        cost = kernel_cost((0.0, a.nbytes + math.prod(shape) * a.dtype.itemsize, False))
         return make_result(
             lambda: np.broadcast_to(a._np, shape).copy(), shape, a.dtype, (a,), cost=cost
         )
@@ -256,7 +242,7 @@ class _GetItemCopy(Function):
 
 
 def _resolve_shape(shape: tuple[int, ...], numel: int) -> tuple[int, ...]:
-    shape = tuple(map(int, shape))
+    """``shape`` with its one ``-1`` inferred from ``numel``."""
     if shape.count(-1) > 1:
         raise ValueError("only one dimension may be -1")
     if -1 in shape:
@@ -271,7 +257,18 @@ def _resolve_shape(shape: tuple[int, ...], numel: int) -> tuple[int, ...]:
 # Public API
 # ----------------------------------------------------------------------
 def view(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _View.apply(a, tuple(shape))
+    if a.requires_grad and _state.enabled:
+        # A node may be recorded: ``_View.forward`` comes back here with
+        # grad mode off.
+        return _View.apply(a, shape)
+    shape = tuple(map(int, shape))
+    numel = a.numel
+    if -1 in shape:
+        shape = _resolve_shape(shape, numel)
+    if math.prod(shape) != numel:
+        raise ValueError(f"cannot view {a.shape} as {shape}")
+    base = a if a._base is None else a._base
+    return Tensor(a._storage, shape, offset=a._offset, dtype=a.dtype, base=base)
 
 
 def split(a: Tensor, split_size_or_sections, dim: int = 0):
@@ -285,12 +282,44 @@ def split(a: Tensor, split_size_or_sections, dim: int = 0):
             sections.append(total % size)
         sections = tuple(sections)
     else:
-        sections = tuple(int(s) for s in split_size_or_sections)
-    return _Split.apply(a, sections)
+        sections = tuple(map(int, split_size_or_sections))
+    if a.requires_grad and _state.enabled:
+        # A node may be recorded: ``_Split.forward`` comes back here
+        # with grad mode off.
+        return _Split.apply(a, sections)
+    if len(a.shape) != 1:
+        raise ValueError("split views are supported on 1-D tensors only")
+    if sum(sections) != a.numel:
+        raise ValueError(f"split sections {sections} do not cover {a.numel} elements")
+    storage, dtype = a._storage, a.dtype
+    base = a if a._base is None else a._base
+    outs = []
+    offset = a._offset
+    for length in sections:
+        outs.append(Tensor(storage, (length,), offset=offset, dtype=dtype, base=base))
+        offset += length
+    return tuple(outs)
 
 
 def narrow(a: Tensor, dim: int, start: int, length: int) -> Tensor:
-    return _Narrow.apply(a, dim, start, length)
+    if a.requires_grad and _state.enabled:
+        # A node may be recorded: ``_Narrow.forward`` comes back here
+        # with grad mode off.
+        return _Narrow.apply(a, dim, start, length)
+    if dim != 0:
+        raise ValueError("narrow views are supported on dim 0 only")
+    shape = a.shape
+    rows = shape[0]
+    if not 0 <= start <= rows - length:
+        raise ValueError(f"narrow out of range: start={start} length={length} size={rows}")
+    row = a.numel // rows if rows else 0
+    return Tensor(
+        a._storage,
+        (length,) + shape[1:],
+        offset=a._offset + start * row,
+        dtype=a.dtype,
+        base=a if a._base is None else a._base,
+    )
 
 
 def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
@@ -325,7 +354,7 @@ def getitem(a: Tensor, index):
 
 def pad_right(a: Tensor, padding: int) -> Tensor:
     """Right-pad a 1-D tensor with zeros (FlatParameter padding)."""
-    if a.ndim != 1:
+    if len(a.shape) != 1:
         raise ValueError("pad_right expects a 1-D tensor")
     if padding < 0:
         raise ValueError("padding must be non-negative")

@@ -28,10 +28,11 @@ from repro import dtypes
 from repro import random as rrandom
 from repro.autograd import function as _function
 from repro.autograd.engine import run_backward
-from repro.autograd.function import AccumulateGrad, Edge, RemovableHandle
-from repro.autograd.grad_mode import is_grad_enabled, no_grad
+from repro.autograd.function import AccumulateGrad, Edge, RemovableHandle, new_edge
+from repro.autograd.grad_mode import _state as _grad_state
+from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device, cpu_device
-from repro.hw.kernel_model import KernelCost
+from repro.hw.kernel_model import kernel_cost
 from repro.storage import Storage
 
 __all__ = [
@@ -199,11 +200,11 @@ class Tensor:
     # ------------------------------------------------------------------
     def _grad_edge(self) -> Optional[Edge]:
         if self.grad_fn is not None:
-            return Edge(self.grad_fn, self._output_nr)
+            return new_edge((self.grad_fn, self._output_nr))
         if self.requires_grad:
             if self._accumulate_grad is None:
                 self._accumulate_grad = AccumulateGrad(self)
-            return Edge(self._accumulate_grad, 0)
+            return new_edge((self._accumulate_grad, 0))
         return None
 
     def requires_grad_(self, requires_grad: bool = True) -> "Tensor":
@@ -449,7 +450,7 @@ class Tensor:
     # In-place ops (non-differentiable; valid under no_grad or on .data)
     # ------------------------------------------------------------------
     def _check_inplace(self) -> None:
-        if is_grad_enabled() and self.requires_grad:
+        if self.requires_grad and _grad_state.enabled:
             raise RuntimeError(
                 "in-place operation on a tensor that requires grad; wrap in no_grad()"
             )
@@ -463,7 +464,7 @@ class Tensor:
         destination is written in place.  Both flow to the stream-order
         sanitizer when it is enabled.
         """
-        device = self.device
+        device = self._storage.device
         if device.is_sim_gpu:
             reads = (
                 (src._storage,)
@@ -471,7 +472,7 @@ class Tensor:
                 else ()
             )
             device.launch(
-                KernelCost(bytes_moved=self.nbytes * nbytes_factor),
+                kernel_cost((0.0, self.nbytes * nbytes_factor, False)),
                 self.dtype,
                 reads=reads,
                 writes=(self._storage,),

@@ -14,12 +14,19 @@ from repro.cuda.allocator import (
     _SPLIT_REMAINDER_MIN,
     Block,
     CachingAllocator,
-    _round_size,
 )
 from repro.cuda.device import Device
 from repro.errors import OutOfMemoryError
 
 MiB = 2**20
+
+
+def _round_size(nbytes: int) -> int:
+    """The seed's allocation granule rule: whole 512-byte granules, at
+    least one."""
+    if nbytes <= 0:
+        return 512
+    return (nbytes + 511) // 512 * 512
 
 
 def make_device(capacity=512 * MiB):
@@ -117,7 +124,9 @@ class TestInvariants:
 
     @given(nbytes=st.integers(0, 10 * MiB))
     def test_round_size(self, nbytes):
-        rounded = _round_size(nbytes)
+        dev = make_device()
+        rounded = dev.allocator.allocate(nbytes, dev.default_stream).size
+        assert rounded == _round_size(nbytes)
         assert rounded >= max(nbytes, 512)
         assert rounded % 512 == 0
         assert rounded - nbytes < 512 or nbytes == 0
@@ -617,4 +626,28 @@ class TestBestFit:
         )
         monkeypatch.setattr(CachingAllocator, "free", mutant)
         with pytest.raises(AssertionError, match="chose differently"):
+            run_lockstep(fragmenting_script(random.Random(0)))
+
+    # Negative controls for the retire horizon: ``active`` read from a
+    # wrong pending total or a late horizon must fail the lockstep check.
+    def test_control_horizon_not_lowered_on_join_is_caught(self, monkeypatch):
+        mutant = _mutated(
+            CachingAllocator.free,
+            ("self._pending_horizon = block.reuse_ready_time", "pass"),
+        )
+        monkeypatch.setattr(CachingAllocator, "free", mutant)
+        with pytest.raises(AssertionError, match=r"^step \d+"):
+            run_lockstep(fragmenting_script(random.Random(0)))
+
+    @pytest.mark.parametrize("side", ["prev", "next"])
+    def test_control_merged_neighbour_bytes_kept_is_caught(self, monkeypatch, side):
+        # The merge takes the neighbour out of the pending set but leaves
+        # its bytes in the total.
+        after = {"prev": "neighbor.next = block.next", "next": "block.next = neighbor.next"}[side]
+        mutant = _mutated(
+            CachingAllocator.free,
+            (f"self._pending_bytes -= neighbor.size\n        {after}", f"pass\n        {after}"),
+        )
+        monkeypatch.setattr(CachingAllocator, "free", mutant)
+        with pytest.raises(AssertionError, match=r"^step \d+"):
             run_lockstep(fragmenting_script(random.Random(0)))

@@ -15,10 +15,13 @@ allocator's pending-reuse path), the per_param backend, a tensor hook
 registered after the forward, and a no-grad inference forward.
 """
 
+import inspect
+
 import pytest
 
 import repro
 from repro import distributed as dist
+from repro.autograd import engine
 from repro.fsdp import FullyShardedDataParallel as FSDP
 from repro.fsdp import ModuleWrapPolicy, fully_shard
 from repro.models.mingpt import GptConfig, MinGPT
@@ -116,3 +119,22 @@ def test_step_device_log_is_unchanged(meta_world, wrap, checkpoint, train, late_
     assert _device_log(wrap, checkpoint, train, late_hook) == DIGESTS[
         wrap, checkpoint, train, late_hook
     ]
+
+
+def test_control_a_gradient_freed_one_node_late_moves_the_digest(meta_world, monkeypatch):
+    """Free order is part of the log: an engine that keeps each node's
+    delivered gradients alive through the next node's backward (a local
+    still holding the previous node's buffer) frees them after that
+    backward allocates, and the digest must see it."""
+    source = inspect.getsource(engine._execute)
+    for old, new in (
+        ("    while ready:\n", "    buffer = None\n    while ready:\n"),
+        ("        buffer = buffers.pop(", "        held = buffer\n        buffer = buffers.pop("),
+    ):
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, vars(engine), namespace)
+    monkeypatch.setattr(engine, "_execute", namespace["_execute"])
+    case = ("flat", True, True, False)
+    assert _device_log(*case) != DIGESTS[case]

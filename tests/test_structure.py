@@ -92,6 +92,10 @@ rule that stops matching anything fails too).
 The last four rules match what the grep each replaced matched: a call
 spelled ``callee(``, a definition ``def name(``, an identifier, a
 string or a comment.
+
+Every rule reads a source's syntax tree and comment tokens from one
+cache (``_tree`` / ``_comments``) that lives as long as the test run, so
+each file is parsed once however many rules read it.
 """
 
 import ast
@@ -134,6 +138,30 @@ LIFECYCLE = HANDLE_COLLECTIVES | {
 }  # fmt: skip
 
 
+#: One parse per source text per test run, shared by every rule: source
+#: -> [its syntax tree, its comment tokens or None until first asked
+#: for].  No rule mutates a tree.
+_PARSED: dict[str, list] = {}
+
+
+def _tree(source: str) -> ast.AST:
+    """The syntax tree of ``source``, parsed once per test run."""
+    entry = _PARSED.get(source)
+    if entry is None:
+        entry = _PARSED[source] = [ast.parse(source), None]
+    return entry[0]
+
+
+def _comments(source: str) -> list[tokenize.TokenInfo]:
+    """The comment tokens of ``source``, tokenized once per test run."""
+    _tree(source)
+    entry = _PARSED[source]
+    if entry[1] is None:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        entry[1] = [token for token in tokens if token.type == tokenize.COMMENT]
+    return entry[1]
+
+
 def _functions(tree: ast.AST, scope: tuple = ()):
     """Every function definition with its enclosing class/function names."""
     for node in ast.iter_child_nodes(tree):
@@ -147,7 +175,7 @@ def _functions(tree: ast.AST, scope: tuple = ()):
 def compiled_tests(path: str, source: str) -> list[str]:
     """Reads of ``.compiled`` inside the runtime's unit collectives."""
     found = []
-    for scope, func in _functions(ast.parse(source)):
+    for scope, func in _functions(_tree(source)):
         if scope and func.name in UNIT_COLLECTIVES.get(scope[-1], ()):
             found += [
                 f"{path}:{node.lineno}: {scope[-1]}.{func.name} reads .compiled"
@@ -160,7 +188,7 @@ def compiled_tests(path: str, source: str) -> list[str]:
 def coalesced_calls(path: str, source: str) -> list[str]:
     """Calls of a ``*_coalesced`` collective outside the shared routines."""
     allowed = SHARED_ROUTINES.get(Path(path).name, set())
-    tree = ast.parse(source)
+    tree = _tree(source)
     owner = {}  # node -> qualified name of its outermost enclosing function
     for scope, func in _functions(tree):
         for node in ast.walk(func):
@@ -184,7 +212,7 @@ def zero_fills(path: str, source: str) -> list[str]:
     ``numpy.zeros`` calls, and ``Storage`` built with any
     ``materialize`` but the constant False."""
     found = []
-    for scope, func in _functions(ast.parse(source)):
+    for scope, func in _functions(_tree(source)):
         if scope or func.name not in WRITE_ONCE.get(Path(path).name, ()):
             continue
         for node in ast.walk(func):
@@ -211,7 +239,7 @@ def state_reads(path: str, source: str) -> list[str]:
     """Reads of a ``.state`` attribute: ``x.state`` or
     ``getattr(x, "state")``."""
     found = []
-    nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Attribute, ast.Call))]
+    nodes = [n for n in ast.walk(_tree(source)) if isinstance(n, (ast.Attribute, ast.Call))]
     for node in sorted(nodes, key=lambda n: (n.lineno, n.col_offset)):
         if isinstance(node, ast.Attribute) and node.attr == "state":
             found.append(f"{path}:{node.lineno}: reads {ast.unparse(node)}")
@@ -229,7 +257,7 @@ def state_reads(path: str, source: str) -> list[str]:
 def optimizer_params(path: str, source: str) -> list[str]:
     """Functions that take an optimizer parameter."""
     found = []
-    for scope, func in _functions(ast.parse(source)):
+    for scope, func in _functions(_tree(source)):
         args = func.args
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
             if arg.arg in OPTIMIZER_ARGS:
@@ -260,7 +288,7 @@ def _uses(path: str, source: str, wanted, *, defs: bool = True) -> list[str]:
     """Every call whose callee name ``wanted(name)`` accepts and, with
     ``defs``, every function definition of such a name."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         if isinstance(node, ast.Call) and wanted(_callee(node)):
             found.append((node.lineno, node.col_offset, f"calls {_callee(node)}"))
         elif defs and isinstance(node, ast.FunctionDef) and wanted(node.name):
@@ -296,7 +324,7 @@ def second_lifecycle(path: str, source: str) -> list[str]:
     """Definitions of a :data:`LIFECYCLE` name, and class-body bindings
     of one to anything but ``ShardHandle.<the same name>``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in LIFECYCLE:
             found.append(f"{path}:{node.lineno}: defines {node.name}")
         elif isinstance(node, ast.ClassDef):
@@ -324,7 +352,7 @@ def reversed_module_walks(path: str, source: str) -> list[str]:
     the walk is wrapped."""
     lines = sorted(
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(_tree(source))
         if isinstance(node, ast.Call)
         and _callee(node) == "reversed"
         and any(
@@ -338,7 +366,7 @@ def reversed_module_walks(path: str, source: str) -> list[str]:
 def flat_parameter_filters(path: str, source: str) -> list[str]:
     """``isinstance(x, FlatParameter)`` tests, a tuple of types included."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         if isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) > 1:
             kinds = node.args[1]
             for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
@@ -362,7 +390,7 @@ def layout_offload(path: str, source: str) -> list[str]:
     attributes, arguments, keywords, imports, definitions), and calls
     of a host copy."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -472,7 +500,7 @@ def _owners(tree: ast.AST) -> dict:
 def state_writes(path: str, source: str) -> list[str]:
     """Writes (assignment, deletion, ``setattr``) of a lifecycle state
     attribute outside its one writer."""
-    tree = ast.parse(source)
+    tree = _tree(source)
     owner = _owners(tree)
     found = []
     for node in ast.walk(tree):
@@ -508,7 +536,7 @@ def _identifiers(node: ast.AST) -> list[str]:
 def _named(path: str, source: str, retired: set) -> list[str]:
     """Every identifier (or ``getattr`` string) in ``retired``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         names = [node.value] if isinstance(node, ast.Constant) else _identifiers(node)
         for name in names:
             if isinstance(name, str) and name in retired:
@@ -533,13 +561,9 @@ def _text(node: ast.Constant):
 
 def _says(path: str, source: str, pattern: re.Pattern) -> list[str]:
     """Each match of ``pattern`` in a string constant or a comment."""
-    tree = ast.parse(source)
+    tree = _tree(source)
     texts = [(n.lineno, _text(n)) for n in ast.walk(tree) if isinstance(n, ast.Constant)]
-    texts += [
-        (token.start[0], token.string)
-        for token in tokenize.generate_tokens(io.StringIO(source).readline)
-        if token.type == tokenize.COMMENT
-    ]
+    texts += [(token.start[0], token.string) for token in _comments(source)]
     return [
         f"{path}:{line}: says {match.group().strip()}"
         for line, text in texts
@@ -558,7 +582,7 @@ def second_step_model(path: str, source: str) -> list[str]:
     found = []
     lines = source.splitlines()
     fed = {n for n, line in enumerate(lines, 1) if FED_LIVENESS.search(line)}
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         for name in _identifiers(node):
             if any(trace in name for trace in TRACE_BUILDERS):
                 found.append(f"{path}:{node.lineno}: names {name}")
@@ -577,7 +601,7 @@ def second_span_recorder(path: str, source: str) -> list[str]:
     if not SPAN_WORDS.search(source):
         return []
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         if isinstance(node, ast.ClassDef) and node.name in SPAN_CLASSES:
             found.append(f"{path}:{node.lineno}: defines class {node.name}")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -591,7 +615,7 @@ def hook_slots(path: str, source: str) -> list[str]:
     ``"profiler"`` directly followed by ``None`` in an argument list or
     display, and :data:`HOOK_TEXT` in a string constant or a comment."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         line = getattr(node, "lineno", 0)
         for name in _identifiers(node):
             if any(slot in name for slot in HOOK_SLOTS):
@@ -611,7 +635,7 @@ def function_imports(path: str, source: str) -> list[str]:
     """Import statements inside a function (one per enclosing function)."""
     return [
         f"{path}:{node.lineno}: {func.name} imports"
-        for _, func in _functions(ast.parse(source))
+        for _, func in _functions(_tree(source))
         for node in ast.walk(func)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
@@ -634,7 +658,7 @@ def _spells(path: str, source: str, pattern: re.Pattern, within=None) -> list[st
     """Every node and comment ``pattern`` matches as :func:`_spelled`
     shows it; with ``within``, only inside the bodies of the functions
     of those names."""
-    tree = ast.parse(source)
+    tree = _tree(source)
     roots = [func for _, func in _functions(tree) if func.name in within] if within else [tree]
     spans = [range(root.lineno + 1, root.end_lineno + 1) for root in roots if within]
     found = [
@@ -647,8 +671,8 @@ def _spells(path: str, source: str, pattern: re.Pattern, within=None) -> list[st
     ]
     found += [
         (token.start[0], token.string)
-        for token in tokenize.generate_tokens(io.StringIO(source).readline)
-        if token.type == tokenize.COMMENT and pattern.search(token.string)
+        for token in _comments(source)
+        if pattern.search(token.string)
         if not within or any(token.start[0] in span for span in spans)
     ]
     return [f"{path}:{line}: spells {text.strip()}" for line, text in sorted(found)]
@@ -659,7 +683,7 @@ def second_launch_path(path: str, source: str) -> list[str]:
     :data:`COLLECTIVES` name to anything but ``ProcessGroup.<the same
     name>``."""
     found = _spells(path, source, SECOND_LAUNCH)
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(source)):
         for stmt in node.body if isinstance(node, ast.ClassDef) else []:
             for target in stmt.targets if isinstance(stmt, ast.Assign) else []:
                 name = getattr(target, "id", "")
@@ -728,7 +752,7 @@ def test_the_lifecycle_is_defined_once():
     paths = [p for p in sorted((SRC / "fsdp").rglob("*.py")) if p.name != "handle.py"]
     assert len(paths) > 5
     handle = (SRC / "fsdp" / "handle.py").read_text()
-    defined = {n.name for n in ast.walk(ast.parse(handle)) if isinstance(n, ast.FunctionDef)}
+    defined = {n.name for n in ast.walk(_tree(handle)) if isinstance(n, ast.FunctionDef)}
     assert LIFECYCLE <= defined
     assert _tree_violations(second_lifecycle, paths) == []
 
@@ -1024,7 +1048,7 @@ def test_the_lifecycle_state_has_one_writer_each():
     paths = sorted(SRC.rglob("*.py"))
     assert _tree_violations(state_writes, paths) == []
     for attr, (cls, method) in STATE_WRITERS.items():
-        tree = ast.parse(next(p for p in paths if f"class {cls}" in p.read_text()).read_text())
+        tree = _tree(next(p for p in paths if f"class {cls}" in p.read_text()).read_text())
         writer = next(f for s, f in _functions(tree) if s[-1:] == (cls,) and f.name == method)
         stores = [n for n in ast.walk(writer) if isinstance(n, ast.Attribute) and n.attr == attr]
         assert any(isinstance(n.ctx, ast.Store) for n in stores), (cls, method)
@@ -1070,7 +1094,7 @@ def test_observers_pay_constant_time_per_event():
     for name, (within, _) in PER_EVENT.items():
         source = (SRC / name).read_text()
         assert per_event_walks(str(SRC / name), source) == []
-        defined = {func.name for _, func in _functions(ast.parse(source))}
+        defined = {func.name for _, func in _functions(_tree(source))}
         assert within is None or within <= defined, name
 
 

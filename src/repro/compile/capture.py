@@ -1,8 +1,9 @@
 """Record one eager FSDP iteration into a :class:`~repro.compile.ir.Graph`.
 
-The runtime installs a :class:`CaptureHook` for the first training
-iteration; ``FsdpRuntime.emit`` calls back at each lifecycle point while
-the eager machinery runs unmodified.  After a complete iteration
+A root that compiles runs its first iteration under a
+:class:`~repro.compile.CaptureSchedule`: the eager schedule, with a
+:class:`CaptureHook` observing the device.  ``FsdpRuntime.emit`` calls
+back at each lifecycle point.  After a complete iteration
 (``on_finalize`` seen), :meth:`CaptureHook.graph` rebuilds the captured
 events into IR nodes: collectives, waits, reshards and forward
 footprints over the recorded program-point order.
@@ -15,8 +16,8 @@ recompute re-enters ``pre_forward`` and would re-fire its collectives
 at positions the schedule cannot represent), or a post-backward after a
 reduction (a flat unit over checkpointed blocks that are not units
 fires its post-backward once per recompute, and a unit belongs to one
-reduce-scatter bucket), marks the capture unsupported and the runtime
-refuses to compile the step.
+reduce-scatter bucket), marks the capture unsupported and the capture
+schedule refuses to compile the step.
 """
 
 from __future__ import annotations

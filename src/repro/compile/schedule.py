@@ -3,12 +3,16 @@
 :class:`CompiledSchedule` is the static artifact: the optimized graph's
 live collective nodes, indexed by unit and by program point (the same
 CPU-side hook positions the eager runtime already has).
-:class:`CompiledExecutor` replays it inside the unmodified eager hook
-skeleton — ``FsdpUnit.pre_forward`` still records execution order,
-announces its lifecycle points and installs views; only the
-*communication* decisions (what to issue, what to wait on, when to
-reduce) are delegated here.  A bucket is issued and reduced by the same
-two routines the eager hooks call with one unit
+:class:`CompiledExecutor` is the other implementation of the runtime's
+schedule protocol (``FsdpRuntime.schedule``; see
+:mod:`repro.fsdp.runtime`): ``begin_iteration()``,
+``on_pre_forward(unit)``, ``on_pre_backward(unit)``,
+``on_post_backward(unit)`` and ``on_finalize()``, plus ``summary()``.
+The unit hooks keep recording execution order, announcing their
+lifecycle points, opening scopes and installing views; the executor
+makes the *communication* decisions (what to issue, what to wait on,
+when to reduce).  A bucket is issued and reduced by the same two
+routines the eager schedule calls with one unit
 (``FsdpRuntime.unshard_units`` / ``reduce_units``), so
 ``SimConfig.compile=True`` runs through the unchanged simulator,
 allocator and sanitizer, under the same observers.
@@ -47,25 +51,9 @@ class CompiledSchedule:
         #: wait point -> AllGather bucket id (surviving waits only)
         self.waits: dict = {wait.trigger: wait.target for wait in graph.live(NodeKind.WAIT)}
 
-    def summary(self) -> dict:
-        def describe(bucket) -> dict:
-            return {
-                "kind": bucket.kind.value,
-                "phase": bucket.phase,
-                "units": list(bucket.units),
-                "nbytes": bucket.nbytes,
-                "trigger": list(bucket.trigger),
-            }
-
-        return {
-            "all_gather_buckets": [describe(b) for b in self.ag_buckets],
-            "reduce_scatter_buckets": [describe(b) for b in self.rs_buckets],
-            "stats": dict(self.stats),
-        }
-
 
 class CompiledExecutor:
-    """Replay a :class:`CompiledSchedule` through the eager runtime."""
+    """Replay a :class:`CompiledSchedule` through the unit hooks."""
 
     def __init__(self, runtime, schedule: CompiledSchedule):
         # The runtime owns this executor: both it and its units are
@@ -93,7 +81,7 @@ class CompiledExecutor:
         return members
 
     # ------------------------------------------------------------------
-    # Hook entry points (called from FsdpUnit / FsdpRuntime)
+    # Schedule entry points (called from FsdpUnit / FsdpRuntime)
     # ------------------------------------------------------------------
     def begin_iteration(self) -> None:
         self._issued = {}
@@ -101,12 +89,18 @@ class CompiledExecutor:
         self._fire(("iter_begin", ""))
 
     def on_pre_forward(self, unit) -> None:
+        # This point's bucket issues and the single surviving wait for
+        # this unit.
         self._consume("forward", ("pre_forward", unit.label), unit)
 
     def on_pre_backward(self, unit) -> None:
+        unit._open_backward()
         self._consume("backward", ("pre_backward", unit.label), unit)
 
     def on_post_backward(self, unit) -> None:
+        # This unit's reduce bucket flushes when its trigger (the
+        # bucket's last member) fires; gradients park in the handle
+        # until then.
         label = unit.label
         self._fire(("post_backward", label))
         if label not in self.schedule.rs_bucket_of:
@@ -120,6 +114,23 @@ class CompiledExecutor:
         # reduce now.
         for bucket in self.schedule.rs_buckets:
             self._reduce(bucket)
+
+    def summary(self) -> dict:
+        def describe(bucket) -> dict:
+            return {
+                "kind": bucket.kind.value,
+                "phase": bucket.phase,
+                "units": list(bucket.units),
+                "nbytes": bucket.nbytes,
+                "trigger": list(bucket.trigger),
+            }
+
+        schedule = self.schedule
+        return {
+            "all_gather_buckets": [describe(b) for b in schedule.ag_buckets],
+            "reduce_scatter_buckets": [describe(b) for b in schedule.rs_buckets],
+            "stats": dict(schedule.stats),
+        }
 
     # ------------------------------------------------------------------
     def _fire(self, trigger) -> None:

@@ -399,22 +399,23 @@ def _pre_forward(module: Module, unit: FsdpUnit, config: dict, args: tuple, kwar
 
 
 def _init_runtime_for_root(root_module: Module, root_unit: FsdpUnit, config: dict) -> None:
-    compile_settings = None
-    if config.get("compile"):
-        from repro.compile import CompileSettings
-
-        compile_settings = CompileSettings(
-            bucket_elems=config.get("compile_bucket_elems"),
-            memory_budget=config.get("compile_memory_budget"),
-        )
     runtime = FsdpRuntime(
         config["device"],
         backward_prefetch=config["backward_prefetch"],
         forward_prefetch=config["forward_prefetch"],
         limit_all_gathers=config["limit_all_gathers"],
         rate_limit_inflight=config["rate_limit_inflight"],
-        compile_settings=compile_settings,
     )
+    if config.get("compile"):
+        from repro.compile import CaptureSchedule, CompileSettings
+
+        runtime.schedule = CaptureSchedule(
+            runtime,
+            CompileSettings(
+                bucket_elems=config.get("compile_bucket_elems"),
+                memory_budget=config.get("compile_memory_budget"),
+            ),
+        )
     root_unit.is_root = True
     # The paper intentionally keeps the outermost unit's parameters in
     # memory between forward and backward (Section 3.3.1, Figure 5).

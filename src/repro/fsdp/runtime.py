@@ -20,10 +20,16 @@ This module implements Sections 3.3 and 3.4:
   optimizer never consumes gradients early (4.3).
 
 A unit's place in the iteration is one :class:`UnitPhase`, moved only
-along the one table :data:`MOVES` (:meth:`FsdpUnit._move`).  Both
-collectives are issued by two routines, :meth:`FsdpRuntime.unshard_units`
-and :meth:`FsdpRuntime.reduce_units`: the eager hooks pass one unit, the
-compiled executor (:mod:`repro.compile.schedule`) a bucket's members.
+along the one table :data:`MOVES` (:meth:`FsdpUnit._move`).  The hooks
+leave every communication decision to the one installed schedule,
+``FsdpRuntime.schedule``: ``begin_iteration()``, ``on_pre_forward(unit)``,
+``on_pre_backward(unit)``, ``on_post_backward(unit)``, ``on_finalize()``
+(and ``summary()``).  :class:`EagerSchedule` is the default; compiling
+(:mod:`repro.compile`) swaps in a ``CompiledExecutor`` at an iteration
+boundary.  Both issue collectives through two routines,
+:meth:`FsdpRuntime.unshard_units` and :meth:`FsdpRuntime.reduce_units`:
+the eager schedule passes one unit, the compiled executor a bucket's
+members.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from repro.nn.checkpoint import current_recompute
 from repro.tensor import Tensor
 
 __all__ = [
-    "BackwardPrefetch", "FsdpRuntime", "FsdpUnit", "MOVES", "RATE_LIMIT_INFLIGHT", "UnitPhase",
+    "BackwardPrefetch", "EagerSchedule", "FsdpRuntime", "FsdpUnit", "MOVES",
+    "RATE_LIMIT_INFLIGHT", "UnitPhase",
 ]  # fmt: skip
 
 # "It allows at most two inflight AllGathers, which is the minimum
@@ -115,7 +122,6 @@ class FsdpRuntime:
         forward_prefetch: bool = False,
         limit_all_gathers: bool = True,
         rate_limit_inflight: int = RATE_LIMIT_INFLIGHT,
-        compile_settings=None,
     ):
         self.device = device
         self.unshard_stream: Stream = device.new_stream("fsdp-unshard")
@@ -133,14 +139,9 @@ class FsdpRuntime:
         self._inflight: deque[Event] = deque()
         self._final_callback_queued = False
         self.iteration = 0
-        #: repro.compile.CompileSettings when compilation is requested.
-        self.compile_settings = compile_settings
-        #: CaptureHook recording the current (eager) iteration, or None;
-        #: it observes the device until that iteration finalizes.
-        self.capture = None
-        self._detach_capture = None
-        #: CompiledExecutor replaying the compiled schedule, or None.
-        self.compiled = None
+        #: The installed schedule: every communication decision the unit
+        #: hooks make goes through it (see the module docstring).
+        self.schedule = EagerSchedule()
         #: The root's :class:`~repro.fsdp.api.UnitTree`, kept by its lazy init.
         self.tree = None
 
@@ -269,7 +270,6 @@ class FsdpRuntime:
     # ------------------------------------------------------------------
     def begin_iteration(self) -> None:
         self.iteration += 1
-        self._advance_compile_state()
         self._close_order()
         self._prev_exec_order = self._exec_order
         self._exec_order = []
@@ -280,56 +280,10 @@ class FsdpRuntime:
         # compute stream; communication must observe those writes.
         self.unshard_stream.wait_stream(self.device.default_stream)
         self.emit("iteration_begin")
-        if self.compiled is not None:
-            # Fires the schedule's iter_begin actions (the pipelined
-            # first forward bucket) after the optimizer-write barrier.
-            self.compiled.begin_iteration()
-
-    def _advance_compile_state(self) -> None:
-        """Iteration 1 records eagerly; iteration 2 compiles and installs.
-
-        A capture left incomplete (an aborted iteration) records again;
-        a capture marked unsupported (e.g. activation-checkpoint
-        recompute re-entered a unit's forward) raises, because the
-        user asked for compilation the runtime cannot honour.
-        """
-        settings = self.compile_settings
-        if settings is None or self.compiled is not None:
-            return
-        capture = self.capture
-        if capture is not None and capture.complete and capture.unsupported:
-            raise FsdpError(f"cannot compile FSDP step: {capture.unsupported}")
-        if capture is not None and capture.complete:
-            from repro.compile import CompiledExecutor, compile_capture
-
-            elem_size = 4
-            for unit in self.units:
-                if unit.handle is not None:
-                    elem_size = unit.handle.compute_dtype.itemsize
-                    break
-            schedule = compile_capture(
-                capture,
-                bucket_elems=settings.bucket_elems,
-                elem_size=elem_size,
-                memory_budget=settings.memory_budget,
-            )
-            self.compiled = CompiledExecutor(self, schedule)
-            self.capture = None
-        else:
-            from repro.compile import CaptureHook
-
-            self._stop_capture()
-            self.capture = CaptureHook()
-            self._detach_capture = self.device.observe(self.capture)
-            # Tell the new observer where the allocator stands.
-            self.capture.on_alloc(self.device.allocator)
-
-    def _stop_capture(self) -> None:
-        """The capture stops observing the device (it keeps what it
-        recorded)."""
-        if self._detach_capture is not None:
-            self._detach_capture()
-            self._detach_capture = None
+        # After the optimizer-write barrier: a compiled schedule fires its
+        # iter_begin actions (the pipelined first forward bucket) here,
+        # and compilation swaps schedules at this boundary.
+        self.schedule.begin_iteration()
 
     def reset_after_failure(self) -> None:
         """Discard in-flight state after an aborted iteration.
@@ -346,10 +300,6 @@ class FsdpRuntime:
         self._prev_exec_order = []
         # The rebuilt world may legitimately run another order.
         self._reference = None
-        # A half-recorded capture is useless; a compiled schedule stays
-        # valid (the step's structure does not change across restarts).
-        self._stop_capture()
-        self.capture = None
         for unit in self.units:
             unit.pending_reduce_work = None
             unit._last_unshard_event = None
@@ -414,10 +364,10 @@ class FsdpRuntime:
             # still hold a partial count; fire their reduction now.
             if unit.handle is not None:
                 unit.handle.flush_post_backward()
-        if self.compiled is not None:
-            self.compiled.on_finalize()
         self.emit("finalize")
-        self._stop_capture()
+        # After the announcement: a recording schedule's capture hears
+        # the finalize before it stops observing.
+        self.schedule.on_finalize()
         for unit in self.units:
             unit._move("finalize")  # none from GRADS_READY: a lost reduction
             if unit.handle is None:
@@ -467,6 +417,59 @@ class FsdpRuntime:
             ):
                 return (candidate,)
         return ()
+
+
+class EagerSchedule:
+    """The per-unit policy above, a runtime's schedule until compilation
+    swaps another in: each unit gathers at its own pre-hooks, prefetches
+    one unit ahead and reduces at its own post-backward.  Stateless:
+    each unit names its runtime."""
+
+    def begin_iteration(self) -> None:
+        """Nothing is issued before the first unit's pre-forward."""
+
+    def on_pre_forward(self, unit: "FsdpUnit") -> None:
+        runtime = unit.runtime
+        if runtime.forward_prefetch and not unit.is_root:
+            runtime.emit(
+                "prefetch_outcome", unit, already_unsharded=unit.handle.residency is UNSHARDED
+            )
+        runtime.unshard_units((unit,), "forward")
+        if runtime.forward_prefetch:
+            targets = runtime.prefetch_targets(unit, runtime._prev_exec_order, IDLE)
+            runtime.unshard_units(targets, "forward_prefetch")
+        unit._wait_unshard_on_compute()
+
+    def on_pre_backward(self, unit: "FsdpUnit") -> None:
+        runtime = unit.runtime
+        if runtime.backward_prefetch is not BackwardPrefetch.NONE:
+            runtime.emit(
+                "prefetch_outcome", unit, already_unsharded=unit.handle.residency is UNSHARDED
+            )
+        unit._open_backward()
+        runtime.unshard_units((unit,), "pre_backward")
+        if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_PRE:
+            # Issue the next unit's AllGather now, ahead of this unit's
+            # ReduceScatter on the shared communication stream.  The
+            # target's own pre-backward hook still runs later (it will
+            # find the handle already unsharded and only wait).
+            targets = runtime.prefetch_targets(unit, runtime._exec_order[::-1], FORWARD_DONE)
+            runtime.unshard_units(targets, "backward_prefetch")
+        unit._wait_unshard_on_compute()
+
+    def on_post_backward(self, unit: "FsdpUnit") -> None:
+        runtime = unit.runtime
+        runtime.reduce_units((unit,))
+        if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_POST:
+            targets = runtime.prefetch_targets(unit, runtime._exec_order[::-1], FORWARD_DONE)
+            runtime.unshard_units(targets, "backward_prefetch")
+
+    def on_finalize(self) -> None:
+        """Every unit reduced at its own post-backward."""
+
+    def summary(self) -> Optional[dict]:
+        """The compiled schedule's description; an eager one has none."""
+        return None
 
 
 class FsdpUnit:
@@ -584,21 +587,7 @@ class FsdpUnit:
         runtime.device.push_scope(f"forward:{self.label}")
         if self.handle is None:
             return
-        if runtime.compiled is not None:
-            # Compiled replay: the executor fires this point's bucket
-            # issues and the single surviving wait for this unit.
-            runtime.compiled.on_pre_forward(self)
-            self.handle.use_unsharded_views()
-            return
-        if runtime.forward_prefetch and not self.is_root:
-            runtime.emit(
-                "prefetch_outcome", self, already_unsharded=self.handle.residency is UNSHARDED
-            )
-        runtime.unshard_units((self,), "forward")
-        if runtime.forward_prefetch:
-            targets = runtime.prefetch_targets(self, runtime._prev_exec_order, IDLE)
-            runtime.unshard_units(targets, "forward_prefetch")
-        self._wait_unshard_on_compute()
+        runtime.schedule.on_pre_forward(self)
         self.handle.use_unsharded_views()
 
     def post_forward(self, output):
@@ -628,32 +617,20 @@ class FsdpUnit:
         if self._move("pre_backward") is not FORWARD_DONE:
             return None  # another output's hook: the backward already began
         runtime.emit("pre_backward", self)
-        if runtime.compiled is None and (
-            runtime.backward_prefetch is not BackwardPrefetch.NONE
-        ):
-            runtime.emit(
-                "prefetch_outcome", self, already_unsharded=self.handle.residency is UNSHARDED
-            )
-        # Pushed before issuing, so a backward-prefetch AllGather's
-        # issue carries ``backward:<this unit>`` as its parent scope —
-        # this unit's gradient computation is exactly what the prefetch
-        # is meant to overlap (Section 3.3.2).  Popped in the
-        # post-backward hook.
-        runtime.device.push_scope(f"backward:{self.label}")
-        self.handle.prepare_gradient_for_backward()
-        if runtime.compiled is not None:
-            runtime.compiled.on_pre_backward(self)
-            return None
-        runtime.unshard_units((self,), "pre_backward")
-        if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_PRE:
-            # Issue the next unit's AllGather now, ahead of this unit's
-            # ReduceScatter on the shared communication stream.  The
-            # target's own pre-backward hook still runs later (it will
-            # find the handle already unsharded and only wait).
-            targets = runtime.prefetch_targets(self, runtime._exec_order[::-1], FORWARD_DONE)
-            runtime.unshard_units(targets, "backward_prefetch")
-        self._wait_unshard_on_compute()
+        # The schedule opens the unit's backward (after any announcement
+        # of its own) and gathers its parameters.
+        runtime.schedule.on_pre_backward(self)
         return None
+
+    def _open_backward(self) -> None:
+        """Each schedule's ``on_pre_backward`` pushes the unit's scope
+        before it issues, so a backward-prefetch AllGather's issue
+        carries ``backward:<this unit>`` as its parent scope — this
+        unit's gradient computation is exactly what the prefetch is
+        meant to overlap (Section 3.3.2).  Popped in the post-backward
+        hook."""
+        self.runtime.device.push_scope(f"backward:{self.label}")
+        self.handle.prepare_gradient_for_backward()
 
     def _post_backward_hook(self, flat_param) -> None:
         # May fire several times per backward: each checkpoint
@@ -673,16 +650,7 @@ class FsdpUnit:
         recompute = current_recompute()
         if not recompute or recompute == self.entered_by:
             self._reshard_and_note()
-        if runtime.compiled is not None:
-            # The executor flushes this unit's reduce bucket when its
-            # trigger (the bucket's last member) fires; grads park in
-            # the handle until then.
-            runtime.compiled.on_post_backward(self)
-            return
-        runtime.reduce_units((self,))
-        if runtime.backward_prefetch is BackwardPrefetch.BACKWARD_POST:
-            targets = runtime.prefetch_targets(self, runtime._exec_order[::-1], FORWARD_DONE)
-            runtime.unshard_units(targets, "backward_prefetch")
+        runtime.schedule.on_post_backward(self)
 
 
 def _live(refs: list[weakref.ref]) -> list:

@@ -145,10 +145,6 @@ class ClusterTopology:
         """Set of host indices touched by a group of ranks."""
         return {self.rank_to_host(r) for r in ranks}
 
-    def pods_spanned(self, ranks: Iterable[int]) -> set[int]:
-        """Set of pod indices touched by a group of ranks."""
-        return {h // self.pod_hosts for h in self.hosts_spanned(ranks)}
-
     def ring_bandwidth(self, ranks: Sequence[int]) -> float:
         """Ring (algorithm) bandwidth for a collective over ``ranks``.
 
@@ -167,11 +163,16 @@ class ClusterTopology:
         ranks = list(ranks)
         if not ranks:
             raise ValueError("ring_bandwidth requires a non-empty group")
-        hosts = self.hosts_spanned(ranks)
+        # One pass over the group: the extremes cover every rank's range
+        # check, and the pods follow from the hosts.
+        self._check_rank(min(ranks))
+        self._check_rank(max(ranks))
+        per_host = self.host.gpus_per_host
+        hosts = {rank // per_host for rank in ranks}
         if len(hosts) == 1:
             return self.host.nvlink_bandwidth
         bandwidth = min(self.host.nvlink_bandwidth, self.host.nic_bandwidth)
-        if len(self.pods_spanned(ranks)) > 1:
+        if len({host // self.pod_hosts for host in hosts}) > 1:
             bandwidth /= self.oversubscription
         return bandwidth
 

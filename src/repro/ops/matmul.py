@@ -42,19 +42,20 @@ def linear_flops(batch_elems: int, in_features: int, out_features: int) -> float
     return 2.0 * batch_elems * in_features * out_features
 
 
-def _matmul_out_shape(a_shape, b_shape) -> tuple[int, ...]:
-    batch = _batch_shape(tuple(a_shape[:-2]), tuple(b_shape[:-2]))
-    return batch + (a_shape[-2], b_shape[-1])
-
-
 class _Matmul(Function):
     @staticmethod
     def forward(ctx, a: Tensor, b: Tensor) -> Tensor:
         if len(a.shape) < 2 or len(b.shape) < 2:
             raise ValueError("matmul requires >=2-D tensors (use view for vectors)")
         ctx.save_for_backward(a, b)
-        shape = _matmul_out_shape(a.shape, b.shape)
-        flops = matmul_flops(a.shape, b.shape)
+        # matmul_flops written out, so the batch shape is computed once.
+        a_shape, b_shape = a.shape, b.shape
+        batch_shape = _batch_shape(a_shape[:-2], b_shape[:-2])
+        (m, k), (k2, n) = a_shape[-2:], b_shape[-2:]
+        if k != k2:
+            raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
+        shape = batch_shape + (m, n)
+        flops = 2.0 * math.prod(batch_shape) * m * k * n
         out_bytes = math.prod(shape) * a.dtype.itemsize
         cost = kernel_cost((flops, a.nbytes + b.nbytes + out_bytes, True))
         return make_result(

@@ -629,8 +629,9 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 result.checkpoint_save_s = run.writer.total_save_s
                 result.checkpoint_stall_s = run.writer.total_stall_s
             runtime = run.runtime()
-            if runtime is not None and runtime.compiled is not None:
-                result.extras["compile"] = runtime.compiled.schedule.summary()
+            summary = None if runtime is None else runtime.schedule.summary()
+            if summary is not None:
+                result.extras["compile"] = summary
         except OutOfMemoryError:
             result.oom = True
     if injector is not None:

@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import distributed as dist, nn
+from repro.compile import CaptureHook, CaptureSchedule, CompiledExecutor
 from repro.cuda import sanitizer
 from repro.errors import ExecOrderViolation
 from repro.fsdp import (
@@ -42,6 +43,7 @@ from repro.fsdp import (
     fully_shard,
 )
 from repro.fsdp import full_optim_state_dict
+from repro.fsdp.runtime import EagerSchedule
 from repro.fsdp.state_dict import full_state_dict
 from repro.optim import SGD, Adam
 from repro.profiler import profile_device
@@ -105,15 +107,16 @@ def _compile_worker(
         losses = _train(model, opt, xs, ys, rank, world, steps)
         runtime = model._fsdp_unit.runtime
         if compile:
-            assert runtime.compiled is not None, "compiled executor never installed"
-            assert runtime.capture is None, "capture hook should be retired"
-            summary = runtime.compiled.schedule.summary()
+            assert isinstance(runtime.schedule, CompiledExecutor), "executor never installed"
+            observers = runtime.device.observers
+            assert not any(isinstance(o, CaptureHook) for o in observers), "capture not retired"
+            summary = runtime.schedule.summary()
             if world > 1:
                 # W=1 units never unshard (F==1), so an empty schedule
                 # is the correct degenerate capture there.
                 assert summary["all_gather_buckets"], "schedule has no AG buckets"
         else:
-            assert runtime.compiled is None
+            assert type(runtime.schedule) is EagerSchedule
         sd = {k: v.numpy().copy() for k, v in full_state_dict(model).items()}
         osd = _optim_state_numpy(full_optim_state_dict(model, opt))
         return losses, sd, osd
@@ -323,7 +326,7 @@ class TestLateJoiningUnit:
                 model = _wrap_late_join(model, compile, dist.get_device())
                 opt = SGD(list(model.parameters()), lr=0.05)
                 losses = _train(model, opt, xs, ys, rank, 2, STEPS + 1)
-                assert (model._fsdp_unit.runtime.compiled is not None) == compile
+                assert isinstance(model._fsdp_unit.runtime.schedule, CompiledExecutor) == compile
                 sd = {k: v.numpy().copy() for k, v in full_state_dict(model).items()}
                 return losses, sd
 
@@ -352,7 +355,7 @@ class TestLateJoiningUnit:
                     model(repro.empty(4, 5, device=device)).sum().backward()
                     opt.step()
                     opt.zero_grad()
-            assert model._fsdp_unit.runtime.compiled is not None
+            assert isinstance(model._fsdp_unit.runtime.schedule, CompiledExecutor)
         finally:
             dist.shutdown()
         late = session.units["_LateJoin.late"]
@@ -363,3 +366,78 @@ class TestLateJoiningUnit:
         for span in gathers:
             assert scope_leaf(span.scope).startswith("unshard:_LateJoin.late@"), span.scope
         assert late.reduce_scatter_bytes > 0
+
+
+class TestScheduleSwap:
+    """Compilation is a schedule swap at an iteration boundary: the
+    capture observes its own iteration only, up to its finalize; a reset
+    drops a recording, finished or not, and the iteration after it
+    records again; the compiled schedule outlives resets."""
+
+    @staticmethod
+    def _captures(device) -> int:
+        return sum(isinstance(observer, CaptureHook) for observer in device.observers)
+
+    @staticmethod
+    def _forward(model, device):
+        return model(repro.empty(4, 5, device=device)).sum()
+
+    def _run(self, check):
+        dist.shutdown()
+        ctx = dist.init_single_process(2, materialize=False)
+        try:
+            model = FSDP(
+                nn.Sequential(nn.Linear(5, 6), nn.Linear(6, 6)),
+                device=ctx.device,
+                compile=True,
+                auto_wrap_policy=ModuleWrapPolicy({nn.Linear}),
+            )
+            check(model, ctx.device)
+        finally:
+            dist.shutdown()
+
+    def test_a_capture_observes_its_iteration_only(self):
+        def check(model, device):
+            loss = self._forward(model, device)
+            runtime = model._fsdp_unit.runtime
+            assert type(runtime.schedule) is CaptureSchedule
+            assert self._captures(device) == 1
+            loss.backward()
+            assert self._captures(device) == 0
+            self._forward(model, device).backward()
+            assert isinstance(runtime.schedule, CompiledExecutor)
+            assert self._captures(device) == 0
+
+        self._run(check)
+
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_a_reset_records_again(self, finished):
+        def check(model, device):
+            loss = self._forward(model, device)
+            runtime = model._fsdp_unit.runtime
+            if finished:
+                loss.backward()
+            runtime.reset_after_failure()
+            loss = self._forward(model, device)
+            assert type(runtime.schedule) is CaptureSchedule
+            assert self._captures(device) == 1
+            loss.backward()
+            self._forward(model, device).backward()
+            assert isinstance(runtime.schedule, CompiledExecutor)
+
+        self._run(check)
+
+    def test_the_compiled_schedule_outlives_a_reset(self):
+        def check(model, device):
+            for _ in range(2):
+                self._forward(model, device).backward()
+            runtime = model._fsdp_unit.runtime
+            executor = runtime.schedule
+            assert isinstance(executor, CompiledExecutor)
+            self._forward(model, device)
+            runtime.reset_after_failure()
+            self._forward(model, device).backward()
+            assert runtime.schedule is executor
+            assert self._captures(device) == 0
+
+        self._run(check)

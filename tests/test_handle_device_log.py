@@ -32,6 +32,7 @@ import pytest
 
 import repro
 from repro import distributed as dist, dtypes, nn
+from repro.compile import CompiledExecutor
 from repro.fsdp import (
     CPUOffload,
     FullyShardedDataParallel as FSDP,
@@ -157,7 +158,7 @@ def _logged_iteration(layout, compile, no_sync_micros):
     opt = SGD(list(model.parameters()), lr=0.1)
     for _ in range(2):  # a compiled unit records, then compiles
         _iteration(model, opt, device, no_sync_micros)
-    assert (model._fsdp_unit.runtime.compiled is not None) == compile
+    assert isinstance(model._fsdp_unit.runtime.schedule, CompiledExecutor) == compile
     device.reset_peak_memory_stats()
     log = DeviceLog(device)
     with log:

@@ -54,6 +54,12 @@ class TestClusterTopology:
             min(topo.host.nvlink_bandwidth, topo.host.nic_bandwidth) / 2.0
         )
 
+    def test_out_of_range_rank_raises(self):
+        topo = cluster_of(16)
+        for group in ([0, 16], [-1, 3], [15, 3, 99]):
+            with pytest.raises(ValueError, match="out of range for world size 16"):
+                topo.ring_bandwidth(group)
+
     def test_jitter_grows_with_world(self):
         topo = cluster_of(512)
         assert topo.jitter_factor(1) == 1.0

@@ -1,4 +1,4 @@
-"""Coverage for ops not exercised elsewhere: cast, where, pad, getitem."""
+"""Coverage for ops not exercised elsewhere: cast, where, pad, getitem, matmul shapes."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import dtypes, ops
+from repro.cuda.device import Device
+from repro.ops.matmul import matmul_flops
 from tests.conftest import gradcheck
 
 
@@ -116,6 +118,30 @@ class TestExpandAndDropout:
         out.sum().backward()
         mask = out.numpy() != 0
         np.testing.assert_array_equal((t.grad.numpy() != 0), mask)
+
+
+class TestMatmulShapes:
+    def test_inner_dimension_mismatch_raises_on_the_forward_path(self):
+        a = repro.tensor(np.ones((2, 3), np.float32))
+        b = repro.tensor(np.ones((4, 5), np.float32))
+        with pytest.raises(ValueError, match=r"matmul shape mismatch: \(2, 3\) @ \(4, 5\)"):
+            ops.matmul(a, b)
+
+    def test_broadcast_batch_sets_the_output_shape_and_the_launched_flops(self, monkeypatch):
+        device, launched = Device("sim_gpu"), []
+        a = ops.to_device(repro.tensor(np.ones((3, 1, 2, 4), np.float32)), device)
+        b = ops.to_device(repro.tensor(np.ones((5, 4, 6), np.float32)), device)
+        launch = device.launch
+
+        def recording(cost, dtype, **kw):
+            launched.append(cost.flops)
+            return launch(cost, dtype, **kw)
+
+        monkeypatch.setattr(device, "launch", recording)
+        out = ops.matmul(a, b)
+        assert out.shape == (3, 5, 2, 6)
+        assert launched == [matmul_flops(a.shape, b.shape)] == [2.0 * 15 * 2 * 4 * 6]
+        np.testing.assert_array_equal(out.numpy(), np.matmul(a.numpy(), b.numpy()))
 
 
 class TestHypothesisProperties:

@@ -5,9 +5,11 @@ Each rule is a function from source text to its violations, one
 violation) and on a snippet that breaks it (its negative control, so a
 rule that stops matching anything fails too).
 
-- One unit-collective path: an eager unit is a compiled bucket of one,
-  so ``FsdpRuntime.unshard_units`` / ``reduce_units`` never ask whether
-  the step is compiled, and in ``repro.fsdp`` only the two staged
+- One unit-collective path and one trigger path: an eager unit is a
+  compiled bucket of one, and the unit hooks drive whichever schedule is
+  installed, so nothing in ``repro.fsdp`` or ``perf/trainer.py`` asks
+  which one it is (no ``.compiled`` / ``.capture`` attribute, no
+  ``isinstance(..., CompiledExecutor)``), and in ``repro.fsdp`` only the two staged
   routines ``unshard_bucket`` / ``reduce_bucket`` call a coalesced
   collective, one call each.  The compiled executor (``repro.compile``)
   calls no handle collective, no coalesced collective and not the rate
@@ -108,8 +110,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: The functions allowed to call a ``*_coalesced`` collective in repro.fsdp.
 SHARED_ROUTINES = {"handle.py": {"unshard_bucket", "reduce_bucket"}}
-#: The runtime methods that must not test ``.compiled``.
-UNIT_COLLECTIVES = {"FsdpRuntime": {"unshard_units", "reduce_units"}}
+#: Where nothing may ask which schedule is installed, and the attributes
+#: the eager/compiled fork read.
+SCHEDULE_BLIND = (*sorted((SRC / "fsdp").rglob("*.py")), SRC / "perf" / "trainer.py")
+FORK_ATTRS = {"compiled", "capture"}
 #: The functions that must not zero-fill, by file.
 WRITE_ONCE = {"_helpers.py": {"make_result"}}
 #: The packages whose optimizer-state reads are confined, and the one
@@ -173,16 +177,23 @@ def _functions(tree: ast.AST, scope: tuple = ()):
 
 
 def compiled_tests(path: str, source: str) -> list[str]:
-    """Reads of ``.compiled`` inside the runtime's unit collectives."""
+    """Every ``.compiled`` / ``.capture`` attribute and every
+    ``isinstance(..., CompiledExecutor)``, whichever function holds it."""
+    tree = _tree(source)
+    owner = _owners(tree)
     found = []
-    for scope, func in _functions(_tree(source)):
-        if scope and func.name in UNIT_COLLECTIVES.get(scope[-1], ()):
-            found += [
-                f"{path}:{node.lineno}: {scope[-1]}.{func.name} reads .compiled"
-                for node in ast.walk(func)
-                if isinstance(node, ast.Attribute) and node.attr == "compiled"
-            ]
-    return found
+    for node in ast.walk(tree):
+        where = ".".join(owner.get(node, ())) or "<module>"
+        if isinstance(node, ast.Attribute) and node.attr in FORK_ATTRS:
+            verb = "reads" if isinstance(node.ctx, ast.Load) else "writes"
+            found.append((node.lineno, node.col_offset, f"{where} {verb} .{node.attr}"))
+        elif isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) > 1:
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if getattr(kind, "id", getattr(kind, "attr", "")) == "CompiledExecutor":
+                    what = f"{where} tests isinstance(..., CompiledExecutor)"
+                    found.append((node.lineno, node.col_offset, what))
+    return [f"{path}:{line}: {what}" for line, _, what in sorted(found)]
 
 
 def coalesced_calls(path: str, source: str) -> list[str]:
@@ -721,7 +732,8 @@ def _tree_violations(rule, paths) -> list[str]:
 
 
 def test_unit_collectives_do_not_test_compiled():
-    assert _tree_violations(compiled_tests, [SRC / "fsdp" / "runtime.py"]) == []
+    assert len(SCHEDULE_BLIND) > 10
+    assert _tree_violations(compiled_tests, SCHEDULE_BLIND) == []
 
 
 def test_only_the_shared_routines_call_coalesced_collectives():
@@ -835,11 +847,45 @@ def issue(group, pairs):
 '''
 
 
+_SCHEDULE_TYPE_TESTS = '''
+import repro.compile as rc
+from repro.compile import CompiledExecutor
+
+
+class FsdpUnit:
+    def pre_forward(self):
+        runtime = self.runtime
+        if isinstance(runtime.schedule, CompiledExecutor):
+            runtime.schedule.on_pre_forward(self)
+
+    def _post_backward_hook(self, flat_param):
+        if isinstance(self.runtime.schedule, (EagerSchedule, rc.CompiledExecutor)):
+            self.runtime.reduce_units((self,))
+
+
+def summary(run):
+    run.runtime().capture = None
+    return run.runtime().capture
+'''
+
+
 def test_negative_control_a_compiled_fork_is_caught():
     found = compiled_tests("runtime.py", _FORKED_RUNTIME)
     assert [v.split(": ", 1)[1] for v in found] == [
         "FsdpRuntime.unshard_units reads .compiled",
         "FsdpRuntime.reduce_units reads .compiled",
+        "FsdpRuntime.begin_iteration reads .compiled",
+        "FsdpRuntime.begin_iteration reads .compiled",
+    ]
+
+
+def test_negative_control_a_schedule_type_test_is_caught():
+    found = compiled_tests("runtime.py", _SCHEDULE_TYPE_TESTS)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "FsdpUnit.pre_forward tests isinstance(..., CompiledExecutor)",
+        "FsdpUnit._post_backward_hook tests isinstance(..., CompiledExecutor)",
+        "summary writes .capture",
+        "summary reads .capture",
     ]
 
 

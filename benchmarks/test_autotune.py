@@ -13,19 +13,17 @@ their rows to ``BENCH_autotune.json``.
 """
 
 from benchmarks.conftest import run_once
-from repro.autotune import (
-    calibrate,
-    plan_sharding,
-    print_calibration_table,
-    search_result_to_json,
-)
+from repro.autotune import plan_sharding
 from repro.bench.autotune import (
     bench_gpt_workload,
     bench_t5_workload,
+    calibrate,
     calibration_candidates,
     calibration_dhen_workload,
     planner_vs_grid,
+    print_calibration_table,
     restricted_space,
+    search_result_to_json,
 )
 
 #: Error bands the cost models are calibrated to on these workloads.

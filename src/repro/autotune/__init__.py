@@ -29,12 +29,6 @@ from repro.autotune.predict import (
     build_unit_work,
     predict_iteration_latency,
 )
-from repro.autotune.report import (
-    CalibrationRow,
-    calibrate,
-    print_calibration_table,
-    search_result_to_json,
-)
 from repro.autotune.space import AutotunePlan, Candidate, SearchSpace, WrapChoice
 from repro.autotune.trace import ModelTrace, OpRecord, record_step
 from repro.autotune.workloads import (
@@ -48,7 +42,6 @@ from repro.fsdp.sharding import resolve_sharding_factor
 
 __all__ = [
     "AutotunePlan",
-    "CalibrationRow",
     "Candidate",
     "LatencyEstimate",
     "MemoryEstimate",
@@ -60,7 +53,6 @@ __all__ = [
     "UnitWork",
     "WrapChoice",
     "build_unit_work",
-    "calibrate",
     "default_search_space",
     "default_wrap_choices",
     "dhen_workload",
@@ -69,9 +61,7 @@ __all__ = [
     "gpt_workload",
     "plan_sharding",
     "predict_iteration_latency",
-    "print_calibration_table",
     "record_step",
     "resolve_sharding_factor",
-    "search_result_to_json",
     "t5_workload",
 ]

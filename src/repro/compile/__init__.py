@@ -125,3 +125,7 @@ class CaptureSchedule(EagerSchedule):
         if self._detach is not None:
             self._detach()
             self._detach = None
+
+    def on_reset(self) -> None:
+        """An aborted recording stops observing at the reset."""
+        self.on_finalize()

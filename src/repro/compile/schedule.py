@@ -7,7 +7,8 @@ CPU-side hook positions the eager runtime already has).
 schedule protocol (``FsdpRuntime.schedule``; see
 :mod:`repro.fsdp.runtime`): ``begin_iteration()``,
 ``on_pre_forward(unit)``, ``on_pre_backward(unit)``,
-``on_post_backward(unit)`` and ``on_finalize()``, plus ``summary()``.
+``on_post_backward(unit)``, ``on_finalize()`` and ``on_reset()``, plus
+``summary()``.
 The unit hooks keep recording execution order, announcing their
 lifecycle points, opening scopes and installing views; the executor
 makes the *communication* decisions (what to issue, what to wait on,
@@ -114,6 +115,10 @@ class CompiledExecutor:
         # reduce now.
         for bucket in self.schedule.rs_buckets:
             self._reduce(bucket)
+
+    def on_reset(self) -> None:
+        """A compiled schedule outlives resets: the step's structure
+        does not change across restarts."""
 
     def summary(self) -> dict:
         def describe(bucket) -> dict:

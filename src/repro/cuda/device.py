@@ -19,7 +19,7 @@ from repro.cuda import sanitizer
 from repro.cuda.allocator import CachingAllocator
 from repro.cuda.stream import Event, Stream
 from repro.errors import DeviceError
-from repro.hw.kernel_model import KernelCost, KernelCostModel, kernel_cost
+from repro.hw.kernel_model import KernelCost, KernelCostModel
 from repro.hw.specs import A100_80GB, GpuSpec
 
 __all__ = ["Device", "cpu_device", "meta_device"]
@@ -72,42 +72,6 @@ class _ScopeGuard:
         self._device.pop_scope(self._label)
 
 
-class _CoalesceGuard:
-    """Plain-class context manager for :meth:`Device.coalesce_kernels`."""
-
-    __slots__ = ("_device", "_label", "_acc")
-
-    def __init__(self, device: "Device", label: str):
-        self._device = device
-        self._label = label
-        self._acc = None
-
-    def __enter__(self) -> None:
-        device = self._device
-        if not device.is_sim_gpu or device._coalesce is not None:
-            return
-        self._acc = device._coalesce = {}
-
-    def __exit__(self, *exc_info) -> None:
-        acc = self._acc
-        if acc is None:
-            return
-        device = self._device
-        device._coalesce = None
-        self._acc = None
-        for stream, flops, bytes_moved, dtype, reads, writes in acc.values():
-            if not (flops or bytes_moved or reads or writes):
-                continue
-            device.launch(
-                kernel_cost((flops, bytes_moved, False)),
-                dtype,
-                stream=stream,
-                reads=tuple(reads.values()),
-                writes=tuple(writes.values()),
-                label=self._label,
-            )
-
-
 class Device:
     """A simulated execution device."""
 
@@ -145,9 +109,6 @@ class Device:
         # Installed by ``repro.distributed`` when a fault schedule is
         # active; process groups consult it on every collective.
         self.fault_injector = None
-        # Active kernel-coalescing accumulator (``coalesce_kernels``);
-        # ``None`` outside a coalescing region.
-        self._coalesce = None
         # Ring buffer of issued/completed collectives (may be shared
         # across ranks); process groups record into it when present.
         self.flight_recorder = None
@@ -318,17 +279,6 @@ class Device:
             self._require_sim("kernels")
         if stream is None:
             stream = self.current_stream
-        if self._coalesce is not None and not cost.is_matmul:
-            entry = self._coalesce.get(id(stream))
-            if entry is None:
-                entry = self._coalesce[id(stream)] = [stream, 0.0, 0.0, dtype, {}, {}]
-            entry[1] += cost.flops
-            entry[2] += cost.bytes_moved
-            for storage in reads:
-                entry[4][id(storage)] = storage
-            for storage in writes:
-                entry[5][id(storage)] = storage
-            return self._cpu_time, self._cpu_time
         # Hottest function in the simulator: inline consume_cpu (the
         # overhead is a positive constant), the duration memo's hit and
         # the allocator's ``record_use`` rule, and touch attributes once.
@@ -359,20 +309,6 @@ class Device:
             if san is not None:
                 san.on_access(self, stream, reads=reads, writes=writes)
         return start, end
-
-    def coalesce_kernels(self, label: str = "multi_tensor"):
-        """Fuse every elementwise kernel launched inside into one launch.
-
-        The simulator's ``multi_tensor_apply``: eager math still runs
-        per op (data effects are identical, bitwise), but instead of
-        paying launch overhead per tensor, the region issues a single
-        kernel per stream whose cost is the sum of the accumulated
-        FLOPs and HBM traffic and whose read/write sets are the unions.
-        Matmuls are never coalesced — they keep their tensor-core lane
-        and launch immediately.  Regions do not nest; an inner region
-        is a no-op inside an outer one.
-        """
-        return _CoalesceGuard(self, label)
 
     def new_event(self) -> Event:
         self._require_sim("events")

@@ -23,8 +23,9 @@ A unit's place in the iteration is one :class:`UnitPhase`, moved only
 along the one table :data:`MOVES` (:meth:`FsdpUnit._move`).  The hooks
 leave every communication decision to the one installed schedule,
 ``FsdpRuntime.schedule``: ``begin_iteration()``, ``on_pre_forward(unit)``,
-``on_pre_backward(unit)``, ``on_post_backward(unit)``, ``on_finalize()``
-(and ``summary()``).  :class:`EagerSchedule` is the default; compiling
+``on_pre_backward(unit)``, ``on_post_backward(unit)``, ``on_finalize()``,
+``on_reset()`` (from :meth:`FsdpRuntime.reset_after_failure`) and
+``summary()``.  :class:`EagerSchedule` is the default; compiling
 (:mod:`repro.compile`) swaps in a ``CompiledExecutor`` at an iteration
 boundary.  Both issue collectives through two routines,
 :meth:`FsdpRuntime.unshard_units` and :meth:`FsdpRuntime.reduce_units`:
@@ -300,6 +301,9 @@ class FsdpRuntime:
         self._prev_exec_order = []
         # The rebuilt world may legitimately run another order.
         self._reference = None
+        # A half-recorded capture stops observing; a compiled schedule
+        # stays valid.
+        self.schedule.on_reset()
         for unit in self.units:
             unit.pending_reduce_work = None
             unit._last_unshard_event = None
@@ -466,6 +470,9 @@ class EagerSchedule:
 
     def on_finalize(self) -> None:
         """Every unit reduced at its own post-backward."""
+
+    def on_reset(self) -> None:
+        """``reset_after_failure``: the policy keeps no iteration state."""
 
     def summary(self) -> Optional[dict]:
         """The compiled schedule's description; an eager one has none."""

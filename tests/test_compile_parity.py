@@ -427,6 +427,23 @@ class TestScheduleSwap:
 
         self._run(check)
 
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_a_reset_detaches_the_capture(self, finished, monkeypatch):
+        # With no other observer, the device is unobserved again at the
+        # reset, not only at the next iteration's begin.
+        monkeypatch.setattr(sanitizer, "_ACTIVE", None)
+
+        def check(model, device):
+            loss = self._forward(model, device)
+            if finished:
+                loss.backward()
+            assert device.flight_recorder is None
+            model._fsdp_unit.runtime.reset_after_failure()
+            assert self._captures(device) == 0
+            assert not device.observed
+
+        self._run(check)
+
     def test_the_compiled_schedule_outlives_a_reset(self):
         def check(model, device):
             for _ in range(2):

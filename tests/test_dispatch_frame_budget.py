@@ -22,14 +22,22 @@ graph edge ran an ``Edge.__init__``; the allocator called
 block waited on another stream.  After
 it: 26.00, 21.66 and 25.44.  Comprehensions are frames up to 3.11 and
 inlined from 3.12, so newer interpreters count fewer.
+
+A foreach Adam step launches one kernel, so it is counted per stepped
+parameter instead: 130.52 frames (per_param minGPT, warm step) while
+each update ran ten Tensor ops folded by a launch-coalescing region,
+35.24 as one multi-tensor program (seven temporaries, each a
+``Storage`` with its ``allocate`` and, after the launch, its ``free``).
 """
 
 import sys
 
 import pytest
 
+import repro
 from repro import distributed as dist
 from repro.cuda import sanitizer
+from repro.nn import functional as F
 from repro.optim import Adam
 from tests.test_dispatch_device_log import WORLD, _build, _step
 
@@ -40,6 +48,8 @@ BUDGETS = {
     ("per_param", True): 21.66 * 1.05,
     ("flat", False): 25.44 * 1.05,
 }
+#: Frames per stepped parameter of a warm foreach Adam step, plus 5 %.
+FOREACH_BUDGET = 35.24 * 1.05
 
 
 @pytest.fixture()
@@ -53,11 +63,8 @@ def meta_world(monkeypatch):
     dist.shutdown()
 
 
-def _frames_per_kernel(wrap: str, checkpoint: bool) -> float:
-    device = dist.get_device()
-    model = _build(wrap, checkpoint, device)
-    opt = Adam(list(model.parameters()), lr=1e-3)
-    _step(model, opt, device, train=True, late_hook=False)  # warm caches and state
+def _frames(run, *args, **kwargs) -> int:
+    """Python frames entered by ``run(*args, **kwargs)``, its own included."""
     frames = 0
 
     def count(frame, event, arg):
@@ -65,12 +72,21 @@ def _frames_per_kernel(wrap: str, checkpoint: bool) -> float:
         if event == "call":
             frames += 1
 
-    launched = device.kernels_launched
     sys.setprofile(count)
     try:
-        _step(model, opt, device, train=True, late_hook=False)
+        run(*args, **kwargs)
     finally:
         sys.setprofile(None)
+    return frames
+
+
+def _frames_per_kernel(wrap: str, checkpoint: bool) -> float:
+    device = dist.get_device()
+    model = _build(wrap, checkpoint, device)
+    opt = Adam(list(model.parameters()), lr=1e-3)
+    _step(model, opt, device, train=True, late_hook=False)  # warm caches and state
+    launched = device.kernels_launched
+    frames = _frames(_step, model, opt, device, train=True, late_hook=False)
     kernels = device.kernels_launched - launched
     assert kernels > 100
     return frames / kernels
@@ -83,3 +99,19 @@ def _frames_per_kernel(wrap: str, checkpoint: bool) -> float:
 )
 def test_python_frames_per_kernel_stay_in_budget(meta_world, wrap, checkpoint):
     assert _frames_per_kernel(wrap, checkpoint) <= BUDGETS[wrap, checkpoint]
+
+
+def test_python_frames_per_foreach_parameter_stay_in_budget(meta_world):
+    device = dist.get_device()
+    model = _build("per_param", False, device)
+    opt = Adam(list(model.parameters()), lr=1e-3, foreach=True)
+    _step(model, opt, device, train=True, late_hook=False)  # creates the state
+    idx = repro.empty(2, 8, dtype=repro.int64, device=device)
+    targets = repro.empty(2 * 8, dtype=repro.int64, device=device)
+    F.cross_entropy(model(idx).view(2 * 8, 64), targets).backward()
+    params = sum(param.grad is not None for param in model.parameters())
+    launched = device.kernels_launched
+    frames = _frames(opt.step)
+    assert device.kernels_launched - launched == 1
+    assert params > 20
+    assert frames / params <= FOREACH_BUDGET

@@ -36,7 +36,7 @@ from repro.fsdp import BF16_MIXED, ShardingStrategy, fully_shard, make_process_g
 from repro.fsdp import full_optim_state_dict
 from repro.fsdp.state_dict import full_state_dict
 from repro.models.transformer import TransformerBlock
-from repro.optim import SGD, Adam
+from repro.optim import SGD, Adam, AdamW
 from tests.conftest import copy_weights, snapshot_weights
 
 BATCH = 8
@@ -488,6 +488,20 @@ class TestSingleParameterUnits:
 class TestForeachOptimizer:
     def test_foreach_adam_bitwise_vs_per_tensor(self):
         """`Adam(foreach=True)` fuses the launches, not the math."""
+        self._check("adam", frozen=False)
+
+    @pytest.mark.parametrize(
+        "kind, frozen",
+        [("adamw", False), ("adam_l2", False), ("adam", True)],
+        ids=["adamw", "adam_l2", "frozen"],
+    )
+    def test_foreach_variants_bitwise_vs_per_tensor(self, kind, frozen):
+        """AdamW's decoupled decay, Adam's L2 term and a frozen parameter
+        (no gradient, no state) step bitwise as the per-tensor path."""
+        self._check(kind, frozen)
+
+    @staticmethod
+    def _check(kind, frozen):
         build = _mlp_builder(6, 13, 3, 2)
         state0, xs, ys = _make_case(build, 6, 3)
 
@@ -495,12 +509,19 @@ class TestForeachOptimizer:
             def worker(rank):
                 model = build()
                 copy_weights(model, state0)
+                if frozen:
+                    model[0].bias.requires_grad_(False)
                 device = dist.get_device()
                 for path, sub in reversed(list(model.named_modules())):
                     if sub is not model and isinstance(sub, nn.Linear):
                         fully_shard(sub, label=path, backend="per_param", device=device)
                 fully_shard(model, backend="per_param", device=device)
-                opt = Adam(model.parameters(), lr=0.05, foreach=foreach)
+                params = model.parameters()
+                if kind == "adamw":
+                    opt = AdamW(params, lr=0.05, weight_decay=0.1, foreach=foreach)
+                else:
+                    decay = 0.1 if kind == "adam_l2" else 0.0
+                    opt = Adam(params, lr=0.05, weight_decay=decay, foreach=foreach)
                 losses = _train(model, opt, xs, ys, rank, 4, steps=3)
                 sd = {k: v.numpy().copy() for k, v in full_state_dict(model).items()}
                 osd = _optim_state_numpy(full_optim_state_dict(model, opt))
@@ -514,3 +535,5 @@ class TestForeachOptimizer:
             assert bl == fl, f"rank {rank} foreach losses diverged"
             assert_states_bitwise(bsd, fsd, context=f"rank {rank} foreach")
             assert_optim_bitwise(bosd, fosd, context=f"rank {rank} foreach")
+        if frozen:
+            assert bosd["0.bias"] == {} and bosd["0.weight"]

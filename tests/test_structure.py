@@ -482,7 +482,9 @@ SECOND_LAUNCH = re.compile(
     r"|all_reduce|broadcast|_run)\(|_consult_faults\(|_record_issue\(|_enqueue\(|\.declare\("
 )
 #: The mechanisms one front-end and one recorded order replaced.
-RETIRED_MECHANISMS = re.compile("collective_start|ExecOrderValidator|exec_validator")
+RETIRED_MECHANISMS = re.compile(
+    "collective_start|ExecOrderValidator|exec_validator|coalesce_kernels|_CoalesceGuard"
+)
 #: Observer paths that pay O(1) per event: per file, the functions (all
 #: of the file when None) and what they must not spell.
 PER_EVENT = {
@@ -1380,6 +1382,26 @@ def test_negative_control_a_second_launch_path_is_caught():
     assert [v.split(": ", 1)[1] for v in retired_mechanisms("api.py", _SECOND_LAUNCH_PATH)] == [
         "spells def collective_start(",
         "spells Replaces exec_validator.start_iteration.",
+    ]
+
+
+_COALESCING_REGION = '''
+class Adam(Optimizer):
+    def step(self):
+        with self._foreach_device().coalesce_kernels("adam_foreach"):
+            self._step_impl()
+
+
+class _CoalesceGuard:
+    """Folds every launch inside into one."""
+'''
+
+
+def test_negative_control_a_coalescing_region_is_caught():
+    assert [v.split(": ", 1)[1] for v in retired_mechanisms("adam.py", _COALESCING_REGION)] == [
+        "spells coalesce_kernels",
+        "spells self._foreach_device().coalesce_kernels(",
+        "spells _CoalesceGuard",
     ]
 
 

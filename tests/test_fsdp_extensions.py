@@ -31,7 +31,7 @@ from tests.conftest import (
     snapshot_weights,
     unflatten_handle_grads,
 )
-from tests.test_per_param_parity import assert_optim_bitwise, assert_states_bitwise
+from tests.oracle import assert_optim_bitwise, assert_states_bitwise
 
 OFFLOAD = CPUOffload(offload_params=True)
 POLICY = ModuleWrapPolicy({nn.Linear})

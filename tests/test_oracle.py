@@ -1,0 +1,108 @@
+"""Every mode of the equality table reproduces every other one bitwise.
+
+Two differential tests over :mod:`tests.oracle`: a Hypothesis property
+over generated MLP cases (odd widths hit uneven dim-0 chunks and
+compiled bucket boundaries constantly), whose example count the profile
+decides, and the named :data:`CASES`, which pin every strategy, the
+draws earlier campaigns found, and the cases the generator does not
+reach.  Each historical bug, put back by monkeypatch, fails its case.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.compile import CompiledExecutor
+from repro.cuda import sanitizer
+from repro.errors import DistributedError, FsdpError
+from repro.fsdp import BF16_MIXED, ShardingStrategy
+from repro.fsdp import runtime as fsdp_runtime
+from tests.oracle import STEPS, Case, Mode, check, run
+
+S = ShardingStrategy
+
+CASES = {
+    "full_shard": Case(widths=(9, 13, 5), optimizer="adam"),
+    # Layers narrower than the world: some ranks hold nothing.
+    "shard_grad_op": Case(frontend="wrapper", widths=(2, 3, 1), depth=1, strategy=S.SHARD_GRAD_OP),
+    # Against a single-stage DDP AllReduce this draw differed by 1.13e-6
+    # (Adam magnifies the second stage's round-off).
+    "hybrid_shard": Case(
+        widths=(7, 8, 5), depth=1, strategy=S.HYBRID_SHARD, sharding_factor=2, optimizer="adam"
+    ),
+    "hybrid_shard_zero2_no_sync": Case(strategy=S.HYBRID_SHARD_ZERO2, sharding_factor=2, accumulate=True),
+    "full_shard_wrapper_no_sync": Case(frontend="wrapper", widths=(8, 4, 4), accumulate=True),
+    "no_shard_wrapper_no_sync": Case(frontend="wrapper", strategy=S.NO_SHARD, accumulate=True),
+    # Bitwise against the two-stage DDP over four SGD steps; it used to
+    # be checked to 1e-6 against a single-stage AllReduce.
+    "hybrid_shard_wrapper": Case(
+        frontend="wrapper", widths=(6, 12, 3), strategy=S.HYBRID_SHARD, sharding_factor=2, steps=4
+    ),
+    "frozen_parameter": Case(optimizer="frozen"),
+    # A unit the compiled schedule does not know: its safety net
+    # unshards the late unit and reduces it as a bucket of one.
+    "late_join": Case(model="late_join", frontend="wrapper", world=2, steps=STEPS + 1),
+    # One root unit over checkpointed layers: every recompute reads the
+    # root's unsharded views, which stay up until the outer backward.
+    "checkpointed_root": Case(model="checkpointed", wrap="root", frontend="wrapper"),
+}
+
+
+@st.composite
+def mlp_cases(draw):
+    strategy = draw(st.sampled_from(list(S)))
+    return Case(
+        widths=(draw(st.integers(2, 9)), draw(st.integers(3, 13)), draw(st.integers(1, 5))),
+        depth=draw(st.integers(1, 2)),
+        wrap=draw(st.sampled_from(["root", "linear"])),
+        frontend=draw(st.sampled_from(["fully_shard", "wrapper"])),
+        strategy=strategy,
+        sharding_factor=draw(st.sampled_from([None, 1, 2])) if strategy.is_hybrid else None,
+        world=draw(st.sampled_from([1, 2, 4])),
+        optimizer=draw(st.sampled_from(["sgd", "adam", "adamw", "adam_l2", "frozen"])),
+        accumulate=draw(st.booleans()),
+        mixed_precision=draw(st.sampled_from([None, BF16_MIXED])),
+    )
+
+
+@given(case=mlp_cases())
+def test_generated_mlp_is_bitwise_in_every_mode(case):
+    check(case)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_case_is_bitwise_in_every_mode(name):
+    check(CASES[name])
+
+
+def _without_safety_net(self, unit):
+    self._fire(("post_backward", unit.label))
+
+
+#: case -> (the arm that fails, patched owner, attribute, the bug, the
+#: error it now raises)
+CONTROLS = {
+    # The compiled executor without its reduce safety net: the late
+    # unit's gradient is never reduced.
+    "late_join": (
+        Mode("flat_param", compiled=True), CompiledExecutor, "on_post_backward",
+        _without_safety_net, "illegal move 'finalize' from grads_ready",
+    ),
+    # A flat root that reshards at every recompute's post-backward, not
+    # only at the outer backward's: the next recompute reads freed views.
+    "checkpointed_root": (
+        Mode("flat_param"), fsdp_runtime, "current_recompute",
+        lambda: 0, "illegal move 'post_backward' from reducing with resharded",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_a_historical_bug_fails_its_case(name, monkeypatch):
+    mode, owner, attribute, bug, error = CONTROLS[name]
+    monkeypatch.setattr(owner, attribute, bug)
+    # The lifecycle must stop the step, not a use-after-free report.
+    monkeypatch.setattr(sanitizer, "_ACTIVE", None)
+    with pytest.raises(DistributedError) as failure:
+        run(CASES[name], mode)
+    assert isinstance(failure.value.__cause__, FsdpError)
+    assert error in str(failure.value.__cause__)

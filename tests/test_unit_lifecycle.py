@@ -29,13 +29,11 @@ from repro import distributed as dist, nn
 from repro.compile.schedule import CompiledExecutor
 from repro.cuda import sanitizer
 from repro.errors import FsdpError
-from repro.fsdp import FullyShardedDataParallel as FSDP
+from repro.fsdp import FullyShardedDataParallel as FSDP, ModuleWrapPolicy
 from repro.fsdp import runtime as fsdp_runtime
 from repro.fsdp.runtime import MOVES, UnitPhase
+from tests.oracle import LATE_FROM, STEPS, _LateJoin, _sanitized_late_join
 from tests.test_checkpoint_wrapper import _root_unit
-from tests.test_compile_parity import (
-    LATE_FROM, STEPS, _LateJoin, _sanitized_late_join, _wrap_late_join,
-)  # fmt: skip
 
 POINTS = sorted({point for _, point in MOVES})
 
@@ -108,7 +106,9 @@ def test_a_dropped_reduction_stops_at_finalize(monkeypatch):
     dist.shutdown()
     ctx = dist.init_single_process(2, materialize=False)
     try:
-        model = _wrap_late_join(_LateJoin(), True, ctx.device)
+        model = FSDP(
+            _LateJoin(), auto_wrap_policy=ModuleWrapPolicy({nn.Linear}), compile=True, device=ctx.device
+        )
         with _sanitized_late_join():
             with pytest.raises(FsdpError, match="illegal move 'finalize' from grads_ready"):
                 for _ in range(STEPS):

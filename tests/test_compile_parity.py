@@ -13,14 +13,15 @@ So the lockdown is BITWISE: per-step losses, final parameters and Adam
 optimizer state of a compiled run of a :mod:`tests.oracle` case must
 equal the eager run exactly (``==``, no tolerance) across both sharding
 backends, world sizes {1, 2, 4}, minGPT- and T5-style blocks, nested
-units and SHARD_GRAD_OP; strategies, ``no_sync`` and generated MLPs are
-the oracle's own cases (``tests/test_oracle.py``).  The oracle forces
+units, SHARD_GRAD_OP and generated MLPs; the other strategies and
+``no_sync`` are the oracle's own cases (``tests/test_oracle.py``).  The oracle forces
 ``compile_bucket_elems`` tiny so every run exercises real multi-bucket
 schedules, and asserts the compiled executor actually installed — a
 test that silently fell back to eager would prove nothing.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import distributed as dist, nn
@@ -39,6 +40,28 @@ def compiled_vs_eager(backend, **case):
         Case(steps=STEPS, optimizer="adam", **case),
         only={Mode(backend), Mode(backend, compiled=True)},
     )
+
+
+class TestHypothesisCampaign:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "strategy", [ShardingStrategy.FULL_SHARD, ShardingStrategy.SHARD_GRAD_OP]
+    )
+    @settings(deadline=None, max_examples=4)
+    @given(
+        d_in=st.integers(2, 9),
+        d_h=st.integers(3, 13),
+        d_out=st.integers(1, 5),
+        depth=st.integers(1, 2),
+        optimizer=st.sampled_from(["sgd", "adam"]),
+    )
+    def test_mlp_compiled_bitwise(self, backend, strategy, d_in, d_h, d_out, depth, optimizer):
+        """Random odd widths vary bucket boundaries and chunk padding."""
+        case = Case(
+            widths=(d_in, d_h, d_out), depth=depth, strategy=strategy,
+            steps=STEPS, optimizer=optimizer,
+        )
+        check(case, only={Mode(backend), Mode(backend, compiled=True)})
 
 
 class TestWorldSizes:

@@ -10,6 +10,7 @@ to DDP bitwise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import distributed as dist, nn
@@ -28,7 +29,9 @@ from repro.fsdp import (
 from repro.optim import Adam
 from tests.conftest import copy_weights, grads_of, snapshot_weights, unflatten_handle_grads
 from tests import oracle
-from tests.oracle import DDP_MODE, Case, Mode, make_optimizer, microbatch, mlp, rank_batch, run, train
+from tests.oracle import (
+    DDP_MODE, Case, Mode, check, make_optimizer, microbatch, mlp, rank_batch, run, train,
+)
 
 WORLD = 4
 WIDTHS = (6, 12, 3)
@@ -339,8 +342,31 @@ class TestEvalAndInference:
 
 
 class TestDifferentialVsDDP:
-    """Where FSDP's math differs from DDP's, it agrees to a tolerance
-    (everywhere else the oracle holds it to DDP bitwise)."""
+    """FSDP must reproduce DDP exactly where §3.1 says it does; where its
+    math differs from DDP's, it agrees to a tolerance."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            ShardingStrategy.FULL_SHARD,
+            ShardingStrategy.SHARD_GRAD_OP,
+            ShardingStrategy.NO_SHARD,
+        ],
+    )
+    @settings(deadline=None, max_examples=6)
+    @given(
+        d_in=st.integers(2, 8),
+        d_h=st.integers(4, 12),
+        d_out=st.integers(1, 4),
+        depth=st.integers(1, 2),
+        accumulate=st.booleans(),
+    )
+    def test_bitwise_parity_with_ddp(self, strategy, d_in, d_h, d_out, depth, accumulate):
+        case = Case(
+            widths=(d_in, d_h, d_out), depth=depth, frontend="wrapper", strategy=strategy,
+            world=WORLD, accumulate=accumulate,
+        )
+        check(case, only={Mode("flat_param"), DDP_MODE})
 
     def test_accumulation_with_communication_tolerance(self):
         """Reduce-every-backward accumulation rounds twice; DDP once.

@@ -6,22 +6,56 @@ with batched copy-in/copy-out collectives), ``backend="flat_param"``
 :mod:`tests.oracle` and must agree BITWISE: losses, full parameters and
 optimizer state, across world sizes {1, 2, 4}, mixed precision (where
 the FP32 DDP baseline drops out) and minGPT- and T5-style blocks.
-Strategies and generated MLPs are the oracle's own cases
+Generated MLPs under FULL_SHARD, SHARD_GRAD_OP and HYBRID_SHARD are
+drawn here; every strategy and mode is the oracle's property
 (``tests/test_oracle.py``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro import distributed as dist, nn
-from repro.fsdp import BF16_MIXED, fully_shard
+from repro.fsdp import BF16_MIXED, ShardingStrategy, fully_shard
 from repro.fsdp.state_dict import full_state_dict
 from tests.conftest import copy_weights, snapshot_weights
 from tests.oracle import DDP_MODE, Case, Mode, check
 
 #: The eager arms: both backends and DDP.
 EAGER = {Mode("per_param"), Mode("flat_param"), DDP_MODE}
+
+
+class TestHypothesisCampaign:
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            ShardingStrategy.FULL_SHARD,
+            ShardingStrategy.SHARD_GRAD_OP,
+            ShardingStrategy.HYBRID_SHARD,
+        ],
+    )
+    @settings(deadline=None, max_examples=4)
+    @given(
+        d_in=st.integers(2, 9),
+        d_h=st.integers(3, 13),
+        d_out=st.integers(1, 5),
+        depth=st.integers(1, 2),
+        optimizer=st.sampled_from(["sgd", "adam"]),
+    )
+    # HYBRID_SHARD against a single-stage DDP AllReduce differed here by
+    # 1.13e-6 (Adam magnifies the second stage's round-off).
+    @example(d_in=7, d_h=8, d_out=5, depth=1, optimizer="adam")
+    def test_mlp_three_way_bitwise(self, strategy, d_in, d_h, d_out, depth, optimizer):
+        """Random odd layer widths hit uneven dim-0 chunks constantly."""
+        case = Case(
+            widths=(d_in, d_h, d_out),
+            depth=depth,
+            strategy=strategy,
+            sharding_factor=2 if strategy.is_hybrid else None,
+            optimizer=optimizer,
+        )
+        check(case, only=EAGER)
 
 
 class TestWorldSizes:

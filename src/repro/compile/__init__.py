@@ -11,8 +11,9 @@ runtime replays from iteration two onward.  See DESIGN.md's
 
 Enable with ``fully_shard(module, compile=True)`` or
 ``SimConfig(compile=True)``; iteration one runs the eager schedule
-under a recording hook (:class:`CaptureSchedule`), which then swaps
-itself for the compiled one.
+under a footprint meter (:class:`CaptureSchedule`), which then builds
+the graph from the runtime's record of that iteration and swaps itself
+for the compiled one.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.compile import passes
-from repro.compile.capture import CaptureHook
+from repro.compile.capture import CaptureHook, finalized, record_graph
 from repro.compile.ir import Graph, Node, NodeKind
 from repro.compile.passes import KNEE_ELEMS
 from repro.compile.schedule import CompiledExecutor, CompiledSchedule
 from repro.compile.verify import verify_schedule
-from repro.errors import FsdpError
 from repro.fsdp.runtime import EagerSchedule
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "Node",
     "NodeKind",
     "compile_capture",
+    "record_graph",
 ]
 
 
@@ -60,22 +61,23 @@ class CompileSettings:
 
 
 def compile_capture(
-    capture: CaptureHook,
+    record: list,
     *,
+    footprints: dict,
     bucket_elems: Optional[int] = None,
     elem_size: int = 4,
     memory_budget: Optional[int] = None,
 ) -> CompiledSchedule:
-    """Capture -> passes -> verify -> schedule.
+    """Record -> passes -> verify -> schedule.
 
-    Builds two graphs from the capture: a pristine copy the verifier
-    trusts and a working copy the passes mutate.  Pass functions are
-    looked up through their module, and the verifier through this
-    package, so tests can swap in broken versions (the
-    sanitizer-as-oracle negative controls).
+    Builds two graphs from one iteration's ``record`` and measured
+    ``footprints``: a pristine copy the verifier trusts and a working
+    copy the passes mutate.  Pass functions are looked up through their
+    module, and the verifier through this package, so tests can swap in
+    broken versions (the sanitizer-as-oracle negative controls).
     """
-    captured = capture.graph()
-    optimized = capture.graph()
+    captured = record_graph(record, footprints)
+    optimized = record_graph(record, footprints)
     bucket_bytes = (bucket_elems or KNEE_ELEMS) * elem_size
     passes.bucket_collectives(optimized, bucket_bytes=bucket_bytes)
     passes.reorder_for_overlap(optimized, memory_budget=memory_budget)
@@ -85,30 +87,30 @@ def compile_capture(
 
 
 class CaptureSchedule(EagerSchedule):
-    """The eager schedule of a root that compiles, recording each
+    """The eager schedule of a root that compiles, metering each
     iteration under a :class:`CaptureHook` from its ``begin_iteration``
     until its backward finalizes.  The next iteration boundary compiles
-    a complete recording (an unsupported one raises :class:`FsdpError`)
-    and installs a :class:`CompiledExecutor` in this schedule's place.
-    An aborted recording (never finalized, or its iteration forgotten by
-    ``reset_after_failure``) records again; a compiled schedule outlives
-    resets, as the step's structure does not change across restarts."""
+    the runtime's record of a metered, finalized iteration (a refused
+    one raises :class:`FsdpError`) and installs a
+    :class:`CompiledExecutor` in this schedule's place.  An aborted
+    iteration (never finalized, or its record cleared by
+    ``reset_after_failure``) is metered again; a compiled schedule
+    outlives resets, as the step's structure does not change across
+    restarts."""
 
     def __init__(self, runtime, settings: CompileSettings):
         # The runtime owns its schedule: named weakly, as the executor names it.
         self._runtime, self.settings = weakref.ref(runtime), settings
-        self._capture = self._detach = None
+        self._meter = self._detach = None
 
     def begin_iteration(self) -> None:
-        runtime, capture, settings = self._runtime(), self._capture, self.settings
-        self.on_finalize()  # an aborted iteration's capture stops observing
-        # A reset forgets the order of the iteration the capture recorded.
-        if capture is not None and capture.complete and runtime.prev_exec_order:
-            if capture.unsupported:
-                raise FsdpError(f"cannot compile FSDP step: {capture.unsupported}")
+        runtime, meter, settings = self._runtime(), self._meter, self.settings
+        self.on_finalize()  # an aborted iteration's meter stops observing
+        if meter is not None and finalized(runtime.prev_record):
             handles = [unit.handle for unit in runtime.units if unit.handle is not None]
             schedule = compile_capture(
-                capture,
+                runtime.prev_record,
+                footprints=meter.footprints,
                 bucket_elems=settings.bucket_elems,
                 elem_size=handles[0].compute_dtype.itemsize if handles else 4,
                 memory_budget=settings.memory_budget,
@@ -116,16 +118,15 @@ class CaptureSchedule(EagerSchedule):
             runtime.schedule = executor = CompiledExecutor(runtime, schedule)
             executor.begin_iteration()
             return
-        self._capture = capture = CaptureHook()
-        self._detach = runtime.device.observe(capture)
-        capture.on_alloc(runtime.device.allocator)  # where the allocator stands
+        self._meter = meter = CaptureHook()
+        self._detach = runtime.device.observe(meter)
+        meter.on_alloc(runtime.device.allocator)  # where the allocator stands
 
     def on_finalize(self) -> None:
-        """The capture stops observing the device; it keeps its record."""
+        """The meter stops observing the device; it keeps its footprints."""
         if self._detach is not None:
             self._detach()
             self._detach = None
 
-    def on_reset(self) -> None:
-        """An aborted recording stops observing at the reset."""
-        self.on_finalize()
+    #: An aborted iteration's meter stops observing at the reset.
+    on_reset = on_finalize

@@ -11,14 +11,17 @@ against (Sections 2.1 and 5.2):
   registration order like PyTorch);
 - AllReduces are issued from post-accumulate-grad hooks as buckets
   fill, overlapping communication with the rest of backward;
-- an end-of-backward callback waits for pending AllReduces and copies
-  reduced data back into ``param.grad``;
+- an end-of-backward callback waits for pending AllReduces, copies
+  reduced data back into ``param.grad`` and refuses a parameter that got
+  no gradient (``DistributedError``), as PyTorch's does without
+  ``find_unused_parameters``: its bucket was never reduced;
 - ``no_sync()`` skips communication for gradient accumulation.
 """
 
 from __future__ import annotations
 
 import contextlib
+import sys
 import weakref
 from typing import Optional
 
@@ -26,6 +29,7 @@ from repro import nn
 from repro.autograd.engine import queue_callback
 from repro.autograd.grad_mode import no_grad
 from repro.distributed import ProcessGroup, ReduceOp, default_group
+from repro.errors import DistributedError
 from repro.tensor import Tensor, cat
 
 __all__ = ["DistributedDataParallel"]
@@ -38,14 +42,13 @@ class _Bucket:
 
     def __init__(self, params: list):
         self.params = params
-        self.pending = 0
-        self.work = None
-        self.flat_grad: Optional[Tensor] = None
+        self.reset()
 
     def reset(self) -> None:
-        self.pending = len(self.params)
+        #: The ids of the parameters whose gradient has not arrived.
+        self.pending = {id(param) for param in self.params}
         self.work = None
-        self.flat_grad = None
+        self.flat_grad: Optional[Tensor] = None
 
 
 class DistributedDataParallel(nn.Module):
@@ -64,14 +67,10 @@ class DistributedDataParallel(nn.Module):
         self.bucket_cap_bytes = bucket_cap_bytes
         self.require_backward_grad_sync = True
         self._buckets = self._build_buckets()
-        self._hooks = []
-        self._backward_prepared = False
+        self._backward_prepared = self._finalize_queued = False
         for index, bucket in enumerate(self._buckets):
             for param in bucket.params:
-                handle = param.register_post_accumulate_grad_hook(
-                    self._make_grad_hook(index)
-                )
-                self._hooks.append(handle)
+                param.register_post_accumulate_grad_hook(self._make_grad_hook(index))
         if broadcast_parameters and self.process_group.world_size > 1:
             self._broadcast_parameters()
 
@@ -129,22 +128,33 @@ class DistributedDataParallel(nn.Module):
             self = ddp()
             if self is None or not (self.require_backward_grad_sync and self._backward_prepared):
                 return
+            if not self._finalize_queued:
+                # At the first gradient, not at the first full bucket:
+                # the end of backward must also see a bucket that a
+                # parameter without a gradient never fills.
+                self._finalize_queued = True
+                queue_callback(self._finalize_backward)
             bucket = self._buckets[index]
-            bucket.pending -= 1
-            if bucket.pending == 0:
-                self._launch_bucket(bucket)
-                queue_callback(self._finalize_backward_once())
+            if id(param) in bucket.pending:
+                bucket.pending.remove(id(param))
+                if not bucket.pending:
+                    self._launch_bucket(bucket)
 
         return hook
 
-    def _finalize_backward_once(self):
-        def finalize() -> None:
-            if not self._backward_prepared:
-                return
-            self._backward_prepared = False
-            self._copy_back()
-
-        return finalize
+    def _finalize_backward(self) -> None:
+        self._backward_prepared = self._finalize_queued = False
+        self._copy_back()
+        missing = set().union(*(bucket.pending for bucket in self._buckets))
+        # A backward that raised (an OOM, a fault) still runs this from
+        # the engine's ``finally``: its error stands, and the buckets it
+        # left unfilled are not a parameter without a gradient.
+        if missing and sys.exc_info()[0] is None:
+            names = [n for n, p in self.module.named_parameters() if id(p) in missing]
+            raise DistributedError(
+                f"DDP: parameters {names} got no gradient in this backward: their buckets "
+                "were never all-reduced, and the replicas would diverge"
+            )
 
     def _launch_bucket(self, bucket: _Bucket) -> None:
         group = self.process_group

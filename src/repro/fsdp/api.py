@@ -28,6 +28,7 @@ from repro.autograd.grad_mode import no_grad
 from repro.cuda.device import Device
 from repro.distributed import ProcessGroup
 from repro.distributed.mesh import DeviceMesh
+from repro.errors import FsdpError
 from repro.fsdp.flat_param import FlatParamHandle
 from repro.fsdp.handle import Residency
 from repro.fsdp.mixed_precision import MixedPrecision
@@ -340,6 +341,16 @@ def _shard_unit(
         if backend == "per_param":
             mesh = mesh or DeviceMesh.from_plan(plan, device)
             handle = PerParamHandle(triples, device, plan.shard_group, mesh=mesh, **settings)
+        elif len({p.requires_grad for _, _, p in triples}) > 1:
+            # One FlatParameter has one requires_grad: a frozen parameter
+            # folded in would be stepped (PyTorch FSDP without
+            # use_orig_params refuses it too).
+            frozen = {id(p) for _, _, p in triples if not p.requires_grad}
+            names = [n for n, p in module.named_parameters() if id(p) in frozen]
+            raise FsdpError(
+                f"FSDP unit {label!r} mixes frozen parameters {names} with trainable ones in "
+                "one FlatParameter; wrap them in units of their own or use backend='per_param'"
+            )
         else:
             handle = FlatParamHandle(triples, device, plan.shard_group, **settings)
     unit = FsdpUnit(handle, plan, label=label)

@@ -98,8 +98,9 @@ class FlatParamHandle(ShardHandle, ShardRecord):
             for i, p in enumerate(originals)
         ]
 
-        requires_grad = any(p.requires_grad for p in originals)
-        self._build_storages(originals, requires_grad)
+        # Uniform: the front door refuses a unit that mixes frozen and
+        # trainable parameters.
+        self._build_storages(originals, originals[0].requires_grad)
         self._deregister_and_bind()
 
         self._init_lifecycle()

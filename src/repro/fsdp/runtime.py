@@ -31,6 +31,10 @@ boundary.  Both issue collectives through two routines,
 :meth:`FsdpRuntime.unshard_units` and :meth:`FsdpRuntime.reduce_units`:
 the eager schedule passes one unit, the compiled executor a bucket's
 members.
+
+Each iteration's program is written once, by :meth:`FsdpRuntime.emit`,
+into :attr:`FsdpRuntime.record`; the execution orders prefetching walks,
+the order check and the compile capture's graph are all read from it.
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ __all__ = [
 # "It allows at most two inflight AllGathers, which is the minimum
 # amount to still achieve communication and computation overlap."
 RATE_LIMIT_INFLIGHT = 2
+
+#: What :meth:`FsdpRuntime.emit` writes into the iteration record.
+RECORDED = frozenset({
+    "pre_forward", "post_forward", "unshard_issue", "wait", "reshard", "pre_backward",
+    "post_backward", "finalize",
+})  # fmt: skip
 
 
 class BackwardPrefetch(enum.Enum):
@@ -133,8 +143,11 @@ class FsdpRuntime:
         # Units own the runtime they share; the runtime names them only
         # through weak references, so a model's FSDP state dies with it.
         self._units: list[weakref.ref] = []
-        self._exec_order: list[weakref.ref] = []
-        self._prev_exec_order: list[weakref.ref] = []
+        #: This and the previous iteration's program, a ``(point, unit
+        #: ref)`` per :data:`RECORDED` announcement (``finalize`` names no
+        #: unit): exec order, its check and the compile capture read it.
+        self.record: list[tuple] = []
+        self.prev_record: list[tuple] = []
         #: The first complete iteration's sharded unit labels, in order.
         self._reference: Optional[list[str]] = None
         self._inflight: deque[Event] = deque()
@@ -151,15 +164,17 @@ class FsdpRuntime:
         """The attached units, in attach order."""
         return _live(self._units)
 
-    @property
-    def exec_order(self) -> list["FsdpUnit"]:
-        """This iteration's units in first pre-forward order."""
-        return _live(self._exec_order)
-
-    @property
-    def prev_exec_order(self) -> list["FsdpUnit"]:
-        """The previous iteration's :attr:`exec_order`."""
-        return _live(self._prev_exec_order)
+    #: Views of the records: this and the previous iteration's units in
+    #: first pre-forward order, the same as the weak references the
+    #: records hold (what prefetching walks), and the labels of this
+    #: iteration's units with a handle (what the order check compares).
+    exec_order = property(lambda self: _live(self._exec_order))
+    prev_exec_order = property(lambda self: _live(self._prev_exec_order))
+    _exec_order = property(lambda self: _first_entries(self.record))
+    _prev_exec_order = property(lambda self: _first_entries(self.prev_record))
+    _sharded_order = property(
+        lambda self: [unit.label for unit in self.exec_order if unit.handle is not None]
+    )
 
     # ------------------------------------------------------------------
     # Rate limiter (Section 3.4)
@@ -208,7 +223,7 @@ class FsdpRuntime:
         if not units:
             return None
         for unit in units:
-            self.emit("unshard_issue", unit, reason=reason)
+            self.emit("unshard_issue", unit, reason=reason, nbytes=unit.handle.unsharded_nbytes)
         with self.device.scope(f"unshard:{units[0].label}@{reason}"):
             self.admit_allgather()
             event = unshard_bucket([unit.handle for unit in units], self.unshard_stream)
@@ -232,21 +247,22 @@ class FsdpRuntime:
     # Lifecycle announcements
     # ------------------------------------------------------------------
     def emit(self, point: str, unit: Optional["FsdpUnit"] = None, **info) -> None:
-        """Announce lifecycle ``point`` to each device observer (the
-        compile capture is one while it records) that has an
-        ``on_<point>``.
+        """Write ``point`` into :attr:`record` if it is :data:`RECORDED`,
+        observed or not, and announce it to each device observer (the
+        compile capture's footprint meter is one while it records) that
+        has an ``on_<point>``.
 
         Points: ``iteration_begin``, ``rate_limit_admit(depth, stall_s)``
         and ``finalize`` carry only ``info``; the unit points
-        (``pre_forward(from_phase)``, ``post_forward``, ``pre_backward``,
-        ``post_backward(from_phase)``, ``unshard_issue(reason)``,
-        ``wait``, ``reshard``, ``prefetch_outcome(already_unsharded)``;
-        ``from_phase`` is the phase the move left) deliver
-        ``(unit.label, **facts)`` — ``info`` plus ``time`` and, for a
-        unit with a handle, ``nbytes`` / ``group_key`` / ``dtype`` —
-        all by keyword, so a handler names what it needs and swallows
-        the rest (``**_``).
+        (``pre_forward``, ``post_forward``, ``pre_backward``,
+        ``post_backward``, ``unshard_issue(reason, nbytes)``, ``wait``,
+        ``reshard(nbytes)``, ``prefetch_outcome(already_unsharded)``)
+        deliver ``(unit.label, **info)`` plus ``time``, all by keyword,
+        so a handler names what it needs and swallows the rest
+        (``**_``).
         """
+        if point in RECORDED:
+            self.record.append((point, unit and unit.ref))
         observers = self.device.observers
         if not observers:
             return
@@ -258,11 +274,6 @@ class FsdpRuntime:
         if unit is not None:
             args = (unit.label,)
             info["time"] = self.device.cpu_time()
-            handle = unit.handle
-            if handle is not None:
-                info["nbytes"] = handle.unsharded_nbytes
-                info["group_key"] = id(handle.shard_group)
-                info["dtype"] = str(handle.compute_dtype)
         for handler in handlers:
             handler(*args, **info)
 
@@ -272,8 +283,7 @@ class FsdpRuntime:
     def begin_iteration(self) -> None:
         self.iteration += 1
         self._close_order()
-        self._prev_exec_order = self._exec_order
-        self._exec_order = []
+        self.prev_record, self.record = self.record, []
         self._final_callback_queued = False
         for unit in self.units:
             unit._move("begin")
@@ -297,8 +307,7 @@ class FsdpRuntime:
         """
         self._inflight.clear()
         self._final_callback_queued = False
-        self._exec_order = []
-        self._prev_exec_order = []
+        self.record, self.prev_record = [], []
         # The rebuilt world may legitimately run another order.
         self._reference = None
         # A half-recorded capture stops observing; a compiled schedule
@@ -323,16 +332,16 @@ class FsdpRuntime:
         """Keep the first complete iteration's order as the reference,
         or report an iteration that stopped short of it."""
         if self._reference is None:
-            self._reference = _sharded_labels(self._exec_order) or None
+            self._reference = self._sharded_order or None
         elif sanitizer._ACTIVE is not None:
-            seen = len(_sharded_labels(self._exec_order))
+            seen = len(self._sharded_order)
             if 0 < seen < len(self._reference):
                 self._diverged(self.iteration - 1, seen, None)
 
     def _check_order(self, unit: "FsdpUnit") -> None:
-        """Check a sharded unit's first pre-forward against the
-        reference at its position."""
-        position = len(_sharded_labels(self._exec_order)) - 1
+        """Check a sharded unit's first pre-forward, before it is
+        recorded, against the reference at its position."""
+        position = len(self._sharded_order)
         reference = self._reference
         if position >= len(reference) or reference[position] != unit.label:
             self._diverged(self.iteration, position, unit.label)
@@ -369,8 +378,6 @@ class FsdpRuntime:
             if unit.handle is not None:
                 unit.handle.flush_post_backward()
         self.emit("finalize")
-        # After the announcement: a recording schedule's capture hears
-        # the finalize before it stops observing.
         self.schedule.on_finalize()
         for unit in self.units:
             unit._move("finalize")  # none from GRADS_READY: a lost reduction
@@ -553,7 +560,7 @@ class FsdpUnit:
         runtime = self._require_runtime()
         if self.handle.reshard():
             runtime.note_reshard_free()
-            runtime.emit("reshard", self)
+            runtime.emit("reshard", self, nbytes=self.handle.unsharded_nbytes)
 
     def _wait_unshard_on_compute(self) -> None:
         """Compute-stream kernels must not start before *this unit's*
@@ -579,15 +586,11 @@ class FsdpUnit:
         runtime = self._require_runtime()
         if self.is_root:
             runtime.begin_iteration()
-        from_phase = self._move("pre_forward")
-        if from_phase is IDLE:
-            # A first entry: the order sees each unit once per
-            # iteration, in first-use order.
-            runtime._exec_order.append(self.ref)
-            if self.handle is not None and runtime._reference and sanitizer._ACTIVE:
-                runtime._check_order(self)
+        first = self._move("pre_forward") is IDLE
+        if first and self.handle is not None and runtime._reference and sanitizer._ACTIVE:
+            runtime._check_order(self)
         self.entered_by = current_recompute()
-        runtime.emit("pre_forward", self, from_phase=from_phase)
+        runtime.emit("pre_forward", self)
         # Scope everything the unit's forward does (kernels, nested
         # units, its own unshard) under ``forward:<label>``; popped in
         # post_forward.
@@ -646,8 +649,8 @@ class FsdpUnit:
         # contribution; the shards accumulate in the handle's stash.
         runtime = self._require_runtime()
         runtime.ensure_final_callback()
-        from_phase = self._move("post_backward")
-        runtime.emit("post_backward", self, from_phase=from_phase)
+        self._move("post_backward")
+        runtime.emit("post_backward", self)
         runtime.device.pop_scope(f"backward:{self.label}")
         # Free the unsharded parameters before reducing, shrinking the
         # peak: gradient memory replaces parameter memory.  Not inside
@@ -665,9 +668,9 @@ def _live(refs: list[weakref.ref]) -> list:
     return [obj for obj in (ref() for ref in refs) if obj is not None]
 
 
-def _sharded_labels(order: list[weakref.ref]) -> list[str]:
-    """The labels of the live units in ``order`` that have a handle."""
-    return [unit.label for unit in _live(order) if unit.handle is not None]
+def _first_entries(record: list[tuple]) -> list[weakref.ref]:
+    """The units of ``record`` in first pre-forward order."""
+    return list(dict.fromkeys([ref for point, ref in record if point == "pre_forward"]))
 
 
 def _flatten_tensors(output) -> list[Tensor]:

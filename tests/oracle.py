@@ -25,11 +25,11 @@ table instead of the comparison growing a tolerance:
 - the compiled modes drop out where the capture refuses the step
   under activation checkpointing;
 - flat_param drops out when a parameter is frozen: a FlatParameter has
-  one ``requires_grad``, so the frozen bias trains anyway (a known
-  defect);
+  one ``requires_grad``, so the unit refuses to mix a frozen parameter
+  with trainable ones (``test_flat_param_refuses_a_frozen_parameter``);
 - DDP drops out of the late-join case: a parameter without a gradient
-  leaves its bucket unreduced, and the replicas diverge (a known
-  defect).
+  would leave its bucket unreduced, so DDP refuses the step
+  (``test_ddp_refuses_a_parameter_without_a_gradient``).
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Unit tests for the compiler passes on hand-built captures.
 
-Each test drives :class:`CaptureHook` directly with a synthetic event
-stream (the same callbacks the runtime fires) so pass behavior is
+Each test writes a synthetic iteration as the runtime writes its record
+(:class:`Recording`: the same ``(point, unit)`` entries, and the same
+announcements to the capture's footprint meter) so pass behavior is
 pinned without spinning up the simulator: bucket partitioning rules,
 consumption-order bucketing when backward issue order diverges,
 dead-wait accounting, the liveness walk, and the memory-budget
 demotion loop.
 
-The capture measures activation footprints from the allocator events it
+The meter measures activation footprints from the allocator events it
 observes; ``make_capture(liveness=...)`` hand-feeds them as the
 allocator levels a unit with that ``(saved, transient)`` footprint
 would show.  The demotion tests double as the regression test for the
@@ -19,11 +20,13 @@ budget is infeasible no matter what the scheduler does — so the split
 is load-bearing, not cosmetic.
 """
 
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from repro.compile import CaptureHook, compile_capture
+from repro.compile import CaptureHook, compile_capture, record_graph
+from repro.compile.capture import refusal
 from repro.compile.ir import NodeKind
 from repro.compile.passes import (
     bucket_collectives,
@@ -32,9 +35,52 @@ from repro.compile.passes import (
     reorder_for_overlap,
 )
 from repro.errors import FsdpError, StreamOrderViolation
-from repro.fsdp.runtime import UnitPhase
 
 NBYTES = 1000
+
+
+class _Unit:
+    """What the graph builder reads of a unit: its label and its
+    handle's payload bytes, process group and wire dtype."""
+
+    def __init__(self, label, nbytes, group):
+        self.label = label
+        self.handle = SimpleNamespace(
+            unsharded_nbytes=nbytes, shard_group=group, compute_dtype="float32"
+        )
+        self.ref = weakref.ref(self)
+
+
+class Recording:
+    """One synthetic iteration, written as ``FsdpRuntime.emit`` writes
+    the runtime's record: ``write(point, label)`` appends ``(point, unit
+    ref)`` and announces the point to :attr:`meter`, the capture's
+    footprint meter.  ``group_keys`` maps a unit label to its process
+    group (``group_key`` for the rest)."""
+
+    def __init__(self, *, nbytes=NBYTES, group_key=1, group_keys=None):
+        self.record, self.meter = [], CaptureHook()
+        self._nbytes, self._units, self._groups = nbytes, {}, {}
+        self._group_of = lambda label: (group_keys or {}).get(label, group_key)
+
+    def write(self, point, label=""):
+        unit = None
+        if label:
+            if label not in self._units:
+                group = self._groups.setdefault(self._group_of(label), object())
+                self._units[label] = _Unit(label, self._nbytes, group)
+            unit = self._units[label]
+        self.record.append((point, unit and unit.ref))
+        handler = getattr(self.meter, f"on_{point}", None)
+        if handler is not None:
+            handler(label, nbytes=self._nbytes)
+
+    @property
+    def unsupported(self):
+        return refusal(self.record)
+
+    def graph(self):
+        return record_graph(self.record, self.meter.footprints)
 
 
 def make_capture(
@@ -49,33 +95,31 @@ def make_capture(
     each unit gathers at its own pre point, reshards after use.
     ``liveness`` maps unit -> the ``(saved, transient)`` bytes its
     forward shows the allocator (gathered parameters come on top)."""
-    cap = CaptureHook()
-    cap.on_iteration_begin()
-    coll = dict(nbytes=nbytes, group_key=group_key, dtype="float32")
+    cap = Recording(nbytes=nbytes, group_key=group_key)
     allocator = SimpleNamespace(stats=SimpleNamespace(allocated_bytes=0))
 
     def allocate(delta):
         allocator.stats.allocated_bytes += delta
-        cap.on_alloc(allocator)
+        cap.meter.on_alloc(allocator)
 
     for u in units:
         saved, transient = (liveness or {}).get(u, (0, 0))
-        cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
-        cap.on_unshard_issue(u, reason="forward", **coll)
+        cap.write("pre_forward", u)
+        cap.write("unshard_issue", u)
         allocate(nbytes)
-        cap.on_wait(u)
+        cap.write("wait", u)
         allocate(max(saved, transient))
         allocate(saved - max(saved, transient))
-        cap.on_post_forward(u)
+        cap.write("post_forward", u)
         allocate(-nbytes)
-        cap.on_reshard(u, nbytes)
+        cap.write("reshard", u)
     for u in backward_order or tuple(reversed(units)):
-        cap.on_pre_backward(u)
-        cap.on_unshard_issue(u, reason="pre_backward", **coll)
-        cap.on_wait(u)
-        cap.on_post_backward(u, from_phase=UnitPhase.BACKWARD, **coll)
-        cap.on_reshard(u, nbytes)
-    cap.on_finalize()
+        cap.write("pre_backward", u)
+        cap.write("unshard_issue", u)
+        cap.write("wait", u)
+        cap.write("post_backward", u)
+        cap.write("reshard", u)
+    cap.write("finalize")
     return cap
 
 
@@ -113,21 +157,16 @@ class TestBucketing:
         assert forward[-1].nbytes < 2 * NBYTES  # last may undershoot
 
     def test_group_key_change_closes_bucket(self):
-        cap = CaptureHook()
-        cap.on_iteration_begin()
-        for u, key in (("A", 1), ("B", 2), ("C", 2)):
-            cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
-            cap.on_unshard_issue(
-                u, reason="forward", nbytes=NBYTES, group_key=key, dtype="float32"
-            )
-            cap.on_wait(u)
-            cap.on_post_forward(u)
-        for u, key in (("C", 2), ("B", 2), ("A", 1)):
-            cap.on_pre_backward(u)
-            cap.on_post_backward(
-                u, from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=key, dtype="float32"
-            )
-        cap.on_finalize()
+        cap = Recording(group_keys={"A": 1, "B": 2, "C": 2})
+        for u in ("A", "B", "C"):
+            cap.write("pre_forward", u)
+            cap.write("unshard_issue", u)
+            cap.write("wait", u)
+            cap.write("post_forward", u)
+        for u in ("C", "B", "A"):
+            cap.write("pre_backward", u)
+            cap.write("post_backward", u)
+        cap.write("finalize")
         g = cap.graph()
         bucket_collectives(g, bucket_bytes=10 * NBYTES)
         # SPMD peers must agree on each merged launch: A (group 1) may
@@ -141,35 +180,25 @@ class TestBucketing:
         """Autograd may consume siblings in a different order than the
         prefetcher issued them (the q/k/v case): members must be
         adjacent in *wait* order."""
-        cap = CaptureHook()
-        cap.on_iteration_begin()
+        cap = Recording()
         for u in ("A", "B", "C", "D"):
-            cap.on_pre_forward(u, from_phase=UnitPhase.IDLE)
-            cap.on_unshard_issue(
-                u, reason="forward", nbytes=NBYTES, group_key=1, dtype="float32"
-            )
-            cap.on_wait(u)
-            cap.on_post_forward(u)
-            cap.on_reshard(u, NBYTES)
+            cap.write("pre_forward", u)
+            cap.write("unshard_issue", u)
+            cap.write("wait", u)
+            cap.write("post_forward", u)
+            cap.write("reshard", u)
         # Prefetch issues backward gathers in reversed-forward order
         # (D, C, B, A) up front, but autograd consumes D, B, C, A.
-        cap.on_pre_backward("D")
+        cap.write("pre_backward", "D")
         for u in ("D", "C", "B", "A"):
-            cap.on_unshard_issue(
-                u, reason="backward_prefetch", nbytes=NBYTES, group_key=1,
-                dtype="float32",
-            )
-        cap.on_wait("D")
-        cap.on_post_backward(
-            "D", from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=1, dtype="float32"
-        )
+            cap.write("unshard_issue", u)
+        cap.write("wait", "D")
+        cap.write("post_backward", "D")
         for u in ("B", "C", "A"):
-            cap.on_pre_backward(u)
-            cap.on_wait(u)
-            cap.on_post_backward(
-                u, from_phase=UnitPhase.BACKWARD, nbytes=NBYTES, group_key=1, dtype="float32"
-            )
-        cap.on_finalize()
+            cap.write("pre_backward", u)
+            cap.write("wait", u)
+            cap.write("post_backward", u)
+        cap.write("finalize")
         g = cap.graph()
         bucket_collectives(g, bucket_bytes=2 * NBYTES)
         assert [tuple(b.units) for b in ag_buckets(g, "backward")] == [
@@ -283,7 +312,10 @@ class TestMemoryBudget:
 # ----------------------------------------------------------------------
 class TestVerifierAndCapture:
     def test_compile_capture_end_to_end(self):
-        schedule = compile_capture(make_capture(("A", "B", "C", "D")), bucket_elems=2 * NBYTES // 4)
+        cap = make_capture(("A", "B", "C", "D"))
+        schedule = compile_capture(
+            cap.record, footprints=cap.meter.footprints, bucket_elems=2 * NBYTES // 4
+        )
         assert len(schedule.ag_buckets) == 4  # 2 forward + 2 backward
         assert len(schedule.rs_buckets) == 2
         assert schedule.captured is not None
@@ -303,34 +335,30 @@ class TestVerifierAndCapture:
         assert excinfo.value.kind == "compile-dropped-edge"
 
     def test_capture_rejects_double_forward(self):
-        cap = CaptureHook()
-        cap.on_iteration_begin()
-        cap.on_pre_forward("A", from_phase=UnitPhase.IDLE)
+        cap = Recording()
+        cap.write("pre_forward", "A")
         assert cap.unsupported is None
         # The lifecycle table's forward re-entry (a recompute).
-        cap.on_pre_forward("A", from_phase=UnitPhase.FORWARD_DONE)
+        cap.write("pre_forward", "A")
         assert cap.unsupported is not None
-        cap.on_finalize()
+        cap.write("finalize")
         with pytest.raises(FsdpError, match="forward twice"):
             cap.graph()
 
     def test_incomplete_capture_refuses_graph(self):
-        cap = CaptureHook()
-        cap.on_iteration_begin()
-        cap.on_pre_forward("A", from_phase=UnitPhase.IDLE)
+        cap = Recording()
+        cap.write("pre_forward", "A")
         with pytest.raises(FsdpError, match="incomplete"):
             cap.graph()
 
     def test_capture_rejects_a_second_reduction_of_one_unit(self):
-        cap = CaptureHook()
-        cap.on_iteration_begin()
-        coll = dict(nbytes=NBYTES, group_key=1, dtype="float32")
-        cap.on_post_backward("A", from_phase=UnitPhase.BACKWARD, **coll)
+        cap = Recording()
+        cap.write("post_backward", "A")
         assert cap.unsupported is None
         # The table's post-backward re-entry: the unit already reduced.
-        cap.on_post_backward("A", from_phase=UnitPhase.REDUCING, **coll)
+        cap.write("post_backward", "A")
         assert cap.unsupported is not None
-        cap.on_finalize()
+        cap.write("finalize")
         with pytest.raises(FsdpError, match="reduced its gradients twice"):
             cap.graph()
 

@@ -8,6 +8,8 @@ draws earlier campaigns found, and the cases the generator does not
 reach.  Each historical bug, put back by monkeypatch, fails its case.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from repro.cuda import sanitizer
 from repro.errors import DistributedError, FsdpError
 from repro.fsdp import BF16_MIXED, ShardingStrategy
 from repro.fsdp import runtime as fsdp_runtime
-from tests.oracle import STEPS, Case, Mode, check, run
+from tests.oracle import DDP_MODE, STEPS, Case, Mode, check, run
 
 S = ShardingStrategy
 
@@ -72,6 +74,34 @@ def test_generated_mlp_is_bitwise_in_every_mode(case):
 @pytest.mark.parametrize("name", CASES)
 def test_case_is_bitwise_in_every_mode(name):
     check(CASES[name])
+
+
+def _refusal(case, mode, error_type):
+    """The error ``case`` raises in ``mode`` on its rank threads."""
+    with pytest.raises(DistributedError) as failure:
+        run(case, mode)
+    assert isinstance(failure.value.__cause__, error_type)
+    return str(failure.value.__cause__)
+
+
+@pytest.mark.parametrize("frontend", ["fully_shard", "wrapper"])
+@pytest.mark.parametrize("compiled", [False, True])
+def test_flat_param_refuses_a_frozen_parameter(frontend, compiled):
+    """One FlatParameter has one ``requires_grad``: the unit holding the
+    frozen bias refuses to flatten it with the trainable weight, instead
+    of stepping it (the per_param and DDP rows stay bitwise)."""
+    case = dataclasses.replace(CASES["frozen_parameter"], frontend=frontend)
+    error = _refusal(case, Mode("flat_param", compiled=compiled), FsdpError)
+    assert "'Sequential.0' mixes frozen parameters ['bias']" in error
+
+
+def test_ddp_refuses_a_parameter_without_a_gradient():
+    """Before iteration LATE_FROM the late unit takes no part in the
+    loss: its parameters get no gradient and their bucket never fills.
+    DDP refuses the step at the end of backward instead of leaving the
+    bucket unreduced and the replicas diverging."""
+    error = _refusal(CASES["late_join"], DDP_MODE, DistributedError)
+    assert "['late.weight', 'late.bias'] got no gradient" in error
 
 
 def _without_safety_net(self, unit):

@@ -90,6 +90,13 @@ rule that stops matching anything fails too).
 - Execution order is recorded once: no ``ExecOrderValidator`` or
   ``exec_validator`` is left in ``repro``; ``FsdpRuntime`` checks its
   own order.
+- Each iteration's program is recorded once, in ``FsdpRuntime.record``:
+  ``repro.compile`` spells no ``_events`` log, and its ``CaptureHook``
+  (the footprint meter) defines none of the lifecycle handlers only the
+  event log needed (``on_wait``, ``on_pre_backward``,
+  ``on_post_backward``, ``on_finalize``); ``repro.fsdp`` keeps no second
+  order list: ``_exec_order`` / ``_prev_exec_order`` are only bound to
+  a ``property(...)`` view of the record, never stored to or mutated.
 
 The last four rules match what the grep each replaced matched: a call
 spelled ``callee(``, a definition ``def name(``, an identifier, a
@@ -485,6 +492,14 @@ SECOND_LAUNCH = re.compile(
 RETIRED_MECHANISMS = re.compile(
     "collective_start|ExecOrderValidator|exec_validator|coalesce_kernels|_CoalesceGuard"
 )
+#: The capture's event log and its lifecycle handlers, and the order
+#: lists, that one iteration record replaced (matched inside names,
+#: strings and comments, and on ``CaptureHook``'s method names).
+RETIRED_LOG = re.compile(r"_events\b")
+RETIRED_HANDLERS = re.compile(r"on_(wait|pre_backward|post_backward|finalize)$")
+ORDER_LISTS = re.compile(r"_(prev_)?exec_order$")
+#: The list methods that would write an order list in place.
+LIST_WRITES = {"append", "extend", "insert", "clear", "pop", "remove", "sort", "reverse"}
 #: Observer paths that pay O(1) per event: per file, the functions (all
 #: of the file when None) and what they must not spell.
 PER_EVENT = {
@@ -712,6 +727,36 @@ def retired_mechanisms(path: str, source: str) -> list[str]:
     if not RETIRED_MECHANISMS.search(source):
         return []
     return _spells(path, source, RETIRED_MECHANISMS)
+
+
+def second_record(path: str, source: str) -> list[str]:
+    """:data:`RETIRED_LOG` spelled, a :data:`RETIRED_HANDLERS` method on
+    ``CaptureHook``, and an :data:`ORDER_LISTS` name stored to (other
+    than a name bound to a ``property(...)`` call), deleted or called a
+    :data:`LIST_WRITES` method on."""
+    found = []
+    for node in ast.walk(_tree(source)):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.ClassDef) and node.name == "CaptureHook":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and RETIRED_HANDLERS.match(item.name):
+                    found.append((item.lineno, f"CaptureHook defines {item.name}"))
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = [node.target] if not isinstance(node, ast.Delete) else node.targets
+        for target in targets:
+            name = getattr(target, "attr", getattr(target, "id", ""))
+            view = isinstance(node, ast.Assign) and isinstance(target, ast.Name) and (
+                isinstance(node.value, ast.Call) and _callee(node.value) == "property"
+            )
+            if ORDER_LISTS.match(name) and not view:
+                found.append((line, f"stores {name}"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "attr", getattr(node.func.value, "id", ""))
+            if ORDER_LISTS.match(owner) and node.func.attr in LIST_WRITES:
+                found.append((line, f"calls {owner}.{node.func.attr}"))
+    log = _spells(path, source, RETIRED_LOG)
+    return log + [f"{path}:{line}: {what}" for line, what in sorted(found)]
 
 
 def per_event_walks(path: str, source: str) -> list[str]:
@@ -1138,6 +1183,12 @@ def test_one_collective_front_end_and_one_launch():
     assert _tree_violations(retired_mechanisms, sorted(SRC.rglob("*.py"))) == []
 
 
+def test_each_iteration_is_recorded_once():
+    paths = sorted((SRC / "compile").rglob("*.py")) + sorted((SRC / "fsdp").rglob("*.py"))
+    assert len(paths) > 15
+    assert _tree_violations(second_record, paths) == []
+
+
 def test_observers_pay_constant_time_per_event():
     for name, (within, _) in PER_EVENT.items():
         source = (SRC / name).read_text()
@@ -1450,4 +1501,41 @@ def test_negative_control_a_per_event_walk_and_a_collection_are_caught():
     ]
     assert [v.split(": ", 1)[1] for v in collections("api.py", _PER_EVENT_WALK)] == [
         "spells gc.collect(",
+    ]
+
+
+_SECOND_RECORD = '''
+class CaptureHook:
+    def on_alloc(self, allocator):
+        self._events.append(("alloc", allocator))
+
+    def on_post_backward(self, label, **_):
+        self._events.append(("post_backward", label))
+
+
+class FsdpRuntime:
+    _exec_order = property(lambda self: _first_entries(self.record))
+
+    def begin_iteration(self):
+        self._prev_exec_order = self._exec_order
+        self._prev_exec_order += []
+        del self._exec_order
+
+    def pre_forward(self, unit):
+        self._exec_order.append(unit.ref)  # not a view: "_events" kept twice
+'''
+
+
+def test_negative_control_a_second_record_is_caught():
+    assert [v.split(": ", 1)[1] for v in second_record("capture.py", _SECOND_RECORD)] == [
+        "spells _events",
+        "spells self._events.append(",
+        "spells _events",
+        "spells self._events.append(",
+        "spells # not a view: \"_events\" kept twice",
+        "CaptureHook defines on_post_backward",
+        "stores _prev_exec_order",
+        "stores _prev_exec_order",
+        "stores _exec_order",
+        "calls _exec_order.append",
     ]

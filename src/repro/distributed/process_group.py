@@ -25,8 +25,8 @@ The contract, in three parts:
   declare or uncoordinated drain), the backend's arrival, the enqueue;
 - *backend*: ``_arrive(kind, ready, data, signature, combine) -> (start,
   combined)`` — when the collective may start given this rank's
-  ``ready`` time, and ``combine`` of every member's flat float64
-  ``data`` (``None`` if no real data moved) — plus ``barrier`` /
+  ``ready`` time, and ``combine`` of every member's flat ``data``
+  (``None`` if no real data moved) — plus ``barrier`` /
   ``all_reduce_scalar``, the class attribute ``_hang_issues`` (whose
   view of a HANG the backend models) and one alias line per collective
   for ``perfbench``.
@@ -525,23 +525,32 @@ class ProcessGroup:
     # Collective front-end: every tensor collective is stated once, here
     # ------------------------------------------------------------------
     def _collective(
-        self, kind, nbytes, stream, *, reads, writes, combine, split=None, shard_nbytes=None
+        self, kind, nbytes, stream, *, reads, writes, combine, split=None,
+        shard_nbytes=None, accumulate=False,
     ) -> Work:
         """Run one validated collective through the backend.
 
         ``combine`` maps the member ranks' inputs (each rank's ``reads``
-        flattened into one float64 array, in rank order) to a result
-        every rank shares; ``split`` cuts this rank's values out of it,
-        one flat array per tensor in ``writes`` (default: the result is
-        already that list).  The result is ``None`` when no real data
-        moved (abstract tensors).
+        flattened into one array, in rank order) to a result every rank
+        shares; ``split`` cuts this rank's values out of it, one flat
+        array per tensor in ``writes`` (default: the result is already
+        that list).  The result is ``None`` when no real data moved
+        (abstract tensors).
+
+        An input is a fresh float64 array when ``accumulate`` (a
+        reduction) or when the reads' dtypes differ.  Otherwise it keeps
+        the reads' dtype, so a copy is exact for every dtype, and a lone
+        read is a view of its rank's live storage: ``combine`` must hand
+        back fresh arrays, never an input, because a rank may overwrite
+        its tensor before a peer has written the result out.
         """
         data = None
         if all(t.is_materialized for t in reads):
-            payloads = [
-                np.ascontiguousarray(t._np.reshape(-1), dtype=np.float64) for t in reads
-            ]
-            data = payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
+            flats = [t._np.reshape(-1) for t in reads]
+            if accumulate or len({f.dtype for f in flats}) > 1:
+                data = np.concatenate(flats, dtype=np.float64)
+            else:
+                data = flats[0] if len(flats) == 1 else np.concatenate(flats)
         work, combined = self._launch_collective(
             kind, nbytes, stream, data=data, combine=combine,
             dtype=reads[0].dtype.name, shard_nbytes=shard_nbytes,
@@ -590,15 +599,23 @@ class ProcessGroup:
         """Elementwise ``op`` over the ranks' concatenated ``inputs``;
         ``outputs[k]`` receives the reduced elements from ``starts[k]``
         on.  Reducing a concatenation is reducing each part, which is
-        why coalescing is bitwise-neutral."""
+        why coalescing is bitwise-neutral.
+
+        The float64 payloads are the ranks' own staging copies, so they
+        are folded into rank 0's in place, in rank order:
+        ``((d0 + d1) + d2) + d3``, the order ``np.sum(datas, axis=0)``
+        adds rows in, without stacking them first."""
         _check_reduce_op(op)
         world = self.world_size
+        fold = np.maximum if op == ReduceOp.MAX else np.add
 
         def combine(datas):
-            if op == ReduceOp.MAX:
-                return np.max(datas, axis=0)
-            total = np.sum(datas, axis=0)
-            return total / world if op == ReduceOp.AVG else total
+            total = datas[0]
+            for data in datas[1:]:
+                fold(total, data, out=total)
+            if op == ReduceOp.AVG:
+                total /= world
+            return total
 
         def split(reduced):
             return [reduced[s : s + o.numel] for o, s in zip(outputs, starts)]
@@ -606,7 +623,7 @@ class ProcessGroup:
         return self._collective(
             kind, sum(i.numel * i.dtype.itemsize for i in inputs), stream,
             reads=inputs, writes=outputs, combine=combine, split=split,
-            shard_nbytes=shard_nbytes,
+            shard_nbytes=shard_nbytes, accumulate=True,
         )
 
     def _reduce_scatter(self, pairs: Sequence[tuple[Tensor, Tensor]], op: str, stream) -> Work:
@@ -723,7 +740,8 @@ class ProcessGroup:
         src_index = self.ranks.index(src)
         return self._collective(
             CollectiveKind.BROADCAST, tensor.numel * tensor.dtype.itemsize, stream,
-            reads=(tensor,), writes=(tensor,), combine=lambda datas: (datas[src_index],),
+            reads=(tensor,), writes=(tensor,),
+            combine=lambda datas: (datas[src_index].copy(),),
         )
 
     def all_gather(
@@ -736,7 +754,8 @@ class ProcessGroup:
         return self._collective(
             CollectiveKind.ALL_GATHER_LIST if even else CollectiveKind.ALL_GATHER_UNEVEN,
             sum(sizes) * input.dtype.itemsize, stream,
-            reads=(input,), writes=tuple(outputs), combine=list,
+            reads=(input,), writes=tuple(outputs),
+            combine=lambda datas: [data.copy() for data in datas],
             shard_nbytes=[s * input.dtype.itemsize for s in sizes],
         )
 

@@ -4,8 +4,9 @@ SPMD training is symmetric: every rank runs the same program on the
 same-sized shards, so for *timing and memory* purposes one rank's
 timeline plus group-aware collective costs is enough.  This backend
 assumes all peers reach each collective at the same simulated instant
-as the local rank, and performs no data movement (it is used with
-abstract tensors for the paper-scale sweeps of Sections 5.2–5.4).
+as the local rank, and moves no data between ranks (it is used with
+abstract tensors for the paper-scale sweeps of Sections 5.2–5.4; a
+world of one still writes its collectives' outputs).
 
 For numerics-preserving runs use :class:`ThreadedProcessGroup`.
 """
@@ -32,8 +33,11 @@ class SymmetricProcessGroup(ProcessGroup):
                 "leave the output stale); use the threaded backend for "
                 "materialized tensors"
             )
-        # Every peer is ready when this rank is.
-        return ready, None
+        # Every peer is ready when this rank is; a world of one is its
+        # own whole group, so its data is combined like a rendezvous's.
+        if data is None or combine is None:
+            return ready, None
+        return ready, combine([data])
 
     # perfbench/boundaries.py resolves each collective with vars(cls)[name]
     # on the concrete class: one alias per name until ROADMAP item 5a.

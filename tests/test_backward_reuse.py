@@ -1,8 +1,8 @@
 """GELU and LayerNorm backwards reuse what their forward computed.
 
-``_Gelu`` keeps ``tanh(C * (x + 0.044715 * x**3))`` and ``_LayerNorm``
-keeps the normalized input and ``sqrt(var + eps)`` on ``ctx`` as host
-arrays.  The gradients must be bitwise what the recompute formulas they
+``_Gelu`` keeps ``tanh(C * (x + 0.044715 * (x * x * x)))`` and
+``_LayerNorm`` keeps the normalized input and ``sqrt(var + eps)`` on
+``ctx`` as host arrays.  The gradients must be bitwise what the recompute formulas they
 replace produce, in float32 and bfloat16, at odd shapes, with and
 without LayerNorm's weight and bias, and under activation checkpointing
 (whose recompute makes a fresh ``ctx``).  In meta and abstract mode
@@ -31,7 +31,7 @@ def _leaf(shape, dtype, seed):
 
 def _gelu_grad_by_recompute(x: np.ndarray) -> np.ndarray:
     """The backward before it kept the forward's tanh."""
-    inner = C * (x + 0.044715 * x**3)
+    inner = C * (x + 0.044715 * (x * x * x))
     tanh_inner = np.tanh(inner)
     sech2 = 1.0 - tanh_inner**2
     d_inner = C * (1.0 + 3 * 0.044715 * x**2)

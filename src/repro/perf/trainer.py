@@ -164,8 +164,9 @@ class SimConfig:
     async_checkpoint: bool = True
     #: Give up after this many recoveries.
     max_recoveries: int = 4
-    #: A :class:`repro.profiler.ProfilerSession` to install for the
-    #: run; fills the observability fields of :class:`PerfResult` and
+    #: A :class:`repro.profiler.ProfilerSession` for the run: its
+    #: flight ring is lent from the start, and it observes the measured
+    #: window; fills the observability fields of :class:`PerfResult` and
     #: stores the full per-unit report in ``result.extras["profiler"]``
     #: (the caller keeps the session for trace export afterwards).
     profiler: Optional[object] = None
@@ -215,12 +216,15 @@ def validate(config) -> None:
 @contextlib.contextmanager
 def simulated_world(world_size: int, *, topology=None, session=None, **init) -> Iterator:
     """One abstract single-rank world (``init`` goes to
-    ``dist.init_single_process``) with a profiler ``session`` installed
-    on its device; both are undone however the block ends."""
+    ``dist.init_single_process``) whose device records its collectives
+    into a profiler ``session``'s flight ring.  The caller installs the
+    session when there is something to observe (``Measurement``, or at
+    once for a run without a measured window); the world and the
+    session are undone however the block ends."""
     dist.shutdown()
     ctx = dist.init_single_process(world_size, topology=topology, materialize=False, **init)
     if session is not None:
-        session.install(ctx.device)
+        session.lend(ctx.device)
     try:
         yield ctx
     finally:
@@ -496,7 +500,8 @@ class SteadyState:
 
 class Measurement:
     """The measured window: opened before the first post-warmup
-    iteration, closed into the result after the last."""
+    iteration, closed into the result after the last.  A profiler
+    ``session`` starts observing here: warm-up reached only its ring."""
 
     def __init__(self, device: Device, groups: list, session=None):
         device.reset_peak_memory_stats()
@@ -504,6 +509,7 @@ class Measurement:
         self.traffic_before = self._traffic()
         device.synchronize()
         if session is not None:
+            session.install(device)
             session.begin_measurement()
         self.start_time = device.now()
         self.start_flops = device.flops_total

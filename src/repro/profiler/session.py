@@ -13,9 +13,10 @@ A session is an observer of a simulated device (``Device.observe``):
   session adds no frame per event);
 - ``on_collective``: each launched collective's flight record is
   attributed to a unit by its scope.  Process groups record into
-  ``device.flight_recorder``; :meth:`install` puts the session's own
-  :class:`FlightRecorder` there unless the device already carries one,
-  which the session then reads instead;
+  ``device.flight_recorder``; :meth:`lend` (and :meth:`install`,
+  which also observes) puts the session's own :class:`FlightRecorder`
+  there unless the device already carries one, which the session then
+  reads instead;
 - ``push_scope`` / ``pop_scope``: the FSDP runtime opens **scopes**
   (``forward:<unit>``, ``backward:<unit>``, ``unshard:<unit>@<reason>``,
   ``reduce:<unit>``) through ``device.scope``;
@@ -105,8 +106,11 @@ class ProfilerSession:
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
-    def install(self, device) -> None:
-        """Observe ``device`` (idempotent)."""
+    def lend(self, device) -> None:
+        """Record ``device``'s collectives into :attr:`flight` without
+        observing anything else yet (idempotent).  ``simulate_training``
+        lends when its world starts and installs when its measured
+        window opens, so warm-up costs no span, sample or handler call."""
         if id(device) in self._installed:
             return
         lends_flight = device.flight_recorder is None
@@ -116,17 +120,26 @@ class ProfilerSession:
             # A recorder the world brought (possibly shared across
             # ranks) holds the collectives: report from it.
             self.flight = device.flight_recorder
-        self._installed[id(device)] = (device, device.observe(self), lends_flight)
+        self._installed[id(device)] = (device, None, lends_flight)
+
+    def install(self, device) -> None:
+        """Lend the ring to ``device`` and observe it (idempotent)."""
+        self.lend(device)
+        _, detach, lends_flight = self._installed[id(device)]
+        if detach is None:
+            self._installed[id(device)] = (device, device.observe(self), lends_flight)
 
     def uninstall(self, device=None) -> None:
-        """Stop observing ``device`` (all devices when None)."""
+        """Stop observing ``device`` and take the ring back (all devices
+        when None)."""
         keys = [id(device)] if device is not None else list(self._installed)
         for key in keys:
             entry = self._installed.pop(key, None)
             if entry is None:
                 continue
             dev, detach, lends_flight = entry
-            detach()
+            if detach is not None:
+                detach()
             if lends_flight:
                 dev.flight_recorder = None
 
@@ -260,7 +273,12 @@ class ProfilerSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def begin_measurement(self) -> None:
-        """Drop warmup-phase data; keep observing and the flight ring live."""
+        """Drop warmup-phase data; keep observing and the flight ring live.
+
+        ``simulate_training`` installs the session just before this call
+        (its world only lent the ring), so there it drops nothing; a
+        session installed from the start (``profile_device``, a caller's
+        own ``install``) loses its warm-up here."""
         self.kernel_events.clear()
         self.marks.clear()
         self.memory.clear()

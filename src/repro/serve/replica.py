@@ -118,6 +118,9 @@ class ServiceModel:
         )
         with simulated_world(spec.gpus, topology=spec.topology, session=self._profiler) as ctx:
             device = ctx.device
+            if self._profiler is not None:
+                # No measured window: the warmup passes are observed too.
+                self._profiler.install(device)
             model = wrap_model(config, device)
             model.eval()
             self.model_bytes = spec.gpus * sum(

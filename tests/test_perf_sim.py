@@ -194,18 +194,24 @@ class TestValidation:
 
 
 class TestWorldStage:
-    """``simulated_world`` is the one place a world and a profiler
-    session are set up, so it is the one place they are torn down."""
+    """``simulated_world`` lends a profiler session's flight ring to the
+    world's device and tears the world and the session down however the
+    block ends; observation is attached later, by the measured window
+    (``Measurement``) or by a caller that has none (``ServiceModel``)."""
 
     class Session:
-        installed_on = None
+        lent_to = installed_on = None
+
+        def lend(self, device):
+            self.lent_to = device
 
         def install(self, device):
+            assert device is self.lent_to
             self.installed_on = device
 
         def uninstall(self, device):
-            assert device is self.installed_on
-            self.installed_on = None
+            assert device is self.lent_to
+            self.lent_to = self.installed_on = None
 
     @staticmethod
     def _broken_builder():
@@ -222,6 +228,30 @@ class TestWorldStage:
         with pytest.raises(RuntimeError, match="wrap_model raised"):
             ServiceModel(spec, profiler=session).measure()
         assert session.installed_on is None
+        assert not dist.is_initialized()
+
+    def test_training_that_raises_before_its_window_observed_nothing(self):
+        from repro import distributed as dist
+        from repro.profiler import ProfilerSession
+
+        class Session(ProfilerSession):
+            lent_to = observed = None
+
+            def lend(self, device):
+                self.lent_to = device
+                super().lend(device)
+
+            def install(self, device):
+                self.observed = device
+                super().install(device)
+
+        session = Session()
+        with pytest.raises(RuntimeError, match="wrap_model raised"):
+            simulate_training(small_config(build_model=self._broken_builder, profiler=session))
+        assert session.observed is None
+        assert session.lent_to is not None
+        assert session.lent_to.flight_recorder is None
+        assert not session.lent_to.observers
         assert not dist.is_initialized()
 
     def test_padding_accounting_leaves_nothing_behind_when_wrap_raises(self):

@@ -726,3 +726,98 @@ class TestAllocatorEventCost:
                 sys.setprofile(None)
         assert frames == ["on_alloc", "on_alloc"]
         assert len(session.memory) == 4
+
+
+# ----------------------------------------------------------------------
+# What a profiled run hands the session, and when
+# ----------------------------------------------------------------------
+class _Watched(ProfilerSession):
+    """A session that notes the device's CPU time at every handler call
+    (device announcements and ``on_<point>`` lifecycle handlers alike,
+    however the device or the runtime looks them up)."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        self.device = None
+
+    def lend(self, device):
+        self.device = device
+        super().lend(device)
+
+    def install(self, device):
+        self.device = device
+        super().install(device)
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if not (name.startswith("on_") or name in ("push_scope", "pop_scope")):
+            return attr
+        calls, device = super().__getattribute__("calls"), super().__getattribute__("device")
+
+        def noted(*args, **kwargs):
+            calls.append((name, device.cpu_time()))
+            return attr(*args, **kwargs)
+
+        return noted
+
+
+class TestObservedWindow:
+    """``simulate_training`` lends the session's flight ring when its
+    world starts and installs the session when the measured window
+    opens: warm-up reaches the ring, nothing else."""
+
+    @staticmethod
+    def _config(**overrides):
+        from repro.fsdp import ModuleWrapPolicy
+        from repro.models.mingpt import GptConfig
+        from repro.models.transformer import TransformerBlock
+        from repro.perf import SimConfig
+        from repro.perf.workloads import gpt_builder, gpt_loss_fn
+
+        gpt = GptConfig(vocab_size=512, block_size=32, n_layer=2, n_head=4, n_embd=64)
+        return SimConfig(
+            name="window", build_model=gpt_builder(gpt), make_loss=gpt_loss_fn(gpt, 2, 32),
+            batch_size=2, world_size=8, auto_wrap_policy=ModuleWrapPolicy({TransformerBlock}),
+            **overrides,
+        )  # fmt: skip
+
+    def test_warmup_reaches_only_the_ring(self, monkeypatch):
+        from repro.perf import simulate_training, trainer
+
+        windows = []
+
+        class Window(trainer.Measurement):
+            def __init__(self, device, groups, session=None):
+                windows.append((self, len(session.calls)))
+                super().__init__(device, groups, session)
+
+        monkeypatch.setattr(trainer, "Measurement", Window)
+        session = _Watched()
+        result = simulate_training(self._config(warmup=2, iterations=1, profiler=session))
+        [(window, calls_before)] = windows
+        assert calls_before == 0
+        assert session.calls and session.calls[0][1] >= window.start_time
+        assert [name for name, _ in session.calls].count("on_iteration_begin") == 1
+        assert min(span.start for span in session.kernel_events) >= window.start_time
+        # The ring counted all three iterations' collectives.
+        assert session.flight.total_recorded == 3 * result.collectives
+        assert session.summary()["flight"]["recorded"] == session.flight.total_recorded
+        assert session.device.flight_recorder is None and not session.device.observers
+
+    def test_a_run_without_a_window_observes_its_warmup(self):
+        """``ServiceModel.measure`` has no measured window: its warm-up
+        forwards (outside the pinned ``serve:batch@`` span) are traced."""
+        from repro.models import DHEN_TINY
+        from repro.perf.workloads import dhen_builder, dhen_ignored_modules, dhen_infer_fn
+        from repro.serve import ReplicaSpec, ServiceModel
+
+        spec = ReplicaSpec(
+            name="warm", build_model=dhen_builder(DHEN_TINY), make_batch=dhen_infer_fn(DHEN_TINY),
+            gpus=2, ignored_modules_of=dhen_ignored_modules, max_batch=2,
+        )  # fmt: skip
+        session = _Watched()
+        ServiceModel(spec, profiler=session).measure()
+        scopes = [span.scope for span in session.kernel_events]
+        assert any("serve:batch@warm" in scope for scope in scopes)
+        assert any("serve:batch@warm" not in scope for scope in scopes)

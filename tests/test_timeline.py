@@ -417,6 +417,35 @@ class TestChromeTraceBytes:
             spans, marks, counters
         )
 
+    def test_rewrite_in_place_leaves_no_stale_tail(self, tmp_path):
+        """A re-export overwrites the file it replaces and cuts it to
+        length: never truncated to zero first (on ext4 that waits for
+        the previous export's writeback), so the inode stays."""
+        long_spans = [("k", "default", i * 1e-3, i * 1e-3 + 5e-4, "s") for i in range(200)]
+        short_marks = [("m", 0.5)]
+        counter = {"name": "mem.bytes", "ph": "C", "ts": 0.0, "pid": 0, "args": {"a": 1}}
+        path = tmp_path / "trace.json"
+        timeline.write_chrome_trace(str(path), long_spans, [])
+        before = path.stat()
+        sizes = []
+
+        def counters():  # read by the writer while the file is open
+            sizes.append(path.stat().st_size)
+            yield counter
+
+        timeline.write_chrome_trace(str(path), [], short_marks, counters())
+        assert sizes == [before.st_size]
+        assert path.read_text() == _reference_bytes([], short_marks, [counter])
+        assert path.stat().st_ino == before.st_ino
+
+    def test_rewrite_through_a_symlink_updates_its_target(self, tmp_path):
+        target, link = tmp_path / "trace.json", tmp_path / "latest.json"
+        timeline.write_chrome_trace(str(target), [("k", "default", 0.0, 1.0, "")], [("m", 2.0)])
+        link.symlink_to(target.name)
+        timeline.write_chrome_trace(str(link), [], [])
+        assert link.is_symlink()
+        assert target.read_text() == '{"traceEvents": []}'
+
 
 # ----------------------------------------------------------------------
 # The memory log's public views, pinned to the bytes recorded before the

@@ -34,6 +34,7 @@ from repro.optim import Adam
 from repro.perf import SimConfig, simulate_training
 from repro.perf.trainer import train_elastic
 from repro.perf.workloads import gpt_builder, gpt_loss_fn
+from repro.profiler import ProfilerSession
 from repro.tensor import tensor
 
 WORLD = 4
@@ -213,8 +214,9 @@ CHECKPOINTED = dataclasses.replace(SMALL, checkpoint_blocks=True)
         (CHECKPOINTED, {}),
         (CHECKPOINTED, {"backend": "per_param"}),
         (SMALL, {"compile": True, "iterations": 2}),
+        (CHECKPOINTED, {"profiler": ProfilerSession()}),
     ],
-    ids=["flat_param", "per_param", "compiled"],
+    ids=["flat_param", "per_param", "compiled", "profiled"],
 )
 def test_simulated_run_dies(model, overrides):
     refs = []
@@ -240,3 +242,6 @@ def test_simulated_run_dies(model, overrides):
     assert not result.oom
     assert len(refs) > 1
     assert_dead(refs)
+    # The session outlives the run, holding its report but no unit.
+    session = overrides.get("profiler")
+    assert session is None or session.kernel_events

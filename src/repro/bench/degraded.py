@@ -15,91 +15,58 @@ import dataclasses
 from repro.bench.report import print_table
 from repro.bench.scale import t5_config
 from repro.distributed import FaultEvent, FaultKind, FaultSchedule
-from repro.perf import PerfResult, SimConfig, simulate_training
+from repro.perf import PerfResult, simulate_training
 
 __all__ = ["degraded_rows", "run"]
 
 
-def _t5_base(name: str, world_size: int) -> SimConfig:
-    return t5_config(name, world_size=world_size, iterations=2)
+#: Fault regime -> its schedule (``None``: healthy) and whether the
+#: run recovers elastically.
+REGIMES = {
+    "healthy cluster": (None, False),
+    "straggler rank (+2ms/collective)": (
+        FaultSchedule([FaultEvent(kind=FaultKind.STRAGGLER, rank=0, delay_s=2e-3)]),
+        False,
+    ),
+    "slow links (3x collectives)": (
+        FaultSchedule([
+            FaultEvent(kind=FaultKind.DELAY, rank=0, duration_factor=3.0),
+            FaultEvent(kind=FaultKind.DELAY, rank=0, delay_s=1e-3, collective_kind="all_gather"),
+        ]),
+        False,
+    ),
+    "flapping collectives (retried)": (
+        FaultSchedule([
+            FaultEvent(kind=FaultKind.TRANSIENT, rank=0, collective_index=i, failures=2)
+            for i in (3, 17, 41)
+        ]),
+        False,
+    ),
+    "memory pressure (61 GiB stolen)": (
+        FaultSchedule([
+            FaultEvent(
+                kind=FaultKind.OOM_PRESSURE, rank=0, start_iteration=1, pressure_bytes=61 << 30
+            )
+        ]),
+        False,
+    ),
+    "rank crash + elastic recovery": (
+        FaultSchedule([FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=2)]),
+        True,
+    ),
+}
 
 
 def degraded_rows(world_size: int = 16) -> list[PerfResult]:
     """Healthy cluster vs five fault regimes, same model and scale."""
-    results = []
-    results.append(simulate_training(_t5_base("healthy cluster", world_size)))
-
-    straggler = FaultSchedule(
-        [FaultEvent(kind=FaultKind.STRAGGLER, rank=0, delay_s=2e-3)]
-    )
-    results.append(
+    return [
         simulate_training(
             dataclasses.replace(
-                _t5_base("straggler rank (+2ms/collective)", world_size),
-                faults=straggler,
+                t5_config(name, world_size=world_size, iterations=2), faults=faults, elastic=elastic
             )
         )
-    )
-
-    slow_links = FaultSchedule(
-        [
-            FaultEvent(kind=FaultKind.DELAY, rank=0, duration_factor=3.0),
-            FaultEvent(
-                kind=FaultKind.DELAY, rank=0, delay_s=1e-3, collective_kind="all_gather"
-            ),
-        ]
-    )
-    results.append(
-        simulate_training(
-            dataclasses.replace(
-                _t5_base("slow links (3x collectives)", world_size), faults=slow_links
-            )
-        )
-    )
-
-    flapping = FaultSchedule(
-        [
-            FaultEvent(kind=FaultKind.TRANSIENT, rank=0, collective_index=i, failures=2)
-            for i in (3, 17, 41)
-        ]
-    )
-    results.append(
-        simulate_training(
-            dataclasses.replace(
-                _t5_base("flapping collectives (retried)", world_size), faults=flapping
-            )
-        )
-    )
-
-    pressure = FaultSchedule(
-        [
-            FaultEvent(
-                kind=FaultKind.OOM_PRESSURE,
-                rank=0,
-                start_iteration=1,
-                pressure_bytes=61 << 30,
-            )
-        ]
-    )
-    results.append(
-        simulate_training(
-            dataclasses.replace(
-                _t5_base("memory pressure (61 GiB stolen)", world_size), faults=pressure
-            )
-        )
-    )
-
-    crash = FaultSchedule([FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=2)])
-    results.append(
-        simulate_training(
-            dataclasses.replace(
-                _t5_base("rank crash + elastic recovery", world_size),
-                faults=crash,
-                elastic=True,
-            )
-        )
-    )
-    return results
+        for name, (faults, elastic) in REGIMES.items()
+    ]
 
 
 def run(fast: bool = False) -> None:

@@ -30,10 +30,11 @@ from repro.distributed.process_group import (
 from repro.distributed.rendezvous import Rendezvous
 from repro.distributed.symmetric import SymmetricProcessGroup
 from repro.distributed.threaded import ThreadedProcessGroup
-from repro.errors import DistributedError, RankCrashedError, RankFailureError
+from repro.errors import DistributedError
 from repro.hw.comm_model import CommModel
 from repro.hw.specs import ClusterTopology, cluster_of
 from repro.resilience.abort import CoordinatedAbort
+from repro.resilience.recovery import _failed_ranks
 
 __all__ = [
     "spawn",
@@ -369,19 +370,3 @@ def _release_frames(error: BaseException) -> None:
         traceback.clear_frames(exc.__traceback__)
         pending += (exc.__cause__, exc.__context__)
 
-
-def _failed_ranks(errors: list) -> tuple[int, ...]:
-    """Ranks that actually *died*, per the typed errors.
-
-    Survivors of a crash or abort raise too (RankCrashedError on every
-    rank, RankFailureError on every survivor), so the raiser set is not
-    the dead set: the dead set is the union of the ranks the typed
-    errors *name*.
-    """
-    failed: set[int] = set()
-    for exc in errors:
-        if isinstance(exc, RankCrashedError):
-            failed.add(exc.rank)
-        elif isinstance(exc, RankFailureError):
-            failed.update(exc.failed_ranks)
-    return tuple(sorted(failed))

@@ -217,12 +217,11 @@ class PerfResult:
     faults_injected: int = 0
     recoveries: int = 0
     recovered_iterations: int = 0
-    recovery_overhead_s: float = 0.0
-    #: Simulated fault-to-detection latency (watchdog interval, abort
-    #: declaration, or health-probe period), reported separately from
-    #: ``recovery_overhead_s`` so detection tuning and restore tuning
-    #: can be read independently.
+    #: Parts of :attr:`recovery_overhead_s` (simulated seconds): the
+    #: fault-to-detection latency, and the work a rewind discarded less
+    #: that latency; restores add ``checkpoint_load_s`` and ``_verify_s``.
     detection_s: float = 0.0
+    replay_s: float = 0.0
     #: Checkpoint-free peer-healing accounting (``recovery="heal"``):
     #: simulated seconds spent pulling the failed rank's shards from a
     #: replicate-group peer, how many ranks were healed that way, and
@@ -261,6 +260,13 @@ class PerfResult:
     latency_p95_s: float = 0.0
     latency_p99_s: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def recovery_overhead_s(self) -> float:
+        """Total simulated recovery cost: detect + restore (load +
+        verify) + heal + replay, as ``ElasticResult`` defines it."""
+        restore = self.checkpoint_load_s + self.checkpoint_verify_s
+        return self.detection_s + restore + self.heal_s + self.replay_s
 
     def config_label(self) -> str:
         """Compact description of the knobs behind this row."""

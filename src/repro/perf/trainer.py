@@ -16,6 +16,7 @@ large models, Figure 6(a)) and FSDP in any sharding configuration.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -29,15 +30,7 @@ from repro.cuda.device import Device
 from repro.ddp import DistributedDataParallel
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.distributed.process_group import DEFAULT_COLLECTIVE_TIMEOUT, ReduceOp
-from repro.errors import (
-    CheckpointCorruptionError,
-    CollectiveFailedError,
-    CollectiveTimeoutError,
-    DistributedError,
-    OutOfMemoryError,
-    RankCrashedError,
-    RankFailureError,
-)
+from repro.errors import DistributedError, OutOfMemoryError, RankCrashedError
 from repro.fsdp import (
     BackwardPrefetch,
     CPUOffload,
@@ -55,12 +48,15 @@ from repro.nn.module import Module
 from repro.optim import Adam, SGD
 from repro.perf.metrics import GiB, PerfResult
 from repro.resilience import (
-    DEFAULT_HEALTH_PROBE_S,
+    RECOVERABLE_ERRORS,
     HealContext,
+    decide_recovery,
     heal_seconds,
     payload_nbytes,
+    plan_heal,
     restore_seconds,
 )
+from repro.resilience.recovery import _detection_latency, _failed_ranks
 from repro.tensor import Tensor
 
 __all__ = [
@@ -75,17 +71,6 @@ __all__ = [
 ]
 
 LossFn = Callable[[Module, Device], "object"]
-
-#: Errors the elastic loop treats as recoverable rank failures.  A
-#: corrupted checkpoint is recoverable too: the store quarantines it and
-#: the respawned world restores from an older verified-good iteration.
-RECOVERABLE_ERRORS = (
-    RankCrashedError,
-    RankFailureError,
-    CollectiveTimeoutError,
-    CollectiveFailedError,
-    CheckpointCorruptionError,
-)
 
 
 @dataclass
@@ -142,12 +127,12 @@ class SimConfig:
     #: instead of propagating the error.
     elastic: bool = False
     #: Elastic recovery mode: "restore" rewinds every rank to the latest
-    #: checkpoint; "heal" (hybrid sharding only) restores the failed
-    #: rank's shards from a surviving replicate-group peer at link
-    #: bandwidth — survivors keep their live state and only the
-    #: interrupted iteration is replayed.  Non-hybrid strategies and
-    #: checkpoint-corruption failures fall back to "restore" (counted in
-    #: ``PerfResult.heal_fallbacks``).
+    #: checkpoint; "heal" restores the failed rank's shards from a
+    #: surviving replicate-group peer at link bandwidth — survivors keep
+    #: their live state and only the interrupted iteration is replayed.
+    #: Layouts where no surviving rank holds the failed rank's shards,
+    #: and checkpoint-corruption failures, fall back to "restore"
+    #: (``PerfResult.heal_fallbacks``).
     recovery: str = "restore"
     #: Install the coordinated-abort latch: the first watchdog to
     #: declare a failure poisons every group, so survivors stall for
@@ -292,8 +277,12 @@ class _Run:
         self.config, self.device, self.injector, self.result = config, device, injector, result
         self.wrapped = wrap_model(config, device)
         params = list(self.wrapped.parameters())
+        #: Each sharded unit's sharding factor F: rank r holds chunk
+        #: r % F (shard groups are contiguous blocks of F ranks).
+        self.factors = []
         if config.parallelism == "fsdp":
             units = sharded_units(self.wrapped)
+            self.factors = [unit.plan.sharding_factor for unit in units]
             if units:
                 result.sharding_factor = units[0].plan.sharding_factor
             # The dense optimizer steps what the units shard.  Ignored
@@ -327,10 +316,8 @@ class _Run:
         return None
 
     def recover(self, failure: BaseException, completed: int) -> int:
-        """Charge one failure; returns the iteration to resume at.
-        ``recovery_overhead_s`` accrues the discarded work (less the
-        detection latency, reported on its own) plus heal or restore."""
-        config, device, result = self.config, self.device, self.result
+        """Charge one failure; returns the iteration to resume at."""
+        config, device, result, writer = self.config, self.device, self.result, self.writer
         if self.injector is not None:
             self.injector.advance_generation()
         runtime = self.runtime()
@@ -342,53 +329,48 @@ class _Run:
             # The death itself is silent; the health probe's
             # interval passes before the controller reacts.
             device.consume_cpu(detection)
-        result.detection_s += detection
         if device.abort is not None:
             # Clear the poisoned latch so the recovered world's
             # collectives stop failing fast.
             device.abort.reset()
         crash_time = device.now()
         device.synchronize()
-        heal = (
-            config.recovery == "heal"
-            and config.parallelism == "fsdp"
-            and config.sharding_strategy.is_hybrid
-            and not isinstance(failure, CheckpointCorruptionError)
-        )
-        if config.recovery == "heal" and not heal:
-            result.heal_fallbacks += 1
-        if heal:
-            # Survivors keep their live state, so only the interrupted
-            # iteration is replayed.
-            rewind = completed
-        elif self.writer is not None:
+        world, nbytes, heal = config.world_size, self.checkpoint_nbytes(), None
+        if config.recovery == "heal":
+            # Survivors keep their live state: only iteration ``completed`` replays.
+            maps = {r: [r % factor for factor in self.factors] for r in range(world)}
+            sizes = dict.fromkeys(range(world), nbytes)
+            heal = functools.partial(plan_heal, maps, world_size=world, tag=completed, nbytes=sizes)
+        decision = decide_recovery(
+            failure,
+            _failed_ranks([failure]),
+            heal,
+            resizing=False,
             # An async save still draining at crash time is lost: rewind
-            # to the newest *durably committed* checkpoint, not the
-            # newest issued one.
-            rewind = self.writer.committed_iteration(crash_time) or 0
-        else:
-            rewind = 0  # checkpoint_every=0: nothing to resume from
+            # to the newest *durably committed* checkpoint (none without
+            # a writer: checkpoint_every=0).
+            committed=lambda: writer and writer.committed_iteration(crash_time),
+            result=result,
+        )
+        rewind = decision.rewind
         wasted_since = self.started.get(rewind)
         if wasted_since is not None:
-            result.recovery_overhead_s += max(0.0, device.now() - wasted_since - detection)
-        if heal:
-            # Checkpoint-free peer heal (hybrid sharding): the
-            # replacement rank pulls its shards + optimizer state from a
-            # replicate-group peer at link bandwidth.
-            heal_s = heal_seconds(self.checkpoint_nbytes())
+            result.replay_s += max(0.0, device.now() - wasted_since - detection)
+        if decision.plan is not None:
+            # The replacements pull their shards + optimizer state from
+            # replicate-group peers at link bandwidth, side by side.
+            heal_s = heal_seconds(nbytes)
             with device.scope("heal:peer-restore"):
                 device.consume_cpu(heal_s)
             device.emit_mark("heal:peer-restore")
             result.heal_s += heal_s
-            result.healed_ranks += 1
-            result.recovery_overhead_s += heal_s
+            result.healed_ranks += len(decision.plan.sources)
         else:
-            restore, verify = restore_seconds(self.checkpoint_nbytes(), config.world_size)
+            restore, verify = restore_seconds(nbytes, world)
             with device.scope("recovery:restore"):
                 device.consume_cpu(verify + restore)
             result.checkpoint_load_s += restore
             result.checkpoint_verify_s += verify
-            result.recovery_overhead_s += verify + restore
             result.recovered_iterations += completed - rewind
         for dropped in range(rewind, completed + 1):
             self.started.pop(dropped, None)
@@ -551,23 +533,6 @@ class Measurement:
             result.prefetch_misses = totals["prefetch_misses"]
 
 
-def _detection_latency(failure: BaseException) -> float:
-    """Simulated time between the fault and the job *knowing* about it.
-
-    A hang is noticed by the collective watchdog (one timeout interval,
-    or the coordinated abort's declared detection time); a silent crash
-    by the out-of-band elastic-agent health probe; a corrupted
-    checkpoint surfaces synchronously at load and costs nothing extra.
-    """
-    if isinstance(failure, RankFailureError):
-        return failure.detection_s
-    if isinstance(failure, CollectiveTimeoutError):
-        return failure.timeout
-    if isinstance(failure, RankCrashedError):
-        return DEFAULT_HEALTH_PROBE_S
-    return 0.0
-
-
 def simulate_training(config: SimConfig) -> PerfResult:
     """Simulate a few training iterations; returns steady-state metrics.
 
@@ -713,9 +678,8 @@ class ElasticResult:
     replay_s: float = 0.0
     #: One entry per healed restart: the tuple of ranks peer-restored.
     healed_ranks: list = field(default_factory=list)
-    #: Restarts where healing was requested but had to fall back to a
-    #: checkpoint restore (no surviving replica, shrink/grow restart,
-    #: or a corrupted-checkpoint failure).
+    #: Restarts where a requested heal restored instead (see
+    #: :func:`repro.resilience.decide_recovery`).
     heal_fallbacks: int = 0
     #: The typed cause of each restart, in order (e.g. a
     #: RankCrashedError, or a CollectiveTimeoutError whose __cause__
@@ -781,7 +745,7 @@ class _ElasticJob:
             donor = plan.sources.get(rank, rank)
             ckpt.load_payload(wrapped, opt, self.heal_ctx.deposit_for(donor).payload)
             if rank in plan.sources:
-                transfer_s = heal_seconds(plan.transfer_nbytes(rank))
+                transfer_s = heal_seconds(plan.nbytes[rank])
                 device.consume_cpu(transfer_s)
                 device.emit_mark("heal:peer-restore")
                 with self.lock:
@@ -803,32 +767,33 @@ class _ElasticJob:
     def plan_restart(self, exc: DistributedError, world_size: int, resizing: bool) -> None:
         """The controller's half of one recovery: account for the
         failure and decide how the next incarnation gets its state."""
-        cause, result, injector = exc.__cause__, self.result, self.result.injector
+        cause, result, injector, ctx = exc.__cause__, self.result, self.result.injector, self.heal_ctx
         result.restarts += 1
         result.failures.append(cause)
-        result.detection_s += _detection_latency(cause)
-        plan = None
-        if self.heal_ctx is not None:
-            failed = tuple(getattr(exc, "failed_ranks", ()) or ())
+        failed = tuple(getattr(exc, "failed_ranks", ()) or ())
+        if ctx is not None:
             # Whatever the failed ranks held is gone; survivors'
             # deposits stay live for planning.
-            self.heal_ctx.invalidate(failed)
-            if failed and not resizing and not isinstance(cause, CheckpointCorruptionError):
-                plan = self.heal_ctx.plan(failed, world_size)
-            if plan is None:
-                # No surviving replica (or a storage failure): fall
-                # back to the checkpoint store, and drop deposits
-                # that would now be *ahead* of the restored state.
-                result.heal_fallbacks += 1
-                self.heal_ctx.clear()
-            else:
-                result.healed_ranks.append(failed)
-        self.heal_plan = plan
+            ctx.invalidate(failed)
+        decision = decide_recovery(
+            cause,
+            failed,
+            None if ctx is None else lambda dead: ctx.plan(dead, world_size),
+            resizing=resizing,
+            committed=result.store.latest,
+            result=result,
+        )
+        self.heal_plan = decision.plan
+        if decision.plan is not None:
+            result.healed_ranks.append(failed)
+        elif decision.fallback:
+            # Restoring: drop deposits that would now be *ahead* of the
+            # restored state.
+            ctx.clear()
         if injector is not None:
             injector.advance_generation()
             furthest = max(injector.iteration_of(rank) for rank in range(world_size))
-            rewind = plan.tag if plan is not None else (result.store.latest() or 0)
-            result.recovered_iterations += max(0, furthest - rewind)
+            result.recovered_iterations += max(0, furthest - decision.rewind)
 
 
 def _elastic_worker(rank: int, job: _ElasticJob) -> None:
@@ -912,15 +877,11 @@ def train_elastic(
     ``tests/test_elastic_recovery.py``).
 
     ``recovery="heal"`` enables checkpoint-free peer healing: every
-    rank deposits its (hybrid-replicated) shards into an in-memory
-    :class:`repro.resilience.HealContext` at each iteration boundary —
-    free, the replicate-group peers already hold those bytes — and on a
-    failure the controller plans a targeted restore where survivors
+    rank deposits its shards into an in-memory
+    :class:`repro.resilience.HealContext` at each iteration boundary,
+    and where :func:`repro.resilience.decide_recovery` heals, survivors
     keep their live state and each failed rank adopts a surviving
-    replica peer's deposit at link bandwidth.  When no replica of a
-    failed rank survives (or the restart resizes the world, or the
-    failure is a corrupted checkpoint) the restart falls back to the
-    checkpoint store and ``heal_fallbacks`` is incremented.
+    replica peer's deposit at link bandwidth.
     """
     validate(SimpleNamespace(optimizer=optimizer, recovery=recovery))
     injector = FaultInjector(faults) if faults is not None else None

@@ -1,28 +1,15 @@
-"""Coordinated failure handling: abort, desync checking, peer healing.
+"""Coordinated failure handling (paper §4; PAPERS.md's cluster studies).
 
-Production FSDP deployments (paper §4, and the cluster
-characterizations in PAPERS.md) treat three capabilities as table
-stakes that plain watchdog-timeout recovery lacks:
+Each module documents itself:
 
-- :mod:`repro.resilience.abort` — **coordinated abort**.  One rank's
-  watchdog declaring a peer dead poisons the whole communicator:
-  in-flight collectives on every survivor wake immediately and later
-  collectives fail fast with
-  :class:`repro.errors.RankFailureError` naming the dead rank(s),
-  instead of each survivor serially burning one watchdog timeout per
-  pending collective (NCCL communicator-abort semantics).
-- :mod:`repro.resilience.desync` — **collective desync detection**.  A
-  pre-launch cross-rank signature check over
-  ``(kind, nbytes, dtype, group, seq)`` that raises
-  :class:`repro.errors.CollectiveDesyncError` naming the divergent
-  ranks and both signatures (the TORCH_DISTRIBUTED_DEBUG=DETAIL
-  analog), with the flight-recorder dump attached.
-- :mod:`repro.resilience.heal` — **checkpoint-free peer healing**.
-  Under hybrid sharding every shard exists on ``W/F`` replicate-group
-  peers; a replacement rank can restore its flat-param shards and
-  optimizer state directly from a surviving peer at link bandwidth,
-  falling back to checkpoint restore only when a whole shard group
-  died.
+- :mod:`~repro.resilience.abort` — coordinated abort: the first
+  watchdog to declare a peer dead poisons the whole communicator;
+- :mod:`~repro.resilience.desync` — pre-launch cross-rank collective
+  signature checks;
+- :mod:`~repro.resilience.heal` — checkpoint-free peer healing from
+  hybrid sharding's replicate-group peers;
+- :mod:`~repro.resilience.recovery` — one recovery decision (heal or
+  restore) for both elastic run loops.
 """
 
 from repro.resilience.abort import (
@@ -45,8 +32,10 @@ from repro.resilience.heal import (
     HealPlan,
     heal_seconds,
     payload_nbytes,
+    plan_heal,
     restore_seconds,
 )
+from repro.resilience.recovery import RECOVERABLE_ERRORS, Recovery, decide_recovery
 
 __all__ = [
     "DEFAULT_HEALTH_PROBE_S",
@@ -65,4 +54,8 @@ __all__ = [
     "HealDeposit",
     "HealPlan",
     "payload_nbytes",
+    "plan_heal",
+    "RECOVERABLE_ERRORS",
+    "Recovery",
+    "decide_recovery",
 ]

@@ -11,19 +11,18 @@ simulated link instead of re-reading (and re-verifying) the whole
 world's checkpoint from storage, so recovery cost scales with one
 rank's state.
 
-:class:`HealContext` is the controller-side ledger: live workers
-deposit a reference to their current sharded payload at every
-iteration boundary (zero simulated cost — the bytes already exist on
-the peer by construction), and after a failure the controller asks for
-a :class:`HealPlan` mapping each dead rank to a surviving donor.  A
-``None`` plan (no donor with a matching shard map — FULL_SHARD layouts,
-or a whole replicate set lost) signals fallback to checkpoint restore.
+:func:`plan_heal` maps each dead rank to a surviving donor over
+per-rank shard maps; a ``None`` plan (FULL_SHARD layouts, or a whole
+replicate set lost) signals fallback to checkpoint restore.
+:class:`HealContext` is the threaded controller's ledger of those maps:
+live workers deposit their sharded payload at every iteration boundary
+(zero simulated cost — the bytes already exist on the peer).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 __all__ = [
@@ -35,6 +34,7 @@ __all__ = [
     "HealContext",
     "HealDeposit",
     "HealPlan",
+    "plan_heal",
     "payload_nbytes",
 ]
 
@@ -89,7 +89,6 @@ def payload_nbytes(payload: dict) -> int:
 class HealDeposit:
     """One rank's most recent deposited state."""
 
-    rank: int
     tag: int  # iterations completed when deposited
     shard_index: dict  # unit key -> shard chunk index this rank holds
     payload: Optional[dict]  # None once the rank is declared dead
@@ -102,10 +101,7 @@ class HealPlan:
 
     tag: int
     sources: dict  # dead rank -> surviving donor rank
-    nbytes: dict = field(default_factory=dict)  # dead rank -> bytes to copy
-
-    def transfer_nbytes(self, rank: int) -> int:
-        return int(self.nbytes.get(rank, 0))
+    nbytes: dict  # dead rank -> bytes to copy
 
 
 class HealContext:
@@ -123,7 +119,6 @@ class HealContext:
         """
         with self._lock:
             self._deposits[rank] = HealDeposit(
-                rank=rank,
                 tag=tag,
                 shard_index=dict(payload.get("shard_index", {})),
                 payload=payload,
@@ -150,57 +145,44 @@ class HealContext:
         with self._lock:
             self._deposits.clear()
 
-    def plan(
-        self, failed_ranks: Iterable[int], world_size: int
-    ) -> Optional[HealPlan]:
-        """Map each dead rank to a surviving donor, or ``None``.
-
-        Preconditions for a heal (any miss falls back to checkpoint
-        restore):
-
-        - at least one failure, and not the whole world;
-        - every survivor has a live deposit, all at one consensus tag
-          (SPMD deposits happen at iteration boundaries, so survivors
-          of a single failure always agree);
-        - every dead rank has recorded layout metadata and at least one
-          *surviving* rank with an identical shard map — i.e. a
-          replicate-group peer.  FULL_SHARD layouts have unique shard
-          maps, so they never plan; losing an entire replicate set
-          leaves no donor either.
-        """
-        failed = sorted(set(failed_ranks))
-        if not failed or len(failed) >= world_size:
-            return None
-        survivors = [r for r in range(world_size) if r not in failed]
+    def plan(self, failed_ranks: Iterable[int], world_size: int) -> Optional[HealPlan]:
+        """:func:`plan_heal` over the deposits' shard maps, or ``None``
+        unless every survivor has a live deposit, all at one consensus
+        tag (SPMD deposits happen at iteration boundaries, so survivors
+        of a single failure always agree)."""
+        failed = set(failed_ranks)
         with self._lock:
             deposits = dict(self._deposits)
-        live = {
-            r: deposits[r]
-            for r in survivors
-            if r in deposits and deposits[r].payload is not None
-        }
-        if len(live) != len(survivors):
-            return None
+        survivors = [r for r in range(world_size) if r not in failed]
+        live = {r: deposits[r] for r in survivors if r in deposits and deposits[r].payload is not None}
         tags = {d.tag for d in live.values()}
-        if len(tags) != 1:
+        if len(live) != len(survivors) or len(tags) != 1:
             return None
-        tag = tags.pop()
-        sources: dict[int, int] = {}
-        nbytes: dict[int, int] = {}
-        for dead in failed:
-            meta = deposits.get(dead)
-            if meta is None or not meta.shard_index:
-                return None
-            donor = next(
-                (
-                    r
-                    for r in survivors
-                    if live[r].shard_index == meta.shard_index
-                ),
-                None,
-            )
-            if donor is None:
-                return None
-            sources[dead] = donor
-            nbytes[dead] = live[donor].nbytes
-        return HealPlan(tag=tag, sources=sources, nbytes=nbytes)
+        maps = {r: d.shard_index for r, d in deposits.items()}
+        sizes = {r: d.nbytes for r, d in live.items()}
+        return plan_heal(maps, failed, world_size, tag=tags.pop(), nbytes=sizes)
+
+
+def plan_heal(
+    shard_maps: dict, failed_ranks: Iterable[int], world_size: int, *, tag: int, nbytes: dict
+) -> Optional[HealPlan]:
+    """Map each dead rank to the lowest surviving rank whose shard map
+    (per-unit shard indices, ``shard_maps[rank]``) equals its own; the
+    copy is the donor's ``nbytes[donor]`` bytes.  ``None`` without a failure, when
+    the whole world died, or when a dead rank has no recorded map or no
+    *surviving* replicate-group peer: FULL_SHARD layouts have unique
+    shard maps, so they never plan, and losing an entire replicate set
+    leaves no donor either."""
+    failed = sorted(set(failed_ranks))
+    if not failed or len(failed) >= world_size:
+        return None
+    sources = {}
+    for dead in failed:
+        want = shard_maps.get(dead)
+        donor = next(
+            (r for r in range(world_size) if r not in failed and shard_maps.get(r) == want), None
+        )
+        if not want or donor is None:
+            return None
+        sources[dead] = donor
+    return HealPlan(tag, sources, {dead: nbytes[donor] for dead, donor in sources.items()})

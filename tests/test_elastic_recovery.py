@@ -194,9 +194,6 @@ class TestCrashRecovery:
         runs = [run_elastic(schedule(), iterations=8, checkpoint_every=3) for _ in range(5)]
         assert {run.recovered_iterations for run in runs} == {2}
         assert len({run.replay_s for run in runs}) == 1 and runs[0].replay_s > 0
-        # The data-path definition, pinned as it stands (ROADMAP item 9b
-        # reruns the resilience bench and may then merge it with
-        # ``PerfResult.recovery_overhead_s``, which counts differently).
         for run in runs:
             assert run.recovery_overhead_s == (
                 run.detection_s + run.restore_s + run.heal_s + run.replay_s
@@ -328,28 +325,31 @@ class TestSymmetricElastic:
         assert result.iteration_latency > 0
         assert clean.recoveries == 0
 
-    def test_recovery_overhead_excludes_detection(self):
-        """The simulated-path definition, pinned as it stands: wasted
-        time + heal + checkpoint load + verify, with detection reported
-        beside it — unlike ``ElasticResult.recovery_overhead_s``, which
-        includes it (ROADMAP item 9b decides whether they merge)."""
+    def test_recovery_overhead_has_one_definition(self):
+        """Both loops' results define the overhead alike: detection +
+        restore (load + verify) + heal + replay."""
         from repro.perf import simulate_training
 
-        schedule = FaultSchedule(
+        schedule = lambda: FaultSchedule(  # noqa: E731
             [FaultEvent(kind=FaultKind.CRASH, rank=0, iteration=3)]
         )
         sparse = dict(iterations=4, elastic=True, checkpoint_every=2)
         clean = simulate_training(self._config(**sparse))
-        result = simulate_training(self._config(faults=schedule, **sparse))
+        result = simulate_training(self._config(faults=schedule(), **sparse))
         assert result.recoveries == 1 and result.recovered_iterations == 1
-        restore = result.heal_s + result.checkpoint_load_s + result.checkpoint_verify_s
-        assert restore > 0
+        restore = result.checkpoint_load_s + result.checkpoint_verify_s
+        assert restore > 0 and result.detection_s > 0
+        assert result.recovery_overhead_s == (
+            result.detection_s + restore + result.heal_s + result.replay_s
+        )
         # Crash at the boundary of iteration 3, last checkpoint at 2: one
         # completed iteration is discarded.
-        wasted = result.recovery_overhead_s - restore
-        assert 0.5 * clean.iteration_latency < wasted < 2 * clean.iteration_latency
-        # The health probe's interval dwarfs all of it, and is not in it.
-        assert result.detection_s > result.recovery_overhead_s
+        assert 0.5 * clean.iteration_latency < result.replay_s < 2 * clean.iteration_latency
+        threaded = run_elastic(schedule(), iterations=4, checkpoint_every=2)
+        assert threaded.recovered_iterations == 1 and threaded.replay_s > 0
+        assert threaded.recovery_overhead_s == (
+            threaded.detection_s + threaded.restore_s + threaded.heal_s + threaded.replay_s
+        )
 
     def test_non_elastic_crash_propagates(self):
         from repro.perf import simulate_training

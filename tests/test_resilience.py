@@ -526,6 +526,18 @@ class TestPeerHealing:
         assert plan.sources == {1: 3, 2: 0}
 
 
+#: One crash at world 4, through both loops: layout -> (strategy,
+#: sharding factor, healed, fell back).
+AGREEMENT = {
+    "full_shard": (ShardingStrategy.FULL_SHARD, None, False, True),
+    "hybrid_f2": (ShardingStrategy.HYBRID_SHARD, 2, True, False),
+    # F = W: one shard group and no replicate group, so no donor.
+    "hybrid_f_eq_w": (ShardingStrategy.HYBRID_SHARD, WORLD, False, True),
+    # Every rank is a replica of every other.
+    "no_shard": (ShardingStrategy.NO_SHARD, None, True, False),
+}
+
+
 # ----------------------------------------------------------------------
 # Heal in the symmetric performance simulator
 # ----------------------------------------------------------------------
@@ -575,6 +587,8 @@ class TestSymmetricHeal:
         assert healed.recovery_overhead_s < restored.recovery_overhead_s
 
     def test_heal_requires_hybrid_sharding(self):
+        """FULL_SHARD: no surviving rank holds the failed rank's
+        shards, so the heal falls back to a checkpoint restore."""
         from repro.perf import simulate_training
 
         result = simulate_training(
@@ -589,3 +603,22 @@ class TestSymmetricHeal:
         assert result.healed_ranks == 0
         assert result.heal_fallbacks == 1
         assert result.checkpoint_load_s > 0.0
+
+    @pytest.mark.parametrize("layout", AGREEMENT)
+    def test_both_loops_decide_heal_or_restore_alike(self, layout):
+        from repro.perf import simulate_training
+
+        strategy, factor, healed, fallback = AGREEMENT[layout]
+        layout_kwargs = dict(sharding_strategy=strategy, sharding_factor=factor)
+        crash = lambda: FaultSchedule(  # noqa: E731
+            [FaultEvent(kind=FaultKind.CRASH, rank=1, iteration=1)]
+        )
+        threaded = run_elastic(
+            crash(),
+            recovery="heal",
+            wrap=lambda model: FSDP(model, auto_wrap_policy=ModuleWrapPolicy({nn.Linear}), **layout_kwargs),
+        )
+        sim = simulate_training(self._config(faults=crash(), recovery="heal", **layout_kwargs))
+        assert threaded.restarts == sim.recoveries == 1
+        assert (bool(threaded.healed_ranks), threaded.heal_fallbacks) == (healed, fallback)
+        assert (bool(sim.healed_ranks), sim.heal_fallbacks) == (healed, fallback)

@@ -11,6 +11,7 @@ PyTorch's autograd engine, including the extension points FSDP needs
 - :func:`queue_callback` registers work to run at the end of the
   current backward (``GraphTask`` exit) — FSDP waits for pending
   reductions there so the optimizer never consumes gradients early.
+  A backward that raises runs none of it.
 
 Saved activations are released as soon as each node executes (unless
 ``retain_graph``), so backward frees simulated memory progressively
@@ -90,16 +91,29 @@ def run_backward(
         if edge is not None:
             roots.append((edge, seed))
 
-    nested = getattr(_state, "callbacks", None) is not None
-    if not nested:
+    outer = getattr(_state, "callbacks", None) is None
+    if outer:
         _state.callbacks = []
     try:
         _execute(roots, retain_graph)
-    finally:
-        if not nested:
-            callbacks, _state.callbacks = _state.callbacks, None
-            for callback in callbacks:
-                callback()
+    except BaseException:
+        # A backward that raises completes no graph task, so the outermost
+        # drops its queue unrun (PyTorch runs final callbacks only once one
+        # completes).  Every node drops what it saved, as running it would
+        # have: one that saved its own output (tanh) would otherwise wait
+        # in a reference cycle for the collector, and free order is simulated.
+        if outer:
+            _state.callbacks = None
+        if not retain_graph:
+            nodes = [edge.node for edge, _ in roots]
+            for node in (*nodes, *_count_dependencies(nodes)):
+                if not isinstance(node, AccumulateGrad):
+                    node.ctx.saved_tensors = node.ctx.saved_arrays = ()
+        raise
+    if outer:
+        callbacks, _state.callbacks = _state.callbacks, None
+        for callback in callbacks:
+            callback()
 
 
 def _execute(roots: list[tuple[Edge, "Tensor"]], retain_graph: bool) -> None:

@@ -40,7 +40,7 @@ class _GradMode:
         self._previous = _state.enabled
         _state.enabled = self.enabled
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc) -> None:
         _state.enabled = self._previous
 
 

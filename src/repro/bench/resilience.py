@@ -24,6 +24,8 @@ strictly cheaper than restore at the same schedule) on it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 import repro
@@ -67,50 +69,31 @@ def _make_loss(model, rank, iteration):
 
 
 def _wrap(factor):
-    strategy = (
-        ShardingStrategy.FULL_SHARD
-        if factor == WORLD
-        else ShardingStrategy.HYBRID_SHARD
+    strategy = ShardingStrategy.FULL_SHARD if factor == WORLD else ShardingStrategy.HYBRID_SHARD
+    policy = ModuleWrapPolicy({nn.Linear})
+    return functools.partial(
+        FSDP, auto_wrap_policy=policy, sharding_strategy=strategy, sharding_factor=factor
     )
-
-    def wrap(model):
-        return FSDP(
-            model,
-            auto_wrap_policy=ModuleWrapPolicy({nn.Linear}),
-            sharding_strategy=strategy,
-            sharding_factor=factor,
-        )
-
-    return wrap
 
 
 def _run(*, factor, crashes=(), recovery="restore"):
-    schedule = (
-        FaultSchedule(
-            [
-                FaultEvent(kind=FaultKind.CRASH, rank=rank, iteration=iteration)
-                for rank, iteration in crashes
-            ]
-        )
-        if crashes
-        else None
-    )
+    events = [FaultEvent(kind=FaultKind.CRASH, rank=r, iteration=i) for r, i in crashes]
     repro.manual_seed(1234)
     return train_elastic(
         build_model=_build_model,
         make_loss=_make_loss,
         world_size=WORLD,
         iterations=ITERATIONS,
-        faults=schedule,
+        faults=FaultSchedule(events) if events else None,
         wrap=_wrap(factor),
         checkpoint_every=CHECKPOINT_EVERY,
         recovery=recovery,
     )
 
 
-def bench_point(campaign: str, factor: int, recovery: str) -> dict:
-    """One sweep point: fault campaign × sharding factor × recovery mode."""
-    baseline = _run(factor=factor)
+def bench_point(campaign: str, factor: int, recovery: str, baseline: list) -> dict:
+    """One sweep point: fault campaign × sharding factor × recovery mode,
+    against the fault-free ``baseline`` losses at that factor."""
     result = _run(factor=factor, crashes=CAMPAIGNS[campaign], recovery=recovery)
     return {
         "campaign": campaign,
@@ -127,13 +110,14 @@ def bench_point(campaign: str, factor: int, recovery: str) -> dict:
         "recovered_iterations": result.recovered_iterations,
         "healed_restarts": len(result.healed_ranks),
         "heal_fallbacks": result.heal_fallbacks,
-        "losses_match_baseline": result.losses == baseline.losses,
+        "losses_match_baseline": result.losses == baseline,
     }
 
 
 def run(fast: bool = False) -> dict:
+    baselines = {factor: _run(factor=factor).losses for factor in FACTORS}
     points = [
-        bench_point(campaign, factor, recovery)
+        bench_point(campaign, factor, recovery, baselines[factor])
         for campaign in CAMPAIGNS
         for factor in FACTORS
         for recovery in ("restore", "heal")
@@ -141,16 +125,8 @@ def run(fast: bool = False) -> dict:
     print_table(
         f"resilience (W={WORLD}, checkpoint every {CHECKPOINT_EVERY})",
         [
-            "campaign",
-            "factor",
-            "recovery",
-            "restarts",
-            "heal/fb",
-            "detect",
-            "state xfer",
-            "replay",
-            "total ovh",
-            "bitwise",
+            "campaign", "factor", "recovery", "restarts", "heal/fb", "detect", "state xfer",
+            "replay", "total ovh", "bitwise",
         ],
         [
             (
@@ -167,7 +143,7 @@ def run(fast: bool = False) -> dict:
             )
             for point in points
         ],
-    )
+    )  # fmt: skip
     return {
         "world_size": WORLD,
         "iterations": ITERATIONS,

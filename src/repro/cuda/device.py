@@ -51,7 +51,7 @@ class _StreamGuard:
         self._device.current_stream = self._stream
         return self._stream
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc) -> None:
         self._device.current_stream = self._previous
 
 
@@ -68,7 +68,7 @@ class _ScopeGuard:
     def __enter__(self) -> None:
         self._device.push_scope(self._label, pinned=self._pinned)
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc) -> None:
         self._device.pop_scope(self._label)
 
 

@@ -21,7 +21,6 @@ against (Sections 2.1 and 5.2):
 from __future__ import annotations
 
 import contextlib
-import sys
 import weakref
 from typing import Optional
 
@@ -113,9 +112,11 @@ class DistributedDataParallel(nn.Module):
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
         if self.require_backward_grad_sync:
+            # A backward that raised left its buckets and its queued
+            # flag behind: the engine ran no finalize for it.
             for bucket in self._buckets:
                 bucket.reset()
-            self._backward_prepared = True
+            self._backward_prepared, self._finalize_queued = True, False
         return self.module(*args, **kwargs)
 
     def _make_grad_hook(self, index: int):
@@ -146,10 +147,7 @@ class DistributedDataParallel(nn.Module):
         self._backward_prepared = self._finalize_queued = False
         self._copy_back()
         missing = set().union(*(bucket.pending for bucket in self._buckets))
-        # A backward that raised (an OOM, a fault) still runs this from
-        # the engine's ``finally``: its error stands, and the buckets it
-        # left unfilled are not a parameter without a gradient.
-        if missing and sys.exc_info()[0] is None:
+        if missing:
             names = [n for n, p in self.module.named_parameters() if id(p) in missing]
             raise DistributedError(
                 f"DDP: parameters {names} got no gradient in this backward: their buckets "

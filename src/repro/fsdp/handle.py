@@ -651,6 +651,13 @@ class ShardHandle:
                 record._saved_grad_shard = None
                 record.grad_restored = True
 
+    def discard_backward(self) -> None:
+        """Drop what an aborted backward left: a partial gradient count
+        and every parked gradient (reduced shards, ``no_sync`` sums)."""
+        self._grads_seen = 0
+        for record in self.records:
+            record._saved_grad_shard = record._unsharded_grad_accum = None
+
     def reduce_grad(
         self,
         stream: Stream,

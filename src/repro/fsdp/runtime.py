@@ -282,6 +282,9 @@ class FsdpRuntime:
     # ------------------------------------------------------------------
     def begin_iteration(self) -> None:
         self.iteration += 1
+        record = self.record
+        if record and record[-1][0] != "finalize" and any(p == "pre_backward" for p, _ in record):
+            self.reset_after_failure()  # its backward raised: the engine ran no finalize
         self._close_order()
         self.prev_record, self.record = self.record, []
         self._final_callback_queued = False
@@ -299,11 +302,12 @@ class FsdpRuntime:
     def reset_after_failure(self) -> None:
         """Discard in-flight state after an aborted iteration.
 
-        Elastic recovery calls this before reloading a checkpoint: a
-        collective timeout or rank crash can leave the runtime
-        mid-backward — pending reductions, a queued final callback,
-        unsharded handles, stashed gradient shards.  All of it is
-        dropped so the next ``pre_forward`` starts from a clean slate.
+        Elastic recovery calls this before reloading a checkpoint, and
+        :meth:`begin_iteration` after a backward that raised: either
+        can leave the runtime mid-backward — pending reductions, a
+        queued final callback, unsharded handles, stashed gradient
+        shards.  All of it is dropped so the next ``pre_forward``
+        starts from a clean slate.
         """
         self._inflight.clear()
         self._final_callback_queued = False
@@ -319,7 +323,7 @@ class FsdpRuntime:
             unit._move("reset")
             if unit.handle is None:
                 continue
-            unit.handle.restore_stashed_gradient()
+            unit.handle.discard_backward()
             unit.handle.reshard()
         self.unshard_stream.wait_stream(self.device.default_stream)
 

@@ -5,10 +5,16 @@ its math.  A :class:`Case` fixes the model, its wrapping, the strategy,
 the world, the optimizer and the training loop; :func:`run` trains it
 in one :class:`Mode` (a sharding backend, eager or compiled, foreach on
 or off, or the order-matched DDP reference) and returns an
-:class:`Outcome`: every rank's per-microbatch losses, full parameters
-and full optimizer state.  :func:`bitwise_modes` is the equality table:
-the modes it lists for a case must reproduce each other exactly (``==``,
-no tolerance), and :func:`check` asserts that.
+:class:`Outcome`: every rank's per-microbatch losses, full parameters,
+full optimizer state and installed schedule.  :func:`bitwise_modes` is
+the equality table: the modes it lists for a case must reproduce each
+other exactly (``==``, no tolerance), and :func:`check` asserts that.
+
+A case with ``fail_at`` adds a fault: one unit's backward raises, and
+the loop catches the error, zero-grads and goes on.  A backward that
+raised is not a step, so every mode must reproduce the fault-free case
+run without that step, and a compiled mode must install the same
+schedule.
 
 Exact equality is the right bar because every path computes each
 element the same way.  Threaded collectives combine payloads
@@ -43,6 +49,7 @@ import numpy as np
 
 import repro
 from repro import distributed as dist, nn
+from repro.autograd import Function
 from repro.compile import CaptureHook, CompiledExecutor
 from repro.cuda import sanitizer
 from repro.ddp import DistributedDataParallel as DDP
@@ -174,7 +181,9 @@ class Case:
     :class:`FullyShardedDataParallel` wrapper instead of ``fully_shard``;
     ``optimizer="frozen"`` is Adam with the first Linear's bias frozen;
     ``accumulate`` runs one ``no_sync`` microbatch before each synced
-    one."""
+    one; ``fail_at = (step, unit)`` raises in the backward of the
+    model's ``unit``-th ``Linear`` (with ``wrap="linear"``, the unit at
+    that forward position) in step ``step``'s synced microbatch."""
 
     model: str = "mlp"
     widths: tuple = (6, 13, 3)
@@ -188,6 +197,7 @@ class Case:
     steps: int = 2
     accumulate: bool = False
     mixed_precision: Optional[MixedPrecision] = None
+    fail_at: Optional[tuple] = None
 
 
 class Mode(NamedTuple):
@@ -200,12 +210,14 @@ DDP_MODE = Mode("ddp")
 
 
 class Outcome(NamedTuple):
-    """Per rank: per-microbatch losses, ``{fqn: full parameter}`` and
-    ``{fqn: {state name: full tensor or scalar}}``."""
+    """Per rank: per-microbatch losses, ``{fqn: full parameter}``,
+    ``{fqn: {state name: full tensor or scalar}}`` and the installed
+    schedule's ``summary()`` (None but in a compiled mode)."""
 
     losses: tuple
     params: tuple
     optim: tuple
+    schedules: tuple
 
 
 def bitwise_modes(case: Case) -> list[Mode]:
@@ -261,17 +273,56 @@ def microbatch(model, x, y) -> float:
     return float(loss.numpy())
 
 
-def train(model, opt, x, y, *, steps, accumulate=None):
+class InjectedFault(RuntimeError):
+    """What a :class:`Fault` raises."""
+
+
+class _Raise(Function):
+    """The identity, whose backward raises :class:`InjectedFault`."""
+
+    @staticmethod
+    def forward(ctx, x):
+        return x
+
+    @staticmethod
+    def backward(ctx, grad):
+        raise InjectedFault("injected in backward")
+
+
+class Fault:
+    """``fail_at`` on one rank: while ``armed``, the chosen ``Linear``'s
+    output passes through :class:`_Raise`.  Hooked before sharding, so
+    the unit's pre-backward hook lands on the raising node's output:
+    the raise comes inside the unit's backward."""
+
+    def __init__(self, model, step, unit):
+        self.step, self.armed = step, False
+        layer = [m for m in model.modules() if isinstance(m, nn.Linear)][unit]
+        layer.register_forward_hook(lambda m, args, out: _Raise.apply(out) if self.armed else None)
+
+
+def train(model, opt, x, y, *, steps, accumulate=None, fault=None):
     """``steps`` optimizer steps; with ``accumulate`` (a ``no_sync``
     context factory) each first accumulates one microbatch inside it.
-    Returns the per-microbatch losses."""
+    At ``fault.step`` (a :class:`Fault`) the synced microbatch's
+    backward raises: the loop catches it, zero-grads and drops the step,
+    its losses included.  Returns the per-microbatch losses."""
     losses = []
-    for _ in range(steps):
+    for step in range(steps):
         opt.zero_grad()
+        kept = len(losses)
         if accumulate is not None:
             with accumulate():
                 losses.append(microbatch(model, x, y))
-        losses.append(microbatch(model, x, y))
+        if fault is not None:
+            fault.armed = fault.step == step
+        try:
+            losses.append(microbatch(model, x, y))
+        except InjectedFault:
+            fault.armed = False
+            del losses[kept:]
+            opt.zero_grad()
+            continue
         opt.step()
     return losses
 
@@ -352,6 +403,7 @@ def run(case: Case, mode: Mode) -> Outcome:
     def rank_fn(rank):
         model = build(case)[0]
         copy_weights(model, state0)
+        fault = case.fail_at and Fault(model, *case.fail_at)
         if case.optimizer == "frozen":
             model[0].bias.requires_grad_(False)
         ddp = mode.backend == "ddp"
@@ -362,14 +414,15 @@ def run(case: Case, mode: Mode) -> Outcome:
             x.requires_grad_()
         sync = trained.no_sync if ddp else functools.partial(no_sync, trained)
         accumulate = sync if case.accumulate else None
-        losses = train(trained, opt, x, y, steps=case.steps, accumulate=accumulate)
+        losses = train(trained, opt, x, y, steps=case.steps, accumulate=accumulate, fault=fault)
         if ddp:
             optim = {n: _numpy(opt.state.get(id(p), {})) for n, p in model.named_parameters()}
-            return losses, snapshot_weights(model), optim
+            return losses, snapshot_weights(model), optim, None
         _check_schedule(trained, mode)
         params = {k: v.numpy().copy() for k, v in full_state_dict(trained).items()}
         optim = full_optim_state_dict(trained, opt)["state"]
-        return losses, params, {fqn: _numpy(state) for fqn, state in optim.items()}
+        summary = trained._fsdp_unit.runtime.schedule.summary()
+        return losses, params, {fqn: _numpy(state) for fqn, state in optim.items()}, summary
 
     with _sanitized_late_join() if case.model == "late_join" else contextlib.nullcontext():
         return Outcome(*zip(*dist.spawn(rank_fn, case.world)))
@@ -407,11 +460,29 @@ def assert_same(a: Outcome, b: Outcome, context: str) -> None:
 def check(case: Case, only=None) -> Outcome:
     """Run ``case`` in every mode of its row of the table (restricted to
     ``only`` when given), assert each agrees bitwise with the first, and
-    return the first's outcome."""
+    return the first's outcome.
+
+    With ``fail_at`` the reference is the case run fault-free without
+    the failed step (and is returned): every mode must agree with it,
+    and a compiled one must install the schedule that run installs
+    under the same backend (foreach moves no collective).  It runs once
+    per compiled backend, or else in the first mode."""
     modes = [m for m in bitwise_modes(case) if only is None or m in only]
-    assert len(modes) >= 2, f"{case}: nothing to compare in {only}"
     first, *rest = modes
-    reference = run(case, first)
+    if case.fail_at is None:
+        assert rest, f"{case}: nothing to compare in {only}"
+        reference = run(case, first)
+    else:
+        fault_free = dataclasses.replace(case, fail_at=None, steps=case.steps - 1)
+        compiled = {mode.backend: mode for mode in modes if mode.compiled}
+        expected = {backend: run(fault_free, mode) for backend, mode in compiled.items()}
+        first = next(iter(compiled.values()), first)
+        reference = expected[first.backend] if first.compiled else run(fault_free, first)
+        first, rest = f"fault-free {first}", modes
     for mode in rest:
-        assert_same(reference, run(case, mode), f"{first} vs {mode}")
+        outcome = run(case, mode)
+        assert_same(reference, outcome, f"{first} vs {mode}")
+        if mode.compiled and case.fail_at is not None:
+            schedules = expected[mode.backend].schedules
+            assert outcome.schedules == schedules, f"{mode}: not the fault-free schedule"
     return reference

@@ -7,7 +7,7 @@ import repro
 from repro import ops
 from repro.autograd import engine, no_grad, queue_callback
 from repro.cuda.device import Device, cpu_device
-from repro.nn import functional as F
+from repro.nn import checkpoint, functional as F
 from repro.ops.shape import narrow_along
 from tests.conftest import gradcheck
 
@@ -362,6 +362,64 @@ class TestHooks:
         ran = []
         queue_callback(lambda: ran.append(True))
         assert ran == [True]
+
+    @staticmethod
+    def _raising(error):
+        """``x`` through a node whose backward raises ``error``."""
+
+        class Raise(repro.autograd.Function):
+            @staticmethod
+            def forward(ctx, a):
+                return a * 1.0
+
+            @staticmethod
+            def backward(ctx, grad):
+                raise error
+
+        return Raise.apply
+
+    def test_queue_callback_never_runs_after_a_raise(self):
+        # The callback would raise too (as DDP's finalize refuses an
+        # unfilled bucket): the backward's own error must reach the caller.
+        error, ran = RuntimeError("backward failed"), []
+
+        def callback():
+            ran.append(True)
+            raise AssertionError("a callback ran after a failed backward")
+
+        x = repro.randn(2, requires_grad=True)
+        y = self._raising(error)(x) * 2.0
+        y.register_hook(lambda grad: queue_callback(callback))
+        with pytest.raises(RuntimeError) as caught:
+            y.sum().backward()
+        assert caught.value is error
+        assert error.__context__ is None
+        assert ran == []
+
+    def test_a_raise_in_a_nested_backward_drops_the_outer_queue(self):
+        # A checkpoint recompute is a nested backward (engine.grad) on
+        # the outer one's queue.
+        error, ran = RuntimeError("recompute failed"), []
+        x = repro.randn(2, requires_grad=True)
+        y = checkpoint(lambda a: self._raising(error)(a) * 3.0, x) * 2.0
+        y.register_hook(lambda grad: queue_callback(lambda: ran.append(True)))
+        with pytest.raises(RuntimeError) as caught:
+            y.sum().backward()
+        assert caught.value is error
+        assert ran == []
+
+    def test_the_next_backward_runs_its_callbacks(self):
+        order = []
+        x = repro.randn(2, requires_grad=True)
+        failing = self._raising(RuntimeError("backward failed"))(x) * 2.0
+        failing.register_hook(lambda grad: queue_callback(lambda: order.append("dropped")))
+        with pytest.raises(RuntimeError):
+            failing.sum().backward()
+        y = x * 2.0
+        y.register_hook(lambda grad: queue_callback(lambda: order.append("ran")))
+        y.sum().backward()
+        assert order == ["ran"]
+        np.testing.assert_allclose(x.grad.numpy(), [2.0, 2.0])
 
     def test_pre_backward_hook_order_matches_reverse_forward(self):
         # Hooks on successive layer outputs fire in reverse order.

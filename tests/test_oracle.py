@@ -2,17 +2,21 @@
 
 Two differential tests over :mod:`tests.oracle`: a Hypothesis property
 over generated MLP cases (odd widths hit uneven dim-0 chunks and
-compiled bucket boundaries constantly), whose example count the profile
-decides, and the named :data:`CASES`, which pin every strategy, the
-draws earlier campaigns found, and the cases the generator does not
-reach.  Each historical bug, put back by monkeypatch, fails its case.
+compiled bucket boundaries constantly, and at most one backward per
+case raises), whose example count the profile decides, and the named
+:data:`CASES`, which pin every strategy, the draws earlier campaigns
+found, and the cases the generator does not reach.  The named
+:data:`FAULTS` fail one backward per strategy, at each unit position.
+Each historical bug, put back by monkeypatch, fails its case.
 """
 
 import dataclasses
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.autograd import engine
 from repro.compile import CompiledExecutor
 from repro.cuda import sanitizer
 from repro.errors import DistributedError, FsdpError
@@ -49,10 +53,30 @@ CASES = {
 }
 
 
+#: One per strategy: the backward of each unit position in turn
+#: (``test_fail_at_is_the_run_without_that_step``) raises at ``step``,
+#: the capture (0), its replay (1) or the compiled steady state (2).
+FAULTS = {
+    "full_shard": Case(world=2, steps=3, optimizer="adam", fail_at=(0, None)),
+    "shard_grad_op": Case(world=2, steps=3, strategy=S.SHARD_GRAD_OP, fail_at=(1, None)),
+    "no_shard": Case(world=2, steps=3, strategy=S.NO_SHARD, accumulate=True, fail_at=(2, None)),
+    "hybrid_shard": Case(steps=3, strategy=S.HYBRID_SHARD, sharding_factor=2, fail_at=(0, None)),
+    "hybrid_shard_zero2": Case(
+        steps=3, strategy=S.HYBRID_SHARD_ZERO2, sharding_factor=2, accumulate=True,
+        fail_at=(1, None),
+    ),
+}
+
+
+def _failing(name, unit):
+    case = FAULTS[name]
+    return dataclasses.replace(case, fail_at=(case.fail_at[0], unit))
+
+
 @st.composite
 def mlp_cases(draw):
     strategy = draw(st.sampled_from(list(S)))
-    return Case(
+    case = Case(
         widths=(draw(st.integers(2, 9)), draw(st.integers(3, 13)), draw(st.integers(1, 5))),
         depth=draw(st.integers(1, 2)),
         wrap=draw(st.sampled_from(["root", "linear"])),
@@ -64,6 +88,9 @@ def mlp_cases(draw):
         accumulate=draw(st.booleans()),
         mixed_precision=draw(st.sampled_from([None, BF16_MIXED])),
     )
+    fail_at = draw(st.none() | st.tuples(st.integers(0, 2), st.integers(0, case.depth)))
+    # A compiled run needs two fault-free steps to install its schedule.
+    return case if fail_at is None else dataclasses.replace(case, steps=3, fail_at=fail_at)
 
 
 @given(case=mlp_cases())
@@ -74,6 +101,45 @@ def test_generated_mlp_is_bitwise_in_every_mode(case):
 @pytest.mark.parametrize("name", CASES)
 def test_case_is_bitwise_in_every_mode(name):
     check(CASES[name])
+
+
+@pytest.mark.parametrize("unit", range(3))
+@pytest.mark.parametrize("name", FAULTS)
+def test_fail_at_is_the_run_without_that_step(name, unit):
+    check(_failing(name, unit))
+
+
+def _callbacks_despite_a_raise(monkeypatch):
+    """Put the engine's old ``finally`` back: the outermost backward
+    runs its queued callbacks even when it raised."""
+    execute, depth = engine._execute, threading.local()
+
+    def execute_then_drain(roots, retain_graph):
+        depth.n = getattr(depth, "n", 0) + 1
+        try:
+            execute(roots, retain_graph)
+        except BaseException:
+            if depth.n == 1:
+                callbacks, engine._state.callbacks = engine._state.callbacks, []
+                for callback in callbacks:
+                    callback()
+            raise
+        finally:
+            depth.n -= 1
+
+    monkeypatch.setattr(engine, "_execute", execute_then_drain)
+
+
+def test_fail_at_fails_where_a_raising_backward_runs_its_callbacks(monkeypatch):
+    """With the old ``finally``, the capture compiles the aborted
+    iteration (a schedule without its reduce-scatter buckets) and DDP's
+    finalize replaces the raised error with its own refusal."""
+    _callbacks_despite_a_raise(monkeypatch)
+    compiled = [Mode("flat_param"), Mode("flat_param", compiled=True)]
+    with pytest.raises(AssertionError, match="not the fault-free schedule"):
+        check(_failing("full_shard", 1), only=compiled)
+    with pytest.raises(DistributedError, match="got no gradient"):
+        check(_failing("shard_grad_op", 1), only=[DDP_MODE])
 
 
 def _refusal(case, mode, error_type):

@@ -87,6 +87,9 @@ rule that stops matching anything fails too).
   ``WeakKeyDictionary``.
 - Worlds end with their spawn: ``repro.{fsdp,distributed,perf}`` call
   no ``gc.collect``.
+- A backward that raised runs no end-of-backward callback (the engine
+  drops its queue), so no callback asks whether one failed: ``exc_info``
+  is spelled nowhere in ``repro``.
 - Execution order is recorded once: no ``ExecOrderValidator`` or
   ``exec_validator`` is left in ``repro``; ``FsdpRuntime`` checks its
   own order.
@@ -141,11 +144,13 @@ HANDLE_COLLECTIVES = {
     "unshard", "unshard_pair", "unshard_commit", "reduce_grad", "reduce_grad_pair",
 }  # fmt: skip
 #: What only ``fsdp/handle.py`` defines: the unit lifecycle, the drain
-#: rule, the record buffers and the swap back to the shard.
+#: rule, the record buffers, the swap back to the shard and what an
+#: aborted backward leaves.
 LIFECYCLE = HANDLE_COLLECTIVES | {
     "reshard", "use_unsharded_views", "prepare_gradient_for_backward",
     "restore_stashed_gradient", "register_post_backward", "flush_post_backward",
     "writeback_unsharded_to_shard", "drain_grad", "_build_buffers", "_use_sharded",
+    "discard_backward",
 }  # fmt: skip
 
 
@@ -514,6 +519,8 @@ PER_EVENT = {
 #: that would lean on the cycle collector instead.
 LIFETIME_PACKAGES = ("fsdp", "distributed", "perf")
 COLLECTION = re.compile(r"gc\.collect\(")
+#: How a callback would tell that the backward it finalizes raised.
+EXC_INFO = re.compile("exc_info")
 
 
 def _owners(tree: ast.AST) -> dict:
@@ -772,6 +779,13 @@ def collections(path: str, source: str) -> list[str]:
     if not re.search(r"\bcollect\b", source):
         return []
     return _spells(path, source, COLLECTION)
+
+
+def failed_backward_guards(path: str, source: str) -> list[str]:
+    """:data:`EXC_INFO` spelled (the same skip as :func:`collections`)."""
+    if "exc_info" not in source:
+        return []
+    return _spells(path, source, EXC_INFO)
 
 
 def _tree_violations(rule, paths) -> list[str]:
@@ -1203,6 +1217,10 @@ def test_worlds_lean_on_no_collection():
     assert _tree_violations(collections, paths) == []
 
 
+def test_no_callback_asks_whether_its_backward_failed():
+    assert _tree_violations(failed_backward_guards, sorted(SRC.rglob("*.py"))) == []
+
+
 _SECOND_STATE_WRITER = '''
 class FsdpUnit:
     def _move(self, point):
@@ -1538,4 +1556,25 @@ def test_negative_control_a_second_record_is_caught():
         "stores _prev_exec_order",
         "stores _exec_order",
         "calls _exec_order.append",
+    ]
+
+
+_FAILED_BACKWARD_GUARD = '''
+import sys
+
+
+class DistributedDataParallel:
+    def _finalize_backward(self):
+        # A backward that raised still runs this: let its exc_info stand.
+        if missing and sys.exc_info()[0] is None:
+            raise DistributedError("got no gradient")
+'''
+
+
+def test_negative_control_a_failed_backward_guard_is_caught():
+    found = failed_backward_guards("ddp.py", _FAILED_BACKWARD_GUARD)
+    assert [v.split(": ", 1)[1] for v in found] == [
+        "spells # A backward that raised still runs this: let its exc_info stand.",
+        "spells exc_info",
+        "spells sys.exc_info(",
     ]
